@@ -58,8 +58,13 @@ pub(crate) struct RouteOutcome {
     pub routes: Vec<Option<Route>>,
     /// Total capacity overuse across nodes after the last iteration.
     pub overuse: usize,
-    /// Signals with no path at all (distance exceeds schedule slack).
+    /// Signals left without a route in the last iteration, whatever the
+    /// reason.
     pub failed: usize,
+    /// How many of `failed` are [`Search::Unreachable`]: endpoints placed
+    /// further apart than the schedule slack, which only a placement
+    /// change can cure. The rest ran out of A* expansions.
+    pub unreachable: usize,
     /// PathFinder iterations actually run.
     pub iterations: usize,
     /// Per-node usage of the last iteration (for annealing to target
@@ -71,6 +76,22 @@ impl RouteOutcome {
     pub fn is_clean(&self) -> bool {
         self.overuse == 0 && self.failed == 0
     }
+}
+
+/// What one A* search over `(MRRG node, elapsed)` states came to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Search {
+    /// A cheapest path, every node with its elapsed time.
+    Found(Vec<(MrrgNodeId, u32)>),
+    /// No path with exactly `delta` advances exists: the slack is below
+    /// one cycle, or the frontier emptied inside the expansion budget.
+    /// Node costs are finite, so congestion never removes a state from
+    /// the frontier — this is a fact about placement and schedule alone,
+    /// and no amount of negotiation changes it.
+    Unreachable,
+    /// The expansion cap was hit with states still open; a path may
+    /// exist.
+    BudgetExhausted,
 }
 
 /// One signal to route: a DFG dependency lowered against the current
@@ -319,9 +340,9 @@ impl RouterScratch {
         dst_slot: usize,
         present: f64,
         max_expansions: usize,
-    ) -> Option<Vec<(MrrgNodeId, u32)>> {
+    ) -> Search {
         if delta < 1 {
-            return None;
+            return Search::Unreachable;
         }
         let delta = delta as u32;
         let num_nodes = mrrg.num_nodes();
@@ -366,7 +387,7 @@ impl RouterScratch {
             let g = self.best[key as usize];
             expansions += 1;
             if expansions > max_expansions {
-                return None;
+                return Search::BudgetExhausted;
             }
             if elapsed == delta {
                 let node = MrrgNodeId::from_index(node_index);
@@ -383,7 +404,7 @@ impl RouterScratch {
                         ));
                     }
                     path.reverse();
-                    return Some(path);
+                    return Search::Found(path);
                 }
             }
             let lo = self.flat_offsets[node_index] as usize;
@@ -417,7 +438,7 @@ impl RouterScratch {
                 }
             }
         }
-        None
+        Search::Unreachable
     }
 }
 
@@ -426,6 +447,11 @@ impl RouterScratch {
 /// rounds. A fired `cancel` token stops the negotiation after the current
 /// rip-up-and-reroute round — the caller sees a dirty outcome and is
 /// expected to check the token itself before retrying.
+///
+/// A round that meets a [`Search::Unreachable`] signal is the last one:
+/// the routing can never become clean under this placement, so the round's
+/// outcome goes back as it stands — history untouched — and the caller's
+/// placement repair works from that round's usage map.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn route_all(
     mrrg: &Mrrg,
@@ -478,22 +504,17 @@ pub(crate) fn route_all(
     let mut present = config.present_factor;
     let mut iterations = 0;
 
-    for _ in 0..config.max_iterations.max(1) {
+    let (overuse, failed, unreachable) = loop {
         if cancel.is_some_and(crate::CancelToken::is_cancelled) {
             // Abandon the negotiation between rounds; report every signal
             // as failed so the partial state cannot pass for a success.
-            return RouteOutcome {
-                routes,
-                overuse: 0,
-                failed: scratch.signals.len().max(1),
-                iterations,
-                usage: scratch.usage.clone(),
-            };
+            break (0, scratch.signals.len().max(1), 0);
         }
         iterations += 1;
         scratch.refresh_base_costs(num_nodes);
         scratch.usage.iter_mut().for_each(|u| *u = 0);
         let mut failed = 0usize;
+        let mut unreachable = 0usize;
         let mut current_producer = u32::MAX;
         for sig_index in 0..scratch.signals.len() {
             let (edge_index, producer, src_pe, dst_pe, start_time, delta, dst_slot) = {
@@ -524,7 +545,7 @@ pub(crate) fn route_all(
                 config.max_expansions,
             );
             match found {
-                Some(path) => {
+                Search::Found(path) => {
                     for &(n, t) in &path {
                         // fan-out edges of one producer broadcast a single
                         // physical value: nodes shared *at the same cycle*
@@ -543,9 +564,10 @@ pub(crate) fn route_all(
                         nodes: path.into_iter().map(|(n, _)| n).collect(),
                     });
                 }
-                None => {
+                miss => {
                     routes[edge_index] = None;
                     failed += 1;
+                    unreachable += usize::from(miss == Search::Unreachable);
                 }
             }
         }
@@ -558,14 +580,10 @@ pub(crate) fn route_all(
                 (u as usize).saturating_sub(cap as usize)
             })
             .sum();
-        if overuse == 0 && failed == 0 {
-            return RouteOutcome {
-                routes,
-                overuse: 0,
-                failed: 0,
-                iterations,
-                usage: scratch.usage.clone(),
-            };
+        // Clean, or structurally unroutable: further rounds would only
+        // negotiate (and deposit history for) a routing that cannot exist.
+        if (overuse == 0 && failed == 0) || unreachable > 0 {
+            break (overuse, failed, unreachable);
         }
         // deposit history on overused nodes; sharpen present penalty
         for (i, &u) in scratch.usage.iter().enumerate() {
@@ -576,17 +594,18 @@ pub(crate) fn route_all(
             }
         }
         present *= 1.4;
-        if iterations == config.max_iterations {
-            return RouteOutcome {
-                routes,
-                overuse,
-                failed,
-                iterations,
-                usage: scratch.usage.clone(),
-            };
+        if iterations >= config.max_iterations {
+            break (overuse, failed, unreachable);
         }
+    };
+    RouteOutcome {
+        routes,
+        overuse,
+        failed,
+        unreachable,
+        iterations,
+        usage: scratch.usage.clone(),
     }
-    unreachable!("loop returns on final iteration");
 }
 
 /// Heap entry ordered by ascending f-cost.
@@ -628,6 +647,29 @@ mod tests {
         (cgra, mrrg)
     }
 
+    /// A placement with every op on its FU slot, as the mappers hand it
+    /// to the router.
+    fn state_of(dfg: &Dfg, pe_of: Vec<PeId>, times: &[usize], ii: usize) -> PlacementState {
+        let mut state = PlacementState {
+            pe_of,
+            time_of: times.to_vec(),
+            fu_used: Map::new(),
+            ii,
+        };
+        for (i, op) in dfg.op_ids().enumerate() {
+            state.fu_used.insert((state.pe_of[i], times[i] % ii), op);
+        }
+        state
+    }
+
+    /// Unwraps a found path.
+    fn found(search: Search, why: &str) -> Vec<(MrrgNodeId, u32)> {
+        match search {
+            Search::Found(path) => path,
+            other => panic!("{why}: {other:?}"),
+        }
+    }
+
     /// A scratch sized for direct `route_one` tests (no congestion).
     fn fresh_scratch(mrrg: &Mrrg, max_delta: usize) -> RouterScratch {
         let mut s = RouterScratch::new();
@@ -642,9 +684,10 @@ mod tests {
         let a = cgra.pe_at(0, 0);
         let b = cgra.pe_at(0, 1);
         let mut scratch = fresh_scratch(&mrrg, 1);
-        let path = scratch
-            .route_one(&mrrg, &cgra, a, b, 0, 1, 1, 0.5, 100_000)
-            .expect("adjacent PEs route in one hop");
+        let path = found(
+            scratch.route_one(&mrrg, &cgra, a, b, 0, 1, 1, 0.5, 100_000),
+            "adjacent PEs route in one hop",
+        );
         // out(a,0) → link → in(b,1)
         assert_eq!(path.first().copied(), Some((mrrg.out(a, 0), 0)));
         assert_eq!(path.last().copied(), Some((mrrg.input(b, 1), 1)));
@@ -657,9 +700,20 @@ mod tests {
         let a = cgra.pe_at(0, 0);
         let b = cgra.pe_at(3, 3); // manhattan 6
         let mut scratch = fresh_scratch(&mrrg, 2);
-        assert!(scratch
-            .route_one(&mrrg, &cgra, a, b, 0, 2, 0, 0.5, 100_000)
-            .is_none());
+        assert_eq!(
+            scratch.route_one(&mrrg, &cgra, a, b, 0, 2, 0, 0.5, 100_000),
+            Search::Unreachable
+        );
+        // a slack below one cycle is unreachable without any search
+        assert_eq!(
+            scratch.route_one(&mrrg, &cgra, a, a, 0, 0, 0, 0.5, 100_000),
+            Search::Unreachable
+        );
+        // a reachable pair cut short by the expansion cap is not
+        assert_eq!(
+            scratch.route_one(&mrrg, &cgra, a, cgra.pe_at(0, 2), 0, 2, 0, 0.5, 1),
+            Search::BudgetExhausted
+        );
     }
 
     #[test]
@@ -669,9 +723,10 @@ mod tests {
         let a = cgra.pe_at(1, 1);
         let b = cgra.pe_at(1, 2);
         let mut scratch = fresh_scratch(&mrrg, 3);
-        let path = scratch
-            .route_one(&mrrg, &cgra, a, b, 0, 3, 3, 0.5, 100_000)
-            .expect("register parking allows late consumption");
+        let path = found(
+            scratch.route_one(&mrrg, &cgra, a, b, 0, 3, 3, 0.5, 100_000),
+            "register parking allows late consumption",
+        );
         // count advances, and check the per-hop elapsed times agree
         let mut adv = 0u32;
         for w in path.windows(2) {
@@ -695,8 +750,8 @@ mod tests {
         // every stale entry, so the second answer matches a fresh scratch.
         let (cgra, mrrg) = setup(4);
         let mut reused = fresh_scratch(&mrrg, 3);
-        let first = reused
-            .route_one(
+        let first = found(
+            reused.route_one(
                 &mrrg,
                 &cgra,
                 cgra.pe_at(0, 0),
@@ -706,12 +761,13 @@ mod tests {
                 3,
                 0.5,
                 100_000,
-            )
-            .expect("row route exists");
+            ),
+            "row route exists",
+        );
         assert!(first.len() >= 4);
         let stale_generation = reused.generation;
-        let reused_path = reused
-            .route_one(
+        let reused_path = found(
+            reused.route_one(
                 &mrrg,
                 &cgra,
                 cgra.pe_at(3, 3),
@@ -721,12 +777,13 @@ mod tests {
                 3,
                 0.5,
                 100_000,
-            )
-            .expect("second route exists");
+            ),
+            "second route exists",
+        );
         assert_eq!(reused.generation, stale_generation + 1, "no table clears");
         let mut fresh = fresh_scratch(&mrrg, 3);
-        let fresh_path = fresh
-            .route_one(
+        let fresh_path = found(
+            fresh.route_one(
                 &mrrg,
                 &cgra,
                 cgra.pe_at(3, 3),
@@ -736,8 +793,9 @@ mod tests {
                 3,
                 0.5,
                 100_000,
-            )
-            .expect("second route exists");
+            ),
+            "second route exists",
+        );
         assert_eq!(reused_path, fresh_path, "stale entries leaked into A*");
     }
 
@@ -747,9 +805,10 @@ mod tests {
         let mut scratch = fresh_scratch(&mrrg, 1);
         let a = cgra.pe_at(0, 0);
         let b = cgra.pe_at(0, 1);
-        let path = scratch
-            .route_one(&mrrg, &cgra, a, b, 0, 1, 1, 0.5, 100_000)
-            .unwrap();
+        let path = found(
+            scratch.route_one(&mrrg, &cgra, a, b, 0, 1, 1, 0.5, 100_000),
+            "adjacent PEs route",
+        );
         // claim the path for the producer, as route_all does
         let mut claimed_now = Vec::new();
         for &(n, t) in &path {
@@ -796,15 +855,8 @@ mod tests {
         let dfg = b.build().unwrap();
         let times = vec![0, 1, 2, 3];
         // place along the top row
-        let mut state = PlacementState {
-            pe_of: (0..4).map(|c| cgra.pe_at(0, c)).collect(),
-            time_of: times.clone(),
-            fu_used: Map::new(),
-            ii: 4,
-        };
-        for (i, op) in dfg.op_ids().enumerate() {
-            state.fu_used.insert((state.pe_of[i], times[i] % 4), op);
-        }
+        let pe_of = (0..4).map(|c| cgra.pe_at(0, c)).collect();
+        let state = state_of(&dfg, pe_of, &times, 4);
         let mut scratch = RouterScratch::new();
         let outcome = route_all(
             &mrrg,
@@ -848,15 +900,7 @@ mod tests {
             pe_of[2 * i] = cgra.pe_at(i, 0);
             pe_of[2 * i + 1] = cgra.pe_at(i, 1);
         }
-        let mut state = PlacementState {
-            pe_of,
-            time_of: times.clone(),
-            fu_used: Map::new(),
-            ii: 6,
-        };
-        for (i, op) in dfg.op_ids().enumerate() {
-            state.fu_used.insert((state.pe_of[i], times[i] % 6), op);
-        }
+        let state = state_of(&dfg, pe_of, &times, 6);
         let mut scratch = RouterScratch::new();
         let outcome = route_all(
             &mrrg,
@@ -882,19 +926,8 @@ mod tests {
         b.data(s, d);
         let dfg = b.build().unwrap();
         let mk_state = |col: usize| {
-            let times = vec![0usize, 1];
             let pe_of = vec![cgra.pe_at(0, col), cgra.pe_at(1, col)];
-            let mut state = PlacementState {
-                pe_of,
-                time_of: times,
-                fu_used: Map::new(),
-                ii: 4,
-            };
-            for (i, op) in dfg.op_ids().enumerate() {
-                let t = state.time_of[i] % 4;
-                state.fu_used.insert((state.pe_of[i], t), op);
-            }
-            state
+            state_of(&dfg, pe_of, &[0, 1], 4)
         };
         let cfg = RouterConfig::default();
         let mut reused = RouterScratch::new();
@@ -927,5 +960,86 @@ mod tests {
             fresh_routes.push(b.routes);
         }
         assert_eq!(reused_routes, fresh_routes);
+    }
+
+    /// `a` and `b` feed `d` along the top row so that both values need
+    /// the one link `(0,1) → (0,2)` in the same cycle (overuse in every
+    /// round), and `s → f` sits across the whole array with one cycle of
+    /// slack (no route whatever the congestion).
+    fn contested_link_with_far_pair(cgra: &Cgra) -> (Dfg, PlacementState, Vec<usize>) {
+        let mut b = DfgBuilder::new("contested+far");
+        let ops: Vec<_> = ["a", "b", "d", "s", "f"]
+            .iter()
+            .map(|&name| b.op(OpKind::Add, name))
+            .collect();
+        b.data(ops[0], ops[2]);
+        b.data(ops[1], ops[2]);
+        b.data(ops[3], ops[4]);
+        let dfg = b.build().unwrap();
+        let times = vec![0, 1, 2, 0, 1];
+        let pe_of = vec![
+            cgra.pe_at(0, 0),
+            cgra.pe_at(0, 1),
+            cgra.pe_at(0, 2),
+            cgra.pe_at(3, 0),
+            cgra.pe_at(0, 3), // manhattan 6 from `s`, slack 1
+        ];
+        let state = state_of(&dfg, pe_of, &times, 4);
+        (dfg, state, times)
+    }
+
+    #[test]
+    fn unreachable_signal_ends_negotiation_after_one_round() {
+        let (cgra, mrrg) = setup(4);
+        let (dfg, state, times) = contested_link_with_far_pair(&cgra);
+        let mut scratch = RouterScratch::new();
+        let outcome = route_all(
+            &mrrg,
+            &cgra,
+            &dfg,
+            &state,
+            &times,
+            &RouterConfig::default(),
+            &mut scratch,
+            None,
+        );
+        assert_eq!(outcome.iterations, 1, "no round after the structural miss");
+        assert_eq!((outcome.failed, outcome.unreachable), (1, 1));
+        assert!(!outcome.is_clean());
+        assert!(outcome.routes[2].is_none(), "the far pair has no route");
+        assert!(
+            outcome.routes[..2].iter().all(Option::is_some) && outcome.overuse > 0,
+            "the round still routed everything routable (SA needs its heat map)"
+        );
+        assert!(
+            scratch.history.iter().all(|&h| h == 0.0),
+            "the overused link must not enter the history of a negotiation that cannot succeed"
+        );
+    }
+
+    #[test]
+    fn budget_exhaustion_keeps_negotiating() {
+        // same graph and placement; with no expansions allowed every search
+        // stops with states still open, which proves nothing about
+        // reachability, so PathFinder runs its full budget
+        let (cgra, mrrg) = setup(4);
+        let (dfg, state, times) = contested_link_with_far_pair(&cgra);
+        let config = RouterConfig {
+            max_expansions: 0,
+            ..RouterConfig::default()
+        };
+        let mut scratch = RouterScratch::new();
+        let outcome = route_all(
+            &mrrg,
+            &cgra,
+            &dfg,
+            &state,
+            &times,
+            &config,
+            &mut scratch,
+            None,
+        );
+        assert_eq!(outcome.iterations, config.max_iterations);
+        assert_eq!((outcome.failed, outcome.unreachable), (3, 0));
     }
 }

@@ -268,7 +268,11 @@ impl LowerLevelMapper for SprMapper {
                     ),
                 }
                 let Ok(mut state) = placement else {
-                    trace.record("spr.ii", ii_span, &[("ii", ii as i64), ("success", 0)]);
+                    trace.record(
+                        "spr.ii",
+                        ii_span,
+                        &[("ii", ii as i64), ("success", 0), ("structural", 0)],
+                    );
                     continue;
                 };
                 let mrrg = cgra.mrrg_shared(ii);
@@ -279,6 +283,9 @@ impl LowerLevelMapper for SprMapper {
                     scratch.seed_history(&h.history);
                 }
                 let mut temp = self.config.sa_initial_temp;
+                // whether the attempt's last routing round still held a
+                // signal placed beyond its slack (why the II failed)
+                let mut structural;
 
                 loop {
                     let route_span = trace.start();
@@ -293,6 +300,7 @@ impl LowerLevelMapper for SprMapper {
                         cancel,
                     );
                     stats.router_iterations += outcome.iterations;
+                    structural = outcome.unreachable > 0;
                     if trace.is_enabled() {
                         // overused-node census, formerly a PANORAMA_DEBUG
                         // stderr dump; only computed when someone listens
@@ -313,6 +321,7 @@ impl LowerLevelMapper for SprMapper {
                                 ("iterations", outcome.iterations as i64),
                                 ("overuse", outcome.overuse as i64),
                                 ("failed", outcome.failed as i64),
+                                ("unreachable", outcome.unreachable as i64),
                                 ("overused_nodes", overused as i64),
                             ],
                         );
@@ -418,7 +427,15 @@ impl LowerLevelMapper for SprMapper {
                     );
                     temp *= self.config.sa_alpha;
                 }
-                trace.record("spr.ii", ii_span, &[("ii", ii as i64), ("success", 0)]);
+                trace.record(
+                    "spr.ii",
+                    ii_span,
+                    &[
+                        ("ii", ii as i64),
+                        ("success", 0),
+                        ("structural", i64::from(structural)),
+                    ],
+                );
             }
             trace.event("spr.exhausted", &[("max_ii", max_ii as i64)]);
             return Err(MapError::exhausted(max_ii, self.name()));
