@@ -13,9 +13,11 @@
 //! flat `Vec`-backed tables indexed by `(elapsed, MRRG node)` and
 //! invalidated by generation stamps — no hashing, and no per-signal
 //! clearing. Producer broadcast claims live in a packed per-time-slice
-//! `u64` bitset (one AND/OR per probe), and neighbor expansion walks a
-//! flattened CSR with FU destinations pre-filtered and destination PE
-//! coordinates and capacities inlined per edge. All buffers live in a
+//! `u64` bitset (one AND/OR per probe), the congestion cost of entering a
+//! node is one load from a per-node table kept current with the usage
+//! counts, and neighbor expansion walks a flattened CSR with FU
+//! destinations pre-filtered and destination PE coordinates inlined per
+//! edge. All buffers live in a
 //! [`RouterScratch`] reused across signals, PathFinder iterations, and
 //! annealing rounds.
 
@@ -108,8 +110,8 @@ struct Signal {
 
 /// One pre-lowered MRRG edge in the flattened CSR: everything the A*
 /// inner loop needs (destination, time advance, destination PE grid
-/// position for the heuristic, destination capacity) in one cache line's
-/// worth of sequential reads, with FU destinations already filtered out.
+/// position for the heuristic) in one cache line's worth of sequential
+/// reads, with FU destinations already filtered out.
 #[derive(Clone, Copy)]
 struct FlatEdge {
     dst: u32,
@@ -117,7 +119,6 @@ struct FlatEdge {
     advance: u8,
     dst_row: u8,
     dst_col: u8,
-    capacity: u16,
 }
 
 /// Reusable routing state: A* tables, the priority heap, per-producer
@@ -153,10 +154,14 @@ pub(crate) struct RouterScratch {
     /// Built lazily per MRRG (reset with the II).
     flat_offsets: Vec<u32>,
     flat_edges: Vec<FlatEdge>,
-    /// `1 + history` per node, refreshed once per PathFinder iteration so
-    /// the A* inner loop pays one multiply instead of a float add per
-    /// visit.
-    base_cost: Vec<f64>,
+    /// What entering each node costs a signal that does not already claim
+    /// it, see [`Self::effective_cost`]. Rewritten for every node at the
+    /// start of a PathFinder iteration and for one node whenever its usage
+    /// grows, so the A* inner loop pays one load instead of the float
+    /// expression per visit.
+    eff_cost: Vec<f64>,
+    /// Present-congestion penalty of the current iteration.
+    present: f64,
     /// Persistent congestion history (per II attempt, across annealing
     /// rounds).
     history: Vec<f32>,
@@ -178,7 +183,8 @@ impl RouterScratch {
             claim_words: 0,
             flat_offsets: Vec::new(),
             flat_edges: Vec::new(),
-            base_cost: Vec::new(),
+            eff_cost: Vec::new(),
+            present: 0.0,
             history: Vec::new(),
             usage: Vec::new(),
             signals: Vec::new(),
@@ -234,13 +240,11 @@ impl RouterScratch {
         }
         self.history.resize(num_nodes, 0.0);
         self.usage.resize(num_nodes, 0);
-        if self.base_cost.len() < num_nodes {
-            self.base_cost.resize(num_nodes, 1.0);
-        }
+        self.eff_cost.resize(num_nodes, 0.0);
     }
 
     /// Builds the flattened neighbor CSR for `mrrg`: per-edge destination,
-    /// time advance, destination PE position, and capacity, with edges
+    /// time advance and destination PE position, with edges
     /// into FU nodes dropped up front (compute slots belong to placed ops;
     /// routes terminate at inputs or register reads). Source edge order is
     /// preserved, so A* tie-breaking matches walking `Mrrg::out_edges`.
@@ -262,7 +266,6 @@ impl RouterScratch {
                     advance: u8::from(e.advance),
                     dst_row: row as u8,
                     dst_col: col as u8,
-                    capacity: mrrg.capacity(e.dst),
                 });
             }
             self.flat_offsets.push(self.flat_edges.len() as u32);
@@ -303,12 +306,30 @@ impl RouterScratch {
         self.claim_dirty.clear();
     }
 
-    /// Refreshes the per-node base costs from the congestion history;
-    /// once per PathFinder iteration.
-    fn refresh_base_costs(&mut self, num_nodes: usize) {
-        for n in 0..num_nodes {
-            self.base_cost[n] = 1.0 + f64::from(self.history[n]);
+    /// Cost of routing one more signal through node `i` of capacity `cap`
+    /// under the current usage, history and present penalty.
+    fn effective_cost(&self, i: usize, cap: u16) -> f64 {
+        if cap == u16::MAX {
+            return 0.05; // topology nodes are nearly free
         }
+        let over = (f64::from(self.usage[i]) + 1.0 - f64::from(cap)).max(0.0);
+        (1.0 + f64::from(self.history[i])) * (1.0 + over * self.present)
+    }
+
+    /// Starts a PathFinder iteration: zero usage, `present` as given, and
+    /// the cost table rebuilt from the congestion history.
+    fn begin_iteration(&mut self, mrrg: &Mrrg, present: f64) {
+        self.present = present;
+        self.usage.iter_mut().for_each(|u| *u = 0);
+        for i in 0..mrrg.num_nodes() {
+            self.eff_cost[i] = self.effective_cost(i, mrrg.capacity(MrrgNodeId::from_index(i)));
+        }
+    }
+
+    /// Counts one more signal on node `i` and reprices it.
+    fn occupy(&mut self, i: usize, cap: u16) {
+        self.usage[i] = self.usage[i].saturating_add(1);
+        self.eff_cost[i] = self.effective_cost(i, cap);
     }
 
     /// Advances the A* generation, invalidating every stamped state
@@ -338,7 +359,6 @@ impl RouterScratch {
         start_time: usize,
         delta: i64,
         dst_slot: usize,
-        present: f64,
         max_expansions: usize,
     ) -> Search {
         if delta < 1 {
@@ -356,21 +376,19 @@ impl RouterScratch {
         let (goal_row, goal_col) = cgra.pe_position(dst_pe);
         let (goal_row, goal_col) = (goal_row as u32, goal_col as u32);
 
-        let node_cost = |scratch: &Self, i: usize, elapsed: u32, cap: u16| -> f64 {
-            if cap == u16::MAX {
-                return 0.05; // topology nodes are nearly free
-            }
+        // a node this producer already broadcasts through *in the same
+        // cycle* carries one physical value, genuinely shared; anything
+        // else pays the table price (topology nodes are never claimed)
+        let node_cost = |scratch: &Self, i: usize, elapsed: u32| -> f64 {
             if scratch.is_claimed(i, elapsed) {
-                // this producer already broadcasts here *in the same
-                // cycle*: one physical value, genuinely shared
-                return 0.02;
+                0.02
+            } else {
+                scratch.eff_cost[i]
             }
-            let over = (f64::from(scratch.usage[i]) + 1.0 - f64::from(cap)).max(0.0);
-            scratch.base_cost[i] * (1.0 + over * present)
         };
 
         self.heap.clear();
-        let g0 = node_cost(self, start.index(), 0, mrrg.capacity(start));
+        let g0 = node_cost(self, start.index(), 0);
         let start_key = start.index() as u32; // elapsed 0 ⇒ key = node index
         self.stamp[start_key as usize] = generation;
         self.best[start_key as usize] = g0;
@@ -424,7 +442,7 @@ impl RouterScratch {
                 if dist > delta - ne {
                     continue;
                 }
-                let ng = g + node_cost(self, edge.dst as usize, ne, edge.capacity);
+                let ng = g + node_cost(self, edge.dst as usize, ne);
                 let nkey = ne * num_nodes as u32 + edge.dst;
                 let ni = nkey as usize;
                 if self.stamp[ni] != generation || ng < self.best[ni] - 1e-12 {
@@ -511,8 +529,7 @@ pub(crate) fn route_all(
             break (0, scratch.signals.len().max(1), 0);
         }
         iterations += 1;
-        scratch.refresh_base_costs(num_nodes);
-        scratch.usage.iter_mut().for_each(|u| *u = 0);
+        scratch.begin_iteration(mrrg, present);
         let mut failed = 0usize;
         let mut unreachable = 0usize;
         let mut current_producer = u32::MAX;
@@ -541,7 +558,6 @@ pub(crate) fn route_all(
                 start_time,
                 delta,
                 dst_slot,
-                present,
                 config.max_expansions,
             );
             match found {
@@ -554,9 +570,9 @@ pub(crate) fn route_all(
                         // bitset remembers *every* `(node, time)` claim of
                         // the group, so occupancy matches the verifier's
                         // distinct-`(node, time)` model exactly.
-                        let i = n.index();
-                        if mrrg.capacity(n) != u16::MAX && !scratch.claim(i, t) {
-                            scratch.usage[i] = scratch.usage[i].saturating_add(1);
+                        let (i, cap) = (n.index(), mrrg.capacity(n));
+                        if cap != u16::MAX && !scratch.claim(i, t) {
+                            scratch.occupy(i, cap);
                         }
                     }
                     routes[edge_index] = Some(Route {
@@ -674,7 +690,7 @@ mod tests {
     fn fresh_scratch(mrrg: &Mrrg, max_delta: usize) -> RouterScratch {
         let mut s = RouterScratch::new();
         s.ensure_capacity(mrrg.num_nodes(), max_delta);
-        s.refresh_base_costs(mrrg.num_nodes());
+        s.begin_iteration(mrrg, 0.5);
         s
     }
 
@@ -685,7 +701,7 @@ mod tests {
         let b = cgra.pe_at(0, 1);
         let mut scratch = fresh_scratch(&mrrg, 1);
         let path = found(
-            scratch.route_one(&mrrg, &cgra, a, b, 0, 1, 1, 0.5, 100_000),
+            scratch.route_one(&mrrg, &cgra, a, b, 0, 1, 1, 100_000),
             "adjacent PEs route in one hop",
         );
         // out(a,0) → link → in(b,1)
@@ -701,17 +717,17 @@ mod tests {
         let b = cgra.pe_at(3, 3); // manhattan 6
         let mut scratch = fresh_scratch(&mrrg, 2);
         assert_eq!(
-            scratch.route_one(&mrrg, &cgra, a, b, 0, 2, 0, 0.5, 100_000),
+            scratch.route_one(&mrrg, &cgra, a, b, 0, 2, 0, 100_000),
             Search::Unreachable
         );
         // a slack below one cycle is unreachable without any search
         assert_eq!(
-            scratch.route_one(&mrrg, &cgra, a, a, 0, 0, 0, 0.5, 100_000),
+            scratch.route_one(&mrrg, &cgra, a, a, 0, 0, 0, 100_000),
             Search::Unreachable
         );
         // a reachable pair cut short by the expansion cap is not
         assert_eq!(
-            scratch.route_one(&mrrg, &cgra, a, cgra.pe_at(0, 2), 0, 2, 0, 0.5, 1),
+            scratch.route_one(&mrrg, &cgra, a, cgra.pe_at(0, 2), 0, 2, 0, 1),
             Search::BudgetExhausted
         );
     }
@@ -724,7 +740,7 @@ mod tests {
         let b = cgra.pe_at(1, 2);
         let mut scratch = fresh_scratch(&mrrg, 3);
         let path = found(
-            scratch.route_one(&mrrg, &cgra, a, b, 0, 3, 3, 0.5, 100_000),
+            scratch.route_one(&mrrg, &cgra, a, b, 0, 3, 3, 100_000),
             "register parking allows late consumption",
         );
         // count advances, and check the per-hop elapsed times agree
@@ -759,7 +775,6 @@ mod tests {
                 0,
                 3,
                 3,
-                0.5,
                 100_000,
             ),
             "row route exists",
@@ -775,7 +790,6 @@ mod tests {
                 1,
                 2,
                 3,
-                0.5,
                 100_000,
             ),
             "second route exists",
@@ -791,7 +805,6 @@ mod tests {
                 1,
                 2,
                 3,
-                0.5,
                 100_000,
             ),
             "second route exists",
@@ -806,7 +819,7 @@ mod tests {
         let a = cgra.pe_at(0, 0);
         let b = cgra.pe_at(0, 1);
         let path = found(
-            scratch.route_one(&mrrg, &cgra, a, b, 0, 1, 1, 0.5, 100_000),
+            scratch.route_one(&mrrg, &cgra, a, b, 0, 1, 1, 100_000),
             "adjacent PEs route",
         );
         // claim the path for the producer, as route_all does
@@ -1041,5 +1054,56 @@ mod tests {
         );
         assert_eq!(outcome.iterations, config.max_iterations);
         assert_eq!((outcome.failed, outcome.unreachable), (3, 0));
+    }
+
+    #[test]
+    fn effective_cost_table_tracks_the_reference_formula_bit_for_bit() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let (_cgra, mrrg) = setup(4);
+        let n = mrrg.num_nodes();
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut scratch = RouterScratch::new();
+        scratch.ensure_capacity(n, 3);
+        for h in &mut scratch.history {
+            *h = if rng.gen_bool(0.3) {
+                rng.gen_range(0..40) as f32 * 0.35
+            } else {
+                0.0
+            };
+        }
+        let present = 0.6 * 1.4 * 1.4;
+        scratch.begin_iteration(&mrrg, present);
+        // the cost expression as PathFinder defines it, spelled out
+        let reference = |s: &RouterScratch, i: usize| -> f64 {
+            let cap = mrrg.capacity(MrrgNodeId::from_index(i));
+            if cap == u16::MAX {
+                return 0.05;
+            }
+            let base = 1.0 + f64::from(s.history[i]);
+            let over = (f64::from(s.usage[i]) + 1.0 - f64::from(cap)).max(0.0);
+            base * (1.0 + over * present)
+        };
+        for step in 0..4_000 {
+            // what route_all does with every node of a found path
+            let (i, t) = (rng.gen_range(0..n), rng.gen_range(0..4u32));
+            let cap = mrrg.capacity(MrrgNodeId::from_index(i));
+            if cap != u16::MAX && !scratch.claim(i, t) {
+                scratch.occupy(i, cap);
+            }
+            if step % 37 == 0 {
+                scratch.clear_claims(); // next producer group
+            }
+        }
+        assert!(
+            scratch.usage.iter().any(|&u| u > 1),
+            "sequence overuses nodes"
+        );
+        for i in 0..n {
+            assert_eq!(
+                scratch.eff_cost[i].to_bits(),
+                reference(&scratch, i).to_bits(),
+                "node {i}"
+            );
+        }
     }
 }
