@@ -396,12 +396,12 @@ impl RouterScratch {
         self.heap.push(HeapEntry {
             f: g0 + cgra.manhattan(src_pe, dst_pe) as f64,
             key: start_key,
+            elapsed: 0,
         });
 
         let mut expansions = 0usize;
-        while let Some(HeapEntry { key, .. }) = self.heap.pop() {
-            let node_index = key as usize % num_nodes;
-            let elapsed = key / num_nodes as u32;
+        while let Some(HeapEntry { key, elapsed, .. }) = self.heap.pop() {
+            let node_index = (key - elapsed * num_nodes as u32) as usize;
             let g = self.best[key as usize];
             expansions += 1;
             if expansions > max_expansions {
@@ -452,6 +452,7 @@ impl RouterScratch {
                     self.heap.push(HeapEntry {
                         f: ng + f64::from(dist),
                         key: nkey,
+                        elapsed: ne,
                     });
                 }
             }
@@ -629,6 +630,9 @@ struct HeapEntry {
     f: f64,
     /// Packed `(elapsed, node)` state: `elapsed * num_nodes + node`.
     key: u32,
+    /// The state's elapsed time again, so a pop unpacks `key` with a
+    /// multiply instead of a division (the entry is 16 bytes either way).
+    elapsed: u32,
 }
 
 impl PartialEq for HeapEntry {
