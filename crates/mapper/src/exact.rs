@@ -10,7 +10,7 @@
 //! documents and PANORAMA exists to avoid — so this mapper guards its op
 //! count and search budget and fails fast instead of burning hours.
 
-use crate::placement::PlacementState;
+use crate::placement::FuOccupancy;
 use crate::router::{route_all, RouterConfig};
 use crate::schedule::{enumerate_slack_schedules, modulo_schedule_variant};
 use crate::{
@@ -18,7 +18,6 @@ use crate::{
 };
 use panorama_arch::{Cgra, PeId};
 use panorama_dfg::Dfg;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Tunables for the exact mapper.
@@ -120,7 +119,7 @@ impl ExactMapper {
         });
 
         let mut assignment: Vec<Option<PeId>> = vec![None; n];
-        let mut fu_used: HashMap<(PeId, usize), ()> = HashMap::new();
+        let mut fu_used = FuOccupancy::new(cgra.num_pes(), ii);
         if self.backtrack(
             dfg,
             cgra,
@@ -156,7 +155,7 @@ impl ExactMapper {
         order: &[usize],
         depth: usize,
         assignment: &mut Vec<Option<PeId>>,
-        fu_used: &mut HashMap<(PeId, usize), ()>,
+        fu_used: &mut FuOccupancy,
         budget: &mut usize,
         accept: &mut dyn FnMut(&[PeId]) -> bool,
     ) -> bool {
@@ -178,7 +177,7 @@ impl ExactMapper {
                 return false;
             }
             *budget -= 1;
-            if fu_used.contains_key(&(pe, slot)) {
+            if !fu_used.is_free(pe, slot) {
                 continue;
             }
             // routability: every already-placed neighbour within slack hops
@@ -207,7 +206,7 @@ impl ExactMapper {
                 continue;
             }
             assignment[idx] = Some(pe);
-            fu_used.insert((pe, slot), ());
+            fu_used.occupy(pe, slot);
             if self.backtrack(
                 dfg,
                 cgra,
@@ -224,7 +223,7 @@ impl ExactMapper {
                 return true;
             }
             assignment[idx] = None;
-            fu_used.remove(&(pe, slot));
+            fu_used.release(pe, slot);
         }
         false
     }
@@ -322,18 +321,12 @@ impl LowerLevelMapper for ExactMapper {
                             return true;
                         }
                         attempts -= 1;
-                        let state = PlacementState {
-                            pe_of: pe_of.to_vec(),
-                            time_of: times.clone(),
-                            fu_used: HashMap::new(), // router does not consult FU slots
-                            ii,
-                        };
                         scratch.reset_for_ii();
                         let outcome = route_all(
                             &mrrg,
                             cgra,
                             dfg,
-                            &state,
+                            pe_of,
                             &times,
                             &RouterConfig::default(),
                             &mut scratch,

@@ -12,15 +12,59 @@
 use crate::Restriction;
 use panorama_arch::{Cgra, PeId};
 use panorama_dfg::{Dfg, OpId};
-use std::collections::HashMap;
+
+/// Which FU modulo slots are taken: one flag per `(PE, slot)` in a flat
+/// `pe · II + slot` table, plus how many slots each PE has busy. Every
+/// mapper's placement search probes this once per candidate PE, so a probe
+/// is an index, not a hash.
+#[derive(Debug, Clone)]
+pub(crate) struct FuOccupancy {
+    ii: usize,
+    taken: Vec<bool>,
+    busy: Vec<u32>,
+}
+
+impl FuOccupancy {
+    /// All `num_pes · ii` slots free.
+    pub fn new(num_pes: usize, ii: usize) -> Self {
+        FuOccupancy {
+            ii,
+            taken: vec![false; num_pes * ii],
+            busy: vec![0; num_pes],
+        }
+    }
+
+    pub fn is_free(&self, pe: PeId, slot: usize) -> bool {
+        !self.taken[pe.index() * self.ii + slot]
+    }
+
+    /// Slots of `pe` currently taken.
+    pub fn busy(&self, pe: PeId) -> usize {
+        self.busy[pe.index()] as usize
+    }
+
+    pub fn occupy(&mut self, pe: PeId, slot: usize) {
+        let taken = &mut self.taken[pe.index() * self.ii + slot];
+        debug_assert!(!*taken, "placing onto an occupied FU slot");
+        *taken = true;
+        self.busy[pe.index()] += 1;
+    }
+
+    pub fn release(&mut self, pe: PeId, slot: usize) {
+        let taken = &mut self.taken[pe.index() * self.ii + slot];
+        debug_assert!(*taken, "releasing a free FU slot");
+        *taken = false;
+        self.busy[pe.index()] -= 1;
+    }
+}
 
 /// Placement + schedule state shared by the initial pass and annealing.
 #[derive(Debug, Clone)]
 pub(crate) struct PlacementState {
     pub pe_of: Vec<PeId>,
     pub time_of: Vec<usize>,
-    /// (pe, slot) → op currently executing there.
-    pub fu_used: HashMap<(PeId, usize), OpId>,
+    /// FU slots held by the ops placed so far.
+    pub fu: FuOccupancy,
     pub ii: usize,
 }
 
@@ -29,22 +73,14 @@ impl PlacementState {
         self.time_of[op.index()] % self.ii
     }
 
-    pub fn is_free(&self, pe: PeId, slot: usize) -> bool {
-        !self.fu_used.contains_key(&(pe, slot))
-    }
-
     pub fn place(&mut self, op: OpId, pe: PeId, time: usize) {
-        let slot = time % self.ii;
-        let prev = self.fu_used.insert((pe, slot), op);
-        debug_assert!(prev.is_none(), "placing onto an occupied FU slot");
+        self.fu.occupy(pe, time % self.ii);
         self.pe_of[op.index()] = pe;
         self.time_of[op.index()] = time;
     }
 
     pub fn remove(&mut self, op: OpId) {
-        let pe = self.pe_of[op.index()];
-        let slot = self.slot_of(op);
-        self.fu_used.remove(&(pe, slot));
+        self.fu.release(self.pe_of[op.index()], self.slot_of(op));
     }
 }
 
@@ -58,7 +94,7 @@ pub(crate) fn candidates_for(
     slot: usize,
 ) -> Vec<PeId> {
     cgra.pes()
-        .filter(|&pe| state.is_free(pe, slot))
+        .filter(|&pe| state.fu.is_free(pe, slot))
         .filter(|&pe| !dfg.op(op).kind.needs_memory() || cgra.is_mem_pe(pe))
         .filter(|&pe| dfg.op(op).kind != panorama_dfg::OpKind::Mul || cgra.has_multiplier(pe))
         .filter(|&pe| restriction.is_none_or(|r| r.allows(op, cgra.cluster_of(pe))))
@@ -97,8 +133,7 @@ pub(crate) fn placement_cost(
         consider(e.dst, slack);
     }
     // spread ops: penalise PEs already busy in other slots
-    let busy = (0..state.ii).filter(|&s| !state.is_free(pe, s)).count();
-    cost + busy as f64 * 0.5
+    cost + state.fu.busy(pe) as f64 * 0.5
 }
 
 /// Penalty for leaving the op's strictly assigned ("home") cells: memory
@@ -163,7 +198,7 @@ fn placement_pass(
     let mut state = PlacementState {
         pe_of: vec![PeId::from_index(0); dfg.num_ops()],
         time_of: vec![0; dfg.num_ops()],
-        fu_used: HashMap::new(),
+        fu: FuOccupancy::new(cgra.num_pes(), ii),
         ii,
     };
     let mut placed = vec![false; dfg.num_ops()];
@@ -216,7 +251,7 @@ fn placement_pass(
                 && (t as i64) < (estart + ii as i64).min(lstart.saturating_add(1));
             let legal = in_window
                 && (!is_mem || (mem_per_slot[slot] < mem_budget && cgra.is_mem_pe(pe)))
-                && state.is_free(pe, slot)
+                && state.fu.is_free(pe, slot)
                 && (dfg.op(op).kind != panorama_dfg::OpKind::Mul || cgra.has_multiplier(pe))
                 && restriction.is_none_or(|r| r.allows(op, cgra.cluster_of(pe)));
             if legal {
@@ -274,6 +309,55 @@ mod tests {
     use super::*;
     use panorama_arch::CgraConfig;
     use panorama_dfg::{DfgBuilder, OpKind};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    proptest! {
+        /// Random place / remove sequences: after every step the flat
+        /// table answers `is_free` and the busy count exactly as a map
+        /// from `(PE, slot)` to the op holding it.
+        #[test]
+        fn occupancy_table_matches_a_hash_map_model(
+            ii in 1usize..7,
+            steps in proptest::collection::vec(0u64..u64::MAX, 1..300),
+        ) {
+            const PES: usize = 16;
+            const OPS: usize = 24;
+            let mut state = PlacementState {
+                pe_of: vec![PeId::from_index(0); OPS],
+                time_of: vec![0; OPS],
+                fu: FuOccupancy::new(PES, ii),
+                ii,
+            };
+            let mut model: HashMap<(usize, usize), OpId> = HashMap::new();
+            let mut placed = [false; OPS];
+            for step in steps {
+                let op = OpId::from_index(step as usize % OPS);
+                let pe = PeId::from_index((step >> 8) as usize % PES);
+                let time = (step >> 16) as usize % 40;
+                if placed[op.index()] {
+                    let key = (state.pe_of[op.index()].index(), state.slot_of(op));
+                    prop_assert_eq!(model.remove(&key), Some(op));
+                    state.remove(op);
+                    placed[op.index()] = false;
+                } else if !model.contains_key(&(pe.index(), time % ii)) {
+                    state.place(op, pe, time);
+                    model.insert((pe.index(), time % ii), op);
+                    placed[op.index()] = true;
+                }
+                for p in 0..PES {
+                    let pe = PeId::from_index(p);
+                    let mut busy = 0;
+                    for slot in 0..ii {
+                        let free = !model.contains_key(&(p, slot));
+                        prop_assert_eq!(state.fu.is_free(pe, slot), free);
+                        busy += usize::from(!free);
+                    }
+                    prop_assert_eq!(state.fu.busy(pe), busy);
+                }
+            }
+        }
+    }
 
     fn cgra() -> Cgra {
         Cgra::new(CgraConfig::small_4x4()).unwrap()

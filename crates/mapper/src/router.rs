@@ -22,7 +22,6 @@
 //! annealing rounds.
 
 use crate::mapping::Route;
-use crate::placement::PlacementState;
 use panorama_arch::{Cgra, Mrrg, MrrgNodeId, PeId};
 use panorama_dfg::Dfg;
 use std::cmp::Ordering;
@@ -476,7 +475,7 @@ pub(crate) fn route_all(
     mrrg: &Mrrg,
     cgra: &Cgra,
     dfg: &Dfg,
-    state: &PlacementState,
+    pe_of: &[PeId],
     times: &[usize],
     config: &RouterConfig,
     scratch: &mut RouterScratch,
@@ -488,8 +487,8 @@ pub(crate) fn route_all(
     // signals, grouped by producer, hardest (longest distance) first
     scratch.signals.clear();
     for (i, e) in dfg.deps().enumerate() {
-        let src_pe = state.pe_of[e.src.index()];
-        let dst_pe = state.pe_of[e.dst.index()];
+        let src_pe = pe_of[e.src.index()];
+        let dst_pe = pe_of[e.dst.index()];
         let tu = times[e.src.index()];
         let tv = times[e.dst.index()];
         let delta = tv as i64 + (e.weight.distance() as i64) * ii as i64 - tu as i64;
@@ -656,30 +655,13 @@ impl Ord for HeapEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::PlacementState;
     use panorama_arch::CgraConfig;
     use panorama_dfg::{DfgBuilder, OpKind};
-    use std::collections::HashMap as Map;
 
     fn setup(ii: usize) -> (Cgra, Mrrg) {
         let cgra = Cgra::new(CgraConfig::small_4x4()).unwrap();
         let mrrg = cgra.mrrg(ii);
         (cgra, mrrg)
-    }
-
-    /// A placement with every op on its FU slot, as the mappers hand it
-    /// to the router.
-    fn state_of(dfg: &Dfg, pe_of: Vec<PeId>, times: &[usize], ii: usize) -> PlacementState {
-        let mut state = PlacementState {
-            pe_of,
-            time_of: times.to_vec(),
-            fu_used: Map::new(),
-            ii,
-        };
-        for (i, op) in dfg.op_ids().enumerate() {
-            state.fu_used.insert((state.pe_of[i], times[i] % ii), op);
-        }
-        state
     }
 
     /// Unwraps a found path.
@@ -872,14 +854,13 @@ mod tests {
         let dfg = b.build().unwrap();
         let times = vec![0, 1, 2, 3];
         // place along the top row
-        let pe_of = (0..4).map(|c| cgra.pe_at(0, c)).collect();
-        let state = state_of(&dfg, pe_of, &times, 4);
+        let pe_of: Vec<PeId> = (0..4).map(|c| cgra.pe_at(0, c)).collect();
         let mut scratch = RouterScratch::new();
         let outcome = route_all(
             &mrrg,
             &cgra,
             &dfg,
-            &state,
+            &pe_of,
             &times,
             &RouterConfig::default(),
             &mut scratch,
@@ -917,13 +898,12 @@ mod tests {
             pe_of[2 * i] = cgra.pe_at(i, 0);
             pe_of[2 * i + 1] = cgra.pe_at(i, 1);
         }
-        let state = state_of(&dfg, pe_of, &times, 6);
         let mut scratch = RouterScratch::new();
         let outcome = route_all(
             &mrrg,
             &cgra,
             &dfg,
-            &state,
+            &pe_of,
             &times,
             &RouterConfig::default(),
             &mut scratch,
@@ -942,37 +922,16 @@ mod tests {
         let d = b.op(OpKind::Add, "d");
         b.data(s, d);
         let dfg = b.build().unwrap();
-        let mk_state = |col: usize| {
-            let pe_of = vec![cgra.pe_at(0, col), cgra.pe_at(1, col)];
-            state_of(&dfg, pe_of, &[0, 1], 4)
-        };
+        let times = [0usize, 1];
         let cfg = RouterConfig::default();
         let mut reused = RouterScratch::new();
         let mut fresh_routes = Vec::new();
         let mut reused_routes = Vec::new();
         for col in [0, 2] {
-            let state = mk_state(col);
-            let a = route_all(
-                &mrrg,
-                &cgra,
-                &dfg,
-                &state,
-                &state.time_of,
-                &cfg,
-                &mut reused,
-                None,
-            );
+            let pe_of = [cgra.pe_at(0, col), cgra.pe_at(1, col)];
+            let a = route_all(&mrrg, &cgra, &dfg, &pe_of, &times, &cfg, &mut reused, None);
             let mut fresh = RouterScratch::new();
-            let b = route_all(
-                &mrrg,
-                &cgra,
-                &dfg,
-                &state,
-                &state.time_of,
-                &cfg,
-                &mut fresh,
-                None,
-            );
+            let b = route_all(&mrrg, &cgra, &dfg, &pe_of, &times, &cfg, &mut fresh, None);
             reused_routes.push(a.routes);
             fresh_routes.push(b.routes);
         }
@@ -983,7 +942,7 @@ mod tests {
     /// the one link `(0,1) → (0,2)` in the same cycle (overuse in every
     /// round), and `s → f` sits across the whole array with one cycle of
     /// slack (no route whatever the congestion).
-    fn contested_link_with_far_pair(cgra: &Cgra) -> (Dfg, PlacementState, Vec<usize>) {
+    fn contested_link_with_far_pair(cgra: &Cgra) -> (Dfg, Vec<PeId>, Vec<usize>) {
         let mut b = DfgBuilder::new("contested+far");
         let ops: Vec<_> = ["a", "b", "d", "s", "f"]
             .iter()
@@ -1001,20 +960,19 @@ mod tests {
             cgra.pe_at(3, 0),
             cgra.pe_at(0, 3), // manhattan 6 from `s`, slack 1
         ];
-        let state = state_of(&dfg, pe_of, &times, 4);
-        (dfg, state, times)
+        (dfg, pe_of, times)
     }
 
     #[test]
     fn unreachable_signal_ends_negotiation_after_one_round() {
         let (cgra, mrrg) = setup(4);
-        let (dfg, state, times) = contested_link_with_far_pair(&cgra);
+        let (dfg, pe_of, times) = contested_link_with_far_pair(&cgra);
         let mut scratch = RouterScratch::new();
         let outcome = route_all(
             &mrrg,
             &cgra,
             &dfg,
-            &state,
+            &pe_of,
             &times,
             &RouterConfig::default(),
             &mut scratch,
@@ -1040,7 +998,7 @@ mod tests {
         // stops with states still open, which proves nothing about
         // reachability, so PathFinder runs its full budget
         let (cgra, mrrg) = setup(4);
-        let (dfg, state, times) = contested_link_with_far_pair(&cgra);
+        let (dfg, pe_of, times) = contested_link_with_far_pair(&cgra);
         let config = RouterConfig {
             max_expansions: 0,
             ..RouterConfig::default()
@@ -1050,7 +1008,7 @@ mod tests {
             &mrrg,
             &cgra,
             &dfg,
-            &state,
+            &pe_of,
             &times,
             &config,
             &mut scratch,

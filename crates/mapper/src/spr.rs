@@ -293,7 +293,7 @@ impl LowerLevelMapper for SprMapper {
                         &mrrg,
                         cgra,
                         dfg,
-                        &state,
+                        &state.pe_of,
                         &state.time_of,
                         &self.config.router,
                         &mut scratch,

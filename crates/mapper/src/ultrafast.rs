@@ -11,6 +11,7 @@
 //! baseline's inflated II — and bumps the II whenever an op finds no
 //! feasible slot.
 
+use crate::placement::FuOccupancy;
 use crate::{min_ii, LowerLevelMapper, MapError, Mapping, MappingStats, Restriction};
 use panorama_arch::{Cgra, PeId};
 use panorama_dfg::{Dfg, OpId};
@@ -61,7 +62,7 @@ impl UltraFastMapper {
         let n = dfg.num_ops();
         let mut time_of = vec![0usize; n];
         let mut pe_of = vec![PeId::from_index(0); n];
-        let mut fu_used: HashMap<(PeId, usize), ()> = HashMap::new();
+        let mut fu_used = FuOccupancy::new(cgra.num_pes(), ii);
         // distinct producers per directed link per slot; a link carries one
         // value per cycle, but fan-out of the same producer shares it for
         // free (one physical broadcast). Intra-cluster steps use dedicated
@@ -135,7 +136,7 @@ impl UltraFastMapper {
             'time: for tt in t..=latest {
                 let slot = tt % ii;
                 for &pe in &preferred {
-                    if fu_used.contains_key(&(pe, slot)) {
+                    if !fu_used.is_free(pe, slot) {
                         continue;
                     }
                     if is_mem && !cgra.is_mem_pe(pe) {
@@ -192,7 +193,7 @@ impl UltraFastMapper {
                     for (key, producer) in steps {
                         link_used.entry(key).or_default().insert(producer);
                     }
-                    fu_used.insert((pe, slot), ());
+                    fu_used.occupy(pe, slot);
                     time_of[op.index()] = tt;
                     pe_of[op.index()] = pe;
                     scheduled[op.index()] = true;
