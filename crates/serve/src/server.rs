@@ -220,6 +220,25 @@ struct State {
 }
 
 impl State {
+    /// Puts `cancel` under the watchdog for `deadline` from now (queue wait
+    /// included). A zero deadline has expired by definition: the token
+    /// fires here, without consulting a clock, so the job answers `504
+    /// cancelled` when a worker picks it up — however fast the host is.
+    fn watch_deadline(&self, deadline: Duration, cancel: &CancelToken, done: &Arc<AtomicBool>) {
+        if deadline.is_zero() {
+            cancel.cancel();
+            return;
+        }
+        self.watch
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(WatchEntry {
+                deadline: Instant::now() + deadline,
+                cancel: cancel.clone(),
+                done: Arc::clone(done),
+            });
+    }
+
     fn cgra_for(&self, config: &CgraConfig) -> Result<Cgra, String> {
         let key = config.to_text();
         let mut cgras = self.cgras.lock().unwrap_or_else(PoisonError::into_inner);
@@ -736,15 +755,7 @@ fn handle_compile(state: &Arc<State>, stream: &TcpStream, request: &Request) {
     let done = Arc::new(AtomicBool::new(false));
     if let Some(d) = deadline {
         // Register before the push so the clock includes queue wait.
-        state
-            .watch
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(WatchEntry {
-                deadline: Instant::now() + d,
-                cancel: cancel.clone(),
-                done: Arc::clone(&done),
-            });
+        state.watch_deadline(d, &cancel, &done);
     }
     let (tx, rx) = mpsc::channel();
     let job = Job::Single(Box::new(SingleJob {
@@ -861,15 +872,7 @@ fn handle_compile_batch(state: &Arc<State>, stream: &TcpStream, request: &Reques
         if let Some(d) = batch_deadline {
             // One deadline governs the whole batch (queue wait included);
             // entry-level `deadline_ms` fields do not re-arm the watchdog.
-            state
-                .watch
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(WatchEntry {
-                    deadline: Instant::now() + d,
-                    cancel: cancel.clone(),
-                    done: Arc::clone(&done),
-                });
+            state.watch_deadline(d, &cancel, &done);
         }
         let (tx, rx) = mpsc::channel();
         let job = Job::Batch(BatchJob {
@@ -1150,6 +1153,9 @@ mod tests {
         let req = parse_compile_request("{\"kernel\":\"fir\",\"deadline_ms\":25}", default, false)
             .unwrap();
         assert_eq!(req.deadline, Some(Duration::from_millis(25)));
+        let req = parse_compile_request("{\"kernel\":\"fir\",\"deadline_ms\":0}", default, false)
+            .unwrap();
+        assert_eq!(req.deadline, Some(Duration::ZERO), "zero is a deadline");
         let req = parse_compile_request("{\"kernel\":\"fir\"}", default, false).unwrap();
         assert_eq!(req.deadline, default);
     }

@@ -67,7 +67,7 @@ r=$(http POST /lint '{"kernel":"fir","arch":"8x8","scale":"tiny"}')
 [ "$(status_of "$r")" = 200 ] || { echo "lint failed: $r"; exit 1; }
 
 echo "== deadline produces a 504 cancelled payload"
-r=$(http POST /compile '{"kernel":"edn","scale":"scaled","baseline":true,"deadline_ms":1}')
+r=$(http POST /compile '{"kernel":"edn","scale":"scaled","baseline":true,"deadline_ms":0}')
 [ "$(status_of "$r")" = 504 ] || { echo "expected 504: $r"; exit 1; }
 grep -q '"error":"cancelled"' <<<"$r"
 
