@@ -16,8 +16,8 @@
 //! each. Every warm mapping is re-verified and cross-checked against the
 //! cycle-accurate simulator.
 //!
-//! The report serialises to JSON (schema below) so CI can pin a baseline
-//! (`BENCH_PR7.json`) and fail on II drift, per-kernel wall-clock ceiling
+//! The report serialises to JSON (schema below) so a later run can be
+//! gated against an earlier report and fail on II drift, per-kernel wall-clock ceiling
 //! breaches, a suite speedup below 1.0, or a warm-start replay that never
 //! hit the cache — see [`BenchReport::check_against_baseline`].
 //!

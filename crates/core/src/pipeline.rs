@@ -154,8 +154,8 @@ impl From<AnalyzeError> for PanoramaError {
 
 /// DFGs at or below this many operations never fan their candidate work
 /// out to worker threads: on graphs this small the spawn/queue overhead
-/// exceeds the mapping work itself (the 4×4-preset rows of
-/// `BENCH_PR2.json` lost wall-clock to their own threading). Scheduling
+/// exceeds the mapping work itself (the 4×4-preset rows of the first
+/// suite bench lost wall-clock to their own threading). Scheduling
 /// only — results are bit-identical either way, by the portfolio's
 /// determinism contract.
 const SMALL_DFG_SEQUENTIAL_OPS: usize = 48;

@@ -15,7 +15,7 @@
 //!   spawns workers for its own candidates and joins them before
 //!   returning. Simple, but a *suite* of compiles pays the spawn cost per
 //!   kernel, and nesting it inside an outer job pool oversubscribes the
-//!   machine (the `BENCH_PR2.json` regression).
+//!   machine (the first suite bench's regression).
 //! * [`BatchExecutor`] — a suite-level shared pool. The driver opens one
 //!   [`BatchExecutor::scope`], submits kernel jobs as a batch, and each
 //!   compile submits its candidate fan-out to the *same* pool, so

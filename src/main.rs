@@ -836,7 +836,7 @@ impl LowerLevelMapper for DynMapper<'_> {
 }
 
 /// `panorama bench`: the perf harness over the 12-kernel suite. With
-/// `--json` the report is written to `--out` (default `BENCH_PR7.json`)
+/// `--json` the report is written to `--out` (default `panorama-bench.json`)
 /// and `--stable-out` additionally writes the wall-clock-free projection
 /// (byte-identical across runs and thread counts — CI `cmp`s two of
 /// them); with `--check` the fresh run is gated against a checked-in
@@ -899,7 +899,7 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         );
     }
     if flags.contains_key("json") {
-        let out = flags.get("out").map_or("BENCH_PR7.json", String::as_str);
+        let out = flags.get("out").map_or("panorama-bench.json", String::as_str);
         std::fs::write(out, report.to_json())?;
         eprintln!("wrote {out}");
     }
