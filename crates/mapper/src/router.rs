@@ -17,9 +17,8 @@
 //! node is one load from a per-node table kept current with the usage
 //! counts, and neighbor expansion walks a flattened CSR with FU
 //! destinations pre-filtered and destination PE coordinates inlined per
-//! edge. All buffers live in a
-//! [`RouterScratch`] reused across signals, PathFinder iterations, and
-//! annealing rounds.
+//! edge. All buffers live in a [`RouterScratch`] reused across signals,
+//! PathFinder iterations, and annealing rounds.
 
 use crate::mapping::Route;
 use panorama_arch::{Cgra, Mrrg, MrrgNodeId, PeId};
@@ -80,7 +79,7 @@ impl RouteOutcome {
 }
 
 /// What one A* search over `(MRRG node, elapsed)` states came to.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Search {
     /// A cheapest path, every node with its elapsed time.
     Found(Vec<(MrrgNodeId, u32)>),

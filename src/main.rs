@@ -899,7 +899,9 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         );
     }
     if flags.contains_key("json") {
-        let out = flags.get("out").map_or("panorama-bench.json", String::as_str);
+        let out = flags
+            .get("out")
+            .map_or("panorama-bench.json", String::as_str);
         std::fs::write(out, report.to_json())?;
         eprintln!("wrote {out}");
     }
