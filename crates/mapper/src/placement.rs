@@ -34,8 +34,12 @@ impl FuOccupancy {
         }
     }
 
+    fn index(&self, pe: PeId, slot: usize) -> usize {
+        pe.index() * self.ii + slot
+    }
+
     pub fn is_free(&self, pe: PeId, slot: usize) -> bool {
-        !self.taken[pe.index() * self.ii + slot]
+        !self.taken[self.index(pe, slot)]
     }
 
     /// Slots of `pe` currently taken.
@@ -44,14 +48,16 @@ impl FuOccupancy {
     }
 
     pub fn occupy(&mut self, pe: PeId, slot: usize) {
-        let taken = &mut self.taken[pe.index() * self.ii + slot];
+        let at = self.index(pe, slot);
+        let taken = &mut self.taken[at];
         debug_assert!(!*taken, "placing onto an occupied FU slot");
         *taken = true;
         self.busy[pe.index()] += 1;
     }
 
     pub fn release(&mut self, pe: PeId, slot: usize) {
-        let taken = &mut self.taken[pe.index() * self.ii + slot];
+        let at = self.index(pe, slot);
+        let taken = &mut self.taken[at];
         debug_assert!(*taken, "releasing a free FU slot");
         *taken = false;
         self.busy[pe.index()] -= 1;
