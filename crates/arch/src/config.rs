@@ -112,6 +112,25 @@ impl CgraConfig {
         }
     }
 
+    /// The preset compiles target when no architecture is named.
+    pub const DEFAULT_PRESET: &'static str = "8x8";
+
+    /// Resolves a preset name (`4x4`, `8x8`, `9x9`, `16x16`, `6x1`).
+    ///
+    /// # Errors
+    ///
+    /// Returns ``unknown arch preset `name` `` for anything else.
+    pub fn preset(name: &str) -> Result<CgraConfig, String> {
+        match name {
+            "4x4" => Ok(Self::small_4x4()),
+            "8x8" => Ok(Self::scaled_8x8()),
+            "9x9" => Ok(Self::paper_9x9()),
+            "16x16" => Ok(Self::paper_16x16()),
+            "6x1" => Ok(Self::linear_6x1()),
+            other => Err(format!("unknown arch preset `{other}`")),
+        }
+    }
+
     /// Deterministic enumeration of the architecture space the fuzzer
     /// sweeps: the presets plus heterogeneous-FU, memory-model, cluster
     /// shape, link-budget, and register-pressure variants. Every entry
@@ -291,15 +310,17 @@ mod tests {
 
     #[test]
     fn presets_validate() {
-        for cfg in [
-            CgraConfig::paper_16x16(),
-            CgraConfig::paper_9x9(),
-            CgraConfig::scaled_8x8(),
-            CgraConfig::small_4x4(),
-            CgraConfig::linear_6x1(),
-        ] {
-            cfg.validate().unwrap();
+        for name in ["16x16", "9x9", "8x8", "4x4", "6x1"] {
+            CgraConfig::preset(name).unwrap().validate().unwrap();
         }
+        assert_eq!(
+            CgraConfig::preset(CgraConfig::DEFAULT_PRESET),
+            Ok(CgraConfig::scaled_8x8())
+        );
+        assert_eq!(
+            CgraConfig::preset("3x3").unwrap_err(),
+            "unknown arch preset `3x3`"
+        );
     }
 
     #[test]

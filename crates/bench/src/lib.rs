@@ -27,7 +27,7 @@ pub mod serveload;
 
 pub use experiments::{fig5, fig7, fig8, fig9, table1a, table1b};
 pub use format::Table;
-pub use perf::{calibration_scale, BenchMapper, BenchOptions, BenchReport, KernelResult};
+pub use perf::{calibration_scale, BenchOptions, BenchReport, KernelResult};
 pub use serveload::{run_serve_load, PhaseReport, ServeLoadOptions, ServeLoadReport};
 
 use panorama_arch::CgraConfig;
@@ -78,14 +78,6 @@ pub fn profile() -> Profile {
             spr_budget: Duration::from_secs(60),
         }
     }
-}
-
-/// Resolves a requested worker-pool size: `0` means one per available
-/// core, and the pool never exceeds the number of work items.
-pub fn pool_threads(requested: usize, work_items: usize) -> usize {
-    let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let t = if requested == 0 { hw } else { requested };
-    t.clamp(1, work_items.max(1))
 }
 
 /// Geometric mean of positive values; 0 when empty or any value is 0.

@@ -46,48 +46,27 @@
 //! }
 //! ```
 
-use panorama::{BatchExecutor, CompileReport, Panorama, PanoramaConfig};
+use panorama::{
+    BackendId, BatchExecutor, CompileContext, CompileMode, CompileReport, Panorama, PanoramaConfig,
+};
 use panorama_arch::{Cgra, CgraConfig};
 use panorama_dfg::{kernels, Dep, Dfg, DfgBuilder, KernelId, KernelScale, OpKind};
-use panorama_mapper::{
-    LowerLevelMapper, SatMapper, SprConfig, SprMapper, UltraFastMapper, WarmStartCache,
-};
+use panorama_mapper::{LowerLevelMapper, SprConfig, SprMapper, WarmStartCache};
 use panorama_trace::json::{self, Json};
 use panorama_trace::{phase_totals, RecordingSink, TraceEvent, TraceReport, Tracer};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
-
-/// Which lower-level mapper the harness drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BenchMapper {
-    /// The Ultra-Fast greedy mapper (fast enough for CI smoke runs).
-    #[default]
-    UltraFast,
-    /// SPR\* with a per-mapping time budget (representative, slower).
-    Spr,
-    /// The CDCL SAT-based mapper. Runs the 4×4/tiny preset only — the
-    /// CNF encoding grows too fast for scaled kernels on the 8×8.
-    Sat,
-}
-
-impl BenchMapper {
-    /// Display name matching the mapper's own `name()`.
-    pub fn name(self) -> &'static str {
-        match self {
-            BenchMapper::UltraFast => "Ultra-Fast",
-            BenchMapper::Spr => "SPR*",
-            BenchMapper::Sat => "SAT",
-        }
-    }
-}
 
 /// Harness options.
 #[derive(Debug, Clone)]
 pub struct BenchOptions {
     /// Worker threads for the parallel phase (`0` = one per core).
     pub threads: usize,
-    /// Lower-level mapper.
-    pub mapper: BenchMapper,
+    /// Lower-level mapper: Ultra-Fast (fast enough for CI smoke runs),
+    /// SPR\* with a per-mapping time budget (representative, slower), or
+    /// SAT (4×4/tiny preset only — the CNF encoding grows too fast for
+    /// scaled kernels on the 8×8).
+    pub mapper: BackendId,
     /// Per-SPR-mapping wall-clock budget.
     pub spr_budget: Duration,
     /// Trace the parallel-phase compiles: per-kernel phase summaries land
@@ -103,7 +82,7 @@ impl Default for BenchOptions {
     fn default() -> Self {
         BenchOptions {
             threads: 0,
-            mapper: BenchMapper::UltraFast,
+            mapper: BackendId::UltraFast,
             spr_budget: Duration::from_secs(60),
             trace: false,
             analyze: false,
@@ -207,20 +186,12 @@ pub struct BenchReport {
 /// kernels and the scaled 8×8 with ~1/3-paper-size kernels. The SAT
 /// mapper runs the 4×4/tiny preset only (scaled kernels exceed its CNF
 /// budget by design).
-fn presets(mapper: BenchMapper) -> Vec<(&'static str, CgraConfig, KernelScale)> {
+fn presets(mapper: BackendId) -> Vec<(&'static str, CgraConfig, KernelScale)> {
     let mut presets = vec![("4x4", CgraConfig::small_4x4(), KernelScale::Tiny)];
-    if mapper != BenchMapper::Sat {
+    if mapper != BackendId::Sat {
         presets.push(("8x8", CgraConfig::scaled_8x8(), KernelScale::Scaled));
     }
     presets
-}
-
-/// The suite's two mapper instances, built once and shared by every job
-/// (batch compiles borrow them for the executor scope's lifetime).
-struct Mappers {
-    ultrafast: UltraFastMapper,
-    spr: SprMapper,
-    sat: SatMapper,
 }
 
 fn spr_config(options: &BenchOptions) -> SprConfig {
@@ -230,13 +201,12 @@ fn spr_config(options: &BenchOptions) -> SprConfig {
     }
 }
 
-impl Mappers {
-    fn new(options: &BenchOptions) -> Self {
-        Mappers {
-            ultrafast: UltraFastMapper::default(),
-            spr: SprMapper::new(spr_config(options)),
-            sat: SatMapper::default(),
-        }
+/// The suite's mapper instance, built once and shared by every job (batch
+/// compiles borrow it for the executor scope's lifetime).
+fn suite_mapper(options: &BenchOptions) -> Box<dyn LowerLevelMapper> {
+    match options.mapper {
+        BackendId::Spr => Box::new(SprMapper::new(spr_config(options))),
+        other => other.mapper(),
     }
 }
 
@@ -250,7 +220,7 @@ fn compile_job<'env>(
     threads: usize,
     options: &BenchOptions,
     trace: bool,
-    mappers: &'env Mappers,
+    mapper: &'env dyn LowerLevelMapper,
     exec: Option<&BatchExecutor<'env>>,
 ) -> Result<JobResult, String> {
     let compiler = Panorama::new(PanoramaConfig {
@@ -259,27 +229,14 @@ fn compile_job<'env>(
         ..PanoramaConfig::default()
     });
     let sink = trace.then(RecordingSink::shared);
-    let tracer = match &sink {
-        Some(sink) => Tracer::new(sink.clone()),
-        None => Tracer::disabled(),
+    let tracer = sink.as_ref().map(|sink| Tracer::new(sink.clone()));
+    let ctx = CompileContext {
+        tracer: tracer.as_ref(),
+        cancel: None,
+        executor: exec,
     };
     let t = Instant::now();
-    let report = match (options.mapper, exec) {
-        (BenchMapper::UltraFast, Some(exec)) => {
-            compiler.compile_batch_traced(exec, dfg, cgra, &mappers.ultrafast, &tracer, None)
-        }
-        (BenchMapper::UltraFast, None) => {
-            compiler.compile_traced(dfg, cgra, &mappers.ultrafast, &tracer)
-        }
-        (BenchMapper::Spr, Some(exec)) => {
-            compiler.compile_batch_traced(exec, dfg, cgra, &mappers.spr, &tracer, None)
-        }
-        (BenchMapper::Spr, None) => compiler.compile_traced(dfg, cgra, &mappers.spr, &tracer),
-        (BenchMapper::Sat, Some(exec)) => {
-            compiler.compile_batch_traced(exec, dfg, cgra, &mappers.sat, &tracer, None)
-        }
-        (BenchMapper::Sat, None) => compiler.compile_traced(dfg, cgra, &mappers.sat, &tracer),
-    };
+    let report = compiler.compile_with(dfg, cgra, &[mapper], CompileMode::Guided, &ctx);
     let wall = t.elapsed().as_secs_f64();
     let phases = sink.map_or_else(Vec::new, |sink| {
         phase_totals(&sink.take())
@@ -362,14 +319,15 @@ pub fn run(options: &BenchOptions) -> Result<BenchReport, String> {
         .iter()
         .map(|(_, config, _)| Cgra::new(config.clone()).map_err(|e| e.to_string()))
         .collect::<Result<_, _>>()?;
-    let threads = crate::pool_threads(options.threads, jobs.len());
-    let mappers = Mappers::new(options);
+    let threads = panorama::effective_threads(options.threads, jobs.len());
+    let mapper = suite_mapper(options);
+    let mapper = &*mapper;
 
     // Delta-replay scenario (SPR* only): perturbed copies of every suite
     // kernel, remapped warm in the batch phase and cold in the sequential
     // phase. The warm mapper's cache is seeded from the batch winners.
     let replay: Option<Vec<Dfg>> =
-        (options.mapper == BenchMapper::Spr).then(|| dfgs.iter().map(perturb).collect());
+        (options.mapper == BackendId::Spr).then(|| dfgs.iter().map(perturb).collect());
     let warm_cache = WarmStartCache::default();
     let warm_mapper = SprMapper::new(spr_config(options)).with_warm_cache(warm_cache.clone());
 
@@ -386,7 +344,7 @@ pub fn run(options: &BenchOptions) -> Result<BenchReport, String> {
                 threads,
                 options,
                 options.trace,
-                &mappers,
+                mapper,
                 Some(exec),
             )
         })
@@ -423,15 +381,14 @@ pub fn run(options: &BenchOptions) -> Result<BenchReport, String> {
     let sequential: Vec<Result<JobResult, String>> = jobs
         .iter()
         .enumerate()
-        .map(|(j, &(_, p))| compile_job(&dfgs[j], &cgras[p], 1, options, false, &mappers, None))
+        .map(|(j, &(_, p))| compile_job(&dfgs[j], &cgras[p], 1, options, false, mapper, None))
         .collect();
     let mut cold_results: Vec<(CompileReport, f64)> = Vec::new();
     if let Some(deltas) = &replay {
         for (j, delta) in deltas.iter().enumerate() {
             let (kernel, p) = jobs[j];
-            let (report, wall, _) =
-                compile_job(delta, &cgras[p], 1, options, false, &mappers, None)
-                    .map_err(|e| format!("cold replay of {kernel}/{}: {e}", presets[p].0))?;
+            let (report, wall, _) = compile_job(delta, &cgras[p], 1, options, false, mapper, None)
+                .map_err(|e| format!("cold replay of {kernel}/{}: {e}", presets[p].0))?;
             cold_results.push((report, wall));
         }
     }
@@ -508,7 +465,7 @@ pub fn run(options: &BenchOptions) -> Result<BenchReport, String> {
         0.0
     };
     Ok(BenchReport {
-        mapper: options.mapper.name(),
+        mapper: mapper.name(),
         threads,
         suite_wall_seconds,
         suite_wall_seconds_single,

@@ -236,7 +236,7 @@ pub mod collection {
     use std::fmt::Debug;
     use std::ops::Range;
 
-    /// Strategy generating `Vec`s; see [`vec`].
+    /// Strategy generating `Vec`s; see [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

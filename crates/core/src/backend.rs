@@ -1,138 +1,133 @@
-//! Portfolio backend selection: which lower-level mappers race per
-//! candidate.
+//! Which lower-level mapper: the one place `spr`, `ultrafast`, `exhaustive`,
+//! `sat` and `portfolio` are spelled.
 //!
-//! [`PanoramaConfig::backends`](crate::PanoramaConfig::backends) names the
-//! mappers the portfolio entry points
-//! ([`Panorama::compile_portfolio`](crate::Panorama::compile_portfolio)
-//! and friends) run side by side. Every *(candidate partition, backend)*
-//! pair becomes one work item on the worker pool, all racing under the
-//! shared atomic best-II bound; the reduction key *(achieved II, routing
-//! complexity, candidate rank × backend count + backend position)* keeps
-//! the winner a deterministic function of the inputs for any thread
-//! count.
+//! Every surface (CLI flags, `/compile` JSON, the bench harness, the
+//! fuzzer) names a mapper through [`BackendId`], and every compile takes
+//! its mappers as `&dyn LowerLevelMapper` — [`BackendId::mapper`] builds a
+//! default-configured one, and a caller that needs its own instance (the
+//! CLI's SAT attempt log, the daemon's warm-started SPR\*, the fuzzer's
+//! tight SAT budget) passes that instead.
 
-use panorama_mapper::{
-    LowerLevelMapper, MapError, Mapping, Restriction, SatMapper, SearchControl, SprMapper,
-    UltraFastMapper,
-};
-use panorama_trace::SpanCollector;
+use panorama_mapper::{ExactMapper, LowerLevelMapper, SatMapper, SprMapper, UltraFastMapper};
 
-/// A selectable portfolio backend.
+/// A selectable lower-level mapper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendId {
     /// SPR\*: schedule / place / route with PathFinder + annealing.
     Spr,
     /// Ultra-Fast: greedy abstract scheduler with a wiring budget.
     UltraFast,
+    /// The exhaustive mapper: II-optimal by enumeration, tiny inputs only.
+    Exhaustive,
     /// SAT: CNF modulo scheduling decided by the CDCL solver.
     Sat,
 }
 
 impl BackendId {
-    /// Every backend, in canonical order.
-    pub const ALL: [BackendId; 3] = [BackendId::Spr, BackendId::UltraFast, BackendId::Sat];
+    /// The backends `--mapper portfolio` races, in reduction-key order.
+    pub const PORTFOLIO: [BackendId; 3] = [BackendId::Spr, BackendId::UltraFast, BackendId::Sat];
 
-    /// The CLI/config spelling of this backend.
+    /// The CLI/request spelling of this backend.
     pub fn name(self) -> &'static str {
         match self {
             BackendId::Spr => "spr",
             BackendId::UltraFast => "ultrafast",
+            BackendId::Exhaustive => "exhaustive",
             BackendId::Sat => "sat",
         }
     }
 
-    /// Parses a CLI/config spelling.
-    pub fn parse(name: &str) -> Option<BackendId> {
+    /// Parses a CLI/request spelling.
+    ///
+    /// # Errors
+    ///
+    /// Returns ``unknown mapper `name` `` for anything else.
+    pub fn parse(name: &str) -> Result<BackendId, String> {
         match name {
-            "spr" => Some(BackendId::Spr),
-            "ultrafast" => Some(BackendId::UltraFast),
-            "sat" => Some(BackendId::Sat),
-            _ => None,
+            "spr" => Ok(BackendId::Spr),
+            "ultrafast" => Ok(BackendId::UltraFast),
+            "exhaustive" => Ok(BackendId::Exhaustive),
+            "sat" => Ok(BackendId::Sat),
+            other => Err(format!("unknown mapper `{other}`")),
         }
     }
 
     /// Instantiates the backend's mapper with default settings.
-    pub fn mapper(self) -> AnyMapper {
+    pub fn mapper(self) -> Box<dyn LowerLevelMapper> {
         match self {
-            BackendId::Spr => AnyMapper::Spr(SprMapper::default()),
-            BackendId::UltraFast => AnyMapper::UltraFast(UltraFastMapper::default()),
-            BackendId::Sat => AnyMapper::Sat(SatMapper::default()),
+            BackendId::Spr => Box::new(SprMapper::default()),
+            BackendId::UltraFast => Box::new(UltraFastMapper::default()),
+            BackendId::Exhaustive => Box::new(ExactMapper::default()),
+            BackendId::Sat => Box::new(SatMapper::default()),
         }
     }
 }
 
-/// A uniformly-typed lower-level mapper, so heterogeneous backends can
-/// share one portfolio fan-out (and one generic instantiation of the
-/// pipeline).
-#[derive(Debug, Clone)]
-pub enum AnyMapper {
-    /// The SPR\* mapper.
-    Spr(SprMapper),
-    /// The Ultra-Fast mapper.
-    UltraFast(UltraFastMapper),
-    /// The SAT mapper.
-    Sat(SatMapper),
+/// What a request's `mapper` field selects: one backend, or the portfolio
+/// race of [`BackendId::PORTFOLIO`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum MapperChoice {
+    /// A single backend.
+    Backend(BackendId),
+    /// Every [`BackendId::PORTFOLIO`] backend per candidate partition,
+    /// under the shared best-II bound.
+    Portfolio,
 }
 
-impl AnyMapper {
-    /// The wrapped SAT mapper, when this is the SAT backend — gives the
-    /// CLI access to [`SatMapper::take_attempts`] after a portfolio run.
-    pub fn as_sat(&self) -> Option<&SatMapper> {
+impl MapperChoice {
+    /// Parses a backend spelling or `portfolio`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`BackendId::parse`].
+    pub fn parse(name: &str) -> Result<MapperChoice, String> {
+        if name == "portfolio" {
+            Ok(MapperChoice::Portfolio)
+        } else {
+            BackendId::parse(name).map(MapperChoice::Backend)
+        }
+    }
+
+    /// The spelling [`parse`](MapperChoice::parse) accepts for this choice.
+    pub fn name(self) -> &'static str {
         match self {
-            AnyMapper::Sat(m) => Some(m),
-            _ => None,
+            MapperChoice::Backend(id) => id.name(),
+            MapperChoice::Portfolio => "portfolio",
+        }
+    }
+
+    /// The backends this choice runs, in reduction-key order.
+    pub fn backends(&self) -> &[BackendId] {
+        match self {
+            MapperChoice::Backend(id) => std::slice::from_ref(id),
+            MapperChoice::Portfolio => &BackendId::PORTFOLIO,
         }
     }
 }
 
-impl LowerLevelMapper for AnyMapper {
-    fn map(
-        &self,
-        dfg: &panorama_dfg::Dfg,
-        cgra: &panorama_arch::Cgra,
-        restriction: Option<&Restriction>,
-    ) -> Result<Mapping, MapError> {
-        match self {
-            AnyMapper::Spr(m) => m.map(dfg, cgra, restriction),
-            AnyMapper::UltraFast(m) => m.map(dfg, cgra, restriction),
-            AnyMapper::Sat(m) => m.map(dfg, cgra, restriction),
-        }
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    fn map_with_control(
-        &self,
-        dfg: &panorama_dfg::Dfg,
-        cgra: &panorama_arch::Cgra,
-        restriction: Option<&Restriction>,
-        control: Option<&SearchControl>,
-    ) -> Result<Mapping, MapError> {
-        match self {
-            AnyMapper::Spr(m) => m.map_with_control(dfg, cgra, restriction, control),
-            AnyMapper::UltraFast(m) => m.map_with_control(dfg, cgra, restriction, control),
-            AnyMapper::Sat(m) => m.map_with_control(dfg, cgra, restriction, control),
+    #[test]
+    fn spellings_round_trip() {
+        for name in ["spr", "ultrafast", "exhaustive", "sat"] {
+            let id = BackendId::parse(name).unwrap();
+            assert_eq!(id.name(), name);
+            let choice = MapperChoice::Backend(id);
+            assert_eq!(MapperChoice::parse(choice.name()), Ok(choice));
+            assert_eq!(choice.backends(), [id]);
         }
-    }
-
-    fn map_traced(
-        &self,
-        dfg: &panorama_dfg::Dfg,
-        cgra: &panorama_arch::Cgra,
-        restriction: Option<&Restriction>,
-        control: Option<&SearchControl>,
-        trace: &mut SpanCollector,
-    ) -> Result<Mapping, MapError> {
-        match self {
-            AnyMapper::Spr(m) => m.map_traced(dfg, cgra, restriction, control, trace),
-            AnyMapper::UltraFast(m) => m.map_traced(dfg, cgra, restriction, control, trace),
-            AnyMapper::Sat(m) => m.map_traced(dfg, cgra, restriction, control, trace),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            AnyMapper::Spr(m) => m.name(),
-            AnyMapper::UltraFast(m) => m.name(),
-            AnyMapper::Sat(m) => m.name(),
-        }
+        let portfolio = MapperChoice::parse("portfolio").unwrap();
+        assert_eq!(portfolio.name(), "portfolio");
+        assert_eq!(portfolio.backends(), BackendId::PORTFOLIO);
+        assert_eq!(
+            BackendId::parse("portfolio").unwrap_err(),
+            "unknown mapper `portfolio`"
+        );
+        assert_eq!(
+            MapperChoice::parse("magic").unwrap_err(),
+            "unknown mapper `magic`"
+        );
     }
 }

@@ -11,9 +11,13 @@
 //! 3. **Conquer**: hand the winning cluster assignment to a lower-level
 //!    mapper ([`panorama_mapper`]) as a placement restriction.
 //!
-//! [`Panorama::compile`] runs the whole pipeline; [`Panorama::plan`] stops
-//! after the higher-level mapping (useful for inspecting the divide step,
-//! and for the Table 1a harness).
+//! [`Panorama::compile`] runs the whole pipeline with one mapper;
+//! [`Panorama::compile_with`] is the general entry behind it (several
+//! mappers raced as a portfolio, the unguided baseline, tracing,
+//! cancellation, a shared worker pool); [`Panorama::plan`] stops after the
+//! higher-level mapping (useful for inspecting the divide step, and for
+//! the Table 1a harness). [`CompileRequest`] is the typed request the CLI
+//! and the serve daemon both parse into.
 //!
 //! # Quick start
 //!
@@ -39,13 +43,15 @@ mod backend;
 mod pipeline;
 mod portfolio;
 mod report;
+pub mod request;
 
-pub use backend::{AnyMapper, BackendId};
+pub use backend::{BackendId, MapperChoice};
 pub use panorama_analyze::AnalyzeConfig;
 pub use panorama_mapper::CancelToken;
-pub use pipeline::{Panorama, PanoramaConfig, PanoramaError};
-pub use portfolio::BatchExecutor;
+pub use pipeline::{CompileContext, CompileMode, Panorama, PanoramaConfig, PanoramaError};
+pub use portfolio::{effective_threads, BatchExecutor};
 pub use report::{CompileReport, HigherLevelPlan};
+pub use request::CompileRequest;
 
 // Re-export the subsystem crates so downstream users need one dependency.
 pub use panorama_analyze as analyze;

@@ -1,7 +1,6 @@
 //! The PANORAMA compilation pipeline (paper Algorithm 1).
 
-use crate::backend::{AnyMapper, BackendId};
-use crate::portfolio::{effective_threads, run_indexed, BatchExecutor};
+use crate::portfolio::{effective_threads, BatchExecutor};
 use crate::report::{CompileReport, HigherLevelPlan};
 use panorama_analyze::{optimize, AnalyzeConfig, AnalyzeError, Optimization};
 use panorama_arch::Cgra;
@@ -11,14 +10,14 @@ use panorama_cluster::{
 use panorama_dfg::Dfg;
 use panorama_lint::{precheck, Diagnostic, Diagnostics};
 use panorama_mapper::{
-    CancelToken, LowerLevelMapper, MapError, PortfolioBound, Restriction, SearchControl,
+    CancelToken, LowerLevelMapper, MapError, Mapping, PortfolioBound, Restriction, SearchControl,
 };
 use panorama_place::{map_clusters, ClusterMap, PlaceError, ScatterConfig};
 use panorama_trace::{SpanCollector, Tracer, NO_CANDIDATE, SEQ_BASE_MAP};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Tunables of the higher-level mapping.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,24 +41,15 @@ pub struct PanoramaConfig {
     /// mapping then targets the *optimized* graph, which
     /// [`CompileReport::mapped_dfg`] exposes; verification and simulation
     /// must use it. Off by default so existing artifacts stay bit-stable.
-    /// Only the compile entry points honour this;
+    /// Only the `compile*` entry points honour this;
     /// [`plan`](Panorama::plan) always inspects the input graph as-is.
     pub analyze: Option<AnalyzeConfig>,
-    /// Worker threads for the candidate portfolio (cluster mapping and
-    /// guided lower-level mapping run per-candidate in parallel). `0`
-    /// means one per available core. The compile result is bit-identical
-    /// for every value — parallelism only changes wall-clock.
+    /// Worker threads for the candidate fan-outs (cluster mapping and
+    /// guided lower-level mapping run per-candidate in parallel) when the
+    /// caller hands down no shared [`BatchExecutor`]. `0` means one per
+    /// available core. The compile result is bit-identical for every
+    /// value — parallelism only changes wall-clock.
     pub threads: usize,
-    /// Backends raced by the portfolio entry points
-    /// ([`Panorama::compile_portfolio`] and friends): every *(candidate,
-    /// backend)* pair becomes one work item under the shared best-II
-    /// bound. The single-mapper entry points ([`Panorama::compile`],
-    /// [`Panorama::compile_traced`], ...) ignore this field. Defaults to
-    /// SPR\* alone, which keeps the portfolio byte-identical to
-    /// [`Panorama::compile`] with an [`SprMapper`].
-    ///
-    /// [`SprMapper`]: panorama_mapper::SprMapper
-    pub backends: Vec<BackendId>,
 }
 
 impl Default for PanoramaConfig {
@@ -72,7 +62,6 @@ impl Default for PanoramaConfig {
             max_ii: None,
             analyze: None,
             threads: 0,
-            backends: vec![BackendId::Spr],
         }
     }
 }
@@ -171,26 +160,41 @@ struct Candidate {
     restriction: Restriction,
 }
 
-/// Fans `f(0..count)` out over whichever pool is in play: the suite-level
-/// shared [`BatchExecutor`] when one was handed down, else a per-compile
-/// scoped pool of `threads` workers ([`run_indexed`]). Results come back
-/// in index order either way. Closures must own (or outlive `'env` with)
-/// everything they capture, which is what lets one call site serve both
-/// pools.
-fn fan_out<'env, T, F>(
-    exec: Option<&BatchExecutor<'env>>,
-    threads: usize,
-    count: usize,
-    f: F,
-) -> Vec<T>
-where
-    T: Send + 'env,
-    F: Fn(usize) -> T + Send + Sync + 'env,
-{
-    match exec {
-        Some(exec) => exec.run_batch(count, move |_, i| f(i)),
-        None => run_indexed(threads, count, f),
-    }
+/// What [`Panorama::compile_with`] does with the lower-level mappers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum CompileMode {
+    /// Algorithm 1: divide, map clusters, then hand every surviving
+    /// candidate partition to the mappers as a placement restriction.
+    #[default]
+    Guided,
+    /// The *unguided* mapper on the whole array, for baseline comparisons
+    /// (SPR\* / Ultra-Fast rows of Figures 7 and 9). Takes exactly one
+    /// mapper.
+    Baseline,
+}
+
+/// The optional surroundings of one [`Panorama::compile_with`] call; every
+/// field defaults to "none".
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CompileContext<'a, 'env> {
+    /// Records pipeline spans (`analyze`, `preflight`, `partition`,
+    /// `cluster_map`, `map`), per-candidate `scatter` spans and the
+    /// mappers' own events, merged deterministically and submitted to the
+    /// tracer's sink on success and on error alike. Losing candidates'
+    /// mapper streams depend on bound-pruning timing and are marked
+    /// unstable; the winner's stream is stable at any thread count.
+    pub tracer: Option<&'a Tracer>,
+    /// Cooperative cancellation: once fired, the pipeline stops at the
+    /// next phase boundary, II iteration or PathFinder round and returns
+    /// [`PanoramaError::Cancelled`]. A token that never fires leaves the
+    /// result bit-identical to a cancel-free run.
+    pub cancel: Option<&'a CancelToken>,
+    /// A suite-level pool to submit the candidate fan-outs to instead of
+    /// opening one per compile (see [`BatchExecutor`]). The mappers must
+    /// outlive its scope (`'env`): work items sharing the pool may still
+    /// be queued after this call's frame would unwind on a panic elsewhere
+    /// in the batch. The result is bit-identical either way.
+    pub executor: Option<&'a BatchExecutor<'env>>,
 }
 
 /// The PANORAMA higher-level compiler.
@@ -232,20 +236,25 @@ impl Panorama {
         }
     }
 
-    /// Picks the pool for a candidate fan-out: small DFGs always run
-    /// sequentially (see [`SMALL_DFG_SEQUENTIAL_OPS`]), larger ones use
-    /// the shared executor when one is in play, else a scoped pool sized
-    /// by the configured thread count.
-    fn pool_for<'a, 'env>(
+    /// Runs `f` with the pool its candidate fan-outs go to: the `shared`
+    /// executor when one was handed down, else a scope of the configured
+    /// thread count (at most one worker per work item) opened for this
+    /// call. Small DFGs (see [`SMALL_DFG_SEQUENTIAL_OPS`]) and
+    /// `threads <= 1` get a sequential scope, which spawns nothing and
+    /// runs every batch inline.
+    fn with_pool<'env, R>(
         &self,
         dfg: &Dfg,
         work_items: usize,
-        exec: Option<&'a BatchExecutor<'env>>,
-    ) -> (Option<&'a BatchExecutor<'env>>, usize) {
+        shared: Option<&BatchExecutor<'env>>,
+        f: impl FnOnce(&BatchExecutor<'env>) -> R,
+    ) -> R {
         if dfg.num_ops() <= SMALL_DFG_SEQUENTIAL_OPS {
-            (None, 1)
-        } else {
-            (exec, effective_threads(self.config.threads, work_items))
+            return BatchExecutor::scope(1, f);
+        }
+        match shared {
+            Some(exec) => f(exec),
+            None => BatchExecutor::scope(effective_threads(self.config.threads, work_items), f),
         }
     }
 
@@ -287,9 +296,8 @@ impl Panorama {
     }
 
     /// Cluster-maps the top-`N` balanced candidates, one scattering ILP
-    /// per candidate fanned out over the portfolio worker pool (or the
-    /// suite-level shared executor when one is in play). Results come
-    /// back in balance-rank order, each `(partition index, attempt, trace
+    /// per candidate fanned out on `exec`. Results come back in
+    /// balance-rank order, each `(partition index, attempt, trace
     /// collector)`. Scattering runs to completion on every candidate (no
     /// cross-candidate pruning), so its trace events are stable.
     #[allow(clippy::type_complexity)]
@@ -299,21 +307,20 @@ impl Panorama {
         cgra: &Cgra,
         partitions: &Arc<Vec<Partition>>,
         tracer: &Tracer,
-        exec: Option<&BatchExecutor<'env>>,
+        exec: &BatchExecutor<'env>,
     ) -> Vec<(usize, Result<(Cdg, ClusterMap), PlaceError>, SpanCollector)> {
         let (rows, cols) = cgra.cluster_grid();
         let ranked: Vec<usize> = top_balanced(partitions, self.config.top_partitions)
             .into_iter()
             .map(|(idx, _)| idx)
             .collect();
-        let (exec, threads) = self.pool_for(dfg, ranked.len(), exec);
         // The fan-out closure owns everything it touches, so it can run on
-        // the suite-level executor whose workers outlive this frame.
+        // a suite-level executor whose workers outlive this frame.
         let dfg = Arc::clone(dfg);
         let partitions = Arc::clone(partitions);
         let tracer = tracer.clone();
         let scatter = self.config.scatter;
-        fan_out(exec, threads, ranked.len(), move |rank| {
+        exec.run_batch(ranked.len(), move |_, rank| {
             let idx = ranked[rank];
             let part = &partitions[idx];
             let mut col = tracer.collector(rank as u32);
@@ -440,9 +447,10 @@ impl Panorama {
         // iteration order of the candidates).
         let mut best: Option<(usize, Cdg, ClusterMap)> = None;
         let mut last_err: Option<PlaceError> = None;
-        for (idx, attempt, col) in
-            self.cluster_map_candidates(&dfg_shared, cgra, &partitions, tracer, None)
-        {
+        let attempts = self.with_pool(dfg, self.config.top_partitions, None, |exec| {
+            self.cluster_map_candidates(&dfg_shared, cgra, &partitions, tracer, exec)
+        });
+        for (idx, attempt, col) in attempts {
             collectors.push(col);
             match attempt {
                 Ok((cdg, map)) => {
@@ -486,280 +494,91 @@ impl Panorama {
         ))
     }
 
-    /// Runs the full pipeline with a *portfolio* conquer phase: every
-    /// candidate partition that survives cluster mapping and the restricted
-    /// pre-flight check is handed to the lower-level `mapper` on the
-    /// worker pool, with a shared best-II bound for early cancellation
-    /// (Algorithm 1 line 10, widened across candidates).
-    ///
-    /// The winner is reduced deterministically by *(achieved II, cluster
-    /// routing complexity, candidate rank)*, so the report is bit-identical
-    /// for every [`PanoramaConfig::threads`] value — including `1`.
+    /// Runs the full pipeline (Algorithm 1) with one lower-level mapper:
+    /// [`compile_with`](Panorama::compile_with) in [`CompileMode::Guided`]
+    /// with an empty [`CompileContext`].
     ///
     /// # Errors
     ///
-    /// * [`PanoramaError::Infeasible`] when the pre-flight check proves the
-    ///   run (or every surviving candidate) hopeless;
-    /// * [`PanoramaError::Cluster`] when spectral clustering fails;
-    /// * [`PanoramaError::ClusterMapping`] when no candidate partition
-    ///   admits a cluster mapping;
-    /// * [`PanoramaError::Mapping`] when every candidate's guided
-    ///   lower-level mapping fails.
+    /// As for [`compile_with`](Panorama::compile_with).
     pub fn compile<M: LowerLevelMapper>(
         &self,
         dfg: &Dfg,
         cgra: &Cgra,
         mapper: &M,
     ) -> Result<CompileReport, PanoramaError> {
-        self.compile_traced(dfg, cgra, mapper, &Tracer::disabled())
+        let ctx = CompileContext::default();
+        self.compile_with(dfg, cgra, &[mapper], CompileMode::Guided, &ctx)
     }
 
-    /// [`compile`](Panorama::compile) with cooperative cancellation but no
-    /// tracing — the combination long-running batch drivers (the fuzzer's
-    /// wall-clock cap, the serve daemon's deadlines) actually want.
+    /// Runs the *unguided* `mapper` on the whole array:
+    /// [`compile_with`](Panorama::compile_with) in
+    /// [`CompileMode::Baseline`] with an empty [`CompileContext`].
     ///
     /// # Errors
     ///
-    /// As for [`compile`](Panorama::compile), plus
-    /// [`PanoramaError::Cancelled`] when `cancel` fires mid-run.
-    pub fn compile_with_cancel<M: LowerLevelMapper>(
+    /// As for [`compile_with`](Panorama::compile_with).
+    pub fn compile_baseline<M: LowerLevelMapper>(
         &self,
         dfg: &Dfg,
         cgra: &Cgra,
         mapper: &M,
-        cancel: Option<&CancelToken>,
     ) -> Result<CompileReport, PanoramaError> {
-        self.compile_traced_with_cancel(dfg, cgra, mapper, &Tracer::disabled(), cancel)
+        let ctx = CompileContext::default();
+        self.compile_with(dfg, cgra, &[mapper], CompileMode::Baseline, &ctx)
     }
 
-    /// [`compile`](Panorama::compile) with trace recording: pipeline-level
-    /// spans (`preflight`, `partition`, `cluster_map`, `map`), per-candidate
-    /// `scatter` spans and the lower-level mappers' own events are merged
-    /// deterministically and submitted to `tracer`'s sink, on success and
-    /// on error alike. Losing candidates' mapper streams depend on
-    /// bound-pruning timing and are marked unstable; the winner's stream
-    /// is stable at any thread count.
+    /// The one general compile entry: optional pre-mapping analysis and
+    /// the static pre-flight check, then `mode`'s conquer phase.
+    ///
+    /// In [`CompileMode::Guided`] every candidate partition that survives
+    /// cluster mapping and the restricted pre-flight check is handed to
+    /// every entry of `mappers` (Algorithm 1 line 10, widened across
+    /// candidates and backends): each *(candidate, mapper)* pair is one
+    /// work item on the pool, all racing under a shared best-II bound. The
+    /// winner is reduced deterministically by *(achieved II, cluster
+    /// routing complexity, candidate rank × mapper count + mapper
+    /// position)*, so the report is bit-identical for every
+    /// [`PanoramaConfig::threads`] value and with or without a shared
+    /// [`CompileContext::executor`]. One mapper is the plain PANORAMA
+    /// compile; several are the portfolio race. A backend that cannot map
+    /// a candidate only loses the race.
     ///
     /// # Errors
     ///
-    /// As for [`compile`](Panorama::compile).
-    pub fn compile_traced<M: LowerLevelMapper>(
+    /// * [`PanoramaError::Analysis`] when the pre-mapping optimizer fails;
+    /// * [`PanoramaError::Infeasible`] when the pre-flight check proves the
+    ///   run (or every surviving candidate) hopeless;
+    /// * [`PanoramaError::Cluster`] when spectral clustering fails;
+    /// * [`PanoramaError::ClusterMapping`] when no candidate partition
+    ///   admits a cluster mapping;
+    /// * [`PanoramaError::Mapping`] when every mapping attempt fails;
+    /// * [`PanoramaError::Cancelled`] when [`CompileContext::cancel`] fires
+    ///   mid-run.
+    ///
+    /// # Panics
+    ///
+    /// When `mappers` is empty, or holds more than one mapper in
+    /// [`CompileMode::Baseline`].
+    pub fn compile_with<'env>(
         &self,
         dfg: &Dfg,
         cgra: &Cgra,
-        mapper: &M,
-        tracer: &Tracer,
+        mappers: &[&'env dyn LowerLevelMapper],
+        mode: CompileMode,
+        ctx: &CompileContext<'_, 'env>,
     ) -> Result<CompileReport, PanoramaError> {
-        self.compile_traced_with_cancel(dfg, cgra, mapper, tracer, None)
-    }
-
-    /// [`compile_traced`](Panorama::compile_traced) with cooperative
-    /// cancellation: a fired `cancel` token makes the pipeline stop at the
-    /// next phase boundary, II iteration, or PathFinder round and return
-    /// [`PanoramaError::Cancelled`]. A token that never fires leaves the
-    /// result bit-identical to a cancel-free run.
-    ///
-    /// # Errors
-    ///
-    /// As for [`compile`](Panorama::compile), plus
-    /// [`PanoramaError::Cancelled`].
-    pub fn compile_traced_with_cancel<M: LowerLevelMapper>(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        mapper: &M,
-        tracer: &Tracer,
-        cancel: Option<&CancelToken>,
-    ) -> Result<CompileReport, PanoramaError> {
-        let mut pipe = tracer.collector(NO_CANDIDATE);
-        let mut collectors: Vec<SpanCollector> = Vec::new();
-        let result = self.compile_inner(
-            dfg,
-            cgra,
-            std::slice::from_ref(mapper),
-            tracer,
-            cancel,
-            None,
-            &mut pipe,
-            &mut collectors,
-        );
-        collectors.push(pipe);
-        tracer.submit(collectors);
-        result
-    }
-
-    /// [`compile_traced`](Panorama::compile_traced), but with every
-    /// candidate fan-out submitted to a suite-level shared
-    /// [`BatchExecutor`] instead of a per-compile scoped pool. A batch
-    /// driver compiling many kernels opens one executor scope, submits
-    /// kernel jobs as a batch, and each job calls this — so
-    /// kernel×candidate work items interleave across one fixed worker
-    /// set and the per-kernel thread-spawn cost disappears. The result is
-    /// bit-identical to [`compile_traced`](Panorama::compile_traced) at
-    /// any pool size; only wall-clock changes.
-    ///
-    /// `mapper` must outlive the executor scope (`'env`): candidate work
-    /// items sharing the pool may still be queued after this call's
-    /// frame would normally unwind on a panic elsewhere in the batch.
-    ///
-    /// # Errors
-    ///
-    /// As for [`compile_traced`](Panorama::compile_traced), plus
-    /// [`PanoramaError::Cancelled`] when `cancel` fires mid-run.
-    pub fn compile_batch_traced<'env, M: LowerLevelMapper>(
-        &self,
-        exec: &BatchExecutor<'env>,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        mapper: &'env M,
-        tracer: &Tracer,
-        cancel: Option<&CancelToken>,
-    ) -> Result<CompileReport, PanoramaError> {
-        let mut pipe = tracer.collector(NO_CANDIDATE);
-        let mut collectors: Vec<SpanCollector> = Vec::new();
-        let result = self.compile_inner(
-            dfg,
-            cgra,
-            std::slice::from_ref(mapper),
-            tracer,
-            cancel,
-            Some(exec),
-            &mut pipe,
-            &mut collectors,
-        );
-        collectors.push(pipe);
-        tracer.submit(collectors);
-        result
-    }
-
-    /// Instantiates [`PanoramaConfig::backends`] as concrete mappers (an
-    /// empty list falls back to SPR\* so a portfolio compile always has a
-    /// backend). Useful for callers that drive
-    /// [`compile_portfolio_batch_traced`](Panorama::compile_portfolio_batch_traced)
-    /// and need the mapper instances to outlive the executor scope — or
-    /// to query backend state afterwards (e.g.
-    /// [`AnyMapper::as_sat`]).
-    pub fn build_backends(&self) -> Vec<AnyMapper> {
-        if self.config.backends.is_empty() {
-            vec![BackendId::Spr.mapper()]
-        } else {
-            self.config.backends.iter().map(|b| b.mapper()).collect()
-        }
-    }
-
-    /// [`compile`](Panorama::compile), but racing every configured
-    /// [`PanoramaConfig::backends`] entry per candidate partition under
-    /// the shared best-II bound. The reduction key *(achieved II, routing
-    /// complexity, candidate rank × backend count + backend position)*
-    /// makes the winner deterministic at any thread count; with the
-    /// default single-SPR backend list the result is byte-identical to
-    /// [`compile`](Panorama::compile) with an `SprMapper`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`compile`](Panorama::compile).
-    pub fn compile_portfolio(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-    ) -> Result<CompileReport, PanoramaError> {
-        self.compile_portfolio_traced_with_cancel(dfg, cgra, &Tracer::disabled(), None)
-    }
-
-    /// [`compile_portfolio`](Panorama::compile_portfolio) with
-    /// cooperative cancellation.
-    ///
-    /// # Errors
-    ///
-    /// As for [`compile_portfolio`](Panorama::compile_portfolio), plus
-    /// [`PanoramaError::Cancelled`] when `cancel` fires mid-run.
-    pub fn compile_portfolio_with_cancel(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        cancel: Option<&CancelToken>,
-    ) -> Result<CompileReport, PanoramaError> {
-        self.compile_portfolio_traced_with_cancel(dfg, cgra, &Tracer::disabled(), cancel)
-    }
-
-    /// [`compile_portfolio`](Panorama::compile_portfolio) with trace
-    /// recording (see [`compile_traced`](Panorama::compile_traced) for
-    /// the span layout; each backend's conquer events occupy their own
-    /// sequence window per candidate).
-    ///
-    /// # Errors
-    ///
-    /// As for [`compile_portfolio`](Panorama::compile_portfolio).
-    pub fn compile_portfolio_traced(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        tracer: &Tracer,
-    ) -> Result<CompileReport, PanoramaError> {
-        self.compile_portfolio_traced_with_cancel(dfg, cgra, tracer, None)
-    }
-
-    /// The fully-general portfolio compile: tracing plus cancellation.
-    ///
-    /// # Errors
-    ///
-    /// As for [`compile_portfolio`](Panorama::compile_portfolio), plus
-    /// [`PanoramaError::Cancelled`] when `cancel` fires mid-run.
-    pub fn compile_portfolio_traced_with_cancel(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        tracer: &Tracer,
-        cancel: Option<&CancelToken>,
-    ) -> Result<CompileReport, PanoramaError> {
-        let mappers = self.build_backends();
-        let mut pipe = tracer.collector(NO_CANDIDATE);
-        let mut collectors: Vec<SpanCollector> = Vec::new();
-        let result = self.compile_inner(
-            dfg,
-            cgra,
-            &mappers,
-            tracer,
-            cancel,
-            None,
-            &mut pipe,
-            &mut collectors,
-        );
-        collectors.push(pipe);
-        tracer.submit(collectors);
-        result
-    }
-
-    /// [`compile_portfolio_traced_with_cancel`](Panorama::compile_portfolio_traced_with_cancel)
-    /// on a suite-level shared [`BatchExecutor`] (see
-    /// [`compile_batch_traced`](Panorama::compile_batch_traced)). The
-    /// caller owns the backend instances — typically from
-    /// [`build_backends`](Panorama::build_backends) — so they outlive the
-    /// executor scope and their state (e.g. the SAT attempt log) stays
-    /// inspectable after the batch.
-    ///
-    /// # Errors
-    ///
-    /// As for [`compile_portfolio`](Panorama::compile_portfolio), plus
-    /// [`PanoramaError::Cancelled`] when `cancel` fires mid-run.
-    pub fn compile_portfolio_batch_traced<'env>(
-        &self,
-        exec: &BatchExecutor<'env>,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        mappers: &'env [AnyMapper],
-        tracer: &Tracer,
-        cancel: Option<&CancelToken>,
-    ) -> Result<CompileReport, PanoramaError> {
+        let disabled = Tracer::disabled();
+        let tracer = ctx.tracer.unwrap_or(&disabled);
         let mut pipe = tracer.collector(NO_CANDIDATE);
         let mut collectors: Vec<SpanCollector> = Vec::new();
         let result = self.compile_inner(
             dfg,
             cgra,
             mappers,
+            mode,
             tracer,
-            cancel,
-            Some(exec),
+            ctx,
             &mut pipe,
             &mut collectors,
         );
@@ -808,37 +627,92 @@ impl Panorama {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn compile_inner<'env, M: LowerLevelMapper>(
+    fn compile_inner<'env>(
         &self,
         dfg: &Dfg,
         cgra: &Cgra,
-        mappers: &'env [M],
+        mappers: &[&'env dyn LowerLevelMapper],
+        mode: CompileMode,
         tracer: &Tracer,
-        cancel: Option<&CancelToken>,
-        exec: Option<&BatchExecutor<'env>>,
+        ctx: &CompileContext<'_, 'env>,
         pipe: &mut SpanCollector,
         collectors: &mut Vec<SpanCollector>,
     ) -> Result<CompileReport, PanoramaError> {
+        assert!(!mappers.is_empty(), "a compile needs at least one mapper");
+        let cancel = ctx.cancel;
         Self::check_cancel(cancel)?;
         let analyzed = self.analyze_input(dfg, pipe)?;
-        // Shared ownership of the graph being mapped: candidate work
-        // items may run on suite-level executor workers that outlive this
-        // frame, so they cannot borrow it. (One shallow clone per compile
-        // — vectors of ops and edges — is noise next to a single spectral
-        // sweep.)
-        let dfg: Arc<Dfg> = Arc::new(
-            analyzed
-                .as_ref()
-                .map_or_else(|| dfg.clone(), |o| o.dfg.clone()),
-        );
+        let mapped = analyzed.as_ref().map_or(dfg, |o| &o.dfg);
         Self::check_cancel(cancel)?;
         let span = pipe.start();
-        self.preflight(&dfg, cgra, None)?;
+        self.preflight(mapped, cgra, None)?;
         pipe.record("preflight", span, &[]);
         Self::check_cancel(cancel)?;
 
+        let (mapping, plan, mapping_time) = match mode {
+            CompileMode::Baseline => {
+                assert_eq!(mappers.len(), 1, "a baseline compile runs one mapper");
+                let mut map_col = tracer.collector_from(0, SEQ_BASE_MAP);
+                let span = pipe.start();
+                let t = Instant::now();
+                // An unbounded control never prunes, so attaching one (for the
+                // token alone) leaves the baseline search bit-identical.
+                let control = cancel.map(|tok| SearchControl::unbounded().with_cancel(tok.clone()));
+                let outcome =
+                    mappers[0].map_traced(mapped, cgra, None, control.as_ref(), &mut map_col);
+                let mapping_time = t.elapsed();
+                collectors.push(map_col);
+                let mapping = outcome.map_err(Self::map_error)?;
+                pipe.record("map", span, &[("ii", mapping.ii() as i64)]);
+                (mapping, None, mapping_time)
+            }
+            CompileMode::Guided => {
+                // Shared ownership of the graph being mapped: candidate work
+                // items may run on suite-level executor workers that outlive
+                // this frame, so they cannot borrow it. (One shallow clone per
+                // compile — vectors of ops and edges — is noise next to a
+                // single spectral sweep.)
+                let shared = Arc::new(mapped.clone());
+                let work_items = self.config.top_partitions * mappers.len();
+                let (mapping, plan, t) =
+                    self.with_pool(mapped, work_items, ctx.executor, |exec| {
+                        self.divide_and_conquer(
+                            &shared, cgra, mappers, tracer, cancel, exec, pipe, collectors,
+                        )
+                    })?;
+                (mapping, Some(plan), t)
+            }
+        };
+        Ok(CompileReport::new(mapping, plan, mapping_time).with_analysis(analyzed.map(|o| o.dfg)))
+    }
+
+    /// A mapper's failure as the pipeline reports it.
+    fn map_error(e: MapError) -> PanoramaError {
+        if e.cancelled {
+            PanoramaError::Cancelled
+        } else {
+            PanoramaError::Mapping(e)
+        }
+    }
+
+    /// Algorithm 1 proper on an already analyzed and pre-flighted graph:
+    /// explore partitions, cluster-map the top candidates, race every
+    /// *(surviving candidate, mapper)* pair on `exec`, reduce. Returns the
+    /// winning mapping, its plan and the conquer wall-clock.
+    #[allow(clippy::too_many_arguments)]
+    fn divide_and_conquer<'env>(
+        &self,
+        dfg: &Arc<Dfg>,
+        cgra: &Cgra,
+        mappers: &[&'env dyn LowerLevelMapper],
+        tracer: &Tracer,
+        cancel: Option<&CancelToken>,
+        exec: &BatchExecutor<'env>,
+        pipe: &mut SpanCollector,
+        collectors: &mut Vec<SpanCollector>,
+    ) -> Result<(Mapping, HigherLevelPlan, Duration), PanoramaError> {
         let span = pipe.start();
-        let (partitions, eigen_sweeps, clustering_time) = self.explore(&dfg, cgra, pipe)?;
+        let (partitions, eigen_sweeps, clustering_time) = self.explore(dfg, cgra, pipe)?;
         let partitions = Arc::new(partitions);
         pipe.record(
             "partition",
@@ -856,7 +730,7 @@ impl Panorama {
         let mut first_infeasible: Option<Vec<Diagnostic>> = None;
         let mut attempts = 0i64;
         for (rank, (idx, attempt, col)) in self
-            .cluster_map_candidates(&dfg, cgra, &partitions, tracer, exec)
+            .cluster_map_candidates(dfg, cgra, &partitions, tracer, exec)
             .into_iter()
             .enumerate()
         {
@@ -864,12 +738,12 @@ impl Panorama {
             attempts += 1;
             match attempt {
                 Ok((cdg, cluster_map)) => {
-                    let restriction = Restriction::from_cluster_map(&dfg, &cdg, &cluster_map, cgra);
-                    self.assert_plan_invariants(&dfg, &partitions[idx], &cdg, &restriction);
+                    let restriction = Restriction::from_cluster_map(dfg, &cdg, &cluster_map, cgra);
+                    self.assert_plan_invariants(dfg, &partitions[idx], &cdg, &restriction);
                     // Restricted pre-flight: candidates the static bounds
                     // prove hopeless cannot produce a mapping, so they
                     // never enter the portfolio.
-                    match self.preflight(&dfg, cgra, Some(&restriction)) {
+                    match self.preflight(dfg, cgra, Some(&restriction)) {
                         Ok(()) => candidates.push(Candidate {
                             rank,
                             partition_index: idx,
@@ -912,23 +786,22 @@ impl Panorama {
         // order affects only wall-clock — see the reduction below.
         candidates.sort_by_key(|c| (c.cluster_map.routing_complexity(), c.rank));
         let candidates = Arc::new(candidates);
-        // Every (candidate, backend) pair is one work item; with a single
-        // backend this degenerates to the historical per-candidate layout
-        // (same indices, same seq bases, byte-identical output).
+        // Every (candidate, mapper) pair is one work item; with a single
+        // mapper the layout is one item per candidate (same indices, same
+        // seq bases).
         let nb = mappers.len();
-        assert!(nb > 0, "compile_inner needs at least one mapper");
-        let (pool, threads) = self.pool_for(&dfg, candidates.len() * nb, exec);
         let bound = PortfolioBound::new();
         let span = pipe.start();
         let t2 = Instant::now();
         let mut outcomes = {
             let candidates = Arc::clone(&candidates);
-            let dfg = Arc::clone(&dfg);
+            let dfg = Arc::clone(dfg);
             let cgra = cgra.clone();
+            let mappers = mappers.to_vec();
             let tracer = tracer.clone();
             let cancel_token = cancel.cloned();
             let bound = Arc::clone(&bound);
-            fan_out(pool, threads, candidates.len() * nb, move |w| {
+            exec.run_batch(candidates.len() * nb, move |_, w| {
                 let c = &candidates[w / nb];
                 let b = w % nb;
                 let mut control = SearchControl::new(
@@ -1026,11 +899,7 @@ impl Panorama {
         let Some(winner) = winner_index else {
             collectors.extend(outcomes.into_iter().map(|(_, col)| col));
             let (_, e) = first_map_err.expect("no success implies at least one failure");
-            return Err(if e.cancelled {
-                PanoramaError::Cancelled
-            } else {
-                PanoramaError::Mapping(e)
-            });
+            return Err(Self::map_error(e));
         };
         let c = candidates[winner / nb].clone();
         pipe.record(
@@ -1053,91 +922,7 @@ impl Panorama {
             clustering_time,
             cluster_mapping_time,
         );
-        Ok(CompileReport::new(mapping, Some(plan), mapping_time)
-            .with_analysis(analyzed.map(|o| o.dfg)))
-    }
-
-    /// Runs the *unguided* lower-level mapper, for baseline comparisons
-    /// (SPR\* / Ultra-Fast rows of Figures 7 and 9).
-    ///
-    /// # Errors
-    ///
-    /// [`PanoramaError::Infeasible`] when the pre-flight check proves the
-    /// run hopeless; [`PanoramaError::Mapping`] when the mapper fails.
-    pub fn compile_baseline<M: LowerLevelMapper>(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        mapper: &M,
-    ) -> Result<CompileReport, PanoramaError> {
-        self.compile_baseline_traced(dfg, cgra, mapper, &Tracer::disabled())
-    }
-
-    /// [`compile_baseline`](Panorama::compile_baseline) with trace
-    /// recording: `preflight` and `map` pipeline spans plus the mapper's
-    /// own events (tagged candidate 0) go to `tracer`'s sink.
-    ///
-    /// # Errors
-    ///
-    /// As for [`compile_baseline`](Panorama::compile_baseline).
-    pub fn compile_baseline_traced<M: LowerLevelMapper>(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        mapper: &M,
-        tracer: &Tracer,
-    ) -> Result<CompileReport, PanoramaError> {
-        self.compile_baseline_traced_with_cancel(dfg, cgra, mapper, tracer, None)
-    }
-
-    /// [`compile_baseline_traced`](Panorama::compile_baseline_traced) with
-    /// cooperative cancellation; see
-    /// [`compile_traced_with_cancel`](Panorama::compile_traced_with_cancel).
-    ///
-    /// # Errors
-    ///
-    /// As for [`compile_baseline`](Panorama::compile_baseline), plus
-    /// [`PanoramaError::Cancelled`].
-    pub fn compile_baseline_traced_with_cancel<M: LowerLevelMapper>(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        mapper: &M,
-        tracer: &Tracer,
-        cancel: Option<&CancelToken>,
-    ) -> Result<CompileReport, PanoramaError> {
-        let mut pipe = tracer.collector(NO_CANDIDATE);
-        let mut map_col = tracer.collector_from(0, SEQ_BASE_MAP);
-        let result = (|| {
-            Self::check_cancel(cancel)?;
-            let analyzed = self.analyze_input(dfg, &mut pipe)?;
-            let dfg = analyzed.as_ref().map_or(dfg, |o| &o.dfg);
-            Self::check_cancel(cancel)?;
-            let span = pipe.start();
-            self.preflight(dfg, cgra, None)?;
-            pipe.record("preflight", span, &[]);
-            Self::check_cancel(cancel)?;
-            let span = pipe.start();
-            let t = Instant::now();
-            // An unbounded control never prunes, so attaching one (for the
-            // token alone) leaves the baseline search bit-identical.
-            let control = cancel.map(|tok| SearchControl::unbounded().with_cancel(tok.clone()));
-            let mapping = mapper
-                .map_traced(dfg, cgra, None, control.as_ref(), &mut map_col)
-                .map_err(|e| {
-                    if e.cancelled {
-                        PanoramaError::Cancelled
-                    } else {
-                        PanoramaError::Mapping(e)
-                    }
-                })?;
-            let mapping_time = t.elapsed();
-            pipe.record("map", span, &[("ii", mapping.ii() as i64)]);
-            Ok(CompileReport::new(mapping, None, mapping_time)
-                .with_analysis(analyzed.map(|o| o.dfg)))
-        })();
-        tracer.submit(vec![map_col, pipe]);
-        result
+        Ok((mapping, plan, mapping_time))
     }
 }
 

@@ -1,29 +1,27 @@
-//! Parallel candidate-portfolio machinery.
+//! The worker pool behind every candidate fan-out.
 //!
 //! The divide phase produces a small ranked set of partition candidates;
 //! both the cluster-mapping ILPs and the guided lower-level mapping runs
-//! are independent across candidates, so the pipeline fans them out over
-//! a scoped worker pool. Determinism is preserved by construction: workers
-//! only *compute*, the reduction over their results is sequential and
-//! keyed by a total order, and the shared [`PortfolioBound`] prunes a
-//! candidate only when nothing it could still produce would win that
-//! reduction — so the outcome is bit-identical for any thread count.
+//! are independent across candidates, so the pipeline fans them out as
+//! batches on one [`BatchExecutor`]. Determinism is preserved by
+//! construction: workers only *compute*, the reduction over their results
+//! is sequential and keyed by a total order, and the shared
+//! [`PortfolioBound`] prunes a candidate only when nothing it could still
+//! produce would win that reduction — so the outcome is bit-identical for
+//! any thread count.
 //!
-//! Two pools live here:
-//!
-//! * [`run_indexed`] — the original per-compile scoped pool. One compile
-//!   spawns workers for its own candidates and joins them before
-//!   returning. Simple, but a *suite* of compiles pays the spawn cost per
-//!   kernel, and nesting it inside an outer job pool oversubscribes the
-//!   machine (the first suite bench's regression).
-//! * [`BatchExecutor`] — a suite-level shared pool. The driver opens one
-//!   [`BatchExecutor::scope`], submits kernel jobs as a batch, and each
-//!   compile submits its candidate fan-out to the *same* pool, so
-//!   kernel×candidate work items interleave freely across one fixed set
-//!   of workers. Submitters self-schedule from the shared queue while
-//!   waiting for their batch (work stealing by helping), so a nested
-//!   submission can never deadlock and idle workers drain whatever work
-//!   exists, regardless of which kernel produced it.
+//! There is one pool. A compile that is handed none opens a
+//! [`BatchExecutor::scope`] for itself — one spawn per compile, shared by
+//! its cluster-mapping and conquer fan-outs. A driver compiling many
+//! kernels (the bench suite, a `/compile-batch` job) opens one scope,
+//! submits the kernel jobs as a batch, and hands the executor down, so each
+//! compile submits its candidate fan-out to the *same* pool and
+//! kernel×candidate work items interleave freely across one fixed set of
+//! workers. Submitters self-schedule from the shared queue while waiting
+//! for their batch (work stealing by helping), so a nested submission can
+//! never deadlock and idle workers drain whatever work exists, regardless
+//! of which kernel produced it. With `threads <= 1` a scope spawns nothing
+//! and every batch runs inline on the submitting thread, lock-free.
 //!
 //! [`PortfolioBound`]: panorama_mapper::PortfolioBound
 
@@ -34,46 +32,10 @@ use std::sync::{Arc, Condvar, Mutex};
 
 /// Resolves a requested worker count: `0` means one per available core,
 /// and there is never a reason to spawn more workers than work items.
-pub(crate) fn effective_threads(requested: usize, work_items: usize) -> usize {
+pub fn effective_threads(requested: usize, work_items: usize) -> usize {
     let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let t = if requested == 0 { hw } else { requested };
     t.clamp(1, work_items.max(1))
-}
-
-/// Runs `f(0..count)` on `threads` scoped workers and returns the results
-/// in index order. With one thread (or one item) no worker is spawned —
-/// the closures run inline on the caller's stack, which keeps the
-/// sequential path free of synchronisation entirely.
-pub(crate) fn run_indexed<T, F>(threads: usize, count: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if threads <= 1 || count <= 1 {
-        return (0..count).map(f).collect();
-    }
-    let mut slots: Vec<Option<T>> = Vec::new();
-    slots.resize_with(count, || None);
-    let results = Mutex::new(slots);
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(count) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                let value = f(i);
-                results.lock().expect("portfolio worker panicked")[i] = Some(value);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("portfolio worker panicked")
-        .into_iter()
-        .map(|slot| slot.expect("every index was claimed by exactly one worker"))
-        .collect()
 }
 
 /// A queued work item. Tasks receive the executor so work running on a
@@ -322,20 +284,6 @@ mod tests {
         assert_eq!(effective_threads(2, 3), 2);
         assert_eq!(effective_threads(1, 0), 1);
         assert!(effective_threads(0, 64) >= 1);
-    }
-
-    #[test]
-    fn run_indexed_preserves_index_order() {
-        for threads in [1, 2, 4] {
-            let out = run_indexed(threads, 9, |i| i * i);
-            assert_eq!(out, (0..9).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn run_indexed_handles_empty_and_single() {
-        assert_eq!(run_indexed(4, 0, |i| i), Vec::<usize>::new());
-        assert_eq!(run_indexed(4, 1, |i| i + 10), vec![10]);
     }
 
     #[test]

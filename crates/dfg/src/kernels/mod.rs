@@ -97,6 +97,22 @@ impl KernelId {
         }
     }
 
+    /// Resolves a user spelling of a built-in kernel: the paper name or
+    /// the variant name (`matchedfilter` for "matched filter"), ignoring
+    /// ASCII case.
+    ///
+    /// # Errors
+    ///
+    /// Returns ``unknown kernel `name` `` when nothing matches.
+    pub fn parse(name: &str) -> Result<KernelId, String> {
+        KernelId::ALL
+            .into_iter()
+            .find(|id| {
+                id.name().eq_ignore_ascii_case(name) || format!("{id:?}").eq_ignore_ascii_case(name)
+            })
+            .ok_or_else(|| format!("unknown kernel `{name}`"))
+    }
+
     /// (nodes, edges, max degree) reported in the paper's Table 1a, used by
     /// the experiment harness to print paper-vs-measured columns.
     pub fn paper_stats(self) -> (usize, usize, usize) {
@@ -147,6 +163,18 @@ pub enum KernelScale {
 impl KernelScale {
     /// The three named scales, for exhaustive test iteration.
     pub const ALL: [KernelScale; 3] = [KernelScale::Paper, KernelScale::Scaled, KernelScale::Tiny];
+
+    /// Resolves the `tiny|scaled|paper` spelling of a named scale.
+    ///
+    /// # Errors
+    ///
+    /// Returns ``unknown scale `name` `` for anything else.
+    pub fn parse(name: &str) -> Result<KernelScale, String> {
+        KernelScale::ALL
+            .into_iter()
+            .find(|scale| scale.to_string() == name)
+            .ok_or_else(|| format!("unknown scale `{name}`"))
+    }
 
     /// Scales a paper-sized dimension, never below `min`.
     pub(crate) fn dim(self, paper: usize, scaled: usize, tiny: usize, min: usize) -> usize {
@@ -206,6 +234,25 @@ mod tests {
                 assert!(dfg.num_mem_ops() > 0, "{id} should touch memory");
             }
         }
+    }
+
+    #[test]
+    fn names_round_trip_through_parse() {
+        for id in KernelId::ALL {
+            assert_eq!(KernelId::parse(id.name()), Ok(id));
+            assert_eq!(KernelId::parse(&format!("{id:?}").to_uppercase()), Ok(id));
+        }
+        assert_eq!(
+            KernelId::parse("nope").unwrap_err(),
+            "unknown kernel `nope`"
+        );
+        for scale in KernelScale::ALL {
+            assert_eq!(KernelScale::parse(&scale.to_string()), Ok(scale));
+        }
+        assert_eq!(
+            KernelScale::parse("huge").unwrap_err(),
+            "unknown scale `huge`"
+        );
     }
 
     #[test]

@@ -26,11 +26,12 @@ pub mod values;
 pub use machine::{run_machine, ExecError, MachineRun};
 pub use reference::{interpret, Reference};
 pub use report::{exec_report_json, EXEC_SCHEMA};
-pub use values::{compute, const_value, initial_value, op_value, InputVectors, VectorKind};
+pub use values::{compute, op_value, InputVectors, VectorKind};
 
 use panorama_arch::Cgra;
 use panorama_dfg::{Dfg, OpId, OpKind};
 use panorama_mapper::{Configware, Mapping};
+use panorama_sim::semantics::mix;
 
 /// Knobs for one differential execution.
 #[derive(Debug, Clone)]
@@ -144,7 +145,7 @@ pub fn execute(
         let mut tokens = 0usize;
         for iter in 0..opts.iterations {
             for &s in &stores {
-                digest = values::mix(digest ^ golden.value(s, iter));
+                digest = mix(digest ^ golden.value(s, iter));
                 tokens += 1;
             }
         }

@@ -37,10 +37,11 @@
 //! producer's pre-loop initial value (the preloaded recurrence
 //! register), mirroring the reference interpreter.
 
-use crate::values::{initial_value, op_value, InputVectors};
+use crate::values::{op_value, InputVectors};
 use panorama_arch::{Cgra, PeId};
 use panorama_dfg::Dfg;
 use panorama_mapper::{Configware, InPort, ValueSource};
+use panorama_sim::semantics::initial_value;
 use std::collections::HashMap;
 use std::fmt;
 

@@ -1,37 +1,18 @@
 //! Golden reference: direct dataflow interpretation of the DFG under the
 //! concrete value semantics.
 //!
-//! This is the same fixpoint as `panorama_sim::interpret` — each
-//! iteration evaluates ops in topological order, back edges read
-//! `distance` iterations into the past (or the pre-loop initial value) —
-//! but computing real arithmetic on a chosen input vector. The
+//! This is the fixpoint of `panorama_sim::interpret` — each iteration
+//! evaluates ops in topological order, back edges read `distance`
+//! iterations into the past (or the pre-loop initial value) — run with
+//! real arithmetic on a chosen input vector as its value function. The
 //! cycle-accurate machine must reproduce these values token for token.
 
-use crate::values::{initial_value, op_value, InputVectors};
-use panorama_dfg::{Dfg, OpId};
+use crate::values::{op_value, InputVectors};
+use panorama_dfg::Dfg;
+use panorama_sim::interpret_with;
 
 /// Per-iteration concrete values of every operation.
-#[derive(Debug, Clone)]
-pub struct Reference {
-    /// `values[iter][op]`.
-    values: Vec<Vec<u64>>,
-}
-
-impl Reference {
-    /// Value of `op` in iteration `iter`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `iter` exceeds the interpreted range.
-    pub fn value(&self, op: OpId, iter: usize) -> u64 {
-        self.values[iter][op.index()]
-    }
-
-    /// Number of iterations interpreted.
-    pub fn iterations(&self) -> usize {
-        self.values.len()
-    }
-}
+pub use panorama_sim::Interpretation as Reference;
 
 /// Interprets `iterations` loop iterations of `dfg` under `inputs`.
 ///
@@ -40,37 +21,17 @@ impl Reference {
 /// Panics when the DFG is invalid (call [`Dfg::validate`] first for
 /// untrusted graphs).
 pub fn interpret(dfg: &Dfg, inputs: &InputVectors, iterations: usize) -> Reference {
-    let order = dfg.topo_order();
-    let mut values: Vec<Vec<u64>> = Vec::with_capacity(iterations);
-    for iter in 0..iterations {
-        let mut row = vec![0u64; dfg.num_ops()];
-        for &op in &order {
-            let operands: Vec<u64> = dfg
-                .graph()
-                .incoming(op)
-                .map(|e| {
-                    let d = i64::from(e.weight.distance());
-                    if d == 0 {
-                        row[e.src.index()]
-                    } else if iter as i64 - d >= 0 {
-                        values[(iter as i64 - d) as usize][e.src.index()]
-                    } else {
-                        initial_value(&dfg.op(e.src).name)
-                    }
-                })
-                .collect();
-            row[op.index()] = op_value(dfg.op(op), iter as u64, &operands, inputs);
-        }
-        values.push(row);
-    }
-    Reference { values }
+    interpret_with(dfg, iterations, |op, iter, operands| {
+        op_value(dfg.op(op), iter, operands, inputs)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::values::VectorKind;
-    use panorama_dfg::{DfgBuilder, OpKind};
+    use panorama_dfg::{DfgBuilder, OpId, OpKind};
+    use panorama_sim::semantics::initial_value;
 
     fn mac() -> Dfg {
         let mut b = DfgBuilder::new("mac");

@@ -22,23 +22,7 @@
 //!   negation of `i64::MIN`, full-width shifts) are covered instead.
 
 use panorama_dfg::{Op, OpKind};
-
-/// SplitMix64 finaliser: a cheap, high-quality 64-bit mixer.
-pub(crate) fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-pub(crate) fn hash_str(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+use panorama_sim::semantics::{const_value, hash_str, mix};
 
 /// The deterministic input-vector families every kernel is executed
 /// under: one seeded pseudo-random stream plus the boundary vectors.
@@ -109,19 +93,6 @@ impl InputVectors {
             VectorKind::I32Max => i64::from(i32::MAX) as u64,
         }
     }
-}
-
-/// The loop-invariant value a `Const` materialises: its explicit
-/// immediate when present, otherwise a stable hash of its name.
-pub fn const_value(op: &Op) -> u64 {
-    op.imm.unwrap_or_else(|| mix(hash_str(&op.name)))
-}
-
-/// The value an operation named `name` carried from before the loop
-/// started (back edges reaching "negative" iterations — the preloaded
-/// recurrence register).
-pub fn initial_value(name: &str) -> u64 {
-    mix(hash_str(name) ^ 0xDEAD_BEEF)
 }
 
 /// Concrete ALU semantics of a computational op over its operands, in

@@ -16,7 +16,7 @@
 //! RNG streams are decorrelated with a SplitMix64 mix, the pipeline runs
 //! single-threaded, and the report carries no wall-clock data — running
 //! the same budget twice must produce byte-identical JSON, and
-//! `panorama lint --fuzz-json` (FUZZ002) checks exactly that.
+//! `panorama lint --report` (FUZZ002) checks exactly that.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +30,7 @@ pub mod sample;
 pub use corpus::{corpus_case_text, parse_corpus_case, replay_case, replay_corpus, CorpusCase};
 pub use minimize::{shrink_dfg, ShrinkOutcome};
 pub use oracle::{
-    run_case, run_sampled_case, Backend, BackendResult, CaseResult, OracleConfig, OracleOutcome,
+    run_case, run_sampled_case, BackendResult, CaseResult, OracleConfig, OracleOutcome,
 };
 pub use report::{
     BackendCounts, CorpusStats, FailureRecord, FuzzReport, OracleCounts, FUZZ_SCHEMA,

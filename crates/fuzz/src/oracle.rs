@@ -14,42 +14,17 @@
 //! give up. Oracles only judge what a backend positively claims.
 
 use crate::sample::CaseSpec;
-use panorama::{Panorama, PanoramaConfig};
+use panorama::{BackendId, CompileContext, CompileMode, Panorama, PanoramaConfig};
 use panorama_analyze::{optimize, AnalyzeConfig};
 use panorama_arch::Cgra;
 use panorama_dfg::Dfg;
 use panorama_exec::{execute, ExecError, ExecOptions};
 use panorama_mapper::{
     CancelToken, ExactMapper, LowerLevelMapper, SatMapper, SatMapperConfig, SearchControl,
-    SprMapper, UltraFastMapper,
 };
 use panorama_sim::{simulate, SimError};
+use panorama_trace::SpanCollector;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// The lower-level backends the harness differentiates between.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// SPR\*: concrete placement + PathFinder routes.
-    Spr,
-    /// Ultra-Fast: abstract mapping, no concrete routes.
-    UltraFast,
-    /// SAT: CNF modulo scheduling with concrete time-expanded routes.
-    Sat,
-}
-
-impl Backend {
-    /// Every backend, in report order.
-    pub const ALL: [Backend; 3] = [Backend::Spr, Backend::UltraFast, Backend::Sat];
-
-    /// Stable lower-case name used in reports and corpus files.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Spr => "spr",
-            Backend::UltraFast => "ultrafast",
-            Backend::Sat => "sat",
-        }
-    }
-}
 
 /// Outcome of one oracle on one case.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,7 +49,7 @@ impl OracleOutcome {
 #[derive(Debug, Clone)]
 pub struct BackendResult {
     /// Which backend.
-    pub backend: Backend,
+    pub backend: BackendId,
     /// Whether the pipeline produced a mapping.
     pub mapped: bool,
     /// Whether the mapping carries concrete MRRG routes (false for
@@ -96,7 +71,8 @@ pub struct BackendResult {
 /// Everything the oracles concluded about one case.
 #[derive(Debug, Clone)]
 pub struct CaseResult {
-    /// One entry per backend, in [`Backend::ALL`] order.
+    /// One entry per backend under test, in [`BackendId::PORTFOLIO`] order
+    /// (the exhaustive mapper is an oracle, not a subject).
     pub backends: Vec<BackendResult>,
     /// The II-optimality cross-check (one per case, not per backend).
     pub exact_ii: OracleOutcome,
@@ -179,7 +155,7 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn run_backend(dfg: &Dfg, cgra: &Cgra, backend: Backend, cfg: &OracleConfig) -> BackendResult {
+fn run_backend(dfg: &Dfg, cgra: &Cgra, backend: BackendId, cfg: &OracleConfig) -> BackendResult {
     // threads: 1 keeps the whole harness single-threaded; the pipeline's
     // result is thread-invariant anyway, but the fuzzer must not even
     // depend on that claim it is in the business of checking.
@@ -187,26 +163,24 @@ fn run_backend(dfg: &Dfg, cgra: &Cgra, backend: Backend, cfg: &OracleConfig) -> 
         threads: 1,
         ..PanoramaConfig::default()
     });
-    let cancel = cfg.cancel.as_ref();
-    let result = match backend {
-        Backend::Spr => compiler.compile_with_cancel(dfg, cgra, &SprMapper::default(), cancel),
-        Backend::UltraFast => {
-            compiler.compile_with_cancel(dfg, cgra, &UltraFastMapper::default(), cancel)
-        }
-        Backend::Sat => {
-            // Tight per-case budgets: a fuzz run visits hundreds of random
-            // graphs, and an unmapped case is a skip, not a failure — the
-            // oracles only judge what the backend positively claims.
-            let mapper = SatMapper::new(SatMapperConfig {
-                max_ops: 48,
-                schedule_conflicts: 5_000,
-                route_conflicts: 5_000,
-                refine_rounds: 16,
-                ..SatMapperConfig::default()
-            });
-            compiler.compile_with_cancel(dfg, cgra, &mapper, cancel)
-        }
+    let mapper: Box<dyn LowerLevelMapper> = match backend {
+        // Tight per-case budgets: a fuzz run visits hundreds of random
+        // graphs, and an unmapped case is a skip, not a failure — the
+        // oracles only judge what the backend positively claims.
+        BackendId::Sat => Box::new(SatMapper::new(SatMapperConfig {
+            max_ops: 48,
+            schedule_conflicts: 5_000,
+            route_conflicts: 5_000,
+            refine_rounds: 16,
+            ..SatMapperConfig::default()
+        })),
+        other => other.mapper(),
     };
+    let ctx = CompileContext {
+        cancel: cfg.cancel.as_ref(),
+        ..CompileContext::default()
+    };
+    let result = compiler.compile_with(dfg, cgra, &[&*mapper], CompileMode::Guided, &ctx);
     match result {
         Ok(report) => {
             let mapping = report.mapping();
@@ -297,13 +271,17 @@ fn exact_oracle(
         return OracleOutcome::Skip("no route-producing backend mapped this case".into());
     }
     let exact = ExactMapper::default();
-    let result = match &cfg.cancel {
-        Some(token) => {
-            let control = SearchControl::unbounded().with_cancel(token.clone());
-            exact.map_with_control(dfg, cgra, None, Some(&control))
-        }
-        None => exact.map(dfg, cgra, None),
-    };
+    let control = cfg
+        .cancel
+        .as_ref()
+        .map(|token| SearchControl::unbounded().with_cancel(token.clone()));
+    let result = exact.map_traced(
+        dfg,
+        cgra,
+        None,
+        control.as_ref(),
+        &mut SpanCollector::disabled(),
+    );
     match result {
         Ok(mapping) => {
             if let Err(e) = mapping.verify(dfg, cgra) {
@@ -349,9 +327,9 @@ fn rewrite_oracle(dfg: &Dfg) -> OracleOutcome {
 /// are caught per backend and surface as the `crash` pseudo-oracle
 /// instead of tearing the harness down.
 pub fn run_case(dfg: &Dfg, cgra: &Cgra, cfg: &OracleConfig) -> CaseResult {
-    let mut backends = Vec::with_capacity(Backend::ALL.len());
+    let mut backends = Vec::with_capacity(BackendId::PORTFOLIO.len());
     let mut crash = None;
-    for backend in Backend::ALL {
+    for backend in BackendId::PORTFOLIO {
         match catch_unwind(AssertUnwindSafe(|| run_backend(dfg, cgra, backend, cfg))) {
             Ok(result) => backends.push(result),
             Err(payload) => {

@@ -3,9 +3,10 @@
 //!
 //! The report is deliberately free of wall-clock data — two runs of the
 //! same `(seed, cases, max_nodes)` budget must serialize byte-identically,
-//! and `panorama lint --fuzz-json` (FUZZ002) checks exactly that.
+//! and `panorama lint --report` (FUZZ002) checks exactly that.
 
-use crate::oracle::{Backend, CaseResult, OracleOutcome};
+use crate::oracle::{CaseResult, OracleOutcome};
+use panorama::BackendId;
 use panorama_trace::json::escape;
 use std::fmt::Write as _;
 
@@ -153,9 +154,10 @@ impl FuzzReport {
         }
         for b in &result.backends {
             let counts = match b.backend {
-                Backend::Spr => &mut self.spr,
-                Backend::UltraFast => &mut self.ultrafast,
-                Backend::Sat => &mut self.sat,
+                BackendId::Spr => &mut self.spr,
+                BackendId::UltraFast => &mut self.ultrafast,
+                BackendId::Sat => &mut self.sat,
+                BackendId::Exhaustive => unreachable!("the exhaustive mapper is an oracle"),
             };
             if b.mapped {
                 counts.mapped += 1;

@@ -10,7 +10,7 @@
 //! * a **registry of static passes** over the toolchain's artifacts:
 //!   dataflow graphs ([`lint_dfg`]), architectures ([`lint_arch`]),
 //!   partitions/CDGs/restrictions ([`lint_partition`]), ILP models
-//!   ([`lint_model`]) and the mappability [`precheck`] that proves
+//!   ([`lint_model`]) and the mappability [`precheck()`] that proves
 //!   "cannot map at II < N" from ResMII/RecMII and per-cluster capacity
 //!   bounds before any mapper runs.
 //!

@@ -39,7 +39,7 @@ pub struct ExactConfig {
     pub route_attempts: usize,
     /// Distinct modulo schedules tried per II: priority-permutation
     /// variants of [`modulo_schedule_variant`] fill up to half this cap,
-    /// then the slack-ordered enumeration of [`enumerate_slack_schedules`]
+    /// then the slack-ordered enumeration (`enumerate_slack_schedules`)
     /// fills the rest. The placement search is exhaustive only *for a
     /// given schedule*; a feasible II can hide behind an op-to-slot
     /// assignment with more routing slack, so declaring an II infeasible
@@ -230,21 +230,13 @@ impl ExactMapper {
 }
 
 impl LowerLevelMapper for ExactMapper {
-    fn map(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        restriction: Option<&Restriction>,
-    ) -> Result<Mapping, MapError> {
-        self.map_with_control(dfg, cgra, restriction, None)
-    }
-
-    fn map_with_control(
+    fn map_traced(
         &self,
         dfg: &Dfg,
         cgra: &Cgra,
         restriction: Option<&Restriction>,
         control: Option<&crate::SearchControl>,
+        _trace: &mut panorama_trace::SpanCollector,
     ) -> Result<Mapping, MapError> {
         let start = Instant::now();
         if dfg.num_ops() > self.config.max_ops {
@@ -449,7 +441,13 @@ mod tests {
         token.cancel();
         let control = crate::SearchControl::unbounded().with_cancel(token);
         let err = ExactMapper::default()
-            .map_with_control(&chain(6), &cgra(), None, Some(&control))
+            .map_traced(
+                &chain(6),
+                &cgra(),
+                None,
+                Some(&control),
+                &mut panorama_trace::SpanCollector::disabled(),
+            )
             .unwrap_err();
         assert!(err.cancelled, "fired token must abort the search: {err}");
     }

@@ -89,48 +89,18 @@ pub trait LowerLevelMapper: Sync {
     /// Maps `dfg` onto `cgra`. When `restriction` is given, each operation
     /// may only be placed inside its assigned CGRA clusters.
     ///
+    /// `control` is a portfolio search's handle on this run: before each II
+    /// attempt the mapper asks [`SearchControl::admits`] and gives up once
+    /// the answer is `false` (II searches ascend, so the answer stays
+    /// `false`), polls [`SearchControl::is_cancelled`], and reports
+    /// successes via [`SearchControl::record_success`]. Per-phase spans and
+    /// counters go to `trace`; a disabled collector must cost nothing
+    /// beyond a branch per would-be event.
+    ///
     /// # Errors
     ///
-    /// Returns [`MapError`] when no valid mapping is found within the
+    /// Returns [`MapError`] when no admissible mapping is found within the
     /// mapper's II and effort budgets.
-    fn map(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        restriction: Option<&Restriction>,
-    ) -> Result<Mapping, MapError>;
-
-    /// Like [`map`](LowerLevelMapper::map), but consulted by a portfolio
-    /// search: before each II attempt the mapper should ask
-    /// [`SearchControl::admits`] and give up once the answer is `false`
-    /// (II searches ascend, so the answer stays `false`), and report
-    /// successes via [`SearchControl::record_success`]. The default
-    /// implementation ignores the control and maps normally — correct for
-    /// mappers without an incremental II search.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapError`] when no admissible mapping is found.
-    fn map_with_control(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        restriction: Option<&Restriction>,
-        control: Option<&SearchControl>,
-    ) -> Result<Mapping, MapError> {
-        let _ = control;
-        self.map(dfg, cgra, restriction)
-    }
-
-    /// Like [`map_with_control`](LowerLevelMapper::map_with_control), but
-    /// additionally records per-phase spans and counters into `trace`. The
-    /// default implementation ignores the collector (correct for mappers
-    /// without instrumentation); passing a disabled collector must cost
-    /// nothing beyond a branch per would-be event.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapError`] when no admissible mapping is found.
     fn map_traced(
         &self,
         dfg: &Dfg,
@@ -138,9 +108,21 @@ pub trait LowerLevelMapper: Sync {
         restriction: Option<&Restriction>,
         control: Option<&SearchControl>,
         trace: &mut SpanCollector,
+    ) -> Result<Mapping, MapError>;
+
+    /// [`map_traced`](LowerLevelMapper::map_traced) without a portfolio
+    /// control or trace recording.
+    ///
+    /// # Errors
+    ///
+    /// As for [`map_traced`](LowerLevelMapper::map_traced).
+    fn map(
+        &self,
+        dfg: &Dfg,
+        cgra: &Cgra,
+        restriction: Option<&Restriction>,
     ) -> Result<Mapping, MapError> {
-        let _ = trace;
-        self.map_with_control(dfg, cgra, restriction, control)
+        self.map_traced(dfg, cgra, restriction, None, &mut SpanCollector::disabled())
     }
 
     /// Short mapper name for reports ("SPR*", "Ultra-Fast").

@@ -316,7 +316,7 @@ mod tests {
     use panorama_arch::CgraConfig;
     use panorama_dfg::{DfgBuilder, OpKind};
     use proptest::prelude::*;
-    use std::collections::HashMap;
+    use std::collections::hash_map::{Entry, HashMap};
 
     proptest! {
         /// Random place / remove sequences: after every step the flat
@@ -346,9 +346,9 @@ mod tests {
                     prop_assert_eq!(model.remove(&key), Some(op));
                     state.remove(op);
                     placed[op.index()] = false;
-                } else if !model.contains_key(&(pe.index(), time % ii)) {
+                } else if let Entry::Vacant(slot) = model.entry((pe.index(), time % ii)) {
                     state.place(op, pe, time);
-                    model.insert((pe.index(), time % ii), op);
+                    slot.insert(op);
                     placed[op.index()] = true;
                 }
                 for p in 0..PES {

@@ -312,31 +312,6 @@ impl SatMapper {
 }
 
 impl LowerLevelMapper for SatMapper {
-    fn map(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        restriction: Option<&Restriction>,
-    ) -> Result<Mapping, MapError> {
-        self.map_with_control(dfg, cgra, restriction, None)
-    }
-
-    fn map_with_control(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        restriction: Option<&Restriction>,
-        control: Option<&SearchControl>,
-    ) -> Result<Mapping, MapError> {
-        self.map_traced(
-            dfg,
-            cgra,
-            restriction,
-            control,
-            &mut SpanCollector::disabled(),
-        )
-    }
-
     fn map_traced(
         &self,
         dfg: &Dfg,
@@ -509,7 +484,13 @@ mod tests {
         token.cancel();
         let control = SearchControl::new(PortfolioBound::new(), 0, 0).with_cancel(token);
         let err = SatMapper::default()
-            .map_with_control(&dfg, &cgra, None, Some(&control))
+            .map_traced(
+                &dfg,
+                &cgra,
+                None,
+                Some(&control),
+                &mut SpanCollector::disabled(),
+            )
             .expect_err("fired token must cancel the search");
         assert!(err.cancelled);
     }
@@ -523,7 +504,13 @@ mod tests {
         SearchControl::new(bound.clone(), 0, 0).record_success(1);
         let control = SearchControl::new(bound, 9, 9);
         let err = SatMapper::default()
-            .map_with_control(&dfg, &cgra, None, Some(&control))
+            .map_traced(
+                &dfg,
+                &cgra,
+                None,
+                Some(&control),
+                &mut SpanCollector::disabled(),
+            )
             .expect_err("bound must exhaust the search");
         assert!(!err.cancelled);
     }

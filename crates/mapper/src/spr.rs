@@ -147,31 +147,6 @@ impl SprMapper {
 }
 
 impl LowerLevelMapper for SprMapper {
-    fn map(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        restriction: Option<&Restriction>,
-    ) -> Result<Mapping, MapError> {
-        self.map_with_control(dfg, cgra, restriction, None)
-    }
-
-    fn map_with_control(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        restriction: Option<&Restriction>,
-        control: Option<&SearchControl>,
-    ) -> Result<Mapping, MapError> {
-        self.map_traced(
-            dfg,
-            cgra,
-            restriction,
-            control,
-            &mut SpanCollector::disabled(),
-        )
-    }
-
     fn map_traced(
         &self,
         dfg: &Dfg,

@@ -234,31 +234,6 @@ fn l_path(cgra: &Cgra, from: PeId, to: PeId) -> Vec<(u32, u32)> {
 }
 
 impl LowerLevelMapper for UltraFastMapper {
-    fn map(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        restriction: Option<&Restriction>,
-    ) -> Result<Mapping, MapError> {
-        self.map_with_control(dfg, cgra, restriction, None)
-    }
-
-    fn map_with_control(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        restriction: Option<&Restriction>,
-        control: Option<&crate::SearchControl>,
-    ) -> Result<Mapping, MapError> {
-        self.map_traced(
-            dfg,
-            cgra,
-            restriction,
-            control,
-            &mut panorama_trace::SpanCollector::disabled(),
-        )
-    }
-
     fn map_traced(
         &self,
         dfg: &Dfg,

@@ -25,7 +25,7 @@ const MAX_TENANTS: usize = 1024;
 /// in `/metrics`; nothing legitimate needs more).
 const MAX_TENANT_LEN: usize = 64;
 
-/// The shared bucket for tenants arriving after [`MAX_TENANTS`] distinct
+/// The shared bucket for tenants arriving after `MAX_TENANTS` (1024) distinct
 /// names have been seen.
 pub const OVERFLOW_TENANT: &str = "(overflow)";
 

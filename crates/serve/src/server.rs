@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! connection threads          bounded JobQueue          worker pool
-//!   parse HTTP+JSON  ──try_push──▶ [ jobs … ] ──pop──▶ compile_traced
-//!   (503 on full)                                       _with_cancel
+//!   parse HTTP+JSON  ──try_push──▶ [ jobs … ] ──pop──▶ CompileRequest
+//!   (503 on full)                                       ::run
 //!        ▲                                                   │
 //!        └────────────── mpsc response channel ◀─────────────┘
 //! ```
@@ -30,14 +30,13 @@ use crate::http::{read_request, write_response, Request};
 use crate::metrics::{CacheStats, Metrics};
 use crate::queue::JobQueue;
 use crate::quota::{Quota, TENANT_HEADER};
-use panorama::{BatchExecutor, CompileReport, Panorama, PanoramaConfig, PanoramaError};
-use panorama_arch::{Cgra, CgraConfig, DEFAULT_MRRG_CACHE_CAPACITY};
-use panorama_dfg::{kernels, Dfg, KernelId, KernelScale};
-use panorama_lint::{Diagnostics, LintContext, Registry};
-use panorama_mapper::{
-    CancelToken, ExactMapper, LowerLevelMapper, SatMapper, SprMapper, UltraFastMapper,
-    WarmStartCache,
+use panorama::request::{arch_field, dfg_field, opt_usize};
+use panorama::{
+    BackendId, BatchExecutor, CompileContext, CompileRequest, MapperChoice, PanoramaError,
 };
+use panorama_arch::{Cgra, CgraConfig, DEFAULT_MRRG_CACHE_CAPACITY};
+use panorama_lint::{Diagnostics, LintContext, Registry};
+use panorama_mapper::{CancelToken, SprMapper, WarmStartCache};
 use panorama_trace::json::{escape, parse, Json};
 use panorama_trace::{phase_totals, RecordingSink, Tracer};
 use std::collections::HashMap;
@@ -126,23 +125,6 @@ impl Default for ServeConfig {
             io_timeout: Some(Duration::from_secs(10)),
         }
     }
-}
-
-/// A parsed, validated `/compile` request.
-struct CompileRequest {
-    dfg: Dfg,
-    arch_display: String,
-    arch_config: CgraConfig,
-    mapper: String,
-    baseline: bool,
-    max_ii: Option<usize>,
-    /// Per-request portfolio-thread override; `None` falls back to the
-    /// daemon's `--threads` (results are bit-identical either way).
-    threads: Option<usize>,
-    deadline: Option<Duration>,
-    /// Resolved at parse time: the request's `analyze` field, falling
-    /// back to the daemon's `--analyze` default.
-    analyze: bool,
 }
 
 /// What a worker sends back to the waiting connection thread.
@@ -498,7 +480,7 @@ fn worker_loop(state: &Arc<State>) {
         match job {
             Job::Single(job) => {
                 state.metrics.job_started();
-                let outcome = run_job(state, &job);
+                let outcome = run_compile(state, &job.request, job.key, &job.cancel);
                 job.done.store(true, Ordering::Release);
                 // A disappeared client is not an error; the job's effects
                 // (metrics, result cache) already landed.
@@ -530,11 +512,6 @@ fn run_batch_job(state: &Arc<State>, job: &BatchJob) -> Vec<(usize, JobOutcome)>
     job.entries.iter().map(|e| e.index).zip(outcomes).collect()
 }
 
-/// Compiles one job; returns the HTTP outcome and settles the metrics.
-fn run_job(state: &Arc<State>, job: &SingleJob) -> JobOutcome {
-    run_compile(state, &job.request, job.key, &job.cancel)
-}
-
 /// Compiles one request (a `/compile` job or one `/compile-batch` entry);
 /// returns the HTTP outcome and settles that unit's metrics. The caller
 /// has already moved the unit to in-flight.
@@ -550,49 +527,28 @@ fn run_compile(
         state.metrics.job_cancelled();
         return error_outcome(504, "cancelled", "deadline exceeded before compile started");
     }
-    let cgra = match state.cgra_for(&req.arch_config) {
+    let cgra = match state.cgra_for(&req.arch) {
         Ok(cgra) => cgra,
         Err(e) => {
             state.metrics.job_failed();
             return error_outcome(422, "bad_arch", &e);
         }
     };
-    let compiler = Panorama::new(PanoramaConfig {
-        max_ii: req.max_ii,
-        threads: req.threads.unwrap_or(state.config.portfolio_threads),
-        analyze: req.analyze.then(panorama::AnalyzeConfig::default),
-        ..PanoramaConfig::default()
-    });
     let sink = RecordingSink::shared();
     let tracer = Tracer::new(sink.clone());
-    let run = |m: &dyn LowerLevelMapper| {
-        let shim = DynMapper(m);
-        if req.baseline {
-            compiler.compile_baseline_traced_with_cancel(
-                &req.dfg,
-                &cgra,
-                &shim,
-                &tracer,
-                Some(cancel),
-            )
-        } else {
-            compiler.compile_traced_with_cancel(&req.dfg, &cgra, &shim, &tracer, Some(cancel))
-        }
-    };
-    let result: Result<CompileReport, PanoramaError> = match req.mapper.as_str() {
+    let result = match (&state.warm, req.mapper) {
         // The warm tier only helps SPR*: it is the one mapper that can
         // seed its placement and router history from a prior mapping.
-        "spr" => match &state.warm {
-            Some(cache) => run(&SprMapper::default().with_warm_cache(cache.clone())),
-            None => run(&SprMapper::default()),
-        },
-        "ultrafast" => run(&UltraFastMapper::default()),
-        "exhaustive" => run(&ExactMapper::default()),
-        "sat" => run(&SatMapper::default()),
-        other => {
-            state.metrics.job_failed();
-            return error_outcome(400, "bad_mapper", &format!("unknown mapper `{other}`"));
+        (Some(cache), MapperChoice::Backend(BackendId::Spr)) => {
+            let warm = SprMapper::default().with_warm_cache(cache.clone());
+            let ctx = CompileContext {
+                tracer: Some(&tracer),
+                cancel: Some(cancel),
+                executor: None,
+            };
+            req.run_with(&cgra, &[&warm], &ctx)
         }
+        _ => req.run(&cgra, Some(&tracer), Some(cancel)),
     };
     match result {
         Ok(report) => {
@@ -706,8 +662,8 @@ fn compile_key(parsed: &CompileRequest) -> u64 {
     ContentHash::new()
         .chunk(&parsed.dfg.to_text())
         .chunk(&parsed.arch_display)
-        .chunk(&parsed.arch_config.to_text())
-        .chunk(&parsed.mapper)
+        .chunk(&parsed.arch.to_text())
+        .chunk(parsed.mapper.name())
         .chunk(if parsed.baseline {
             "baseline"
         } else {
@@ -735,22 +691,21 @@ fn handle_compile(state: &Arc<State>, stream: &TcpStream, request: &Request) {
         reject_quota(state, stream, 1);
         return;
     }
-    let parsed =
-        match parse_compile_request(&request.body, state.config.deadline, state.config.analyze) {
-            Ok(parsed) => parsed,
-            Err(e) => {
-                let JobOutcome { status, body } = error_outcome(400, "bad_request", &e);
-                let _ = write_response(stream, status, &[], &body);
-                return;
-            }
-        };
+    let parsed = parse(&request.body).and_then(|doc| parse_compile_doc(&doc, &state.config));
+    let (parsed, deadline) = match parsed {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            let JobOutcome { status, body } = error_outcome(400, "bad_request", &e);
+            let _ = write_response(stream, status, &[], &body);
+            return;
+        }
+    };
     let key = compile_key(&parsed);
     if let Some(body) = state.cached_response(key) {
         state.metrics.request_cache_hit();
         let _ = write_response(stream, 200, &[], &body);
         return;
     }
-    let deadline = parsed.deadline;
     let cancel = CancelToken::new();
     let done = Arc::new(AtomicBool::new(false));
     if let Some(d) = deadline {
@@ -844,9 +799,9 @@ fn handle_compile_batch(state: &Arc<State>, stream: &TcpStream, request: &Reques
     let mut misses: Vec<BatchEntry> = Vec::new();
     let mut hits = 0u64;
     for (index, entry) in entries.iter().enumerate() {
-        match parse_compile_doc(entry, batch_deadline, state.config.analyze) {
+        match parse_compile_doc(entry, &state.config) {
             Err(e) => results.push(Some(error_outcome(400, "bad_request", &e))),
-            Ok(parsed) => {
+            Ok((parsed, _)) => {
                 let key = compile_key(&parsed);
                 if let Some(body) = state.cached_response(key) {
                     hits += 1;
@@ -947,8 +902,8 @@ fn handle_lint(stream: &TcpStream, request: &Request) {
 
 fn lint_body(raw: &str) -> Result<String, String> {
     let doc = parse(raw)?;
-    let dfg = parse_dfg_field(&doc)?;
-    let cgra = match parse_arch_field(&doc)? {
+    let dfg = dfg_field(&doc)?;
+    let cgra = match arch_field(&doc)? {
         Some((_display, config)) => Some(Cgra::new(config).map_err(|e| e.to_string())?),
         None => None,
     };
@@ -964,226 +919,48 @@ fn lint_body(raw: &str) -> Result<String, String> {
     Ok(format!("{}\n", diags.render_json()))
 }
 
-fn opt_str<'a>(doc: &'a Json, key: &str) -> Option<&'a str> {
-    doc.get(key).and_then(Json::as_str)
-}
-
-fn opt_usize(doc: &Json, key: &str) -> Result<Option<usize>, String> {
-    match doc.get(key) {
-        None => Ok(None),
-        Some(v) => {
-            let n = v
-                .as_f64()
-                .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                .ok_or_else(|| format!("`{key}` must be a non-negative integer"))?;
-            Ok(Some(n as usize))
-        }
-    }
-}
-
-fn parse_dfg_field(doc: &Json) -> Result<Dfg, String> {
-    let scale = match opt_str(doc, "scale") {
-        None | Some("scaled") => KernelScale::Scaled,
-        Some("tiny") => KernelScale::Tiny,
-        Some("paper") => KernelScale::Paper,
-        Some(other) => return Err(format!("unknown scale `{other}`")),
-    };
-    match (opt_str(doc, "kernel"), opt_str(doc, "dfg")) {
-        (Some(name), None) => {
-            let id = KernelId::ALL
-                .iter()
-                .find(|id| {
-                    id.name().eq_ignore_ascii_case(name)
-                        || format!("{id:?}").eq_ignore_ascii_case(name)
-                })
-                .ok_or_else(|| format!("unknown kernel `{name}`"))?;
-            Ok(kernels::generate(*id, scale))
-        }
-        (None, Some(text)) => Dfg::from_text(text).map_err(|e| e.to_string()),
-        (Some(_), Some(_)) => Err("give either `kernel` or `dfg`, not both".to_string()),
-        (None, None) => Err("missing `kernel` (builtin name) or `dfg` (inline text)".to_string()),
-    }
-}
-
-/// `(display name, config)` from `arch` (preset) / `arch_text` (inline
-/// ADL); `None` when the request names no architecture (lint only).
-fn parse_arch_field(doc: &Json) -> Result<Option<(String, CgraConfig)>, String> {
-    if let Some(text) = opt_str(doc, "arch_text") {
-        let config = CgraConfig::from_text(text).map_err(|e| e.to_string())?;
-        let display = opt_str(doc, "arch").unwrap_or("custom").to_string();
-        return Ok(Some((display, config)));
-    }
-    let Some(preset) = opt_str(doc, "arch") else {
-        return Ok(None);
-    };
-    let config = match preset {
-        "8x8" => CgraConfig::scaled_8x8(),
-        "4x4" => CgraConfig::small_4x4(),
-        "9x9" => CgraConfig::paper_9x9(),
-        "16x16" => CgraConfig::paper_16x16(),
-        "6x1" => CgraConfig::linear_6x1(),
-        other => {
-            return Err(format!(
-                "unknown arch preset `{other}` (use arch_text for ADL)"
-            ))
-        }
-    };
-    Ok(Some((preset.to_string(), config)))
-}
-
-fn parse_compile_request(
-    raw: &str,
-    default_deadline: Option<Duration>,
-    default_analyze: bool,
-) -> Result<CompileRequest, String> {
-    let doc = parse(raw)?;
-    parse_compile_doc(&doc, default_deadline, default_analyze)
-}
-
-/// [`parse_compile_request`] over an already-parsed JSON value — the
-/// shape `/compile-batch` entries arrive in.
+/// A `/compile` body or `/compile-batch` entry as the typed request plus
+/// its deadline (`deadline_ms`, else the daemon's `--deadline-ms`).
 fn parse_compile_doc(
     doc: &Json,
-    default_deadline: Option<Duration>,
-    default_analyze: bool,
-) -> Result<CompileRequest, String> {
-    let dfg = parse_dfg_field(doc)?;
-    let (arch_display, arch_config) =
-        parse_arch_field(doc)?.unwrap_or_else(|| ("8x8".to_string(), CgraConfig::scaled_8x8()));
-    let mapper = opt_str(doc, "mapper").unwrap_or("spr").to_string();
-    if !matches!(mapper.as_str(), "spr" | "ultrafast" | "exhaustive" | "sat") {
-        return Err(format!("unknown mapper `{mapper}`"));
-    }
-    let baseline = doc.get("baseline").and_then(Json::as_bool).unwrap_or(false);
-    let max_ii = opt_usize(doc, "max_ii")?;
-    let threads = opt_usize(doc, "threads")?;
+    config: &ServeConfig,
+) -> Result<(CompileRequest, Option<Duration>), String> {
+    let request = CompileRequest::from_json(doc, config.portfolio_threads, config.analyze)?;
     let deadline = match opt_usize(doc, "deadline_ms")? {
         Some(ms) => Some(Duration::from_millis(ms as u64)),
-        None => default_deadline,
+        None => config.deadline,
     };
-    let analyze = doc
-        .get("analyze")
-        .and_then(Json::as_bool)
-        .unwrap_or(default_analyze);
-    Ok(CompileRequest {
-        dfg,
-        arch_display,
-        arch_config,
-        mapper,
-        baseline,
-        max_ii,
-        threads,
-        deadline,
-        analyze,
-    })
-}
-
-/// Object-safe shim so one closure drives any mapper (mirrors the CLI).
-struct DynMapper<'a>(&'a dyn LowerLevelMapper);
-
-impl LowerLevelMapper for DynMapper<'_> {
-    fn map(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        restriction: Option<&panorama_mapper::Restriction>,
-    ) -> Result<panorama_mapper::Mapping, panorama_mapper::MapError> {
-        self.0.map(dfg, cgra, restriction)
-    }
-
-    fn map_with_control(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        restriction: Option<&panorama_mapper::Restriction>,
-        control: Option<&panorama_mapper::SearchControl>,
-    ) -> Result<panorama_mapper::Mapping, panorama_mapper::MapError> {
-        self.0.map_with_control(dfg, cgra, restriction, control)
-    }
-
-    fn map_traced(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        restriction: Option<&panorama_mapper::Restriction>,
-        control: Option<&panorama_mapper::SearchControl>,
-        trace: &mut panorama_trace::SpanCollector,
-    ) -> Result<panorama_mapper::Mapping, panorama_mapper::MapError> {
-        self.0.map_traced(dfg, cgra, restriction, control, trace)
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
+    Ok((request, deadline))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn parse_with(body: &str, config: &ServeConfig) -> (CompileRequest, Option<Duration>) {
+        parse_compile_doc(&parse(body).unwrap(), config).unwrap()
+    }
+
     #[test]
-    fn compile_request_parses_defaults() {
-        let req = parse_compile_request("{\"kernel\":\"fir\"}", None, false).unwrap();
-        assert_eq!(req.dfg.name(), "fir");
-        assert_eq!(req.arch_display, "8x8");
-        assert_eq!(req.mapper, "spr");
-        assert!(!req.baseline);
-        assert_eq!(req.threads, None);
-        assert!(req.deadline.is_none());
+    fn daemon_flags_are_the_request_defaults() {
+        let config = ServeConfig {
+            deadline: Some(Duration::from_secs(60)),
+            portfolio_threads: 3,
+            analyze: true,
+            ..ServeConfig::default()
+        };
+        let (req, deadline) = parse_with("{\"kernel\":\"fir\"}", &config);
+        assert_eq!((req.threads, req.analyze), (3, true));
+        assert_eq!(deadline, config.deadline);
+        let (req, deadline) = parse_with(
+            "{\"kernel\":\"fir\",\"analyze\":false,\"deadline_ms\":25}",
+            &config,
+        );
         assert!(!req.analyze);
-    }
-
-    #[test]
-    fn compile_request_rejects_unknowns() {
-        assert!(parse_compile_request("{\"kernel\":\"nope\"}", None, false).is_err());
-        assert!(
-            parse_compile_request("{\"kernel\":\"fir\",\"mapper\":\"magic\"}", None, false)
-                .is_err()
-        );
-        assert!(
-            parse_compile_request("{\"kernel\":\"fir\",\"arch\":\"3x3\"}", None, false).is_err()
-        );
-        assert!(parse_compile_request("{}", None, false).is_err());
-        assert!(parse_compile_request("not json", None, false).is_err());
-    }
-
-    #[test]
-    fn per_request_deadline_overrides_the_default() {
-        let default = Some(Duration::from_secs(60));
-        let req = parse_compile_request("{\"kernel\":\"fir\",\"deadline_ms\":25}", default, false)
-            .unwrap();
-        assert_eq!(req.deadline, Some(Duration::from_millis(25)));
-        let req = parse_compile_request("{\"kernel\":\"fir\",\"deadline_ms\":0}", default, false)
-            .unwrap();
-        assert_eq!(req.deadline, Some(Duration::ZERO), "zero is a deadline");
-        let req = parse_compile_request("{\"kernel\":\"fir\"}", default, false).unwrap();
-        assert_eq!(req.deadline, default);
-    }
-
-    #[test]
-    fn per_request_analyze_overrides_the_daemon_default() {
-        let req = parse_compile_request("{\"kernel\":\"fir\"}", None, true).unwrap();
-        assert!(
-            req.analyze,
-            "daemon default applies when the field is absent"
-        );
-        let req =
-            parse_compile_request("{\"kernel\":\"fir\",\"analyze\":false}", None, true).unwrap();
-        assert!(!req.analyze);
-        let req =
-            parse_compile_request("{\"kernel\":\"fir\",\"analyze\":true}", None, false).unwrap();
-        assert!(req.analyze);
-    }
-
-    #[test]
-    fn inline_dfg_text_round_trips() {
-        let dfg = kernels::generate(KernelId::Fir, KernelScale::Tiny);
-        let body = format!(
-            "{{\"dfg\":\"{}\",\"arch\":\"4x4\"}}",
-            escape(&dfg.to_text())
-        );
-        let req = parse_compile_request(&body, None, false).unwrap();
-        assert_eq!(req.dfg.name(), dfg.name());
-        assert_eq!(req.arch_display, "4x4");
+        assert_eq!(deadline, Some(Duration::from_millis(25)));
+        let (_, deadline) = parse_with("{\"kernel\":\"fir\",\"deadline_ms\":0}", &config);
+        assert_eq!(deadline, Some(Duration::ZERO), "zero is a deadline");
+        let (_, deadline) = parse_with("{\"kernel\":\"fir\"}", &ServeConfig::default());
+        assert_eq!(deadline, None);
     }
 }

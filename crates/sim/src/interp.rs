@@ -31,31 +31,40 @@ impl Interpretation {
     pub fn iterations(&self) -> usize {
         self.values.len()
     }
-
-    /// The value `op` produced in (possibly negative) iteration
-    /// `iter - distance`; falls back to the pre-loop initial value.
-    pub fn value_back(&self, dfg: &Dfg, op: OpId, iter: i64) -> u64 {
-        if iter < 0 {
-            initial_value(&dfg.op(op).name)
-        } else {
-            self.value(op, iter as usize)
-        }
-    }
 }
 
-/// Interprets `iterations` loop iterations of `dfg`.
+/// Interprets `iterations` loop iterations of `dfg` under the abstract
+/// value semantics of [`crate::semantics`].
 ///
 /// # Panics
 ///
 /// Panics when the DFG is invalid (call [`Dfg::validate`] first for
 /// untrusted graphs).
 pub fn interpret(dfg: &Dfg, iterations: usize) -> Interpretation {
+    interpret_with(dfg, iterations, |op, iter, operands| {
+        op_value(dfg, op, iter, operands.iter().copied())
+    })
+}
+
+/// The dataflow fixpoint itself, for any value model: `value(op,
+/// iteration, operands)` computes one op from its operand values in
+/// incoming-edge order. Back edges reaching before the loop read
+/// [`initial_value`] of their producer's name.
+///
+/// # Panics
+///
+/// As for [`interpret`].
+pub fn interpret_with(
+    dfg: &Dfg,
+    iterations: usize,
+    mut value: impl FnMut(OpId, u64, &[u64]) -> u64,
+) -> Interpretation {
     let order = dfg.topo_order();
     let mut values: Vec<Vec<u64>> = Vec::with_capacity(iterations);
     for iter in 0..iterations {
         let mut row = vec![0u64; dfg.num_ops()];
         for &op in &order {
-            let inputs: Vec<u64> = dfg
+            let operands: Vec<u64> = dfg
                 .graph()
                 .incoming(op)
                 .map(|e| {
@@ -69,7 +78,7 @@ pub fn interpret(dfg: &Dfg, iterations: usize) -> Interpretation {
                     }
                 })
                 .collect();
-            row[op.index()] = op_value(dfg, op, iter as u64, inputs.into_iter());
+            row[op.index()] = value(op, iter as u64, &operands);
         }
         values.push(row);
     }
@@ -156,7 +165,6 @@ mod tests {
             vec![i.value(m, 0), initial_value("acc")].into_iter(),
         );
         assert_eq!(i.value(acc, 0), expect);
-        assert_eq!(i.value_back(&dfg, acc, -1), initial_value("acc"));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Functional validation of CGRA mappings: a DFG interpreter plus a
-//! cycle-level simulator that *executes* a mapping and cross-checks every
-//! delivered value.
+//! cycle-level structural simulator that *executes* a mapping's routes.
 //!
 //! [`Mapping::verify`](panorama_mapper::Mapping::verify) checks a mapping
 //! *statically* — placement legality, route connectivity/timing, per-slot
@@ -11,6 +10,14 @@
 //! values (the classic modulo-wrap hazard: a value living longer than II
 //! cycles colliding with the next iteration's instance in the same
 //! register). Loop-invariant constants share resources legally.
+//!
+//! What it certifies is structural: every route leaves its producer and
+//! feeds its consumer, arrives in the consumer's execution cycle, and no
+//! resource holds more distinct values than it has capacity for. Whether
+//! the *computed* values are right is not its question — the values here
+//! come from the reference interpreter, not from the fabric; value
+//! fidelity is `panorama_exec::execute`'s job, which replays the
+//! configware data-carrying.
 //!
 //! # Examples
 //!
@@ -36,5 +43,5 @@ mod interp;
 mod machine;
 pub mod semantics;
 
-pub use interp::{interpret, Interpretation};
+pub use interp::{interpret, interpret_with, Interpretation};
 pub use machine::{simulate, trace, SimError, SimReport, TraceEvent};

@@ -18,14 +18,15 @@
 use panorama_dfg::{Dfg, Op, OpId, OpKind};
 
 /// SplitMix64 finaliser: a cheap, high-quality 64-bit mixer.
-fn mix(mut x: u64) -> u64 {
+pub fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
 }
 
-fn hash_str(s: &str) -> u64 {
+/// FNV-1a over the bytes of `s`: how op names enter the value model.
+pub fn hash_str(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
     for b in s.bytes() {
         h ^= b as u64;

@@ -49,7 +49,7 @@
 //! emit the deterministic `panorama-exec-v1` report and a recorded
 //! divergence exits nonzero. `lint` runs the static diagnostics of [`panorama_lint`]
 //! over the same inputs without mapping anything (`--report` validates a
-//! recorded trace/serve/fuzz/sat/analyze report file instead,
+//! recorded trace/serve/fuzz/sat/exec/analyze report file instead,
 //! auto-detecting the schema). `bench` measures the 12-kernel suite
 //! in parallel and sequential modes, verifies both produce identical
 //! mappings, and can gate CI against a checked-in JSON baseline; the
@@ -59,9 +59,16 @@
 //! [`panorama_fuzz`]: seeded random DFG/architecture sweeps, both
 //! lower-level backends, verify/simulate/exact-II oracle cross-checks,
 //! failing-case minimization, and regression-corpus replay; its
-//! `panorama-fuzz-v2` JSON report is what `lint --fuzz-json` validates.
+//! `panorama-fuzz-v2` JSON report is what `lint --report` validates.
+//!
+//! `compile`, `trace` and `exec` parse their flags into the same typed
+//! [`CompileRequest`] a `POST /compile` body becomes, and run it through
+//! [`CompileRequest::run`].
 
-use panorama::{AnalyzeConfig, BackendId, Panorama, PanoramaConfig};
+use panorama::{
+    effective_threads, AnalyzeConfig, BackendId, CompileContext, CompileReport, CompileRequest,
+    MapperChoice,
+};
 use panorama_analyze::{analyze, analyze_diagnostics};
 use panorama_arch::{Cgra, CgraConfig};
 use panorama_dfg::{kernels, Dfg, KernelId, KernelScale};
@@ -70,12 +77,9 @@ use panorama_lint::{
     lint_analyze_json, lint_exec_json, lint_fuzz_json, lint_sat_json, lint_serve_json,
     lint_trace_json, Diagnostics, LintContext, Registry,
 };
-use panorama_mapper::{
-    min_ii, Configware, ExactMapper, IiAttempt, LowerLevelMapper, SatMapper, SprMapper,
-    UltraFastMapper,
-};
+use panorama_mapper::{min_ii, Configware, IiAttempt, SatMapper};
 use panorama_sim::simulate;
-use panorama_trace::{RecordingSink, TraceEvent, TraceReport, Tracer};
+use panorama_trace::{RecordingSink, TraceReport, Tracer};
 use std::collections::HashMap;
 use std::error::Error;
 use std::io::Read as _;
@@ -135,7 +139,6 @@ const COMPILE_FLAGS: FlagSpec = &[
     ("trace", false),
     ("sat-report", false),
     ("analyze", true),
-    ("no-analyze", true),
     ("json", true),
 ];
 const ANALYZE_FLAGS: FlagSpec = &[
@@ -192,9 +195,6 @@ const LINT_FLAGS: FlagSpec = &[
     ("max-ii", false),
     ("json", true),
     ("report", false),
-    ("trace-json", false),
-    ("serve-json", false),
-    ("fuzz-json", false),
 ];
 const FUZZ_FLAGS: FlagSpec = &[
     ("seed", false),
@@ -272,61 +272,101 @@ fn parse_max_ii(flags: &HashMap<String, String>) -> Result<Option<usize>, String
         .transpose()
 }
 
-/// `--threads N` (0 or absent = one worker per core).
-fn parse_threads(flags: &HashMap<String, String>) -> Result<usize, String> {
-    flags.get("threads").map_or(Ok(0), |s| {
+/// `--<key> N`, or `default` when the flag is absent.
+fn parse_n(flags: &HashMap<String, String>, key: &str, default: usize) -> Result<usize, String> {
+    flags.get(key).map_or(Ok(default), |s| {
         s.parse::<usize>()
-            .map_err(|_| format!("--threads needs a non-negative integer, got `{s}`"))
+            .map_err(|_| format!("--{key} needs a non-negative integer, got `{s}`"))
     })
 }
 
-fn parse_scale(s: Option<&String>) -> Result<KernelScale, String> {
-    match s.map(String::as_str) {
-        None | Some("scaled") => Ok(KernelScale::Scaled),
-        Some("tiny") => Ok(KernelScale::Tiny),
-        Some("paper") => Ok(KernelScale::Paper),
-        Some(other) => Err(format!("unknown scale `{other}`")),
-    }
+/// `--threads N` (0 or absent = one worker per core).
+fn parse_threads(flags: &HashMap<String, String>) -> Result<usize, String> {
+    parse_n(flags, "threads", 0)
 }
 
-fn load_arch(spec: Option<&String>) -> Result<Cgra, Box<dyn Error>> {
-    let config = match spec.map(String::as_str) {
-        None | Some("8x8") => CgraConfig::scaled_8x8(),
-        Some("4x4") => CgraConfig::small_4x4(),
-        Some("9x9") => CgraConfig::paper_9x9(),
-        Some("16x16") => CgraConfig::paper_16x16(),
-        Some("6x1") => CgraConfig::linear_6x1(),
-        Some(path) => CgraConfig::from_text(&std::fs::read_to_string(path)?)?,
+/// `--scale tiny|scaled|paper` (absent = scaled).
+fn parse_scale(flags: &HashMap<String, String>) -> Result<KernelScale, String> {
+    flags
+        .get("scale")
+        .map_or(Ok(KernelScale::default()), |s| KernelScale::parse(s))
+}
+
+/// `--arch <preset|file>` (absent = the default preset) as the name reports
+/// show plus the configuration: a preset name wins, anything else is read
+/// as an ADL file.
+fn load_arch(spec: Option<&String>) -> Result<(String, CgraConfig), Box<dyn Error>> {
+    let spec = spec.map_or(CgraConfig::DEFAULT_PRESET, String::as_str);
+    let config = match CgraConfig::preset(spec) {
+        Ok(config) => config,
+        Err(unknown) => {
+            let text = std::fs::read_to_string(spec)
+                .map_err(|e| format!("{unknown}; reading it as an ADL file: {e}"))?;
+            CgraConfig::from_text(&text)?
+        }
     };
-    Ok(Cgra::new(config)?)
+    Ok((spec.to_string(), config))
 }
 
+fn load_cgra(spec: Option<&String>) -> Result<Cgra, Box<dyn Error>> {
+    Ok(Cgra::new(load_arch(spec)?.1)?)
+}
+
+/// A built-in kernel name wins; `-` is stdin and anything else a DFG file.
 fn load_dfg(spec: &str, scale: KernelScale) -> Result<Dfg, Box<dyn Error>> {
-    // built-in kernel names first
-    if let Some(id) = KernelId::ALL.iter().find(|id| {
-        id.name().eq_ignore_ascii_case(spec) || format!("{id:?}").eq_ignore_ascii_case(spec)
-    }) {
-        return Ok(kernels::generate(*id, scale));
-    }
+    let unknown = match KernelId::parse(spec) {
+        Ok(id) => return Ok(kernels::generate(id, scale)),
+        Err(unknown) => unknown,
+    };
     let text = if spec == "-" {
         let mut buf = String::new();
         std::io::stdin().read_to_string(&mut buf)?;
         buf
     } else {
-        std::fs::read_to_string(spec)?
+        std::fs::read_to_string(spec)
+            .map_err(|e| format!("{unknown}; reading it as a DFG file: {e}"))?
     };
     Ok(Dfg::from_text(&text)?)
 }
 
+/// The flags `compile`, `trace` and `exec` share, as the typed request a
+/// `/compile` body also parses into (a flag the command does not accept is
+/// simply absent here).
+fn compile_request(
+    dfg: &str,
+    flags: &HashMap<String, String>,
+) -> Result<CompileRequest, Box<dyn Error>> {
+    let dfg = load_dfg(dfg, parse_scale(flags)?)?;
+    let (arch_display, arch) = load_arch(flags.get("arch"))?;
+    let mapper = MapperChoice::parse(
+        flags
+            .get("mapper")
+            .map_or(BackendId::Spr.name(), String::as_str),
+    )?;
+    let baseline = flags.contains_key("baseline");
+    if baseline && mapper == MapperChoice::Portfolio {
+        return Err("--baseline races a single mapper; pick one with --mapper".into());
+    }
+    Ok(CompileRequest {
+        dfg,
+        arch_display,
+        arch,
+        mapper,
+        baseline,
+        max_ii: parse_max_ii(flags)?,
+        threads: parse_threads(flags)?,
+        analyze: flags.contains_key("analyze"),
+    })
+}
+
 fn cmd_compile(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let scale = parse_scale(flags.get("scale"))?;
-    let dfg = load_dfg(
+    let req = compile_request(
         flags
             .get("dfg")
             .ok_or("`compile` needs --dfg <file|-|kernel-name>")?,
-        scale,
+        flags,
     )?;
-    let cgra = load_arch(flags.get("arch"))?;
+    let (dfg, cgra) = (&req.dfg, Cgra::new(req.arch.clone())?);
     eprintln!(
         "kernel `{}`: {} | CGRA {}x{} ({} clusters)",
         dfg.name(),
@@ -339,32 +379,28 @@ fn cmd_compile(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         println!("{}", dfg.to_dot());
     }
 
-    let mapper_name = flags.get("mapper").map_or("spr", String::as_str);
-    let threads = parse_threads(flags)?;
-    let compiler = Panorama::new(PanoramaConfig {
-        max_ii: parse_max_ii(flags)?,
-        threads,
-        analyze: (flags.contains_key("analyze") && !flags.contains_key("no-analyze"))
-            .then(AnalyzeConfig::default),
-        backends: portfolio_backends(mapper_name),
-        ..PanoramaConfig::default()
-    });
-    let baseline = flags.contains_key("baseline");
     let sink = flags.contains_key("trace").then(RecordingSink::shared);
-    let tracer = match &sink {
-        Some(sink) => Tracer::new(sink.clone()),
-        None => Tracer::disabled(),
+    let tracer = sink.as_ref().map(|sink| Tracer::new(sink.clone()));
+    // `--mapper sat` runs on an instance the CLI owns, so `--sat-report`
+    // can drain its per-II attempt log afterwards.
+    let sat = SatMapper::default();
+    let is_sat = req.mapper == MapperChoice::Backend(BackendId::Sat);
+    let report = if is_sat {
+        let ctx = CompileContext {
+            tracer: tracer.as_ref(),
+            ..CompileContext::default()
+        };
+        req.run_with(&cgra, &[&sat], &ctx)?
+    } else {
+        req.run(&cgra, tracer.as_ref(), None)?
     };
-    let (report, sat_attempts) =
-        run_mapper(&compiler, &dfg, &cgra, mapper_name, baseline, &tracer)?;
     if let (Some(path), Some(sink)) = (flags.get("trace"), &sink) {
-        let trace = trace_report(&dfg, flags, mapper_name, threads, &report, sink.take());
-        std::fs::write(path, trace.to_json())?;
+        std::fs::write(path, trace_report(&req, &report, sink).to_json())?;
         eprintln!("wrote trace {path}");
     }
     // With `--analyze` the mapping targets the optimized graph, so verify,
     // simulate and configware-generate against it, not the input.
-    let mapped = report.mapped_dfg(&dfg);
+    let mapped = report.mapped_dfg(dfg);
     if let Some(analyzed) = report.analyzed_dfg() {
         eprintln!(
             "analyze: {} ops -> {} ops before mapping",
@@ -375,15 +411,15 @@ fn cmd_compile(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     let mapping = report.mapping();
     mapping.verify(mapped, &cgra)?;
     if let Some(path) = flags.get("sat-report") {
-        let Some(attempts) = &sat_attempts else {
+        if !is_sat {
             return Err("--sat-report requires --mapper sat".into());
-        };
+        }
         let doc = sat_report_json(
             dfg.name(),
-            flags.get("arch").map_or("8x8", String::as_str),
+            &req.arch_display,
             min_ii(mapped, &cgra).mii(),
             mapping.ii(),
-            attempts,
+            &sat.take_attempts(),
         );
         std::fs::write(path, doc)?;
         eprintln!("wrote SAT report {path}");
@@ -391,14 +427,11 @@ fn cmd_compile(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     if flags.contains_key("json") {
         // The canonical deterministic document — byte-identical to what
         // `panorama serve` returns for the same inputs.
-        println!(
-            "{}",
-            report.to_json(dfg.name(), flags.get("arch").map_or("8x8", String::as_str))
-        );
+        println!("{}", report.to_json(dfg.name(), &req.arch_display));
     } else {
         println!(
             "mapped with {}{} at II {} (MII {}, QoM {:.2}) in {:.2?}",
-            if baseline { "" } else { "Pan-" },
+            if req.baseline { "" } else { "Pan-" },
             mapping.mapper(),
             mapping.ii(),
             mapping.mii(),
@@ -437,48 +470,6 @@ fn cmd_compile(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         print!("{}", cfg.to_text(&cgra));
     }
     Ok(())
-}
-
-/// A compile report plus, for `--mapper sat` only, the drained per-II
-/// attempt log that backs `--sat-report`.
-type MapperRun = (panorama::CompileReport, Option<Vec<IiAttempt>>);
-
-/// Runs the named lower-level mapper through the pipeline (or the
-/// whole-array baseline, or the multi-backend portfolio), recording into
-/// `tracer` when it is enabled. For `--mapper sat` the drained per-II
-/// attempt log rides along for `--sat-report`.
-fn run_mapper(
-    compiler: &Panorama,
-    dfg: &Dfg,
-    cgra: &Cgra,
-    mapper_name: &str,
-    baseline: bool,
-    tracer: &Tracer,
-) -> Result<MapperRun, Box<dyn Error>> {
-    let run = |m: &dyn LowerLevelMapper| {
-        if baseline {
-            compiler.compile_baseline_traced(dfg, cgra, &DynMapper(m), tracer)
-        } else {
-            compiler.compile_traced(dfg, cgra, &DynMapper(m), tracer)
-        }
-    };
-    Ok(match mapper_name {
-        "spr" => (run(&SprMapper::default())?, None),
-        "ultrafast" => (run(&UltraFastMapper::default())?, None),
-        "exhaustive" => (run(&ExactMapper::default())?, None),
-        "sat" => {
-            let mapper = SatMapper::default();
-            let report = run(&mapper)?;
-            (report, Some(mapper.take_attempts()))
-        }
-        "portfolio" => {
-            if baseline {
-                return Err("--baseline races a single mapper; pick one with --mapper".into());
-            }
-            (compiler.compile_portfolio_traced(dfg, cgra, tracer)?, None)
-        }
-        other => return Err(format!("unknown mapper `{other}`").into()),
-    })
 }
 
 /// Assembles the `panorama-sat-v1` attempt-log document that
@@ -528,42 +519,16 @@ fn sat_report_json(
     out
 }
 
-/// Assembles the `panorama-trace-v1` report for one compile run.
-fn trace_report(
-    dfg: &Dfg,
-    flags: &HashMap<String, String>,
-    mapper_name: &str,
-    threads: usize,
-    report: &panorama::CompileReport,
-    events: Vec<TraceEvent>,
-) -> TraceReport {
+/// Assembles the `panorama-trace-v1` report for one compile run from
+/// everything `sink` recorded.
+fn trace_report(req: &CompileRequest, report: &CompileReport, sink: &RecordingSink) -> TraceReport {
     TraceReport {
-        kernel: dfg.name().to_string(),
-        arch: flags.get("arch").map_or("8x8", String::as_str).to_string(),
-        mapper: mapper_name.to_string(),
-        threads: resolved_threads(threads),
+        kernel: req.dfg.name().to_string(),
+        arch: req.arch_display.clone(),
+        mapper: req.mapper.name().to_string(),
+        threads: effective_threads(req.threads, usize::MAX),
         wall_ns: report.total_time().as_nanos() as u64,
-        events,
-    }
-}
-
-/// `--mapper portfolio` races every registered backend; every other
-/// spelling keeps the single-backend default (ignored by the
-/// single-mapper entry points).
-fn portfolio_backends(mapper_name: &str) -> Vec<BackendId> {
-    if mapper_name == "portfolio" {
-        BackendId::ALL.to_vec()
-    } else {
-        PanoramaConfig::default().backends
-    }
-}
-
-/// `0` (auto) resolved to one worker per available core.
-fn resolved_threads(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        requested
+        events: sink.take(),
     }
 }
 
@@ -571,30 +536,20 @@ fn resolved_threads(requested: usize) -> usize {
 /// the per-phase profile table instead of the mapping details; `--out`
 /// additionally writes the `panorama-trace-v1` JSON.
 fn cmd_trace(kernel: &str, flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let scale = parse_scale(flags.get("scale"))?;
-    let dfg = load_dfg(kernel, scale)?;
-    let cgra = load_arch(flags.get("arch"))?;
-    let mapper_name = flags.get("mapper").map_or("spr", String::as_str);
-    let threads = parse_threads(flags)?;
-    let compiler = Panorama::new(PanoramaConfig {
-        max_ii: parse_max_ii(flags)?,
-        threads,
-        backends: portfolio_backends(mapper_name),
-        ..PanoramaConfig::default()
-    });
-    let baseline = flags.contains_key("baseline");
+    let req = compile_request(kernel, flags)?;
+    let cgra = Cgra::new(req.arch.clone())?;
     let sink = RecordingSink::shared();
     let tracer = Tracer::new(sink.clone());
-    let (report, _) = run_mapper(&compiler, &dfg, &cgra, mapper_name, baseline, &tracer)?;
+    let report = req.run(&cgra, Some(&tracer), None)?;
     let mapping = report.mapping();
     eprintln!(
         "mapped `{}` with {} at II {} in {:.2?}",
-        dfg.name(),
+        req.dfg.name(),
         mapping.mapper(),
         mapping.ii(),
         report.total_time()
     );
-    let trace = trace_report(&dfg, flags, mapper_name, threads, &report, sink.take());
+    let trace = trace_report(&req, &report, &sink);
     print!("{}", trace.render_profile());
     if let Some(path) = flags.get("out") {
         std::fs::write(path, trace.to_json())?;
@@ -611,24 +566,12 @@ fn cmd_trace(kernel: &str, flags: &HashMap<String, String>) -> Result<(), Box<dy
 /// (byte-identical per seed); `--trace` records the compile phases plus
 /// `exec`/`exec.run` spans. Exits nonzero on any value-level divergence.
 fn cmd_exec(kernel: &str, flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let scale = parse_scale(flags.get("scale"))?;
-    let dfg = load_dfg(kernel, scale)?;
-    let cgra = load_arch(flags.get("arch"))?;
-    let mapper_name = flags.get("mapper").map_or("spr", String::as_str);
-    let threads = parse_threads(flags)?;
-    let compiler = Panorama::new(PanoramaConfig {
-        max_ii: parse_max_ii(flags)?,
-        threads,
-        backends: portfolio_backends(mapper_name),
-        ..PanoramaConfig::default()
-    });
+    let req = compile_request(kernel, flags)?;
+    let (dfg, cgra) = (&req.dfg, Cgra::new(req.arch.clone())?);
     let sink = flags.contains_key("trace").then(RecordingSink::shared);
-    let tracer = match &sink {
-        Some(sink) => Tracer::new(sink.clone()),
-        None => Tracer::disabled(),
-    };
-    let (report, _) = run_mapper(&compiler, &dfg, &cgra, mapper_name, false, &tracer)?;
-    let mapped = report.mapped_dfg(&dfg);
+    let tracer = sink.as_ref().map(|sink| Tracer::new(sink.clone()));
+    let report = req.run(&cgra, tracer.as_ref(), None)?;
+    let mapped = report.mapped_dfg(dfg);
     let mapping = report.mapping();
     mapping.verify(mapped, &cgra)?;
     let defaults = ExecOptions::default();
@@ -646,6 +589,7 @@ fn cmd_exec(kernel: &str, flags: &HashMap<String, String>) -> Result<(), Box<dyn
     };
     // The exec spans ride in their own collector; the high sequence base
     // keeps them sorted after every pipeline event of the same candidate.
+    let tracer = tracer.unwrap_or_else(Tracer::disabled);
     let mut col = tracer.collector_from(
         panorama_trace::NO_CANDIDATE,
         panorama_trace::SEQ_BASE_MAP * 64,
@@ -678,12 +622,10 @@ fn cmd_exec(kernel: &str, flags: &HashMap<String, String>) -> Result<(), Box<dyn
     );
     tracer.submit(vec![col]);
     if let (Some(path), Some(sink)) = (flags.get("trace"), &sink) {
-        let trace = trace_report(&dfg, flags, mapper_name, threads, &report, sink.take());
-        std::fs::write(path, trace.to_json())?;
+        std::fs::write(path, trace_report(&req, &report, sink).to_json())?;
         eprintln!("wrote trace {path}");
     }
-    let arch_name = flags.get("arch").map_or("8x8", String::as_str);
-    let doc = exec_report_json(dfg.name(), arch_name, mapping.mapper(), &outcome);
+    let doc = exec_report_json(dfg.name(), &req.arch_display, mapping.mapper(), &outcome);
     if let Some(path) = flags.get("out") {
         std::fs::write(path, &doc)?;
         eprintln!("wrote exec report {path}");
@@ -732,9 +674,8 @@ fn cmd_exec(kernel: &str, flags: &HashMap<String, String>) -> Result<(), Box<dyn
 /// `ANLZ` diagnostics; `--out` writes the `panorama-analyze-v1` JSON.
 /// Exits nonzero when any error-severity finding is reported.
 fn cmd_analyze(kernel: &str, flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let scale = parse_scale(flags.get("scale"))?;
-    let dfg = load_dfg(kernel, scale)?;
-    let cgra = load_arch(flags.get("arch"))?;
+    let dfg = load_dfg(kernel, parse_scale(flags)?)?;
+    let cgra = load_cgra(flags.get("arch"))?;
     let config = AnalyzeConfig {
         fold_constants: !flags.contains_key("no-fold"),
         merge_common: !flags.contains_key("no-cse"),
@@ -793,48 +734,6 @@ fn cmd_analyze(kernel: &str, flags: &HashMap<String, String>) -> Result<(), Box<
     Ok(())
 }
 
-/// Object-safe shim so one closure can drive any mapper.
-struct DynMapper<'a>(&'a dyn LowerLevelMapper);
-
-impl LowerLevelMapper for DynMapper<'_> {
-    fn map(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        restriction: Option<&panorama_mapper::Restriction>,
-    ) -> Result<panorama_mapper::Mapping, panorama_mapper::MapError> {
-        self.0.map(dfg, cgra, restriction)
-    }
-
-    fn map_with_control(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        restriction: Option<&panorama_mapper::Restriction>,
-        control: Option<&panorama_mapper::SearchControl>,
-    ) -> Result<panorama_mapper::Mapping, panorama_mapper::MapError> {
-        // forward rather than inherit the default, so the portfolio bound
-        // reaches the wrapped mapper's II search
-        self.0.map_with_control(dfg, cgra, restriction, control)
-    }
-
-    fn map_traced(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        restriction: Option<&panorama_mapper::Restriction>,
-        control: Option<&panorama_mapper::SearchControl>,
-        trace: &mut panorama_trace::SpanCollector,
-    ) -> Result<panorama_mapper::Mapping, panorama_mapper::MapError> {
-        // forward so the wrapped mapper's events reach the collector
-        self.0.map_traced(dfg, cgra, restriction, control, trace)
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-}
-
 /// `panorama bench`: the perf harness over the 12-kernel suite. With
 /// `--json` the report is written to `--out` (default `panorama-bench.json`)
 /// and `--stable-out` additionally writes the wall-clock-free projection
@@ -845,26 +744,25 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     if flags.contains_key("serve") {
         return cmd_bench_serve(flags);
     }
+    let mapper = flags
+        .get("mapper")
+        .map_or(Ok(BackendId::UltraFast), |name| {
+            BackendId::parse(name)
+                .ok()
+                .filter(|id| BackendId::PORTFOLIO.contains(id))
+                .ok_or_else(|| format!("unknown bench mapper `{name}`"))
+        })?;
     let options = panorama_bench::BenchOptions {
         threads: parse_threads(flags)?,
-        mapper: match flags.get("mapper").map(String::as_str) {
-            None | Some("ultrafast") => panorama_bench::BenchMapper::UltraFast,
-            Some("spr") => panorama_bench::BenchMapper::Spr,
-            Some("sat") => panorama_bench::BenchMapper::Sat,
-            Some(other) => return Err(format!("unknown bench mapper `{other}`").into()),
-        },
+        mapper,
         trace: flags.contains_key("trace"),
         analyze: flags.contains_key("analyze"),
         ..panorama_bench::BenchOptions::default()
     };
     eprintln!(
         "benching 12 kernels x {} preset(s) with {} ({} threads)...",
-        if options.mapper == panorama_bench::BenchMapper::Sat {
-            1
-        } else {
-            2
-        },
-        options.mapper.name(),
+        if mapper == BackendId::Sat { 1 } else { 2 },
+        mapper.name(),
         if options.threads == 0 {
             "auto".to_string()
         } else {
@@ -946,17 +844,11 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
 /// disk hits after restart, byte-identical replay) plus shape agreement
 /// with the committed baseline.
 fn cmd_bench_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let parse_n = |key: &str, default: usize| -> Result<usize, String> {
-        flags.get(key).map_or(Ok(default), |s| {
-            s.parse::<usize>()
-                .map_err(|_| format!("--{key} needs a non-negative integer, got `{s}`"))
-        })
-    };
     let defaults = panorama_bench::ServeLoadOptions::default();
     let options = panorama_bench::ServeLoadOptions {
-        clients: parse_n("clients", defaults.clients)?,
-        requests: parse_n("requests", defaults.requests)?,
-        workers: parse_n("workers", defaults.workers)?,
+        clients: parse_n(flags, "clients", defaults.clients)?,
+        requests: parse_n(flags, "requests", defaults.requests)?,
+        workers: parse_n(flags, "workers", defaults.workers)?,
         cache_dir: flags
             .get("cache-dir")
             .map_or(defaults.cache_dir, std::path::PathBuf::from),
@@ -1008,12 +900,6 @@ fn cmd_bench_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>
 /// corpus case fails replay. `--write-corpus` drops each minimized
 /// reproducer into the corpus directory as a ready-to-commit `.dfg` file.
 fn cmd_fuzz(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let parse_n = |key: &str, default: usize| -> Result<usize, String> {
-        flags.get(key).map_or(Ok(default), |s| {
-            s.parse::<usize>()
-                .map_err(|_| format!("--{key} needs a non-negative integer, got `{s}`"))
-        })
-    };
     let defaults = panorama_fuzz::FuzzOptions::default();
     let cancel = panorama_mapper::CancelToken::new();
     let opts = panorama_fuzz::FuzzOptions {
@@ -1021,9 +907,9 @@ fn cmd_fuzz(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
             s.parse::<u64>()
                 .map_err(|_| format!("--seed needs a non-negative integer, got `{s}`"))
         })?,
-        cases: parse_n("cases", defaults.cases)?,
-        max_nodes: parse_n("max-nodes", defaults.max_nodes)?,
-        shrink_evals: parse_n("shrink-evals", defaults.shrink_evals)?,
+        cases: parse_n(flags, "cases", defaults.cases)?,
+        max_nodes: parse_n(flags, "max-nodes", defaults.max_nodes)?,
+        shrink_evals: parse_n(flags, "shrink-evals", defaults.shrink_evals)?,
         oracle: panorama_fuzz::OracleConfig {
             cancel: Some(cancel.clone()),
             ..panorama_fuzz::OracleConfig::default()
@@ -1120,18 +1006,15 @@ fn lint_report(text: &str, diags: &mut Diagnostics) -> Result<(), Box<dyn Error>
 /// auto-detecting the schema. Exits nonzero when any error-severity
 /// finding is reported.
 fn cmd_lint(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let scale = parse_scale(flags.get("scale"))?;
-    if !["dfg", "report", "trace-json", "serve-json", "fuzz-json"]
-        .iter()
-        .any(|k| flags.contains_key(*k))
-    {
+    let scale = parse_scale(flags)?;
+    if !flags.contains_key("dfg") && !flags.contains_key("report") {
         return Err("`lint` needs --dfg <file|-|kernel-name> and/or --report <file>".into());
     }
     let mut diags = Diagnostics::new();
     if let Some(spec) = flags.get("dfg") {
         let dfg = load_dfg(spec, scale)?;
         let cgra = match flags.get("arch") {
-            Some(_) => Some(load_arch(flags.get("arch"))?),
+            Some(_) => Some(load_cgra(flags.get("arch"))?),
             None => None,
         };
         let ctx = LintContext {
@@ -1144,20 +1027,6 @@ fn cmd_lint(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     }
     if let Some(path) = flags.get("report") {
         lint_report(&read_report(path)?, &mut diags)?;
-    }
-    // Deprecated spellings of `--report` from before schema auto-detection;
-    // each still pins its original schema linter.
-    type LintFn = fn(&str, &mut Diagnostics);
-    let aliases: [(&str, LintFn); 3] = [
-        ("trace-json", lint_trace_json),
-        ("serve-json", lint_serve_json),
-        ("fuzz-json", lint_fuzz_json),
-    ];
-    for (flag, lint_fn) in aliases {
-        if let Some(path) = flags.get(flag) {
-            eprintln!("warning: --{flag} is deprecated; use --report {path}");
-            lint_fn(&read_report(path)?, &mut diags);
-        }
     }
     if flags.contains_key("json") {
         println!("{}", diags.render_json());
@@ -1177,19 +1046,13 @@ fn cmd_lint(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
 /// stdin reaching EOF — closing the daemon's stdin (or piping from a
 /// process that exits) drains it exactly like the admin endpoint.
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let parse_n = |key: &str, default: usize| -> Result<usize, String> {
-        flags.get(key).map_or(Ok(default), |s| {
-            s.parse::<usize>()
-                .map_err(|_| format!("--{key} needs a non-negative integer, got `{s}`"))
-        })
-    };
     let config = panorama_serve::ServeConfig {
         addr: flags
             .get("addr")
             .cloned()
             .unwrap_or_else(|| "127.0.0.1:7878".to_string()),
-        workers: parse_n("workers", 2)?,
-        queue_depth: parse_n("queue-depth", 16)?,
+        workers: parse_n(flags, "workers", 2)?,
+        queue_depth: parse_n(flags, "queue-depth", 16)?,
         deadline: match flags.get("deadline-ms") {
             None => None,
             Some(s) => {
@@ -1199,8 +1062,12 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
                 Some(std::time::Duration::from_millis(ms))
             }
         },
-        result_cache_capacity: parse_n("result-cache", 256)?,
-        mrrg_cache_capacity: parse_n("mrrg-cache", panorama_arch::DEFAULT_MRRG_CACHE_CAPACITY)?,
+        result_cache_capacity: parse_n(flags, "result-cache", 256)?,
+        mrrg_cache_capacity: parse_n(
+            flags,
+            "mrrg-cache",
+            panorama_arch::DEFAULT_MRRG_CACHE_CAPACITY,
+        )?,
         portfolio_threads: parse_threads(flags)?,
         analyze: flags.contains_key("analyze"),
         warm_cache: flags.contains_key("warm-cache"),
@@ -1249,7 +1116,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_kernels(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let scale = parse_scale(flags.get("scale"))?;
+    let scale = parse_scale(flags)?;
     println!(
         "{:<18} {:>6} {:>6} {:>7}  paper(n/e/deg)",
         "kernel", "nodes", "edges", "maxdeg"
@@ -1269,7 +1136,7 @@ fn cmd_kernels(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_info(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let cgra = load_arch(flags.get("arch"))?;
+    let cgra = load_cgra(flags.get("arch"))?;
     print!("{}", cgra.config().to_text());
     println!(
         "PEs {}  clusters {}  mem PEs {}  links {} ({} inter-cluster)",
@@ -1352,5 +1219,119 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use panorama_trace::json::parse;
+
+    /// `compile` argv through the CLI's flag parser.
+    fn from_cli(args: &[&str]) -> Result<CompileRequest, String> {
+        let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+        let flags = parse_flags("compile", &args, COMPILE_FLAGS)?;
+        compile_request(&flags["dfg"], &flags).map_err(|e| e.to_string())
+    }
+
+    /// A `/compile` body through the daemon's parser, CLI defaults applied.
+    fn from_json(body: &str) -> Result<CompileRequest, String> {
+        CompileRequest::from_json(&parse(body)?, 0, false)
+    }
+
+    /// Every field of a request, comparable (`Dfg` is not `PartialEq`).
+    fn key(r: &CompileRequest) -> impl PartialEq + std::fmt::Debug + '_ {
+        let pipeline = (r.baseline, r.max_ii, r.threads, r.analyze);
+        (
+            r.dfg.to_text(),
+            &r.arch_display,
+            &r.arch,
+            r.mapper,
+            pipeline,
+        )
+    }
+
+    #[test]
+    fn cli_flags_and_compile_json_parse_to_the_same_request() {
+        let mut rows: Vec<(Vec<&str>, String)> = vec![
+            (vec![], String::new()),
+            (vec!["--baseline"], "\"baseline\":true".into()),
+            (vec!["--max-ii", "9"], "\"max_ii\":9".into()),
+            (vec!["--threads", "4"], "\"threads\":4".into()),
+            (vec!["--analyze"], "\"analyze\":true".into()),
+            (
+                vec![
+                    "--mapper",
+                    "sat",
+                    "--arch",
+                    "4x4",
+                    "--scale",
+                    "tiny",
+                    "--baseline",
+                ],
+                "\"mapper\":\"sat\",\"arch\":\"4x4\",\"scale\":\"tiny\",\"baseline\":true".into(),
+            ),
+        ];
+        for preset in ["4x4", "8x8", "9x9", "16x16", "6x1"] {
+            rows.push((vec!["--arch", preset], format!("\"arch\":\"{preset}\"")));
+        }
+        for scale in ["tiny", "scaled", "paper"] {
+            rows.push((vec!["--scale", scale], format!("\"scale\":\"{scale}\"")));
+        }
+        for mapper in ["spr", "ultrafast", "exhaustive", "sat"] {
+            rows.push((vec!["--mapper", mapper], format!("\"mapper\":\"{mapper}\"")));
+        }
+        for (flags, fields) in rows {
+            let row = flags.join(" ");
+            let args = [&["--dfg", "fir"], flags.as_slice()].concat();
+            let sep = if fields.is_empty() { "" } else { "," };
+            let body = format!("{{\"kernel\":\"fir\"{sep}{fields}}}");
+            let cli = from_cli(&args).unwrap_or_else(|e| panic!("{row}: cli: {e}"));
+            let json = from_json(&body).unwrap_or_else(|e| panic!("{row}: json: {e}"));
+            assert_eq!(key(&cli), key(&json), "{row}");
+        }
+    }
+
+    #[test]
+    fn cli_flags_and_compile_json_reject_unknown_names_alike() {
+        // (argv, body, the owning crate's message both errors start with);
+        // the CLI goes on to say it also tried the name as a file, the
+        // daemon to point at `arch_text`.
+        let rows = [
+            (
+                vec!["--dfg", "fir", "--scale", "huge"],
+                "{\"kernel\":\"fir\",\"scale\":\"huge\"}",
+                "unknown scale `huge`",
+            ),
+            (
+                vec!["--dfg", "fir", "--mapper", "magic"],
+                "{\"kernel\":\"fir\",\"mapper\":\"magic\"}",
+                "unknown mapper `magic`",
+            ),
+            (
+                vec!["--dfg", "no-such-kernel"],
+                "{\"kernel\":\"no-such-kernel\"}",
+                "unknown kernel `no-such-kernel`",
+            ),
+            (
+                vec!["--dfg", "fir", "--arch", "3x3"],
+                "{\"kernel\":\"fir\",\"arch\":\"3x3\"}",
+                "unknown arch preset `3x3`",
+            ),
+        ];
+        for (args, body, message) in rows {
+            let cli = from_cli(&args).expect_err(message);
+            let json = from_json(body).expect_err(message);
+            assert!(cli.starts_with(message), "cli: {cli}");
+            assert!(json.starts_with(message), "json: {json}");
+        }
+        // The one name the surfaces differ on by design: only the CLI races
+        // the portfolio (never as a baseline).
+        let cli = from_cli(&["--dfg", "fir", "--mapper", "portfolio"]).unwrap();
+        assert_eq!(cli.mapper, MapperChoice::Portfolio);
+        let json = from_json("{\"kernel\":\"fir\",\"mapper\":\"portfolio\"}").unwrap_err();
+        assert_eq!(json, "unknown mapper `portfolio`");
+        let cli = from_cli(&["--dfg", "fir", "--mapper", "portfolio", "--baseline"]).unwrap_err();
+        assert!(cli.contains("--baseline races a single mapper"), "{cli}");
     }
 }

@@ -94,7 +94,7 @@ fn lint_validates_serve_metrics_files() {
     )
     .unwrap();
     let out = bin()
-        .args(["lint", "--serve-json", good.to_str().unwrap()])
+        .args(["lint", "--report", good.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(out.status.success());
@@ -108,7 +108,7 @@ fn lint_validates_serve_metrics_files() {
     )
     .unwrap();
     let out = bin()
-        .args(["lint", "--serve-json", bad.to_str().unwrap(), "--json"])
+        .args(["lint", "--report", bad.to_str().unwrap(), "--json"])
         .output()
         .unwrap();
     assert!(!out.status.success());
@@ -186,7 +186,7 @@ fn compile_analyze_flag_optimizes_before_mapping() {
 }
 
 #[test]
-fn lint_report_auto_detects_schema_and_aliases_warn() {
+fn lint_report_auto_detects_schema() {
     let dir = std::env::temp_dir().join("panorama-lint-report-test");
     std::fs::create_dir_all(&dir).unwrap();
     let metrics = dir.join("metrics.json");
@@ -205,22 +205,20 @@ fn lint_report_auto_detects_schema_and_aliases_warn() {
          \"phases\":[]}",
     )
     .unwrap();
-    // --report dispatches on the schema field; no deprecation warning.
+    // --report dispatches on the schema field.
     let out = bin()
         .args(["lint", "--report", metrics.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(out.status.success());
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(!stderr.contains("deprecated"), "{stderr}");
-    // The legacy flag still works but warns on stderr.
+    // The per-schema spellings it replaced are gone.
     let out = bin()
         .args(["lint", "--serve-json", metrics.to_str().unwrap()])
         .output()
         .unwrap();
-    assert!(out.status.success());
+    assert!(!out.status.success());
     let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("--serve-json is deprecated"), "{stderr}");
+    assert!(stderr.contains("unknown flag `--serve-json`"), "{stderr}");
     // An unknown schema is an input error, not a silent fallthrough.
     let odd = dir.join("odd.json");
     std::fs::write(&odd, "{\"schema\":\"panorama-mystery-v9\"}").unwrap();
@@ -284,10 +282,7 @@ fn trace_subcommand_profiles_and_exports_lintable_json() {
 
     let json = std::fs::read_to_string(&path).unwrap();
     assert!(json.contains("\"schema\": \"panorama-trace-v1\""));
-    let lint = bin()
-        .args(["lint", "--trace-json", &path])
-        .output()
-        .unwrap();
+    let lint = bin().args(["lint", "--report", &path]).output().unwrap();
     assert!(
         lint.status.success(),
         "{}",

@@ -8,17 +8,19 @@
 //! resulting reports to be observably identical — same II, same per-op
 //! placement and schedule, same winning partition.
 
-use panorama::{BatchExecutor, CompileReport, Panorama, PanoramaConfig};
+use panorama::{
+    BatchExecutor, CompileContext, CompileMode, CompileReport, Panorama, PanoramaConfig,
+};
 use panorama_arch::{Cgra, CgraConfig};
 use panorama_dfg::{kernels, Dfg, KernelId, KernelScale};
 use panorama_mapper::{LowerLevelMapper, SprMapper, UltraFastMapper, WarmStartCache};
 use panorama_trace::{RecordingSink, SpanCollector, TraceReport, Tracer};
-use std::time::{Duration, Instant};
 
 /// Everything observable about a compile, flattened for equality checks.
 #[derive(Debug, PartialEq, Eq)]
 struct Fingerprint {
     ii: usize,
+    content_hash: u64,
     placement: Vec<(usize, usize)>,
     partition_labels: Vec<usize>,
 }
@@ -27,6 +29,7 @@ fn fingerprint(dfg: &Dfg, report: &CompileReport) -> Fingerprint {
     let mapping = report.mapping();
     Fingerprint {
         ii: mapping.ii(),
+        content_hash: mapping.content_hash(),
         placement: dfg
             .op_ids()
             .map(|op| (mapping.pe_of(op).index(), mapping.time_of(op)))
@@ -114,8 +117,12 @@ fn batch_executor_is_thread_count_invariant_across_the_suite() {
                     threads,
                     ..PanoramaConfig::default()
                 });
+                let ctx = CompileContext {
+                    executor: Some(exec),
+                    ..CompileContext::default()
+                };
                 let report = panorama
-                    .compile_batch_traced(exec, &dfgs[j], &cgra, &mapper, &Tracer::disabled(), None)
+                    .compile_with(&dfgs[j], &cgra, &[&mapper], CompileMode::Guided, &ctx)
                     .unwrap_or_else(|e| panic!("batch compile failed at {threads} threads: {e}"));
                 fingerprint(&dfgs[j], &report)
             })
@@ -166,12 +173,16 @@ fn traced_compile_at<M: LowerLevelMapper>(
         threads,
         ..PanoramaConfig::default()
     });
+    let ctx = CompileContext {
+        tracer: Some(&tracer),
+        ..CompileContext::default()
+    };
     let report = panorama
-        .compile_traced(dfg, cgra, mapper, &tracer)
+        .compile_with(dfg, cgra, &[mapper], CompileMode::Guided, &ctx)
         .unwrap_or_else(|e| panic!("traced compile failed at {threads} threads: {e}"));
     let trace = TraceReport {
         kernel: dfg.name().to_string(),
-        arch: "4x4".to_string(),
+        arch: format!("{}x{}", cgra.config().rows, cgra.config().cols),
         mapper: mapper.name().to_string(),
         threads,
         wall_ns: report.total_time().as_nanos() as u64,
@@ -213,41 +224,43 @@ fn tracing_is_thread_count_invariant_and_schema_valid() {
 }
 
 #[test]
+fn unbatched_compile_of_a_non_small_kernel_is_thread_count_invariant() {
+    // Past the small-DFG cutoff a compile that is handed no executor opens
+    // its own pool; II, mapping hash, plan and the stable-event digest must
+    // not depend on how many workers that pool has.
+    let cgra = Cgra::new(CgraConfig::scaled_8x8()).unwrap();
+    let mapper = UltraFastMapper::default();
+    let dfg = kernels::generate(KernelId::Fir, KernelScale::Scaled);
+    assert!(dfg.num_ops() > 48, "fir/scaled must take the pooled path");
+    let (base_fp, base_trace) = traced_compile_at(&dfg, &cgra, &mapper, 1);
+    let (fp, trace) = traced_compile_at(&dfg, &cgra, &mapper, 4);
+    assert_eq!(base_fp, fp, "mapping diverged at 4 threads");
+    assert_eq!(
+        base_trace.deterministic_signature(),
+        trace.deterministic_signature(),
+        "stable trace digest diverged at 4 threads"
+    );
+}
+
+#[test]
 fn disabled_collector_adds_no_measurable_overhead() {
     // The disabled-path contract: start/record on a disabled collector are
-    // single-branch no-ops that never read the clock, so a hot loop with
-    // them interleaved must not be measurably slower than the bare loop.
-    // The threshold is deliberately generous to stay robust on noisy CI.
+    // single-branch no-ops — `start` is the constant zero start (it never
+    // reads the clock) and `record` buffers and drops nothing. What those
+    // branches cost is the benchmark's `trace.overhead_share`, not a
+    // wall-clock assertion here.
     const ITERS: u64 = 2_000_000;
-    let lcg = |acc: u64, i: u64| {
-        acc.wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(i | 1)
-    };
-
-    let mut acc = 0u64;
-    let t = Instant::now();
-    for i in 0..ITERS {
-        acc = lcg(acc, i);
-    }
-    let bare = t.elapsed();
-    std::hint::black_box(acc);
-
     let mut col = SpanCollector::disabled();
-    let mut acc = 0u64;
-    let t = Instant::now();
-    for i in 0..ITERS {
+    for _ in 0..ITERS {
         let span = col.start();
-        acc = lcg(acc, i);
+        assert_eq!(format!("{span:?}"), "SpanStart(0)");
         col.record("hot", span, &[("i", 0)]);
     }
-    let traced = t.elapsed();
-    std::hint::black_box(acc);
-    assert_eq!(col.dropped(), 0, "disabled collector must not buffer");
-
-    let ceiling = bare * 3 + Duration::from_millis(50);
+    assert!(!col.is_enabled());
+    assert_eq!(col.dropped(), 0, "disabled collector must not drop");
     assert!(
-        traced <= ceiling,
-        "disabled tracing cost too much: bare {bare:?}, traced {traced:?}"
+        col.into_events().is_empty(),
+        "disabled collector must not buffer"
     );
 }
 

@@ -2,7 +2,7 @@
 //! offline CLI under concurrency, bounded-queue shedding, cooperative
 //! deadline cancellation, graceful drain, and metrics validity.
 
-use panorama::{CancelToken, Panorama, PanoramaConfig, PanoramaError};
+use panorama::{CancelToken, CompileContext, CompileMode, Panorama, PanoramaConfig, PanoramaError};
 use panorama_dfg::{kernels, KernelId, KernelScale};
 use panorama_lint::{lint_serve_json, Diagnostics};
 use panorama_mapper::{LowerLevelMapper, SearchControl, SprMapper};
@@ -270,14 +270,13 @@ fn cancel_token_stops_the_pipeline_early() {
     let mapper = SprMapper::default();
 
     let full_sink = RecordingSink::shared();
+    let full_tracer = Tracer::new(full_sink.clone());
+    let ctx = CompileContext {
+        tracer: Some(&full_tracer),
+        ..CompileContext::default()
+    };
     let report = compiler
-        .compile_baseline_traced_with_cancel(
-            &dfg,
-            &cgra,
-            &mapper,
-            &Tracer::new(full_sink.clone()),
-            None,
-        )
+        .compile_with(&dfg, &cgra, &[&mapper], CompileMode::Baseline, &ctx)
         .expect("uncancelled baseline compile succeeds");
     report.mapping().verify(&dfg, &cgra).expect("valid mapping");
     let full_events = full_sink.take();
@@ -285,14 +284,14 @@ fn cancel_token_stops_the_pipeline_early() {
     let token = CancelToken::new();
     token.cancel(); // fired before the pipeline starts
     let cancelled_sink = RecordingSink::shared();
+    let cancelled_tracer = Tracer::new(cancelled_sink.clone());
+    let ctx = CompileContext {
+        tracer: Some(&cancelled_tracer),
+        cancel: Some(&token),
+        executor: None,
+    };
     let err = compiler
-        .compile_baseline_traced_with_cancel(
-            &dfg,
-            &cgra,
-            &mapper,
-            &Tracer::new(cancelled_sink.clone()),
-            Some(&token),
-        )
+        .compile_with(&dfg, &cgra, &[&mapper], CompileMode::Baseline, &ctx)
         .expect_err("fired token must cancel");
     assert!(matches!(err, PanoramaError::Cancelled), "{err}");
     let cancelled_events = cancelled_sink.take();
