@@ -15,6 +15,10 @@
 //! Table/figure index (see DESIGN.md §4): [`table1a`], [`table1b`],
 //! [`fig5`], [`fig7`], [`fig8`], [`fig9`], plus the [`ablations`] module
 //! for the design-choice studies called out in DESIGN.md §6.
+//!
+//! [`perf`] is the one non-figure module: the suite determinism check
+//! behind `panorama bench`. It measures nothing — time and II numbers come
+//! from `benchmark/run.sh`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,12 +27,10 @@ pub mod ablations;
 mod experiments;
 mod format;
 pub mod perf;
-pub mod serveload;
 
 pub use experiments::{fig5, fig7, fig8, fig9, table1a, table1b};
 pub use format::Table;
-pub use perf::{calibration_scale, BenchOptions, BenchReport, KernelResult};
-pub use serveload::{run_serve_load, PhaseReport, ServeLoadOptions, ServeLoadReport};
+pub use perf::{BenchOptions, BenchReport, KernelResult};
 
 use panorama_arch::CgraConfig;
 use panorama_dfg::KernelScale;

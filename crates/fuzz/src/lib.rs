@@ -47,7 +47,7 @@ pub struct FuzzOptions {
     pub seed: u64,
     /// Number of cases to sample.
     pub cases: usize,
-    /// Per-case op-count ceiling.
+    /// Per-case op-count cap.
     pub max_nodes: usize,
     /// Predicate-evaluation budget for minimizing each failure.
     pub shrink_evals: usize,

@@ -125,9 +125,9 @@ impl CaseResult {
 pub struct OracleConfig {
     /// Pipelined iterations the simulator replays per mapping.
     pub sim_iterations: usize,
-    /// Op-count ceiling for the exact II-optimality cross-check.
+    /// Op-count cap for the exact II-optimality cross-check.
     pub exact_max_ops: usize,
-    /// PE-count ceiling for the exact cross-check (exhaustive placement
+    /// PE-count cap for the exact cross-check (exhaustive placement
     /// over large arrays is the wall the paper documents).
     pub exact_max_pes: usize,
     /// Fires to abandon the remaining work (wall-clock cap).

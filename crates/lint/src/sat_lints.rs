@@ -4,7 +4,7 @@
 //! | code | severity | finding |
 //! |------|----------|---------|
 //! | `SAT001` | error | malformed report, or an attempt's CNF exceeded the variable/clause budget |
-//! | `SAT002` | warn | the solver timed out at the II ceiling without an answer |
+//! | `SAT002` | warn | the solver timed out at the II cap without an answer |
 //! | `SAT003` | error | a decoded assignment failed `Mapping::verify` (decode/verify mismatch) |
 //!
 //! The SAT mapper proves infeasibility (`unsat`) or produces a verified
@@ -130,7 +130,7 @@ fn check_shape(doc: &Json, out: &mut Diagnostics) -> bool {
     ok
 }
 
-/// The invariant checks proper: budget overruns (`SAT001`), a ceiling
+/// The invariant checks proper: budget overruns (`SAT001`), a cap
 /// timeout (`SAT002`) and decode/verify mismatches (`SAT003`).
 fn check_attempts(doc: &Json, out: &mut Diagnostics) {
     let max_vars = num(doc, "max_vars").unwrap_or(u64::MAX);
@@ -142,7 +142,7 @@ fn check_attempts(doc: &Json, out: &mut Diagnostics) {
         .and_then(Json::as_arr)
         .map(<[_]>::to_vec)
         .unwrap_or_default();
-    let mut ceiling_timeout = None;
+    let mut cap_timeout = None;
     for (i, row) in rows.iter().enumerate() {
         let ii = num(row, "ii").unwrap_or(0);
         let result = row.get("result").and_then(Json::as_str).unwrap_or("?");
@@ -161,7 +161,7 @@ fn check_attempts(doc: &Json, out: &mut Diagnostics) {
             ));
         }
         if result == "timeout" && ii >= max_ii {
-            ceiling_timeout = Some((i, ii));
+            cap_timeout = Some((i, ii));
         }
         let mismatches = num(row, "decode_mismatches").unwrap_or(0);
         if mismatches > 0 {
@@ -175,16 +175,16 @@ fn check_attempts(doc: &Json, out: &mut Diagnostics) {
             ));
         }
     }
-    // A timeout at the ceiling only matters when nothing mapped: the
+    // A timeout at the cap only matters when nothing mapped: the
     // search ended on exhausted conflict budgets, not an infeasibility
     // proof or a solution.
-    if let (Some((i, ii)), 0) = (ceiling_timeout, mapped_ii) {
+    if let (Some((i, ii)), 0) = (cap_timeout, mapped_ii) {
         out.push(Diagnostic::new(
             "SAT002",
             Severity::Warn,
             Entity::Event(i),
             format!(
-                "solver timed out at the II ceiling ({ii}): the search ran out of conflict \
+                "solver timed out at the II cap ({ii}): the search ran out of conflict \
                  budget without proving infeasibility or finding a mapping"
             ),
         ));
@@ -266,10 +266,10 @@ mod tests {
     }
 
     #[test]
-    fn ceiling_timeout_hits_sat002_only_when_nothing_mapped() {
+    fn cap_timeout_hits_sat002_only_when_nothing_mapped() {
         let codes = run(&report(0, &attempt(12, "timeout", 0, 10)));
         assert_eq!(codes, ["SAT002"]);
-        // A timeout below the ceiling, or one followed by a success at a
+        // A timeout below the cap, or one followed by a success at a
         // later window, is business as usual.
         assert!(run(&report(0, &attempt(5, "timeout", 0, 10))).is_empty());
         let mapped_anyway = report(

@@ -25,9 +25,9 @@ use std::time::Instant;
 pub struct ExactConfig {
     /// Refuse DFGs larger than this (exhaustive placement explodes).
     pub max_ops: usize,
-    /// II ceiling as `mii * factor + offset`.
+    /// II cap as `mii * factor + offset`.
     pub max_ii_factor: usize,
-    /// Absolute offset on the II ceiling.
+    /// Absolute offset on the II cap.
     pub max_ii_offset: usize,
     /// Backtracking-node budget per schedule tried.
     pub search_budget: usize,

@@ -34,9 +34,9 @@ use std::time::Instant;
 pub struct SatMapperConfig {
     /// Refuse DFGs larger than this (CNF size grows superlinearly).
     pub max_ops: usize,
-    /// II ceiling as `mii * factor + offset`.
+    /// II cap as `mii * factor + offset`.
     pub max_ii_factor: usize,
-    /// Absolute offset on the II ceiling.
+    /// Absolute offset on the II cap.
     pub max_ii_offset: usize,
     /// Schedule-window widths to try per II, in units of II (ascending;
     /// a wider window re-encodes only after the narrow one is refuted).
@@ -388,7 +388,7 @@ impl LowerLevelMapper for SatMapper {
                     return Err(MapError::cancelled(ii, self.name()));
                 }
                 // budget and timeout both leave this II undecided; the
-                // search moves on (an exhausted ceiling reports SAT002)
+                // search moves on (an exhausted cap reports SAT002)
                 Outcome::Unsat | Outcome::Budget | Outcome::Timeout => {}
             }
         }

@@ -72,9 +72,9 @@ impl Error for MapError {}
 /// SPR\* tunables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SprConfig {
-    /// II search ceiling as `mii * factor + offset`.
+    /// II search cap as `mii * factor + offset`.
     pub max_ii_factor: usize,
-    /// Absolute II ceiling added to `mii * max_ii_factor`.
+    /// Absolute II cap added to `mii * max_ii_factor`.
     pub max_ii_offset: usize,
     /// PathFinder settings per routing invocation.
     pub router: RouterConfig,
@@ -649,7 +649,7 @@ mod tests {
             max_ii_offset: 1, // II can only be mii*0+1 = 1... below need
             ..SprConfig::default()
         });
-        // 40 loads on 4 mem PEs need II ≥ 10; ceiling is 1 → error
+        // 40 loads on 4 mem PEs need II ≥ 10; cap is 1 → error
         let err = mapper.map(&dfg, &cgra(), None).unwrap_err();
         assert_eq!(err.mapper, "SPR*");
     }

@@ -21,9 +21,9 @@ use std::time::Instant;
 /// Ultra-Fast tunables.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UltraFastConfig {
-    /// II ceiling as a multiple of MII plus an offset.
+    /// II cap as a multiple of MII plus an offset.
     pub max_ii_factor: usize,
-    /// Absolute offset on the II ceiling.
+    /// Absolute offset on the II cap.
     pub max_ii_offset: usize,
 }
 

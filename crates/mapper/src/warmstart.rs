@@ -214,7 +214,7 @@ impl WarmStartCache {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Edit-distance ceiling for a DFG of `num_ops` operations: small
+    /// Edit-distance cap for a DFG of `num_ops` operations: small
     /// graphs tolerate a handful of edits, large ones up to 10%.
     pub fn threshold(num_ops: usize) -> usize {
         4.max(num_ops / 10)

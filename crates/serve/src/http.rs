@@ -56,22 +56,23 @@ fn parse_content_length(value: &str) -> Result<usize, String> {
 pub fn read_request<S: Read>(stream: S) -> Result<Request, String> {
     let mut reader = BufReader::new(stream);
     let mut head = String::new();
-    let mut line = String::new();
+    // `read_line` buffers a whole line before anyone can measure it, so the
+    // cap bounds the reader itself: one byte past the cap is enough to know
+    // the head is too long, however slowly the peer trickles it in.
+    let mut capped = (&mut reader).take(MAX_HEAD_BYTES as u64 + 1);
     loop {
-        line.clear();
-        let n = reader
-            .read_line(&mut line)
-            .map_err(|e| format!("read failed: {e}"))?;
-        if n == 0 {
-            return Err("connection closed mid-request".to_string());
-        }
-        if head.len() + line.len() > MAX_HEAD_BYTES {
+        let line_start = head.len();
+        let read = capped.read_line(&mut head);
+        if capped.limit() == 0 {
             return Err("request head exceeds 16 KiB".to_string());
         }
-        if line == "\r\n" || line == "\n" {
+        if read.map_err(|e| format!("read failed: {e}"))? == 0 {
+            return Err("connection closed mid-request".to_string());
+        }
+        if matches!(&head[line_start..], "\r\n" | "\n") {
+            head.truncate(line_start);
             break;
         }
-        head.push_str(&line);
     }
     let mut lines = head.lines();
     let request_line = lines.next().ok_or("empty request")?;
@@ -184,6 +185,38 @@ mod tests {
         let raw = "POST /compile HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n";
         let err = read_request(raw.as_bytes()).unwrap_err();
         assert!(err.contains("4 MiB"), "{err}");
+    }
+
+    #[test]
+    fn refuses_an_endless_request_line_at_the_head_cap() {
+        /// An endless stream of `a`s that counts what is pulled from it.
+        struct Endless<'a>(&'a mut usize);
+        impl Read for Endless<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                buf.fill(b'a');
+                *self.0 += buf.len();
+                Ok(buf.len())
+            }
+        }
+        let mut consumed = 0;
+        let err = read_request(Endless(&mut consumed).take(1 << 20)).unwrap_err();
+        assert_eq!(err, "request head exceeds 16 KiB");
+        let one_buffer = BufReader::new(std::io::empty()).capacity();
+        assert!(
+            consumed <= MAX_HEAD_BYTES + one_buffer,
+            "read {consumed} bytes of a newline-free head"
+        );
+        // a head of exactly the cap still parses; one more byte does not
+        let fits = |head_bytes: usize| {
+            let line = "GET / HTTP/1.1\r\n";
+            let pad = "a".repeat(head_bytes - line.len() - "X: \r\n\r\n".len());
+            read_request(format!("{line}X: {pad}\r\n\r\n").as_bytes())
+        };
+        assert!(fits(MAX_HEAD_BYTES).is_ok());
+        assert_eq!(
+            fits(MAX_HEAD_BYTES + 1).unwrap_err(),
+            "request head exceeds 16 KiB"
+        );
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Minimal JSON reader/writer shared by the trace and bench tooling.
+//! Minimal JSON reader/writer shared by every report and request schema.
 //!
-//! The workspace is dependency-free, so trace export, bench baselines and
-//! the lint-side schema checker all rely on this small recursive-descent
-//! parser. It supports exactly the JSON subset the tools emit: objects,
-//! arrays, strings (with `\"`/`\\`/`\/`/`\n`/`\t`/`\r` escapes), numbers,
-//! booleans and `null`.
+//! The workspace is dependency-free, so trace export, the daemon's request
+//! bodies and the lint-side schema checker all rely on this small
+//! recursive-descent parser. It supports exactly the JSON subset the tools emit: objects,
+//! arrays (nested at most 64 deep), UTF-8 strings (with `\"`/`\\`/`\/`/`\n`/
+//! `\t`/`\r`/`\uXXXX` escapes), finite numbers, booleans and `null`.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,13 +73,17 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Reports and requests
+/// nest five levels at most; the bound keeps a hostile body of `[[[[…`
+/// from overflowing the stack of the thread that parses it.
+const MAX_DEPTH: usize = 64;
+
 /// Parses a complete JSON document.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("trailing data at byte {pos}"));
     }
     Ok(value)
@@ -100,12 +104,17 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// `depth` counts the containers already open around this value.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'"') => parse_str(bytes, pos).map(Json::Str),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
+        Some(b'{') => parse_obj(text, pos, depth + 1),
+        Some(b'[') => parse_arr(text, pos, depth + 1),
+        Some(b'"') => parse_str(text, pos).map(Json::Str),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -123,7 +132,8 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Js
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -133,10 +143,10 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_str(bytes, pos)?;
+        let key = parse_str(text, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(text, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -150,7 +160,8 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -159,7 +170,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(text, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -172,30 +183,69 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_str(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
-    while let Some(&b) = bytes.get(*pos) {
-        *pos += 1;
-        match b {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = bytes.get(*pos).copied().ok_or("unterminated escape")?;
+    loop {
+        // Copy the run up to the next quote or backslash in one piece: both
+        // are ASCII, so the run starts and ends on UTF-8 char boundaries.
+        let run = *pos;
+        while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+            *pos += 1;
+        }
+        out.push_str(&text[run..*pos]);
+        match bytes.get(*pos) {
+            None => return Err("unterminated string".into()),
+            Some(b'"') => {
                 *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    other => return Err(format!("unsupported escape '\\{}'", other as char)),
-                }
+                return Ok(out);
             }
-            _ => out.push(b as char),
+            Some(_) => {
+                let esc = bytes.get(*pos + 1).copied().ok_or("unterminated escape")?;
+                *pos += 2;
+                out.push(match esc {
+                    b'"' => '"',
+                    b'\\' => '\\',
+                    b'/' => '/',
+                    b'n' => '\n',
+                    b't' => '\t',
+                    b'r' => '\r',
+                    b'u' => parse_unicode_escape(bytes, pos)?,
+                    other => return Err(format!("unsupported escape '\\{}'", other as char)),
+                });
+            }
         }
     }
-    Err("unterminated string".into())
+}
+
+/// The character of a `\uXXXX` escape whose `\u` is already consumed. A
+/// high surrogate must be followed by a `\uXXXX` low surrogate (together
+/// one code point past the BMP); a surrogate on its own is an error.
+fn parse_unicode_escape(bytes: &[u8], pos: &mut usize) -> Result<char, String> {
+    let start = *pos;
+    let mut code = parse_hex4(bytes, pos)?;
+    if (0xD800..0xDC00).contains(&code) && bytes.get(*pos..*pos + 2) == Some(b"\\u") {
+        *pos += 2;
+        let low = parse_hex4(bytes, pos)?;
+        if (0xDC00..0xE000).contains(&low) {
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+        }
+    }
+    char::from_u32(code).ok_or_else(|| format!("lone surrogate in \\u escape at byte {start}"))
+}
+
+fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
+    let digits = bytes
+        .get(*pos..*pos + 4)
+        .ok_or_else(|| format!("truncated \\u escape at byte {pos}"))?;
+    let mut code = 0;
+    for &d in digits {
+        let d = char::from(d).to_digit(16);
+        code = code * 16 + d.ok_or_else(|| format!("invalid \\u escape at byte {pos}"))?;
+    }
+    *pos += 4;
+    Ok(code)
 }
 
 fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
@@ -209,6 +259,7 @@ fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     std::str::from_utf8(&bytes[start..*pos])
         .ok()
         .and_then(|s| s.parse::<f64>().ok())
+        .filter(|n| n.is_finite())
         .map(Json::Num)
         .ok_or_else(|| format!("invalid number at byte {start}"))
 }
@@ -270,9 +321,61 @@ mod tests {
     }
 
     #[test]
-    fn escape_round_trip() {
-        let s = "a\"b\\c\nd";
-        let parsed = parse(&format!("\"{}\"", escape(s))).unwrap();
-        assert_eq!(parsed.as_str(), Some(s));
+    fn reads_back_what_the_writer_emits() {
+        // non-ASCII, a control character (`escape` writes it as `\u0001`),
+        // and every short escape
+        for s in ["a\"b\\c\nd", "é→\u{1}\"\\\n", "\t\r/𝄞"] {
+            assert_eq!(parse(&string(s)).unwrap().as_str(), Some(s), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn strings_decode_as_utf8_not_latin1() {
+        let v = parse(r#"{"é": "naïve → 𝄞"}"#).unwrap();
+        assert_eq!(v.get("é").and_then(Json::as_str), Some("naïve → 𝄞"));
+    }
+
+    #[test]
+    fn unicode_escapes_decode_and_lone_surrogates_are_errors() {
+        let ok = [
+            (r#""\u00e9""#, "é"),
+            (r#""\u2192x""#, "→x"),
+            (r#""\uD834\uDD1E""#, "𝄞"),
+        ];
+        for (doc, want) in ok {
+            assert_eq!(parse(doc).unwrap().as_str(), Some(want), "{doc}");
+        }
+        for doc in [
+            r#""\uD834""#,
+            r#""\uD834x""#,
+            r#""\uD834\u0041""#,
+            r#""\uDD1E""#,
+            r#""\u12""#,
+            r#""\u12g4""#,
+        ] {
+            assert!(parse(doc).is_err(), "{doc}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_without_recursing_further() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        // the hostile shape: far deeper than any stack, never closed
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        let err = parse(&"{\"a\":".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        assert_eq!(parse("1e308").unwrap().as_f64(), Some(1e308));
+        for doc in ["1e999", "-1e999", "[1e999]"] {
+            let err = parse(doc).unwrap_err();
+            assert!(err.contains("invalid number"), "{doc}: {err}");
+        }
     }
 }

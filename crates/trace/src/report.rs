@@ -5,11 +5,11 @@ use crate::json::escape;
 use crate::{TraceEvent, NO_CANDIDATE};
 use std::fmt::Write as _;
 
-/// A complete trace of one compile (or bench suite): run metadata plus the
+/// A complete trace of one compile: run metadata plus the
 /// deterministically merged event stream.
 #[derive(Debug, Clone)]
 pub struct TraceReport {
-    /// Kernel (or suite) the trace describes.
+    /// Kernel the trace describes.
     pub kernel: String,
     /// Architecture preset compiled for.
     pub arch: String,
@@ -143,8 +143,8 @@ fn write_event(out: &mut String, event: &TraceEvent) {
 }
 
 /// Aggregates events per phase: `(phase, event count, total nanoseconds)`,
-/// sorted by phase name. Shared by the profile table and the bench
-/// harness's per-kernel trace summaries.
+/// sorted by phase name. Shared by the profile table and the daemon's
+/// `/metrics` phase rows.
 pub fn phase_totals(events: &[TraceEvent]) -> Vec<(&'static str, u64, u64)> {
     let mut rows: Vec<(&'static str, u64, u64)> = Vec::new();
     for event in events {

@@ -347,6 +347,19 @@ fn bad_usage_fails_with_message() {
     assert!(!out.status.success());
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("unknown mapper"));
+
+    // `bench` is the suite determinism check and nothing else: the timing
+    // gate and the serve load bench are gone, not hidden.
+    for removed in [&["--check", "x"][..], &["--serve"]] {
+        let out = bin().arg("bench").args(removed).output().unwrap();
+        assert!(!out.status.success(), "bench {removed:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains(&format!("unknown flag `{}` for `bench`", removed[0]))
+                && stderr.contains("(accepted: --mapper, --threads, --analyze, --stable-out)"),
+            "bench {removed:?}: {stderr}"
+        );
+    }
 }
 
 #[test]

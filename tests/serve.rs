@@ -442,6 +442,17 @@ fn bad_requests_get_structured_errors() {
     assert!(body.contains("unknown kernel"), "{body}");
     let (status, _, _) = http(daemon.addr, "POST", "/compile", "not json");
     assert_eq!(status, 400);
+    // A body nested far deeper than any thread's stack is one more bad
+    // request on every endpoint that parses JSON, and the daemon is still
+    // there to say so afterwards.
+    let deep = "[".repeat(100_000);
+    for path in ["/compile", "/compile-batch", "/lint"] {
+        let (status, _, body) = http(daemon.addr, "POST", path, &deep);
+        assert_eq!(status, 400, "{path}: {body}");
+        assert!(body.contains("nesting deeper than 64"), "{path}: {body}");
+        let (status, _, _) = http(daemon.addr, "GET", "/healthz", "");
+        assert_eq!(status, 200, "daemon gone after a deep body to {path}");
+    }
     let (status, _, _) = http(daemon.addr, "GET", "/nope", "");
     assert_eq!(status, 404);
     let (status, _, _) = http(daemon.addr, "GET", "/compile", "");
@@ -467,47 +478,75 @@ fn cache_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Tentpole: a daemon restart over the same `--cache-dir` serves warm
-/// responses byte-identically from disk — the in-memory tiers start
-/// empty, so the replay can only have come from the persistent cache.
+/// A daemon restart over the same `--cache-dir` serves warm responses
+/// byte-identically from disk — the in-memory tiers start empty, so the
+/// replay can only have come from the persistent cache — whatever the
+/// worker counts on either side and however concurrent the clients. Every
+/// request is answered (`received == completed`, none shed, cancelled,
+/// failed or quota-rejected) and every warm one from a cache tier.
 #[test]
 fn disk_cache_survives_restart_byte_identically() {
     let dir = cache_dir("restart");
-    let config = || ServeConfig {
-        workers: 2,
-        queue_depth: 8,
+    let config = |workers| ServeConfig {
+        workers,
+        queue_depth: 16,
         cache_dir: Some(dir.clone()),
         ..ServeConfig::default()
     };
-    let kernels = ["fir", "cordic"];
-    let daemon = start(config());
-    let cold: Vec<String> = kernels
+    let compile = |addr, kernel: KernelId| {
+        let (status, _, body) = http(addr, "POST", "/compile", &compile_body(kernel.name(), ""));
+        assert_eq!(status, 200, "{kernel}: {body}");
+        body
+    };
+    let all_answered = |m: &Json| {
+        assert_eq!(metric(m, "requests", "received"), 12);
+        assert_eq!(metric(m, "requests", "completed"), 12);
+        for lost in ["shed", "cancelled", "failed", "quota_rejected"] {
+            assert_eq!(metric(m, "requests", lost), 0, "{lost}");
+        }
+    };
+
+    let daemon = start(config(1));
+    let cold: Vec<String> = KernelId::ALL
         .iter()
-        .map(|k| {
-            let (status, _, body) = http(daemon.addr, "POST", "/compile", &compile_body(k, ""));
-            assert_eq!(status, 200, "{body}");
-            body
-        })
+        .map(|&k| compile(daemon.addr, k))
         .collect();
     let m = metrics(daemon.addr);
-    assert_eq!(metric(&m, "disk_cache", "entries"), 2);
+    all_answered(&m);
+    assert_eq!(metric(&m, "disk_cache", "entries"), 12);
     assert_eq!(metric(&m, "disk_cache", "hits"), 0);
+    assert_eq!(metric(&m, "result_cache", "hits"), 0);
     daemon.drain_and_join();
 
-    // A fresh daemon: process state is gone, the disk corpus is not.
-    let daemon = start(config());
-    for (k, want) in kernels.iter().zip(&cold) {
-        let (status, _, body) = http(daemon.addr, "POST", "/compile", &compile_body(k, ""));
-        assert_eq!(status, 200, "{body}");
-        assert_eq!(&body, want, "{k}: restart replay must be byte-identical");
-    }
+    // A fresh daemon with four workers: process state is gone, the disk
+    // corpus is not. Four concurrent clients split the suite.
+    let daemon = start(config(4));
+    let addr = daemon.addr;
+    std::thread::scope(|scope| {
+        for client in 0..4 {
+            let cold = &cold;
+            scope.spawn(move || {
+                for (i, &k) in KernelId::ALL.iter().enumerate().skip(client).step_by(4) {
+                    assert_eq!(
+                        compile(addr, k),
+                        cold[i],
+                        "{k}: restart replay must be byte-identical"
+                    );
+                }
+            });
+        }
+    });
     let m = metrics(daemon.addr);
+    all_answered(&m);
     assert_eq!(
         metric(&m, "disk_cache", "hits"),
-        2,
+        12,
         "warm replays must be answered from disk, not recompiled"
     );
-    assert_eq!(metric(&m, "result_cache", "hits"), 2);
+    // `result_cache.hits` counts requests answered from either tier: a
+    // 100 % warm hit rate.
+    assert_eq!(metric(&m, "result_cache", "hits"), 12);
+    assert_eq!(metric(&m, "result_cache", "misses"), 0);
     daemon.drain_and_join();
     let _ = std::fs::remove_dir_all(&dir);
 }
