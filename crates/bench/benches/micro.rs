@@ -23,6 +23,15 @@ fn bench_eigen(c: &mut Criterion) {
     c.bench_function("jacobi_eigen_96", |b| {
         b.iter(|| SymmetricEigen::new(std::hint::black_box(&l)).unwrap());
     });
+
+    // paper scale: the idctrows Laplacian (n = 430) the 16×16 divide phase
+    // decomposes
+    let dfg = kernels::generate(KernelId::IdctRows, KernelScale::Paper);
+    let adj = panorama_graph::AdjacencyMatrix::symmetric(dfg.graph());
+    let l = DMatrix::from_row_major(adj.len(), adj.len(), adj.laplacian());
+    c.bench_function("jacobi_eigen_idctrows_paper_430", |b| {
+        b.iter(|| SymmetricEigen::new(std::hint::black_box(&l)).unwrap());
+    });
 }
 
 fn bench_ilp(c: &mut Criterion) {
@@ -81,6 +90,18 @@ fn bench_scatter(c: &mut Criterion) {
         b.iter(|| {
             let cdg = Cdg::new(std::hint::black_box(&dfg), &best);
             map_clusters(&cdg, 2, 2, &ScatterConfig::default()).unwrap()
+        });
+    });
+
+    // the 16×16 cluster grid at paper scale: cordic's best-balanced
+    // partition (k = 20) costs ~42 k branch & bound nodes
+    let dfg = kernels::generate(KernelId::Cordic, KernelScale::Paper);
+    let parts = explore_partitions(&dfg, 4, 32, &SpectralConfig::default()).unwrap();
+    let best = top_balanced(&parts, 1)[0].1.clone();
+    c.bench_function("cluster_mapping_cordic_paper_4x4", |b| {
+        b.iter(|| {
+            let cdg = Cdg::new(std::hint::black_box(&dfg), &best);
+            map_clusters(&cdg, 4, 4, &ScatterConfig::default()).unwrap()
         });
     });
 }

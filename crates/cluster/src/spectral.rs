@@ -383,6 +383,28 @@ mod tests {
         assert!(best.intra_edges(&dfg) > best.inter_edges(&dfg));
     }
 
+    /// Pins the labels of every partition the 8×8 pipeline explores
+    /// (`r = 2 ..= m = min(8, ops / 8)`, the range `Panorama::plan` uses on
+    /// a 2×2 cluster grid) for all twelve Scaled kernels. The labels depend
+    /// on the eigensolver's basis inside degenerate eigenspaces and on every
+    /// k-means tie-break, so any change of rounding or operation order in
+    /// either moves this hash — and with it II downstream.
+    #[test]
+    fn explored_partition_labels_are_pinned_for_the_scaled_suite() {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for id in KernelId::ALL {
+            let dfg = kernels::generate(id, KernelScale::Scaled);
+            let m = 8.min(dfg.num_ops() / 8);
+            let parts = explore_partitions(&dfg, 2, m, &SpectralConfig::default()).unwrap();
+            for label in parts.iter().flat_map(Partition::labels) {
+                for b in (*label as u64).to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(h, 0xc042_2ebe_ecad_34c3, "label hash {h:#018x}");
+    }
+
     #[test]
     fn compact_labels_drops_gaps() {
         let p = compact_labels(&[2, 2, 0, 0], 3);

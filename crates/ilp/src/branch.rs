@@ -1,6 +1,6 @@
 //! Branch & bound over LP relaxations.
 
-use crate::model::{Cmp, Model, Sense};
+use crate::model::{Model, Sense};
 use crate::simplex::{solve_lp_counted, LpOutcome, LpRow};
 use crate::VarId;
 use std::error::Error;
@@ -150,6 +150,26 @@ impl Model {
             upper: root_upper,
         };
 
+        // The dense constraint rows are built once; a node only moves their
+        // right-hand sides (variables are shifted to lower bound 0) and the
+        // upper-bound rows `x_j ≤ upper_j − lower_j`.
+        let mut rows: Vec<LpRow> = self
+            .constraints
+            .iter()
+            .map(|c| {
+                let mut coeffs = vec![0.0; n];
+                for &(v, a) in &c.coeffs {
+                    coeffs[v.index()] += a;
+                }
+                LpRow {
+                    coeffs,
+                    cmp: c.cmp,
+                    rhs: c.rhs,
+                }
+            })
+            .collect();
+        let mut spans = vec![0.0; n];
+
         let mut stack = vec![root];
         let mut incumbent: Option<(Vec<f64>, f64)> = None;
         let mut nodes = 0usize;
@@ -177,8 +197,18 @@ impl Model {
                 continue;
             }
 
-            let (rows, shifted_cost, shift_const) = self.build_lp(&node, &cost);
-            match solve_lp_counted(n, &rows, &shifted_cost, &mut stats.pivots) {
+            for (row, c) in rows.iter_mut().zip(&self.constraints) {
+                let mut shift = 0.0;
+                for (a, lo) in row.coeffs.iter().zip(&node.lower) {
+                    shift += a * lo;
+                }
+                row.rhs = c.rhs - shift;
+            }
+            for (span, (up, lo)) in spans.iter_mut().zip(node.upper.iter().zip(&node.lower)) {
+                *span = (up - lo).max(0.0);
+            }
+            let shift_const: f64 = cost.iter().zip(&node.lower).map(|(c, l)| c * l).sum();
+            match solve_lp_counted(n, &rows, &spans, &cost, &mut stats.pivots) {
                 LpOutcome::Infeasible => continue,
                 LpOutcome::Unbounded => {
                     if nodes == 1 {
@@ -279,40 +309,5 @@ impl Model {
             Sense::Minimize => internal + obj_const,
             Sense::Maximize => -internal + obj_const,
         }
-    }
-
-    /// Builds the LP rows for one node: constraints shifted so every
-    /// variable has lower bound 0, plus explicit upper-bound rows.
-    /// Returns (rows, cost over shifted vars, objective shift constant).
-    fn build_lp(&self, node: &BnbNode, cost: &[f64]) -> (Vec<LpRow>, Vec<f64>, f64) {
-        let n = self.num_vars();
-        let mut rows = Vec::with_capacity(self.constraints.len() + n);
-        for c in &self.constraints {
-            let mut coeffs = vec![0.0; n];
-            let mut shift = 0.0;
-            for &(v, a) in &c.coeffs {
-                coeffs[v.index()] += a;
-            }
-            for (j, a) in coeffs.iter().enumerate() {
-                shift += a * node.lower[j];
-            }
-            rows.push(LpRow {
-                coeffs,
-                cmp: c.cmp,
-                rhs: c.rhs - shift,
-            });
-        }
-        for j in 0..n {
-            let span = node.upper[j] - node.lower[j];
-            let mut coeffs = vec![0.0; n];
-            coeffs[j] = 1.0;
-            rows.push(LpRow {
-                coeffs,
-                cmp: Cmp::Le,
-                rhs: span.max(0.0),
-            });
-        }
-        let shift_const: f64 = cost.iter().zip(&node.lower).map(|(c, l)| c * l).sum();
-        (rows, cost.to_vec(), shift_const)
     }
 }

@@ -1,12 +1,19 @@
 //! Dense two-phase primal simplex over a tableau.
 //!
 //! Solves `minimize c·x  s.t.  A x {≤,≥,=} b,  0 ≤ x ≤ u` for the LP
-//! relaxations explored by branch & bound. Upper bounds arrive as explicit
-//! `≤` rows (problems in this workspace are small enough that the simpler
-//! tableau beats a bounded-variable simplex on maintainability).
+//! relaxations explored by branch & bound. Upper bounds become explicit
+//! `≤` rows of the tableau (problems in this workspace are small enough
+//! that the simpler tableau beats a bounded-variable simplex on
+//! maintainability).
 //!
 //! Pivoting uses Dantzig's rule with an automatic switch to Bland's rule
 //! after an iteration threshold, which guarantees termination.
+//!
+//! The pivot sequence is part of the contract: scattering ILPs have many
+//! optimal vertices, and which one branch & bound returns decides the
+//! cluster map. Every comparison, tie-break and floating-point operation
+//! below keeps its order; `scattering_pivot_sequence_is_pinned` in
+//! `panorama-place` holds it down.
 
 use crate::model::Cmp;
 
@@ -29,127 +36,126 @@ pub(crate) struct LpRow {
     pub rhs: f64,
 }
 
+impl LpRow {
+    /// The comparison once the row is negated to make its RHS non-negative.
+    fn normalised_cmp(&self) -> Cmp {
+        match self.cmp {
+            Cmp::Le if self.rhs < 0.0 => Cmp::Ge,
+            Cmp::Ge if self.rhs < 0.0 => Cmp::Le,
+            cmp => cmp,
+        }
+    }
+}
+
 const EPS: f64 = 1e-9;
 const BLAND_SWITCH: usize = 2_000;
 const MAX_ITERS: usize = 200_000;
 
-/// Solves `minimize cost·x` subject to `rows`, `x ≥ 0`.
-///
-/// Callers must fold variable upper bounds into `rows`.
+/// Solves `minimize cost·x` subject to `rows` and `x ≥ 0`, without
+/// upper bounds.
 #[cfg(test)]
 pub(crate) fn solve_lp(num_vars: usize, rows: &[LpRow], cost: &[f64]) -> LpOutcome {
-    solve_lp_counted(num_vars, rows, cost, &mut 0)
+    solve_lp_counted(num_vars, rows, &[], cost, &mut 0)
 }
 
-/// `solve_lp` variant that also accumulates the number of simplex pivots into
-/// `pivots` (both phases plus artificial-cleanup pivots) — the effort
-/// counter surfaced through [`Solution::stats`](crate::Solution::stats).
+/// Solves `minimize cost·x` subject to `rows`, `x_j ≤ upper[j]` for every
+/// entry of `upper` (none, or one non-negative bound per variable) and
+/// `x ≥ 0`, accumulating the number of simplex pivots into `pivots` (both
+/// phases plus artificial-cleanup pivots) — the effort counter surfaced
+/// through [`Solution::stats`](crate::Solution::stats).
 pub(crate) fn solve_lp_counted(
     num_vars: usize,
     rows: &[LpRow],
+    upper: &[f64],
     cost: &[f64],
     pivots: &mut u64,
 ) -> LpOutcome {
     debug_assert_eq!(cost.len(), num_vars);
-    let m = rows.len();
+    debug_assert!(upper.len() <= num_vars && upper.iter().all(|&u| u >= 0.0));
+    let m = rows.len() + upper.len();
 
-    // Column layout: [structural | slack/surplus | artificial], then RHS.
-    let mut num_slack = 0usize;
-    for r in rows {
-        if r.cmp != Cmp::Eq {
-            num_slack += 1;
-        }
-    }
-    // Worst case every row needs an artificial.
-    let total = num_vars + num_slack + m;
+    // Column layout: [structural | slack/surplus | artificial | RHS], with
+    // exactly the artificial columns the `≥` / `=` rows need. Bound rows
+    // come after `rows`, own a slack each and never need an artificial.
+    let num_slack = rows.iter().filter(|r| r.cmp != Cmp::Eq).count() + upper.len();
+    let num_art = rows
+        .iter()
+        .filter(|r| r.normalised_cmp() != Cmp::Le)
+        .count();
+    let art_start = num_vars + num_slack;
+    let total = art_start + num_art;
     let width = total + 1;
-    let mut t = vec![0.0f64; m * width]; // row-major tableau
-    let mut basis = vec![usize::MAX; m];
-    let mut artificial_cols: Vec<usize> = Vec::new();
+    let mut tab = Tableau {
+        t: vec![0.0f64; m * width],
+        width,
+        basis: vec![usize::MAX; m],
+    };
 
     let mut slack_cursor = num_vars;
-    let mut art_cursor = num_vars + num_slack;
-    for (i, row) in rows.iter().enumerate() {
-        let flip = row.rhs < 0.0;
-        let sign = if flip { -1.0 } else { 1.0 };
-        for (j, &c) in row.coeffs.iter().enumerate() {
-            t[i * width + j] = sign * c;
+    let mut art_cursor = art_start;
+    let mut tableau_rows = tab.t.chunks_exact_mut(width).zip(&mut tab.basis);
+    for (row, (t, basis)) in rows.iter().zip(&mut tableau_rows) {
+        let sign = if row.rhs < 0.0 { -1.0 } else { 1.0 };
+        for (x, &c) in t.iter_mut().zip(&row.coeffs) {
+            *x = sign * c;
         }
-        t[i * width + total] = sign * row.rhs;
-        // effective comparison after a possible row negation
-        let cmp = if flip {
-            match row.cmp {
-                Cmp::Le => Cmp::Ge,
-                Cmp::Ge => Cmp::Le,
-                Cmp::Eq => Cmp::Eq,
-            }
-        } else {
-            row.cmp
-        };
-        match cmp {
+        t[total] = sign * row.rhs;
+        match row.normalised_cmp() {
             Cmp::Le => {
-                t[i * width + slack_cursor] = 1.0;
-                basis[i] = slack_cursor;
+                t[slack_cursor] = 1.0;
+                *basis = slack_cursor;
                 slack_cursor += 1;
             }
-            Cmp::Ge => {
-                t[i * width + slack_cursor] = -1.0;
-                slack_cursor += 1;
-                t[i * width + art_cursor] = 1.0;
-                basis[i] = art_cursor;
-                artificial_cols.push(art_cursor);
-                art_cursor += 1;
-            }
-            Cmp::Eq => {
-                t[i * width + art_cursor] = 1.0;
-                basis[i] = art_cursor;
-                artificial_cols.push(art_cursor);
+            cmp => {
+                if cmp == Cmp::Ge {
+                    t[slack_cursor] = -1.0;
+                    slack_cursor += 1;
+                }
+                t[art_cursor] = 1.0;
+                *basis = art_cursor;
                 art_cursor += 1;
             }
         }
     }
-    let art_start = num_vars + num_slack;
+    for ((j, &u), (t, basis)) in upper.iter().enumerate().zip(tableau_rows) {
+        t[j] = 1.0;
+        t[total] = u;
+        t[slack_cursor] = 1.0;
+        *basis = slack_cursor;
+        slack_cursor += 1;
+    }
 
     // ---- Phase 1: minimise the sum of artificials ----
-    if !artificial_cols.is_empty() {
+    if num_art > 0 {
         let mut cost1 = vec![0.0f64; total];
-        for &c in &artificial_cols {
-            cost1[c] = 1.0;
-        }
-        let outcome = run_simplex(&mut t, &mut basis, m, total, width, &cost1, pivots);
-        if outcome == RunOutcome::Unbounded {
+        cost1[art_start..].fill(1.0);
+        if tab.run_simplex(&cost1, total, pivots) == RunOutcome::Unbounded {
             // Phase-1 objective is bounded below by 0; unbounded here means
             // a numerical breakdown — treat as infeasible.
             return LpOutcome::Infeasible;
         }
-        let phase1: f64 = basis
-            .iter()
-            .enumerate()
+        let phase1: f64 = tab
+            .rows()
+            .zip(&tab.basis)
             .filter(|&(_, &b)| b >= art_start)
-            .map(|(i, _)| t[i * width + total])
+            .map(|(row, _)| row[total])
             .sum();
         if phase1 > 1e-7 {
             return LpOutcome::Infeasible;
         }
         // Pivot remaining (degenerate) artificials out of the basis.
         for i in 0..m {
-            if basis[i] >= art_start {
-                let mut pivoted = false;
-                for j in 0..art_start {
-                    if t[i * width + j].abs() > EPS {
-                        pivot(&mut t, &mut basis, m, width, i, j);
+            if tab.basis[i] >= art_start {
+                let row = &mut tab.t[i * width..(i + 1) * width];
+                match row[..art_start].iter().position(|x| x.abs() > EPS) {
+                    Some(j) => {
+                        tab.pivot(i, j);
                         *pivots += 1;
-                        pivoted = true;
-                        break;
                     }
-                }
-                if !pivoted {
-                    // Row is all-zero over real columns: redundant. Leave the
-                    // artificial basic at value 0; zero the row so it can
-                    // never pivot again.
-                    for j in 0..width {
-                        t[i * width + j] = 0.0;
-                    }
+                    // Row is all-zero over real columns: redundant. Leave
+                    // the artificial basic at value 0; zero the row so it
+                    // can never pivot again.
+                    None => row.fill(0.0),
                 }
             }
         }
@@ -158,17 +164,14 @@ pub(crate) fn solve_lp_counted(
     // ---- Phase 2: original objective, artificial columns frozen ----
     let mut cost2 = vec![0.0f64; total];
     cost2[..num_vars].copy_from_slice(cost);
-    let outcome = run_simplex_excluding(
-        &mut t, &mut basis, m, total, width, &cost2, art_start, pivots,
-    );
-    if outcome == RunOutcome::Unbounded {
+    if tab.run_simplex(&cost2, art_start, pivots) == RunOutcome::Unbounded {
         return LpOutcome::Unbounded;
     }
 
     let mut x = vec![0.0f64; num_vars];
-    for i in 0..m {
-        if basis[i] < num_vars {
-            x[basis[i]] = t[i * width + total];
+    for (row, &b) in tab.rows().zip(&tab.basis) {
+        if b < num_vars {
+            x[b] = row[total];
         }
     }
     let objective = x.iter().zip(cost).map(|(a, b)| a * b).sum();
@@ -181,136 +184,120 @@ enum RunOutcome {
     Unbounded,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_simplex(
-    t: &mut [f64],
-    basis: &mut [usize],
-    m: usize,
-    total: usize,
+/// The simplex tableau: one row per constraint, the RHS in the last column.
+struct Tableau {
+    /// Row-major, `basis.len()` rows of `width` entries.
+    t: Vec<f64>,
     width: usize,
-    cost: &[f64],
-    pivots: &mut u64,
-) -> RunOutcome {
-    run_simplex_excluding(t, basis, m, total, width, cost, total, pivots)
+    /// The basic column of each row.
+    basis: Vec<usize>,
 }
 
-/// Primal simplex loop; columns `>= exclude_from` may never *enter* the
-/// basis (used to freeze artificials in phase 2).
-#[allow(clippy::too_many_arguments)]
-fn run_simplex_excluding(
-    t: &mut [f64],
-    basis: &mut [usize],
-    m: usize,
-    total: usize,
-    width: usize,
-    cost: &[f64],
-    exclude_from: usize,
-    pivots: &mut u64,
-) -> RunOutcome {
-    // Reduced costs: z_j - c_j computed from scratch each iteration would be
-    // O(m·n); keep a working cost row updated by pivots instead.
-    let mut red = vec![0.0f64; width];
-    red[..total].copy_from_slice(cost);
-    // Make the cost row consistent with the current basis.
-    for i in 0..m {
-        let b = basis[i];
-        let cb = red[b];
-        if cb != 0.0 {
-            for j in 0..width {
-                red[j] -= cb * t[i * width + j];
-            }
-        }
+impl Tableau {
+    fn rows(&self) -> std::slice::ChunksExact<'_, f64> {
+        self.t.chunks_exact(self.width)
     }
 
-    for iter in 0..MAX_ITERS {
-        let bland = iter >= BLAND_SWITCH;
-        // entering column: negative reduced cost
-        let mut enter = usize::MAX;
-        if bland {
-            for (j, &rc) in red.iter().enumerate().take(exclude_from.min(total)) {
-                if rc < -EPS {
-                    enter = j;
-                    break;
-                }
-            }
-        } else {
-            let mut best = -EPS;
-            for (j, &rc) in red.iter().enumerate().take(exclude_from.min(total)) {
-                if rc < best {
-                    best = rc;
-                    enter = j;
+    /// Primal simplex loop on `cost` (one entry per non-RHS column); only
+    /// columns `< enter_limit` may *enter* the basis (phase 2 freezes the
+    /// artificials this way).
+    fn run_simplex(&mut self, cost: &[f64], enter_limit: usize, pivots: &mut u64) -> RunOutcome {
+        let rhs = self.width - 1;
+        // Reduced costs: z_j - c_j computed from scratch each iteration would
+        // be O(m·n); keep a working cost row updated by pivots instead.
+        let mut red = vec![0.0f64; self.width];
+        red[..rhs].copy_from_slice(cost);
+        // Make the cost row consistent with the current basis.
+        for (row, &b) in self.rows().zip(&self.basis) {
+            let cb = red[b];
+            if cb != 0.0 {
+                for (r, &x) in red.iter_mut().zip(row) {
+                    *r -= cb * x;
                 }
             }
         }
-        if enter == usize::MAX {
-            return RunOutcome::Optimal;
-        }
 
-        // leaving row: min ratio test
-        let mut leave = usize::MAX;
-        let mut best_ratio = f64::INFINITY;
-        for i in 0..m {
-            let a = t[i * width + enter];
-            if a > EPS {
-                let ratio = t[i * width + total] / a;
-                if ratio < best_ratio - EPS
-                    || (bland
-                        && (ratio - best_ratio).abs() <= EPS
-                        && leave != usize::MAX
-                        && basis[i] < basis[leave])
-                {
-                    best_ratio = ratio;
-                    leave = i;
+        for iter in 0..MAX_ITERS {
+            let bland = iter >= BLAND_SWITCH;
+            // entering column: negative reduced cost
+            let candidates = &red[..enter_limit];
+            let enter = if bland {
+                candidates.iter().position(|&rc| rc < -EPS)
+            } else {
+                let mut best = -EPS;
+                let mut enter = None;
+                for (j, &rc) in candidates.iter().enumerate() {
+                    if rc < best {
+                        best = rc;
+                        enter = Some(j);
+                    }
+                }
+                enter
+            };
+            let Some(enter) = enter else {
+                return RunOutcome::Optimal;
+            };
+
+            // leaving row: min ratio test
+            let mut leave = usize::MAX;
+            let mut best_ratio = f64::INFINITY;
+            for (i, row) in self.rows().enumerate() {
+                let a = row[enter];
+                if a > EPS {
+                    let ratio = row[rhs] / a;
+                    if ratio < best_ratio - EPS
+                        || (bland
+                            && (ratio - best_ratio).abs() <= EPS
+                            && leave != usize::MAX
+                            && self.basis[i] < self.basis[leave])
+                    {
+                        best_ratio = ratio;
+                        leave = i;
+                    }
                 }
             }
-        }
-        if leave == usize::MAX {
-            return RunOutcome::Unbounded;
-        }
+            if leave == usize::MAX {
+                return RunOutcome::Unbounded;
+            }
 
-        pivot_with_cost(t, basis, width, leave, enter, &mut red);
-        *pivots += 1;
-    }
-    // Iteration safety net: report the current (possibly suboptimal) basis
-    // as optimal; callers treat LP bounds conservatively.
-    RunOutcome::Optimal
-}
-
-fn pivot(t: &mut [f64], basis: &mut [usize], m: usize, width: usize, row: usize, col: usize) {
-    let p = t[row * width + col];
-    debug_assert!(p.abs() > EPS, "pivot element must be nonzero");
-    let inv = 1.0 / p;
-    for j in 0..width {
-        t[row * width + j] *= inv;
-    }
-    for i in 0..m {
-        if i != row {
-            let factor = t[i * width + col];
+            self.pivot(leave, enter);
+            *pivots += 1;
+            let factor = red[enter];
             if factor.abs() > EPS {
-                for j in 0..width {
-                    t[i * width + j] -= factor * t[row * width + j];
+                let pivot_row = &self.t[leave * self.width..(leave + 1) * self.width];
+                for (r, &x) in red.iter_mut().zip(pivot_row) {
+                    *r -= factor * x;
                 }
             }
         }
+        // Iteration safety net: report the current (possibly suboptimal) basis
+        // as optimal; callers treat LP bounds conservatively.
+        RunOutcome::Optimal
     }
-    basis[row] = col;
-}
 
-fn pivot_with_cost(
-    t: &mut [f64],
-    basis: &mut [usize],
-    width: usize,
-    row: usize,
-    col: usize,
-    red: &mut [f64],
-) {
-    let m = basis.len();
-    pivot(t, basis, m, width, row, col);
-    let factor = red[col];
-    if factor.abs() > EPS {
-        for j in 0..width {
-            red[j] -= factor * t[row * width + j];
+    /// Makes `col` basic in `row`: scales the row to a unit pivot and
+    /// eliminates the column from every other row.
+    fn pivot(&mut self, row: usize, col: usize) {
+        let (above, rest) = self.t.split_at_mut(row * self.width);
+        let (pivot_row, below) = rest.split_at_mut(self.width);
+        let p = pivot_row[col];
+        debug_assert!(p.abs() > EPS, "pivot element must be nonzero");
+        let inv = 1.0 / p;
+        for x in pivot_row.iter_mut() {
+            *x *= inv;
         }
+        let others = above
+            .chunks_exact_mut(self.width)
+            .chain(below.chunks_exact_mut(self.width));
+        for other in others {
+            let factor = other[col];
+            if factor.abs() > EPS {
+                for (x, &p) in other.iter_mut().zip(&*pivot_row) {
+                    *x -= factor * p;
+                }
+            }
+        }
+        self.basis[row] = col;
     }
 }
 
@@ -436,9 +423,24 @@ mod tests {
             le(vec![3.0, 2.0], 18.0),
         ];
         let mut pivots = 0u64;
-        let outcome = solve_lp_counted(2, &rows, &[-3.0, -5.0], &mut pivots);
+        let outcome = solve_lp_counted(2, &rows, &[], &[-3.0, -5.0], &mut pivots);
         assert!(matches!(outcome, LpOutcome::Optimal { .. }));
         assert!(pivots > 0, "a non-trivial LP must pivot at least once");
+    }
+
+    #[test]
+    fn upper_bounds_act_as_le_rows() {
+        // max x + y st x + 2y <= 8, x <= 4, y <= 6 → (4,2), obj 6
+        let rows = vec![le(vec![1.0, 2.0], 8.0)];
+        let mut pivots = 0u64;
+        match solve_lp_counted(2, &rows, &[4.0, 6.0], &[-1.0, -1.0], &mut pivots) {
+            LpOutcome::Optimal { x, objective } => {
+                assert!((x[0] - 4.0).abs() < 1e-7);
+                assert!((x[1] - 2.0).abs() < 1e-7);
+                assert!((objective + 6.0).abs() < 1e-7);
+            }
+            other => panic!("expected optimal, got {other:?}"),
+        }
     }
 
     #[test]

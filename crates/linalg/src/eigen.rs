@@ -7,6 +7,19 @@
 //! numerically diagonal, accumulating the rotations as the eigenvector
 //! basis. For the few-hundred-node DFGs in this workspace this is fast and
 //! extremely robust.
+//!
+//! # The basis is part of the contract
+//!
+//! Kernel Laplacians have exactly degenerate spectra (eigenvalue
+//! multiplicities of 6–16), so the first `k` eigenvectors slice through
+//! eigenspaces and k-means downstream sees whichever basis of each
+//! eigenspace the rotations happen to produce. Partitions — and II after
+//! them — therefore depend on every floating-point operation here and on
+//! their order: no `mul_add`, no re-association, no other rotation order.
+//! A solver with a different basis (tridiagonal QL, Lanczos) changes
+//! partitions; see EXPERIMENTS.md, "The rejected eigensolver swap". The
+//! `eigenpairs_of_kernel_laplacians_are_pinned_bit_for_bit` test holds
+//! this down.
 
 use crate::DMatrix;
 use std::error::Error;
@@ -19,7 +32,10 @@ pub enum EigenError {
     NotSquare,
     /// The input matrix is not symmetric within tolerance.
     NotSymmetric,
-    /// The sweep limit was reached before convergence.
+    /// The input matrix has a NaN or infinite entry.
+    NonFinite,
+    /// The sweep limit was reached before convergence, or the rotations
+    /// overflowed.
     NoConvergence,
 }
 
@@ -28,6 +44,7 @@ impl fmt::Display for EigenError {
         match self {
             EigenError::NotSquare => write!(f, "matrix is not square"),
             EigenError::NotSymmetric => write!(f, "matrix is not symmetric"),
+            EigenError::NonFinite => write!(f, "matrix has a NaN or infinite entry"),
             EigenError::NoConvergence => write!(f, "jacobi sweeps did not converge"),
         }
     }
@@ -54,8 +71,7 @@ pub struct SymmetricEigen {
     eigenvalues: Vec<f64>,
     /// Column `j` of this matrix is the eigenvector for `eigenvalues[j]`.
     eigenvectors: DMatrix,
-    /// Jacobi sweeps executed before convergence (0 for the tridiagonal
-    /// and trivial paths).
+    /// Jacobi sweeps executed before convergence.
     sweeps: usize,
 }
 
@@ -67,13 +83,18 @@ impl SymmetricEigen {
     ///
     /// # Errors
     ///
-    /// * [`EigenError::NotSquare`] / [`EigenError::NotSymmetric`] on invalid
-    ///   input;
-    /// * [`EigenError::NoConvergence`] if the (generous) sweep limit is hit,
-    ///   which indicates NaN/infinite input in practice.
+    /// * [`EigenError::NotSquare`] / [`EigenError::NonFinite`] /
+    ///   [`EigenError::NotSymmetric`] on invalid input;
+    /// * [`EigenError::NoConvergence`] if the (generous) sweep limit is hit
+    ///   or entries near `f64::MAX` overflow under rotation.
     pub fn new(m: &DMatrix) -> Result<Self, EigenError> {
         if m.rows() != m.cols() {
             return Err(EigenError::NotSquare);
+        }
+        // NaN compares false with everything, so it would pass the symmetry
+        // test below and never converge.
+        if m.as_slice().iter().any(|x| !x.is_finite()) {
+            return Err(EigenError::NonFinite);
         }
         let scale = m.as_slice().iter().fold(1.0f64, |a, &x| a.max(x.abs()));
         if !m.is_symmetric(SYMMETRY_TOL * scale) {
@@ -87,38 +108,39 @@ impl SymmetricEigen {
                 sweeps: 0,
             });
         }
-        // The tridiagonal (tred2/tql2) path is asymptotically faster, but
-        // for near-degenerate Laplacian spectra Jacobi's basis behaves
-        // better under downstream k-means; keep Jacobi up to the sizes
-        // this workspace actually meets (paper-scale kernels are ~500
-        // nodes and decompose in seconds) and switch only far beyond.
-        if n > 1024 {
-            if let Ok((values, vectors)) = crate::tridiag::eigen_tridiagonal(m) {
-                return Ok(Self::from_pairs(values, vectors));
-            }
-        }
-
-        let mut a = m.clone();
-        let mut v = DMatrix::identity(n);
+        // Everything below works on flat row-major buffers. `vt` holds the
+        // eigenvector basis *transposed* (row j is eigenvector j), so a
+        // rotation touches two contiguous rows of `a` and two of `vt`; only
+        // the column update of `a` stays strided. The operations and their
+        // order are part of the contract (see the module docs).
+        let mut a = m.as_slice().to_vec();
+        let mut vt = vec![0.0f64; n * n];
+        vt.iter_mut().step_by(n + 1).for_each(|x| *x = 1.0);
+        let mut col_p = vec![0.0f64; n];
         let threshold = 1e-12 * scale * (n as f64);
 
         let mut converged = false;
         let mut sweeps = 0usize;
         for _ in 0..MAX_SWEEPS {
-            if a.off_diagonal_norm() <= threshold {
+            if off_diagonal_norm(&a, n) <= threshold {
                 converged = true;
                 break;
             }
             sweeps += 1;
-            // Cyclic sweep over the upper triangle.
+            // Cyclic sweep over the upper triangle. Column p of `a` lives
+            // in `col_p` for the whole p-phase (every rotation of the phase
+            // touches it), which halves the strided traffic.
             for p in 0..n {
+                for (x, row) in col_p.iter_mut().zip(a.chunks_exact(n)) {
+                    *x = row[p];
+                }
                 for q in (p + 1)..n {
-                    let apq = a[(p, q)];
+                    let apq = a[p * n + q];
                     if apq.abs() <= threshold / (n as f64) {
                         continue;
                     }
-                    let app = a[(p, p)];
-                    let aqq = a[(q, q)];
+                    let app = col_p[p];
+                    let aqq = a[q * n + q];
                     // Rotation angle: tan(2θ) = 2 a_pq / (a_qq − a_pp)
                     let theta = 0.5 * (aqq - app) / apq;
                     let t = if theta >= 0.0 {
@@ -129,62 +151,63 @@ impl SymmetricEigen {
                     let c = 1.0 / (1.0 + t * t).sqrt();
                     let s = t * c;
 
-                    // A ← Jᵀ A J applied in place.
-                    for i in 0..n {
-                        let aip = a[(i, p)];
-                        let aiq = a[(i, q)];
-                        a[(i, p)] = c * aip - s * aiq;
-                        a[(i, q)] = s * aip + c * aiq;
+                    // A ← Jᵀ A J applied in place: columns p, q, then rows.
+                    for (x, row) in col_p.iter_mut().zip(a.chunks_exact_mut(n)) {
+                        let (aip, aiq) = (*x, row[q]);
+                        *x = c * aip - s * aiq;
+                        row[q] = s * aip + c * aiq;
                     }
-                    for i in 0..n {
-                        let api = a[(p, i)];
-                        let aqi = a[(q, i)];
-                        a[(p, i)] = c * api - s * aqi;
-                        a[(q, i)] = s * api + c * aqi;
-                    }
-                    // V ← V J accumulates eigenvectors.
-                    for i in 0..n {
-                        let vip = v[(i, p)];
-                        let viq = v[(i, q)];
-                        v[(i, p)] = c * vip - s * viq;
-                        v[(i, q)] = s * vip + c * viq;
-                    }
+                    // The row update also rotates a_pp and a_qp, which live
+                    // in `col_p` (their slots in `a` are stale until the
+                    // write-back below).
+                    rotate_rows(&mut a, n, p, q, c, s);
+                    let (xp, xq) = (col_p[p], col_p[q]);
+                    col_p[p] = c * xp - s * xq;
+                    col_p[q] = s * xp + c * xq;
+                    // V ← V J accumulates eigenvectors (rows of Vᵀ).
+                    rotate_rows(&mut vt, n, p, q, c, s);
+                }
+                for (&x, row) in col_p.iter().zip(a.chunks_exact_mut(n)) {
+                    row[p] = x;
                 }
             }
         }
-        if !converged && a.off_diagonal_norm() > threshold {
+        // Finite input can still overflow mid-sweep, leaving a NaN norm or a
+        // non-finite diagonal.
+        let values: Vec<f64> = (0..n).map(|i| a[i * n + i]).collect();
+        let off_limit = !converged && {
+            let norm = off_diagonal_norm(&a, n);
+            norm.is_nan() || norm > threshold
+        };
+        if off_limit || values.iter().any(|v| !v.is_finite()) {
             return Err(EigenError::NoConvergence);
         }
 
-        let values: Vec<f64> = (0..n).map(|i| a[(i, i)]).collect();
-        let mut eigen = Self::from_pairs(values, v);
-        eigen.sweeps = sweeps;
-        Ok(eigen)
+        // Sort the eigenpairs by ascending eigenvalue (stable, so equal
+        // eigenvalues keep their rotation order).
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&x, &y| {
+            values[x]
+                .partial_cmp(&values[y])
+                .expect("eigenvalues are finite")
+        });
+        let mut eigenvectors = DMatrix::zeros(n, n);
+        for (new_col, &old_col) in order.iter().enumerate() {
+            for (i, &x) in vt[old_col * n..(old_col + 1) * n].iter().enumerate() {
+                eigenvectors[(i, new_col)] = x;
+            }
+        }
+        Ok(SymmetricEigen {
+            eigenvalues: order.iter().map(|&j| values[j]).collect(),
+            eigenvectors,
+            sweeps,
+        })
     }
 
     /// Number of Jacobi sweeps the decomposition took — the eigensolve
     /// effort counter surfaced by the partitioning trace.
     pub fn sweeps(&self) -> usize {
         self.sweeps
-    }
-
-    /// Sorts raw (unsorted) eigenpairs by ascending eigenvalue.
-    fn from_pairs(values: Vec<f64>, vectors: DMatrix) -> Self {
-        let n = values.len();
-        let mut pairs: Vec<(f64, usize)> = values.into_iter().zip(0..n).collect();
-        pairs.sort_by(|x, y| x.0.partial_cmp(&y.0).expect("eigenvalues are finite"));
-        let eigenvalues: Vec<f64> = pairs.iter().map(|&(val, _)| val).collect();
-        let mut sorted = DMatrix::zeros(n, n);
-        for (new_col, &(_, old_col)) in pairs.iter().enumerate() {
-            for i in 0..n {
-                sorted[(i, new_col)] = vectors[(i, old_col)];
-            }
-        }
-        SymmetricEigen {
-            eigenvalues,
-            eigenvectors: sorted,
-            sweeps: 0,
-        }
     }
 
     /// Number of eigenpairs (the matrix dimension).
@@ -237,6 +260,34 @@ impl SymmetricEigen {
             }
         }
         m
+    }
+}
+
+/// Frobenius norm of the off-diagonal entries of the row-major `n × n`
+/// buffer `a`, summed row by row — the Jacobi convergence test.
+fn off_diagonal_norm(a: &[f64], n: usize) -> f64 {
+    let mut s = 0.0;
+    for (i, row) in a.chunks_exact(n).enumerate() {
+        for (j, &x) in row.iter().enumerate() {
+            if i != j {
+                s += x * x;
+            }
+        }
+    }
+    s.sqrt()
+}
+
+/// Applies the rotation `(c, s)` to rows `p < q` of the row-major buffer
+/// `m` with rows of length `n`: `row_p ← c·row_p − s·row_q`,
+/// `row_q ← s·row_p + c·row_q`.
+fn rotate_rows(m: &mut [f64], n: usize, p: usize, q: usize, c: f64, s: f64) {
+    let (head, tail) = m.split_at_mut(q * n);
+    let row_p = &mut head[p * n..(p + 1) * n];
+    let row_q = &mut tail[..n];
+    for (x, y) in row_p.iter_mut().zip(row_q) {
+        let (xp, xq) = (*x, *y);
+        *x = c * xp - s * xq;
+        *y = s * xp + c * xq;
     }
 }
 
@@ -344,6 +395,36 @@ mod tests {
         ));
     }
 
+    /// NaN passes any `|x − y| > tol` symmetry test, so without the up-front
+    /// check it burned all 64 sweeps and then panicked sorting eigenvalues.
+    #[test]
+    fn non_finite_input_is_a_typed_error() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let off_diagonal = DMatrix::from_rows(&[&[1.0, bad], &[bad, 1.0]]);
+            let diagonal = DMatrix::from_rows(&[&[bad, 0.5], &[0.5, 1.0]]);
+            for m in [off_diagonal, diagonal] {
+                assert_eq!(SymmetricEigen::new(&m).unwrap_err(), EigenError::NonFinite);
+            }
+        }
+    }
+
+    /// Finite entries near `f64::MAX` overflow to an infinite eigenvalue.
+    #[test]
+    fn overflow_under_rotation_is_a_typed_error() {
+        let m = DMatrix::from_rows(&[&[1e308, 1e308], &[1e308, 1e308]]);
+        assert_eq!(
+            SymmetricEigen::new(&m).unwrap_err(),
+            EigenError::NoConvergence
+        );
+    }
+
+    #[test]
+    fn off_diagonal_norm_skips_the_diagonal() {
+        assert_eq!(off_diagonal_norm(DMatrix::identity(5).as_slice(), 5), 0.0);
+        let norm = off_diagonal_norm(&[1.0, 3.0, 4.0, 1.0], 2);
+        assert!((norm - 5.0).abs() < 1e-12);
+    }
+
     #[test]
     fn empty_matrix_ok() {
         let e = SymmetricEigen::new(&DMatrix::zeros(0, 0)).unwrap();
@@ -368,6 +449,43 @@ mod tests {
         // trace preserved: sum of eigenvalues == 2n
         let sum: f64 = e.eigenvalues().iter().sum();
         assert!((sum - 2.0 * n as f64).abs() < 1e-6);
+    }
+
+    /// Kernel Laplacians are exactly degenerate (mmul has eigenvalue
+    /// multiplicities up to 16), so k-means downstream sees whatever basis
+    /// of each eigenspace this solver happens to produce: the basis is part
+    /// of the contract, not just the spectrum. Any change in rounding,
+    /// operation order or rotation order moves these hashes.
+    #[test]
+    fn eigenpairs_of_kernel_laplacians_are_pinned_bit_for_bit() {
+        use panorama_dfg::{kernels, KernelId, KernelScale};
+        use panorama_graph::AdjacencyMatrix;
+
+        for (id, sweeps, want) in [
+            (KernelId::MatrixMultiply, 13, 0x1b70_8eb7_5c8e_435e_u64),
+            (KernelId::IdctRows, 11, 0xb6ed_cd3c_5a8a_0cc1),
+            (KernelId::Fir, 9, 0xbf73_beeb_4b8c_a46b),
+        ] {
+            let dfg = kernels::generate(id, KernelScale::Scaled);
+            let adj = AdjacencyMatrix::symmetric(dfg.graph());
+            let n = adj.len();
+            let lap = DMatrix::from_row_major(n, n, adj.laplacian());
+            let e = SymmetricEigen::new(&lap).unwrap();
+            // FNV-1a over the bit patterns of every eigenvalue and every
+            // entry of the full n × n embedding
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for x in e.eigenvalues().iter().chain(e.embedding(n).as_slice()) {
+                for b in x.to_bits().to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            assert_eq!(
+                (e.sweeps(), h),
+                (sweeps, want),
+                "{id}: got {} sweeps, hash {h:#018x}",
+                e.sweeps()
+            );
+        }
     }
 }
 

@@ -6,7 +6,10 @@
 //! * [`DMatrix`] — a small dense row-major `f64` matrix;
 //! * [`SymmetricEigen`] — a cyclic-Jacobi eigendecomposition of symmetric
 //!   matrices (graph Laplacians are symmetric), returning eigenpairs sorted
-//!   by ascending eigenvalue as spectral embedding requires;
+//!   by ascending eigenvalue as spectral embedding requires. It is the only
+//!   eigensolver: kernel Laplacians are degenerate, partitions depend on
+//!   the basis it produces inside each eigenspace, and that basis is pinned
+//!   bit for bit;
 //! * [`KMeans`] — Lloyd's algorithm with deterministic k-means++ seeding.
 //!
 //! # Examples
@@ -31,7 +34,6 @@
 mod eigen;
 mod kmeans;
 mod matrix;
-mod tridiag;
 
 pub use eigen::{EigenError, SymmetricEigen};
 pub use kmeans::{KMeans, KMeansConfig, KMeansError};

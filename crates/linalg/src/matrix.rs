@@ -173,20 +173,6 @@ impl DMatrix {
         }
         true
     }
-
-    /// Frobenius norm of the off-diagonal entries (used by the Jacobi
-    /// convergence test).
-    pub fn off_diagonal_norm(&self) -> f64 {
-        let mut s = 0.0;
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                if i != j {
-                    s += self[(i, j)] * self[(i, j)];
-                }
-            }
-        }
-        s.sqrt()
-    }
 }
 
 impl Index<(usize, usize)> for DMatrix {
@@ -270,16 +256,6 @@ mod tests {
         assert!(!a.is_symmetric(1e-12));
         let rect = DMatrix::zeros(2, 3);
         assert!(!rect.is_symmetric(1e-12));
-    }
-
-    #[test]
-    fn off_diagonal_norm_of_diagonal_is_zero() {
-        let i = DMatrix::identity(5);
-        assert_eq!(i.off_diagonal_norm(), 0.0);
-        let mut m = DMatrix::identity(2);
-        m[(0, 1)] = 3.0;
-        m[(1, 0)] = 4.0;
-        assert!((m.off_diagonal_norm() - 5.0).abs() < 1e-12);
     }
 
     #[test]

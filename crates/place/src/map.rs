@@ -356,6 +356,46 @@ mod tests {
         assert!(max_share >= 2, "histogram {hist:?}");
     }
 
+    /// Pins the simplex pivot sequence and the branch & bound tree of the
+    /// scattering ILPs: the effort counters and the assignment of one
+    /// matching-cut split sequence at fixed ζ and of one full
+    /// `map_clusters` call on a 4×4 cluster grid. The partition is fixed
+    /// (contiguous op-index blocks), so this test moves only when the ILP
+    /// stack changes a pivot choice, a tie-break or a rounding.
+    #[test]
+    fn scattering_pivot_sequence_is_pinned() {
+        use crate::column_scatter_with_effort;
+        use panorama_dfg::{kernels, KernelId, KernelScale};
+
+        let dfg = kernels::generate(KernelId::IdctRows, KernelScale::Scaled);
+        let (n, k) = (dfg.num_ops(), 12);
+        let labels: Vec<usize> = (0..n).map(|i| i * k / n).collect();
+        let cdg = Cdg::new(&dfg, &Partition::new(labels, k));
+        let config = ScatterConfig::default();
+
+        let mut effort = IlpEffort::default();
+        let row_of = column_scatter_with_effort(&cdg, 4, 2, 2, &config, &mut effort).unwrap();
+        assert_eq!(row_of, Some(vec![3, 1, 0, 0, 0, 1, 2, 1, 3, 3, 2, 2]));
+        let pinned = |solves, bnb_nodes, simplex_pivots| IlpEffort {
+            solves,
+            bnb_nodes,
+            simplex_pivots,
+            presolve_reductions: 0,
+        };
+        assert_eq!(effort, pinned(3, 479, 4282));
+
+        let map = map_clusters(&cdg, 4, 4, &config).unwrap();
+        assert_eq!(
+            map.render(),
+            "cluster map 4x4 (zeta 1/1)\n\
+             \x20 {C5,C11} {C5,C11}     {C4}     {C4}\n\
+             \x20  {C6,C7}  {C6,C7}     {C8}     {C8}\n\
+             \x20    {C10}    {C10}  {C3,C9}  {C3,C9}\n\
+             \x20  {C0,C1}  {C0,C1}     {C2}     {C2}\n"
+        );
+        assert_eq!(map.ilp_effort(), pinned(7, 235, 3958));
+    }
+
     #[test]
     fn error_displays() {
         assert!(PlaceError::TooFewClusters { k: 2, rows: 4 }
