@@ -10,12 +10,13 @@
 //!
 //! # The basis is part of the contract
 //!
-//! Kernel Laplacians have exactly degenerate spectra (eigenvalue
-//! multiplicities of 6–16), so the first `k` eigenvectors slice through
-//! eigenspaces and k-means downstream sees whichever basis of each
-//! eigenspace the rotations happen to produce. Partitions — and II after
-//! them — therefore depend on every floating-point operation here and on
-//! their order: no `mul_add`, no re-association, no other rotation order.
+//! Kernel Laplacians have exactly degenerate spectra (among the eigenvalues
+//! the embedding uses, multiplicities of 6–48 at paper scale), so the first
+//! `k` eigenvectors slice through eigenspaces and k-means downstream sees
+//! whichever basis of each eigenspace the rotations happen to produce.
+//! Partitions — and II after them — therefore depend on every
+//! floating-point operation here and on their order: no `mul_add`, no
+//! re-association, no other rotation order.
 //! A solver with a different basis (tridiagonal QL, Lanczos) changes
 //! partitions; see EXPERIMENTS.md, "The rejected eigensolver swap". The
 //! `eigenpairs_of_kernel_laplacians_are_pinned_bit_for_bit` test holds
