@@ -10,8 +10,8 @@ use crate::opt::{optimize, AnalyzeConfig, AnalyzeError, Optimization};
 use crate::passes::{constant_values, schedule_ranges};
 use panorama_dfg::Dfg;
 use panorama_mapper::{exact_recurrence_mii, RecurrenceAnalysis};
-use panorama_trace::json::escape;
-use std::fmt::Write as _;
+use panorama_trace::json::Writer;
+use panorama_trace::schema;
 
 /// Everything [`analyze`] computes for one kernel.
 #[derive(Debug, Clone)]
@@ -73,50 +73,39 @@ pub struct AnalyzeReport {
 impl AnalyzeReport {
     /// Serializes the report as deterministic `panorama-analyze-v1` JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"schema\": \"panorama-analyze-v1\",");
-        let _ = writeln!(out, "  \"kernel\": \"{}\",", escape(&self.kernel));
-        let _ = writeln!(
-            out,
-            "  \"ops\": {{\"before\": {}, \"after\": {}}},",
-            self.ops_before, self.ops_after
-        );
-        let _ = writeln!(
-            out,
-            "  \"deps\": {{\"before\": {}, \"after\": {}}},",
-            self.deps_before, self.deps_after
-        );
-        let _ = writeln!(out, "  \"rounds\": {},", self.rounds);
-        let _ = writeln!(out, "  \"folded\": {},", self.folded);
-        let _ = writeln!(out, "  \"merged\": {},", self.merged);
-        let _ = writeln!(out, "  \"removed\": {},", self.removed);
-        let _ = writeln!(out, "  \"known_constants\": {},", self.known_constants);
-        let _ = writeln!(
-            out,
-            "  \"critical_path\": {{\"before\": {}, \"after\": {}}},",
-            self.critical_path_before, self.critical_path_after
-        );
-        let _ = writeln!(
-            out,
-            "  \"rec_mii\": {{\"before\": {}, \"after\": {}}},",
-            self.rec_mii_before, self.rec_mii_after
-        );
-        if self.witness.is_empty() {
-            let _ = writeln!(out, "  \"witness\": null,");
-        } else {
-            let ops: Vec<String> = self.witness.iter().map(usize::to_string).collect();
-            let _ = writeln!(
-                out,
-                "  \"witness\": {{\"ops\": [{}], \"latency\": {}, \"distance\": {}}},",
-                ops.join(", "),
-                self.witness_latency,
-                self.witness_distance
-            );
+        fn pair(w: &mut Writer, name: &str, before: impl TryInto<u64>, after: impl TryInto<u64>) {
+            w.key(name).open();
+            w.key("before").uint(before);
+            w.key("after").uint(after);
+            w.close();
         }
-        let _ = writeln!(out, "  \"equiv_iterations\": {}", self.equiv_iterations);
-        out.push('}');
-        out
+        let mut w = Writer::new(&schema::ANALYZE);
+        w.key("kernel").str(&self.kernel);
+        pair(&mut w, "ops", self.ops_before, self.ops_after);
+        pair(&mut w, "deps", self.deps_before, self.deps_after);
+        w.key("rounds").uint(self.rounds);
+        w.key("folded").uint(self.folded);
+        w.key("merged").uint(self.merged);
+        w.key("removed").uint(self.removed);
+        w.key("known_constants").uint(self.known_constants);
+        let (before, after) = (self.critical_path_before, self.critical_path_after);
+        pair(&mut w, "critical_path", before, after);
+        pair(&mut w, "rec_mii", self.rec_mii_before, self.rec_mii_after);
+        if self.witness.is_empty() {
+            w.key("witness").null();
+        } else {
+            w.key("witness").open();
+            w.key("ops").open();
+            for &op in &self.witness {
+                w.uint(op);
+            }
+            w.close();
+            w.key("latency").uint(self.witness_latency);
+            w.key("distance").uint(self.witness_distance);
+            w.close();
+        }
+        w.key("equiv_iterations").uint(self.equiv_iterations);
+        w.finish()
     }
 }
 

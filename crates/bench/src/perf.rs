@@ -27,8 +27,8 @@ use panorama::{
 use panorama_arch::{Cgra, CgraConfig};
 use panorama_dfg::{kernels, Dep, Dfg, DfgBuilder, KernelId, KernelScale, OpKind};
 use panorama_mapper::{LowerLevelMapper, SprConfig, SprMapper, WarmStartCache};
-use panorama_trace::json;
-use std::fmt::Write as _;
+use panorama_trace::json::Writer;
+use panorama_trace::schema;
 use std::time::{Duration, Instant};
 
 /// Harness options.
@@ -383,58 +383,38 @@ impl BenchReport {
     /// must produce byte-identical output. CI runs the bench twice and
     /// `cmp`s the stable files to enforce end-to-end determinism.
     pub fn to_stable_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"panorama-bench-stable-v1\",\n");
-        let _ = writeln!(out, "  \"mapper\": \"{}\",", json::escape(self.mapper));
-        out.push_str("  \"kernels\": [\n");
-        for (i, k) in self.kernels.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"kernel\": \"{}\", \"preset\": \"{}\", \"ii\": {}, \"mii\": {}, \
-                 \"identical\": {}}}",
-                json::escape(&k.kernel),
-                json::escape(&k.preset),
-                k.ii,
-                k.mii,
-                k.identical
-            );
-            out.push_str(if i + 1 < self.kernels.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
+        let mut w = Writer::new(&schema::BENCH_STABLE);
+        w.key("mapper").str(self.mapper);
+        w.key("kernels").open();
+        for k in &self.kernels {
+            w.open();
+            w.key("kernel").str(&k.kernel);
+            w.key("preset").str(&k.preset);
+            w.key("ii").uint(k.ii);
+            w.key("mii").uint(k.mii);
+            w.key("identical").bool(k.identical);
+            w.close();
         }
-        out.push_str(if self.warm.is_some() {
-            "  ],\n"
-        } else {
-            "  ]\n"
-        });
-        if let Some(w) = &self.warm {
-            out.push_str("  \"warm_start\": {\n");
-            let _ = writeln!(
-                out,
-                "    \"hits\": {}, \"misses\": {}, \"records\": {},",
-                w.hits, w.misses, w.records
-            );
-            out.push_str("    \"replays\": [\n");
-            for (i, r) in w.replays.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "      {{\"kernel\": \"{}\", \"preset\": \"{}\", \"ii\": {}, \
-                     \"ii_cold\": {}, \"verified\": {}}}",
-                    json::escape(&r.kernel),
-                    json::escape(&r.preset),
-                    r.ii,
-                    r.ii_cold,
-                    r.verified
-                );
-                out.push_str(if i + 1 < w.replays.len() { ",\n" } else { "\n" });
+        w.close();
+        if let Some(warm) = &self.warm {
+            w.key("warm_start").open();
+            w.key("hits").uint(warm.hits);
+            w.key("misses").uint(warm.misses);
+            w.key("records").uint(warm.records);
+            w.key("replays").open();
+            for r in &warm.replays {
+                w.open();
+                w.key("kernel").str(&r.kernel);
+                w.key("preset").str(&r.preset);
+                w.key("ii").uint(r.ii);
+                w.key("ii_cold").uint(r.ii_cold);
+                w.key("verified").bool(r.verified);
+                w.close();
             }
-            out.push_str("    ]\n  }\n");
+            w.close();
+            w.close();
         }
-        out.push_str("}\n");
-        out
+        w.finish()
     }
 
     /// The invariants every run must satisfy, whatever the host: each
@@ -478,6 +458,7 @@ impl BenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use panorama_trace::json;
 
     fn warm_report() -> BenchReport {
         BenchReport {

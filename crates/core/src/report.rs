@@ -4,6 +4,8 @@ use panorama_cluster::{Cdg, Partition};
 use panorama_dfg::Dfg;
 use panorama_mapper::{Mapping, Restriction};
 use panorama_place::ClusterMap;
+use panorama_trace::json::Writer;
+use panorama_trace::schema;
 use std::time::Duration;
 
 /// The artifacts of the higher-level (divide) phase: the chosen partition,
@@ -154,87 +156,64 @@ impl CompileReport {
     /// daemon's result cache and its bit-identity guarantee both rest on
     /// this property.
     pub fn to_json(&self, kernel: &str, arch: &str) -> String {
-        use panorama_trace::json::escape;
-        use std::fmt::Write as _;
+        /// `[[a,b],[c]]`: one inner array per item of `lists`.
+        fn index_lists<L: IntoIterator<Item = usize>>(
+            w: &mut Writer,
+            lists: impl IntoIterator<Item = L>,
+        ) {
+            w.open();
+            for list in lists {
+                w.open();
+                for index in list {
+                    w.uint(index);
+                }
+                w.close();
+            }
+            w.close();
+        }
         let m = &self.mapping;
-        let mut s = String::with_capacity(4096);
-        let _ = write!(
-            s,
-            "{{\"schema\":\"panorama-compile-v1\",\"kernel\":\"{}\",\"arch\":\"{}\",\
-             \"mapper\":\"{}{}\",\"guided\":{},\"ii\":{},\"mii\":{},\"qom\":{:.4}",
-            escape(kernel),
-            escape(arch),
-            if self.plan.is_some() { "Pan-" } else { "" },
-            escape(m.mapper()),
-            self.plan.is_some(),
-            m.ii(),
-            m.mii(),
-            m.qom(),
-        );
+        let guided = self.plan.is_some();
+        let mut w = Writer::new(&schema::COMPILE);
+        w.key("kernel").str(kernel);
+        w.key("arch").str(arch);
+        let prefix = if guided { "Pan-" } else { "" };
+        w.key("mapper").str(&format!("{prefix}{}", m.mapper()));
+        w.key("guided").bool(guided);
+        w.key("ii").uint(m.ii());
+        w.key("mii").uint(m.mii());
+        w.key("qom").fixed(m.qom());
         // Only present when the pre-mapping analyzer ran, so analyze-off
         // documents keep their exact historical bytes.
         if let Some(dfg) = &self.analyzed {
-            let _ = write!(s, ",\"analyzed_ops\":{}", dfg.num_ops());
+            w.key("analyzed_ops").uint(dfg.num_ops());
         }
-        s.push_str(",\"placement\":[");
-        for (i, (time, pe)) in m.assignments().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "[{},{}]", time, pe.index());
-        }
-        s.push(']');
+        let slots = m.assignments().map(|(time, pe)| [time, pe.index()]);
+        index_lists(w.key("placement"), slots);
         match m.routes() {
             Some(routes) => {
-                s.push_str(",\"routes\":[");
-                for (i, route) in routes.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push('[');
-                    for (j, node) in route.nodes.iter().enumerate() {
-                        if j > 0 {
-                            s.push(',');
-                        }
-                        let _ = write!(s, "{}", node.index());
-                    }
-                    s.push(']');
-                }
-                s.push(']');
+                let nodes = routes
+                    .iter()
+                    .map(|r| r.nodes.iter().map(|node| node.index()));
+                index_lists(w.key("routes"), nodes);
             }
-            None => s.push_str(",\"routes\":null"),
+            None => w.key("routes").null(),
         }
         match &self.plan {
             Some(plan) => {
-                let _ = write!(
-                    s,
-                    ",\"plan\":{{\"clusters\":{},\"zeta1\":{},\"histogram\":[",
-                    plan.cdg().num_clusters(),
-                    plan.cluster_map().zeta1(),
-                );
-                for (i, row) in plan.cluster_map().histogram().iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push('[');
-                    for (j, n) in row.iter().enumerate() {
-                        if j > 0 {
-                            s.push(',');
-                        }
-                        let _ = write!(s, "{n}");
-                    }
-                    s.push(']');
-                }
-                s.push_str("]}");
+                w.key("plan").open();
+                w.key("clusters").uint(plan.cdg().num_clusters());
+                w.key("zeta1").uint(plan.cluster_map().zeta1());
+                index_lists(w.key("histogram"), plan.cluster_map().histogram());
+                w.close();
             }
-            None => s.push_str(",\"plan\":null"),
+            None => w.key("plan").null(),
         }
         let stats = m.stats();
-        let _ = write!(
-            s,
-            ",\"stats\":{{\"ii_attempts\":{},\"router_iterations\":{},\"anneal_moves\":{}}}}}",
-            stats.ii_attempts, stats.router_iterations, stats.anneal_moves,
-        );
-        s
+        w.key("stats").open();
+        w.key("ii_attempts").uint(stats.ii_attempts);
+        w.key("router_iterations").uint(stats.router_iterations);
+        w.key("anneal_moves").uint(stats.anneal_moves);
+        w.close();
+        w.finish()
     }
 }

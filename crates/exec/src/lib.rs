@@ -25,7 +25,7 @@ pub mod values;
 
 pub use machine::{run_machine, ExecError, MachineRun};
 pub use reference::{interpret, Reference};
-pub use report::{exec_report_json, EXEC_SCHEMA};
+pub use report::exec_report_json;
 pub use values::{compute, op_value, InputVectors, VectorKind};
 
 use panorama_arch::Cgra;

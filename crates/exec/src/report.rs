@@ -7,48 +7,42 @@
 //! codes.
 
 use crate::ExecOutcome;
-use panorama_trace::json::escape;
-use std::fmt::Write as _;
-
-/// Schema tag carried by every exec report.
-pub const EXEC_SCHEMA: &str = "panorama-exec-v1";
+use panorama_trace::json::Writer;
+use panorama_trace::schema;
 
 /// Renders `outcome` as a `panorama-exec-v1` JSON document.
 ///
 /// `kernel`, `arch` and `mapper` identify the compiled artifact; they
 /// appear verbatim (escaped) in the report.
 pub fn exec_report_json(kernel: &str, arch: &str, mapper: &str, outcome: &ExecOutcome) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{EXEC_SCHEMA}\",");
-    let _ = writeln!(out, "  \"kernel\": \"{}\",", escape(kernel));
-    let _ = writeln!(out, "  \"arch\": \"{}\",", escape(arch));
-    let _ = writeln!(out, "  \"mapper\": \"{}\",", escape(mapper));
-    let _ = writeln!(out, "  \"ii\": {},", outcome.ii);
-    let _ = writeln!(out, "  \"iterations\": {},", outcome.iterations);
-    let _ = writeln!(out, "  \"seed\": {},", outcome.seed);
-    let _ = writeln!(out, "  \"ops\": {},", outcome.ops);
-    let _ = writeln!(out, "  \"stores\": {},", outcome.stores);
+    let mut w = Writer::new(&schema::EXEC);
+    w.key("kernel").str(kernel);
+    w.key("arch").str(arch);
+    w.key("mapper").str(mapper);
+    w.key("ii").uint(outcome.ii);
+    w.key("iterations").uint(outcome.iterations);
+    w.key("seed").uint(outcome.seed);
+    w.key("ops").uint(outcome.ops);
+    w.key("stores").uint(outcome.stores);
     let status = if outcome.passed() { "pass" } else { "fail" };
-    let _ = writeln!(out, "  \"status\": \"{status}\",");
-    let _ = writeln!(out, "  \"checked\": {},", outcome.checked_total());
-    out.push_str("  \"vectors\": [\n");
-    let last = outcome.vectors.len().saturating_sub(1);
-    for (i, v) in outcome.vectors.iter().enumerate() {
-        let divergence = v
-            .divergence
-            .as_ref()
-            .map_or_else(|| "null".to_string(), |msg| format!("\"{}\"", escape(msg)));
-        let _ = write!(
-            out,
-            "    {{\"vector\": \"{}\", \"checked\": {}, \"output_tokens\": {}, \
-             \"output_digest\": \"{:#018x}\", \"divergence\": {}}}",
-            v.vector, v.checked, v.output_tokens, v.output_digest, divergence
-        );
-        out.push_str(if i == last { "\n" } else { ",\n" });
+    w.key("status").str(status);
+    w.key("checked").uint(outcome.checked_total());
+    w.key("vectors").open();
+    for v in &outcome.vectors {
+        w.open();
+        w.key("vector").str(v.vector);
+        w.key("checked").uint(v.checked);
+        w.key("output_tokens").uint(v.output_tokens);
+        w.key("output_digest")
+            .str(&format!("{:#018x}", v.output_digest));
+        match &v.divergence {
+            Some(message) => w.key("divergence").str(message),
+            None => w.key("divergence").null(),
+        }
+        w.close();
     }
-    out.push_str("  ]\n}\n");
-    out
+    w.close();
+    w.finish()
 }
 
 #[cfg(test)]

@@ -32,9 +32,7 @@ pub use minimize::{shrink_dfg, ShrinkOutcome};
 pub use oracle::{
     run_case, run_sampled_case, BackendResult, CaseResult, OracleConfig, OracleOutcome,
 };
-pub use report::{
-    BackendCounts, CorpusStats, FailureRecord, FuzzReport, OracleCounts, FUZZ_SCHEMA,
-};
+pub use report::{BackendCounts, CorpusStats, FailureRecord, FuzzReport, OracleCounts};
 pub use sample::{sample_case, CaseSpec};
 
 use panorama_arch::Cgra;

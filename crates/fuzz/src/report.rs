@@ -7,11 +7,9 @@
 
 use crate::oracle::{CaseResult, OracleOutcome};
 use panorama::BackendId;
-use panorama_trace::json::escape;
+use panorama_trace::json::Writer;
+use panorama_trace::schema;
 use std::fmt::Write as _;
-
-/// Schema identifier carried by every report.
-pub const FUZZ_SCHEMA: &str = "panorama-fuzz-v2";
 
 /// Pass/fail/skip tallies for one oracle across a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -186,96 +184,72 @@ impl FuzzReport {
     /// Serializes the report as `panorama-fuzz-v2` JSON. Deterministic:
     /// no timestamps, no durations, no environment data.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{FUZZ_SCHEMA}\",");
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"cases\": {},", self.cases);
-        let _ = writeln!(out, "  \"max_nodes\": {},", self.max_nodes);
-        let _ = writeln!(out, "  \"completed\": {},", self.completed);
-        let _ = writeln!(out, "  \"cancelled\": {},", self.cancelled);
-        let _ = writeln!(out, "  \"crashes\": {},", self.crashes);
-        out.push_str("  \"oracles\": [\n");
-        let oracle_rows = [
+        let mut w = Writer::new(&schema::FUZZ);
+        w.key("seed").uint(self.seed);
+        w.key("cases").uint(self.cases);
+        w.key("max_nodes").uint(self.max_nodes);
+        w.key("completed").uint(self.completed);
+        w.key("cancelled").bool(self.cancelled);
+        w.key("crashes").uint(self.crashes);
+        w.key("oracles").open();
+        for (name, c) in [
             ("verify", &self.verify),
             ("simulate", &self.simulate),
             ("exec", &self.exec),
             ("exact_ii", &self.exact_ii),
             ("rewrite", &self.rewrite),
-        ];
-        for (i, (name, c)) in oracle_rows.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"oracle\": \"{name}\", \"checks\": {}, \"pass\": {}, \"fail\": {}, \"skip\": {}}}",
-                c.checks, c.pass, c.fail, c.skip
-            );
-            out.push_str(if i + 1 < oracle_rows.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
+        ] {
+            w.open();
+            w.key("oracle").str(name);
+            w.key("checks").uint(c.checks);
+            w.key("pass").uint(c.pass);
+            w.key("fail").uint(c.fail);
+            w.key("skip").uint(c.skip);
+            w.close();
         }
-        out.push_str("  ],\n  \"backends\": [\n");
-        let backend_rows = [
+        w.close();
+        w.key("backends").open();
+        for (name, c) in [
             ("spr", &self.spr),
             ("ultrafast", &self.ultrafast),
             ("sat", &self.sat),
-        ];
-        for (i, (name, c)) in backend_rows.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"backend\": \"{name}\", \"mapped\": {}, \"unmapped\": {}}}",
-                c.mapped, c.unmapped
-            );
-            out.push_str(if i + 1 < backend_rows.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
+        ] {
+            w.open();
+            w.key("backend").str(name);
+            w.key("mapped").uint(c.mapped);
+            w.key("unmapped").uint(c.unmapped);
+            w.close();
         }
-        out.push_str("  ],\n  \"failures\": [");
-        for (i, f) in self.failures.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                out,
-                "    {{\"case\": {}, \"backend\": \"{}\", \"oracle\": \"{}\", \"message\": \"{}\", \
-                 \"arch\": \"{}\", \"arch_text\": \"{}\", \"original_ops\": {}, \"minimized_ops\": {}, \
-                 \"shrink_steps\": {}, \"repro\": \"{}\"}}",
-                f.case,
-                escape(&f.backend),
-                escape(&f.oracle),
-                escape(&f.message),
-                escape(&f.arch),
-                escape(&f.arch_text),
-                f.original_ops,
-                f.minimized_ops,
-                f.shrink_steps,
-                escape(&f.repro)
-            );
+        w.close();
+        w.key("failures").open();
+        for f in &self.failures {
+            w.open();
+            w.key("case").uint(f.case);
+            w.key("backend").str(&f.backend);
+            w.key("oracle").str(&f.oracle);
+            w.key("message").str(&f.message);
+            w.key("arch").str(&f.arch);
+            w.key("arch_text").str(&f.arch_text);
+            w.key("original_ops").uint(f.original_ops);
+            w.key("minimized_ops").uint(f.minimized_ops);
+            w.key("shrink_steps").uint(f.shrink_steps);
+            w.key("repro").str(&f.repro);
+            w.close();
         }
-        out.push_str(if self.failures.is_empty() {
-            "]"
-        } else {
-            "\n  ]"
-        });
+        w.close();
         if let Some(c) = &self.corpus {
-            out.push_str(",\n  \"corpus\": {\n");
-            let _ = writeln!(out, "    \"total\": {},", c.total);
-            let _ = writeln!(out, "    \"replayed\": {},", c.replayed);
-            let _ = writeln!(out, "    \"failed\": {},", c.failed);
-            out.push_str("    \"failures\": [");
-            for (i, line) in c.failures.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "\"{}\"", escape(line));
+            w.key("corpus").open();
+            w.key("total").uint(c.total);
+            w.key("replayed").uint(c.replayed);
+            w.key("failed").uint(c.failed);
+            w.key("failures").open();
+            for line in &c.failures {
+                w.str(line);
             }
-            out.push_str("]\n  }\n");
-        } else {
-            out.push('\n');
+            w.close();
+            w.close();
         }
-        out.push_str("}\n");
-        out
+        w.finish()
     }
 
     /// Human-readable run summary.
@@ -367,7 +341,7 @@ mod tests {
         let doc = panorama_trace::json::parse(&text).expect("valid JSON");
         assert_eq!(
             doc.get("schema").and_then(|s| s.as_str()),
-            Some(FUZZ_SCHEMA)
+            Some(schema::FUZZ.id)
         );
         assert_eq!(
             doc.get("seed").and_then(panorama_trace::json::Json::as_f64),

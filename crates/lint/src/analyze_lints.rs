@@ -14,132 +14,60 @@
 //! actually proving the claimed `rec_mii.after` (`ceil(latency /
 //! distance)`).
 
-use crate::{Diagnostic, Diagnostics, Entity, Severity};
-use panorama_trace::json::{self, Json};
+use crate::report::{err, lint_text, num, Checks};
+use crate::{Diagnostics, Entity};
+use panorama_trace::json::Json;
+use panorama_trace::schema;
 
-fn err(message: impl Into<String>) -> Diagnostic {
-    Diagnostic::new("ANLZ005", Severity::Error, Entity::Global, message)
-}
+pub(crate) const CHECKS: Checks = Checks {
+    schema: &schema::ANALYZE,
+    doc: &[check_accounting],
+    pair: None,
+};
 
 /// Validates a `panorama-analyze-v1` document, appending findings to
-/// `out`. Returns early on unparseable JSON or a wrong schema — field
-/// checks on an arbitrary document would only produce noise.
+/// `out`. Unparseable JSON, a wrong schema or a malformed field ends the
+/// checks there — invariants of an arbitrary document would only produce
+/// noise.
 pub fn lint_analyze_json(text: &str, out: &mut Diagnostics) {
-    let doc = match json::parse(text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            out.push(err(format!("invalid JSON: {e}")));
-            return;
-        }
-    };
-    match doc.get("schema").and_then(Json::as_str) {
-        Some("panorama-analyze-v1") => {}
-        Some(other) => {
-            out.push(err(format!(
-                "unknown schema `{other}` (expected `panorama-analyze-v1`)"
-            )));
-            return;
-        }
-        None => {
-            out.push(err(
-                "missing `schema` field (expected `panorama-analyze-v1`)",
-            ));
-            return;
-        }
-    }
-
-    if doc.get("kernel").and_then(Json::as_str).is_none() {
-        out.push(err("top-level field `kernel` missing or not a string"));
-    }
-    for field in [
-        "rounds",
-        "folded",
-        "merged",
-        "removed",
-        "known_constants",
-        "equiv_iterations",
-    ] {
-        if counter(&doc, field).is_none() {
-            out.push(err(format!(
-                "top-level field `{field}` missing or not a non-negative number"
-            )));
-        }
-    }
-    let mut pairs = [
-        ("ops", None),
-        ("deps", None),
-        ("critical_path", None),
-        ("rec_mii", None),
-    ];
-    for (field, slot) in &mut pairs {
-        let pair = doc
-            .get(field)
-            .and_then(|o| Some((counter(o, "before")?, counter(o, "after")?)));
-        if pair.is_none() {
-            out.push(err(format!(
-                "`{field}` must be an object with non-negative `before`/`after` numbers"
-            )));
-        }
-        *slot = pair;
-    }
-
-    // Op accounting: folding replaces an op in place, merging and removal
-    // drop one op each — nothing else changes the op count.
-    if let (Some((ops_before, ops_after)), Some(merged), Some(removed)) = (
-        pairs[0].1,
-        counter(&doc, "merged"),
-        counter(&doc, "removed"),
-    ) {
-        if ops_before.saturating_sub(merged + removed) != ops_after {
-            out.push(err(format!(
-                "op accounting broken: ops.before {ops_before} - merged {merged} - \
-                 removed {removed} != ops.after {ops_after}"
-            )));
-        }
-    }
-
-    let rec_mii_after = pairs[3].1.map(|(_, after)| after);
-    match doc.get("witness") {
-        Some(Json::Null) => {
-            if rec_mii_after.is_some_and(|r| r > 1) {
-                out.push(err(format!(
-                    "rec_mii.after is {} but no witness cycle proves it",
-                    rec_mii_after.unwrap_or_default()
-                )));
-            }
-        }
-        Some(w) => {
-            let ops_len = w.get("ops").and_then(Json::as_arr).map(<[Json]>::len);
-            let latency = counter(w, "latency");
-            let distance = counter(w, "distance");
-            match (ops_len, latency, distance) {
-                (Some(n), Some(lat), Some(dist)) if n > 0 && dist > 0 => {
-                    let ratio = lat.div_ceil(dist);
-                    if rec_mii_after.is_some_and(|r| r != ratio) {
-                        out.push(err(format!(
-                            "witness proves RecMII ceil({lat}/{dist}) = {ratio}, but \
-                             rec_mii.after claims {}",
-                            rec_mii_after.unwrap_or_default()
-                        )));
-                    }
-                }
-                _ => out.push(err(
-                    "`witness` must be null or an object with a non-empty `ops` array and \
-                     non-negative `latency`/positive `distance`",
-                )),
-            }
-        }
-        None => out.push(err(
-            "top-level field `witness` missing (use null when empty)",
-        )),
-    }
+    lint_text(text, &CHECKS, out);
 }
 
-/// A non-negative integer field, or `None` when missing/mistyped.
-fn counter(obj: &Json, field: &str) -> Option<u64> {
-    match obj.get(field).and_then(Json::as_f64) {
-        Some(n) if n >= 0.0 => Some(n as u64),
-        _ => None,
+fn check_accounting(doc: &Json, at: &Entity, out: &mut Diagnostics) {
+    let mut fail = |message: String| out.push(err("ANLZ005", at.clone(), message));
+    // Op accounting: folding replaces an op in place, merging and removal
+    // drop one op each — nothing else changes the op count.
+    let (ops_before, ops_after) = (num(doc, "ops.before"), num(doc, "ops.after"));
+    let (merged, removed) = (num(doc, "merged"), num(doc, "removed"));
+    if ops_before.saturating_sub(merged.saturating_add(removed)) != ops_after {
+        fail(format!(
+            "op accounting broken: ops.before {ops_before} - merged {merged} - \
+             removed {removed} != ops.after {ops_after}"
+        ));
+    }
+
+    let rec_mii_after = num(doc, "rec_mii.after");
+    let Some(ops) = doc.get("witness").and_then(|w| w.get("ops")) else {
+        if rec_mii_after > 1 {
+            fail(format!(
+                "rec_mii.after is {rec_mii_after} but no witness cycle proves it"
+            ));
+        }
+        return;
+    };
+    let (lat, dist) = (num(doc, "witness.latency"), num(doc, "witness.distance"));
+    if ops.as_arr().is_some_and(<[Json]>::is_empty) || dist == 0 {
+        fail(
+            "`witness` must be null or an object with a non-empty `ops` array and \
+             a positive `distance`"
+                .into(),
+        );
+    } else if lat.div_ceil(dist) != rec_mii_after {
+        fail(format!(
+            "witness proves RecMII ceil({lat}/{dist}) = {}, but rec_mii.after claims \
+             {rec_mii_after}",
+            lat.div_ceil(dist)
+        ));
     }
 }
 
@@ -187,13 +115,6 @@ mod tests {
         assert!(lint(r#"{"schema": "bogus-v9"}"#).has_errors());
         assert!(lint(r#"{"kernel": "k"}"#).has_errors());
         assert!(lint("{nope").iter().all(|d| d.code == "ANLZ005"));
-    }
-
-    #[test]
-    fn missing_fields_are_reported() {
-        let text = sample("null").replace(r#"  "rounds": 2,"#, "");
-        let diags = lint(&text);
-        assert!(diags.iter().any(|d| d.message.contains("rounds")));
     }
 
     #[test]

@@ -347,6 +347,9 @@ mod tests {
                 }
             }
         }
+        // the shape codes of the report linters live in the schema table
+        let shape_codes = panorama_trace::schema::ALL.iter().flat_map(|s| s.codes);
+        emitted.extend(shape_codes.filter(|c| !c.is_empty()).map(String::from));
         for code in &emitted {
             assert!(
                 lookup(code).is_some(),

@@ -1,6 +1,7 @@
 //! The diagnostic data model and its human/JSON renderers.
 
-use panorama_trace::json::string as json_string;
+use panorama_trace::json::Writer;
+use panorama_trace::schema;
 use std::fmt;
 
 /// How bad a finding is.
@@ -214,33 +215,20 @@ impl Diagnostics {
     /// `code`, `severity`, `entity`, `message` and `help` (`null` when
     /// absent).
     pub fn render_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, d) in self.items.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n  {");
-            out.push_str(&format!("\"code\": {}, ", json_string(d.code)));
-            out.push_str(&format!(
-                "\"severity\": {}, ",
-                json_string(d.severity.label())
-            ));
-            out.push_str(&format!(
-                "\"entity\": {}, ",
-                json_string(&d.entity.to_string())
-            ));
-            out.push_str(&format!("\"message\": {}, ", json_string(&d.message)));
+        let mut w = Writer::new(&schema::DIAGNOSTICS);
+        for d in &self.items {
+            w.open();
+            w.key("code").str(d.code);
+            w.key("severity").str(d.severity.label());
+            w.key("entity").str(&d.entity.to_string());
+            w.key("message").str(&d.message);
             match &d.help {
-                Some(h) => out.push_str(&format!("\"help\": {}", json_string(h))),
-                None => out.push_str("\"help\": null"),
+                Some(help) => w.key("help").str(help),
+                None => w.key("help").null(),
             }
-            out.push('}');
+            w.close();
         }
-        if !self.items.is_empty() {
-            out.push('\n');
-        }
-        out.push(']');
-        out
+        w.finish()
     }
 }
 

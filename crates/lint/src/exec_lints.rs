@@ -15,164 +15,37 @@
 //! arithmetic: a `pass` status must be backed by divergence-free vector
 //! rows whose checked counts cover every (op, iteration) token.
 
-use crate::{Diagnostic, Diagnostics, Entity, Severity};
-use panorama_trace::json::{self, Json};
+use crate::report::{err, lint_text, num, text, Checks};
+use crate::{Diagnostics, Entity};
+use panorama_trace::json::Json;
+use panorama_trace::schema;
 
-/// The schema this linter validates (mirrored by `panorama-exec`).
-pub const EXEC_SCHEMA: &str = "panorama-exec-v1";
+pub(crate) const CHECKS: Checks = Checks {
+    schema: &schema::EXEC,
+    doc: &[check_vectors],
+    pair: None,
+};
+
+/// Validates a `panorama-exec-v1` document, appending findings to `out`.
+pub fn lint_exec_json(text: &str, out: &mut Diagnostics) {
+    lint_text(text, &CHECKS, out);
+}
 
 /// The five input-vector families every report must carry, in order.
 const VECTORS: &[&str] = &["seeded", "zeros", "ones", "i32-min", "i32-max"];
 
-fn err(code: &'static str, entity: Entity, message: impl Into<String>) -> Diagnostic {
-    Diagnostic::new(code, Severity::Error, entity, message)
-}
-
-fn num(doc: &Json, field: &str) -> Option<u64> {
-    let v = doc.get(field)?.as_f64()?;
-    if v < 0.0 || v.fract() != 0.0 {
-        return None;
-    }
-    Some(v as u64)
-}
-
-/// `EXEC001`: schema and field shape. Returns `false` when the report is
-/// too malformed for the invariant checks to be meaningful.
-fn check_shape(doc: &Json, out: &mut Diagnostics) -> bool {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(EXEC_SCHEMA) => {}
-        Some(other) => {
-            out.push(err(
-                "EXEC001",
-                Entity::Global,
-                format!("unknown schema `{other}` (expected `{EXEC_SCHEMA}`)"),
-            ));
-            return false;
-        }
-        None => {
-            out.push(err(
-                "EXEC001",
-                Entity::Global,
-                format!("missing `schema` field (expected `{EXEC_SCHEMA}`)"),
-            ));
-            return false;
-        }
-    }
-    let mut ok = true;
-    for field in ["kernel", "arch", "mapper"] {
-        if doc.get(field).and_then(Json::as_str).is_none() {
-            out.push(err(
-                "EXEC001",
-                Entity::Global,
-                format!("`{field}` missing or not a string"),
-            ));
-            ok = false;
-        }
-    }
-    for field in ["ii", "iterations", "seed", "ops", "stores", "checked"] {
-        if num(doc, field).is_none() {
-            out.push(err(
-                "EXEC001",
-                Entity::Global,
-                format!("`{field}` missing or not a non-negative integer"),
-            ));
-            ok = false;
-        }
-    }
-    match doc.get("status").and_then(Json::as_str) {
-        Some("pass" | "fail") => {}
-        _ => {
-            out.push(err(
-                "EXEC001",
-                Entity::Global,
-                "`status` missing or not `pass`/`fail`",
-            ));
-            ok = false;
-        }
-    }
-    match doc.get("vectors").and_then(Json::as_arr) {
-        Some(rows) => {
-            for (i, row) in rows.iter().enumerate() {
-                if row.get("vector").and_then(Json::as_str).is_none() {
-                    out.push(err(
-                        "EXEC001",
-                        Entity::Event(i),
-                        "vector row missing `vector` name",
-                    ));
-                    ok = false;
-                }
-                for field in ["checked", "output_tokens"] {
-                    if num(row, field).is_none() {
-                        out.push(err(
-                            "EXEC001",
-                            Entity::Event(i),
-                            format!("vector row `{field}` missing or not a non-negative integer"),
-                        ));
-                        ok = false;
-                    }
-                }
-                if row.get("output_digest").and_then(Json::as_str).is_none() {
-                    out.push(err(
-                        "EXEC001",
-                        Entity::Event(i),
-                        "vector row `output_digest` missing or not a string",
-                    ));
-                    ok = false;
-                }
-                let divergence_ok =
-                    matches!(row.get("divergence"), Some(Json::Null | Json::Str(_)));
-                if !divergence_ok {
-                    out.push(err(
-                        "EXEC001",
-                        Entity::Event(i),
-                        "vector row `divergence` missing or not null/string",
-                    ));
-                    ok = false;
-                }
-            }
-        }
-        None => {
-            out.push(err(
-                "EXEC001",
-                Entity::Global,
-                "`vectors` missing or not an array",
-            ));
-            ok = false;
-        }
-    }
-    ok
-}
-
-/// `EXEC002`: every recorded divergence is an error finding.
-fn check_divergences(doc: &Json, out: &mut Diagnostics) {
-    let Some(rows) = doc.get("vectors").and_then(Json::as_arr) else {
-        return;
-    };
-    for (i, row) in rows.iter().enumerate() {
-        if let Some(msg) = row.get("divergence").and_then(Json::as_str) {
-            let vector = row.get("vector").and_then(Json::as_str).unwrap_or("?");
-            out.push(err(
-                "EXEC002",
-                Entity::Event(i),
-                format!("`{vector}` vector diverged from the reference: {msg}"),
-            ));
-        }
-    }
-}
-
-/// `EXEC003`: the report's own conservation laws.
-fn check_conservation(doc: &Json, out: &mut Diagnostics) {
-    let Some(rows) = doc.get("vectors").and_then(Json::as_arr) else {
-        return;
-    };
-    let names: Vec<&str> = rows
-        .iter()
-        .filter_map(|r| r.get("vector").and_then(Json::as_str))
-        .collect();
+/// `EXEC002` (every recorded divergence is an error finding) and
+/// `EXEC003` (the report's own conservation laws).
+fn check_vectors(doc: &Json, at: &Entity, out: &mut Diagnostics) {
+    let rows = doc
+        .get("vectors")
+        .and_then(Json::as_arr)
+        .unwrap_or_default();
+    let names: Vec<&str> = rows.iter().map(|row| text(row, "vector")).collect();
     if names != VECTORS {
         out.push(err(
             "EXEC003",
-            Entity::Global,
+            at.clone(),
             format!(
                 "vector rows [{}] do not match the required families [{}]",
                 names.join(", "),
@@ -180,18 +53,20 @@ fn check_conservation(doc: &Json, out: &mut Diagnostics) {
             ),
         ));
     }
-    let ops = num(doc, "ops").unwrap_or(0);
-    let stores = num(doc, "stores").unwrap_or(0);
-    let iterations = num(doc, "iterations").unwrap_or(0);
+    let (ops, stores, iterations) = (num(doc, "ops"), num(doc, "stores"), num(doc, "iterations"));
     let mut divergences = 0usize;
     let mut checked_sum = 0u64;
     for (i, row) in rows.iter().enumerate() {
-        let vector = row.get("vector").and_then(Json::as_str).unwrap_or("?");
-        let checked = num(row, "checked").unwrap_or(0);
+        let vector = names[i];
+        let checked = num(row, "checked");
         checked_sum += checked;
-        let diverged = row.get("divergence").and_then(Json::as_str).is_some();
-        if diverged {
+        if let Some(msg) = row.get("divergence").and_then(Json::as_str) {
             divergences += 1;
+            out.push(err(
+                "EXEC002",
+                Entity::Event(i),
+                format!("`{vector}` vector diverged from the reference: {msg}"),
+            ));
         } else if checked != ops * iterations {
             out.push(err(
                 "EXEC003",
@@ -203,7 +78,7 @@ fn check_conservation(doc: &Json, out: &mut Diagnostics) {
                 ),
             ));
         }
-        let tokens = num(row, "output_tokens").unwrap_or(0);
+        let tokens = num(row, "output_tokens");
         if tokens != stores * iterations {
             out.push(err(
                 "EXEC003",
@@ -215,44 +90,28 @@ fn check_conservation(doc: &Json, out: &mut Diagnostics) {
             ));
         }
     }
-    if let Some(total) = num(doc, "checked") {
-        if total != checked_sum {
-            out.push(err(
-                "EXEC003",
-                Entity::Global,
-                format!("`checked` {total} does not equal the vector sum {checked_sum}"),
-            ));
-        }
+    let total = num(doc, "checked");
+    if total != checked_sum {
+        out.push(err(
+            "EXEC003",
+            at.clone(),
+            format!("`checked` {total} does not equal the vector sum {checked_sum}"),
+        ));
     }
-    let status = doc.get("status").and_then(Json::as_str).unwrap_or("?");
+    let status = text(doc, "status");
     if status == "pass" && divergences > 0 {
         out.push(err(
             "EXEC003",
-            Entity::Global,
+            at.clone(),
             format!("status `pass` but {divergences} vector(s) record a divergence"),
         ));
     }
     if status == "fail" && divergences == 0 {
         out.push(err(
             "EXEC003",
-            Entity::Global,
+            at.clone(),
             "status `fail` but no vector records a divergence",
         ));
-    }
-}
-
-/// Validates a `panorama-exec-v1` document, appending findings to `out`.
-pub fn lint_exec_json(text: &str, out: &mut Diagnostics) {
-    let doc = match json::parse(text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            out.push(err("EXEC001", Entity::Global, format!("invalid JSON: {e}")));
-            return;
-        }
-    };
-    if check_shape(&doc, out) {
-        check_divergences(&doc, out);
-        check_conservation(&doc, out);
     }
 }
 
@@ -262,7 +121,7 @@ mod tests {
 
     fn report(status: &str, divergence: &str) -> String {
         format!(
-            "{{\"schema\": \"{EXEC_SCHEMA}\", \"kernel\": \"fir\", \"arch\": \"4x4\", \
+            "{{\"schema\": \"{id}\", \"kernel\": \"fir\", \"arch\": \"4x4\", \
              \"mapper\": \"spr\", \"ii\": 2, \"iterations\": 4, \"seed\": 42, \"ops\": 3, \
              \"stores\": 1, \"status\": \"{status}\", \"checked\": {checked}, \"vectors\": [\
                {{\"vector\": \"seeded\", \"checked\": 12, \"output_tokens\": 4, \
@@ -275,6 +134,7 @@ mod tests {
                  \"output_digest\": \"0x4\", \"divergence\": null}},\
                {{\"vector\": \"i32-max\", \"checked\": 12, \"output_tokens\": 4, \
                  \"output_digest\": \"0x5\", \"divergence\": null}}]}}",
+            id = schema::EXEC.id,
             checked = 60
         )
     }
@@ -294,10 +154,6 @@ mod tests {
     fn malformed_documents_hit_exec001() {
         assert_eq!(run("{nope"), ["EXEC001"]);
         assert_eq!(run("{\"schema\": \"nope\"}"), ["EXEC001"]);
-        let missing = report("pass", "null").replace("\"ii\": 2, ", "");
-        assert!(run(&missing).contains(&"EXEC001".to_string()));
-        let bad_row = report("pass", "null").replace("\"output_digest\": \"0x3\", ", "");
-        assert!(run(&bad_row).contains(&"EXEC001".to_string()));
     }
 
     #[test]

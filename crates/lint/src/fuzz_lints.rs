@@ -14,177 +14,78 @@
 //! every oracle's `checks == pass + fail + skip`, the failure list is as
 //! long as the fail tallies plus crashes, and `completed <= cases`.
 
+use crate::report::{err, lint_text, num, text, Checks};
 use crate::{Diagnostic, Diagnostics, Entity, Severity};
-use panorama_trace::json::{self, Json};
+use panorama_trace::json::Json;
+use panorama_trace::schema;
 
-/// The schema this linter validates (mirrored by `panorama-fuzz`).
-pub const FUZZ_SCHEMA: &str = "panorama-fuzz-v2";
+pub(crate) const CHECKS: Checks = Checks {
+    schema: &schema::FUZZ,
+    doc: &[check_conservation, check_corpus],
+    pair: Some(check_determinism),
+};
 
-fn err(code: &'static str, entity: Entity, message: impl Into<String>) -> Diagnostic {
-    Diagnostic::new(code, Severity::Error, entity, message)
-}
-
-fn top_num(doc: &Json, field: &str) -> Option<u64> {
-    let v = doc.get(field)?.as_f64()?;
-    if v < 0.0 || v.fract() != 0.0 {
-        return None;
-    }
-    Some(v as u64)
-}
-
-fn row_num(row: &Json, field: &str) -> Option<u64> {
-    let v = row.get(field)?.as_f64()?;
-    if v < 0.0 || v.fract() != 0.0 {
-        return None;
-    }
-    Some(v as u64)
+/// Validates a `panorama-fuzz-v2` document — either one report object or
+/// a JSON array of reports (e.g. two runs of the same seed, for the
+/// determinism check) — appending findings to `out`.
+pub fn lint_fuzz_json(text: &str, out: &mut Diagnostics) {
+    lint_text(text, &CHECKS, out);
 }
 
 /// The five oracles every report must tally, in report order.
 const ORACLES: &[&str] = &["verify", "simulate", "exec", "exact_ii", "rewrite"];
 
-/// `FUZZ001`: schema and field shape. Returns `false` when the report is
-/// too malformed for the invariant checks to be meaningful.
-fn check_shape(doc: &Json, at: Entity, out: &mut Diagnostics) -> bool {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(FUZZ_SCHEMA) => {}
-        Some(other) => {
-            out.push(err(
-                "FUZZ001",
-                at,
-                format!("unknown schema `{other}` (expected `{FUZZ_SCHEMA}`)"),
-            ));
-            return false;
-        }
-        None => {
-            out.push(err(
-                "FUZZ001",
-                at,
-                format!("missing `schema` field (expected `{FUZZ_SCHEMA}`)"),
-            ));
-            return false;
-        }
-    }
-    let mut ok = true;
-    for field in ["seed", "cases", "max_nodes", "completed", "crashes"] {
-        if top_num(doc, field).is_none() {
+/// `FUZZ001` (a missing oracle row) and `FUZZ002` (single report): the
+/// tally conservation laws.
+fn check_conservation(doc: &Json, at: &Entity, out: &mut Diagnostics) {
+    let rows = doc
+        .get("oracles")
+        .and_then(Json::as_arr)
+        .unwrap_or_default();
+    for required in ORACLES {
+        if !rows.iter().any(|row| text(row, "oracle") == *required) {
             out.push(err(
                 "FUZZ001",
                 at.clone(),
-                format!("`{field}` missing or not a non-negative integer"),
+                format!("no tally row for oracle `{required}`"),
             ));
-            ok = false;
         }
     }
-    if doc.get("cancelled").and_then(Json::as_bool).is_none() {
-        out.push(err(
-            "FUZZ001",
-            at.clone(),
-            "`cancelled` missing or not a boolean",
-        ));
-        ok = false;
-    }
-    match doc.get("oracles").and_then(Json::as_arr) {
-        Some(rows) => {
-            let mut names: Vec<&str> = Vec::new();
-            for row in rows {
-                match row.get("oracle").and_then(Json::as_str) {
-                    Some(name) => names.push(name),
-                    None => {
-                        out.push(err(
-                            "FUZZ001",
-                            at.clone(),
-                            "oracle row missing `oracle` name",
-                        ));
-                        ok = false;
-                    }
-                }
-                for field in ["checks", "pass", "fail", "skip"] {
-                    if row_num(row, field).is_none() {
-                        out.push(err(
-                            "FUZZ001",
-                            at.clone(),
-                            format!("oracle row `{field}` missing or not a non-negative integer"),
-                        ));
-                        ok = false;
-                    }
-                }
-            }
-            for required in ORACLES {
-                if !names.contains(required) {
-                    out.push(err(
-                        "FUZZ001",
-                        at.clone(),
-                        format!("no tally row for oracle `{required}`"),
-                    ));
-                    ok = false;
-                }
-            }
-        }
-        None => {
-            out.push(err(
-                "FUZZ001",
-                at.clone(),
-                "`oracles` missing or not an array",
-            ));
-            ok = false;
-        }
-    }
-    if doc.get("backends").and_then(Json::as_arr).is_none() {
-        out.push(err(
-            "FUZZ001",
-            at.clone(),
-            "`backends` missing or not an array",
-        ));
-        ok = false;
-    }
-    if doc.get("failures").and_then(Json::as_arr).is_none() {
-        out.push(err("FUZZ001", at, "`failures` missing or not an array"));
-        ok = false;
-    }
-    ok
-}
-
-/// `FUZZ002` (single report): the tally conservation laws.
-fn check_conservation(doc: &Json, at: Entity, out: &mut Diagnostics) {
-    let mut total_fails = top_num(doc, "crashes").unwrap_or(0);
-    if let Some(rows) = doc.get("oracles").and_then(Json::as_arr) {
-        for row in rows {
-            let name = row.get("oracle").and_then(Json::as_str).unwrap_or("?");
-            let (checks, pass, fail, skip) = (
-                row_num(row, "checks").unwrap_or(0),
-                row_num(row, "pass").unwrap_or(0),
-                row_num(row, "fail").unwrap_or(0),
-                row_num(row, "skip").unwrap_or(0),
-            );
-            if checks != pass + fail + skip {
-                out.push(err(
-                    "FUZZ002",
-                    at.clone(),
-                    format!(
-                        "oracle `{name}`: checks {checks} != pass {pass} + fail {fail} + skip {skip}"
-                    ),
-                ));
-            }
-            total_fails += fail;
-        }
-    }
-    if let Some(failures) = doc.get("failures").and_then(Json::as_arr) {
-        if failures.len() as u64 != total_fails {
+    let mut total_fails = num(doc, "crashes");
+    for row in rows {
+        let name = text(row, "oracle");
+        let (checks, pass, fail, skip) = (
+            num(row, "checks"),
+            num(row, "pass"),
+            num(row, "fail"),
+            num(row, "skip"),
+        );
+        if checks != pass + fail + skip {
             out.push(err(
                 "FUZZ002",
                 at.clone(),
                 format!(
-                    "{} failure record(s) but the tallies account for {total_fails} (oracle fails + crashes)",
-                    failures.len()
+                    "oracle `{name}`: checks {checks} != pass {pass} + fail {fail} + skip {skip}"
                 ),
             ));
         }
+        total_fails += fail;
     }
-    let (completed, cases) = (
-        top_num(doc, "completed").unwrap_or(0),
-        top_num(doc, "cases").unwrap_or(0),
-    );
+    let failures = doc
+        .get("failures")
+        .and_then(Json::as_arr)
+        .unwrap_or_default();
+    if failures.len() as u64 != total_fails {
+        out.push(err(
+            "FUZZ002",
+            at.clone(),
+            format!(
+                "{} failure record(s) but the tallies account for {total_fails} (oracle fails + crashes)",
+                failures.len()
+            ),
+        ));
+    }
+    let (completed, cases) = (num(doc, "completed"), num(doc, "cases"));
     if completed > cases {
         out.push(err(
             "FUZZ002",
@@ -192,30 +93,34 @@ fn check_conservation(doc: &Json, at: Entity, out: &mut Diagnostics) {
             format!("completed {completed} exceeds the case budget {cases}"),
         ));
     }
-    if completed < cases && doc.get("cancelled").and_then(Json::as_bool) == Some(false) {
+    if completed < cases && !cancelled(doc) {
         out.push(err(
             "FUZZ002",
-            at,
+            at.clone(),
             format!("only {completed}/{cases} cases ran but the report is not marked cancelled"),
         ));
     }
 }
 
+fn cancelled(doc: &Json) -> bool {
+    doc.get("cancelled").and_then(Json::as_bool) == Some(true)
+}
+
 /// `FUZZ003`: corpus replay coverage.
-fn check_corpus(doc: &Json, at: Entity, out: &mut Diagnostics) {
+fn check_corpus(doc: &Json, at: &Entity, out: &mut Diagnostics) {
     let Some(corpus) = doc.get("corpus") else {
         out.push(Diagnostic::new(
             "FUZZ003",
             Severity::Warn,
-            at,
+            at.clone(),
             "report has no `corpus` section: the regression corpus was not replayed",
         ));
         return;
     };
     let (total, replayed, failed) = (
-        row_num(corpus, "total").unwrap_or(0),
-        row_num(corpus, "replayed").unwrap_or(0),
-        row_num(corpus, "failed").unwrap_or(0),
+        num(corpus, "total"),
+        num(corpus, "replayed"),
+        num(corpus, "failed"),
     );
     if replayed != total {
         out.push(err(
@@ -225,20 +130,19 @@ fn check_corpus(doc: &Json, at: Entity, out: &mut Diagnostics) {
         ));
     }
     if failed > 0 {
-        let detail = corpus
-            .get("failures")
-            .and_then(Json::as_arr)
-            .map(|rows| {
-                rows.iter()
-                    .filter_map(Json::as_str)
-                    .collect::<Vec<_>>()
-                    .join("; ")
-            })
-            .unwrap_or_default();
+        let lines = corpus.get("failures").and_then(Json::as_arr);
+        let detail: Vec<&str> = lines
+            .unwrap_or_default()
+            .iter()
+            .filter_map(Json::as_str)
+            .collect();
         out.push(err(
             "FUZZ003",
-            at,
-            format!("{failed} corpus case(s) failed replay: {detail}"),
+            at.clone(),
+            format!(
+                "{failed} corpus case(s) failed replay: {}",
+                detail.join("; ")
+            ),
         ));
     }
 }
@@ -246,17 +150,10 @@ fn check_corpus(doc: &Json, at: Entity, out: &mut Diagnostics) {
 /// `FUZZ002` (report pairs): identical budgets must yield identical
 /// reports — the harness's core determinism claim.
 fn check_determinism(prev: &Json, cur: &Json, at: Entity, out: &mut Diagnostics) {
-    let budget = |d: &Json| {
-        (
-            top_num(d, "seed"),
-            top_num(d, "cases"),
-            top_num(d, "max_nodes"),
-        )
-    };
+    let budget = |d: &Json| (num(d, "seed"), num(d, "cases"), num(d, "max_nodes"));
     if budget(prev) != budget(cur) {
         return;
     }
-    let cancelled = |d: &Json| d.get("cancelled").and_then(Json::as_bool).unwrap_or(false);
     if cancelled(prev) || cancelled(cur) {
         return; // a wall-clock cap legitimately truncates a run
     }
@@ -273,51 +170,9 @@ fn check_determinism(prev: &Json, cur: &Json, at: Entity, out: &mut Diagnostics)
             at,
             format!(
                 "two reports with seed {} and identical budgets differ: the harness is not deterministic",
-                top_num(cur, "seed").unwrap_or(0)
+                num(cur, "seed")
             ),
         ));
-    }
-}
-
-/// Validates a `panorama-fuzz-v2` document — either one report object or
-/// a JSON array of reports (e.g. two runs of the same seed, for the
-/// determinism check) — appending findings to `out`.
-pub fn lint_fuzz_json(text: &str, out: &mut Diagnostics) {
-    let doc = match json::parse(text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            out.push(err("FUZZ001", Entity::Global, format!("invalid JSON: {e}")));
-            return;
-        }
-    };
-    let reports: Vec<&Json> = match doc.as_arr() {
-        Some(arr) => arr.iter().collect(),
-        None => vec![&doc],
-    };
-    if reports.is_empty() {
-        out.push(err("FUZZ001", Entity::Global, "empty report array"));
-        return;
-    }
-    let single = reports.len() == 1;
-    let mut shaped: Vec<Option<&Json>> = Vec::with_capacity(reports.len());
-    for (i, report) in reports.iter().enumerate() {
-        let at = if single {
-            Entity::Global
-        } else {
-            Entity::Event(i)
-        };
-        if check_shape(report, at.clone(), out) {
-            check_conservation(report, at.clone(), out);
-            check_corpus(report, at, out);
-            shaped.push(Some(report));
-        } else {
-            shaped.push(None);
-        }
-    }
-    for i in 1..shaped.len() {
-        if let (Some(prev), Some(cur)) = (shaped[i - 1], shaped[i]) {
-            check_determinism(prev, cur, Entity::Event(i), out);
-        }
     }
 }
 
@@ -337,7 +192,7 @@ mod tests {
             })
             .collect();
         format!(
-            "{{\"schema\": \"{FUZZ_SCHEMA}\", \"seed\": {seed}, \"cases\": {completed}, \
+            "{{\"schema\": \"{id}\", \"seed\": {seed}, \"cases\": {completed}, \
              \"max_nodes\": 48, \"completed\": {completed}, \"cancelled\": false, \"crashes\": 0, \
              \"oracles\": [\
                {{\"oracle\": \"verify\", \"checks\": {c2}, \"pass\": {vp}, \"fail\": {fails}, \"skip\": 0}},\
@@ -350,6 +205,7 @@ mod tests {
                {{\"backend\": \"ultrafast\", \"mapped\": {completed}, \"unmapped\": 0}}],\
              \"failures\": [{failures}]{corpus}}}",
             c2 = completed * 2,
+            id = schema::FUZZ.id,
             vp = completed * 2 - fails,
             failures = failures.join(",")
         )
@@ -375,13 +231,11 @@ mod tests {
     fn bad_json_schema_and_fields_hit_fuzz001() {
         assert_eq!(run("{nope"), ["FUZZ001"]);
         assert_eq!(run("{\"schema\": \"nope\"}"), ["FUZZ001"]);
-        let missing = report(1, 2, 0, CLEAN_CORPUS).replace("\"seed\": 1, ", "");
-        assert!(run(&missing).contains(&"FUZZ001".to_string()));
         let no_row = report(1, 2, 0, CLEAN_CORPUS).replace(
-            "{\"oracle\": \"exact_ii\", \"checks\": 2, \"pass\": 0, \"fail\": 0, \"skip\": 2}",
+            "{\"oracle\": \"exact_ii\", \"checks\": 2, \"pass\": 0, \"fail\": 0, \"skip\": 2},",
             "",
         );
-        assert!(run(&no_row).contains(&"FUZZ001".to_string()));
+        assert_eq!(run(&no_row), ["FUZZ001"]);
     }
 
     #[test]
@@ -405,9 +259,13 @@ mod tests {
         assert_eq!(codes, ["FUZZ002"]);
         // Identical reports are clean, even as an array.
         assert!(run(&format!("[{a},{a}]")).is_empty());
-        // Different seeds are not comparable.
+        // Different seeds are not comparable — including two that are one
+        // apart above 2^53, where an `f64` reading would merge them.
         let c = report(7, 5, 0, CLEAN_CORPUS);
         assert!(run(&format!("[{a},{c}]")).is_empty());
+        let d = report(9_007_199_254_740_992, 5, 0, CLEAN_CORPUS);
+        let e = report(9_007_199_254_740_993, 5, 2, CLEAN_CORPUS);
+        assert!(run(&format!("[{d},{e}]")).is_empty());
     }
 
     #[test]

@@ -18,6 +18,11 @@
 //! plus architecture costs microseconds, which is why the pipeline can
 //! afford to pre-flight every compile with it.
 //!
+//! Recorded JSON reports are linted too: [`lint_report`] picks the schema
+//! by its id, [`check_shape`] checks the document against that schema's
+//! row of [`panorama_trace::schema`], and the `*_lints` modules add each
+//! schema's invariants.
+//!
 //! # Diagnostic codes
 //!
 //! Codes are stable strings grouped by prefix: `DFG...` (kernel structure),
@@ -67,6 +72,7 @@ pub mod ilp_lints;
 pub mod partition_lints;
 pub mod precheck;
 mod registry;
+mod report;
 pub mod sat_lints;
 pub mod serve_lints;
 pub mod trace_lints;
@@ -81,6 +87,7 @@ pub use ilp_lints::lint_model;
 pub use partition_lints::lint_partition;
 pub use precheck::{precheck, PrecheckReport};
 pub use registry::{LintContext, LintPass, Registry};
+pub use report::{check_shape, lint_report};
 pub use sat_lints::lint_sat_json;
 pub use serve_lints::lint_serve_json;
 pub use trace_lints::lint_trace_json;

@@ -14,142 +14,36 @@
 //! does — each occurrence was re-blocked and re-solved, so results stay
 //! sound, but the encoding should be fixed.
 
+use crate::report::{err, lint_text, num, text, Checks};
 use crate::{Diagnostic, Diagnostics, Entity, Severity};
-use panorama_trace::json::{self, Json};
+use panorama_trace::json::Json;
+use panorama_trace::schema;
 
-/// The schema this linter validates (mirrored by `panorama compile`).
-pub const SAT_SCHEMA: &str = "panorama-sat-v1";
+pub(crate) const CHECKS: Checks = Checks {
+    schema: &schema::SAT,
+    doc: &[check_attempts],
+    pair: None,
+};
 
-/// Attempt outcomes the mapper records.
-const RESULTS: &[&str] = &["mapped", "unsat", "budget", "timeout", "cancelled"];
-
-fn err(code: &'static str, entity: Entity, message: impl Into<String>) -> Diagnostic {
-    Diagnostic::new(code, Severity::Error, entity, message)
-}
-
-fn num(doc: &Json, field: &str) -> Option<u64> {
-    let v = doc.get(field)?.as_f64()?;
-    if v < 0.0 || v.fract() != 0.0 {
-        return None;
-    }
-    Some(v as u64)
-}
-
-/// `SAT001`: schema and field shape. Returns `false` when the report is
-/// too malformed for the invariant checks to be meaningful.
-fn check_shape(doc: &Json, out: &mut Diagnostics) -> bool {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(SAT_SCHEMA) => {}
-        Some(other) => {
-            out.push(err(
-                "SAT001",
-                Entity::Global,
-                format!("unknown schema `{other}` (expected `{SAT_SCHEMA}`)"),
-            ));
-            return false;
-        }
-        None => {
-            out.push(err(
-                "SAT001",
-                Entity::Global,
-                format!("missing `schema` field (expected `{SAT_SCHEMA}`)"),
-            ));
-            return false;
-        }
-    }
-    let mut ok = true;
-    for field in ["kernel", "arch"] {
-        if doc.get(field).and_then(Json::as_str).is_none() {
-            out.push(err(
-                "SAT001",
-                Entity::Global,
-                format!("`{field}` missing or not a string"),
-            ));
-            ok = false;
-        }
-    }
-    for field in ["mii", "max_ii", "mapped_ii", "max_vars", "max_clauses"] {
-        if num(doc, field).is_none() {
-            out.push(err(
-                "SAT001",
-                Entity::Global,
-                format!("`{field}` missing or not a non-negative integer"),
-            ));
-            ok = false;
-        }
-    }
-    let Some(rows) = doc.get("attempts").and_then(Json::as_arr) else {
-        out.push(err(
-            "SAT001",
-            Entity::Global,
-            "`attempts` missing or not an array",
-        ));
-        return false;
-    };
-    for (i, row) in rows.iter().enumerate() {
-        match row.get("result").and_then(Json::as_str) {
-            Some(r) if RESULTS.contains(&r) => {}
-            Some(other) => {
-                out.push(err(
-                    "SAT001",
-                    Entity::Event(i),
-                    format!("unknown attempt result `{other}`"),
-                ));
-                ok = false;
-            }
-            None => {
-                out.push(err(
-                    "SAT001",
-                    Entity::Event(i),
-                    "attempt row missing `result`",
-                ));
-                ok = false;
-            }
-        }
-        for field in [
-            "ii",
-            "refinements",
-            "decode_mismatches",
-            "vars",
-            "clauses",
-            "conflicts",
-            "propagations",
-            "decisions",
-            "restarts",
-        ] {
-            if num(row, field).is_none() {
-                out.push(err(
-                    "SAT001",
-                    Entity::Event(i),
-                    format!("attempt row `{field}` missing or not a non-negative integer"),
-                ));
-                ok = false;
-            }
-        }
-    }
-    ok
+/// Validates a `panorama-sat-v1` document, appending findings to `out`.
+pub fn lint_sat_json(text: &str, out: &mut Diagnostics) {
+    lint_text(text, &CHECKS, out);
 }
 
 /// The invariant checks proper: budget overruns (`SAT001`), a cap
 /// timeout (`SAT002`) and decode/verify mismatches (`SAT003`).
-fn check_attempts(doc: &Json, out: &mut Diagnostics) {
-    let max_vars = num(doc, "max_vars").unwrap_or(u64::MAX);
-    let max_clauses = num(doc, "max_clauses").unwrap_or(u64::MAX);
-    let max_ii = num(doc, "max_ii").unwrap_or(0);
-    let mapped_ii = num(doc, "mapped_ii").unwrap_or(0);
+fn check_attempts(doc: &Json, _at: &Entity, out: &mut Diagnostics) {
+    let (max_vars, max_clauses) = (num(doc, "max_vars"), num(doc, "max_clauses"));
+    let max_ii = num(doc, "max_ii");
     let rows = doc
         .get("attempts")
         .and_then(Json::as_arr)
-        .map(<[_]>::to_vec)
         .unwrap_or_default();
     let mut cap_timeout = None;
     for (i, row) in rows.iter().enumerate() {
-        let ii = num(row, "ii").unwrap_or(0);
-        let result = row.get("result").and_then(Json::as_str).unwrap_or("?");
-        let (vars, clauses) = (
-            num(row, "vars").unwrap_or(0),
-            num(row, "clauses").unwrap_or(0),
-        );
+        let ii = num(row, "ii");
+        let result = text(row, "result");
+        let (vars, clauses) = (num(row, "vars"), num(row, "clauses"));
         if result == "budget" || vars > max_vars || clauses > max_clauses {
             out.push(err(
                 "SAT001",
@@ -163,7 +57,7 @@ fn check_attempts(doc: &Json, out: &mut Diagnostics) {
         if result == "timeout" && ii >= max_ii {
             cap_timeout = Some((i, ii));
         }
-        let mismatches = num(row, "decode_mismatches").unwrap_or(0);
+        let mismatches = num(row, "decode_mismatches");
         if mismatches > 0 {
             out.push(err(
                 "SAT003",
@@ -178,7 +72,7 @@ fn check_attempts(doc: &Json, out: &mut Diagnostics) {
     // A timeout at the cap only matters when nothing mapped: the
     // search ended on exhausted conflict budgets, not an infeasibility
     // proof or a solution.
-    if let (Some((i, ii)), 0) = (cap_timeout, mapped_ii) {
+    if let (Some((i, ii)), 0) = (cap_timeout, num(doc, "mapped_ii")) {
         out.push(Diagnostic::new(
             "SAT002",
             Severity::Warn,
@@ -191,30 +85,17 @@ fn check_attempts(doc: &Json, out: &mut Diagnostics) {
     }
 }
 
-/// Validates a `panorama-sat-v1` document, appending findings to `out`.
-pub fn lint_sat_json(text: &str, out: &mut Diagnostics) {
-    let doc = match json::parse(text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            out.push(err("SAT001", Entity::Global, format!("invalid JSON: {e}")));
-            return;
-        }
-    };
-    if check_shape(&doc, out) {
-        check_attempts(&doc, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn report(mapped_ii: u64, attempts: &str) -> String {
         format!(
-            "{{\"schema\": \"{SAT_SCHEMA}\", \"kernel\": \"fir\", \"arch\": \"4x4\", \
+            "{{\"schema\": \"{id}\", \"kernel\": \"fir\", \"arch\": \"4x4\", \
              \"mii\": 2, \"max_ii\": 12, \"mapped_ii\": {mapped_ii}, \
              \"max_vars\": 200000, \"max_clauses\": 2000000, \
-             \"attempts\": [{attempts}]}}"
+             \"attempts\": [{attempts}]}}",
+            id = schema::SAT.id
         )
     }
 
@@ -249,8 +130,6 @@ mod tests {
     fn malformed_reports_hit_sat001() {
         assert_eq!(run("{nope"), ["SAT001"]);
         assert_eq!(run("{\"schema\": \"nope\"}"), ["SAT001"]);
-        let missing = report(0, &attempt(2, "unsat", 0, 1)).replace("\"mii\": 2, ", "");
-        assert!(run(&missing).contains(&"SAT001".to_string()));
         let bad_result = report(0, &attempt(2, "exploded", 0, 1));
         assert!(run(&bad_result).contains(&"SAT001".to_string()));
     }

@@ -22,143 +22,38 @@
 //! a decrease means the daemon restarted mid-scrape or the collector
 //! interleaved two servers.
 
-use crate::{Diagnostic, Diagnostics, Entity, Severity};
-use panorama_trace::json::{self, Json};
+use crate::report::{err, lint_text, num, text, Checks};
+use crate::{Diagnostics, Entity};
+use panorama_trace::json::Json;
+use panorama_trace::schema::{self, Field, Ty};
 
-/// The schema this linter validates (mirrored by `panorama-serve`).
-pub const SERVE_METRICS_SCHEMA: &str = "panorama-serve-metrics-v1";
+pub(crate) const CHECKS: Checks = Checks {
+    schema: &schema::SERVE_METRICS,
+    doc: &[check_conservation, check_phases, check_quota, check_disk],
+    pair: Some(check_monotonic),
+};
 
-fn err(code: &'static str, entity: Entity, message: impl Into<String>) -> Diagnostic {
-    Diagnostic::new(code, Severity::Error, entity, message)
-}
-
-fn num(doc: &Json, section: &str, field: &str) -> Option<u64> {
-    let v = doc.get(section)?.get(field)?.as_f64()?;
-    if v < 0.0 || v.fract() != 0.0 {
-        return None;
-    }
-    Some(v as u64)
-}
-
-/// Fields every snapshot must carry, as `(section, field)` pairs. All are
-/// cumulative except the `queue` gauges and cache `entries`/`capacity`.
-const REQUIRED: &[(&str, &str)] = &[
-    ("queue", "depth"),
-    ("queue", "capacity"),
-    ("queue", "in_flight"),
-    ("requests", "received"),
-    ("requests", "completed"),
-    ("requests", "shed"),
-    ("requests", "cancelled"),
-    ("requests", "failed"),
-    ("requests", "quota_rejected"),
-    ("result_cache", "hits"),
-    ("result_cache", "misses"),
-    ("result_cache", "entries"),
-    ("result_cache", "capacity"),
-    ("result_cache", "evictions"),
-    ("mrrg_cache", "hits"),
-    ("mrrg_cache", "misses"),
-    ("mrrg_cache", "entries"),
-    ("mrrg_cache", "capacity"),
-    ("mrrg_cache", "evictions"),
-    ("warm_cache", "hits"),
-    ("warm_cache", "misses"),
-    ("warm_cache", "entries"),
-    ("warm_cache", "capacity"),
-    ("warm_cache", "evictions"),
-    ("disk_cache", "hits"),
-    ("disk_cache", "misses"),
-    ("disk_cache", "entries"),
-    ("disk_cache", "capacity"),
-    ("disk_cache", "evictions"),
-    ("disk_cache", "bytes"),
-    ("disk_cache", "corrupt"),
-    ("quota", "rps"),
-    ("quota", "burst"),
-    ("quota", "rejected"),
-];
-
-/// The cumulative subset of [`REQUIRED`] that must never decrease across
-/// successive snapshots of one daemon.
-const MONOTONIC: &[(&str, &str)] = &[
-    ("requests", "received"),
-    ("requests", "completed"),
-    ("requests", "shed"),
-    ("requests", "cancelled"),
-    ("requests", "failed"),
-    ("result_cache", "hits"),
-    ("result_cache", "misses"),
-    ("result_cache", "evictions"),
-    ("mrrg_cache", "hits"),
-    ("mrrg_cache", "misses"),
-    ("mrrg_cache", "evictions"),
-    ("warm_cache", "hits"),
-    ("warm_cache", "misses"),
-    ("warm_cache", "evictions"),
-    ("requests", "quota_rejected"),
-    ("disk_cache", "hits"),
-    ("disk_cache", "misses"),
-    ("disk_cache", "evictions"),
-    ("disk_cache", "corrupt"),
-    ("quota", "rejected"),
-];
-
-/// `SERVE001`: schema and field shape. Returns `false` when the snapshot
-/// is too malformed for the invariant checks to be meaningful.
-fn check_shape(doc: &Json, at: Entity, out: &mut Diagnostics) -> bool {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(SERVE_METRICS_SCHEMA) => {}
-        Some(other) => {
-            out.push(err(
-                "SERVE001",
-                at,
-                format!("unknown schema `{other}` (expected `{SERVE_METRICS_SCHEMA}`)"),
-            ));
-            return false;
-        }
-        None => {
-            out.push(err(
-                "SERVE001",
-                at,
-                format!("missing `schema` field (expected `{SERVE_METRICS_SCHEMA}`)"),
-            ));
-            return false;
-        }
-    }
-    let mut ok = true;
-    for &(section, field) in REQUIRED {
-        if num(doc, section, field).is_none() {
-            out.push(err(
-                "SERVE001",
-                at.clone(),
-                format!("`{section}.{field}` missing or not a non-negative integer"),
-            ));
-            ok = false;
-        }
-    }
-    if doc.get("phases").and_then(Json::as_arr).is_none() {
-        out.push(err("SERVE001", at, "`phases` missing or not an array"));
-        ok = false;
-    }
-    ok
+/// Validates a `panorama-serve-metrics-v1` document — either one snapshot
+/// object or an array of successive snapshots — appending findings to
+/// `out`.
+pub fn lint_serve_json(text: &str, out: &mut Diagnostics) {
+    lint_text(text, &CHECKS, out);
 }
 
 /// `SERVE002` (single snapshot): the conservation equality.
-fn check_conservation(doc: &Json, at: Entity, out: &mut Diagnostics) {
-    let get = |s, f| num(doc, s, f).unwrap_or(0);
-    let received = get("requests", "received");
-    let accounted = get("requests", "completed")
-        + get("requests", "shed")
-        + get("requests", "cancelled")
-        + get("requests", "failed")
-        + get("requests", "quota_rejected")
-        + get("queue", "depth")
-        + get("queue", "in_flight");
+fn check_conservation(doc: &Json, at: &Entity, out: &mut Diagnostics) {
+    let received = num(doc, "requests.received");
+    let accounted = num(doc, "requests.completed")
+        + num(doc, "requests.shed")
+        + num(doc, "requests.cancelled")
+        + num(doc, "requests.failed")
+        + num(doc, "requests.quota_rejected")
+        + num(doc, "queue.depth")
+        + num(doc, "queue.in_flight");
     if received != accounted {
         out.push(err(
             "SERVE002",
-            at,
+            at.clone(),
             format!(
                 "conservation broken: received {received} != completed+shed+cancelled+failed+quota_rejected+queued+in_flight = {accounted}"
             ),
@@ -170,34 +65,16 @@ fn check_conservation(doc: &Json, at: Entity, out: &mut Diagnostics) {
 /// sorted and unique, per-tenant rejections summing to both the quota's
 /// and the request counter's totals, and no bucket holding more than
 /// `burst` tokens.
-fn check_quota(doc: &Json, at: Entity, out: &mut Diagnostics) {
-    let Some(quota) = doc.get("quota") else {
-        return; // SERVE001 already flagged the missing section
-    };
-    let Some(tenants) = quota.get("tenants").and_then(Json::as_arr) else {
-        out.push(err(
-            "SERVE004",
-            at,
-            "`quota.tenants` missing or not an array",
-        ));
-        return;
-    };
-    let burst = num(doc, "quota", "burst").unwrap_or(0);
-    let mut names: Vec<&str> = Vec::with_capacity(tenants.len());
+fn check_quota(doc: &Json, at: &Entity, out: &mut Diagnostics) {
+    let burst = num(doc, "quota.burst");
+    let mut names: Vec<&str> = Vec::new();
     let mut rejected_sum = 0u64;
-    for t in tenants {
-        let Some(name) = t.get("tenant").and_then(Json::as_str) else {
-            out.push(err(
-                "SERVE004",
-                at.clone(),
-                "tenant entry missing `tenant` name",
-            ));
-            continue;
-        };
+    let tenants = doc.get("quota").and_then(|q| q.get("tenants"));
+    for t in tenants.and_then(Json::as_arr).unwrap_or_default() {
+        let name = text(t, "tenant");
         names.push(name);
-        let field = |f: &str| t.get(f).and_then(Json::as_f64).unwrap_or(0.0) as u64;
-        rejected_sum += field("rejected");
-        let tokens = field("tokens");
+        rejected_sum += num(t, "rejected");
+        let tokens = num(t, "tokens");
         if tokens > burst {
             out.push(err(
                 "SERVE004",
@@ -213,12 +90,12 @@ fn check_quota(doc: &Json, at: Entity, out: &mut Diagnostics) {
             "`quota.tenants` not sorted by unique tenant name",
         ));
     }
-    let quota_rejected = num(doc, "quota", "rejected").unwrap_or(0);
-    let counter = num(doc, "requests", "quota_rejected").unwrap_or(0);
+    let quota_rejected = num(doc, "quota.rejected");
+    let counter = num(doc, "requests.quota_rejected");
     if rejected_sum != quota_rejected || quota_rejected != counter {
         out.push(err(
             "SERVE004",
-            at,
+            at.clone(),
             format!(
                 "quota rejection counters disagree: per-tenant sum {rejected_sum}, quota.rejected {quota_rejected}, requests.quota_rejected {counter}"
             ),
@@ -229,9 +106,11 @@ fn check_quota(doc: &Json, at: Entity, out: &mut Diagnostics) {
 /// `SERVE005`: disk-cache tier invariants — resident bytes within the
 /// byte budget (when one is set), and disk hits never exceeding the total
 /// cache hits they are a subset of.
-fn check_disk(doc: &Json, at: Entity, out: &mut Diagnostics) {
-    let get = |f| num(doc, "disk_cache", f).unwrap_or(0);
-    let (bytes, capacity) = (get("bytes"), get("capacity"));
+fn check_disk(doc: &Json, at: &Entity, out: &mut Diagnostics) {
+    let (bytes, capacity) = (
+        num(doc, "disk_cache.bytes"),
+        num(doc, "disk_cache.capacity"),
+    );
     if capacity > 0 && bytes > capacity {
         out.push(err(
             "SERVE005",
@@ -239,12 +118,12 @@ fn check_disk(doc: &Json, at: Entity, out: &mut Diagnostics) {
             format!("disk cache holds {bytes} bytes, above its {capacity}-byte budget"),
         ));
     }
-    let disk_hits = get("hits");
-    let total_hits = num(doc, "result_cache", "hits").unwrap_or(0);
+    let disk_hits = num(doc, "disk_cache.hits");
+    let total_hits = num(doc, "result_cache.hits");
     if disk_hits > total_hits {
         out.push(err(
             "SERVE005",
-            at,
+            at.clone(),
             format!(
                 "disk cache reports {disk_hits} hits but only {total_hits} requests were answered from any cache tier"
             ),
@@ -253,23 +132,12 @@ fn check_disk(doc: &Json, at: Entity, out: &mut Diagnostics) {
 }
 
 /// `SERVE003`: phase coverage and percentile ordering.
-fn check_phases(doc: &Json, at: Entity, out: &mut Diagnostics) {
-    let Some(phases) = doc.get("phases").and_then(Json::as_arr) else {
-        return;
-    };
+fn check_phases(doc: &Json, at: &Entity, out: &mut Diagnostics) {
     let mut names = Vec::new();
-    for p in phases {
-        let Some(name) = p.get("phase").and_then(Json::as_str) else {
-            out.push(err(
-                "SERVE003",
-                at.clone(),
-                "phase entry missing `phase` name",
-            ));
-            continue;
-        };
+    for p in doc.get("phases").and_then(Json::as_arr).unwrap_or_default() {
+        let name = text(p, "phase");
         names.push(name);
-        let pct = |f: &str| p.get(f).and_then(Json::as_f64).unwrap_or(0.0);
-        let (p50, p90, p99) = (pct("p50_ns"), pct("p90_ns"), pct("p99_ns"));
+        let (p50, p90, p99) = (num(p, "p50_ns"), num(p, "p90_ns"), num(p, "p99_ns"));
         if !(p50 <= p90 && p90 <= p99) {
             out.push(err(
                 "SERVE003",
@@ -280,8 +148,8 @@ fn check_phases(doc: &Json, at: Entity, out: &mut Diagnostics) {
     }
     // Completions beyond result-cache hits ran the full pipeline, so its
     // top-level phases must have latency histograms.
-    let completed = num(doc, "requests", "completed").unwrap_or(0);
-    let hits = num(doc, "result_cache", "hits").unwrap_or(0);
+    let completed = num(doc, "requests.completed");
+    let hits = num(doc, "result_cache.hits");
     if completed > hits {
         for required in ["preflight", "map"] {
             if !names.contains(&required) {
@@ -298,67 +166,26 @@ fn check_phases(doc: &Json, at: Entity, out: &mut Diagnostics) {
     }
 }
 
-/// `SERVE002` (snapshot pairs): cumulative counters never decrease.
+/// `SERVE002` (snapshot pairs): the counters the table marks cumulative
+/// never decrease.
 fn check_monotonic(prev: &Json, cur: &Json, at: Entity, out: &mut Diagnostics) {
-    for &(section, field) in MONOTONIC {
-        let (Some(before), Some(after)) = (num(prev, section, field), num(cur, section, field))
-        else {
+    let Ty::Obj(sections) = &schema::SERVE_METRICS.root else {
+        unreachable!("the metrics document is an object");
+    };
+    for section in *sections {
+        let Ty::Obj(fields) = &section.ty else {
             continue;
         };
-        if after < before {
-            out.push(err(
-                "SERVE002",
-                at.clone(),
-                format!("`{section}.{field}` decreased between snapshots: {before} -> {after}"),
-            ));
-        }
-    }
-}
-
-/// Validates a `panorama-serve-metrics-v1` document — either one snapshot
-/// object or an array of successive snapshots — appending findings to
-/// `out`.
-pub fn lint_serve_json(text: &str, out: &mut Diagnostics) {
-    let doc = match json::parse(text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            out.push(err(
-                "SERVE001",
-                Entity::Global,
-                format!("invalid JSON: {e}"),
-            ));
-            return;
-        }
-    };
-    let snapshots: Vec<&Json> = match doc.as_arr() {
-        Some(arr) => arr.iter().collect(),
-        None => vec![&doc],
-    };
-    if snapshots.is_empty() {
-        out.push(err("SERVE001", Entity::Global, "empty snapshot array"));
-        return;
-    }
-    let single = snapshots.len() == 1;
-    let mut shaped: Vec<Option<&Json>> = Vec::with_capacity(snapshots.len());
-    for (i, snap) in snapshots.iter().enumerate() {
-        let at = if single {
-            Entity::Global
-        } else {
-            Entity::Event(i)
-        };
-        if check_shape(snap, at.clone(), out) {
-            check_conservation(snap, at.clone(), out);
-            check_phases(snap, at.clone(), out);
-            check_quota(snap, at.clone(), out);
-            check_disk(snap, at, out);
-            shaped.push(Some(snap));
-        } else {
-            shaped.push(None);
-        }
-    }
-    for i in 1..shaped.len() {
-        if let (Some(prev), Some(cur)) = (shaped[i - 1], shaped[i]) {
-            check_monotonic(prev, cur, Entity::Event(i), out);
+        for Field { name, .. } in fields.iter().filter(|f| f.cumulative) {
+            let path = format!("{}.{name}", section.name);
+            let (before, after) = (num(prev, &path), num(cur, &path));
+            if after < before {
+                out.push(err(
+                    "SERVE002",
+                    at.clone(),
+                    format!("`{path}` decreased between snapshots: {before} -> {after}"),
+                ));
+            }
         }
     }
 }
@@ -370,7 +197,7 @@ mod tests {
     fn snapshot(received: u64, completed: u64, hits: u64, phases: &str) -> String {
         let depth = received - completed;
         format!(
-            "{{\"schema\":\"{SERVE_METRICS_SCHEMA}\",\
+            "{{\"schema\":\"{id}\",\
              \"queue\":{{\"depth\":{depth},\"capacity\":8,\"in_flight\":0}},\
              \"requests\":{{\"received\":{received},\"completed\":{completed},\"shed\":0,\"cancelled\":0,\"failed\":0,\"quota_rejected\":0}},\
              \"result_cache\":{{\"hits\":{hits},\"misses\":1,\"entries\":1,\"capacity\":256,\"evictions\":0}},\
@@ -378,7 +205,8 @@ mod tests {
              \"warm_cache\":{{\"hits\":0,\"misses\":0,\"entries\":0,\"capacity\":0,\"evictions\":0}},\
              \"disk_cache\":{{\"hits\":0,\"misses\":0,\"entries\":0,\"capacity\":0,\"evictions\":0,\"bytes\":0,\"corrupt\":0}},\
              \"quota\":{{\"enabled\":false,\"rps\":0,\"burst\":0,\"rejected\":0,\"tenants\":[]}},\
-             \"phases\":[{phases}]}}"
+             \"phases\":[{phases}]}}",
+            id = schema::SERVE_METRICS.id
         )
     }
 
@@ -400,8 +228,6 @@ mod tests {
     fn wrong_schema_and_bad_json_hit_serve001() {
         assert_eq!(run("{\"schema\":\"nope\"}"), ["SERVE001"]);
         assert_eq!(run("{nope"), ["SERVE001"]);
-        let missing = snapshot(1, 1, 1, GOOD_PHASES).replace("\"shed\":0,", "");
-        assert!(run(&missing).contains(&"SERVE001".to_string()));
     }
 
     #[test]

@@ -14,93 +14,53 @@
 //! hand-edited fixtures, truncated artifact uploads, and future writers —
 //! so CI can fail fast on a corrupt trace artifact.
 
+use crate::report::{err, lint_text, num, text, Checks};
 use crate::{Diagnostic, Diagnostics, Entity, Severity};
-use panorama_trace::json::{self, Json};
+use panorama_trace::json::Json;
+use panorama_trace::schema;
 
 /// Minimum share of `wall_ns` the top-level phases must cover before
 /// `TRACE006` fires. Matches the pipeline's acceptance bar (phases within
 /// 10% of end-to-end wall-clock).
 const MIN_TOP_LEVEL_COVERAGE: f64 = 0.90;
 
-fn err(code: &'static str, entity: Entity, message: impl Into<String>) -> Diagnostic {
-    Diagnostic::new(code, Severity::Error, entity, message)
-}
+pub(crate) const CHECKS: Checks = Checks {
+    schema: &schema::TRACE,
+    doc: &[check_events],
+    pair: None,
+};
 
 /// Validates a `panorama-trace-v1` document, appending findings to `out`.
-/// Returns early on unparseable JSON or a wrong schema — field checks on
-/// an arbitrary document would only produce noise.
+/// Unparseable JSON, a wrong schema or a malformed field ends the checks
+/// there — invariants of an arbitrary document would only produce noise.
 pub fn lint_trace_json(text: &str, out: &mut Diagnostics) {
-    let doc = match json::parse(text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            out.push(err(
-                "TRACE001",
-                Entity::Global,
-                format!("invalid JSON: {e}"),
-            ));
-            return;
-        }
-    };
-    match doc.get("schema").and_then(Json::as_str) {
-        Some("panorama-trace-v1") => {}
-        Some(other) => {
-            out.push(err(
-                "TRACE002",
-                Entity::Global,
-                format!("unknown schema `{other}` (expected `panorama-trace-v1`)"),
-            ));
-            return;
-        }
-        None => {
-            out.push(err(
-                "TRACE002",
-                Entity::Global,
-                "missing `schema` field (expected `panorama-trace-v1`)",
-            ));
-            return;
-        }
-    }
+    lint_text(text, &CHECKS, out);
+}
 
-    for field in ["kernel", "arch", "mapper"] {
-        if doc.get(field).and_then(Json::as_str).is_none() {
-            out.push(err(
-                "TRACE003",
-                Entity::Global,
-                format!("top-level field `{field}` missing or not a string"),
-            ));
-        }
-    }
-    for field in ["threads", "wall_ns"] {
-        if doc.get(field).and_then(Json::as_f64).is_none() {
-            out.push(err(
-                "TRACE003",
-                Entity::Global,
-                format!("top-level field `{field}` missing or not a number"),
-            ));
-        }
-    }
-    let Some(events) = doc.get("events").and_then(Json::as_arr) else {
-        out.push(err(
-            "TRACE003",
-            Entity::Global,
-            "top-level field `events` missing or not an array",
-        ));
-        return;
-    };
-
+/// `TRACE004` (a span that ends before it starts), `TRACE005` (merge
+/// order) and `TRACE006` (top-level coverage). A `null` candidate
+/// (pipeline-level event) sorts as `u64::MAX`, matching the writer.
+fn check_events(doc: &Json, at: &Entity, out: &mut Diagnostics) {
+    let events = doc.get("events").and_then(Json::as_arr).unwrap_or_default();
     let mut last_key: Option<(u64, u64)> = None;
     let mut top_level_ns = 0u64;
     for (i, event) in events.iter().enumerate() {
-        let Some(fields) = lint_event(event, i, out) else {
+        let (start_ns, end_ns) = (num(event, "start_ns"), num(event, "end_ns"));
+        if end_ns < start_ns {
+            out.push(err(
+                "TRACE004",
+                Entity::Event(i),
+                format!("span ends before it starts (start_ns {start_ns}, end_ns {end_ns})"),
+            ));
             // a malformed event has no trustworthy merge key or width
             last_key = None;
             continue;
-        };
-        let (candidate, seq, start_ns, end_ns, phase) = fields;
-        if !phase.contains('.') {
-            top_level_ns += end_ns.saturating_sub(start_ns);
         }
-        let key = (candidate, seq);
+        if !text(event, "phase").contains('.') {
+            top_level_ns += end_ns - start_ns;
+        }
+        let candidate = event.get("candidate").and_then(Json::as_u64);
+        let key = (candidate.unwrap_or(u64::MAX), num(event, "seq"));
         if let Some(last) = last_key {
             if key <= last {
                 out.push(err(
@@ -109,8 +69,8 @@ pub fn lint_trace_json(text: &str, out: &mut Diagnostics) {
                     format!(
                         "events out of merge order: (candidate {}, seq {}) after \
                          (candidate {}, seq {})",
-                        display_candidate(candidate),
-                        seq,
+                        display_candidate(key.0),
+                        key.1,
                         display_candidate(last.0),
                         last.1
                     ),
@@ -120,15 +80,15 @@ pub fn lint_trace_json(text: &str, out: &mut Diagnostics) {
         last_key = Some(key);
     }
 
-    let wall_ns = doc.get("wall_ns").and_then(Json::as_f64).unwrap_or(0.0);
-    if wall_ns > 0.0 && !events.is_empty() {
-        let coverage = top_level_ns as f64 / wall_ns;
+    let wall_ns = num(doc, "wall_ns");
+    if wall_ns > 0 && !events.is_empty() {
+        let coverage = top_level_ns as f64 / wall_ns as f64;
         if coverage < MIN_TOP_LEVEL_COVERAGE {
             out.push(
                 Diagnostic::new(
                     "TRACE006",
                     Severity::Warn,
-                    Entity::Global,
+                    at.clone(),
                     format!(
                         "top-level phases cover only {:.1}% of wall_ns (expected >= {:.0}%)",
                         coverage * 100.0,
@@ -138,87 +98,6 @@ pub fn lint_trace_json(text: &str, out: &mut Diagnostics) {
                 .with_help("the trace may be truncated, or a pipeline phase is not instrumented"),
             );
         }
-    }
-}
-
-/// Checks one event object; returns `(candidate, seq, start_ns, end_ns,
-/// phase)` when well-formed enough to feed the order/coverage checks.
-/// A `null` candidate (pipeline-level event) maps to `u64::MAX`, matching
-/// the writer's sort position.
-fn lint_event<'a>(
-    event: &'a Json,
-    i: usize,
-    out: &mut Diagnostics,
-) -> Option<(u64, u64, u64, u64, &'a str)> {
-    let mut broken = false;
-    let phase = event.get("phase").and_then(Json::as_str);
-    if phase.is_none() {
-        out.push(err(
-            "TRACE004",
-            Entity::Event(i),
-            "`phase` missing or not a string",
-        ));
-        broken = true;
-    }
-    let candidate = match event.get("candidate") {
-        Some(Json::Null) => Some(u64::MAX),
-        Some(v) => match v.as_f64() {
-            Some(n) if n >= 0.0 => Some(n as u64),
-            _ => None,
-        },
-        None => None,
-    };
-    if candidate.is_none() {
-        out.push(err(
-            "TRACE004",
-            Entity::Event(i),
-            "`candidate` missing or not null/non-negative number",
-        ));
-        broken = true;
-    }
-    let mut nums = [0u64; 3];
-    for (slot, field) in ["seq", "start_ns", "end_ns"].iter().enumerate() {
-        match event.get(field).and_then(Json::as_f64) {
-            Some(n) if n >= 0.0 => nums[slot] = n as u64,
-            _ => {
-                out.push(err(
-                    "TRACE004",
-                    Entity::Event(i),
-                    format!("`{field}` missing or not a non-negative number"),
-                ));
-                broken = true;
-            }
-        }
-    }
-    if event.get("stable").and_then(Json::as_bool).is_none() {
-        out.push(err(
-            "TRACE004",
-            Entity::Event(i),
-            "`stable` missing or not a boolean",
-        ));
-        broken = true;
-    }
-    if event.get("counters").and_then(Json::as_obj).is_none() {
-        out.push(err(
-            "TRACE004",
-            Entity::Event(i),
-            "`counters` missing or not an object",
-        ));
-        broken = true;
-    }
-    let [seq, start_ns, end_ns] = nums;
-    if !broken && end_ns < start_ns {
-        out.push(err(
-            "TRACE004",
-            Entity::Event(i),
-            format!("span ends before it starts (start_ns {start_ns}, end_ns {end_ns})"),
-        ));
-        broken = true;
-    }
-    if broken {
-        None
-    } else {
-        Some((candidate?, seq, start_ns, end_ns, phase?))
     }
 }
 
@@ -293,26 +172,7 @@ mod tests {
     }
 
     #[test]
-    fn missing_top_level_fields_are_trace003() {
-        let diags = lint(r#"{"schema": "panorama-trace-v1", "kernel": "fir"}"#);
-        let found = codes(&diags);
-        assert!(found.iter().all(|c| *c == "TRACE003"), "{found:?}");
-        // arch, mapper, threads, wall_ns, events all missing
-        assert_eq!(found.len(), 5);
-    }
-
-    #[test]
-    fn malformed_events_are_trace004() {
-        let mut text = sample_report().to_json();
-        text = text.replace("\"stable\": true", "\"stable\": 1");
-        let diags = lint(&text);
-        assert!(
-            codes(&diags).contains(&"TRACE004"),
-            "{}",
-            diags.render_human()
-        );
-
-        // a span that ends before it starts
+    fn a_span_that_ends_before_it_starts_is_trace004() {
         let mut report = sample_report();
         report.events[0].start_ns = 300;
         let diags = lint(&report.to_json());

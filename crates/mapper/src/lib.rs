@@ -67,7 +67,7 @@ pub use mii::{
 };
 pub use restrict::Restriction;
 pub use router::RouterConfig;
-pub use sat_mapper::{IiAttempt, SatMapper, SatMapperConfig};
+pub use sat_mapper::{sat_attempt_log, IiAttempt, SatMapper, SatMapperConfig};
 pub use schedule::{modulo_schedule, modulo_schedule_variant, ScheduleError};
 pub use spr::{MapError, SprConfig, SprMapper};
 pub use stats::RouteStats;

@@ -25,7 +25,8 @@ use crate::{
 use panorama_arch::Cgra;
 use panorama_dfg::Dfg;
 use panorama_sat::{Limits, SolveResult, SolverStats};
-use panorama_trace::SpanCollector;
+use panorama_trace::json::Writer;
+use panorama_trace::{schema, SpanCollector};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -52,6 +53,13 @@ pub struct SatMapperConfig {
     /// CEGAR refinement rounds per window width before giving up on
     /// the II.
     pub refine_rounds: usize,
+}
+
+impl SatMapperConfig {
+    /// The last II the search tries for a graph whose MII is `mii`.
+    pub fn max_ii(&self, mii: usize) -> usize {
+        mii * self.max_ii_factor + self.max_ii_offset
+    }
 }
 
 impl Default for SatMapperConfig {
@@ -118,6 +126,46 @@ impl IiAttempt {
         self.decisions += after.decisions - before.decisions;
         self.restarts += after.restarts - before.restarts;
     }
+}
+
+/// Renders the `panorama-sat-v1` attempt log that `compile --mapper sat
+/// --sat-report` writes and `lint --report` validates (SAT001–SAT003):
+/// `attempts` as drained from the mapper that ran, `config` that same
+/// mapper's — its II cap and CNF budgets are what the linter holds the
+/// attempts against — and `mapped_ii` 0 when nothing mapped.
+pub fn sat_attempt_log(
+    kernel: &str,
+    arch: &str,
+    mii: usize,
+    mapped_ii: usize,
+    config: &SatMapperConfig,
+    attempts: &[IiAttempt],
+) -> String {
+    let mut w = Writer::new(&schema::SAT);
+    w.key("kernel").str(kernel);
+    w.key("arch").str(arch);
+    w.key("mii").uint(mii);
+    w.key("max_ii").uint(config.max_ii(mii));
+    w.key("mapped_ii").uint(mapped_ii);
+    w.key("max_vars").uint(config.max_vars);
+    w.key("max_clauses").uint(config.max_clauses);
+    w.key("attempts").open();
+    for a in attempts {
+        w.open();
+        w.key("ii").uint(a.ii);
+        w.key("result").str(a.result);
+        w.key("refinements").uint(a.refinements);
+        w.key("decode_mismatches").uint(a.decode_mismatches);
+        w.key("vars").uint(a.vars);
+        w.key("clauses").uint(a.clauses);
+        w.key("conflicts").uint(a.conflicts);
+        w.key("propagations").uint(a.propagations);
+        w.key("decisions").uint(a.decisions);
+        w.key("restarts").uint(a.restarts);
+        w.close();
+    }
+    w.close();
+    w.finish()
 }
 
 enum Outcome {
@@ -325,7 +373,7 @@ impl LowerLevelMapper for SatMapper {
             return Err(MapError::exhausted(0, self.name()));
         }
         let mii = min_ii(dfg, cgra).mii();
-        let max_ii = mii * self.config.max_ii_factor + self.config.max_ii_offset;
+        let max_ii = self.config.max_ii(mii);
         let hops = crate::sat_encode::hop_distances(cgra);
         let mut stats = MappingStats::default();
         for ii in mii..=max_ii {

@@ -29,7 +29,7 @@ pub mod server;
 
 pub use cache::{ContentHash, ResultCache};
 pub use diskcache::{DiskCache, DiskCacheStats};
-pub use metrics::{CacheStats, Metrics, METRICS_SCHEMA};
+pub use metrics::{CacheStats, Metrics};
 pub use queue::{JobQueue, PushError};
 pub use quota::{Quota, QuotaStats, TenantStats, TENANT_HEADER};
-pub use server::{DrainHandle, ServeConfig, Server, BATCH_SCHEMA, ERROR_SCHEMA, MAX_BATCH_ENTRIES};
+pub use server::{DrainHandle, ServeConfig, Server, MAX_BATCH_ENTRIES};

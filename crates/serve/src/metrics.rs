@@ -20,11 +20,9 @@
 
 use crate::diskcache::DiskCacheStats;
 use crate::quota::QuotaStats;
-use std::fmt::Write as _;
+use panorama_trace::json::Writer;
+use panorama_trace::schema;
 use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Schema identifier of the `/metrics` document (lint `SERVE001`).
-pub const METRICS_SCHEMA: &str = "panorama-serve-metrics-v1";
 
 /// Log2-bucketed latency histogram.
 #[derive(Debug, Clone)]
@@ -262,82 +260,79 @@ impl Metrics {
         // conservation invariant); the cache only knows its occupancy.
         result_cache.hits = m.cache_hits;
         result_cache.misses = m.cache_misses;
-        let mut s = String::with_capacity(1024);
-        let _ = write!(
-            s,
-            "{{\"schema\":\"{METRICS_SCHEMA}\",\
-             \"queue\":{{\"depth\":{},\"capacity\":{queue_capacity},\"in_flight\":{}}},\
-             \"requests\":{{\"received\":{},\"completed\":{},\"shed\":{},\"cancelled\":{},\"failed\":{},\"quota_rejected\":{}}}",
-            m.queued,
-            m.in_flight,
-            m.received,
-            m.completed,
-            m.shed,
-            m.cancelled,
-            m.failed,
-            m.quota_rejected,
-        );
+        let mut w = Writer::new(&schema::SERVE_METRICS);
+        w.key("queue").open();
+        w.key("depth").uint(m.queued);
+        w.key("capacity").uint(queue_capacity);
+        w.key("in_flight").uint(m.in_flight);
+        w.close();
+        w.key("requests").open();
+        w.key("received").uint(m.received);
+        w.key("completed").uint(m.completed);
+        w.key("shed").uint(m.shed);
+        w.key("cancelled").uint(m.cancelled);
+        w.key("failed").uint(m.failed);
+        w.key("quota_rejected").uint(m.quota_rejected);
+        w.close();
+        let tier = |w: &mut Writer, [hits, misses, entries, capacity, evictions]: [u64; 5]| {
+            w.key("hits").uint(hits);
+            w.key("misses").uint(misses);
+            w.key("entries").uint(entries);
+            w.key("capacity").uint(capacity);
+            w.key("evictions").uint(evictions);
+        };
         for (name, c) in [
-            ("result_cache", &result_cache),
-            ("mrrg_cache", &mrrg_cache),
-            ("warm_cache", &warm_cache),
+            ("result_cache", result_cache),
+            ("mrrg_cache", mrrg_cache),
+            ("warm_cache", warm_cache),
         ] {
-            let _ = write!(
-                s,
-                ",\"{name}\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"capacity\":{},\"evictions\":{}}}",
-                c.hits, c.misses, c.entries, c.capacity, c.evictions,
+            w.key(name).open();
+            tier(
+                &mut w,
+                [c.hits, c.misses, c.entries, c.capacity, c.evictions],
             );
+            w.close();
         }
-        let _ = write!(
-            s,
-            ",\"disk_cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"capacity\":{},\"evictions\":{},\"bytes\":{},\"corrupt\":{}}}",
-            disk_cache.hits,
-            disk_cache.misses,
-            disk_cache.entries,
-            disk_cache.capacity,
-            disk_cache.evictions,
-            disk_cache.bytes,
-            disk_cache.corrupt,
+        let d = disk_cache;
+        w.key("disk_cache").open();
+        tier(
+            &mut w,
+            [d.hits, d.misses, d.entries, d.capacity, d.evictions],
         );
-        let _ = write!(
-            s,
-            ",\"quota\":{{\"enabled\":{},\"rps\":{},\"burst\":{},\"rejected\":{},\"tenants\":[",
-            quota.enabled, quota.rps, quota.burst, m.quota_rejected,
-        );
-        for (i, t) in quota.tenants.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"tenant\":\"{}\",\"admitted\":{},\"rejected\":{},\"tokens\":{}}}",
-                panorama_trace::json::escape(&t.tenant),
-                t.admitted,
-                t.rejected,
-                t.tokens,
-            );
+        w.key("bytes").uint(d.bytes);
+        w.key("corrupt").uint(d.corrupt);
+        w.close();
+        w.key("quota").open();
+        w.key("enabled").bool(quota.enabled);
+        w.key("rps").uint(quota.rps);
+        w.key("burst").uint(quota.burst);
+        w.key("rejected").uint(m.quota_rejected);
+        w.key("tenants").open();
+        for t in &quota.tenants {
+            w.open();
+            w.key("tenant").str(&t.tenant);
+            w.key("admitted").uint(t.admitted);
+            w.key("rejected").uint(t.rejected);
+            w.key("tokens").uint(t.tokens);
+            w.close();
         }
-        s.push_str("]}");
-        s.push_str(",\"phases\":[");
+        w.close();
+        w.close();
         let mut phases: Vec<&Hist> = m.phases.iter().collect();
         phases.sort_by(|a, b| a.phase.cmp(&b.phase));
-        for (i, h) in phases.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"phase\":\"{}\",\"count\":{},\"total_ns\":{},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{}}}",
-                panorama_trace::json::escape(&h.phase),
-                h.count,
-                h.total_ns,
-                h.percentile_ns(50),
-                h.percentile_ns(90),
-                h.percentile_ns(99),
-            );
+        w.key("phases").open();
+        for h in phases {
+            w.open();
+            w.key("phase").str(&h.phase);
+            w.key("count").uint(h.count);
+            w.key("total_ns").uint(h.total_ns);
+            w.key("p50_ns").uint(h.percentile_ns(50));
+            w.key("p90_ns").uint(h.percentile_ns(90));
+            w.key("p99_ns").uint(h.percentile_ns(99));
+            w.close();
         }
-        s.push_str("]}");
-        s
+        w.close();
+        w.finish()
     }
 }
 
@@ -500,7 +495,10 @@ mod tests {
         m.job_started();
         m.job_completed(&[("preflight", 10), ("map", 20)]);
         let doc = json::parse(&render(&m)).unwrap();
-        assert_eq!(doc.get("schema").unwrap().as_str().unwrap(), METRICS_SCHEMA);
+        assert_eq!(
+            doc.get("schema").unwrap().as_str().unwrap(),
+            schema::SERVE_METRICS.id
+        );
         let phases = doc.get("phases").unwrap().as_arr().unwrap();
         let names: Vec<&str> = phases
             .iter()

@@ -37,8 +37,8 @@ use panorama::{
 use panorama_arch::{Cgra, CgraConfig, DEFAULT_MRRG_CACHE_CAPACITY};
 use panorama_lint::{Diagnostics, LintContext, Registry};
 use panorama_mapper::{CancelToken, SprMapper, WarmStartCache};
-use panorama_trace::json::{escape, parse, Json};
-use panorama_trace::{phase_totals, RecordingSink, Tracer};
+use panorama_trace::json::{parse, Json, Writer};
+use panorama_trace::{phase_totals, schema, RecordingSink, Tracer};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -46,12 +46,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Schema identifier of error payloads.
-pub const ERROR_SCHEMA: &str = "panorama-error-v1";
-
-/// Schema identifier of `/compile-batch` response envelopes.
-pub const BATCH_SCHEMA: &str = "panorama-serve-batch-v1";
 
 /// Hard cap on `/compile-batch` entries per request: bounds worst-case
 /// memory and keeps one batch from monopolising the queue.
@@ -589,13 +583,12 @@ fn run_compile(
 }
 
 fn error_outcome(status: u16, error: &str, detail: &str) -> JobOutcome {
+    let mut w = Writer::new(&schema::ERROR);
+    w.key("error").str(error);
+    w.key("detail").str(detail);
     JobOutcome {
         status,
-        body: format!(
-            "{{\"schema\":\"{ERROR_SCHEMA}\",\"error\":\"{}\",\"detail\":\"{}\"}}\n",
-            escape(error),
-            escape(detail)
-        ),
+        body: w.finish(),
     }
 }
 
@@ -864,28 +857,22 @@ fn handle_compile_batch(state: &Arc<State>, stream: &TcpStream, request: &Reques
             }
         }
     }
-    let mut body = format!(
-        "{{\"schema\":\"{BATCH_SCHEMA}\",\"count\":{},\"results\":[",
-        results.len()
-    );
+    let mut w = Writer::new(&schema::SERVE_BATCH);
+    w.key("count").uint(results.len());
+    w.key("results").open();
     for (index, outcome) in results.iter().enumerate() {
         let outcome = outcome.as_ref().expect("every entry settled");
-        if index > 0 {
-            body.push(',');
-        }
+        w.open();
+        w.key("index").uint(index);
+        w.key("status").uint(outcome.status);
         // The per-entry body is a complete JSON document; embed it
         // verbatim (minus its trailing newline) so batch responses carry
         // the exact bytes `/compile` would have produced.
-        use std::fmt::Write as _;
-        let _ = write!(
-            body,
-            "{{\"index\":{index},\"status\":{},\"response\":{}}}",
-            outcome.status,
-            outcome.body.trim_end(),
-        );
+        w.key("response").doc(outcome.body.trim_end());
+        w.close();
     }
-    body.push_str("]}\n");
-    let _ = write_response(stream, 200, &[], &body);
+    w.close();
+    let _ = write_response(stream, 200, &[], &w.finish());
 }
 
 fn handle_lint(stream: &TcpStream, request: &Request) {

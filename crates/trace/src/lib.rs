@@ -43,6 +43,7 @@
 
 pub mod json;
 mod report;
+pub mod schema;
 
 pub use report::{phase_totals, TraceReport};
 

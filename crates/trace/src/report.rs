@@ -1,8 +1,8 @@
 //! Renderers for a finished trace: the human profile table and the stable
 //! `panorama-trace-v1` JSON export.
 
-use crate::json::escape;
-use crate::{TraceEvent, NO_CANDIDATE};
+use crate::json::Writer;
+use crate::{schema, TraceEvent, NO_CANDIDATE};
 use std::fmt::Write as _;
 
 /// A complete trace of one compile: run metadata plus the
@@ -25,25 +25,37 @@ pub struct TraceReport {
 
 impl TraceReport {
     /// Serializes the report as `panorama-trace-v1` JSON. The schema is
-    /// documented in DESIGN.md §10 and validated by `panorama-lint`'s
-    /// `TRACE*` checks.
+    /// [`schema::TRACE`] and validated by `panorama-lint`'s `TRACE*`
+    /// checks.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"panorama-trace-v1\",\n");
-        let _ = writeln!(out, "  \"kernel\": \"{}\",", escape(&self.kernel));
-        let _ = writeln!(out, "  \"arch\": \"{}\",", escape(&self.arch));
-        let _ = writeln!(out, "  \"mapper\": \"{}\",", escape(&self.mapper));
-        let _ = writeln!(out, "  \"threads\": {},", self.threads);
-        let _ = writeln!(out, "  \"wall_ns\": {},", self.wall_ns);
-        out.push_str("  \"events\": [");
-        for (i, event) in self.events.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str("    ");
-            write_event(&mut out, event);
+        let mut w = Writer::new(&schema::TRACE);
+        w.key("kernel").str(&self.kernel);
+        w.key("arch").str(&self.arch);
+        w.key("mapper").str(&self.mapper);
+        w.key("threads").uint(self.threads);
+        w.key("wall_ns").uint(self.wall_ns);
+        w.key("events").open();
+        for event in &self.events {
+            w.open();
+            w.key("phase").str(event.phase);
+            if event.candidate == NO_CANDIDATE {
+                w.key("candidate").null();
+            } else {
+                w.key("candidate").uint(event.candidate);
+            }
+            w.key("seq").uint(event.seq);
+            w.key("start_ns").uint(event.start_ns);
+            w.key("end_ns").uint(event.end_ns);
+            w.key("stable").bool(event.stable);
+            w.key("counters").open();
+            for &(name, value) in &event.counters {
+                w.key(name).int(value);
+            }
+            w.close();
+            w.close();
         }
-        out.push_str("\n  ]\n}\n");
-        out
+        w.close();
+        w.finish()
     }
 
     /// Renders the per-phase profile table: event count, total time and
@@ -119,27 +131,6 @@ impl TraceReport {
         }
         out
     }
-}
-
-fn write_event(out: &mut String, event: &TraceEvent) {
-    let _ = write!(out, "{{\"phase\": \"{}\", ", event.phase);
-    if event.candidate == NO_CANDIDATE {
-        out.push_str("\"candidate\": null, ");
-    } else {
-        let _ = write!(out, "\"candidate\": {}, ", event.candidate);
-    }
-    let _ = write!(
-        out,
-        "\"seq\": {}, \"start_ns\": {}, \"end_ns\": {}, \"stable\": {}, \"counters\": {{",
-        event.seq, event.start_ns, event.end_ns, event.stable
-    );
-    for (i, (name, value)) in event.counters.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{name}\": {value}");
-    }
-    out.push_str("}}");
 }
 
 /// Aggregates events per phase: `(phase, event count, total nanoseconds)`,
@@ -222,7 +213,7 @@ mod tests {
         assert_eq!(events[2].get("stable").and_then(Json::as_bool), Some(false));
         let counters = events[2].get("counters").and_then(Json::as_obj).unwrap();
         assert_eq!(counters.len(), 2);
-        assert_eq!(counters[0], ("ii".into(), Json::Num(3.0)));
+        assert_eq!(counters[0], ("ii".into(), Json::Int(3)));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 #   2. cleanliness — the sweep and the committed corpus replay with zero
 #      oracle failures (a failure here is a real toolchain bug or a fixed
 #      bug resurfacing);
-#   3. report hygiene — the report passes the FUZZ001-003 lints.
+#   3. report hygiene — the report passes the FUZZ001-003 lints, alone
+#      and as the `[first, second]` array that FUZZ002 compares.
 #
 # Usage: scripts/fuzz_smoke.sh [seed] [cases]
 set -euo pipefail
@@ -31,7 +32,9 @@ echo "== determinism: same seed again, byte-compare =="
 cmp "$OUT_A" "$OUT_B"
 echo "reports are byte-identical"
 
-echo "== report lints (FUZZ001-003) =="
+echo "== report lints (FUZZ001-003), the pair as one array for FUZZ002 determinism =="
 "$BIN" lint --report "$OUT_A"
+{ echo '['; cat "$OUT_A"; echo ','; cat "$OUT_B"; echo ']'; } > "$OUT_A.pair"
+"$BIN" lint --report "$OUT_A.pair"
 
 echo "fuzz smoke OK"

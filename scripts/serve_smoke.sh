@@ -49,6 +49,7 @@ done
 r=$(http GET /healthz)
 [ "$(status_of "$r")" = 200 ] || { echo "healthz failed: $r"; exit 1; }
 echo "== healthz ok"
+body_of "$(http GET /metrics)" > "$TMP/metrics-before.json"
 
 echo "== compile matches offline CLI byte-for-byte"
 body_of "$(http POST /compile '{"kernel":"fir","arch":"8x8","scale":"tiny"}')" \
@@ -93,9 +94,12 @@ r=$(http POST /compile "$SLOW")
 grep -q 'Retry-After: 1' <<<"$r"
 echo "== shed with 503 + Retry-After"
 
-echo "== metrics pass the SERVE lints"
+echo "== metrics pass the SERVE lints, counters monotone since start-up"
 body_of "$(http GET /metrics)" > "$TMP/metrics.json"
 "$BIN" lint --report "$TMP/metrics.json"
+{ echo '['; cat "$TMP/metrics-before.json"; echo ','; cat "$TMP/metrics.json"; echo ']'; } \
+    > "$TMP/metrics-pair.json"
+"$BIN" lint --report "$TMP/metrics-pair.json"
 
 echo "== graceful drain"
 r=$(http POST /admin/shutdown)

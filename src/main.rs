@@ -49,8 +49,8 @@
 //! emit the deterministic `panorama-exec-v1` report and a recorded
 //! divergence exits nonzero. `lint` runs the static diagnostics of [`panorama_lint`]
 //! over the same inputs without mapping anything (`--report` validates a
-//! recorded trace/serve/fuzz/sat/exec/analyze report file instead,
-//! auto-detecting the schema). `bench` is the suite determinism check: it
+//! recorded trace/serve/fuzz/sat/exec/analyze report file instead — one
+//! document or an array of them — auto-detecting the schema). `bench` is the suite determinism check: it
 //! compiles the 12-kernel suite batched at `--threads N` and again
 //! sequentially, fails unless both produce identical mappings (and, for
 //! SPR\*, unless every warm replay of a perturbed kernel hits the cache and
@@ -75,11 +75,8 @@ use panorama_analyze::{analyze, analyze_diagnostics};
 use panorama_arch::{Cgra, CgraConfig};
 use panorama_dfg::{kernels, Dfg, KernelId, KernelScale};
 use panorama_exec::{exec_report_json, execute, ExecOptions};
-use panorama_lint::{
-    lint_analyze_json, lint_exec_json, lint_fuzz_json, lint_sat_json, lint_serve_json,
-    lint_trace_json, Diagnostics, LintContext, Registry,
-};
-use panorama_mapper::{min_ii, Configware, IiAttempt, SatMapper};
+use panorama_lint::{lint_report, Diagnostics, LintContext, Registry};
+use panorama_mapper::{min_ii, sat_attempt_log, Configware, SatMapper};
 use panorama_sim::simulate;
 use panorama_trace::{RecordingSink, TraceReport, Tracer};
 use std::collections::HashMap;
@@ -418,11 +415,12 @@ fn cmd_compile(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         if !is_sat {
             return Err("--sat-report requires --mapper sat".into());
         }
-        let doc = sat_report_json(
+        let doc = sat_attempt_log(
             dfg.name(),
             &req.arch_display,
             min_ii(mapped, &cgra).mii(),
             mapping.ii(),
+            &sat.config,
             &sat.take_attempts(),
         );
         std::fs::write(path, doc)?;
@@ -474,53 +472,6 @@ fn cmd_compile(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         print!("{}", cfg.to_text(&cgra));
     }
     Ok(())
-}
-
-/// Assembles the `panorama-sat-v1` attempt-log document that
-/// `compile --mapper sat --sat-report` writes and `lint --report`
-/// validates (SAT001–SAT003).
-fn sat_report_json(
-    kernel: &str,
-    arch: &str,
-    mii: usize,
-    mapped_ii: usize,
-    attempts: &[IiAttempt],
-) -> String {
-    use std::fmt::Write as _;
-    let config = panorama_mapper::SatMapperConfig::default();
-    let max_ii = mii * config.max_ii_factor + config.max_ii_offset;
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"schema\": \"panorama-sat-v1\", \"kernel\": {}, \"arch\": {}, \
-         \"mii\": {mii}, \"max_ii\": {max_ii}, \"mapped_ii\": {mapped_ii}, \
-         \"max_vars\": {}, \"max_clauses\": {}, \"attempts\": [",
-        panorama_trace::json::string(kernel),
-        panorama_trace::json::string(arch),
-        config.max_vars,
-        config.max_clauses,
-    );
-    for (i, a) in attempts.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}{{\"ii\": {}, \"result\": \"{}\", \"refinements\": {}, \
-             \"decode_mismatches\": {}, \"vars\": {}, \"clauses\": {}, \"conflicts\": {}, \
-             \"propagations\": {}, \"decisions\": {}, \"restarts\": {}}}",
-            if i == 0 { "" } else { ", " },
-            a.ii,
-            a.result,
-            a.refinements,
-            a.decode_mismatches,
-            a.vars,
-            a.clauses,
-            a.conflicts,
-            a.propagations,
-            a.decisions,
-            a.restarts,
-        );
-    }
-    out.push_str("]}\n");
-    out
 }
 
 /// Assembles the `panorama-trace-v1` report for one compile run from
@@ -881,32 +832,6 @@ fn read_report(path: &str) -> Result<String, Box<dyn Error>> {
     }
 }
 
-/// Dispatches a report document to the matching schema linter by its
-/// top-level `schema` field. Unparseable documents fall through to the
-/// trace linter, which reports the syntax error as a diagnostic.
-fn lint_report(text: &str, diags: &mut Diagnostics) -> Result<(), Box<dyn Error>> {
-    let schema = panorama_trace::json::parse(text)
-        .ok()
-        .and_then(|d| d.get("schema").and_then(|s| s.as_str().map(String::from)));
-    match schema.as_deref() {
-        Some("panorama-serve-metrics-v1") => lint_serve_json(text, diags),
-        Some("panorama-fuzz-v2") => lint_fuzz_json(text, diags),
-        Some("panorama-analyze-v1") => lint_analyze_json(text, diags),
-        Some("panorama-sat-v1") => lint_sat_json(text, diags),
-        Some("panorama-exec-v1") => lint_exec_json(text, diags),
-        Some("panorama-trace-v1") | None => lint_trace_json(text, diags),
-        Some(other) => {
-            return Err(format!(
-                "--report: unknown schema `{other}` (expected panorama-trace-v1, \
-                 panorama-serve-metrics-v1, panorama-fuzz-v2, panorama-sat-v1, \
-                 panorama-exec-v1 or panorama-analyze-v1)"
-            )
-            .into())
-        }
-    }
-    Ok(())
-}
-
 /// `panorama lint`: static diagnostics over a kernel (and optionally an
 /// architecture) without mapping anything; `--report` validates a recorded
 /// trace/serve/fuzz/analyze JSON file instead of (or besides) a kernel,
@@ -933,7 +858,7 @@ fn cmd_lint(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         diags.extend(Registry::with_default_passes().run(&ctx));
     }
     if let Some(path) = flags.get("report") {
-        lint_report(&read_report(path)?, &mut diags)?;
+        lint_report(&read_report(path)?, &mut diags).map_err(|e| format!("--report: {e}"))?;
     }
     if flags.contains_key("json") {
         println!("{}", diags.render_json());

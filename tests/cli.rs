@@ -116,6 +116,50 @@ fn lint_validates_serve_metrics_files() {
     assert!(stdout.contains("SERVE002"), "{stdout}");
 }
 
+/// `panorama lint --report -` over `document`: `(exit ok, stdout)`.
+fn lint_report_stdin(document: &str) -> (bool, String) {
+    use std::io::Write as _;
+    use std::process::Stdio;
+    let mut child = bin()
+        .args(["lint", "--report", "-"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdin = child.stdin.take().unwrap();
+    stdin.write_all(document.as_bytes()).unwrap();
+    drop(stdin);
+    let out = child.wait_with_output().unwrap();
+    (out.status.success(), String::from_utf8(out.stdout).unwrap())
+}
+
+#[test]
+fn lint_report_reaches_the_array_checks() {
+    use panorama_serve::{CacheStats, DiskCacheStats, Metrics, QuotaStats};
+    // FUZZ002's determinism check: one report twice is deterministic
+    let fuzz = panorama_fuzz::FuzzReport::new(7, 0, 8).to_json();
+    let (ok, stdout) = lint_report_stdin(&format!("[{fuzz},{fuzz}]"));
+    assert!(ok, "{stdout}");
+    assert!(!stdout.contains("error["), "{stdout}");
+    // SERVE002's monotonicity check: two hits, then one
+    let snapshot = |hits| {
+        let m = Metrics::new();
+        m.request_cache_hits(hits);
+        let none = CacheStats::default();
+        let disk = DiskCacheStats::default();
+        m.to_json(4, none, none, none, disk, &QuotaStats::default())
+    };
+    let (ok, stdout) = lint_report_stdin(&format!("[{},{}]", snapshot(2), snapshot(1)));
+    assert!(!ok, "{stdout}");
+    assert!(stdout.contains("error[SERVE002] event 1"), "{stdout}");
+    assert!(!stdout.contains("TRACE"), "{stdout}");
+    // a later element of another schema is the first one's shape error
+    let (ok, stdout) = lint_report_stdin(&format!("[{},{fuzz}]", snapshot(1)));
+    assert!(!ok, "{stdout}");
+    assert!(stdout.contains("error[SERVE001] event 1"), "{stdout}");
+}
+
 #[test]
 fn analyze_subcommand_reports_and_exports_lintable_json() {
     let path =

@@ -453,6 +453,18 @@ fn bad_requests_get_structured_errors() {
         let (status, _, _) = http(daemon.addr, "GET", "/healthz", "");
         assert_eq!(status, 200, "daemon gone after a deep body to {path}");
     }
+    // A repeated key is two requests in one body — which one is served
+    // would depend on the reader — so it is no request at all.
+    let twice = "{\"kernel\":\"fir\",\"kernel\":\"edn\"}";
+    for path in ["/compile", "/compile-batch", "/lint"] {
+        let (status, _, body) = http(daemon.addr, "POST", path, twice);
+        assert_eq!(status, 400, "{path}: {body}");
+        assert!(body.contains("bad_request"), "{path}: {body}");
+        assert!(
+            body.contains("duplicate key \\\"kernel\\\" at byte 16"),
+            "{path}: {body}"
+        );
+    }
     let (status, _, _) = http(daemon.addr, "GET", "/nope", "");
     assert_eq!(status, 404);
     let (status, _, _) = http(daemon.addr, "GET", "/compile", "");
