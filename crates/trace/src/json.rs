@@ -298,19 +298,28 @@ fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 }
 
 fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            _ => out.push(c),
+    // Every byte that needs an escape is ASCII, so the runs between them
+    // start and end on char boundaries and are copied in one piece.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if short.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(short);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
 }
 
 /// Escapes a string for embedding in emitted JSON.
