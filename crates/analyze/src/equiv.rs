@@ -7,17 +7,27 @@
 //! 1. every *observable* op (a `Store`, or any sink — an op with no
 //!    consumers) must survive the rewrite (map to some optimized op);
 //! 2. every surviving op must compute byte-identical values to its image
-//!    in every interpreted iteration.
+//!    in every interpreted iteration, under every input-vector family
+//!    ([`VectorKind::ALL`]: one seeded stream plus the four boundary
+//!    vectors the data-carrying machine is executed under).
 //!
 //! This is strictly stronger than comparing observable outputs alone: a
 //! CSE victim must agree with its representative, a folded op with its
 //! constant. Non-observable ops may be dropped (dead-code elimination)
-//! but never altered.
+//! but never altered. Both graphs run through `panorama_sim::interpret`,
+//! the same interpreter and ALU `panorama_exec::execute` holds the
+//! emitted configware to, so "equivalent" here and "value-correct" there
+//! are one notion.
 
 use panorama_dfg::{Dfg, OpId, OpKind};
 use panorama_sim::interpret;
+use panorama_sim::semantics::{InputVectors, VectorKind};
 use std::error::Error;
 use std::fmt;
+
+/// Seed of the pseudo-random vector the check interprets under (the
+/// boundary vectors ignore it). Fixed, so a verdict is reproducible.
+const EQUIV_SEED: u64 = 42;
 
 /// Equivalence violation found by [`check_mapped`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,6 +52,8 @@ pub enum EquivError {
         original: OpId,
         /// Its image in the optimized graph.
         optimized: OpId,
+        /// Input-vector family ([`VectorKind::name`]) they diverge under.
+        vector: &'static str,
         /// First iteration where the values diverge.
         iteration: usize,
         /// Value the original computes.
@@ -63,13 +75,14 @@ impl fmt::Display for EquivError {
             EquivError::ValueMismatch {
                 original,
                 optimized,
+                vector,
                 iteration,
                 expected,
                 got,
             } => write!(
                 f,
-                "op {original} -> {optimized} diverges in iteration \
-                 {iteration}: expected {expected:#x}, got {got:#x}"
+                "op {original} -> {optimized} diverges under the {vector} vector \
+                 in iteration {iteration}: expected {expected:#x}, got {got:#x}"
             ),
         }
     }
@@ -86,11 +99,12 @@ pub fn is_observable(dfg: &Dfg, op: OpId) -> bool {
 
 /// Checks that `optimized` is equivalent to `original` under `map`
 /// (old-op → new-op, `None` for removed ops) by interpreting both for
-/// `iterations` iterations.
+/// `iterations` iterations under every input-vector family.
 ///
 /// # Errors
 ///
-/// Returns the first violation in ascending original-op order; see
+/// Returns the first violation — dropped observables first, then value
+/// mismatches by vector family and ascending original-op order; see
 /// [`EquivError`].
 ///
 /// # Panics
@@ -109,30 +123,33 @@ pub fn check_mapped(
             entries: map.len(),
         });
     }
-    let before = interpret(original, iterations);
-    let after = interpret(optimized, iterations);
     for op in original.op_ids() {
-        match map[op.index()] {
-            Some(image) => {
-                for iter in 0..iterations {
-                    let expected = before.value(op, iter);
-                    let got = after.value(image, iter);
-                    if expected != got {
-                        return Err(EquivError::ValueMismatch {
-                            original: op,
-                            optimized: image,
-                            iteration: iter,
-                            expected,
-                            got,
-                        });
-                    }
-                }
-            }
-            None => {
-                if is_observable(original, op) {
-                    return Err(EquivError::ObservableDropped {
-                        op,
-                        name: original.op(op).name.clone(),
+        if map[op.index()].is_none() && is_observable(original, op) {
+            return Err(EquivError::ObservableDropped {
+                op,
+                name: original.op(op).name.clone(),
+            });
+        }
+    }
+    for kind in VectorKind::ALL {
+        let inputs = InputVectors::new(kind, EQUIV_SEED);
+        let before = interpret(original, &inputs, iterations);
+        let after = interpret(optimized, &inputs, iterations);
+        for op in original.op_ids() {
+            let Some(image) = map[op.index()] else {
+                continue;
+            };
+            for iter in 0..iterations {
+                let expected = before.value(op, iter);
+                let got = after.value(image, iter);
+                if expected != got {
+                    return Err(EquivError::ValueMismatch {
+                        original: op,
+                        optimized: image,
+                        vector: kind.name(),
+                        iteration: iter,
+                        expected,
+                        got,
                     });
                 }
             }
@@ -176,13 +193,15 @@ mod tests {
 
     #[test]
     fn merging_inequivalent_ops_is_caught() {
-        // a2 is a Mul, not an Add: replacing it by a1 changes values
+        // a2 is x * x, not x + x: replacing it by a1 changes values
         let mut b = DfgBuilder::new("t");
         let l = b.op(OpKind::Load, "x");
         let a1 = b.op(OpKind::Add, "a1");
         let a2 = b.op(OpKind::Mul, "a2");
         let s = b.op(OpKind::Store, "s");
         b.data(l, a1);
+        b.data(l, a1);
+        b.data(l, a2);
         b.data(l, a2);
         b.data(a1, s);
         b.data(a2, s);
@@ -194,8 +213,8 @@ mod tests {
             OpRewrite::Keep,
         ];
         let (out, map) = apply_with_map(&dfg, &actions).unwrap();
-        // the store's inputs changed (a2's multiset slot now holds a1's
-        // value), so the store itself diverges
+        // the store's second operand now holds a1's value, so the store
+        // itself diverges
         assert!(matches!(
             check_mapped(&dfg, &out, &map, 3),
             Err(EquivError::ValueMismatch { .. })

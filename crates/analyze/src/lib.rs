@@ -6,16 +6,18 @@
 //!
 //! * a deterministic **worklist fixed-point engine** ([`engine`]) runs
 //!   every analysis over an explicit [`Lattice`];
-//! * **constant propagation** over the flat value lattice, mirroring the
-//!   reference interpreter's value model exactly, so `Known(v)` means
-//!   "provably computes `v` in every iteration" ([`constant_values`]);
+//! * **constant propagation** over the flat value lattice, evaluated
+//!   with the reference interpreter's own ALU
+//!   (`panorama_sim::semantics::compute`, operands in incoming-edge
+//!   order), so `Known(v)` means "computes `v` in every iteration"
+//!   ([`constant_values`]);
 //! * **optimization passes** — constant folding, common subexpression
 //!   elimination, dead-node elimination — composed into rewrite rounds
 //!   and iterated to a fixed point ([`optimize`]);
 //! * every optimized graph is **golden-compared against the reference
 //!   interpreter** through the rewriter's explicit op mapping
-//!   ([`check_mapped`]): observables must survive, surviving ops must
-//!   compute byte-identical values;
+//!   ([`check_mapped`]), under every input-vector family: observables
+//!   must survive, surviving ops must compute byte-identical values;
 //! * **exact RecMII** comes from `panorama-mapper`'s minimum-cycle-ratio
 //!   analysis; the [`AnalyzeReport`] records the bound before/after and
 //!   the witness cycle that proves it;

@@ -10,12 +10,17 @@
 //! liveness pass of the *same* round already sees those edges as gone
 //! and removes the orphans before they could surface as new sinks.
 //!
-//! Soundness rules, mirrored by the interpreter's value model:
+//! Soundness rules, each a property of the one value model
+//! ([`panorama_sim::semantics`]):
 //!
 //! * **fold** — only ops the constant analysis proves `Known`; the fold
 //!   keeps the op's name, so `initial_value` reads through outgoing
 //!   back edges are unchanged;
-//! * **merge (CSE)** — victims are never stores, never sinks (both are
+//! * **merge (CSE)** — two ops share a value number when they have the
+//!   same kind and the same operand value numbers *in incoming-edge
+//!   order*; the operands are compared as a multiset only for
+//!   [`OpKind::is_commutative`] kinds, so `a − b` and `b − a` stay two
+//!   ops. Victims are never stores, never sinks (both are
 //!   observable), and never sources of back edges (a back-edge consumer
 //!   reads the *name-keyed* initial value in warm-up iterations, which a
 //!   redirect would change). Back-edge *inputs* are keyed by concrete
@@ -226,7 +231,9 @@ fn plan_round(dfg: &Dfg, config: &AnalyzeConfig) -> RoundPlan {
                                 }
                             })
                             .collect();
-                        ins.sort_unstable();
+                        if kind.is_commutative() {
+                            ins.sort_unstable();
+                        }
                         VnKey::Compute(kind.mnemonic(), ins)
                     }
                 }
@@ -332,6 +339,65 @@ pub fn optimize(original: &Dfg, config: &AnalyzeConfig) -> Result<Optimization, 
 mod tests {
     use super::*;
     use panorama_dfg::{DfgBuilder, Op};
+    use panorama_sim::interpret;
+    use panorama_sim::semantics::{InputVectors, VectorKind};
+
+    #[test]
+    fn operand_order_keeps_subtractions_apart_and_folds_real_arithmetic() {
+        // d0 = a - b -> s0, d1 = b - a -> s1, five = 2 + 3 -> s2. An
+        // optimizer that value-numbers operands as a multiset merges d1
+        // into d0 and stores a - b twice.
+        let text = include_str!("../../../fuzz/corpus/analyze-noncommutative-cse.dfg");
+        let dfg = Dfg::from_text(text).unwrap();
+        let opt = optimize(&dfg, &AnalyzeConfig::default()).unwrap();
+        assert_eq!((opt.merged, opt.folded), (0, 1));
+        let five = OpId::from_index(6);
+        assert_eq!(opt.dfg.op(opt.map[five.index()].unwrap()).imm, Some(5));
+        // checked here independently of `check_mapped`: every store
+        // streams the same words before and after
+        for kind in VectorKind::ALL {
+            let inputs = InputVectors::new(kind, 42);
+            let before = interpret(&dfg, &inputs, 4);
+            let after = interpret(&opt.dfg, &inputs, 4);
+            for s in dfg.op_ids().filter(|&v| dfg.op(v).kind == OpKind::Store) {
+                let image = opt.map[s.index()].expect("stores survive");
+                for iter in 0..4 {
+                    assert_eq!(
+                        before.value(s, iter),
+                        after.value(image, iter),
+                        "store {} under {} in iteration {iter}",
+                        dfg.op(s).name,
+                        kind.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn swapped_operands_merge_exactly_for_commutative_kinds() {
+        for kind in OpKind::ALL {
+            if matches!(kind, OpKind::Load | OpKind::Store | OpKind::Const) {
+                continue;
+            }
+            let mut b = DfgBuilder::new("t");
+            let la = b.op(OpKind::Load, "a");
+            let lb = b.op(OpKind::Load, "b");
+            let f = b.op(kind, "f");
+            let g = b.op(kind, "g");
+            let s0 = b.op(OpKind::Store, "s0");
+            let s1 = b.op(OpKind::Store, "s1");
+            b.data(la, f);
+            b.data(lb, f);
+            b.data(lb, g);
+            b.data(la, g);
+            b.data(f, s0);
+            b.data(g, s1);
+            let dfg = b.build().unwrap();
+            let opt = optimize(&dfg, &AnalyzeConfig::default()).unwrap();
+            assert_eq!(opt.merged, usize::from(kind.is_commutative()), "{kind}");
+        }
+    }
 
     #[test]
     fn folds_constant_subgraphs_and_sweeps_the_orphans() {
@@ -439,15 +505,19 @@ mod tests {
 
     #[test]
     fn optimization_reaches_a_fixed_point() {
-        // chained constants: c -> i1 -> i2 -> st. The constant analysis
-        // reaches through the whole chain in one fixpoint, so i2 folds
-        // and c, i1 die in the same round.
+        // chained constants: c -> i1 = c + c -> i2 = i1 + i1 -> st. The
+        // constant analysis reaches through the whole chain in one
+        // fixpoint, so i2 folds and c, i1 die in the same round. (The
+        // doubling keeps the three values apart: a one-operand add is
+        // the identity and would merge into c instead.)
         let mut b = DfgBuilder::new("t");
         let c = b.push_op(Op::constant("c", 3));
         let i1 = b.op(OpKind::Add, "i1");
         let i2 = b.op(OpKind::Add, "i2");
         let s = b.op(OpKind::Store, "out");
         b.data(c, i1);
+        b.data(c, i1);
+        b.data(i1, i2);
         b.data(i1, i2);
         b.data(i2, s);
         let dfg = b.build().unwrap();
@@ -456,7 +526,8 @@ mod tests {
         assert_eq!(opt.removed, 2, "the rest of the chain is dead");
         // final: one const (folded i2) + the store
         assert_eq!(opt.dfg.num_ops(), 2);
-        assert_eq!(opt.dfg.op(opt.map[2].unwrap()).name, "i2");
+        let folded = opt.dfg.op(opt.map[2].unwrap());
+        assert_eq!((folded.name.as_str(), folded.imm), ("i2", Some(12)));
         // re-optimizing the result is a no-op
         let again = optimize(&opt.dfg, &AnalyzeConfig::default()).unwrap();
         assert!(!again.changed());

@@ -1,11 +1,14 @@
 //! The concrete dataflow analyses: constant propagation over the flat
 //! value lattice and ASAP/ALAP schedule ranges over the level lattice.
 //!
-//! Both are thin clients of [`crate::engine::fixpoint`]; the transfer
-//! functions mirror the reference interpreter's value model
-//! ([`panorama_sim::semantics`]) exactly, which is what makes a `Known`
-//! verdict strong enough to justify constant folding: a `Known(v)` op
-//! provably computes `v` in *every* iteration.
+//! Both are thin clients of [`crate::engine::fixpoint`]. Constant
+//! propagation does not mirror the reference interpreter's value model,
+//! it *calls* it: a `Known` op's value is [`semantics::compute`] over its
+//! `Known` operands in incoming-edge order, the same ALU
+//! `panorama_sim::interpret` and the data-carrying machine run. That is
+//! what makes a `Known` verdict strong enough to justify constant
+//! folding: a `Known(v)` op computes `v` in *every* iteration under
+//! *every* input vector, so `2 + 3` folds to `5`.
 
 use crate::engine::fixpoint;
 use crate::lattice::{Level, Value};
@@ -19,7 +22,8 @@ use panorama_sim::semantics;
 /// * any op with an incoming loop-carried edge is `Top` — its value
 ///   depends on the iteration through the back input;
 /// * a pure compute op whose data inputs are all `Known` is `Known` with
-///   the interpreter's own `compute_value` (multiplicity included).
+///   the interpreter's own [`semantics::compute`] over them, in
+///   incoming-edge order.
 pub fn constant_values(dfg: &Dfg) -> Vec<Value> {
     let n = dfg.num_ops();
     let mut dependents = vec![Vec::new(); n];
@@ -46,7 +50,7 @@ pub fn constant_values(dfg: &Dfg) -> Vec<Value> {
                         Value::Known(v) => inputs.push(v),
                     }
                 }
-                Value::Known(semantics::compute_value(kind, inputs.into_iter()))
+                Value::Known(semantics::compute(kind, &inputs))
             }
         }
     })
@@ -107,6 +111,7 @@ mod tests {
     use super::*;
     use panorama_dfg::DfgBuilder;
     use panorama_sim::interpret;
+    use panorama_sim::semantics::{InputVectors, VectorKind};
 
     fn const_chain() -> Dfg {
         // c0, c1 -> add -> st ; ld -> add2 (add is foldable, add2 is not)
@@ -129,20 +134,23 @@ mod tests {
     fn constant_values_match_the_interpreter() {
         let dfg = const_chain();
         let vals = constant_values(&dfg);
-        let interp = interpret(&dfg, 3);
-        for op in dfg.op_ids() {
-            if let Value::Known(v) = vals[op.index()] {
-                for iter in 0..3 {
-                    assert_eq!(
-                        interp.value(op, iter),
-                        v,
-                        "Known({v}) must hold in every iteration"
-                    );
+        for kind in VectorKind::ALL {
+            let interp = interpret(&dfg, &InputVectors::new(kind, 9), 3);
+            for op in dfg.op_ids() {
+                if let Value::Known(v) = vals[op.index()] {
+                    for iter in 0..3 {
+                        assert_eq!(
+                            interp.value(op, iter),
+                            v,
+                            "Known({v}) must hold in every iteration under {}",
+                            kind.name()
+                        );
+                    }
                 }
             }
         }
-        // the add of two consts is Known, the load-fed add is Top
-        assert!(vals[2].known().is_some());
+        // the add of two consts is Known (7 + 8), the load-fed add is Top
+        assert_eq!(vals[2], Value::Known(15));
         assert_eq!(vals[4], Value::Top);
         assert_eq!(vals[5], Value::Top);
     }

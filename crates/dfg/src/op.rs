@@ -60,6 +60,14 @@ impl OpKind {
         }
     }
 
+    /// Whether the op's result is independent of the order of its
+    /// operands. Operand order is incoming-edge order (a DFG contract the
+    /// text format and the rewriter preserve); only for these kinds may a
+    /// rewrite treat the operands as a multiset.
+    pub fn is_commutative(self) -> bool {
+        matches!(self, OpKind::Add | OpKind::Mul | OpKind::Logic)
+    }
+
     /// All operation kinds, for exhaustive iteration in tests.
     pub const ALL: [OpKind; 10] = [
         OpKind::Load,

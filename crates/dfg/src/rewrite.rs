@@ -9,8 +9,11 @@
 //! * surviving ops keep their payload (kind, name, immediate) and their
 //!   relative order, so renumbering is dense and reproducible;
 //! * edges are remapped through replacement chains with **multiplicity
-//!   preserved** — the reference interpreter folds operand values with
-//!   multiplicity, so deduplicating `a → c, a → c` would change semantics;
+//!   and order preserved** — an op's operands are its incoming edges in
+//!   insertion order, so deduplicating `a → c, a → c` or permuting
+//!   `a → c, b → c` would change what `c` computes. Surviving edges are
+//!   re-added in source-graph order and a redirected edge keeps its
+//!   position;
 //! * an edge from a removed op into a surviving one is refused rather
 //!   than silently dropped (it means the liveness analysis was wrong).
 
@@ -242,6 +245,29 @@ mod tests {
         let out = apply(&dfg, &actions).unwrap();
         assert_eq!(out.num_ops(), 2);
         assert_eq!(out.num_deps(), 2, "duplicate operand edges must survive");
+    }
+
+    #[test]
+    fn replace_keeps_the_redirected_operand_in_its_position() {
+        // d = p - q - r; merging q into q2 must leave (p, q2, r), not
+        // push the redirected edge to the end
+        let mut bld = DfgBuilder::new("o");
+        let p = bld.op(OpKind::Load, "p");
+        let q = bld.op(OpKind::Load, "q");
+        let q2 = bld.op(OpKind::Load, "q");
+        let r = bld.op(OpKind::Load, "r");
+        let d = bld.op(OpKind::Sub, "d");
+        bld.data(p, d);
+        bld.data(q, d);
+        bld.data(r, d);
+        bld.data(q2, d);
+        let dfg = bld.build().unwrap();
+        let mut actions = vec![OpRewrite::Keep; 5];
+        actions[q.index()] = OpRewrite::ReplaceBy(q2);
+        let (out, map) = apply_with_map(&dfg, &actions).unwrap();
+        let image = |v: OpId| map[v.index()].unwrap();
+        let operands: Vec<OpId> = out.graph().incoming(image(d)).map(|e| e.src).collect();
+        assert_eq!(operands, [image(p), image(q2), image(r), image(q2)]);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! dense and ascending; the optional trailing integer is an explicit
 //! constant immediate), `edge <src> <dst>` an intra-iteration dependency,
 //! and `back <src> <dst> <distance>` a loop-carried one. Blank lines and
-//! `#` comments are ignored.
+//! `#` comments are ignored. The order of an op's `edge`/`back` lines is
+//! its operand order (`sub`'s first incoming edge is the minuend); the
+//! writer emits edges in insertion order, so a round trip preserves it.
 
 use crate::{Dfg, DfgBuilder, OpId, OpKind};
 use std::error::Error;
@@ -237,6 +239,13 @@ mod tests {
             assert_eq!(back.num_deps(), dfg.num_deps(), "{id}");
             assert_eq!(back.num_back_edges(), dfg.num_back_edges(), "{id}");
             assert_eq!(back.stats(), dfg.stats(), "{id}");
+            // operand order survives: same producers, same positions
+            for v in dfg.op_ids() {
+                let operands = |g: &Dfg| -> Vec<_> {
+                    g.graph().incoming(v).map(|e| (e.src, *e.weight)).collect()
+                };
+                assert_eq!(operands(&back), operands(&dfg), "{id}: {v}");
+            }
         }
     }
 

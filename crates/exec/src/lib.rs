@@ -10,7 +10,10 @@
 //! [`panorama_mapper::Configware`] on a model of the physical fabric —
 //! register files, input latches, link latches, II-cyclic words — under
 //! concrete input vectors, and compares every produced token against
-//! direct dataflow interpretation of the DFG.
+//! direct dataflow interpretation of the DFG. Both sides share one ALU
+//! (`panorama_sim::semantics`) and the golden side is
+//! `panorama_sim::interpret`; what differs is everything the fabric adds
+//! — operand selection, latches, registers, firing masks.
 //!
 //! [`execute`] is the entry point: it runs one seeded pseudo-random
 //! vector plus four boundary vectors (zeros, ones, `i32::MIN`,
@@ -19,19 +22,16 @@
 //! job all sit on top of it.
 
 pub mod machine;
-pub mod reference;
 pub mod report;
-pub mod values;
 
 pub use machine::{run_machine, ExecError, MachineRun};
-pub use reference::{interpret, Reference};
 pub use report::exec_report_json;
-pub use values::{compute, op_value, InputVectors, VectorKind};
 
 use panorama_arch::Cgra;
 use panorama_dfg::{Dfg, OpId, OpKind};
 use panorama_mapper::{Configware, Mapping};
-use panorama_sim::semantics::mix;
+use panorama_sim::semantics::{mix, InputVectors, VectorKind};
+use panorama_sim::{interpret, Interpretation};
 
 /// Knobs for one differential execution.
 #[derive(Debug, Clone)]
@@ -139,7 +139,7 @@ pub fn execute(
     let mut vectors = Vec::with_capacity(VectorKind::ALL.len());
     for kind in VectorKind::ALL {
         let inputs = InputVectors::new(kind, opts.seed);
-        let golden = reference::interpret(dfg, &inputs, opts.iterations);
+        let golden = interpret(dfg, &inputs, opts.iterations);
         // output stream: store tokens, iteration-major, op order within
         let mut digest = 0u64;
         let mut tokens = 0usize;
@@ -174,7 +174,7 @@ pub fn execute(
 
 fn compare(
     dfg: &Dfg,
-    golden: &Reference,
+    golden: &Interpretation,
     run: &MachineRun,
     iterations: usize,
 ) -> (usize, Option<String>) {

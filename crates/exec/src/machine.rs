@@ -37,11 +37,10 @@
 //! producer's pre-loop initial value (the preloaded recurrence
 //! register), mirroring the reference interpreter.
 
-use crate::values::{op_value, InputVectors};
 use panorama_arch::{Cgra, PeId};
 use panorama_dfg::Dfg;
 use panorama_mapper::{Configware, InPort, ValueSource};
-use panorama_sim::semantics::initial_value;
+use panorama_sim::semantics::{initial_value, op_value, InputVectors};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -248,10 +247,10 @@ pub fn run_machine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::values::VectorKind;
     use panorama_arch::CgraConfig;
     use panorama_dfg::{kernels, KernelId, KernelScale};
     use panorama_mapper::{LowerLevelMapper, SprMapper};
+    use panorama_sim::semantics::VectorKind;
 
     #[test]
     fn machine_matches_reference_on_fir() {
@@ -261,7 +260,7 @@ mod tests {
         let cfg = Configware::generate(&dfg, &cgra, &mapping);
         let inputs = InputVectors::new(VectorKind::Seeded, 42);
         let run = run_machine(&dfg, &cgra, &cfg, &inputs, 6).unwrap();
-        let reference = crate::reference::interpret(&dfg, &inputs, 6);
+        let reference = panorama_sim::interpret(&dfg, &inputs, 6);
         for op in dfg.op_ids() {
             for iter in 0..6 {
                 assert_eq!(

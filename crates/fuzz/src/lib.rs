@@ -3,11 +3,11 @@
 //! The harness sweeps the random-DFG and architecture configuration
 //! spaces, runs every sampled case through the full pipeline under both
 //! lower-level backends, and cross-checks the results with six oracles
-//! (static verify, cycle-level simulation against the golden interpreter,
-//! data-level execution of the generated configware against the concrete
+//! (static verify, cycle-level structural simulation of the routes,
+//! data-level execution of the generated configware against the
 //! reference interpreter, II-optimality against the exhaustive mapper on
 //! small instances, rewriter equivalence of the `panorama-analyze`
-//! optimizer against the reference interpreter, and a crash
+//! optimizer under that same interpreter, and a crash
 //! pseudo-oracle). Any disagreement is
 //! minimized to a small reproducer and serialized in the corpus file
 //! format.

@@ -4,10 +4,10 @@
 //! | oracle     | kind    | catches |
 //! |------------|---------|---------|
 //! | `verify`   | static  | structural violations: FU conflicts, missing/disconnected routes, dependence or capacity violations |
-//! | `simulate` | dynamic | cycle-accurate disagreements: wrong operand arrival, value collisions, golden-value mismatches vs the interpreter |
+//! | `simulate` | dynamic | cycle-accurate structural disagreements: a route that does not leave its producer, follow MRRG edges or feed its consumer, an operand arriving in the wrong cycle, more `(producer, iteration)` tokens on a resource in one cycle than it has capacity for. Carries no values |
 //! | `exec`     | dynamic | value-level divergences: the generated configware, replayed data-carrying on the fabric model under concrete input vectors, disagreeing with direct DFG interpretation — a semantically wrong encoder. Abstract backends (no routes) are excluded |
 //! | `exact_ii` | cross   | a route-producing backend reporting an II below the exhaustive mapper's optimum — an unsound II claim. Abstract backends (no routes) are excluded: their relaxed interconnect model makes lower IIs legitimate |
-//! | `rewrite`  | cross   | the `panorama-analyze` optimizer producing a graph the reference interpreter distinguishes from the input — a broken rewrite (per case, before any mapping) |
+//! | `rewrite`  | cross   | the `panorama-analyze` optimizer producing a graph `panorama_sim::interpret` — the interpreter and ALU `exec` holds the configware to — distinguishes from the input under any of the five input-vector families: every surviving op compared through the rewrite map, every store and sink kept (per case, before any mapping) |
 //! | `crash`    | harness | panics anywhere in the pipeline, caught per backend |
 //!
 //! A failed *mapping* is not a failed oracle: heuristics may legitimately
@@ -78,7 +78,7 @@ pub struct CaseResult {
     pub exact_ii: OracleOutcome,
     /// The rewriter-equivalence cross-check (one per case): the analyze
     /// optimizer's output must be indistinguishable from its input under
-    /// the reference interpreter.
+    /// the reference interpreter, for every input-vector family.
     pub rewrite: OracleOutcome,
     /// Panic message when any backend crashed.
     pub crash: Option<String>,
@@ -314,8 +314,11 @@ fn exact_oracle(
 
 /// The rewriter-equivalence oracle: run the full `panorama-analyze`
 /// optimizer (which golden-compares its output against the reference
-/// interpreter through the rewrite map) and fail on any equivalence
-/// violation it reports. Runs per case, independent of any backend.
+/// interpreter through the rewrite map, under every input-vector
+/// family) and fail on any equivalence violation it reports. The
+/// interpreter is the one `exec` judges configware by, so a rewrite that
+/// passes here cannot change a stored word. Runs per case, independent
+/// of any backend.
 fn rewrite_oracle(dfg: &Dfg) -> OracleOutcome {
     match optimize(dfg, &AnalyzeConfig::default()) {
         Ok(_) => OracleOutcome::Pass,

@@ -53,13 +53,27 @@ fn check_vectors(doc: &Json, at: &Entity, out: &mut Diagnostics) {
             ),
         ));
     }
-    let (ops, stores, iterations) = (num(doc, "ops"), num(doc, "stores"), num(doc, "iterations"));
+    let iterations = num(doc, "iterations");
+    // tokens a clean vector covers and streams; `None` when the product
+    // leaves u64, which is a finding of its own and never a wrapped match
+    let product = |factor: &str, out: &mut Diagnostics| {
+        let n = num(doc, factor).checked_mul(iterations);
+        if n.is_none() {
+            out.push(err(
+                "EXEC003",
+                at.clone(),
+                format!("`{factor}` x `iterations` overflows u64"),
+            ));
+        }
+        n
+    };
+    let (per_vector, per_stream) = (product("ops", out), product("stores", out));
     let mut divergences = 0usize;
-    let mut checked_sum = 0u64;
+    let mut checked_sum = Some(0u64);
     for (i, row) in rows.iter().enumerate() {
         let vector = names[i];
         let checked = num(row, "checked");
-        checked_sum += checked;
+        checked_sum = checked_sum.and_then(|sum| sum.checked_add(checked));
         if let Some(msg) = row.get("divergence").and_then(Json::as_str) {
             divergences += 1;
             out.push(err(
@@ -67,36 +81,34 @@ fn check_vectors(doc: &Json, at: &Entity, out: &mut Diagnostics) {
                 Entity::Event(i),
                 format!("`{vector}` vector diverged from the reference: {msg}"),
             ));
-        } else if checked != ops * iterations {
+        } else if let Some(want) = per_vector.filter(|&want| checked != want) {
             out.push(err(
                 "EXEC003",
                 Entity::Event(i),
                 format!(
                     "`{vector}` checked {checked} tokens but a clean vector must cover \
-                     ops x iterations = {}",
-                    ops * iterations
+                     ops x iterations = {want}"
                 ),
             ));
         }
         let tokens = num(row, "output_tokens");
-        if tokens != stores * iterations {
+        if let Some(want) = per_stream.filter(|&want| tokens != want) {
             out.push(err(
                 "EXEC003",
                 Entity::Event(i),
                 format!(
-                    "`{vector}` streams {tokens} output tokens but stores x iterations = {}",
-                    stores * iterations
+                    "`{vector}` streams {tokens} output tokens but stores x iterations = {want}"
                 ),
             ));
         }
     }
     let total = num(doc, "checked");
-    if total != checked_sum {
-        out.push(err(
-            "EXEC003",
-            at.clone(),
-            format!("`checked` {total} does not equal the vector sum {checked_sum}"),
-        ));
+    if checked_sum != Some(total) {
+        let finding = match checked_sum {
+            Some(sum) => format!("`checked` {total} does not equal the vector sum {sum}"),
+            None => format!("`checked` {total} but the vector sum overflows u64"),
+        };
+        out.push(err("EXEC003", at.clone(), finding));
     }
     let status = text(doc, "status");
     if status == "pass" && divergences > 0 {
@@ -164,6 +176,49 @@ mod tests {
         ));
         assert!(codes.contains(&"EXEC002".to_string()), "{codes:?}");
         assert!(!codes.contains(&"EXEC003".to_string()), "{codes:?}");
+    }
+
+    #[test]
+    fn products_and_sums_that_overflow_u64_are_exec003_findings() {
+        // 2^63 x 4 and 2^62 x 4 wrap to 0; the rows are rewritten to
+        // agree with the wrapped products, so a wrapping check passes
+        let zeroed = |text: String| {
+            text.replace("\"checked\": 12,", "\"checked\": 0,")
+                .replace("\"checked\": 60,", "\"checked\": 0,")
+        };
+        let table: [(String, &str); 3] = [
+            (
+                zeroed(report("pass", "null"))
+                    .replace("\"ops\": 3,", "\"ops\": 9223372036854775808,"),
+                "`ops` x `iterations` overflows u64",
+            ),
+            (
+                report("pass", "null")
+                    .replace("\"stores\": 1,", "\"stores\": 4611686018427387904,")
+                    .replace("\"output_tokens\": 4,", "\"output_tokens\": 0,"),
+                "`stores` x `iterations` overflows u64",
+            ),
+            (
+                // five rows of 2^62 - 1: the vector sum leaves u64
+                report("pass", "null")
+                    .replace("\"iterations\": 4,", "\"iterations\": 1537228672809129301,")
+                    .replace("\"checked\": 12,", "\"checked\": 4611686018427387903,")
+                    .replace(
+                        "\"output_tokens\": 4,",
+                        "\"output_tokens\": 1537228672809129301,",
+                    )
+                    .replace("\"checked\": 60,", "\"checked\": 4611686018427387899,"),
+                "the vector sum overflows u64",
+            ),
+        ];
+        for (text, want) in table {
+            let mut diags = Diagnostics::new();
+            lint_exec_json(&text, &mut diags);
+            let found: Vec<_> = diags.iter().map(|d| (d.code, &d.message)).collect();
+            assert_eq!(found.len(), 1, "{want}: {found:?}");
+            assert_eq!(found[0].0, "EXEC003");
+            assert!(found[0].1.contains(want), "{found:?}");
+        }
     }
 
     #[test]

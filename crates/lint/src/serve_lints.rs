@@ -40,25 +40,32 @@ pub fn lint_serve_json(text: &str, out: &mut Diagnostics) {
     lint_text(text, &CHECKS, out);
 }
 
-/// `SERVE002` (single snapshot): the conservation equality.
+/// The request states a received request is in exactly one of.
+const ACCOUNTED: [&str; 7] = [
+    "requests.completed",
+    "requests.shed",
+    "requests.cancelled",
+    "requests.failed",
+    "requests.quota_rejected",
+    "queue.depth",
+    "queue.in_flight",
+];
+
+/// `SERVE002` (single snapshot): the conservation equality. Counters
+/// arrive exact up to `u64::MAX`, so the sum is checked: a crafted
+/// snapshot must not wrap its way back onto `received`.
 fn check_conservation(doc: &Json, at: &Entity, out: &mut Diagnostics) {
     let received = num(doc, "requests.received");
-    let accounted = num(doc, "requests.completed")
-        + num(doc, "requests.shed")
-        + num(doc, "requests.cancelled")
-        + num(doc, "requests.failed")
-        + num(doc, "requests.quota_rejected")
-        + num(doc, "queue.depth")
-        + num(doc, "queue.in_flight");
-    if received != accounted {
-        out.push(err(
-            "SERVE002",
-            at.clone(),
-            format!(
-                "conservation broken: received {received} != completed+shed+cancelled+failed+quota_rejected+queued+in_flight = {accounted}"
-            ),
-        ));
-    }
+    let accounted = ACCOUNTED
+        .iter()
+        .try_fold(0u64, |sum, path| sum.checked_add(num(doc, path)));
+    let terms = "completed+shed+cancelled+failed+quota_rejected+queued+in_flight";
+    let finding = match accounted {
+        Some(sum) if sum == received => return,
+        Some(sum) => format!("conservation broken: received {received} != {terms} = {sum}"),
+        None => format!("conservation broken: received {received} but {terms} overflows u64"),
+    };
+    out.push(err("SERVE002", at.clone(), finding));
 }
 
 /// `SERVE004`: internal consistency of the quota section — tenants
@@ -68,12 +75,12 @@ fn check_conservation(doc: &Json, at: &Entity, out: &mut Diagnostics) {
 fn check_quota(doc: &Json, at: &Entity, out: &mut Diagnostics) {
     let burst = num(doc, "quota.burst");
     let mut names: Vec<&str> = Vec::new();
-    let mut rejected_sum = 0u64;
+    let mut rejected_sum = Some(0u64);
     let tenants = doc.get("quota").and_then(|q| q.get("tenants"));
     for t in tenants.and_then(Json::as_arr).unwrap_or_default() {
         let name = text(t, "tenant");
         names.push(name);
-        rejected_sum += num(t, "rejected");
+        rejected_sum = rejected_sum.and_then(|sum| sum.checked_add(num(t, "rejected")));
         let tokens = num(t, "tokens");
         if tokens > burst {
             out.push(err(
@@ -92,12 +99,13 @@ fn check_quota(doc: &Json, at: &Entity, out: &mut Diagnostics) {
     }
     let quota_rejected = num(doc, "quota.rejected");
     let counter = num(doc, "requests.quota_rejected");
-    if rejected_sum != quota_rejected || quota_rejected != counter {
+    if rejected_sum != Some(quota_rejected) || quota_rejected != counter {
+        let sum = rejected_sum.map_or("overflows u64".to_string(), |sum| sum.to_string());
         out.push(err(
             "SERVE004",
             at.clone(),
             format!(
-                "quota rejection counters disagree: per-tenant sum {rejected_sum}, quota.rejected {quota_rejected}, requests.quota_rejected {counter}"
+                "quota rejection counters disagree: per-tenant sum {sum}, quota.rejected {quota_rejected}, requests.quota_rejected {counter}"
             ),
         ));
     }
@@ -235,6 +243,48 @@ mod tests {
         // received=5 but only 3 accounted (completed 1 + depth 2... make it wrong on purpose)
         let text = snapshot(5, 1, 1, GOOD_PHASES).replace("\"depth\":4", "\"depth\":1");
         assert_eq!(run(&text), ["SERVE002"]);
+    }
+
+    #[test]
+    fn sums_that_overflow_u64_are_findings_not_wraps() {
+        // received 8 = completed 3 + depth 5. With one more term at
+        // u64::MAX and depth 6 the wrapped sum is 3 + MAX + 6 = 8 again:
+        // the snapshot a wrapping sum waves through.
+        let max = u64::MAX;
+        let tenants = format!(
+            "\"tenants\":[{{\"tenant\":\"a\",\"admitted\":0,\"rejected\":{max},\"tokens\":0}},\
+             {{\"tenant\":\"b\",\"admitted\":0,\"rejected\":1,\"tokens\":0}}]"
+        );
+        let table: [(&[(&str, &str)], &str); 3] = [
+            (
+                &[
+                    ("\"shed\":0", "\"shed\":MAX"),
+                    ("\"depth\":5", "\"depth\":6"),
+                ],
+                "SERVE002",
+            ),
+            (
+                &[
+                    ("\"in_flight\":0", "\"in_flight\":MAX"),
+                    ("\"depth\":5", "\"depth\":6"),
+                ],
+                "SERVE002",
+            ),
+            (&[("\"tenants\":[]", &tenants)], "SERVE004"),
+        ];
+        for (edits, want) in table {
+            let mut text = snapshot(8, 3, 3, GOOD_PHASES);
+            for (from, to) in edits {
+                assert!(text.contains(from), "{from}");
+                text = text.replace(from, &to.replace("MAX", &max.to_string()));
+            }
+            let mut diags = Diagnostics::new();
+            lint_serve_json(&text, &mut diags);
+            let found: Vec<_> = diags.iter().map(|d| (d.code, &d.message)).collect();
+            assert_eq!(found.len(), 1, "{edits:?}: {found:?}");
+            assert_eq!(found[0].0, want, "{edits:?}");
+            assert!(found[0].1.contains("overflows u64"), "{found:?}");
+        }
     }
 
     #[test]

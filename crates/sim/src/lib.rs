@@ -1,23 +1,25 @@
-//! Functional validation of CGRA mappings: a DFG interpreter plus a
-//! cycle-level structural simulator that *executes* a mapping's routes.
+//! What a DFG computes, and whether a mapping can physically carry it:
+//! the one value model ([`semantics`]), the one reference interpreter
+//! ([`interpret`]) and a cycle-level structural simulator that *walks* a
+//! mapping's routes ([`simulate`]).
 //!
 //! [`Mapping::verify`](panorama_mapper::Mapping::verify) checks a mapping
 //! *statically* — placement legality, route connectivity/timing, per-slot
-//! capacities. This crate adds the *dynamic* check the static view cannot
-//! express: it runs several loop iterations through the pipelined
-//! schedule, tracks which concrete value occupies every physical resource
-//! at every absolute cycle, and fails on any collision of **different**
-//! values (the classic modulo-wrap hazard: a value living longer than II
-//! cycles colliding with the next iteration's instance in the same
-//! register). Loop-invariant constants share resources legally.
+//! capacities. [`simulate`] is its dynamic twin: it pushes several loop
+//! iterations through the pipelined schedule, tracks which *token* —
+//! `(producer op, iteration)` — occupies every physical resource at
+//! every absolute cycle, and fails when a resource holds more distinct
+//! tokens than it has capacity for (the classic modulo-wrap hazard: a
+//! value living longer than II cycles colliding with the next
+//! iteration's instance in the same register). A loop-invariant `Const`
+//! is no exception: each iteration materialises its own token.
 //!
 //! What it certifies is structural: every route leaves its producer and
 //! feeds its consumer, arrives in the consumer's execution cycle, and no
-//! resource holds more distinct values than it has capacity for. Whether
-//! the *computed* values are right is not its question — the values here
-//! come from the reference interpreter, not from the fabric; value
-//! fidelity is `panorama_exec::execute`'s job, which replays the
-//! configware data-carrying.
+//! resource is over-subscribed in any cycle. It carries no values and
+//! runs no interpreter; whether the *computed* values are right is
+//! `panorama_exec::execute`'s question, which replays the configware
+//! data-carrying and compares every token against [`interpret`].
 //!
 //! # Examples
 //!
@@ -43,5 +45,5 @@ mod interp;
 mod machine;
 pub mod semantics;
 
-pub use interp::{interpret, interpret_with, Interpretation};
+pub use interp::{interpret, Interpretation};
 pub use machine::{simulate, trace, SimError, SimReport, TraceEvent};

@@ -1,8 +1,8 @@
-//! Cycle-level execution of a mapping: every routed value is walked
-//! through the machine, claiming each physical resource at each absolute
-//! cycle under the value the reference interpreter assigns it.
+//! Cycle-level walk of a mapping: every routed token — one per
+//! `(producer op, iteration)` — is pushed through the machine, claiming
+//! each physical resource it visits at each absolute cycle. No values
+//! are carried; occupancy is counted in tokens.
 
-use crate::interp::interpret;
 use panorama_arch::{Cgra, NodeKind};
 use panorama_dfg::Dfg;
 use panorama_mapper::Mapping;
@@ -31,15 +31,15 @@ pub enum SimError {
         /// Dependencies in the DFG.
         expected_deps: usize,
     },
-    /// Two *different* values occupied one physical resource in the same
-    /// cycle — e.g. the modulo-wrap hazard where consecutive iterations
-    /// collide in a register.
+    /// More distinct tokens than its capacity occupied one physical
+    /// resource in the same cycle — e.g. the modulo-wrap hazard where
+    /// consecutive iterations of one producer collide in a register.
     ValueCollision {
         /// Physical resource kind.
         kind: NodeKind,
         /// Absolute cycle of the collision.
         cycle: u64,
-        /// Distinct values present.
+        /// Distinct tokens present.
         values: usize,
         /// Resource capacity.
         cap: usize,
@@ -81,7 +81,7 @@ impl fmt::Display for SimError {
                 cap,
             } => write!(
                 f,
-                "{values} distinct values on a {kind:?} resource at cycle {cycle} (capacity {cap})"
+                "{values} distinct tokens on a {kind:?} resource at cycle {cycle} (capacity {cap})"
             ),
             SimError::ArrivalMismatch { edge } => {
                 write!(f, "edge {edge} delivered its value at the wrong cycle")
@@ -105,7 +105,8 @@ pub struct SimReport {
     pub iterations: usize,
     /// Absolute cycles covered (iterations pipelined at II, plus drain).
     pub cycles: u64,
-    /// Operand deliveries checked against the interpreter.
+    /// Operand deliveries walked from producer to consumer and found to
+    /// arrive in the consumer's execution cycle.
     pub checked_deliveries: usize,
     /// Fraction of FU slots doing useful work over the steady state.
     pub fu_utilization: f64,
@@ -113,8 +114,11 @@ pub struct SimReport {
     pub link_utilization: f64,
 }
 
-/// Executes `iterations` pipelined loop iterations of `mapping` and
-/// cross-checks every value against [`interpret`].
+/// Walks `iterations` pipelined loop iterations of `mapping` through
+/// the MRRG: every route must leave its producer, follow MRRG edges,
+/// arrive in its consumer's execution cycle, and no resource may hold
+/// more distinct `(producer, iteration)` tokens in a cycle than its
+/// capacity.
 ///
 /// # Errors
 ///
@@ -137,22 +141,21 @@ pub fn simulate(
     }
     let ii = mapping.ii() as u64;
     let mrrg = cgra.mrrg_shared(mapping.ii());
-    let reference = interpret(dfg, iterations);
 
-    // (physical resource, absolute cycle) → distinct values present
-    let mut occupancy: HashMap<(u32, u64), HashSet<u64>> = HashMap::new();
+    // (physical resource, absolute cycle) → distinct tokens present, a
+    // token being (producer op, iteration)
+    let mut occupancy: HashMap<(u32, u64), HashSet<(usize, usize)>> = HashMap::new();
     let mut checked = 0usize;
 
-    // claim FU slots with the op's output value
+    // claim FU slots with the op's output token
     for iter in 0..iterations {
         for op in dfg.op_ids() {
             let t = mapping.time_of(op) as u64 + iter as u64 * ii;
             let node = mrrg.fu(mapping.pe_of(op), mapping.time_of(op) % mapping.ii());
-            let v = reference.value(op, iter);
             occupancy
                 .entry((mrrg.resource_of(node) as u32, t))
                 .or_default()
-                .insert(v);
+                .insert((op.index(), iter));
         }
     }
 
@@ -176,13 +179,13 @@ pub fn simulate(
             return Err(SimError::Misrouted { edge: i });
         }
         for iter in 0..iterations {
-            // this instance carries the producer value of iteration `iter`
+            // this instance carries the producer token of iteration `iter`
             // to the consumer of iteration `iter + d`; skip instances whose
             // consumer lies beyond the simulated horizon
             if iter as i64 + d >= iterations as i64 {
                 continue;
             }
-            let value = reference.value(e.src, iter);
+            let token = (e.src.index(), iter);
             let start = mapping.time_of(e.src) as u64 + iter as u64 * ii;
             let mut t = start;
             for w in route.nodes.windows(2) {
@@ -203,7 +206,7 @@ pub fn simulate(
                     occupancy
                         .entry((mrrg.resource_of(w[1]) as u32, t))
                         .or_default()
-                        .insert(value);
+                        .insert(token);
                 }
             }
             // arrival: the consumer reads in its execution cycle
@@ -215,16 +218,16 @@ pub fn simulate(
         }
     }
 
-    // capacity check per (resource, cycle) over *distinct* values
-    for ((res, cycle), values) in &occupancy {
+    // capacity check per (resource, cycle) over *distinct* tokens
+    for ((res, cycle), tokens) in &occupancy {
         // reconstruct a node of this resource to query kind/capacity
         let node = panorama_arch::MrrgNodeId::from_index(*res as usize);
         let cap = mrrg.capacity(node) as usize;
-        if values.len() > cap {
+        if tokens.len() > cap {
             return Err(SimError::ValueCollision {
                 kind: mrrg.kind(node),
                 cycle: *cycle,
-                values: values.len(),
+                values: tokens.len(),
                 cap,
             });
         }
@@ -330,60 +333,63 @@ mod wrap_hazard_tests {
     use panorama_dfg::{DfgBuilder, OpKind};
     use panorama_mapper::{Mapping, Route};
 
-    /// Hand-builds the modulo-wrap hazard: a load's value parked in one
-    /// register for 4 cycles at II = 2, so consecutive iterations collide.
-    /// Historically the static checker deduplicated same-producer visits
-    /// per node and missed this; the differential fuzzer caught the gap
-    /// (simulate rejected a verified mapping) and verify now counts
-    /// occupancy per `(producer, visit time)`. Both oracles must agree.
+    /// Hand-builds the modulo-wrap hazard: a producer's token parked in
+    /// one register for 4 cycles at II = 2, so consecutive iterations
+    /// collide. Historically the static checker deduplicated
+    /// same-producer visits per node and missed this; the differential
+    /// fuzzer caught the gap (simulate rejected a verified mapping) and
+    /// verify now counts occupancy per `(producer, visit time)`. Both
+    /// oracles must agree — for a `Const` producer too: its iterations
+    /// carry the same word but are distinct tokens, and a register holds
+    /// one (a value-keyed simulator used to wave this through).
     #[test]
     fn register_wrap_collision_is_caught() {
-        let mut b = DfgBuilder::new("hazard");
-        let u = b.op(OpKind::Load, "u");
-        let v = b.op(OpKind::Add, "v");
-        b.data(u, v);
-        let dfg = b.build().unwrap();
-        let cgra = Cgra::new(CgraConfig::small_4x4()).unwrap();
-        let ii = 2;
-        let mrrg = cgra.mrrg_shared(ii);
-        let pe = cgra.pe_at(0, 0); // memory-capable
-        let pe_v = cgra.pe_at(0, 0);
+        for producer in [OpKind::Load, OpKind::Const] {
+            let mut b = DfgBuilder::new("hazard");
+            let u = b.op(producer, "u");
+            let v = b.op(OpKind::Add, "v");
+            b.data(u, v);
+            let dfg = b.build().unwrap();
+            let cgra = Cgra::new(CgraConfig::small_4x4()).unwrap();
+            let ii = 2;
+            let mrrg = cgra.mrrg_shared(ii);
+            let pe = cgra.pe_at(0, 0); // memory-capable
 
-        // u at t=0, v at t=5 (delta 5 > II): value waits in register 0
-        let path = vec![
-            mrrg.out(pe, 0),
-            mrrg.input(pe, 1),
-            mrrg.reg_write(pe, 1),
-            mrrg.reg(pe, 0, 0), // t=2 (slot 0)
-            mrrg.reg(pe, 0, 1), // t=3
-            mrrg.reg(pe, 0, 0), // t=4 — wraps onto slot 0 again
-            mrrg.reg(pe, 0, 1), // t=5
-            mrrg.reg_read(pe, 1),
-        ];
-        let mapping = Mapping::from_parts(
-            "hand",
-            ii,
-            1,
-            vec![0, 5],
-            vec![pe, pe_v],
-            Some(vec![Route {
-                edge_index: 0,
-                nodes: path,
-            }]),
-        );
-        // the static checker sees the wrap: slot 0 of register 0 is
-        // visited at t=2 and t=4, two iterations' values at once
-        let verr = mapping.verify(&dfg, &cgra).unwrap_err();
-        assert!(
-            matches!(verr, panorama_mapper::VerifyError::CapacityExceeded { .. }),
-            "verify must count per (producer, time), got {verr:?}"
-        );
-        // executing two or more iterations exposes the same collision
-        let err = simulate(&dfg, &cgra, &mapping, 3).unwrap_err();
-        assert!(
-            matches!(err, SimError::ValueCollision { .. }),
-            "expected a value collision, got {err}"
-        );
+            // u at t=0, v at t=5 (delta 5 > II): value waits in register 0
+            let path = vec![
+                mrrg.out(pe, 0),
+                mrrg.input(pe, 1),
+                mrrg.reg_write(pe, 1),
+                mrrg.reg(pe, 0, 0), // t=2 (slot 0)
+                mrrg.reg(pe, 0, 1), // t=3
+                mrrg.reg(pe, 0, 0), // t=4 — wraps onto slot 0 again
+                mrrg.reg(pe, 0, 1), // t=5
+                mrrg.reg_read(pe, 1),
+            ];
+            let mapping = Mapping::from_parts(
+                "hand",
+                ii,
+                1,
+                vec![0, 5],
+                vec![pe, pe],
+                Some(vec![Route {
+                    edge_index: 0,
+                    nodes: path,
+                }]),
+            );
+            // the static checker sees the wrap: slot 0 of register 0 is
+            // visited at t=2 and t=4, two iterations' tokens at once
+            let verr = mapping.verify(&dfg, &cgra).unwrap_err();
+            assert!(
+                matches!(verr, panorama_mapper::VerifyError::CapacityExceeded { .. }),
+                "{producer}: verify must count per (producer, time), got {verr:?}"
+            );
+            // executing two or more iterations exposes the same collision
+            match simulate(&dfg, &cgra, &mapping, 3) {
+                Err(SimError::ValueCollision { .. }) => {}
+                other => panic!("{producer}: expected a token collision, got {other:?}"),
+            }
+        }
     }
 }
 

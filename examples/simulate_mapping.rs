@@ -1,6 +1,8 @@
 //! From mapping to machine: lower a compiled kernel to per-PE
-//! configuration words, then *execute* it cycle by cycle and cross-check
-//! every delivered value against the reference DFG interpreter.
+//! configuration words, then walk its routes cycle by cycle through the
+//! structural simulator — every operand must leave its producer, arrive
+//! in its consumer's cycle, and no resource may be over-subscribed.
+//! (`panorama exec` is the value-level check of the same configware.)
 //!
 //! ```sh
 //! cargo run --release --example simulate_mapping
@@ -36,7 +38,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         println!("  {line}");
     }
 
-    // execute 8 pipelined iterations and check every value
+    // walk 8 pipelined iterations and check every delivery
     let sim = simulate(&dfg, &cgra, mapping, 8)?;
     println!(
         "simulated {} iterations over {} cycles: {} deliveries checked, \

@@ -10,7 +10,10 @@
 #   3. report hygiene — every report passes the ANLZ lints via
 #      `panorama lint --report`;
 #   4. no regression — for every kernel the mapped II with --analyze is
-#      no worse than the unanalyzed baseline.
+#      no worse than the unanalyzed baseline;
+#   5. one value model — the pinned `a - b` / `b - a` / `2 + 3` graph
+#      merges nothing and folds `2 + 3` to 5 (a multiset CSE merges one
+#      op, a hash ALU folds to a hash and still passes its own check).
 #
 # Usage: scripts/analyze_smoke.sh [scale]
 set -euo pipefail
@@ -51,5 +54,18 @@ for f in fuzz/corpus/*.dfg; do
     echo "-- $f"
     "$BIN" analyze "$f" >/dev/null
 done
+
+echo "== operand order and real arithmetic: the non-commutative pin =="
+PIN=fuzz/corpus/analyze-noncommutative-cse.dfg
+"$BIN" analyze "$PIN" --json > "$TMP/analyze-pin.json"
+grep -q '"merged": 0,' "$TMP/analyze-pin.json" || {
+    echo "$PIN: b - a was merged into a - b" >&2
+    exit 1
+}
+grep -q '"folded": 1,' "$TMP/analyze-pin.json"
+"$BIN" analyze "$PIN" | grep -q 'ANLZ002.*always computes 0x5$' || {
+    echo "$PIN: 2 + 3 did not fold to 5" >&2
+    exit 1
+}
 
 echo "analyze smoke OK"

@@ -161,6 +161,30 @@ fn lint_report_reaches_the_array_checks() {
 }
 
 #[test]
+fn lint_report_overflowing_counters_are_findings_not_panics_or_passes() {
+    // Integers are read exactly up to u64::MAX, so the linters' own sums
+    // and products must not wrap. `shed` at the maximum wraps the golden
+    // snapshot's accounted total onto 8: with `received` 8 a wrapping sum
+    // passes (release) or panics (debug).
+    let metrics = include_str!("golden/serve-metrics.json")
+        .replace("\"shed\":0", "\"shed\":18446744073709551615")
+        .replace("\"received\":9", "\"received\":8");
+    let (ok, stdout) = lint_report_stdin(&metrics);
+    assert!(!ok, "{stdout}");
+    assert!(stdout.contains("error[SERVE002]"), "{stdout}");
+    assert!(stdout.contains("overflows u64"), "{stdout}");
+    // (2^62 + 3) x 4 wraps onto the 12 tokens the clean rows record
+    let exec = include_str!("golden/exec-divergence.json")
+        .replace("\"ops\": 3,", "\"ops\": 4611686018427387907,");
+    let (ok, stdout) = lint_report_stdin(&exec);
+    assert!(!ok, "{stdout}");
+    assert!(
+        stdout.contains("error[EXEC003] (global): `ops` x `iterations` overflows u64"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn analyze_subcommand_reports_and_exports_lintable_json() {
     let path =
         std::env::temp_dir().join(format!("panorama-analyze-cli-{}.json", std::process::id()));

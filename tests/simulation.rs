@@ -1,6 +1,7 @@
-//! Dynamic end-to-end validation: every guided mapping is *executed* for
-//! several pipelined iterations and value-checked against the reference
-//! DFG interpreter.
+//! Dynamic end-to-end validation: every guided mapping is walked
+//! token by token through the structural simulator, and its configware
+//! is *executed* data-carrying for several pipelined iterations and
+//! value-checked against the reference DFG interpreter.
 //!
 //! Every kernel of the paper's suite runs at `KernelScale::Tiny` under
 //! both lower-level mappers. A kernel may only be excused from a check
@@ -9,11 +10,16 @@
 //! exists to catch.
 
 use panorama::{Panorama, PanoramaConfig};
+use panorama_analyze::{is_observable, optimize, AnalyzeConfig};
 use panorama_arch::{Cgra, CgraConfig};
-use panorama_dfg::{kernels, KernelId, KernelScale};
+use panorama_dfg::{
+    kernels, random_dfg, Dep, Dfg, DfgBuilder, KernelId, KernelScale, OpKind, RandomDfgConfig,
+};
 use panorama_exec::{execute, ExecError, ExecOptions};
 use panorama_mapper::{ExactConfig, ExactMapper, SatMapper, SprMapper, UltraFastMapper};
-use panorama_sim::{simulate, SimError};
+use panorama_sim::semantics::{InputVectors, VectorKind};
+use panorama_sim::{interpret, simulate, SimError};
+use proptest::prelude::*;
 
 /// Per-kernel outcome: simulated clean, or skipped for a stated reason.
 enum Outcome {
@@ -205,6 +211,144 @@ fn all_tiny_kernels_execute_data_level_under_sat() {
             Outcome::Simulated { checked } => assert!(checked > 0, "{id}: nothing checked"),
             Outcome::Skipped { reason } => {
                 panic!("{id}: SAT emits concrete routes, no skip allowed, got `{reason}`")
+            }
+        }
+    }
+}
+
+#[test]
+fn analyze_flag_preserves_every_stored_value_end_to_end() {
+    // `--analyze` maps a rewritten graph and `execute` judges the machine
+    // against that same graph, so a wrong rewrite is invisible to it. The
+    // independent check: the store stream of the analyzed compile must be
+    // the plain compile's, vector by vector. InvertMat is the suite kernel
+    // where CSE fires; the corpus fixture is the graph a multiset CSE
+    // gets wrong (`a - b` vs `b - a`) and a hash ALU folds wrong (`2 + 3`).
+    let fixture = Dfg::from_text(include_str!(
+        "../fuzz/corpus/analyze-noncommutative-cse.dfg"
+    ))
+    .unwrap();
+    let mut graphs: Vec<Dfg> = KernelId::ALL
+        .iter()
+        .map(|&id| kernels::generate(id, KernelScale::Tiny))
+        .collect();
+    graphs.push(fixture);
+    assert_eq!(graphs.len(), 13);
+
+    let cgra = Cgra::new(CgraConfig::small_4x4()).unwrap();
+    let plain = Panorama::new(PanoramaConfig::default());
+    let analyzed = Panorama::new(PanoramaConfig {
+        analyze: Some(AnalyzeConfig::default()),
+        ..PanoramaConfig::default()
+    });
+    let opts = ExecOptions {
+        iterations: 4,
+        ..ExecOptions::default()
+    };
+    let mut rewritten = 0;
+    for dfg in &graphs {
+        let name = dfg.name();
+        let run = |compiler: &Panorama| {
+            let report = compiler
+                .compile(dfg, &cgra, &SprMapper::default())
+                .unwrap_or_else(|e| panic!("{name}: SPR must map on 4x4: {e}"));
+            let mapped = report.mapped_dfg(dfg);
+            report
+                .mapping()
+                .verify(mapped, &cgra)
+                .unwrap_or_else(|e| panic!("{name}: verify: {e:?}"));
+            let out = execute(mapped, &cgra, report.mapping(), &opts)
+                .unwrap_or_else(|e| panic!("{name}: execution failed: {e}"));
+            assert!(out.passed(), "{name}: {:?}", out.first_divergence());
+            (mapped.num_ops(), out)
+        };
+        let (ops_plain, a) = run(&plain);
+        let (ops_analyzed, b) = run(&analyzed);
+        rewritten += usize::from(ops_analyzed < ops_plain);
+        for (va, vb) in a.vectors.iter().zip(&b.vectors) {
+            assert_eq!(va.vector, vb.vector);
+            assert_eq!(
+                (va.output_tokens, va.output_digest),
+                (vb.output_tokens, vb.output_digest),
+                "{name}: --analyze changed the `{}` store stream",
+                va.vector
+            );
+        }
+    }
+    assert!(
+        rewritten >= 2,
+        "invertmat and the fixture must actually be rewritten, got {rewritten}"
+    );
+}
+
+/// `dfg` plus, for every compute op with two or more operands, a twin
+/// of the same kind taking the same operands in reverse order and a
+/// store observing the twin — so every graph poses the question a
+/// value-numbering pass must get right: merge the twin or keep it.
+fn with_reversed_twins(dfg: &Dfg) -> Dfg {
+    let mut b = DfgBuilder::new(dfg.name());
+    for v in dfg.op_ids() {
+        b.push_op(dfg.op(v).clone());
+    }
+    let wire = |b: &mut DfgBuilder, src, dst, weight: &Dep| match weight {
+        Dep::Data => b.data(src, dst),
+        Dep::Back { distance } => b.back(src, dst, *distance),
+    };
+    for e in dfg.deps() {
+        wire(&mut b, e.src, e.dst, e.weight);
+    }
+    for v in dfg.op_ids() {
+        let operands: Vec<_> = dfg.graph().incoming(v).collect();
+        if operands.len() < 2 || dfg.op(v).kind == OpKind::Store {
+            continue;
+        }
+        let twin = b.op(dfg.op(v).kind, format!("twin{}", v.index()));
+        for e in operands.iter().rev() {
+            wire(&mut b, e.src, twin, e.weight);
+        }
+        let store = b.op(OpKind::Store, format!("twin_st{}", v.index()));
+        b.data(twin, store);
+    }
+    b.build().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// What the fuzz `rewrite` oracle means, stated without the
+    /// optimizer's own check: on random layered graphs (every compute
+    /// kind, accumulators, each multi-operand op shadowed by a
+    /// reversed-operand twin) `optimize` succeeds and every observable op
+    /// streams the same words before and after, under every input-vector
+    /// family.
+    #[test]
+    fn optimizer_preserves_observable_streams_on_random_graphs(
+        seed in 0u64..100_000,
+        layers in 2usize..5,
+        width in 2usize..5,
+        extra_fanin in 0usize..3,
+        back_edges in 0usize..3,
+    ) {
+        let dfg = with_reversed_twins(&random_dfg(&RandomDfgConfig {
+            seed, layers, width, extra_fanin, back_edges,
+        }));
+        let opt = optimize(&dfg, &AnalyzeConfig::default());
+        prop_assert!(opt.is_ok(), "optimize failed: {:?}", opt.err());
+        let opt = opt.unwrap();
+        for kind in VectorKind::ALL {
+            let inputs = InputVectors::new(kind, seed);
+            let before = interpret(&dfg, &inputs, 5);
+            let after = interpret(&opt.dfg, &inputs, 5);
+            for op in dfg.op_ids().filter(|&op| is_observable(&dfg, op)) {
+                let image = opt.map[op.index()];
+                prop_assert!(image.is_some(), "observable {} dropped", dfg.op(op).name);
+                for iter in 0..5 {
+                    prop_assert_eq!(
+                        before.value(op, iter),
+                        after.value(image.unwrap(), iter),
+                        "{} under {} in iteration {}", dfg.op(op).name, kind.name(), iter
+                    );
+                }
             }
         }
     }

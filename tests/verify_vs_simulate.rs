@@ -3,9 +3,10 @@
 //! `Mapping::verify` is the *static* oracle: it checks structure —
 //! placement legality, dependence timing, route endpoints, latency, and
 //! resource capacity. `panorama_sim::simulate` is the *dynamic* oracle: it
-//! executes the pipelined loop and cross-checks arrival cycles, steady-
-//! state resource occupancy, and actual values against the sequential
-//! interpreter.
+//! walks the pipelined loop's routes cycle by cycle and cross-checks
+//! route connectivity, arrival cycles, and per-cycle resource occupancy
+//! counted in `(producer, iteration)` tokens. Neither carries values;
+//! value fidelity is `panorama_exec::execute`'s question.
 //!
 //! Each test takes a known-good SPR\* mapping, applies one targeted
 //! corruption, and asserts the oracles reject it. The table documents
