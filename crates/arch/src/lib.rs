@@ -40,7 +40,7 @@ mod config;
 mod mrrg;
 
 pub use adl::ParseArchError;
-pub use cache::{MrrgCache, DEFAULT_MRRG_CACHE_CAPACITY};
+pub use cache::{Lru, MrrgCache, DEFAULT_MRRG_CACHE_CAPACITY};
 pub use cgra::{Cgra, ClusterId, Link, PeId};
 pub use config::{ArchError, CgraConfig};
 pub use mrrg::{Mrrg, MrrgEdge, MrrgNodeId, NodeKind};

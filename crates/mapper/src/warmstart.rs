@@ -24,7 +24,7 @@
 //! as a second, delta-tolerant tier behind its exact result cache.
 
 use crate::Mapping;
-use panorama_arch::{Cgra, PeId};
+use panorama_arch::{Cgra, Lru, PeId};
 use panorama_dfg::Dfg;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -110,10 +110,9 @@ impl Structure {
     }
 }
 
-/// One remembered mapping.
+/// One remembered mapping, stored under its structure's fingerprint.
 #[derive(Debug, Clone)]
 struct Entry {
-    fingerprint: u64,
     structure: Structure,
     ii: usize,
     pe_of: Vec<PeId>,
@@ -158,17 +157,17 @@ impl WarmHint {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Inner {
-    /// Insertion order; eviction drops the oldest. Kept a plain `Vec`
-    /// because lookups scan all entries anyway (the match is by edit
-    /// distance, not by exact key).
-    entries: Vec<Entry>,
-    capacity: usize,
+    /// Prior mappings by structural fingerprint, least recently recorded
+    /// first. A lookup does not refresh the entry it matches: a sweep over
+    /// more structures than the store holds (each match recording its own
+    /// result) would otherwise evict exactly the entries it has yet to
+    /// reach.
+    entries: Lru<u64, Entry>,
     hits: u64,
     misses: u64,
     records: u64,
-    evictions: u64,
 }
 
 /// Bounded, shareable store of prior mappings for warm-start remapping.
@@ -196,18 +195,29 @@ struct Inner {
 /// assert_eq!(cache.hits(), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct WarmStartCache {
     inner: Arc<Mutex<Inner>>,
+}
+
+impl Default for WarmStartCache {
+    fn default() -> Self {
+        WarmStartCache::with_capacity(DEFAULT_WARM_CACHE_CAPACITY)
+    }
 }
 
 impl WarmStartCache {
     /// An empty cache retaining up to `capacity` mappings (0 is clamped
     /// to 1).
     pub fn with_capacity(capacity: usize) -> Self {
-        let cache = WarmStartCache::default();
-        cache.lock().capacity = capacity.max(1);
-        cache
+        WarmStartCache {
+            inner: Arc::new(Mutex::new(Inner {
+                entries: Lru::new(capacity.max(1) as u64),
+                hits: 0,
+                misses: 0,
+                records: 0,
+            })),
+        }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -221,25 +231,25 @@ impl WarmStartCache {
     }
 
     /// Looks for a prior mapping of the same architecture within the edit
-    /// threshold; the closest match wins, ties favour the oldest entry.
-    /// Counts a hit or a miss either way.
+    /// threshold; the closest match wins, ties favour the least recently
+    /// recorded entry. Counts a hit or a miss either way.
     pub fn lookup(&self, dfg: &Dfg, cgra: &Cgra) -> Option<WarmHint> {
         let query = Structure::of(dfg, cgra);
         let threshold = Self::threshold(dfg.num_ops());
-        let mut inner = self.lock();
-        let mut best: Option<(usize, usize)> = None;
-        for (index, entry) in inner.entries.iter().enumerate() {
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let mut best: Option<(usize, &Entry)> = None;
+        for (_, entry) in inner.entries.iter() {
             let d = entry.structure.edit_distance(&query);
             if d <= threshold && best.is_none_or(|(bd, _)| d < bd) {
-                best = Some((d, index));
+                best = Some((d, entry));
             }
         }
-        let Some((edit_distance, index)) = best else {
+        let Some((edit_distance, entry)) = best else {
             inner.misses += 1;
             return None;
         };
         inner.hits += 1;
-        let entry = &inner.entries[index];
         let mut seeds = vec![None; dfg.num_ops()];
         let common = dfg.num_ops().min(entry.structure.kinds.len());
         for (i, seed) in seeds.iter_mut().enumerate().take(common) {
@@ -288,7 +298,6 @@ impl WarmStartCache {
         let structure = Structure::of(dfg, cgra);
         let fingerprint = structure.fingerprint();
         let entry = Entry {
-            fingerprint,
             structure,
             ii,
             pe_of,
@@ -298,22 +307,7 @@ impl WarmStartCache {
         };
         let mut inner = self.lock();
         inner.records += 1;
-        if let Some(slot) = inner
-            .entries
-            .iter_mut()
-            .find(|e| e.fingerprint == fingerprint)
-        {
-            *slot = entry;
-            return;
-        }
-        if inner.capacity == 0 {
-            inner.capacity = DEFAULT_WARM_CACHE_CAPACITY;
-        }
-        while inner.entries.len() >= inner.capacity {
-            inner.entries.remove(0);
-            inner.evictions += 1;
-        }
-        inner.entries.push(entry);
+        inner.entries.insert(fingerprint, entry, 1);
     }
 
     /// Lookups that found a usable prior mapping.
@@ -333,18 +327,12 @@ impl WarmStartCache {
 
     /// Entries evicted to stay within capacity.
     pub fn evictions(&self) -> u64 {
-        self.lock().evictions
+        self.lock().entries.evictions()
     }
 
-    /// Retention bound (the lazy default until the first non-replacing
-    /// record resolves it).
+    /// Retention bound.
     pub fn capacity(&self) -> usize {
-        let c = self.lock().capacity;
-        if c == 0 {
-            DEFAULT_WARM_CACHE_CAPACITY
-        } else {
-            c
-        }
+        self.lock().entries.budget() as usize
     }
 
     /// Entries currently retained.

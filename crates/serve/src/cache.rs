@@ -9,7 +9,7 @@
 //! (The portfolio's result is bit-identical at any thread count, which is
 //! what makes excluding `threads` from the key sound.)
 
-use std::collections::{BTreeMap, HashMap};
+use panorama_arch::Lru;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Accumulating FNV-1a hasher over byte chunks, with length framing so
@@ -50,38 +50,10 @@ impl ContentHash {
     }
 }
 
-struct Slot {
-    response: String,
-    last_used: u64,
-}
-
-/// Slots plus a tick-ordered recency index. Ticks are unique (one global
-/// counter incremented under the lock), so `order` is a total order over
-/// resident keys: the least recently used entry is always `order`'s first
-/// element, making eviction `O(log n)` instead of a full scan.
-struct Inner {
-    slots: HashMap<u64, Slot>,
-    /// `last_used tick -> key`; every resident key appears exactly once.
-    order: BTreeMap<u64, u64>,
-    tick: u64,
-}
-
-impl Inner {
-    /// Moves `key` (already in `slots`) to most-recently-used.
-    fn touch(&mut self, key: u64) {
-        self.tick += 1;
-        let tick = self.tick;
-        let slot = self.slots.get_mut(&key).expect("touched key is resident");
-        self.order.remove(&slot.last_used);
-        slot.last_used = tick;
-        self.order.insert(tick, key);
-    }
-}
-
-/// A bounded key → response-document cache with LRU eviction.
+/// A bounded key → response-document cache with LRU eviction: an
+/// [`Lru`] of unit-weight entries behind a lock.
 pub struct ResultCache {
-    inner: Mutex<Inner>,
-    capacity: usize,
+    inner: Mutex<Lru<u64, String>>,
 }
 
 impl ResultCache {
@@ -89,60 +61,30 @@ impl ResultCache {
     /// at least 1).
     pub fn new(capacity: usize) -> Self {
         ResultCache {
-            inner: Mutex::new(Inner {
-                slots: HashMap::new(),
-                order: BTreeMap::new(),
-                tick: 0,
-            }),
-            capacity: capacity.max(1),
+            inner: Mutex::new(Lru::new(capacity.max(1) as u64)),
         }
     }
 
     /// Poison recovery, same reasoning as the job queue: values are whole
     /// inserted strings, never partially built under the lock.
-    fn lock(&self) -> MutexGuard<'_, Inner> {
+    fn lock(&self) -> MutexGuard<'_, Lru<u64, String>> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The cached response for `key`, refreshing its recency.
     pub fn get(&self, key: u64) -> Option<String> {
-        let mut inner = self.lock();
-        if !inner.slots.contains_key(&key) {
-            return None;
-        }
-        inner.touch(key);
-        Some(inner.slots[&key].response.clone())
+        self.lock().get(&key).cloned()
     }
 
     /// Stores a response, evicting the least recently used entry past
-    /// capacity. Insert is `O(log n)`: recency is tracked in a tick-ordered
-    /// index, so eviction pops the index head instead of scanning every
-    /// slot.
+    /// capacity.
     pub fn insert(&self, key: u64, response: String) {
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(old) = inner.slots.insert(
-            key,
-            Slot {
-                response,
-                last_used: tick,
-            },
-        ) {
-            inner.order.remove(&old.last_used);
-        }
-        inner.order.insert(tick, key);
-        while inner.slots.len() > self.capacity {
-            let Some((_, victim)) = inner.order.pop_first() else {
-                break;
-            };
-            inner.slots.remove(&victim);
-        }
+        self.lock().insert(key, response, 1);
     }
 
     /// Number of cached responses.
     pub fn len(&self) -> usize {
-        self.lock().slots.len()
+        self.lock().len()
     }
 
     /// Whether the cache is empty.
@@ -152,7 +94,7 @@ impl ResultCache {
 
     /// The maximum number of retained responses.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.lock().budget() as usize
     }
 }
 
@@ -191,10 +133,10 @@ mod tests {
         assert_eq!(cache.get(1).as_deref(), Some("new"));
     }
 
-    /// Regression test for the `O(capacity)` eviction scan: at capacity
-    /// 10k, inserting 2×capacity entries must stay fast (the old
-    /// `min_by_key` scan made this quadratic) and evict in exact LRU
-    /// order — the surviving keys are precisely the newest `capacity`.
+    /// Regression test for an `O(capacity)` eviction scan: at capacity
+    /// 10k, inserting 2×capacity entries must stay fast (a full scan per
+    /// eviction makes this quadratic) and evict in exact LRU order — the
+    /// surviving keys are precisely the newest `capacity`.
     #[test]
     fn insert_at_capacity_10k_is_logarithmic_and_exact_lru() {
         const CAP: u64 = 10_000;

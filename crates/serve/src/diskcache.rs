@@ -13,14 +13,15 @@
 //! truncated entry is *dropped* (deleted and recompiled), never served —
 //! the daemon's byte-stable-response guarantee extends across restarts.
 //!
-//! Eviction is LRU under a byte-size budget: recency is a tick-ordered
-//! index exactly like the in-memory cache's, and the sum of body bytes
-//! never exceeds the budget (`0` = unbounded). On open, entries are
-//! seeded oldest-first by file modification time so a restarted daemon
-//! keeps the same eviction order it would have had.
+//! Eviction is LRU under a byte-size budget: the index is an [`Lru`]
+//! weighted by body bytes, so the sum of resident body bytes never exceeds
+//! the budget (`0` = unbounded) and a response larger than the whole
+//! budget is not stored at all. On open, entries are seeded oldest-first
+//! by file modification time so a restarted daemon keeps the same
+//! eviction order it would have had.
 
 use crate::cache::ContentHash;
-use std::collections::{BTreeMap, HashMap};
+use panorama_arch::Lru;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -51,20 +52,12 @@ pub struct DiskCacheStats {
     pub corrupt: u64,
 }
 
-struct DiskSlot {
-    len: u64,
-    last_used: u64,
-}
-
 struct Inner {
-    slots: HashMap<u64, DiskSlot>,
-    /// `last_used tick -> key`, the LRU order (see [`crate::ResultCache`]).
-    order: BTreeMap<u64, u64>,
-    tick: u64,
-    bytes: u64,
+    /// Resident keys, each weighted by its body length; the files are the
+    /// values.
+    index: Lru<u64, ()>,
     hits: u64,
     misses: u64,
-    evictions: u64,
     corrupt: u64,
 }
 
@@ -72,7 +65,6 @@ struct Inner {
 /// content key, LRU-evicted under a byte budget.
 pub struct DiskCache {
     dir: PathBuf,
-    budget: u64,
     inner: Mutex<Inner>,
 }
 
@@ -90,13 +82,9 @@ impl DiskCache {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let mut inner = Inner {
-            slots: HashMap::new(),
-            order: BTreeMap::new(),
-            tick: 0,
-            bytes: 0,
+            index: Lru::new(budget),
             hits: 0,
             misses: 0,
-            evictions: 0,
             corrupt: 0,
         };
         // Seed LRU order deterministically: oldest mtime first, key as
@@ -135,25 +123,14 @@ impl DiskCache {
             }
         }
         found.sort_unstable();
-        for (_, key, len) in found {
-            inner.tick += 1;
-            let tick = inner.tick;
-            inner.slots.insert(
-                key,
-                DiskSlot {
-                    len,
-                    last_used: tick,
-                },
-            );
-            inner.order.insert(tick, key);
-            inner.bytes += len;
-        }
         let cache = DiskCache {
             dir,
-            budget,
             inner: Mutex::new(inner),
         };
-        cache.evict_over_budget(&mut cache.lock());
+        for (_, key, len) in found {
+            let evicted = cache.lock().index.insert(key, (), len);
+            cache.delete(evicted);
+        }
         Ok(cache)
     }
 
@@ -167,31 +144,30 @@ impl DiskCache {
         self.dir.join(format!("{key:016x}.{ENTRY_EXT}"))
     }
 
+    /// Deletes the files of keys the index no longer holds.
+    fn delete(&self, evicted: Vec<(u64, ())>) {
+        for (key, ()) in evicted {
+            let _ = fs::remove_file(self.path_of(key));
+        }
+    }
+
     /// The cached response for `key`, re-verified against its checksum.
     /// A corrupt entry is deleted and reported as a miss — the caller
     /// recompiles and re-inserts.
     pub fn get(&self, key: u64) -> Option<String> {
         let mut inner = self.lock();
-        if !inner.slots.contains_key(&key) {
+        if !inner.index.touch(&key) {
             inner.misses += 1;
             return None;
         }
         match read_entry(&self.path_of(key), key) {
             Some(body) => {
-                inner.tick += 1;
-                let tick = inner.tick;
-                let slot = inner.slots.get_mut(&key).expect("checked resident");
-                let prev = std::mem::replace(&mut slot.last_used, tick);
-                inner.order.remove(&prev);
-                inner.order.insert(tick, key);
                 inner.hits += 1;
                 Some(body)
             }
             None => {
                 // Truncated or bit-flipped on disk: drop, never serve.
-                let slot = inner.slots.remove(&key).expect("checked resident");
-                inner.order.remove(&slot.last_used);
-                inner.bytes = inner.bytes.saturating_sub(slot.len);
+                inner.index.remove(&key);
                 inner.corrupt += 1;
                 inner.misses += 1;
                 let _ = fs::remove_file(self.path_of(key));
@@ -202,11 +178,18 @@ impl DiskCache {
 
     /// Persists a response under `key` (write-to-temp + rename, so a
     /// concurrent crash never leaves a half-written committed entry),
-    /// then evicts least-recently-used entries past the byte budget. An
-    /// I/O failure skips the insert silently — the disk tier is an
+    /// evicting least-recently-used entries past the byte budget. A body
+    /// larger than the whole budget is not written and evicts nothing
+    /// (it still counts as an eviction, so the pressure shows). An I/O
+    /// failure skips the insert silently — the disk tier is an
     /// optimization, not a correctness dependency.
     pub fn insert(&self, key: u64, body: &str) {
         let mut inner = self.lock();
+        let evicted = inner.index.insert(key, (), body.len() as u64);
+        if evicted.iter().any(|&(refused, ())| refused == key) {
+            return;
+        }
+        self.delete(evicted);
         let header = format!(
             "{MAGIC} {key:016x} {} {:016x}\n",
             body.len(),
@@ -216,45 +199,17 @@ impl DiskCache {
         let write = fs::write(&tmp, format!("{header}{body}"))
             .and_then(|()| fs::rename(&tmp, self.path_of(key)));
         if write.is_err() {
+            // Unindexed means no file: drop a previous copy along with
+            // the temp file.
             let _ = fs::remove_file(&tmp);
-            return;
-        }
-        inner.tick += 1;
-        let tick = inner.tick;
-        let len = body.len() as u64;
-        if let Some(old) = inner.slots.insert(
-            key,
-            DiskSlot {
-                len,
-                last_used: tick,
-            },
-        ) {
-            inner.order.remove(&old.last_used);
-            inner.bytes = inner.bytes.saturating_sub(old.len);
-        }
-        inner.order.insert(tick, key);
-        inner.bytes += len;
-        self.evict_over_budget(&mut inner);
-    }
-
-    fn evict_over_budget(&self, inner: &mut Inner) {
-        if self.budget == 0 {
-            return;
-        }
-        while inner.bytes > self.budget {
-            let Some((_, victim)) = inner.order.pop_first() else {
-                break;
-            };
-            let slot = inner.slots.remove(&victim).expect("indexed key resident");
-            inner.bytes = inner.bytes.saturating_sub(slot.len);
-            inner.evictions += 1;
-            let _ = fs::remove_file(self.path_of(victim));
+            let _ = fs::remove_file(self.path_of(key));
+            inner.index.remove(&key);
         }
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.lock().slots.len()
+        self.lock().index.len()
     }
 
     /// Whether the cache holds no entries.
@@ -264,7 +219,7 @@ impl DiskCache {
 
     /// The byte budget (`0` = unbounded).
     pub fn budget(&self) -> u64 {
-        self.budget
+        self.lock().index.budget()
     }
 
     /// Counter and occupancy snapshot for `/metrics`.
@@ -273,10 +228,10 @@ impl DiskCache {
         DiskCacheStats {
             hits: inner.hits,
             misses: inner.misses,
-            entries: inner.slots.len() as u64,
-            capacity: self.budget,
-            evictions: inner.evictions,
-            bytes: inner.bytes,
+            entries: inner.index.len() as u64,
+            capacity: inner.index.budget(),
+            evictions: inner.index.evictions(),
+            bytes: inner.index.weight(),
             corrupt: inner.corrupt,
         }
     }
@@ -391,6 +346,25 @@ mod tests {
         assert!(cache.get(4).is_some());
         assert_eq!(cache.stats().evictions, 1);
         assert!(cache.stats().bytes <= 30);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn oversized_entry_is_refused_without_evicting_residents() {
+        let dir = temp_dir("oversized");
+        let cache = DiskCache::open(&dir, 30).unwrap();
+        cache.insert(1, "aaaaaaaaaa"); // 10 bytes
+        cache.insert(2, "bbbbbbbbbb");
+        cache.insert(3, &"c".repeat(40));
+        assert_eq!(cache.get(1).as_deref(), Some("aaaaaaaaaa"));
+        assert_eq!(cache.get(2).as_deref(), Some("bbbbbbbbbb"));
+        assert_eq!(cache.get(3), None);
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.bytes, stats.evictions), (2, 20, 1));
+        for ext in [ENTRY_EXT, "tmp"] {
+            let path = dir.join(format!("{:016x}.{ext}", 3u64));
+            assert!(!path.exists(), "{} was written", path.display());
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -6,9 +6,10 @@
 //!
 //! * `POST /compile` — map a kernel; the response body is byte-identical
 //!   to `panorama compile --json` for the same inputs;
-//! * `POST /compile-batch` — map up to 64 kernels in one request; each
-//!   entry's result is byte-identical to the `/compile` equivalent
-//!   (`panorama-serve-batch-v1`);
+//! * `POST /compile-batch` — map up to 64 kernels in one request
+//!   (`panorama-serve-batch-v1`); each entry's result is byte-identical
+//!   to the `/compile` equivalent, because a `/compile` *is* a one-entry
+//!   batch — both endpoints queue the same job through the same code;
 //! * `POST /lint` — run the static mappability prechecker;
 //! * `GET /healthz` — liveness probe;
 //! * `GET /metrics` — queue depth, shed/cancel counts, cache hit rates,
@@ -16,8 +17,9 @@
 //! * `POST /admin/shutdown` — loopback-only graceful drain.
 //!
 //! Zero dependencies beyond `std` and the workspace crates: HTTP framing
-//! is [`http`], backpressure is [`queue`], replay is [`cache`], and
-//! accounting is [`metrics`]. The daemon itself lives in [`server`].
+//! is [`http`], backpressure is [`queue`], replay is [`cache`] over
+//! [`diskcache`] (both bounded by [`panorama_arch::Lru`]), and accounting
+//! is [`metrics`]. The daemon itself lives in [`server`].
 
 pub mod cache;
 pub mod diskcache;

@@ -132,13 +132,8 @@ impl Metrics {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// A `/compile` request answered straight from the result cache.
-    pub fn request_cache_hit(&self) {
-        self.request_cache_hits(1);
-    }
-
-    /// `n` compile units (batch entries count individually) answered from
-    /// a cache tier — in-memory or disk.
+    /// `n` compile units (a `/compile` is one, batch entries count
+    /// individually) answered from a cache tier — in-memory or disk.
     pub fn request_cache_hits(&self, n: u64) {
         let mut m = self.lock();
         m.received += n;
@@ -146,41 +141,22 @@ impl Metrics {
         m.completed += n;
     }
 
-    /// A cache-missing `/compile` request accepted into the queue.
-    pub fn request_enqueued(&self) {
-        self.request_enqueued_n(1);
-    }
-
-    /// `n` cache-missing compile units accepted into the queue. A batch
+    /// `n` cache-missing compile units accepted into the queue. A job
     /// occupies *one* queue slot but counts each entry here — the metrics
     /// `queue.depth` is in requests, not jobs.
-    pub fn request_enqueued_n(&self, n: u64) {
+    pub fn request_enqueued(&self, n: u64) {
         let mut m = self.lock();
         m.received += n;
         m.cache_misses += n;
         m.queued += n;
     }
 
-    /// A cache-missing `/compile` request shed (queue full or draining).
-    pub fn request_shed(&self) {
-        let mut m = self.lock();
-        m.received += 1;
-        m.cache_misses += 1;
-        m.shed += 1;
-    }
-
-    /// A request counted by [`Metrics::request_enqueued`] that bounced off
-    /// a full (or draining) queue: queued → shed. The enqueue is accounted
-    /// *before* the push so a worker popping the job immediately cannot
-    /// decrement `queued` below zero; a refused push is then rolled back
-    /// here.
-    pub fn request_shed_after_enqueue(&self) {
-        self.request_shed_after_enqueue_n(1);
-    }
-
-    /// `n` enqueued-then-refused compile units: queued → shed, see
-    /// [`Metrics::request_shed_after_enqueue`].
-    pub fn request_shed_after_enqueue_n(&self, n: u64) {
+    /// `n` units counted by [`Metrics::request_enqueued`] whose job
+    /// bounced off a full (or draining) queue: queued → shed. The enqueue
+    /// is accounted *before* the push so a worker popping the job
+    /// immediately cannot decrement `queued` below zero; a refused push is
+    /// then rolled back here.
+    pub fn request_shed_after_enqueue(&self, n: u64) {
         let mut m = self.lock();
         m.queued -= n;
         m.shed += n;
@@ -195,16 +171,11 @@ impl Metrics {
         m.quota_rejected += n;
     }
 
-    /// A worker popped a job: queued → in-flight.
-    pub fn job_started(&self) {
-        self.batch_started(1);
-    }
-
-    /// A worker popped a batch of `n` compile units: queued → in-flight
+    /// A worker popped a job of `n` compile units: queued → in-flight
     /// for each. Entries then settle individually via
     /// [`Metrics::job_completed`] / [`Metrics::job_failed`] /
     /// [`Metrics::job_cancelled`].
-    pub fn batch_started(&self, n: u64) {
+    pub fn jobs_started(&self, n: u64) {
         let mut m = self.lock();
         m.queued -= n;
         m.in_flight += n;
@@ -375,22 +346,23 @@ mod tests {
             assert_eq!(received, accounted);
         };
         check(&m);
-        m.request_cache_hit();
+        m.request_cache_hits(1);
         check(&m);
-        m.request_enqueued();
+        m.request_enqueued(1);
         check(&m);
-        m.request_shed();
+        m.request_enqueued(1);
+        m.request_shed_after_enqueue(1);
         check(&m);
-        m.job_started();
+        m.jobs_started(1);
         check(&m);
         m.job_completed(&[("map", 1_000_000), ("preflight", 5_000)]);
         check(&m);
-        m.request_enqueued();
-        m.job_started();
+        m.request_enqueued(1);
+        m.jobs_started(1);
         m.job_cancelled();
         check(&m);
-        m.request_enqueued();
-        m.job_started();
+        m.request_enqueued(1);
+        m.jobs_started(1);
         m.job_failed();
         check(&m);
         m.request_quota_rejected(3);
@@ -402,11 +374,11 @@ mod tests {
         let m = Metrics::new();
         // A 5-entry batch: 2 hits, 3 misses enqueued as one job.
         m.request_cache_hits(2);
-        m.request_enqueued_n(3);
+        m.request_enqueued(3);
         let doc = json::parse(&render(&m)).unwrap();
         let (received, accounted) = counters(&doc);
         assert_eq!((received, accounted), (5, 5));
-        m.batch_started(3);
+        m.jobs_started(3);
         m.job_completed(&[("map", 100)]);
         m.job_failed();
         m.job_cancelled();
@@ -414,8 +386,8 @@ mod tests {
         let (received, accounted) = counters(&doc);
         assert_eq!((received, accounted), (5, 5));
         // A refused batch push rolls all entries back to shed.
-        m.request_enqueued_n(4);
-        m.request_shed_after_enqueue_n(4);
+        m.request_enqueued(4);
+        m.request_shed_after_enqueue(4);
         let doc = json::parse(&render(&m)).unwrap();
         let (received, accounted) = counters(&doc);
         assert_eq!((received, accounted), (9, 9));
@@ -491,8 +463,8 @@ mod tests {
     #[test]
     fn schema_and_phases_render() {
         let m = Metrics::new();
-        m.request_enqueued();
-        m.job_started();
+        m.request_enqueued(1);
+        m.jobs_started(1);
         m.job_completed(&[("preflight", 10), ("map", 20)]);
         let doc = json::parse(&render(&m)).unwrap();
         assert_eq!(

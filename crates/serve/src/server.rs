@@ -11,8 +11,9 @@
 //!
 //! Request lifecycle invariants:
 //!
-//! * every `/compile` request lands in exactly one terminal counter
-//!   (completed / shed / cancelled / failed) — see [`crate::metrics`];
+//! * every compile entry — a `/compile` is a one-entry batch — lands in
+//!   exactly one terminal counter (completed / shed / cancelled / failed /
+//!   quota-rejected) — see [`crate::metrics`];
 //! * a full queue never grows: excess load is shed with `503` and
 //!   `Retry-After`, so memory use is bounded by `queue_depth` plus the
 //!   worker count regardless of offered load;
@@ -32,14 +33,14 @@ use crate::queue::JobQueue;
 use crate::quota::{Quota, TENANT_HEADER};
 use panorama::request::{arch_field, dfg_field, opt_usize};
 use panorama::{
-    BackendId, BatchExecutor, CompileContext, CompileRequest, MapperChoice, PanoramaError,
+    effective_threads, BackendId, BatchExecutor, CompileContext, CompileRequest, MapperChoice,
+    PanoramaError,
 };
-use panorama_arch::{Cgra, CgraConfig, DEFAULT_MRRG_CACHE_CAPACITY};
+use panorama_arch::{Cgra, CgraConfig, Lru, DEFAULT_MRRG_CACHE_CAPACITY};
 use panorama_lint::{Diagnostics, LintContext, Registry};
 use panorama_mapper::{CancelToken, SprMapper, WarmStartCache};
 use panorama_trace::json::{parse, Json, Writer};
 use panorama_trace::{phase_totals, schema, RecordingSink, Tracer};
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -127,39 +128,34 @@ struct JobOutcome {
     body: String,
 }
 
-/// One queued unit of work: a single compile or a whole batch (a batch
-/// occupies one queue slot; its entries fan out on the [`BatchExecutor`]
-/// inside the worker that pops it).
-enum Job {
-    // Boxed: a CompileRequest is hundreds of bytes, a BatchJob a few
-    // pointers, and jobs move through the queue by value.
-    Single(Box<SingleJob>),
-    Batch(BatchJob),
-}
-
-/// One queued compile.
-struct SingleJob {
-    request: CompileRequest,
-    key: u64,
-    cancel: CancelToken,
-    done: Arc<AtomicBool>,
-    respond: mpsc::Sender<JobOutcome>,
-}
-
-/// One cache-missing `/compile-batch` entry, tagged with its position in
-/// the request's `entries` array.
-struct BatchEntry {
+/// One compile of a queued job, tagged with its position in the request
+/// (`0` for `/compile`, the `entries` index for `/compile-batch`).
+struct JobEntry {
     index: usize,
     request: CompileRequest,
     key: u64,
 }
 
-/// The cache-missing remainder of one `/compile-batch` request.
-struct BatchJob {
-    entries: Vec<BatchEntry>,
+/// One queued unit of work: the cache-missing compiles of one request,
+/// under one cancel token. A `/compile` is a one-entry job. A job occupies
+/// one queue slot; its entries fan out on the [`BatchExecutor`] inside the
+/// worker that pops it.
+struct Job {
+    entries: Vec<JobEntry>,
     cancel: CancelToken,
     done: Arc<AtomicBool>,
     respond: mpsc::Sender<Vec<(usize, JobOutcome)>>,
+}
+
+/// How many architectures keep a warm [`Cgra`] (a daemon serves a handful).
+const CGRA_POOL_SIZE: u64 = 16;
+
+/// The per-architecture [`Cgra`]s, keyed by canonical ADL text, plus the
+/// MRRG-cache counters of the architectures evicted from the pool — so the
+/// `/metrics` totals never run backwards when one leaves.
+struct CgraPool {
+    live: Lru<String, Cgra>,
+    retired: CacheStats,
 }
 
 /// A deadline the watchdog enforces.
@@ -175,10 +171,8 @@ struct State {
     metrics: Metrics,
     results: ResultCache,
     /// Shared `Cgra` per architecture, so every request against the same
-    /// architecture reuses one MRRG cache. Keyed by the canonical ADL
-    /// text; bounded crudely (cleared past 16 architectures — a daemon
-    /// serves a handful).
-    cgras: Mutex<HashMap<String, Cgra>>,
+    /// architecture reuses one MRRG cache.
+    cgras: Mutex<CgraPool>,
     /// Warm-start tier shared by every SPR\* compile; `None` when the
     /// daemon runs with bit-stable responses (the default).
     warm: Option<WarmStartCache>,
@@ -217,27 +211,29 @@ impl State {
 
     fn cgra_for(&self, config: &CgraConfig) -> Result<Cgra, String> {
         let key = config.to_text();
-        let mut cgras = self.cgras.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(cgra) = cgras.get(&key) {
+        let mut pool = self.cgras.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(cgra) = pool.live.get(&key) {
             return Ok(cgra.clone());
         }
         let cgra = Cgra::new(config.clone()).map_err(|e| e.to_string())?;
         cgra.mrrg_cache()
             .set_capacity(self.config.mrrg_cache_capacity);
-        if cgras.len() >= 16 {
-            cgras.clear();
+        for (_, evicted) in pool.live.insert(key, cgra.clone(), 1) {
+            let c = evicted.mrrg_cache();
+            pool.retired.hits += c.hits();
+            pool.retired.misses += c.misses();
+            pool.retired.evictions += c.evictions();
         }
-        cgras.insert(key, cgra.clone());
         Ok(cgra)
     }
 
     fn mrrg_stats(&self) -> CacheStats {
-        let cgras = self.cgras.lock().unwrap_or_else(PoisonError::into_inner);
+        let pool = self.cgras.lock().unwrap_or_else(PoisonError::into_inner);
         let mut stats = CacheStats {
             capacity: self.config.mrrg_cache_capacity as u64,
-            ..CacheStats::default()
+            ..pool.retired
         };
-        for cgra in cgras.values() {
+        for (_, cgra) in pool.live.iter() {
             let c = cgra.mrrg_cache();
             stats.hits += c.hits();
             stats.misses += c.misses();
@@ -342,7 +338,10 @@ impl Server {
             queue: JobQueue::new(config.queue_depth),
             metrics: Metrics::new(),
             results: ResultCache::new(config.result_cache_capacity),
-            cgras: Mutex::new(HashMap::new()),
+            cgras: Mutex::new(CgraPool {
+                live: Lru::new(CGRA_POOL_SIZE),
+                retired: CacheStats::default(),
+            }),
             warm: config.warm_cache.then(WarmStartCache::default),
             disk,
             quota: Quota::new(config.quota_rps, config.quota_burst),
@@ -469,46 +468,34 @@ fn watchdog_loop(state: &Arc<State>) {
     }
 }
 
+/// Pops jobs until the queue closes and drains. A job's entries fan out on
+/// a [`BatchExecutor`] scope sized by the daemon's portfolio-thread budget
+/// and clamped to the entry count, so a one-entry job spawns nothing and
+/// compiles inline. Every entry goes through [`run_compile`], whichever
+/// endpoint queued it — the executor only changes the schedule, never the
+/// bytes.
 fn worker_loop(state: &Arc<State>) {
     while let Some(job) = state.queue.pop() {
-        match job {
-            Job::Single(job) => {
-                state.metrics.job_started();
-                let outcome = run_compile(state, &job.request, job.key, &job.cancel);
-                job.done.store(true, Ordering::Release);
-                // A disappeared client is not an error; the job's effects
-                // (metrics, result cache) already landed.
-                let _ = job.respond.send(outcome);
-            }
-            Job::Batch(job) => {
-                state.metrics.batch_started(job.entries.len() as u64);
-                let outcomes = run_batch_job(state, &job);
-                job.done.store(true, Ordering::Release);
-                let _ = job.respond.send(outcomes);
-            }
-        }
+        let n = job.entries.len();
+        state.metrics.jobs_started(n as u64);
+        let threads = effective_threads(state.config.portfolio_threads, n);
+        let outcomes = BatchExecutor::scope(threads, |exec| {
+            exec.run_batch(n, |_, i| {
+                let entry = &job.entries[i];
+                run_compile(state, &entry.request, entry.key, &job.cancel)
+            })
+        });
+        job.done.store(true, Ordering::Release);
+        // A disappeared client is not an error; the job's effects
+        // (metrics, result cache) already landed.
+        let _ = job
+            .respond
+            .send(job.entries.iter().map(|e| e.index).zip(outcomes).collect());
     }
 }
 
-/// Runs one batch's cache-missing entries, fanning them out on a
-/// [`BatchExecutor`] scope sized by the daemon's portfolio-thread budget.
-/// Each entry goes through *exactly* the single-compile routine
-/// ([`run_compile`]), so a batch result is bit-identical to the same
-/// request sent to `/compile` — the executor only changes the schedule,
-/// never the bytes.
-fn run_batch_job(state: &Arc<State>, job: &BatchJob) -> Vec<(usize, JobOutcome)> {
-    let outcomes = BatchExecutor::scope(state.config.portfolio_threads, |exec| {
-        exec.run_batch(job.entries.len(), |_, i| {
-            let entry = &job.entries[i];
-            run_compile(state, &entry.request, entry.key, &job.cancel)
-        })
-    });
-    job.entries.iter().map(|e| e.index).zip(outcomes).collect()
-}
-
-/// Compiles one request (a `/compile` job or one `/compile-batch` entry);
-/// returns the HTTP outcome and settles that unit's metrics. The caller
-/// has already moved the unit to in-flight.
+/// Compiles one job entry; returns the HTTP outcome and settles that
+/// unit's metrics. The caller has already moved the unit to in-flight.
 fn run_compile(
     state: &Arc<State>,
     req: &CompileRequest,
@@ -679,68 +666,112 @@ fn reject_quota(state: &Arc<State>, stream: &TcpStream, n: u64) {
     let _ = write_response(stream, status, &[retry.as_str()], &body);
 }
 
+/// Answers the compile requests of one HTTP request, one outcome per
+/// entry in order: an unparsable entry is a `400`, a hit in either cache
+/// tier its stored bytes, and the misses queue as *one* job under one
+/// deadline (queue wait included) — shed together with `503` when the
+/// queue is full or draining. Failure is per entry: the hits of a shed
+/// request still return their bodies.
+fn submit(
+    state: &Arc<State>,
+    entries: Vec<Result<CompileRequest, String>>,
+    deadline: Option<Duration>,
+) -> Vec<JobOutcome> {
+    let mut results: Vec<Option<JobOutcome>> = Vec::with_capacity(entries.len());
+    let mut misses: Vec<JobEntry> = Vec::new();
+    let mut hits = 0u64;
+    for (index, entry) in entries.into_iter().enumerate() {
+        results.push(match entry {
+            Err(e) => Some(error_outcome(400, "bad_request", &e)),
+            Ok(request) => {
+                let key = compile_key(&request);
+                let hit = state.cached_response(key);
+                if hit.is_some() {
+                    hits += 1;
+                } else {
+                    misses.push(JobEntry {
+                        index,
+                        request,
+                        key,
+                    });
+                }
+                hit.map(|body| JobOutcome { status: 200, body })
+            }
+        });
+    }
+    state.metrics.request_cache_hits(hits);
+    if !misses.is_empty() {
+        let count = misses.len() as u64;
+        let cancel = CancelToken::new();
+        let done = Arc::new(AtomicBool::new(false));
+        if let Some(d) = deadline {
+            // Register before the push so the clock includes queue wait.
+            state.watch_deadline(d, &cancel, &done);
+        }
+        let (tx, rx) = mpsc::channel();
+        let job = Job {
+            entries: misses,
+            cancel,
+            done: Arc::clone(&done),
+            respond: tx,
+        };
+        // Account the enqueue *before* pushing: once the job is in the
+        // queue a worker may pop it at any moment, and `jobs_started` must
+        // never see `queued == 0` (debug builds panic on the underflow).
+        state.metrics.request_enqueued(count);
+        let settled = if state.queue.try_push(job).is_err() {
+            // Full and draining shed identically: try again later.
+            done.store(true, Ordering::Release);
+            state.metrics.request_shed_after_enqueue(count);
+            Err((
+                "overloaded",
+                "compile queue is full; retry after the indicated delay",
+            ))
+        } else {
+            // A dead worker pool is only possible during a hard teardown;
+            // treat it like shedding so the client retries.
+            rx.recv()
+                .map_err(|_| ("shutting_down", "server is draining"))
+        };
+        match settled {
+            Ok(outcomes) => {
+                for (index, outcome) in outcomes {
+                    results[index] = Some(outcome);
+                }
+            }
+            Err((error, detail)) => {
+                for slot in results.iter_mut().filter(|s| s.is_none()) {
+                    *slot = Some(error_outcome(503, error, detail));
+                }
+            }
+        }
+    }
+    results
+        .into_iter()
+        .map(|outcome| outcome.expect("every entry settled"))
+        .collect()
+}
+
+/// `POST /compile`: a one-entry job under the request's own deadline.
 fn handle_compile(state: &Arc<State>, stream: &TcpStream, request: &Request) {
     if !state.quota.admit(request.header(TENANT_HEADER)) {
         reject_quota(state, stream, 1);
         return;
     }
     let parsed = parse(&request.body).and_then(|doc| parse_compile_doc(&doc, &state.config));
-    let (parsed, deadline) = match parsed {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            let JobOutcome { status, body } = error_outcome(400, "bad_request", &e);
-            let _ = write_response(stream, status, &[], &body);
-            return;
-        }
+    let (entry, deadline) = match parsed {
+        Ok((request, deadline)) => (Ok(request), deadline),
+        Err(e) => (Err(e), None),
     };
-    let key = compile_key(&parsed);
-    if let Some(body) = state.cached_response(key) {
-        state.metrics.request_cache_hit();
-        let _ = write_response(stream, 200, &[], &body);
-        return;
-    }
-    let cancel = CancelToken::new();
-    let done = Arc::new(AtomicBool::new(false));
-    if let Some(d) = deadline {
-        // Register before the push so the clock includes queue wait.
-        state.watch_deadline(d, &cancel, &done);
-    }
-    let (tx, rx) = mpsc::channel();
-    let job = Job::Single(Box::new(SingleJob {
-        request: parsed,
-        key,
-        cancel,
-        done: Arc::clone(&done),
-        respond: tx,
-    }));
-    // Account the enqueue *before* pushing: once the job is in the queue a
-    // worker may pop it at any moment, and `job_started` must never see
-    // `queued == 0` (debug builds panic on the underflow).
-    state.metrics.request_enqueued();
-    if let Err((_job, _reason)) = state.queue.try_push(job) {
-        // Full and draining shed identically: try again later.
-        done.store(true, Ordering::Release);
-        state.metrics.request_shed_after_enqueue();
-        let JobOutcome { status, body } = error_outcome(
-            503,
-            "overloaded",
-            "compile queue is full; retry after the indicated delay",
-        );
-        let _ = write_response(stream, status, &["Retry-After: 1"], &body);
-        return;
-    }
-    match rx.recv() {
-        Ok(outcome) => {
-            let _ = write_response(stream, outcome.status, &[], &outcome.body);
-        }
-        Err(_) => {
-            // Worker pool died before responding — only possible during a
-            // hard teardown; treat like shedding so the client retries.
-            let JobOutcome { status, body } =
-                error_outcome(503, "shutting_down", "server is draining");
-            let _ = write_response(stream, status, &["Retry-After: 1"], &body);
-        }
-    }
+    let JobOutcome { status, body } = submit(state, vec![entry], deadline)
+        .pop()
+        .expect("one outcome per entry");
+    let retry: &[&str] = if status == 503 {
+        &["Retry-After: 1"]
+    } else {
+        &[]
+    };
+    let _ = write_response(stream, status, retry, &body);
 }
 
 /// `POST /compile-batch`: N compile entries in one request, sharing the
@@ -750,8 +781,8 @@ fn handle_compile(state: &Arc<State>, stream: &TcpStream, request: &Request) {
 /// a shed entry a 503-shaped one, while the rest of the batch proceeds —
 /// the envelope itself is `200` whenever the request frame parses. Every
 /// entry's `response` is byte-identical to what `/compile` would have
-/// returned for the same body (cache tiers included), so batching is a
-/// transport optimization, never a semantic fork.
+/// returned for the same body (cache tiers included): both endpoints are
+/// one [`submit`].
 fn handle_compile_batch(state: &Arc<State>, stream: &TcpStream, request: &Request) {
     let bad_request = |reason: &str| {
         let JobOutcome { status, body } = error_outcome(400, "bad_request", reason);
@@ -773,9 +804,10 @@ fn handle_compile_batch(state: &Arc<State>, stream: &TcpStream, request: &Reques
             entries.len()
         ));
     }
-    let batch_deadline = match opt_usize(&doc, "deadline_ms") {
-        Ok(Some(ms)) => Some(Duration::from_millis(ms as u64)),
-        Ok(None) => state.config.deadline,
+    // One deadline governs the whole batch; entry-level `deadline_ms`
+    // fields do not re-arm the watchdog.
+    let deadline = match deadline_of(&doc, &state.config) {
+        Ok(deadline) => deadline,
         Err(e) => return bad_request(&e),
     };
     // Quota charges one token per entry, all-or-nothing — batching must
@@ -787,81 +819,15 @@ fn handle_compile_batch(state: &Arc<State>, stream: &TcpStream, request: &Reques
         reject_quota(state, stream, entries.len() as u64);
         return;
     }
-    // Parse every entry and probe the cache tiers; only misses queue.
-    let mut results: Vec<Option<JobOutcome>> = Vec::with_capacity(entries.len());
-    let mut misses: Vec<BatchEntry> = Vec::new();
-    let mut hits = 0u64;
-    for (index, entry) in entries.iter().enumerate() {
-        match parse_compile_doc(entry, &state.config) {
-            Err(e) => results.push(Some(error_outcome(400, "bad_request", &e))),
-            Ok((parsed, _)) => {
-                let key = compile_key(&parsed);
-                if let Some(body) = state.cached_response(key) {
-                    hits += 1;
-                    results.push(Some(JobOutcome { status: 200, body }));
-                } else {
-                    results.push(None);
-                    misses.push(BatchEntry {
-                        index,
-                        request: parsed,
-                        key,
-                    });
-                }
-            }
-        }
-    }
-    if hits > 0 {
-        state.metrics.request_cache_hits(hits);
-    }
-    if !misses.is_empty() {
-        let count = misses.len() as u64;
-        let cancel = CancelToken::new();
-        let done = Arc::new(AtomicBool::new(false));
-        if let Some(d) = batch_deadline {
-            // One deadline governs the whole batch (queue wait included);
-            // entry-level `deadline_ms` fields do not re-arm the watchdog.
-            state.watch_deadline(d, &cancel, &done);
-        }
-        let (tx, rx) = mpsc::channel();
-        let job = Job::Batch(BatchJob {
-            entries: misses,
-            cancel,
-            done: Arc::clone(&done),
-            respond: tx,
-        });
-        state.metrics.request_enqueued_n(count);
-        if state.queue.try_push(job).is_err() {
-            // Shed the miss entries; cache hits in this same batch still
-            // return their bodies (failure is per entry).
-            done.store(true, Ordering::Release);
-            state.metrics.request_shed_after_enqueue_n(count);
-            for slot in results.iter_mut().filter(|s| s.is_none()) {
-                *slot = Some(error_outcome(
-                    503,
-                    "overloaded",
-                    "compile queue is full; retry after the indicated delay",
-                ));
-            }
-        } else {
-            match rx.recv() {
-                Ok(outcomes) => {
-                    for (index, outcome) in outcomes {
-                        results[index] = Some(outcome);
-                    }
-                }
-                Err(_) => {
-                    for slot in results.iter_mut().filter(|s| s.is_none()) {
-                        *slot = Some(error_outcome(503, "shutting_down", "server is draining"));
-                    }
-                }
-            }
-        }
-    }
+    let parsed = entries
+        .iter()
+        .map(|entry| parse_compile_doc(entry, &state.config).map(|(request, _)| request))
+        .collect();
+    let results = submit(state, parsed, deadline);
     let mut w = Writer::new(&schema::SERVE_BATCH);
     w.key("count").uint(results.len());
     w.key("results").open();
     for (index, outcome) in results.iter().enumerate() {
-        let outcome = outcome.as_ref().expect("every entry settled");
         w.open();
         w.key("index").uint(index);
         w.key("status").uint(outcome.status);
@@ -913,11 +879,16 @@ fn parse_compile_doc(
     config: &ServeConfig,
 ) -> Result<(CompileRequest, Option<Duration>), String> {
     let request = CompileRequest::from_json(doc, config.portfolio_threads, config.analyze)?;
-    let deadline = match opt_usize(doc, "deadline_ms")? {
+    Ok((request, deadline_of(doc, config)?))
+}
+
+/// The `deadline_ms` of a `/compile` body or `/compile-batch` frame, else
+/// the daemon's `--deadline-ms`.
+fn deadline_of(doc: &Json, config: &ServeConfig) -> Result<Option<Duration>, String> {
+    Ok(match opt_usize(doc, "deadline_ms")? {
         Some(ms) => Some(Duration::from_millis(ms as u64)),
         None => config.deadline,
-    };
-    Ok((request, deadline))
+    })
 }
 
 #[cfg(test)]
@@ -949,5 +920,49 @@ mod tests {
         assert_eq!(deadline, Some(Duration::ZERO), "zero is a deadline");
         let (_, deadline) = parse_with("{\"kernel\":\"fir\"}", &ServeConfig::default());
         assert_eq!(deadline, None);
+    }
+
+    /// The 17th architecture evicts only the least recently used `Cgra`,
+    /// and its MRRG counters stay in the `/metrics` totals.
+    #[test]
+    fn seventeenth_architecture_evicts_one_cgra_and_no_counter_runs_backwards() {
+        let server = Server::bind(ServeConfig::default()).unwrap();
+        let state = &server.state;
+        let configs: Vec<CgraConfig> = (8..=24)
+            .map(|rf_size| CgraConfig {
+                rf_size,
+                ..CgraConfig::small_4x4()
+            })
+            .collect();
+        // One lookup per step; a snapshot after each must never run backwards.
+        let last = std::cell::Cell::new(state.mrrg_stats());
+        let lookup = |config: &CgraConfig| {
+            let graph = state.cgra_for(config).unwrap().mrrg_shared(2);
+            let (was, now) = (last.get(), state.mrrg_stats());
+            assert!(
+                now.hits >= was.hits && now.misses >= was.misses && now.evictions >= was.evictions,
+                "a cumulative counter decreased: {was:?} -> {now:?}"
+            );
+            assert!(now.entries <= CGRA_POOL_SIZE * state.config.mrrg_cache_capacity as u64);
+            last.set(now);
+            graph
+        };
+        let graphs: Vec<_> = configs.iter().map(lookup).collect();
+        let cold = last.get();
+        assert_eq!((cold.hits, cold.misses, cold.entries), (0, 17, 16));
+        // The sixteen most recently used architectures kept their graphs …
+        for (config, graph) in configs.iter().zip(&graphs).skip(1) {
+            assert!(
+                Arc::ptr_eq(graph, &lookup(config)),
+                "rf {} was dropped",
+                config.rf_size
+            );
+        }
+        let warm = last.get();
+        assert_eq!((warm.hits, warm.misses), (16, 17));
+        // … and the evicted one comes back as a fresh miss.
+        assert!(!Arc::ptr_eq(&graphs[0], &lookup(&configs[0])));
+        let end = last.get();
+        assert_eq!((end.hits, end.misses, end.entries), (16, 18, 16));
     }
 }

@@ -281,6 +281,22 @@ fn parse_n(flags: &HashMap<String, String>, key: &str, default: usize) -> Result
     })
 }
 
+/// `--<key> N` as a `u64`, `None` when the flag is absent; `what` names the
+/// expected value in the error.
+fn parse_u64(
+    flags: &HashMap<String, String>,
+    key: &str,
+    what: &str,
+) -> Result<Option<u64>, String> {
+    flags
+        .get(key)
+        .map(|s| {
+            s.parse::<u64>()
+                .map_err(|_| format!("--{key} needs {what}, got `{s}`"))
+        })
+        .transpose()
+}
+
 /// `--threads N` (0 or absent = one worker per core).
 fn parse_threads(flags: &HashMap<String, String>) -> Result<usize, String> {
     parse_n(flags, "threads", 0)
@@ -878,54 +894,33 @@ fn cmd_lint(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
 /// stdin reaching EOF — closing the daemon's stdin (or piping from a
 /// process that exits) drains it exactly like the admin endpoint.
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
+    let defaults = panorama_serve::ServeConfig::default();
+    let millis = |key: &str, what: &str| {
+        Ok::<_, String>(parse_u64(flags, key, what)?.map(std::time::Duration::from_millis))
+    };
     let config = panorama_serve::ServeConfig {
         addr: flags
             .get("addr")
             .cloned()
             .unwrap_or_else(|| "127.0.0.1:7878".to_string()),
-        workers: parse_n(flags, "workers", 2)?,
-        queue_depth: parse_n(flags, "queue-depth", 16)?,
-        deadline: match flags.get("deadline-ms") {
-            None => None,
-            Some(s) => {
-                let ms = s
-                    .parse::<u64>()
-                    .map_err(|_| format!("--deadline-ms needs a positive integer, got `{s}`"))?;
-                Some(std::time::Duration::from_millis(ms))
-            }
-        },
-        result_cache_capacity: parse_n(flags, "result-cache", 256)?,
-        mrrg_cache_capacity: parse_n(
-            flags,
-            "mrrg-cache",
-            panorama_arch::DEFAULT_MRRG_CACHE_CAPACITY,
-        )?,
+        workers: parse_n(flags, "workers", defaults.workers)?,
+        queue_depth: parse_n(flags, "queue-depth", defaults.queue_depth)?,
+        deadline: millis("deadline-ms", "a positive integer")?,
+        result_cache_capacity: parse_n(flags, "result-cache", defaults.result_cache_capacity)?,
+        mrrg_cache_capacity: parse_n(flags, "mrrg-cache", defaults.mrrg_cache_capacity)?,
         portfolio_threads: parse_threads(flags)?,
         analyze: flags.contains_key("analyze"),
         warm_cache: flags.contains_key("warm-cache"),
         cache_dir: flags.get("cache-dir").map(std::path::PathBuf::from),
-        cache_budget: flags.get("cache-budget").map_or(Ok(0), |s| {
-            s.parse::<u64>()
-                .map_err(|_| format!("--cache-budget needs a byte count, got `{s}`"))
-        })?,
-        quota_rps: flags.get("quota-rps").map_or(Ok(0), |s| {
-            s.parse::<u64>()
-                .map_err(|_| format!("--quota-rps needs a non-negative integer, got `{s}`"))
-        })?,
-        quota_burst: flags.get("quota-burst").map_or(Ok(0), |s| {
-            s.parse::<u64>()
-                .map_err(|_| format!("--quota-burst needs a non-negative integer, got `{s}`"))
-        })?,
-        io_timeout: match flags.get("io-timeout-ms") {
-            None => panorama_serve::ServeConfig::default().io_timeout,
-            Some(s) => {
-                let ms = s.parse::<u64>().map_err(|_| {
-                    format!("--io-timeout-ms needs a non-negative integer, got `{s}`")
-                })?;
-                // 0 disables the per-socket read/write timeouts entirely
-                (ms > 0).then(|| std::time::Duration::from_millis(ms))
-            }
-        },
+        cache_budget: parse_u64(flags, "cache-budget", "a byte count")?
+            .unwrap_or(defaults.cache_budget),
+        quota_rps: parse_u64(flags, "quota-rps", "a non-negative integer")?
+            .unwrap_or(defaults.quota_rps),
+        quota_burst: parse_u64(flags, "quota-burst", "a non-negative integer")?
+            .unwrap_or(defaults.quota_burst),
+        // 0 disables the per-socket read/write timeouts entirely
+        io_timeout: millis("io-timeout-ms", "a non-negative integer")?
+            .map_or(defaults.io_timeout, |t| (!t.is_zero()).then_some(t)),
     };
     let server = panorama_serve::Server::bind(config)?;
     let addr = server.local_addr();

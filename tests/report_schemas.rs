@@ -99,8 +99,8 @@ fn trace() -> TraceReport {
 fn metrics() -> String {
     let m = Metrics::new();
     m.request_cache_hits(2);
-    m.request_enqueued_n(3);
-    m.batch_started(2);
+    m.request_enqueued(3);
+    m.jobs_started(2);
     m.job_completed(&[("preflight", 5_000), ("map", 1_000_000)]);
     m.job_failed();
     m.request_quota_rejected(4);

@@ -391,6 +391,15 @@ fn metrics_snapshots_pass_serve_lints() {
     assert_eq!(status, 200, "{lint_response}");
     json::parse(&lint_response).expect("lint response parses");
     snap(daemon.addr);
+    // Seventeen architectures, one more than the daemon keeps warm: the
+    // MRRG counters of the evicted one must stay in the totals (SERVE002).
+    for rf in 8..=24 {
+        let arch = format!("cgra 4 4\\nclusters 1 1\\nrf {rf}\\n");
+        let body = format!("{{\"kernel\":\"fir\",\"scale\":\"tiny\",\"arch_text\":\"{arch}\"}}");
+        let (status, _, response) = http(daemon.addr, "POST", "/compile", &body);
+        assert_eq!(status, 200, "{response}");
+        snap(daemon.addr);
+    }
     daemon.drain_and_join();
 
     let mut diags = Diagnostics::new();
@@ -672,6 +681,99 @@ fn compile_batch_matches_individual_compiles() {
         assert_eq!(metric(&m, "requests", "completed"), 4);
         daemon.drain_and_join();
     }
+}
+
+/// The rows of a `/metrics` document that do not hold wall-clock time.
+fn counter_rows(addr: SocketAddr) -> Vec<Json> {
+    let doc = metrics(addr);
+    ["requests", "queue", "result_cache", "mrrg_cache"]
+        .iter()
+        .map(|row| doc.get(row).expect("metrics row").clone())
+        .collect()
+}
+
+/// `/compile` is a one-entry `/compile-batch`: same bytes, same counters,
+/// on a miss, on a hit, and when the queue sheds.
+#[test]
+fn compile_equals_a_one_entry_batch_from_outside() {
+    let body = compile_body("fir", "");
+    let frame = format!("{{\"entries\":[{body}]}}");
+    let single = start(ServeConfig::default());
+    let batch = start(ServeConfig::default());
+    for round in ["miss", "hit"] {
+        let (status, _, response) = http(single.addr, "POST", "/compile", &body);
+        assert_eq!(status, 200, "{response}");
+        let (status, _, envelope) = http(batch.addr, "POST", "/compile-batch", &frame);
+        assert_eq!(status, 200, "{envelope}");
+        let exact = format!(
+            "\"results\":[{{\"index\":0,\"status\":200,\"response\":{}}}]",
+            response.trim_end()
+        );
+        assert!(envelope.contains(&exact), "{round}: {envelope}");
+        assert_eq!(
+            counter_rows(single.addr),
+            counter_rows(batch.addr),
+            "{round}"
+        );
+    }
+    assert_eq!(
+        metric(&metrics(single.addr), "result_cache", "hits"),
+        1,
+        "the second round was a replay"
+    );
+    single.drain_and_join();
+    batch.drain_and_join();
+
+    // One worker held, one job queued: the next request is shed the same
+    // way through either endpoint. The occupants are paper-scale compiles
+    // that only their deadline ends, so the worker stays held for the
+    // whole window however fast the host compiles.
+    let slow = |max_ii: u64| {
+        format!(
+            "{{\"kernel\":\"edn\",\"scale\":\"paper\",\"baseline\":true,\
+             \"deadline_ms\":3000,\"max_ii\":{max_ii}}}"
+        )
+    };
+    let shed_through = |path: &str, wrap: &dyn Fn(String) -> String| {
+        let daemon = start(ServeConfig {
+            workers: 1,
+            queue_depth: 1,
+            ..ServeConfig::default()
+        });
+        let addr = daemon.addr;
+        let occupy = |max_ii| {
+            let body = slow(max_ii);
+            std::thread::spawn(move || http(addr, "POST", "/compile", &body).0)
+        };
+        let first = occupy(40);
+        wait_for(addr, "first job in flight", |m| {
+            metric(m, "queue", "in_flight") == 1
+        });
+        let second = occupy(41);
+        wait_for(addr, "second job queued", |m| {
+            metric(m, "queue", "depth") == 1
+        });
+        let answer = http(addr, "POST", path, &wrap(slow(42)));
+        let shed = metric(&metrics(addr), "requests", "shed");
+        for occupant in [first, second] {
+            assert_eq!(occupant.join().expect("slow client"), 504);
+        }
+        daemon.drain_and_join();
+        (answer, shed)
+    };
+    let ((status, head, response), single_shed) = shed_through("/compile", &|body| body);
+    assert_eq!(status, 503, "{response}");
+    assert!(head.contains("Retry-After: 1"), "{head}");
+    let ((status, _, envelope), batch_shed) = shed_through("/compile-batch", &|body| {
+        format!("{{\"entries\":[{body}]}}")
+    });
+    assert_eq!(status, 200, "{envelope}");
+    let exact = format!(
+        "\"results\":[{{\"index\":0,\"status\":503,\"response\":{}}}]",
+        response.trim_end()
+    );
+    assert!(envelope.contains(&exact), "{envelope}");
+    assert_eq!((single_shed, batch_shed), (1, 1));
 }
 
 /// Tentpole: token-bucket admission control — with `rps 0, burst 2` a
