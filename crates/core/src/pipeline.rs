@@ -30,10 +30,12 @@ pub struct PanoramaConfig {
     pub spectral: SpectralConfig,
     /// Scattering-ILP settings.
     pub scatter: ScatterConfig,
-    /// Optional II cap. The pre-flight check rejects a compile outright
-    /// (with [`PanoramaError::Infeasible`]) when the cap is provably below
-    /// the static minimum II, instead of letting a mapper search an empty
-    /// II range.
+    /// Optional II cap: no mapper attempts an II above it (it reaches them
+    /// as a [`PortfolioBound::capped`] bound), so a kernel that needs more
+    /// fails with [`PanoramaError::Mapping`]. The pre-flight check rejects
+    /// a compile outright (with [`PanoramaError::Infeasible`]) when the cap
+    /// is provably below the static minimum II, instead of letting a
+    /// mapper search an empty II range.
     pub max_ii: Option<usize>,
     /// Run the `panorama-analyze` optimizer (constant folding, CSE, dead
     /// node elimination — each rewrite equivalence-checked against the
@@ -655,11 +657,16 @@ impl Panorama {
                 let mut map_col = tracer.collector_from(0, SEQ_BASE_MAP);
                 let span = pipe.start();
                 let t = Instant::now();
-                // An unbounded control never prunes, so attaching one (for the
-                // token alone) leaves the baseline search bit-identical.
-                let control = cancel.map(|tok| SearchControl::unbounded().with_cancel(tok.clone()));
+                // The control carries the request's II cap and the token; with
+                // neither it never prunes, so the search is bit-identical to
+                // an uncontrolled one.
+                let mut control =
+                    SearchControl::new(PortfolioBound::capped(self.config.max_ii), 0, 0);
+                if let Some(tok) = cancel {
+                    control = control.with_cancel(tok.clone());
+                }
                 let outcome =
-                    mappers[0].map_traced(mapped, cgra, None, control.as_ref(), &mut map_col);
+                    mappers[0].map_traced(mapped, cgra, None, Some(&control), &mut map_col);
                 let mapping_time = t.elapsed();
                 collectors.push(map_col);
                 let mapping = outcome.map_err(Self::map_error)?;
@@ -790,7 +797,7 @@ impl Panorama {
         // mapper the layout is one item per candidate (same indices, same
         // seq bases).
         let nb = mappers.len();
-        let bound = PortfolioBound::new();
+        let bound = PortfolioBound::capped(self.config.max_ii);
         let span = pipe.start();
         let t2 = Instant::now();
         let mut outcomes = {

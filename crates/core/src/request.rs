@@ -262,6 +262,49 @@ mod tests {
     }
 
     #[test]
+    fn max_ii_caps_every_backend() {
+        // fir/tiny on 4x4 through each backend: a cap at the achieved II
+        // changes nothing, a cap one below it (where the static check still
+        // lets the request through) ends the search at or below the cap
+        for id in [
+            BackendId::Spr,
+            BackendId::UltraFast,
+            BackendId::Exhaustive,
+            BackendId::Sat,
+        ] {
+            let run = |cap: Option<usize>| {
+                let cap = cap.map_or(String::new(), |c| format!(",\"max_ii\":{c}"));
+                let req = request(&format!(
+                    "{{\"kernel\":\"fir\",\"scale\":\"tiny\",\"arch\":\"4x4\",\"mapper\":\"{}\"{cap}}}",
+                    id.name()
+                ))
+                .unwrap();
+                req.run(&Cgra::new(req.arch.clone()).unwrap(), None, None)
+            };
+            let free = run(None).unwrap();
+            let (ii, mii) = (free.mapping().ii(), free.mapping().mii());
+            let at_achieved = run(Some(ii)).unwrap();
+            assert_eq!(
+                at_achieved.mapping().content_hash(),
+                free.mapping().content_hash(),
+                "{id:?}"
+            );
+            if ii > mii {
+                match run(Some(ii - 1)) {
+                    Err(PanoramaError::Mapping(e)) => {
+                        assert!(e.max_ii_tried < ii && !e.cancelled, "{id:?}: {e}");
+                    }
+                    other => panic!(
+                        "{id:?}: cap {} ignored: {:?}",
+                        ii - 1,
+                        other.map(|r| r.mapping().ii())
+                    ),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn inline_dfg_text_round_trips() {
         let dfg = kernels::generate(KernelId::Fir, KernelScale::Tiny);
         let body = format!(

@@ -11,7 +11,7 @@
 use crate::{Diagnostic, Diagnostics, Entity, Severity};
 use panorama_arch::Cgra;
 use panorama_dfg::{Dfg, OpKind};
-use panorama_mapper::{min_ii, restricted_min_ii, Restriction};
+use panorama_mapper::{ii_floor, Restriction};
 
 /// Outcome of [`precheck`]: the static bounds it derived plus the verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,19 +30,10 @@ pub struct PrecheckReport {
     pub feasible: bool,
 }
 
-impl PrecheckReport {
-    /// The tightest lower bound the precheck established: the II search
-    /// may start here and skip everything below.
-    pub fn ii_floor(&self) -> usize {
-        self.restricted_mii
-            .unwrap_or(self.static_mii)
-            .max(self.static_mii)
-    }
-}
-
 /// Statically checks that `dfg` can plausibly map onto `cgra`.
 ///
-/// Emits `MAP...` diagnostics into `out` and returns the derived bounds.
+/// Emits `MAP...` diagnostics into `out` and returns the derived bounds —
+/// [`ii_floor`]'s, the function every mapper's II search starts from.
 /// `restriction` sharpens the capacity bound to per-cluster-group capacity;
 /// `max_ii` is the caller's II cap (e.g. `--max-ii`), checked against the
 /// bounds so provably hopeless searches are rejected up front.
@@ -88,7 +79,8 @@ pub fn precheck(
         ));
     }
 
-    let report = min_ii(dfg, cgra);
+    let floor = ii_floor(dfg, cgra, restriction);
+    let report = floor.mii;
     let static_mii = report.mii();
 
     // MAP002: always report the bound — it tells the user what a "good" II
@@ -125,8 +117,7 @@ pub fn precheck(
     // bound the II search actually starts from, so surface it when it is
     // tighter than the unrestricted MII — and error out when it proves the
     // partition unmappable outright.
-    let restricted = restriction.map(|r| restricted_min_ii(dfg, cgra, r));
-    if let Some(bound) = restricted {
+    if let Some(bound) = floor.restricted {
         if bound == usize::MAX {
             out.push(
                 Diagnostic::new(
@@ -169,7 +160,7 @@ pub fn precheck(
         res_mii: report.res_mii,
         rec_mii: report.rec_mii,
         static_mii,
-        restricted_mii: restricted,
+        restricted_mii: floor.restricted,
         feasible: out.num_errors() == errors_before,
     }
 }
@@ -245,7 +236,7 @@ mod tests {
         let dfg = recurrence4();
         let mut d = Diagnostics::new();
         let r = precheck(&dfg, &cgra, None, None, &mut d);
-        assert_eq!(r.ii_floor(), r.static_mii);
+        assert_eq!(ii_floor(&dfg, &cgra, None).ii(), r.static_mii);
         assert_eq!(r.restricted_mii, None);
     }
 }

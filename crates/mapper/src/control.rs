@@ -43,6 +43,18 @@ impl PortfolioBound {
         Arc::new(PortfolioBound::default())
     }
 
+    /// A bound that already refuses every II above `max_ii` — how a
+    /// request's II cap reaches the mappers without any of them learning an
+    /// argument: as if a rival had mapped at `max_ii + 1` with the best
+    /// tie-break. `None` is [`PortfolioBound::new`].
+    pub fn capped(max_ii: Option<usize>) -> Arc<Self> {
+        let bound = PortfolioBound::new();
+        if let Some(cap) = max_ii {
+            bound.record(cap.saturating_add(1), 0, 0);
+        }
+        bound
+    }
+
     /// Records a completed mapping; the bound keeps the minimum key.
     fn record(&self, ii: usize, complexity: u32, index: usize) {
         self.best
@@ -170,6 +182,18 @@ mod tests {
         assert!(!higher_complexity.admits(3));
         // better II: always worth trying
         assert!(higher_complexity.admits(2));
+    }
+
+    #[test]
+    fn capped_bound_admits_up_to_the_cap_for_every_candidate() {
+        let bound = PortfolioBound::capped(Some(5));
+        let worst = SearchControl::new(Arc::clone(&bound), u32::MAX, 9);
+        assert!(worst.admits(5));
+        assert!(!SearchControl::new(Arc::clone(&bound), 0, 0).admits(6));
+        // a sibling's success below the cap still tightens it
+        worst.record_success(3);
+        assert!(!SearchControl::new(bound, u32::MAX, 10).admits(3));
+        assert!(SearchControl::new(PortfolioBound::capped(None), 0, 0).admits(60_000));
     }
 
     #[test]

@@ -13,69 +13,47 @@
 use crate::placement::FuOccupancy;
 use crate::router::{route_all, RouterConfig};
 use crate::schedule::{enumerate_slack_schedules, modulo_schedule_variant};
-use crate::{
-    min_ii, LowerLevelMapper, MapError, Mapping, MappingStats, Restriction, SearchControl,
-};
+use crate::search::{Attempt, Backend, IiSearch, OpDomains};
+use crate::{LowerLevelMapper, MapError, Mapping, Restriction, SearchControl};
 use panorama_arch::{Cgra, PeId};
 use panorama_dfg::Dfg;
-use std::time::Instant;
 
-/// Tunables for the exact mapper.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExactConfig {
-    /// Refuse DFGs larger than this (exhaustive placement explodes).
-    pub max_ops: usize,
-    /// II cap as `mii * factor + offset`.
-    pub max_ii_factor: usize,
-    /// Absolute offset on the II cap.
-    pub max_ii_offset: usize,
-    /// Backtracking-node budget per schedule tried.
-    pub search_budget: usize,
-    /// Complete placements handed to the router per II before giving up.
-    /// The hop-per-cycle bound the search prunes against is necessary but
-    /// not sufficient for routability, so a placement can satisfy it and
-    /// still fail PathFinder; enumerating a few alternatives keeps one
-    /// congested corner from sinking an otherwise feasible II.
-    pub route_attempts: usize,
-    /// Distinct modulo schedules tried per II: priority-permutation
-    /// variants of [`modulo_schedule_variant`] fill up to half this cap,
-    /// then the slack-ordered enumeration (`enumerate_slack_schedules`)
-    /// fills the rest. The placement search is exhaustive only *for a
-    /// given schedule*; a feasible II can hide behind an op-to-slot
-    /// assignment with more routing slack, so declaring an II infeasible
-    /// from too few schedules under-estimates the mapper. Both sources
-    /// are needed (each gap found by differential fuzzing): the variants
-    /// cover list schedules the lateness enumeration ranks too deep to
-    /// reach, and the enumeration covers II 1, where every tie-break
-    /// variant collapses to the same single-slot ASAP schedule.
-    pub schedule_attempts: usize,
-}
+static BACKEND: Backend = Backend {
+    name: "exhaustive",
+    abort: "exact.abort",
+    cancelled: "exact.cancelled",
+    exhausted: "exact.exhausted",
+    max_ii: (3, 6),
+};
 
-impl Default for ExactConfig {
-    fn default() -> Self {
-        ExactConfig {
-            max_ops: 32,
-            max_ii_factor: 3,
-            max_ii_offset: 6,
-            search_budget: 2_000_000,
-            route_attempts: 32,
-            schedule_attempts: 256,
-        }
-    }
-}
+/// Backtracking-node budget per schedule tried.
+const SEARCH_BUDGET: usize = 2_000_000;
+/// Complete placements handed to the router per schedule before giving up.
+/// The hop-per-cycle bound the search prunes against is necessary but
+/// not sufficient for routability, so a placement can satisfy it and
+/// still fail PathFinder; enumerating a few alternatives keeps one
+/// congested corner from sinking an otherwise feasible II.
+const ROUTE_ATTEMPTS: usize = 32;
+/// Distinct modulo schedules tried per II: priority-permutation
+/// variants of [`modulo_schedule_variant`] fill up to half this cap,
+/// then the slack-ordered enumeration (`enumerate_slack_schedules`)
+/// fills the rest. The placement search is exhaustive only *for a
+/// given schedule*; a feasible II can hide behind an op-to-slot
+/// assignment with more routing slack, so declaring an II infeasible
+/// from too few schedules under-estimates the mapper. Both sources
+/// are needed (each gap found by differential fuzzing): the variants
+/// cover list schedules the lateness enumeration ranks too deep to
+/// reach, and the enumeration covers II 1, where every tie-break
+/// variant collapses to the same single-slot ASAP schedule.
+const SCHEDULE_ATTEMPTS: usize = 256;
 
 /// The exact exhaustive placement mapper.
 #[derive(Debug, Clone, Default)]
-pub struct ExactMapper {
-    /// Mapper configuration.
-    pub config: ExactConfig,
-}
+pub struct ExactMapper {}
 
 impl ExactMapper {
-    /// Creates a mapper with custom settings.
-    pub fn new(config: ExactConfig) -> Self {
-        ExactMapper { config }
-    }
+    /// DFGs larger than this are refused (exhaustive placement explodes).
+    pub const MAX_OPS: usize = 32;
 
     /// Exhaustive placement at a fixed II and schedule. Every complete
     /// assignment satisfying the constraints is offered to `accept`
@@ -88,34 +66,21 @@ impl ExactMapper {
         &self,
         dfg: &Dfg,
         cgra: &Cgra,
-        restriction: Option<&Restriction>,
+        domains: &OpDomains,
         times: &[usize],
         ii: usize,
         budget: &mut usize,
         accept: &mut dyn FnMut(&[PeId]) -> bool,
     ) -> Option<Vec<PeId>> {
         let n = dfg.num_ops();
-        // candidate PEs per op (static constraints only)
-        let domains: Vec<Vec<PeId>> = dfg
-            .op_ids()
-            .map(|op| {
-                cgra.pes()
-                    .filter(|&pe| !dfg.op(op).kind.needs_memory() || cgra.is_mem_pe(pe))
-                    .filter(|&pe| {
-                        dfg.op(op).kind != panorama_dfg::OpKind::Mul || cgra.has_multiplier(pe)
-                    })
-                    .filter(|&pe| restriction.is_none_or(|r| r.allows(op, cgra.cluster_of(pe))))
-                    .collect()
-            })
-            .collect();
-        if domains.iter().any(std::vec::Vec::is_empty) {
-            return None;
-        }
         // most-constrained-first: smaller domain, then more neighbours
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&i| {
             let op = panorama_dfg::OpId::from_index(i);
-            (domains[i].len(), std::cmp::Reverse(dfg.graph().degree(op)))
+            (
+                domains.of(op).len(),
+                std::cmp::Reverse(dfg.graph().degree(op)),
+            )
         });
 
         let mut assignment: Vec<Option<PeId>> = vec![None; n];
@@ -125,7 +90,7 @@ impl ExactMapper {
             cgra,
             times,
             ii,
-            &domains,
+            domains,
             &order,
             0,
             &mut assignment,
@@ -151,7 +116,7 @@ impl ExactMapper {
         cgra: &Cgra,
         times: &[usize],
         ii: usize,
-        domains: &[Vec<PeId>],
+        domains: &OpDomains,
         order: &[usize],
         depth: usize,
         assignment: &mut Vec<Option<PeId>>,
@@ -172,7 +137,7 @@ impl ExactMapper {
         let idx = order[depth];
         let op = panorama_dfg::OpId::from_index(idx);
         let slot = times[idx] % ii;
-        for &pe in &domains[idx] {
+        for &pe in domains.of(op) {
             if *budget == 0 {
                 return false;
             }
@@ -236,26 +201,18 @@ impl LowerLevelMapper for ExactMapper {
         cgra: &Cgra,
         restriction: Option<&Restriction>,
         control: Option<&crate::SearchControl>,
-        _trace: &mut panorama_trace::SpanCollector,
+        trace: &mut panorama_trace::SpanCollector,
     ) -> Result<Mapping, MapError> {
-        let start = Instant::now();
-        if dfg.num_ops() > self.config.max_ops {
+        if dfg.num_ops() > Self::MAX_OPS {
             return Err(MapError::exhausted(0, self.name()));
         }
-        let mii = min_ii(dfg, cgra).mii();
-        let max_ii = mii * self.config.max_ii_factor + self.config.max_ii_offset;
-        let mut stats = MappingStats::default();
+        let search = IiSearch::new(&BACKEND, dfg, cgra, restriction, control);
+        let domains = OpDomains::new(dfg, cgra, restriction);
         let mut scratch = crate::router::RouterScratch::new();
-        for ii in mii..=max_ii {
-            if let Some(c) = control {
-                if c.is_cancelled() {
-                    return Err(MapError::cancelled(ii.saturating_sub(1), self.name()));
-                }
-                if !c.admits(ii) {
-                    return Err(MapError::exhausted(ii.saturating_sub(1), self.name()));
-                }
+        search.run_from(search.floor, trace, |ii, stats, _| {
+            if domains.any_empty() {
+                return Attempt::Failed;
             }
-            stats.ii_attempts += 1;
             let mrrg = cgra.mrrg_shared(ii);
             // Placement is exhaustive only per schedule, so an II is
             // abandoned only after every candidate schedule failed: the
@@ -266,7 +223,7 @@ impl LowerLevelMapper for ExactMapper {
             let fu_budget = cgra.num_pes();
             let mem_budget = cgra.num_mem_pes().max(1);
             let slack = cgra.config().rows + cgra.config().cols;
-            let cap = self.config.schedule_attempts.max(1);
+            let cap = SCHEDULE_ATTEMPTS;
             let variant_cap = cap.div_ceil(2);
             let mut schedules: Vec<Vec<usize>> = Vec::new();
             for variant in 0..cap as u64 {
@@ -290,18 +247,18 @@ impl LowerLevelMapper for ExactMapper {
             }
             for times in schedules {
                 if control.is_some_and(SearchControl::is_cancelled) {
-                    return Err(MapError::cancelled(ii.saturating_sub(1), self.name()));
+                    return Attempt::Cancelled;
                 }
                 // Each complete placement the search yields goes straight
                 // to the shared PathFinder; the first routable one wins.
-                let mut attempts = self.config.route_attempts;
+                let mut attempts = ROUTE_ATTEMPTS;
                 let mut routed: Option<Vec<crate::Route>> = None;
                 let mut router_iterations = 0usize;
-                let mut search_budget = self.config.search_budget;
+                let mut search_budget = SEARCH_BUDGET;
                 let accepted = self.place_exhaustive(
                     dfg,
                     cgra,
-                    restriction,
+                    &domains,
                     &times,
                     ii,
                     &mut search_budget,
@@ -341,27 +298,15 @@ impl LowerLevelMapper for ExactMapper {
                 );
                 stats.router_iterations += router_iterations;
                 if let (Some(pe_of), Some(routes)) = (accepted, routed) {
-                    if let Some(c) = control {
-                        c.record_success(ii);
-                    }
-                    stats.compile_time = start.elapsed();
-                    return Ok(Mapping {
-                        mapper: self.name(),
-                        ii,
-                        mii,
-                        time_of: times,
-                        pe_of,
-                        routes: Some(routes),
-                        stats,
-                    });
+                    return Attempt::Mapped(search.mapping(ii, times, pe_of, Some(routes)));
                 }
             }
-        }
-        Err(MapError::exhausted(max_ii, self.name()))
+            Attempt::Failed
+        })
     }
 
     fn name(&self) -> &'static str {
-        "exhaustive"
+        BACKEND.name
     }
 }
 
@@ -431,8 +376,10 @@ mod tests {
         let dfg = b.build().unwrap();
         let cgra = cgra();
         let mapping = ExactMapper::default().map(&dfg, &cgra, None).unwrap();
-        assert!(cgra.is_mem_pe(mapping.pe_of(l)));
-        assert!(cgra.is_mem_pe(mapping.pe_of(s)));
+        // the 4x4 preset's memory PEs are its left column
+        assert_eq!(cgra.pe_position(mapping.pe_of(l)).1, 0);
+        assert_eq!(cgra.pe_position(mapping.pe_of(s)).1, 0);
+        mapping.verify(&dfg, &cgra).unwrap();
     }
 
     #[test]

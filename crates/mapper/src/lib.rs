@@ -1,22 +1,37 @@
-//! Lower-level CGRA mappers: SPR\* (schedule / place / route) and
-//! Ultra-Fast, both optionally guided by PANORAMA's cluster mapping.
+//! Lower-level CGRA mappers — SPR\* (schedule / place / route), Ultra-Fast,
+//! the SAT backend and the exhaustive reference — all optionally guided by
+//! PANORAMA's cluster mapping.
 //!
-//! The pipeline follows the paper's Algorithm 2:
+//! Every backend sits on one search frame (`search.rs`), the two lines of
+//! the paper's Algorithm 2 that tie the levels together:
 //!
-//! 1. [`min_ii`] computes the recurrence- and resource-constrained minimum
-//!    initiation interval (Rau, MICRO'94);
-//! 2. [`schedule`](schedule::modulo_schedule) produces an iterative modulo
-//!    schedule at a candidate II;
-//! 3. [`SprMapper`] places operations on FUs (restricted to their assigned
-//!    CGRA clusters when a [`Restriction`] is given) and routes every data
-//!    dependency through the [`Mrrg`](panorama_arch::Mrrg) with
-//!    PathFinder-style negotiated congestion, repairing overuse with a
-//!    simulated-annealing placement loop;
-//! 4. [`UltraFastMapper`] reproduces the Ultra-Fast baseline: a greedy 2-D
-//!    scheduler over an abstract single-cycle multi-hop HyCUBE with a
-//!    per-cycle wiring budget.
+//! 1. [`ii_floor`] computes the proven lower bounds — the recurrence- and
+//!    resource-constrained minimum initiation interval (Rau, MICRO'94),
+//!    tightened by per-cluster-group capacity under a [`Restriction`] —
+//!    and the one II ascent starts there, ends at the backend's cap or the
+//!    request's, polls the [`SearchControl`] before every attempt and
+//!    returns one convention of [`MapError`];
+//! 2. one op-domain table per search says which PEs may host each op
+//!    (memory capability, multiplier, and — *"if Cluster(node) is mapped to
+//!    Cluster(FU)"* — the op's assigned CGRA clusters).
 //!
-//! Both mappers return a [`Mapping`] whose [`verify`](Mapping::verify)
+//! A backend supplies the attempt at one II:
+//!
+//! * [`SprMapper`] schedules and places jointly (`placement.rs`: each op
+//!   picks its `(time, PE)` pair at once, least cost first) and routes
+//!   every data dependency through the [`Mrrg`](panorama_arch::Mrrg) with
+//!   PathFinder-style negotiated congestion, repairing overuse with a
+//!   simulated-annealing placement loop;
+//! * [`UltraFastMapper`] reproduces the Ultra-Fast baseline: a greedy 2-D
+//!   scheduler over an abstract single-cycle multi-hop HyCUBE with a
+//!   per-cycle wiring budget;
+//! * [`SatMapper`] decides each II with two CNF problems (schedule +
+//!   placement, then routing) on the `panorama-sat` CDCL solver;
+//! * [`ExactMapper`] enumerates iterative modulo schedules
+//!   ([`modulo_schedule_variant`]; `schedule.rs` serves this backend only)
+//!   and places each exhaustively by backtracking.
+//!
+//! Every mapper returns a [`Mapping`] whose [`verify`](Mapping::verify)
 //! method independently re-checks placement legality, route connectivity,
 //! route timing and resource capacities.
 //!
@@ -51,6 +66,7 @@ mod router;
 mod sat_encode;
 mod sat_mapper;
 mod schedule;
+mod search;
 mod spr;
 mod stats;
 mod ultrafast;
@@ -59,11 +75,11 @@ mod warmstart;
 pub use cancel::CancelToken;
 pub use configware::{ConfigWord, Configware, InPort, OperandSel, ValueSource};
 pub use control::{PortfolioBound, SearchControl};
-pub use exact::{ExactConfig, ExactMapper};
+pub use exact::ExactMapper;
 pub use mapping::{Mapping, MappingStats, Route, VerifyError};
 pub use mii::{
-    critical_recurrences, exact_recurrence_mii, min_ii, restricted_min_ii, MiiReport,
-    RecurrenceAnalysis,
+    critical_recurrences, exact_recurrence_mii, ii_floor, min_ii, restricted_min_ii, IiFloor,
+    MiiReport, RecurrenceAnalysis,
 };
 pub use restrict::Restriction;
 pub use router::RouterConfig;
@@ -71,7 +87,7 @@ pub use sat_mapper::{sat_attempt_log, IiAttempt, SatMapper, SatMapperConfig};
 pub use schedule::{modulo_schedule, modulo_schedule_variant, ScheduleError};
 pub use spr::{MapError, SprConfig, SprMapper};
 pub use stats::RouteStats;
-pub use ultrafast::{UltraFastConfig, UltraFastMapper};
+pub use ultrafast::UltraFastMapper;
 pub use warmstart::{WarmHint, WarmStartCache, DEFAULT_WARM_CACHE_CAPACITY};
 
 use panorama_arch::Cgra;
@@ -90,17 +106,19 @@ pub trait LowerLevelMapper: Sync {
     /// may only be placed inside its assigned CGRA clusters.
     ///
     /// `control` is a portfolio search's handle on this run: before each II
-    /// attempt the mapper asks [`SearchControl::admits`] and gives up once
-    /// the answer is `false` (II searches ascend, so the answer stays
-    /// `false`), polls [`SearchControl::is_cancelled`], and reports
-    /// successes via [`SearchControl::record_success`]. Per-phase spans and
+    /// attempt the search polls [`SearchControl::is_cancelled`], then asks
+    /// [`SearchControl::admits`] and gives up once the answer is `false`
+    /// (II searches ascend, so the answer stays `false`; a request's II
+    /// cap arrives the same way, see [`PortfolioBound::capped`]), and
+    /// reports successes via [`SearchControl::record_success`]. Per-phase spans and
     /// counters go to `trace`; a disabled collector must cost nothing
     /// beyond a branch per would-be event.
     ///
     /// # Errors
     ///
     /// Returns [`MapError`] when no admissible mapping is found within the
-    /// mapper's II and effort budgets.
+    /// mapper's II and effort budgets: cancelled at the II that was about
+    /// to be attempted, or exhausted at the last II that was.
     fn map_traced(
         &self,
         dfg: &Dfg,

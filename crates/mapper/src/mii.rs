@@ -81,16 +81,21 @@ pub struct RecurrenceAnalysis {
     pub witness_distance: u64,
 }
 
-/// Bellman-Ford longest-path probe of the constraint graph at candidate
-/// `ii` (edge `u→v` weighs `latency(u) − ii·distance`). Returns a
-/// positive-weight cycle as `(ops, latency, distance)` when one exists —
-/// i.e. when `ii` is infeasible — and `None` when `ii` admits a schedule.
-fn positive_cycle(dfg: &Dfg, ii: usize) -> Option<(Vec<panorama_dfg::OpId>, u64, u64)> {
+/// Parent pointers of a diverging longest-path relaxation, and a node
+/// that still relaxed in round n.
+type PositiveCycle = (Vec<Option<panorama_dfg::OpId>>, panorama_dfg::OpId);
+
+/// Bellman-Ford longest-path fixpoint of the constraint graph at candidate
+/// `ii` (edge `u→v` weighs `latency(u) − ii·distance`), every op starting
+/// at 0. `Ok` holds the per-op path lengths — the ASAP times of a modulo
+/// schedule at `ii`; `Err` means the graph has a positive cycle, i.e.
+/// `ii` is below RecMII.
+pub(crate) fn longest_paths(dfg: &Dfg, ii: usize) -> Result<Vec<i64>, PositiveCycle> {
     let n = dfg.num_ops();
     let mut dist = vec![0i64; n];
     let mut parent: Vec<Option<panorama_dfg::OpId>> = vec![None; n];
-    let mut changed_node = None;
-    for round in 0..=n {
+    let mut round = 0;
+    loop {
         let mut changed = None;
         for e in dfg.deps() {
             let lat = dfg.op(e.src).kind.latency() as i64;
@@ -103,16 +108,20 @@ fn positive_cycle(dfg: &Dfg, ii: usize) -> Option<(Vec<panorama_dfg::OpId>, u64,
             }
         }
         match changed {
-            None => return None, // fixpoint: no positive cycle at this II
-            Some(v) if round == n => {
-                changed_node = Some(v);
-            }
-            Some(_) => {}
+            None => return Ok(dist),
+            Some(v) if round == n => return Err((parent, v)),
+            Some(_) => round += 1,
         }
     }
+}
+
+/// The positive-weight cycle that makes `ii` infeasible, as
+/// `(ops, latency, distance)`; `None` when `ii` admits a schedule.
+fn positive_cycle(dfg: &Dfg, ii: usize) -> Option<(Vec<panorama_dfg::OpId>, u64, u64)> {
+    let (parent, mut v) = longest_paths(dfg, ii).err()?;
+    let n = dfg.num_ops();
     // A node relaxed in round n sits on or downstream of a positive
     // cycle; n parent hops land strictly inside it.
-    let mut v = changed_node.expect("round n relaxed some node");
     for _ in 0..n {
         v = parent[v.index()].expect("relaxed nodes have parents");
     }
@@ -194,6 +203,32 @@ pub fn exact_recurrence_mii(dfg: &Dfg) -> RecurrenceAnalysis {
     }
 }
 
+/// The proven lower bounds an II search starts from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IiFloor {
+    /// Rau's resource and recurrence bounds on the whole array.
+    pub mii: MiiReport,
+    /// [`restricted_min_ii`] under the restriction, when one was given.
+    pub restricted: Option<usize>,
+}
+
+impl IiFloor {
+    /// The first II worth attempting: no mapping exists below it.
+    pub fn ii(&self) -> usize {
+        self.restricted.unwrap_or(self.mii.mii())
+    }
+}
+
+/// Every static lower bound on the II of `dfg` on `cgra` (under
+/// `restriction`, when given). The mappers' II search starts at
+/// [`IiFloor::ii`] and the lint prechecker reports the same numbers, so a
+/// new provable floor added here reaches both.
+pub fn ii_floor(dfg: &Dfg, cgra: &Cgra, restriction: Option<&Restriction>) -> IiFloor {
+    let mii = min_ii(dfg, cgra);
+    let restricted = restriction.map(|r| group_capacity_bound(dfg, cgra, r).max(mii.mii()));
+    IiFloor { mii, restricted }
+}
+
 /// Tightens [`min_ii`] with per-cluster-group capacity bounds under a
 /// placement [`Restriction`].
 ///
@@ -208,6 +243,11 @@ pub fn exact_recurrence_mii(dfg: &Dfg) -> RecurrenceAnalysis {
 /// Returns [`usize::MAX`] when some group needs a capability its clusters
 /// do not offer at all (no II can ever work).
 pub fn restricted_min_ii(dfg: &Dfg, cgra: &Cgra, restriction: &Restriction) -> usize {
+    ii_floor(dfg, cgra, Some(restriction)).ii()
+}
+
+/// The largest `⌈need / capacity⌉` over the restriction's cluster groups.
+fn group_capacity_bound(dfg: &Dfg, cgra: &Cgra, restriction: &Restriction) -> usize {
     // Group ops by their exact allowed-cluster set.
     let mut groups: HashMap<Vec<u32>, Vec<panorama_dfg::OpId>> = HashMap::new();
     for op in dfg.op_ids() {
@@ -221,7 +261,7 @@ pub fn restricted_min_ii(dfg: &Dfg, cgra: &Cgra, restriction: &Restriction) -> u
         groups.entry(key).or_default().push(op);
     }
 
-    let mut bound = min_ii(dfg, cgra).mii();
+    let mut bound = 1;
     for (clusters, ops) in &groups {
         let group_pes: Vec<_> = cgra
             .pes()

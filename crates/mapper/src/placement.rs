@@ -4,12 +4,13 @@
 //! Each operation picks a `(time, PE)` pair jointly: the time window is the
 //! modulo-scheduling window `[estart, estart + II)` clipped by already
 //! placed successors' recurrence deadlines, and the PE must have a free FU
-//! slot, memory capability when needed, and cluster permission under a
-//! PANORAMA restriction. The cost favours placements whose neighbours are
-//! reachable within the schedule slack — the exact failure of the paper's
-//! Figure 3c is a neighbour placed further away than its slack allows.
+//! slot and lie in the op's domain ([`OpDomains`]: capability plus cluster
+//! permission under a PANORAMA restriction). The cost favours placements
+//! whose neighbours are reachable within the schedule slack — the exact
+//! failure of the paper's Figure 3c is a neighbour placed further away than
+//! its slack allows.
 
-use crate::Restriction;
+use crate::search::OpDomains;
 use panorama_arch::{Cgra, PeId};
 use panorama_dfg::{Dfg, OpId};
 
@@ -91,20 +92,14 @@ impl PlacementState {
 }
 
 /// PEs legal for `op` at schedule slot `slot`.
-pub(crate) fn candidates_for(
-    dfg: &Dfg,
-    cgra: &Cgra,
-    state: &PlacementState,
-    restriction: Option<&Restriction>,
+pub(crate) fn candidates_for<'a>(
+    state: &'a PlacementState,
+    domains: &'a OpDomains,
     op: OpId,
     slot: usize,
-) -> Vec<PeId> {
-    cgra.pes()
-        .filter(|&pe| state.fu.is_free(pe, slot))
-        .filter(|&pe| !dfg.op(op).kind.needs_memory() || cgra.is_mem_pe(pe))
-        .filter(|&pe| dfg.op(op).kind != panorama_dfg::OpKind::Mul || cgra.has_multiplier(pe))
-        .filter(|&pe| restriction.is_none_or(|r| r.allows(op, cgra.cluster_of(pe))))
-        .collect()
+) -> impl Iterator<Item = PeId> + 'a {
+    let free = move |pe: &PeId| state.fu.is_free(*pe, slot);
+    domains.of(op).iter().copied().filter(free)
 }
 
 /// Routing-aware cost of executing `op` on `pe` at absolute time `t`:
@@ -146,55 +141,28 @@ pub(crate) fn placement_cost(
 /// ops may spill to neighbouring cells when their own memory column is
 /// full, but should prefer home (otherwise loads — placed before their
 /// consumers exist — would scatter arbitrarily).
-pub(crate) fn home_bias(cgra: &Cgra, restriction: Option<&Restriction>, op: OpId, pe: PeId) -> f64 {
-    let Some(r) = restriction else {
-        return 0.0;
-    };
-    let home = r.home_of(op);
-    if home.is_empty() {
-        return 0.0;
-    }
+pub(crate) fn home_bias(cgra: &Cgra, domains: &OpDomains, op: OpId, pe: PeId) -> f64 {
     let cl = cgra.cluster_of(pe);
-    let dist = home
+    let dist = domains
+        .home_of(op)
         .iter()
         .map(|&h| cgra.cluster_manhattan(cl, h))
         .min()
-        .expect("home is nonempty");
+        .unwrap_or(0);
     dist as f64 * 8.0
 }
 
-/// Warm-started joint schedule + placement: ops with a `(PE, time)` seed
-/// from a prior mapping keep it whenever it is still legal (schedule
-/// window, FU slot, memory/multiplier capability, cluster restriction,
-/// memory slot budget); everything else — unseeded ops, seeds invalidated
-/// by the delta — falls back to the cold least-cost search op by op.
-/// Returns `Err(op)` naming the first op with no legal `(t, PE)` at all.
-pub(crate) fn warm_placement(
-    dfg: &Dfg,
-    cgra: &Cgra,
-    ii: usize,
-    restriction: Option<&Restriction>,
-    seeds: &[Option<(PeId, usize)>],
-) -> Result<PlacementState, OpId> {
-    placement_pass(dfg, cgra, ii, restriction, Some(seeds))
-}
-
 /// Greedy least-cost joint schedule + placement of every op in topological
-/// order. Returns `Err(op)` naming the first op with no legal `(t, PE)`.
-pub(crate) fn initial_placement(
+/// order. With `seeds` (a warm start), an op whose `(PE, time)` seed from a
+/// prior mapping is still legal (schedule window, FU slot, the op's domain,
+/// memory slot budget) keeps it; everything else — unseeded ops, seeds
+/// invalidated by the delta — takes the cold least-cost search op by op.
+/// Returns `Err(op)` naming the first op with no legal `(t, PE)` at all.
+pub(crate) fn placement_pass(
     dfg: &Dfg,
     cgra: &Cgra,
     ii: usize,
-    restriction: Option<&Restriction>,
-) -> Result<PlacementState, OpId> {
-    placement_pass(dfg, cgra, ii, restriction, None)
-}
-
-fn placement_pass(
-    dfg: &Dfg,
-    cgra: &Cgra,
-    ii: usize,
-    restriction: Option<&Restriction>,
+    domains: &OpDomains,
     seeds: Option<&[Option<(PeId, usize)>]>,
 ) -> Result<PlacementState, OpId> {
     // quick global feasibility
@@ -256,10 +224,9 @@ fn placement_pass(
             let in_window = t as i64 >= estart
                 && (t as i64) < (estart + ii as i64).min(lstart.saturating_add(1));
             let legal = in_window
-                && (!is_mem || (mem_per_slot[slot] < mem_budget && cgra.is_mem_pe(pe)))
+                && (!is_mem || mem_per_slot[slot] < mem_budget)
                 && state.fu.is_free(pe, slot)
-                && (dfg.op(op).kind != panorama_dfg::OpKind::Mul || cgra.has_multiplier(pe))
-                && restriction.is_none_or(|r| r.allows(op, cgra.cluster_of(pe)));
+                && domains.allows(op, pe);
             if legal {
                 state.place(op, pe, t);
                 if is_mem {
@@ -277,13 +244,13 @@ fn placement_pass(
             if is_mem && mem_per_slot[slot] >= mem_budget {
                 continue;
             }
-            for pe in candidates_for(dfg, cgra, &state, restriction, op, slot) {
+            for pe in candidates_for(&state, domains, op, slot) {
                 // one cycle of slack beyond the earliest start is free: it
                 // is what gives the router room to detour around contested
                 // links (tight slack-1 edges have a unique shortest path)
                 let lateness = (t as i64 - estart - 1).max(0) as f64 * 0.25;
                 let cost = placement_cost(dfg, cgra, &state, &placed, op, pe, t)
-                    + home_bias(cgra, restriction, op, pe)
+                    + home_bias(cgra, domains, op, pe)
                     + lateness;
                 let better = match best {
                     None => true,
@@ -369,6 +336,10 @@ mod tests {
         Cgra::new(CgraConfig::small_4x4()).unwrap()
     }
 
+    fn place(dfg: &Dfg, cgra: &Cgra, ii: usize) -> Result<PlacementState, OpId> {
+        placement_pass(dfg, cgra, ii, &OpDomains::new(dfg, cgra, None), None)
+    }
+
     #[test]
     fn chain_places_neighbours_within_slack() {
         let mut b = DfgBuilder::new("chain");
@@ -378,7 +349,7 @@ mod tests {
         }
         let dfg = b.build().unwrap();
         let cgra = cgra();
-        let state = initial_placement(&dfg, &cgra, 4, None).unwrap();
+        let state = place(&dfg, &cgra, 4).unwrap();
         for w in n.windows(2) {
             let d = cgra.manhattan(state.pe_of[w[0].index()], state.pe_of[w[1].index()]);
             let slack = state.time_of[w[1].index()] - state.time_of[w[0].index()];
@@ -396,9 +367,10 @@ mod tests {
         b.data(a, s);
         let dfg = b.build().unwrap();
         let cgra = cgra();
-        let state = initial_placement(&dfg, &cgra, 3, None).unwrap();
-        assert!(cgra.is_mem_pe(state.pe_of[l.index()]));
-        assert!(cgra.is_mem_pe(state.pe_of[s.index()]));
+        let state = place(&dfg, &cgra, 3).unwrap();
+        // the 4x4 preset's memory PEs are its left column
+        assert_eq!(cgra.pe_position(state.pe_of[l.index()]).1, 0);
+        assert_eq!(cgra.pe_position(state.pe_of[s.index()]).1, 0);
     }
 
     #[test]
@@ -413,7 +385,7 @@ mod tests {
         b.data(x, z);
         b.data(y, z);
         let dfg = b.build().unwrap();
-        let state = initial_placement(&dfg, &cgra(), 4, None).unwrap();
+        let state = place(&dfg, &cgra(), 4).unwrap();
         for e in dfg.deps() {
             assert!(
                 state.time_of[e.dst.index()] > state.time_of[e.src.index()],
@@ -432,7 +404,7 @@ mod tests {
         b.back(v, u, 1);
         let dfg = b.build().unwrap();
         let ii = 2;
-        let state = initial_placement(&dfg, &cgra(), ii, None).unwrap();
+        let state = place(&dfg, &cgra(), ii).unwrap();
         let (tu, tv) = (
             state.time_of[u.index()] as i64,
             state.time_of[v.index()] as i64,
@@ -449,8 +421,8 @@ mod tests {
             b.op(OpKind::Add, format!("n{i}"));
         }
         let dfg = b.build().unwrap();
-        assert!(initial_placement(&dfg, &cgra(), 1, None).is_err());
-        assert!(initial_placement(&dfg, &cgra(), 2, None).is_ok());
+        assert!(place(&dfg, &cgra(), 1).is_err());
+        assert!(place(&dfg, &cgra(), 2).is_ok());
     }
 
     #[test]
@@ -461,7 +433,7 @@ mod tests {
         }
         let dfg = b.build().unwrap();
         let cgra = cgra();
-        let state = initial_placement(&dfg, &cgra, 2, None).unwrap();
+        let state = place(&dfg, &cgra, 2).unwrap();
         let mut seen = std::collections::HashSet::new();
         for op in dfg.op_ids() {
             let key = (state.pe_of[op.index()], state.time_of[op.index()] % 2);
@@ -477,7 +449,7 @@ mod tests {
         }
         let dfg = b.build().unwrap();
         let cgra = cgra();
-        let state = initial_placement(&dfg, &cgra, 2, None).unwrap();
+        let state = place(&dfg, &cgra, 2).unwrap();
         let mut per_slot = [0usize; 2];
         for op in dfg.op_ids() {
             per_slot[state.time_of[op.index()] % 2] += 1;

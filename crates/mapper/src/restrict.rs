@@ -72,6 +72,15 @@ impl Restriction {
         Restriction { allowed, home }
     }
 
+    /// Raw per-op cluster sets, every one its own home.
+    #[cfg(test)]
+    pub(crate) fn from_allowed(allowed: Vec<Vec<ClusterId>>) -> Self {
+        Restriction {
+            home: allowed.clone(),
+            allowed,
+        }
+    }
+
     /// Unrestricted placement for every op (useful in tests/ablations).
     pub fn unrestricted(dfg: &Dfg, cgra: &Cgra) -> Self {
         let all: Vec<ClusterId> = (0..cgra.num_clusters())

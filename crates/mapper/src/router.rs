@@ -26,16 +26,16 @@ use panorama_dfg::Dfg;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+/// Present-congestion penalty per unit of overuse, grows each iteration.
+const PRESENT_FACTOR: f64 = 0.6;
+/// History cost deposited per unit of overuse per iteration.
+const HISTORY_INCREMENT: f64 = 0.35;
+
 /// PathFinder tunables.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouterConfig {
     /// Rip-up-and-reroute iterations per invocation.
     pub max_iterations: usize,
-    /// Present-congestion penalty per unit of overuse, grows each
-    /// iteration.
-    pub present_factor: f64,
-    /// History cost deposited per unit of overuse per iteration.
-    pub history_increment: f64,
     /// Hard cap on A* state expansions per signal (guards worst cases).
     pub max_expansions: usize,
 }
@@ -44,8 +44,6 @@ impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             max_iterations: 24,
-            present_factor: 0.6,
-            history_increment: 0.35,
             max_expansions: 400_000,
         }
     }
@@ -518,7 +516,7 @@ pub(crate) fn route_all(
     scratch.ensure_capacity(num_nodes, max_delta);
 
     let mut routes: Vec<Option<Route>> = vec![None; dfg.num_deps()];
-    let mut present = config.present_factor;
+    let mut present = PRESENT_FACTOR;
     let mut iterations = 0;
 
     let (overuse, failed, unreachable) = loop {
@@ -605,7 +603,7 @@ pub(crate) fn route_all(
             let cap = mrrg.capacity(MrrgNodeId::from_index(i));
             let over = (u as usize).saturating_sub(cap as usize);
             if over > 0 {
-                scratch.history[i] += (over as f64 * config.history_increment) as f32;
+                scratch.history[i] += (over as f64 * HISTORY_INCREMENT) as f32;
             }
         }
         present *= 1.4;

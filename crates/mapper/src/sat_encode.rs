@@ -25,7 +25,7 @@
 //!
 //! [`Mapping::verify`]: crate::Mapping::verify
 
-use crate::restrict::Restriction;
+use crate::search::OpDomains;
 use crate::Route;
 use panorama_arch::{Cgra, Mrrg, NodeKind, PeId};
 use panorama_dfg::Dfg;
@@ -185,7 +185,7 @@ fn min_advances(hops: &[Vec<u32>], a: PeId, b: PeId) -> i64 {
 }
 
 /// Phase-1 CNF: modulo schedule and placement at one II.
-pub(crate) struct ScheduleCnf {
+pub(crate) struct ScheduleCnf<'a> {
     pub cnf: Cnf,
     /// Per-op earliest schedule time anchoring its window.
     pub asap: Vec<i64>,
@@ -193,42 +193,32 @@ pub(crate) struct ScheduleCnf {
     pub x: Vec<Vec<Var>>,
     /// `p[v][j]`: op `v` placed on `domains[v][j]`.
     pub p: Vec<Vec<Var>>,
-    pub domains: Vec<Vec<PeId>>,
+    /// Per-op candidate PEs, in op order.
+    domains: Vec<&'a [PeId]>,
     pub edges: Vec<EdgeInfo>,
 }
 
-impl ScheduleCnf {
-    /// Builds the schedule/placement CNF. `hops` is the all-pairs link
-    /// distance table from [`hop_distances`].
+impl<'a> ScheduleCnf<'a> {
+    /// Builds the schedule/placement CNF over the ops' placement `domains`.
+    /// `hops` is the all-pairs link distance table from [`hop_distances`].
     pub fn build(
         dfg: &Dfg,
-        cgra: &Cgra,
-        restriction: Option<&Restriction>,
+        domains: &'a OpDomains,
         hops: &[Vec<u32>],
         ii: usize,
         window_factor: usize,
         budget: CnfBudget,
-    ) -> Result<ScheduleCnf, BuildError> {
+    ) -> Result<Self, BuildError> {
         let n = dfg.num_ops();
         let edges = edge_infos(dfg);
-        let asap = asap_times(n, &edges, ii)?;
+        // the recurrence constraints diverge when `ii` is below RecMII
+        let asap = crate::mii::longest_paths(dfg, ii).map_err(|_| BuildError::Infeasible)?;
         let window = (window_factor * ii).max(2);
 
-        let domains: Vec<Vec<PeId>> = dfg
-            .op_ids()
-            .map(|op| {
-                cgra.pes()
-                    .filter(|&pe| !dfg.op(op).kind.needs_memory() || cgra.is_mem_pe(pe))
-                    .filter(|&pe| {
-                        dfg.op(op).kind != panorama_dfg::OpKind::Mul || cgra.has_multiplier(pe)
-                    })
-                    .filter(|&pe| restriction.is_none_or(|r| r.allows(op, cgra.cluster_of(pe))))
-                    .collect()
-            })
-            .collect();
-        if domains.iter().any(Vec::is_empty) {
+        if domains.any_empty() {
             return Err(BuildError::Infeasible);
         }
+        let domains: Vec<&[PeId]> = dfg.op_ids().map(|op| domains.of(op)).collect();
 
         let mut cnf = Cnf::new(budget);
         let x: Vec<Vec<Var>> = (0..n)
@@ -415,30 +405,6 @@ impl ScheduleCnf {
         }
         self.cnf.clause(&lits);
     }
-}
-
-/// Longest-path ASAP times under `tv ≥ tu + lat − dist·ii`; fails when
-/// the constraint graph has a positive cycle (II below the recurrence
-/// bound).
-fn asap_times(n: usize, edges: &[EdgeInfo], ii: usize) -> Result<Vec<i64>, BuildError> {
-    let mut asap = vec![0i64; n];
-    for round in 0..=n {
-        let mut changed = false;
-        for e in edges {
-            let lo = asap[e.src] + e.lat - e.dist * ii as i64;
-            if asap[e.dst] < lo {
-                asap[e.dst] = lo;
-                changed = true;
-            }
-        }
-        if !changed {
-            return Ok(asap);
-        }
-        if round == n {
-            return Err(BuildError::Infeasible);
-        }
-    }
-    Ok(asap)
 }
 
 /// One time-expanded routing state: `(MRRG node, advances so far)`.

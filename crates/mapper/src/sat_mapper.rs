@@ -2,7 +2,7 @@
 //! schedule, placement and routing as CNF and decides each candidate II
 //! with the `panorama-sat` CDCL solver.
 //!
-//! Per candidate II (ascending from the proven MII floor), the mapper
+//! Per candidate II (ascending from [`ii_floor`](crate::ii_floor)), the mapper
 //! runs the two-phase loop of [`sat_encode`](crate::sat_encode): solve
 //! the schedule + placement CNF, cut distance-infeasible placements
 //! (CEGAR), then route the decoded assignment over the time-expanded
@@ -19,29 +19,32 @@
 //! hook.
 
 use crate::sat_encode::{BuildError, CnfBudget, RoutingCnf, ScheduleCnf};
-use crate::{
-    min_ii, LowerLevelMapper, MapError, Mapping, MappingStats, Restriction, SearchControl,
-};
+use crate::search::{Attempt, Backend, IiSearch, OpDomains};
+use crate::{LowerLevelMapper, MapError, Mapping, Restriction, SearchControl};
 use panorama_arch::Cgra;
 use panorama_dfg::Dfg;
 use panorama_sat::{Limits, SolveResult, SolverStats};
 use panorama_trace::json::Writer;
 use panorama_trace::{schema, SpanCollector};
 use std::sync::Mutex;
-use std::time::Instant;
+
+static BACKEND: Backend = Backend {
+    name: "SAT",
+    abort: "sat.abort",
+    cancelled: "sat.cancelled",
+    exhausted: "sat.exhausted",
+    max_ii: (3, 6),
+};
+
+/// Schedule-window widths tried per II, in units of II (ascending; a wider
+/// window re-encodes only after the narrow one is refuted).
+const WINDOW_FACTORS: [usize; 2] = [2, 4];
 
 /// Tunables for the SAT mapper.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SatMapperConfig {
     /// Refuse DFGs larger than this (CNF size grows superlinearly).
     pub max_ops: usize,
-    /// II cap as `mii * factor + offset`.
-    pub max_ii_factor: usize,
-    /// Absolute offset on the II cap.
-    pub max_ii_offset: usize,
-    /// Schedule-window widths to try per II, in units of II (ascending;
-    /// a wider window re-encodes only after the narrow one is refuted).
-    pub window_factors: Vec<usize>,
     /// Variable budget per CNF (phase 1 and phase 2 each).
     pub max_vars: usize,
     /// Clause budget per CNF.
@@ -58,7 +61,7 @@ pub struct SatMapperConfig {
 impl SatMapperConfig {
     /// The last II the search tries for a graph whose MII is `mii`.
     pub fn max_ii(&self, mii: usize) -> usize {
-        mii * self.max_ii_factor + self.max_ii_offset
+        BACKEND.last_ii(mii)
     }
 }
 
@@ -66,9 +69,6 @@ impl Default for SatMapperConfig {
     fn default() -> Self {
         SatMapperConfig {
             max_ops: 72,
-            max_ii_factor: 3,
-            max_ii_offset: 6,
-            window_factors: vec![2, 4],
             max_vars: 200_000,
             max_clauses: 2_000_000,
             schedule_conflicts: 30_000,
@@ -131,21 +131,24 @@ impl IiAttempt {
 /// Renders the `panorama-sat-v1` attempt log that `compile --mapper sat
 /// --sat-report` writes and `lint --report` validates (SAT001–SAT003):
 /// `attempts` as drained from the mapper that ran, `config` that same
-/// mapper's — its II cap and CNF budgets are what the linter holds the
-/// attempts against — and `mapped_ii` 0 when nothing mapped.
+/// mapper's — its II cap (lowered to the request's `max_ii`, when that is
+/// tighter) and CNF budgets are what the linter holds the attempts
+/// against — and `mapped_ii` 0 when nothing mapped.
 pub fn sat_attempt_log(
     kernel: &str,
     arch: &str,
     mii: usize,
     mapped_ii: usize,
     config: &SatMapperConfig,
+    max_ii: Option<usize>,
     attempts: &[IiAttempt],
 ) -> String {
+    let cap = config.max_ii(mii);
     let mut w = Writer::new(&schema::SAT);
     w.key("kernel").str(kernel);
     w.key("arch").str(arch);
     w.key("mii").uint(mii);
-    w.key("max_ii").uint(config.max_ii(mii));
+    w.key("max_ii").uint(max_ii.map_or(cap, |m| m.min(cap)));
     w.key("mapped_ii").uint(mapped_ii);
     w.key("max_vars").uint(config.max_vars);
     w.key("max_clauses").uint(config.max_clauses);
@@ -218,11 +221,10 @@ impl SatMapper {
         &self,
         dfg: &Dfg,
         cgra: &Cgra,
-        restriction: Option<&Restriction>,
+        domains: &OpDomains,
         hops: &[Vec<u32>],
         ii: usize,
-        mii: usize,
-        control: Option<&SearchControl>,
+        search: &IiSearch,
         trace: &mut SpanCollector,
         attempt: &mut IiAttempt,
     ) -> Outcome {
@@ -232,7 +234,7 @@ impl SatMapper {
             max_clauses: cfg.max_clauses,
         };
         let mrrg = cgra.mrrg_shared(ii);
-        let mut interrupted = || control.is_some_and(SearchControl::is_cancelled);
+        let mut interrupted = || search.control.is_some_and(SearchControl::is_cancelled);
         let sched_limits = Limits {
             max_conflicts: Some(cfg.schedule_conflicts),
             max_propagations: None,
@@ -242,8 +244,8 @@ impl SatMapper {
             max_propagations: None,
         };
 
-        for &wf in &cfg.window_factors {
-            let mut sched = match ScheduleCnf::build(dfg, cgra, restriction, hops, ii, wf, budget) {
+        for wf in WINDOW_FACTORS {
+            let mut sched = match ScheduleCnf::build(dfg, domains, hops, ii, wf, budget) {
                 Ok(s) => s,
                 Err(BuildError::Infeasible) => return Outcome::Unsat,
                 Err(BuildError::OverBudget) => return Outcome::Budget,
@@ -335,15 +337,7 @@ impl SatMapper {
                     attempt.refinements += 1;
                     continue;
                 };
-                let mapping = Mapping {
-                    mapper: self.name(),
-                    ii,
-                    mii,
-                    time_of: times,
-                    pe_of: pes,
-                    routes: Some(routes),
-                    stats: MappingStats::default(),
-                };
+                let mapping = search.mapping(ii, times, pes, Some(routes));
                 // never trust the encoder: re-check the decoded mapping
                 // against the independent verifier before accepting it
                 if mapping.verify(dfg, cgra).is_err() {
@@ -368,37 +362,16 @@ impl LowerLevelMapper for SatMapper {
         control: Option<&SearchControl>,
         trace: &mut SpanCollector,
     ) -> Result<Mapping, MapError> {
-        let start = Instant::now();
         if dfg.num_ops() > self.config.max_ops {
             return Err(MapError::exhausted(0, self.name()));
         }
-        let mii = min_ii(dfg, cgra).mii();
-        let max_ii = self.config.max_ii(mii);
+        let search = IiSearch::new(&BACKEND, dfg, cgra, restriction, control);
+        let domains = OpDomains::new(dfg, cgra, restriction);
         let hops = crate::sat_encode::hop_distances(cgra);
-        let mut stats = MappingStats::default();
-        for ii in mii..=max_ii {
-            if let Some(c) = control {
-                if c.is_cancelled() {
-                    return Err(MapError::cancelled(ii.saturating_sub(1), self.name()));
-                }
-                if !c.admits(ii) {
-                    return Err(MapError::exhausted(ii.saturating_sub(1), self.name()));
-                }
-            }
-            stats.ii_attempts += 1;
+        search.run_from(search.floor, trace, |ii, _, trace| {
             let mut attempt = IiAttempt::new(ii);
             let ii_span = trace.start();
-            let outcome = self.try_ii(
-                dfg,
-                cgra,
-                restriction,
-                &hops,
-                ii,
-                mii,
-                control,
-                trace,
-                &mut attempt,
-            );
+            let outcome = self.try_ii(dfg, cgra, &domains, &hops, ii, &search, trace, &mut attempt);
             let success = matches!(outcome, Outcome::Mapped(_));
             trace.record(
                 "sat.ii",
@@ -424,27 +397,17 @@ impl LowerLevelMapper for SatMapper {
                 .expect("attempt log poisoned")
                 .push(attempt);
             match outcome {
-                Outcome::Mapped(mut mapping) => {
-                    if let Some(c) = control {
-                        c.record_success(ii);
-                    }
-                    stats.compile_time = start.elapsed();
-                    mapping.stats = stats;
-                    return Ok(mapping);
-                }
-                Outcome::Cancelled => {
-                    return Err(MapError::cancelled(ii, self.name()));
-                }
+                Outcome::Mapped(mapping) => Attempt::Mapped(mapping),
+                Outcome::Cancelled => Attempt::Cancelled,
                 // budget and timeout both leave this II undecided; the
                 // search moves on (an exhausted cap reports SAT002)
-                Outcome::Unsat | Outcome::Budget | Outcome::Timeout => {}
+                Outcome::Unsat | Outcome::Budget | Outcome::Timeout => Attempt::Failed,
             }
-        }
-        Err(MapError::exhausted(max_ii, self.name()))
+        })
     }
 
     fn name(&self) -> &'static str {
-        "SAT"
+        BACKEND.name
     }
 }
 

@@ -1,20 +1,18 @@
 //! SPR\* — the schedule / place / route mapper (paper §3.3, Algorithm 2),
 //! re-implementing SPR (Friedman et al., FPGA'09) on the MRRG.
 
-use crate::placement::{
-    candidates_for, home_bias, initial_placement, placement_cost, warm_placement, PlacementState,
-};
+use crate::placement::{candidates_for, home_bias, placement_cost, placement_pass, PlacementState};
 use crate::router::{route_all, RouterConfig, RouterScratch};
+use crate::search::{Attempt, Backend, IiSearch, OpDomains};
 use crate::warmstart::WarmStartCache;
-use crate::{min_ii, LowerLevelMapper, Mapping, MappingStats, Restriction, SearchControl};
-use panorama_arch::Cgra;
+use crate::{LowerLevelMapper, Mapping, Restriction, SearchControl};
+use panorama_arch::{Cgra, PeId};
 use panorama_dfg::{Dfg, OpId};
 use panorama_trace::SpanCollector;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::error::Error;
 use std::fmt;
-use std::time::Instant;
 
 /// Error produced when a mapper exhausts its II budget — or is cancelled
 /// mid-search by a [`CancelToken`](crate::CancelToken).
@@ -69,23 +67,28 @@ impl fmt::Display for MapError {
 
 impl Error for MapError {}
 
+static BACKEND: Backend = Backend {
+    name: "SPR*",
+    abort: "spr.abort",
+    cancelled: "spr.cancelled",
+    exhausted: "spr.exhausted",
+    max_ii: (4, 12),
+};
+
+/// Simulated-annealing initial temperature.
+const SA_INITIAL_TEMP: f64 = 2.0;
+/// Annealing stops below this temperature (Algorithm 2 line 9).
+const SA_MIN_TEMP: f64 = 0.02;
+/// Multiplicative cooling per routing round (Algorithm 2 line 15).
+const SA_ALPHA: f64 = 0.82;
+/// Relocation attempts per temperature step.
+const SA_MOVES_PER_TEMP: usize = 64;
+
 /// SPR\* tunables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SprConfig {
-    /// II search cap as `mii * factor + offset`.
-    pub max_ii_factor: usize,
-    /// Absolute II cap added to `mii * max_ii_factor`.
-    pub max_ii_offset: usize,
     /// PathFinder settings per routing invocation.
     pub router: RouterConfig,
-    /// Simulated-annealing initial temperature.
-    pub sa_initial_temp: f64,
-    /// Annealing stops below this temperature (Algorithm 2 line 9).
-    pub sa_min_temp: f64,
-    /// Multiplicative cooling per routing round (Algorithm 2 line 15).
-    pub sa_alpha: f64,
-    /// Relocation attempts per temperature step.
-    pub sa_moves_per_temp: usize,
     /// RNG seed (deterministic mapping).
     pub seed: u64,
     /// Optional wall-clock budget; the II search aborts once exceeded.
@@ -95,16 +98,10 @@ pub struct SprConfig {
 impl Default for SprConfig {
     fn default() -> Self {
         SprConfig {
-            max_ii_factor: 4,
-            max_ii_offset: 12,
             router: RouterConfig {
                 max_iterations: 12,
                 ..RouterConfig::default()
             },
-            sa_initial_temp: 2.0,
-            sa_min_temp: 0.02,
-            sa_alpha: 0.82,
-            sa_moves_per_temp: 64,
             seed: 0x5912,
             time_budget: None,
         }
@@ -155,19 +152,12 @@ impl LowerLevelMapper for SprMapper {
         control: Option<&SearchControl>,
         trace: &mut SpanCollector,
     ) -> Result<Mapping, MapError> {
-        let start = Instant::now();
-        let mii = min_ii(dfg, cgra).mii();
-        let max_ii = mii * self.config.max_ii_factor + self.config.max_ii_offset;
-        // With a restriction, per-cluster capacity bounds prove some low II
-        // values infeasible; skipping them avoids pointless SA+router runs.
-        let cold_start_ii = match restriction {
-            Some(r) => mii.max(crate::restricted_min_ii(dfg, cgra, r)),
-            None => mii,
-        };
-        let out_of_time = |start: Instant| {
+        let search = IiSearch::new(&BACKEND, dfg, cgra, restriction, control);
+        let domains = OpDomains::new(dfg, cgra, restriction);
+        let out_of_time = || {
             self.config
                 .time_budget
-                .is_some_and(|budget| start.elapsed() > budget)
+                .is_some_and(|budget| search.started.elapsed() > budget)
         };
         let cancel = control.and_then(SearchControl::cancel_token);
         // One structural lookup per search. A hint's II was proven feasible
@@ -176,40 +166,26 @@ impl LowerLevelMapper for SprMapper {
         // relax a recurrence and admit a lower II, which the warm search
         // deliberately forgoes — the incremental-compile trade.
         let mut warm_hint = self.warm.as_ref().and_then(|w| w.lookup(dfg, cgra));
-        // The outer loop runs at most twice: once warm, and — only when an
+        // The search runs at most twice: once warm, and — only when an
         // exact-structure hit produced a mapping whose content hash differs
         // from the recorded one — once more cold, so a warm-enabled replay
         // returns byte-identical reports to a cold run.
-        'search: loop {
+        loop {
             let mut rng = SmallRng::seed_from_u64(self.config.seed);
-            let mut stats = MappingStats::default();
             let mut scratch = RouterScratch::new();
             let mut anneal_scratch = AnnealScratch::default();
+            let mut diverged = false;
             let start_ii = match &warm_hint {
-                Some(h) if h.ii > cold_start_ii && h.ii <= max_ii => h.ii,
-                _ => cold_start_ii,
+                Some(h) if h.ii > search.floor && h.ii <= search.cap => h.ii,
+                _ => search.floor,
             };
-            for ii in start_ii..=max_ii {
-                // External cancellation (deadline, shutdown) aborts the whole
-                // search with a distinguishable error; timing-dependent, so the
-                // event stays out of the deterministic signature.
-                if control.is_some_and(SearchControl::is_cancelled) {
-                    trace.event_unstable("spr.abort", &[("ii", ii as i64)]);
-                    return Err(MapError::cancelled(ii, self.name()));
-                }
-                if out_of_time(start) {
+            let result = search.run_from(start_ii, trace, |ii, stats, trace| {
+                if out_of_time() {
                     // Wall-clock cutoffs depend on machine load, so the event
                     // is excluded from the deterministic trace signature.
                     trace.event_unstable("spr.timeout", &[("ii", ii as i64)]);
-                    break;
+                    return Attempt::Stop;
                 }
-                // II searches ascend: once the portfolio bound rejects this II
-                // it rejects every later one, so the candidate is done.
-                if control.is_some_and(|c| !c.admits(ii)) {
-                    trace.event_unstable("spr.cancelled", &[("ii", ii as i64)]);
-                    break;
-                }
-                stats.ii_attempts += 1;
                 let ii_span = trace.start();
                 // joint schedule + least-cost placement (Algorithm 2 lines 4–8)
                 let place_span = trace.start();
@@ -217,9 +193,9 @@ impl LowerLevelMapper for SprMapper {
                 let placement = match warm {
                     // seeds that no longer fit degrade per-op; a wholesale
                     // failure falls back to the cold search for the same II
-                    Some(h) => warm_placement(dfg, cgra, ii, restriction, &h.seeds)
-                        .or_else(|_| initial_placement(dfg, cgra, ii, restriction)),
-                    None => initial_placement(dfg, cgra, ii, restriction),
+                    Some(h) => placement_pass(dfg, cgra, ii, &domains, Some(&h.seeds))
+                        .or_else(|_| placement_pass(dfg, cgra, ii, &domains, None)),
+                    None => placement_pass(dfg, cgra, ii, &domains, None),
                 };
                 if let Some(h) = warm {
                     trace.event(
@@ -248,7 +224,7 @@ impl LowerLevelMapper for SprMapper {
                         ii_span,
                         &[("ii", ii as i64), ("success", 0), ("structural", 0)],
                     );
-                    continue;
+                    return Attempt::Failed;
                 };
                 let mrrg = cgra.mrrg_shared(ii);
                 scratch.reset_for_ii();
@@ -257,10 +233,11 @@ impl LowerLevelMapper for SprMapper {
                     // starts knowing which nodes the prior run fought over
                     scratch.seed_history(&h.history);
                 }
-                let mut temp = self.config.sa_initial_temp;
+                let mut temp = SA_INITIAL_TEMP;
                 // whether the attempt's last routing round still held a
                 // signal placed beyond its slack (why the II failed)
                 let mut structural;
+                let mut verdict = Attempt::Failed;
 
                 loop {
                     let route_span = trace.start();
@@ -302,27 +279,23 @@ impl LowerLevelMapper for SprMapper {
                         );
                     }
                     if outcome.is_clean() {
-                        stats.compile_time = start.elapsed();
                         let routes = outcome
                             .routes
                             .into_iter()
                             .map(|r| r.expect("clean outcome has every route"))
                             .collect();
-                        let mapping = Mapping {
-                            mapper: self.name(),
+                        let mapping = search.mapping(
                             ii,
-                            mii,
-                            time_of: state.time_of.clone(),
-                            pe_of: state.pe_of.clone(),
-                            routes: Some(routes),
-                            stats,
-                        };
+                            state.time_of.clone(),
+                            state.pe_of.clone(),
+                            Some(routes),
+                        );
                         // An exact-structure warm hit must reproduce the
                         // recorded mapping bit for bit; a divergent result
                         // (seeded history steered the router elsewhere) is
                         // discarded and the search redone cold, so warm replay
                         // never changes report bytes (ROADMAP item 2).
-                        let diverged = warm_hint.as_ref().is_some_and(|h| {
+                        diverged = warm_hint.as_ref().is_some_and(|h| {
                             h.edit_distance == 0
                                 && h.content_hash != 0
                                 && mapping.content_hash() != h.content_hash
@@ -333,11 +306,7 @@ impl LowerLevelMapper for SprMapper {
                                 ii_span,
                                 &[("ii", ii as i64), ("success", 0), ("warm_diverged", 1)],
                             );
-                            warm_hint = None;
-                            continue 'search;
-                        }
-                        if let Some(c) = control {
-                            c.record_success(ii);
+                            return Attempt::Stop;
                         }
                         if let Some(w) = &self.warm {
                             w.record_parts(
@@ -351,19 +320,19 @@ impl LowerLevelMapper for SprMapper {
                             );
                         }
                         trace.record("spr.ii", ii_span, &[("ii", ii as i64), ("success", 1)]);
-                        return Ok(mapping);
+                        return Attempt::Mapped(mapping);
                     }
-                    if temp < self.config.sa_min_temp {
+                    if temp < SA_MIN_TEMP {
                         break; // give up on this II
                     }
                     // A fired token makes the router return early with a dirty
                     // outcome; abort before spending another annealing round.
                     if control.is_some_and(SearchControl::is_cancelled) {
-                        trace.event_unstable("spr.abort", &[("ii", ii as i64)]);
-                        return Err(MapError::cancelled(ii, self.name()));
+                        return Attempt::Cancelled;
                     }
-                    if out_of_time(start) {
+                    if out_of_time() {
                         trace.event_unstable("spr.timeout", &[("ii", ii as i64)]);
+                        verdict = Attempt::Stop;
                         break;
                     }
                     // simulated-annealing placement repair targeting the ops on
@@ -382,11 +351,10 @@ impl LowerLevelMapper for SprMapper {
                         dfg,
                         cgra,
                         &mut state,
-                        restriction,
+                        &domains,
                         &anneal_scratch.ops,
                         &anneal_scratch.heat,
                         temp,
-                        self.config.sa_moves_per_temp,
                         &mut rng,
                     );
                     stats.anneal_moves += moves;
@@ -400,7 +368,7 @@ impl LowerLevelMapper for SprMapper {
                             ("candidates", anneal_scratch.ops.len() as i64),
                         ],
                     );
-                    temp *= self.config.sa_alpha;
+                    temp *= SA_ALPHA;
                 }
                 trace.record(
                     "spr.ii",
@@ -411,14 +379,17 @@ impl LowerLevelMapper for SprMapper {
                         ("structural", i64::from(structural)),
                     ],
                 );
+                verdict
+            });
+            if !diverged {
+                return result;
             }
-            trace.event("spr.exhausted", &[("max_ii", max_ii as i64)]);
-            return Err(MapError::exhausted(max_ii, self.name()));
-        } // 'search
+            warm_hint = None;
+        }
     }
 
     fn name(&self) -> &'static str {
-        "SPR*"
+        BACKEND.name
     }
 }
 
@@ -508,11 +479,10 @@ fn anneal_step(
     dfg: &Dfg,
     cgra: &Cgra,
     state: &mut PlacementState,
-    restriction: Option<&Restriction>,
+    domains: &OpDomains,
     candidates: &[OpId],
     heat: &[f64],
     temp: f64,
-    budget: usize,
     rng: &mut SmallRng,
 ) -> usize {
     if candidates.is_empty() {
@@ -521,12 +491,12 @@ fn anneal_step(
     let placed = vec![true; dfg.num_ops()];
     let ii = state.ii as i64;
     let mut accepted = 0usize;
-    for _ in 0..budget {
+    for _ in 0..SA_MOVES_PER_TEMP {
         let op = candidates[rng.gen_range(0..candidates.len())];
         let old_t = state.time_of[op.index()];
         let old_pe = state.pe_of[op.index()];
         let old_cost = placement_cost(dfg, cgra, state, &placed, op, old_pe, old_t)
-            + home_bias(cgra, restriction, op, old_pe)
+            + home_bias(cgra, domains, op, old_pe)
             + heat[old_pe.index() * state.ii + old_t % state.ii];
         state.remove(op);
 
@@ -562,14 +532,14 @@ fn anneal_step(
         } else {
             rng.gen_range(estart..=lend) as usize
         };
-        let options = candidates_for(dfg, cgra, state, restriction, op, new_t % state.ii);
+        let options: Vec<PeId> = candidates_for(state, domains, op, new_t % state.ii).collect();
         if options.is_empty() {
             state.place(op, old_pe, old_t);
             continue;
         }
         let new_pe = options[rng.gen_range(0..options.len())];
         let new_cost = placement_cost(dfg, cgra, state, &placed, op, new_pe, new_t)
-            + home_bias(cgra, restriction, op, new_pe)
+            + home_bias(cgra, domains, op, new_pe)
             + heat[new_pe.index() * state.ii + new_t % state.ii];
         let delta = new_cost - old_cost;
         let accept = delta < 0.0 || rng.gen::<f64>() < (-delta / temp.max(1e-9)).exp();
@@ -637,42 +607,77 @@ mod tests {
 
     #[test]
     fn impossible_mapping_errors() {
-        // a store (needs mem PE) on an architecture where memory exists but
-        // the op count per II slot is forced impossible via a tiny max II
+        // 40 loads on 4 mem PEs need II ≥ 10; a request cap of 1 (riding on
+        // the bound, as the pipeline passes it) leaves nothing to attempt
         let mut b = DfgBuilder::new("big");
         for i in 0..40 {
             b.op(OpKind::Load, format!("l{i}"));
         }
         let dfg = b.build().unwrap();
-        let mapper = SprMapper::new(SprConfig {
-            max_ii_factor: 0,
-            max_ii_offset: 1, // II can only be mii*0+1 = 1... below need
-            ..SprConfig::default()
-        });
-        // 40 loads on 4 mem PEs need II ≥ 10; cap is 1 → error
-        let err = mapper.map(&dfg, &cgra(), None).unwrap_err();
-        assert_eq!(err.mapper, "SPR*");
+        let control = SearchControl::new(crate::PortfolioBound::capped(Some(1)), 0, 0);
+        let err = SprMapper::default()
+            .map_traced(
+                &dfg,
+                &cgra(),
+                None,
+                Some(&control),
+                &mut SpanCollector::disabled(),
+            )
+            .unwrap_err();
+        assert_eq!(err, MapError::exhausted(9, "SPR*"));
     }
 
     #[test]
     fn guided_mapping_verifies() {
-        use panorama_cluster::{explore_partitions, top_balanced, Cdg, SpectralConfig};
+        use panorama_cluster::{explore_partitions, top_balanced, Cdg, Partition, SpectralConfig};
         use panorama_place::{map_clusters, ScatterConfig};
         let cgra = Cgra::new(CgraConfig::scaled_8x8()).unwrap();
+        let check = |mapper: &dyn LowerLevelMapper, dfg: &Dfg, cdg: &Cdg| {
+            let cmap = map_clusters(cdg, 2, 2, &ScatterConfig::default()).unwrap();
+            let restriction = Restriction::from_cluster_map(dfg, cdg, &cmap, &cgra);
+            let mapping = mapper
+                .map(dfg, &cgra, Some(&restriction))
+                .unwrap_or_else(|e| panic!("{}: {e}", mapper.name()));
+            mapping.verify(dfg, &cgra).unwrap();
+            // placement actually honours the restriction
+            for op in dfg.op_ids() {
+                let cl = cgra.cluster_of(mapping.pe_of(op));
+                assert!(
+                    restriction.allows(op, cl),
+                    "{}: op {op} escaped its cluster",
+                    mapper.name()
+                );
+            }
+        };
         let dfg = kernels::generate(KernelId::Edn, KernelScale::Tiny);
         let parts = explore_partitions(&dfg, 2, 6, &SpectralConfig::default()).unwrap();
-        let best = top_balanced(&parts, 1)[0].1;
-        let cdg = Cdg::new(&dfg, best);
-        let cmap = map_clusters(&cdg, 2, 2, &ScatterConfig::default()).unwrap();
-        let restriction = Restriction::from_cluster_map(&dfg, &cdg, &cmap, &cgra);
-        let mapping = SprMapper::default()
-            .map(&dfg, &cgra, Some(&restriction))
-            .unwrap();
-        mapping.verify(&dfg, &cgra).unwrap();
-        // placement actually honours the restriction
-        for op in dfg.op_ids() {
-            let cl = cgra.cluster_of(mapping.pe_of(op));
-            assert!(restriction.allows(op, cl), "op {op} escaped its cluster");
+        check(
+            &SprMapper::default(),
+            &dfg,
+            &Cdg::new(&dfg, top_balanced(&parts, 1)[0].1),
+        );
+        // every backend under one restriction: four load → mul → add
+        // chains, one per cluster (small enough for the exhaustive mapper)
+        let mut b = DfgBuilder::new("chains");
+        let mut labels = Vec::new();
+        for g in 0..4 {
+            let l = b.op(OpKind::Load, format!("l{g}"));
+            let m = b.op(OpKind::Mul, format!("m{g}"));
+            let st = b.op(OpKind::Add, format!("a{g}"));
+            b.data(l, m);
+            b.data(m, st);
+            labels.extend([g; 3]);
+        }
+        let dfg = b.build().unwrap();
+        let cdg = Cdg::new(&dfg, &Partition::new(labels, 4));
+        let backends: [&dyn LowerLevelMapper; 4] = [
+            &SprMapper::default(),
+            &crate::UltraFastMapper::default(),
+            &crate::ExactMapper::default(),
+            &crate::SatMapper::default(),
+        ];
+        for mapper in backends {
+            check(mapper, &dfg, &cdg);
         }
     }
 }

@@ -12,51 +12,33 @@
 //! feasible slot.
 
 use crate::placement::FuOccupancy;
-use crate::{min_ii, LowerLevelMapper, MapError, Mapping, MappingStats, Restriction};
+use crate::search::{Attempt, Backend, IiSearch, OpDomains};
+use crate::{LowerLevelMapper, MapError, Mapping, Restriction};
 use panorama_arch::{Cgra, PeId};
 use panorama_dfg::{Dfg, OpId};
 use std::collections::HashMap;
-use std::time::Instant;
 
-/// Ultra-Fast tunables.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UltraFastConfig {
-    /// II cap as a multiple of MII plus an offset.
-    pub max_ii_factor: usize,
-    /// Absolute offset on the II cap.
-    pub max_ii_offset: usize,
-}
-
-impl Default for UltraFastConfig {
-    fn default() -> Self {
-        UltraFastConfig {
-            max_ii_factor: 16,
-            max_ii_offset: 16,
-        }
-    }
-}
+static BACKEND: Backend = Backend {
+    name: "Ultra-Fast",
+    abort: "ultrafast.abort",
+    cancelled: "ultrafast.cancelled",
+    exhausted: "ultrafast.exhausted",
+    max_ii: (16, 16),
+};
 
 /// The Ultra-Fast lower-level mapper. With a [`Restriction`] it becomes
 /// Pan-Ultra-Fast.
 #[derive(Debug, Clone, Default)]
-pub struct UltraFastMapper {
-    /// Mapper configuration.
-    pub config: UltraFastConfig,
-}
+pub struct UltraFastMapper {}
 
 impl UltraFastMapper {
-    /// Creates a mapper with custom settings.
-    pub fn new(config: UltraFastConfig) -> Self {
-        UltraFastMapper { config }
-    }
-
     /// One greedy pass at a fixed II. Returns placements + times, or the
     /// op that failed.
     fn try_ii(
         &self,
         dfg: &Dfg,
         cgra: &Cgra,
-        restriction: Option<&Restriction>,
+        domains: &OpDomains,
         ii: usize,
     ) -> Result<(Vec<usize>, Vec<PeId>), OpId> {
         let n = dfg.num_ops();
@@ -83,7 +65,6 @@ impl UltraFastMapper {
         order.sort_by_key(|&v| (levels[v.index()], v.index()));
         let mut scheduled = vec![false; n];
         for &op in &order {
-            let is_mem = dfg.op(op).kind.needs_memory();
             let mut t = 0usize;
             for e in dfg.graph().incoming(op) {
                 if e.weight.is_back() {
@@ -120,7 +101,7 @@ impl UltraFastMapper {
             // distance-greedy PE preference: nearest the already-placed
             // producers first (Ultra-Fast's marginal-cost placement; the
             // "narrow perspective" that forms hotspots)
-            let mut preferred: Vec<PeId> = cgra.pes().collect();
+            let mut preferred = domains.of(op).to_vec();
             let producers: Vec<PeId> = dfg
                 .graph()
                 .incoming(op)
@@ -138,17 +119,6 @@ impl UltraFastMapper {
                 for &pe in &preferred {
                     if !fu_used.is_free(pe, slot) {
                         continue;
-                    }
-                    if is_mem && !cgra.is_mem_pe(pe) {
-                        continue;
-                    }
-                    if dfg.op(op).kind == panorama_dfg::OpKind::Mul && !cgra.has_multiplier(pe) {
-                        continue;
-                    }
-                    if let Some(r) = restriction {
-                        if !r.allows(op, cgra.cluster_of(pe)) {
-                            continue;
-                        }
                     }
                     // every operand arriving this cycle reserves an L-path
                     // of physical links; check all of them first
@@ -242,62 +212,26 @@ impl LowerLevelMapper for UltraFastMapper {
         control: Option<&crate::SearchControl>,
         trace: &mut panorama_trace::SpanCollector,
     ) -> Result<Mapping, MapError> {
-        let start = Instant::now();
-        let mii = min_ii(dfg, cgra).mii();
-        let max_ii = mii * self.config.max_ii_factor + self.config.max_ii_offset;
-        // Skip II values the restriction's cluster capacities prove
-        // infeasible (see `restricted_min_ii`).
-        let start_ii = match restriction {
-            Some(r) => mii.max(crate::restricted_min_ii(dfg, cgra, r)),
-            None => mii,
-        };
-        let mut stats = MappingStats::default();
-        for ii in start_ii..=max_ii {
-            // external cancellation (deadline / shutdown) first: it must
-            // abort even searches the portfolio bound still admits
-            if control.is_some_and(crate::SearchControl::is_cancelled) {
-                trace.event_unstable("ultrafast.abort", &[("ii", ii as i64)]);
-                return Err(MapError::cancelled(ii, self.name()));
-            }
-            // ascending II search: a rejected II rejects the whole tail
-            if control.is_some_and(|c| !c.admits(ii)) {
-                trace.event_unstable("ultrafast.cancelled", &[("ii", ii as i64)]);
-                break;
-            }
-            stats.ii_attempts += 1;
+        let search = IiSearch::new(&BACKEND, dfg, cgra, restriction, control);
+        let domains = OpDomains::new(dfg, cgra, restriction);
+        search.run_from(search.floor, trace, |ii, _, trace| {
             let ii_span = trace.start();
-            if let Ok((time_of, pe_of)) = self.try_ii(dfg, cgra, restriction, ii) {
-                stats.compile_time = start.elapsed();
-                if let Some(c) = control {
-                    c.record_success(ii);
-                }
-                trace.record(
-                    "ultrafast.ii",
-                    ii_span,
-                    &[("ii", ii as i64), ("success", 1)],
-                );
-                return Ok(Mapping {
-                    mapper: self.name(),
-                    ii,
-                    mii,
-                    time_of,
-                    pe_of,
-                    routes: None, // abstract interconnect, no MRRG routes
-                    stats,
-                });
-            }
+            let outcome = self.try_ii(dfg, cgra, &domains, ii);
             trace.record(
                 "ultrafast.ii",
                 ii_span,
-                &[("ii", ii as i64), ("success", 0)],
+                &[("ii", ii as i64), ("success", i64::from(outcome.is_ok()))],
             );
-        }
-        trace.event("ultrafast.exhausted", &[("max_ii", max_ii as i64)]);
-        Err(MapError::exhausted(max_ii, self.name()))
+            match outcome {
+                // abstract interconnect, no MRRG routes
+                Ok((time_of, pe_of)) => Attempt::Mapped(search.mapping(ii, time_of, pe_of, None)),
+                Err(_) => Attempt::Failed,
+            }
+        })
     }
 
     fn name(&self) -> &'static str {
-        "Ultra-Fast"
+        BACKEND.name
     }
 }
 

@@ -437,6 +437,7 @@ fn cmd_compile(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
             min_ii(mapped, &cgra).mii(),
             mapping.ii(),
             &sat.config,
+            req.max_ii,
             &sat.take_attempts(),
         );
         std::fs::write(path, doc)?;

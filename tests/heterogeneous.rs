@@ -5,7 +5,9 @@
 
 use panorama_arch::{Cgra, CgraConfig};
 use panorama_dfg::{kernels, KernelId, KernelScale, OpKind};
-use panorama_mapper::{min_ii, LowerLevelMapper, SprMapper, UltraFastMapper};
+use panorama_mapper::{
+    min_ii, ExactMapper, LowerLevelMapper, SatMapper, SprMapper, UltraFastMapper,
+};
 
 fn hetero_8x8() -> Cgra {
     Cgra::new(CgraConfig {
@@ -49,18 +51,27 @@ fn mul_bound_raises_res_mii() {
 #[test]
 fn spr_maps_kernels_on_heterogeneous_array() {
     let cgra = hetero_8x8();
-    for id in [KernelId::Fir, KernelId::MatrixMultiply] {
-        let dfg = kernels::generate(id, KernelScale::Tiny);
-        let mapping = SprMapper::default()
-            .map(&dfg, &cgra, None)
-            .unwrap_or_else(|e| panic!("{id}: {e}"));
-        mapping.verify(&dfg, &cgra).unwrap();
-        for op in dfg.op_ids() {
-            if dfg.op(op).kind == OpKind::Mul {
-                assert!(
-                    cgra.has_multiplier(mapping.pe_of(op)),
-                    "{id}: multiply on a plain PE"
-                );
+    let backends: [&dyn LowerLevelMapper; 3] = [
+        &SprMapper::default(),
+        &SatMapper::default(),
+        &ExactMapper::default(),
+    ];
+    for mapper in backends {
+        for id in [KernelId::Fir, KernelId::MatrixMultiply] {
+            let who = format!("{} on {id}", mapper.name());
+            let dfg = kernels::generate(id, KernelScale::Tiny);
+            let mapping = mapper
+                .map(&dfg, &cgra, None)
+                .unwrap_or_else(|e| panic!("{who}: {e}"));
+            mapping.verify(&dfg, &cgra).unwrap();
+            for op in dfg.op_ids() {
+                let (kind, pe) = (dfg.op(op).kind, mapping.pe_of(op));
+                if kind == OpKind::Mul {
+                    assert!(cgra.has_multiplier(pe), "{who}: multiply on a plain PE");
+                }
+                if kind.needs_memory() {
+                    assert!(cgra.is_mem_pe(pe), "{who}: memory op on a compute PE");
+                }
             }
         }
     }

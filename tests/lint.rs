@@ -231,6 +231,36 @@ fn compile_honours_achievable_ii_cap() {
 }
 
 #[test]
+fn compile_max_ii_caps_the_search() {
+    // edn on 8x8 maps at II 11 guided and II 12 unguided (MII 4): a cap of
+    // 5 passes the static check and must end the search, not be ignored;
+    // a cap at the achieved II must change nothing.
+    for (mode, achieved) in [(None, "11"), (Some("--baseline"), "12")] {
+        let compile = |cap: Option<&str>| {
+            let mut cmd = bin();
+            cmd.args(["compile", "--dfg", "edn", "--arch", "8x8", "--json"]);
+            cmd.args(mode);
+            if let Some(cap) = cap {
+                cmd.args(["--max-ii", cap]);
+            }
+            cmd.output().unwrap()
+        };
+        let capped = compile(Some("5"));
+        let stderr = String::from_utf8(capped.stderr).unwrap();
+        assert!(!capped.status.success(), "{mode:?}: {stderr}");
+        assert!(
+            stderr.contains("found no valid mapping up to II 5"),
+            "{mode:?}: {stderr}"
+        );
+        let (free, at_achieved) = (compile(None), compile(Some(achieved)));
+        assert!(free.status.success() && at_achieved.status.success());
+        let doc = String::from_utf8(free.stdout).unwrap();
+        assert!(doc.contains(&format!("\"ii\":{achieved},")), "{doc}");
+        assert_eq!(doc, String::from_utf8(at_achieved.stdout).unwrap());
+    }
+}
+
+#[test]
 fn unknown_flags_and_commands_are_named_in_errors() {
     let out = bin()
         .args(["lint", "--dfg", "fir", "--frobnicate"])

@@ -41,6 +41,7 @@ fn samples() -> Vec<(&'static str, String)> {
             2,
             mapped_ii,
             &SatMapperConfig::default(),
+            None,
             attempts,
         )
     };

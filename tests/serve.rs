@@ -487,8 +487,14 @@ fn bad_requests_get_structured_errors() {
         "{\"kernel\":\"fir\",\"arch\":\"6x1\",\"scale\":\"scaled\",\"max_ii\":4}",
     );
     assert_eq!(status, 422, "{body}");
+    // So is a statically feasible `max_ii` the search cannot meet (edn on
+    // 8x8 needs II 11): the cap ends the search, it is not ignored.
+    let capped = "{\"kernel\":\"edn\",\"arch\":\"8x8\",\"max_ii\":5}";
+    let (status, _, body) = http(daemon.addr, "POST", "/compile", capped);
+    assert_eq!(status, 422, "{body}");
+    assert!(body.contains("compile_failed"), "{body}");
     let m = metrics(daemon.addr);
-    assert_eq!(metric(&m, "requests", "failed"), 1);
+    assert_eq!(metric(&m, "requests", "failed"), 2);
     daemon.drain_and_join();
 }
 

@@ -16,7 +16,7 @@ use panorama_dfg::{
     kernels, random_dfg, Dep, Dfg, DfgBuilder, KernelId, KernelScale, OpKind, RandomDfgConfig,
 };
 use panorama_exec::{execute, ExecError, ExecOptions};
-use panorama_mapper::{ExactConfig, ExactMapper, SatMapper, SprMapper, UltraFastMapper};
+use panorama_mapper::{ExactMapper, SatMapper, SprMapper, UltraFastMapper};
 use panorama_sim::semantics::{InputVectors, VectorKind};
 use panorama_sim::{interpret, simulate, SimError};
 use proptest::prelude::*;
@@ -360,7 +360,7 @@ fn exact_backend_executes_small_kernels_and_skips_over_cap_explicitly() {
     // kernels above it are excused with the cap spelled out, everything
     // below must execute value-equal.
     let compiler = Panorama::new(PanoramaConfig::default());
-    let cap = ExactConfig::default().max_ops;
+    let cap = ExactMapper::MAX_OPS;
     let opts = ExecOptions {
         iterations: 4,
         ..ExecOptions::default()
