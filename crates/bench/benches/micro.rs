@@ -94,7 +94,8 @@ fn bench_scatter(c: &mut Criterion) {
     });
 
     // the 16×16 cluster grid at paper scale: cordic's best-balanced
-    // partition (k = 20) costs ~42 k branch & bound nodes
+    // partition (k = 20) costs 291 branch & bound nodes (42 493 before the
+    // scattering ILPs stopped at their objective's arithmetic floor)
     let dfg = kernels::generate(KernelId::Cordic, KernelScale::Paper);
     let parts = explore_partitions(&dfg, 4, 32, &SpectralConfig::default()).unwrap();
     let best = top_balanced(&parts, 1)[0].1.clone();

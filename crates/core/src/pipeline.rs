@@ -342,6 +342,7 @@ impl Panorama {
                             ("routing_complexity", i64::from(map.routing_complexity())),
                             ("ilp_solves", effort.solves as i64),
                             ("bnb_nodes", effort.bnb_nodes as i64),
+                            ("node_limited", effort.node_limited as i64),
                             ("simplex_pivots", effort.simplex_pivots as i64),
                             ("presolve_reductions", effort.presolve_reductions as i64),
                             ("success", 1),

@@ -170,14 +170,17 @@ impl Model {
             .collect();
         let mut spans = vec![0.0; n];
 
+        // Stop rule only: an incumbent at the floor is optimal. The floor
+        // never reaches the LP, the branching or the child order.
+        let objective_floor = self.objective_floor();
+
         let mut stack = vec![root];
         let mut incumbent: Option<(Vec<f64>, f64)> = None;
         let mut nodes = 0usize;
         let mut root_unbounded = false;
 
         while let Some(node) = stack.pop() {
-            nodes += 1;
-            if nodes > self.node_limit {
+            if nodes == self.node_limit {
                 stats.nodes = nodes as u64;
                 return Err(SolveError::NodeLimit(incumbent.map(|(values, obj)| {
                     Solution {
@@ -187,6 +190,7 @@ impl Model {
                     }
                 })));
             }
+            nodes += 1;
             // Fast infeasibility: crossed bounds from branching.
             if node
                 .lower
@@ -260,6 +264,9 @@ impl Model {
                             let obj: f64 = snapped.iter().zip(&cost).map(|(v, c)| v * c).sum();
                             if incumbent.as_ref().is_none_or(|(_, inc)| obj < inc - 1e-9) {
                                 incumbent = Some((snapped, obj));
+                                if objective_floor.is_some_and(|f| obj <= f + 1e-9) {
+                                    break;
+                                }
                             }
                         }
                         Some(j) => {

@@ -11,7 +11,9 @@
 //! * a dense **two-phase primal simplex** for LP relaxations
 //!   (Bland's rule, so it cannot cycle);
 //! * **branch & bound** on fractional integer variables with best-bound
-//!   pruning and a rounding heuristic for early incumbents.
+//!   pruning and a rounding heuristic for early incumbents; a search over
+//!   [`Model::abs_var`] objectives ends as soon as an incumbent meets the
+//!   objective's arithmetic floor (the gcd bound on `|Σ aᵢxᵢ + c|`).
 //!
 //! # Examples
 //!

@@ -281,6 +281,9 @@ pub struct Model {
     pub(crate) sense: Sense,
     /// Node budget for branch & bound; `solve` errors past this.
     pub(crate) node_limit: usize,
+    /// `(t, expr)` of every [`Model::abs_var`]: what the objective floor is
+    /// derived from.
+    pub(crate) abs_defs: Vec<(VarId, LinExpr)>,
 }
 
 impl Model {
@@ -292,6 +295,7 @@ impl Model {
             objective: LinExpr::new(),
             sense,
             node_limit: 200_000,
+            abs_defs: Vec::new(),
         }
     }
 
@@ -410,14 +414,90 @@ impl Model {
     /// With `t` in a minimised objective this is the standard exact
     /// linearisation of `|expr|`; `bound` must be a valid upper bound on
     /// `|expr|` (e.g. the sum of absolute coefficient ranges).
+    ///
+    /// The expression is remembered: when a minimised objective is a
+    /// non-negative combination of such variables over integer
+    /// expressions, [`Model::solve`] knows the least value it can take and
+    /// stops at the first incumbent that meets it.
     pub fn abs_var(&mut self, name: impl Into<String>, expr: LinExpr, bound: f64) -> VarId {
         let t = self.cont_var(name, 0.0, bound);
         // t ≥ expr  ⇔  expr − t ≤ 0
         self.add_constraint(expr.clone() - LinExpr::from(t), Cmp::Le, 0.0);
         // t ≥ −expr ⇔ −expr − t ≤ 0
-        self.add_constraint(-expr - LinExpr::from(t), Cmp::Le, 0.0);
+        self.add_constraint(-expr.clone() - LinExpr::from(t), Cmp::Le, 0.0);
+        self.abs_defs.push((t, expr));
         t
     }
+
+    /// The arithmetic floor of the objective: a value no feasible
+    /// assignment can go below, read off the coefficients alone.
+    ///
+    /// Defined only when the model minimises a non-negative combination
+    /// `Σ wₖ·tₖ` of [`Model::abs_var`]s whose expressions have integer
+    /// coefficients on integer variables. Such an expression only takes
+    /// values in `cₖ + gₖℤ` (`gₖ` the gcd of its coefficients), so
+    /// `tₖ ≥ dist(−cₖ, gₖℤ)` and the floor is `Σ wₖ·dist(−cₖ, gₖℤ)`.
+    /// Anything else — maximisation, a negative weight, an objective term
+    /// that is no `abs_var`, a continuous operand, a fractional
+    /// coefficient, an empty objective — has no floor.
+    ///
+    /// Branch & bound uses it for one thing: an incumbent that meets the
+    /// floor is optimal, so the search ends there. It never enters the LP.
+    pub(crate) fn objective_floor(&self) -> Option<f64> {
+        if self.sense != Sense::Minimize {
+            return None;
+        }
+        let mut weights = self.objective.coefficients(self.num_vars());
+        let mut floor = 0.0;
+        let mut terms = 0usize;
+        for (t, expr) in &self.abs_defs {
+            let w = std::mem::take(&mut weights[t.index()]);
+            if w == 0.0 {
+                continue;
+            }
+            if w.is_nan() || w < 0.0 {
+                return None;
+            }
+            floor += w * self.integer_gap(expr)?;
+            terms += 1;
+        }
+        // whatever weight is left sits on a variable that is no abs_var
+        (terms > 0 && weights.iter().all(|&w| w == 0.0)).then_some(floor)
+    }
+
+    /// `min |expr|` over the integer lattice, `dist(−c, gℤ)`; `None` unless
+    /// every coefficient is an integer on an integer variable.
+    fn integer_gap(&self, expr: &LinExpr) -> Option<f64> {
+        // integers past 2⁵³ are not exact in an f64
+        const EXACT: f64 = 9_007_199_254_740_992.0;
+        let mut g = 0u64;
+        for (def, a) in self.vars.iter().zip(expr.coefficients(self.num_vars())) {
+            if a == 0.0 {
+                continue;
+            }
+            if !def.integer || a.fract() != 0.0 || a.abs() > EXACT {
+                return None;
+            }
+            g = gcd(g, a.abs() as u64);
+        }
+        let c = expr.constant.abs();
+        if !c.is_finite() {
+            return None;
+        }
+        if g == 0 {
+            return Some(c);
+        }
+        let g = g as f64;
+        let r = c % g;
+        Some(r.min(g - r))
+    }
+}
+
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 #[cfg(test)]

@@ -140,30 +140,47 @@ fn assignment_problem_3x3() {
     assert_eq!(sol.objective(), 5.0);
 }
 
-#[test]
-fn node_limit_errors_gracefully() {
+/// A loose knapsack with correlated weights: forces branching.
+fn correlated_knapsack() -> Model {
     let mut m = Model::new(Sense::Maximize);
     let vars: Vec<_> = (0..16).map(|i| m.bool_var(format!("b{i}"))).collect();
-    // loose knapsack with correlated weights: forces branching
-    m.add_constraint(
+    let weighted = |base: f64, modulus: usize| {
         LinExpr::sum(
             vars.iter()
                 .enumerate()
-                .map(|(i, &v)| (2.0 + (i % 3) as f64, v)),
-        ),
-        Cmp::Le,
-        17.0,
-    );
-    m.set_objective(LinExpr::sum(
-        vars.iter()
-            .enumerate()
-            .map(|(i, &v)| (3.0 + (i % 5) as f64, v)),
-    ));
+                .map(|(i, &v)| (base + (i % modulus) as f64, v)),
+        )
+    };
+    m.add_constraint(weighted(2.0, 3), Cmp::Le, 17.0);
+    m.set_objective(weighted(3.0, 5));
+    m
+}
+
+#[test]
+fn node_limit_errors_gracefully() {
+    let mut m = correlated_knapsack();
     m.set_node_limit(1);
     match m.solve() {
         Err(SolveError::NodeLimit(_)) => {}
         Ok(_) => {} // solved at the root — also acceptable
         Err(e) => panic!("unexpected error {e}"),
+    }
+}
+
+#[test]
+fn node_budget_reports_explored_nodes() {
+    let mut m = correlated_knapsack();
+    let full = m.solve().unwrap().stats().nodes;
+    assert!(full > 2, "the model must need a search, took {full} nodes");
+
+    // a budget that is exactly enough is not an error
+    m.set_node_limit(full as usize);
+    assert_eq!(m.solve().unwrap().stats().nodes, full);
+    // one node short: the count is what was explored, not budget + 1
+    m.set_node_limit(full as usize - 1);
+    match m.solve() {
+        Err(SolveError::NodeLimit(Some(sol))) => assert_eq!(sol.stats().nodes, full - 1),
+        other => panic!("expected a node-limited incumbent, got {other:?}"),
     }
 }
 
@@ -341,4 +358,169 @@ fn lp_export_of_scatter_like_model_parses_visually() {
     assert!(lp.matches("c").count() > 3);
     // and it still solves
     assert!(m.solve().is_ok());
+}
+
+mod objective_floor {
+    use super::*;
+    use crate::VarId;
+    use proptest::prelude::*;
+
+    /// `t ≥ |expr|` written out by hand — the rows of [`Model::abs_var`]
+    /// without the record the floor is derived from.
+    fn abs_by_hand(m: &mut Model, expr: LinExpr, bound: f64) -> VarId {
+        let t = m.cont_var("t", 0.0, bound);
+        m.add_constraint(expr.clone() - LinExpr::from(t), Cmp::Le, 0.0);
+        m.add_constraint(-expr - LinExpr::from(t), Cmp::Le, 0.0);
+        t
+    }
+
+    #[test]
+    fn floor_is_the_distance_to_the_coefficient_lattice() {
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.int_var("x", -3, 9);
+        let y = m.bool_var("y");
+        // 4x + 8y − 6 ∈ 2 + 4ℤ: never closer to zero than 2
+        let a = m.abs_var("a", 4.0 * x + 8.0 * y - 6.0, 100.0);
+        // duplicate terms merge before the gcd: 3x + 3x − 6y + 2.5 ∈ 2.5 + 6ℤ
+        let b = m.abs_var("b", 3.0 * x + 3.0 * x - 6.0 * y + 2.5, 100.0);
+        // no variables at all: the constant itself
+        let c = m.abs_var("c", LinExpr::constant(-1.5), 100.0);
+        let unused = m.abs_var("unused", LinExpr::from(x) - 0.5, 100.0);
+        m.set_objective(1.0 * a + 2.0 * b + 4.0 * c + 0.0 * unused + 7.0);
+        assert_eq!(m.objective_floor(), Some(2.0 + 2.0 * 2.5 + 4.0 * 1.5));
+        // a bound, not a promise: b's lattice point needs x = y, a's does not
+        assert!(m.solve().unwrap().objective() > 13.0 + 7.0);
+    }
+
+    #[test]
+    fn models_without_a_floor() {
+        type Build = fn(&mut Model, VarId, VarId) -> LinExpr;
+        let cases: [(&str, Sense, Build); 7] = [
+            ("maximise", Sense::Maximize, |m, x, _| {
+                LinExpr::from(m.abs_var("t", 2.0 * x - 1.0, 9.0))
+            }),
+            ("negative weight", Sense::Minimize, |m, x, y| {
+                let t = m.abs_var("t", 2.0 * x - 1.0, 9.0);
+                let u = m.abs_var("u", 2.0 * y - 1.0, 9.0);
+                1.0 * t - 1.0 * u
+            }),
+            ("continuous operand", Sense::Minimize, |m, x, _| {
+                let z = m.cont_var("z", 0.0, 1.0);
+                LinExpr::from(m.abs_var("t", 2.0 * x + 2.0 * z - 1.0, 9.0))
+            }),
+            ("fractional coefficient", Sense::Minimize, |m, x, y| {
+                LinExpr::from(m.abs_var("t", 2.0 * x + 0.5 * y - 1.0, 9.0))
+            }),
+            ("term that is no abs_var", Sense::Minimize, |m, x, y| {
+                m.abs_var("t", 2.0 * x - 1.0, 9.0) + y
+            }),
+            ("hand-written rows", Sense::Minimize, |m, x, _| {
+                LinExpr::from(abs_by_hand(m, 2.0 * x - 1.0, 9.0))
+            }),
+            ("empty objective", Sense::Minimize, |m, x, _| {
+                m.abs_var("t", 2.0 * x - 1.0, 9.0);
+                LinExpr::new()
+            }),
+        ];
+        for (name, sense, build) in cases {
+            let mut m = Model::new(sense);
+            let x = m.int_var("x", 0, 4);
+            let y = m.bool_var("y");
+            let objective = build(&mut m, x, y);
+            m.set_objective(objective);
+            assert_eq!(m.objective_floor(), None, "{name}");
+            assert!(m.solve().is_ok(), "{name} still solves");
+        }
+        // the control: the first case, minimised, has one
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.int_var("x", 0, 4);
+        let t = m.abs_var("t", 2.0 * x - 1.0, 9.0);
+        m.set_objective(LinExpr::from(t));
+        assert_eq!(m.objective_floor(), Some(1.0));
+    }
+
+    /// The scattering balance `min |R·Σ wᵢ·xᵢ − target|` under `≤`
+    /// cardinality rows (a bit mask of members and a cap each).
+    fn balance(
+        weights: &[i64],
+        rows: i64,
+        target: i64,
+        cards: &[(u16, usize)],
+        by_hand: bool,
+    ) -> (Model, Vec<VarId>) {
+        let mut m = Model::new(Sense::Minimize);
+        let vars: Vec<_> = (0..weights.len())
+            .map(|i| m.bool_var(format!("x{i}")))
+            .collect();
+        for &(mask, cap) in cards {
+            let members = vars.iter().enumerate().filter(|(i, _)| mask >> i & 1 == 1);
+            m.add_constraint(
+                LinExpr::sum(members.map(|(_, &v)| (1.0, v))),
+                Cmp::Le,
+                cap as f64,
+            );
+        }
+        let expr = LinExpr::sum(
+            weights
+                .iter()
+                .zip(&vars)
+                .map(|(&w, &v)| ((rows * w) as f64, v)),
+        ) - target as f64;
+        let bound = (rows * weights.iter().sum::<i64>() + target.abs()) as f64;
+        let t = if by_hand {
+            abs_by_hand(&mut m, expr, bound)
+        } else {
+            m.abs_var("t", expr, bound)
+        };
+        m.set_objective(LinExpr::from(t));
+        (m, vars)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn floor_stops_a_prefix_of_the_same_search(
+            weights in proptest::collection::vec(1i64..41, 2..13),
+            rows in 2i64..5,
+            share in 20i64..81,
+            offset in -3i64..4,
+            masks in proptest::collection::vec(0u16..4096, 0..4),
+            caps in proptest::collection::vec(0usize..13, 3..4),
+        ) {
+            let n = weights.len();
+            let cards: Vec<(u16, usize)> = masks.into_iter().zip(caps).collect();
+            // a target the subsets can straddle, a few units off the lattice
+            let target = rows * weights.iter().sum::<i64>() * share / 100 + offset;
+            let best = (0..1u32 << n)
+                .filter(|pick| {
+                    cards.iter().all(|&(mask, cap)| {
+                        (pick & u32::from(mask) & ((1 << n) - 1)).count_ones() as usize <= cap
+                    })
+                })
+                .map(|pick| {
+                    let stay: i64 = (0..n).filter(|i| pick >> i & 1 == 1).map(|i| weights[i]).sum();
+                    (rows * stay - target).abs()
+                })
+                .min()
+                .expect("all-zero satisfies every cap") as f64;
+
+            let (with_floor, vars) = balance(&weights, rows, target, &cards, false);
+            let (by_hand, hand_vars) = balance(&weights, rows, target, &cards, true);
+            let floor = with_floor.objective_floor().expect("a balance model has a floor");
+            prop_assert!(floor <= best, "floor {floor} above the optimum {best}");
+            prop_assert_eq!(by_hand.objective_floor(), None);
+
+            let stopped = with_floor.solve().unwrap();
+            let exhaustive = by_hand.solve().unwrap();
+            prop_assert!((stopped.objective() - best).abs() < 1e-6,
+                "solver {} vs brute force {best}", stopped.objective());
+            prop_assert!((exhaustive.objective() - best).abs() < 1e-6);
+            // same tree, same incumbent, possibly fewer nodes
+            prop_assert!(stopped.stats().nodes <= exhaustive.stats().nodes);
+            prop_assert!(stopped.stats().pivots <= exhaustive.stats().pivots);
+            for (&a, &b) in vars.iter().zip(&hand_vars) {
+                prop_assert_eq!(stopped.bool_value(a), exhaustive.bool_value(b));
+            }
+        }
+    }
 }

@@ -17,6 +17,7 @@ fn solve_lenient(model: &Model, effort: &mut IlpEffort) -> Result<Option<Solutio
         }
         Err(SolveError::Infeasible) => Ok(None),
         Err(SolveError::NodeLimit(Some(sol))) => {
+            effort.node_limited += 1;
             effort.absorb(sol.stats());
             Ok(Some(sol))
         }

@@ -54,3 +54,42 @@ fn double_unrolled_kernel_maps_on_16x16() {
     let report = compiler.compile(&dfg, &cgra, &mapper).expect("guided maps");
     report.mapping().verify(&dfg, &cgra).unwrap();
 }
+
+/// The higher-level plans of the five `divide16x16-plan` kernels, each
+/// folded to one `u64` (FNV-1a over the partition labels, then the rendered
+/// cluster map — the fold `benchmark/` reports as `rows[].hash`). An exact
+/// change to the eigensolver, k-means or the ILP stack must leave all five
+/// where they are.
+#[test]
+#[ignore = "paper-scale run: ~5 s in a release build, minutes in debug"]
+fn plan_fingerprints_are_pinned_at_paper_scale() {
+    let cgra = Cgra::new(CgraConfig::paper_16x16()).unwrap();
+    let compiler = Panorama::new(PanoramaConfig::default());
+    for (id, want) in [
+        (KernelId::InvertMat, 0x8821_d7f3_00b2_6b82_u64),
+        (KernelId::JpegFdct, 0xabf3_df2f_ccec_8946),
+        (KernelId::IdctRows, 0xea4c_6a0c_454b_78c6),
+        (KernelId::Fir, 0xe384_5567_5e70_1c16),
+        (KernelId::Cordic, 0x519d_df49_d925_2bf0),
+    ] {
+        let dfg = kernels::generate(id, KernelScale::Paper);
+        let plan = compiler.plan(&dfg, &cgra).expect("plans");
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for &label in plan.partition().labels() {
+            eat(&(label as u64).to_le_bytes());
+        }
+        eat(plan.cluster_map().render().as_bytes());
+        assert_eq!(
+            h,
+            want,
+            "{}: {h:016x}\n{}",
+            id.name(),
+            plan.cluster_map().render()
+        );
+    }
+}
