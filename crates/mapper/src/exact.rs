@@ -208,7 +208,7 @@ impl LowerLevelMapper for ExactMapper {
         }
         let search = IiSearch::new(&BACKEND, dfg, cgra, restriction, control);
         let domains = OpDomains::new(dfg, cgra, restriction);
-        let mut scratch = crate::router::RouterScratch::new();
+        let mut scratch = crate::router::RouterScratch::default();
         search.run_from(search.floor, trace, |ii, stats, _| {
             if domains.any_empty() {
                 return Attempt::Failed;

@@ -152,22 +152,44 @@ pub(crate) fn home_bias(cgra: &Cgra, domains: &OpDomains, op: OpId, pe: PeId) ->
     dist as f64 * 8.0
 }
 
+/// Why [`placement_pass`] gave up; the discriminant is the `reason` field of
+/// the `spr.place_fail` span.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PlaceFailReason {
+    /// More ops (or memory ops) than FU (or memory-PE) slots at this II.
+    Capacity = 0,
+    /// The placed neighbours leave `op` no start time: `lstart < estart`.
+    EmptyWindow = 1,
+    /// No time of the op's window has a PE of its domain free (for a memory
+    /// op: and a memory slot left).
+    NoFreePe = 2,
+}
+
+/// The first op [`placement_pass`] found no legal `(t, PE)` for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PlaceFail {
+    pub op: OpId,
+    pub reason: PlaceFailReason,
+}
+
 /// Greedy least-cost joint schedule + placement of every op in topological
 /// order. With `seeds` (a warm start), an op whose `(PE, time)` seed from a
 /// prior mapping is still legal (schedule window, FU slot, the op's domain,
 /// memory slot budget) keeps it; everything else — unseeded ops, seeds
 /// invalidated by the delta — takes the cold least-cost search op by op.
-/// Returns `Err(op)` naming the first op with no legal `(t, PE)` at all.
+/// Stops at the first op with no legal `(t, PE)` at all.
 pub(crate) fn placement_pass(
     dfg: &Dfg,
     cgra: &Cgra,
     ii: usize,
     domains: &OpDomains,
     seeds: Option<&[Option<(PeId, usize)>]>,
-) -> Result<PlacementState, OpId> {
+) -> Result<PlacementState, PlaceFail> {
+    let fail = |op, reason| Err(PlaceFail { op, reason });
     // quick global feasibility
     if dfg.num_ops() > cgra.num_pes() * ii || dfg.num_mem_ops() > cgra.num_mem_pes().max(1) * ii {
-        return Err(dfg.op_ids().next().expect("nonempty DFG"));
+        let first = dfg.op_ids().next().expect("nonempty DFG");
+        return fail(first, PlaceFailReason::Capacity);
     }
     let mut state = PlacementState {
         pe_of: vec![PeId::from_index(0); dfg.num_ops()],
@@ -213,7 +235,7 @@ pub(crate) fn placement_pass(
         }
         let estart = estart.max(0);
         if lstart < estart {
-            return Err(op);
+            return fail(op, PlaceFailReason::EmptyWindow);
         }
 
         // a still-legal seed from a prior mapping wins outright: warm
@@ -271,7 +293,7 @@ pub(crate) fn placement_pass(
                 }
                 placed[op.index()] = true;
             }
-            None => return Err(op),
+            None => return fail(op, PlaceFailReason::NoFreePe),
         }
     }
     Ok(state)
@@ -336,7 +358,7 @@ mod tests {
         Cgra::new(CgraConfig::small_4x4()).unwrap()
     }
 
-    fn place(dfg: &Dfg, cgra: &Cgra, ii: usize) -> Result<PlacementState, OpId> {
+    fn place(dfg: &Dfg, cgra: &Cgra, ii: usize) -> Result<PlacementState, PlaceFail> {
         placement_pass(dfg, cgra, ii, &OpDomains::new(dfg, cgra, None), None)
     }
 

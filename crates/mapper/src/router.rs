@@ -9,6 +9,13 @@
 //! iteration budget runs out (placement then changes via simulated
 //! annealing, Algorithm 2 lines 9–15).
 //!
+//! Rerouting is negotiated, not wholesale: routes and node usage persist in
+//! the [`RouterScratch`], and an iteration rips up and re-searches only the
+//! producer groups that hold an unrouted signal or cross a node that is
+//! overused at that moment. The same state survives from one `route_all`
+//! call to the next, so after an annealing step only the signals of the ops
+//! that moved (and whatever they now collide with) are searched again.
+//!
 //! This is the hottest loop in the toolchain, so the per-signal A* runs on
 //! flat `Vec`-backed tables indexed by `(elapsed, MRRG node)` and
 //! invalidated by generation stamps — no hashing, and no per-signal
@@ -17,7 +24,7 @@
 //! node is one load from a per-node table kept current with the usage
 //! counts, and neighbor expansion walks a flattened CSR with FU
 //! destinations pre-filtered and destination PE coordinates inlined per
-//! edge. All buffers live in a [`RouterScratch`] reused across signals,
+//! edge. All buffers live in the [`RouterScratch`] reused across signals,
 //! PathFinder iterations, and annealing rounds.
 
 use crate::mapping::Route;
@@ -65,7 +72,12 @@ pub(crate) struct RouteOutcome {
     pub unreachable: usize,
     /// PathFinder iterations actually run.
     pub iterations: usize,
-    /// Per-node usage of the last iteration (for annealing to target
+    /// A* searches run, over all iterations.
+    pub(crate) searches: usize,
+    /// Signals that came into the call with a route still valid for their
+    /// endpoints and schedule.
+    pub(crate) kept: usize,
+    /// Per-node usage after the last iteration (for annealing to target
     /// congested ops).
     pub usage: Vec<u16>,
 }
@@ -78,7 +90,7 @@ impl RouteOutcome {
 
 /// What one A* search over `(MRRG node, elapsed)` states came to.
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Search {
+enum Search {
     /// A cheapest path, every node with its elapsed time.
     Found(Vec<(MrrgNodeId, u32)>),
     /// No path with exactly `delta` advances exists: the slack is below
@@ -97,11 +109,30 @@ pub(crate) enum Search {
 struct Signal {
     edge_index: usize,
     producer: u32,
+    key: SignalKey,
+}
+
+/// Everything a route depends on besides congestion. The MRRG is fixed for
+/// an II attempt, so a path found for one key is a legal path for an equal
+/// key in any later call.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct SignalKey {
     src_pe: PeId,
     dst_pe: PeId,
     start_time: usize,
     dst_slot: usize,
     delta: i64,
+}
+
+/// A route held in the scratch together with the usage it took.
+struct KeptRoute {
+    /// The signal the path was searched for. When the live signal of the
+    /// edge differs (an endpoint moved or was retimed) the path is stale:
+    /// useless as a route, but still counted in `usage` until its producer
+    /// group is released.
+    key: SignalKey,
+    /// Every node with its elapsed time, as [`Search::Found`] returned it.
+    path: Vec<(MrrgNodeId, u32)>,
 }
 
 /// One pre-lowered MRRG edge in the flattened CSR: everything the A*
@@ -117,10 +148,12 @@ struct FlatEdge {
     dst_col: u8,
 }
 
-/// Reusable routing state: A* tables, the priority heap, per-producer
-/// claim bits, congestion history, and per-iteration base costs. Created
-/// once per II attempt and threaded through every `route_all` call of the
-/// annealing loop, so the hot path never allocates.
+/// Routing state of one II attempt: A* tables, the priority heap,
+/// per-producer claim bits, congestion history and node costs, and the
+/// routes found so far with the usage they hold. Threaded through every
+/// `route_all` call of the annealing loop; [`Self::reset_for_ii`] makes it
+/// new again.
+#[derive(Default)]
 pub(crate) struct RouterScratch {
     /// Generation stamp per `(elapsed, node)` A* state; a state is live
     /// only when its stamp equals the current generation.
@@ -153,7 +186,7 @@ pub(crate) struct RouterScratch {
     /// What entering each node costs a signal that does not already claim
     /// it, see [`Self::effective_cost`]. Rewritten for every node at the
     /// start of a PathFinder iteration and for one node whenever its usage
-    /// grows, so the A* inner loop pays one load instead of the float
+    /// changes, so the A* inner loop pays one load instead of the float
     /// expression per visit.
     eff_cost: Vec<f64>,
     /// Present-congestion penalty of the current iteration.
@@ -161,36 +194,26 @@ pub(crate) struct RouterScratch {
     /// Persistent congestion history (per II attempt, across annealing
     /// rounds).
     history: Vec<f32>,
-    /// Per-node usage of the current iteration.
+    /// Distinct `(node, elapsed)` pairs per producer over the paths in
+    /// `kept`, stale ones included — what [`Mapping::verify`] counts once
+    /// every path is a route.
+    ///
+    /// [`Mapping::verify`]: crate::Mapping::verify
     usage: Vec<u16>,
     signals: Vec<Signal>,
+    /// Per-DFG-edge path as last found (`None`: never found, or given back
+    /// when its group was released).
+    kept: Vec<Option<KeptRoute>>,
 }
 
 impl RouterScratch {
-    pub fn new() -> Self {
-        RouterScratch {
-            stamp: Vec::new(),
-            best: Vec::new(),
-            parent: Vec::new(),
-            generation: 0,
-            heap: BinaryHeap::new(),
-            claim_bits: Vec::new(),
-            claim_dirty: Vec::new(),
-            claim_words: 0,
-            flat_offsets: Vec::new(),
-            flat_edges: Vec::new(),
-            eff_cost: Vec::new(),
-            present: 0.0,
-            history: Vec::new(),
-            usage: Vec::new(),
-            signals: Vec::new(),
-        }
-    }
-
-    /// Forgets congestion history; call when moving to a new II attempt
-    /// (the MRRG, and hence every node index, changes meaning).
+    /// Forgets congestion history, routes and usage; call when moving to a
+    /// new II attempt (the MRRG, and hence every node index, changes
+    /// meaning).
     pub fn reset_for_ii(&mut self) {
         self.history.clear();
+        self.kept.clear();
+        self.usage.clear();
         // Node counts change between IIs, so stamped state sizes change
         // too; dropping the stamps (cheap — they are reused allocations)
         // keeps stale small-II entries from aliasing large-II states.
@@ -312,20 +335,70 @@ impl RouterScratch {
         (1.0 + f64::from(self.history[i])) * (1.0 + over * self.present)
     }
 
-    /// Starts a PathFinder iteration: zero usage, `present` as given, and
-    /// the cost table rebuilt from the congestion history.
-    fn begin_iteration(&mut self, mrrg: &Mrrg, present: f64) {
+    /// Starts a PathFinder iteration: `present` as given, and every node
+    /// repriced under it from the usage and history as they stand.
+    fn reprice(&mut self, mrrg: &Mrrg, present: f64) {
         self.present = present;
-        self.usage.iter_mut().for_each(|u| *u = 0);
         for i in 0..mrrg.num_nodes() {
             self.eff_cost[i] = self.effective_cost(i, mrrg.capacity(MrrgNodeId::from_index(i)));
         }
     }
 
-    /// Counts one more signal on node `i` and reprices it.
-    fn occupy(&mut self, i: usize, cap: u16) {
-        self.usage[i] = self.usage[i].saturating_add(1);
-        self.eff_cost[i] = self.effective_cost(i, cap);
+    /// Takes `path` into the current producer group: each capacitated
+    /// `(node, elapsed)` the group did not hold yet costs one unit of usage.
+    /// Fan-out edges of one producer broadcast a single physical value, so
+    /// nodes shared *at the same cycle* count once; a second visit at a
+    /// different time is a different iteration's value and must pay. The
+    /// bitset remembers every claim of the group, so occupancy matches the
+    /// verifier's distinct-`(node, time)` model exactly.
+    fn occupy_path(&mut self, mrrg: &Mrrg, path: &[(MrrgNodeId, u32)]) {
+        for &(n, t) in path {
+            let (i, cap) = (n.index(), mrrg.capacity(n));
+            if cap != u16::MAX && !self.claim(i, t) {
+                self.usage[i] += 1;
+                self.eff_cost[i] = self.effective_cost(i, cap);
+            }
+        }
+    }
+
+    /// The path held for `signals[s]`, if it was searched for the signal
+    /// as it is now.
+    fn route_of(&self, s: usize) -> Option<&KeptRoute> {
+        let signal = &self.signals[s];
+        self.kept[signal.edge_index]
+            .as_ref()
+            .filter(|k| k.key == signal.key)
+    }
+
+    /// The rip-up test for the producer group `signals[group]`: a signal
+    /// without a route, or a route through a node that is overused now.
+    fn is_dirty(&self, mrrg: &Mrrg, group: std::ops::Range<usize>) -> bool {
+        let overused = |&(n, _): &(MrrgNodeId, u32)| self.usage[n.index()] > mrrg.capacity(n);
+        group
+            .into_iter()
+            .any(|s| self.route_of(s).is_none_or(|k| k.path.iter().any(overused)))
+    }
+
+    /// Gives back everything the producer group `signals[group]` holds and
+    /// forgets its paths. Replaying them through the claim bitset undoes
+    /// [`Self::occupy_path`] unit for unit: the group was searched as a
+    /// whole, so its distinct `(node, elapsed)` pairs are exactly what it
+    /// was charged. Leaves the bitset empty for the group's re-search.
+    fn release(&mut self, mrrg: &Mrrg, group: std::ops::Range<usize>) {
+        self.clear_claims();
+        for s in group {
+            let Some(kept) = self.kept[self.signals[s].edge_index].take() else {
+                continue;
+            };
+            for (n, t) in kept.path {
+                let (i, cap) = (n.index(), mrrg.capacity(n));
+                if cap != u16::MAX && !self.claim(i, t) {
+                    self.usage[i] -= 1;
+                    self.eff_cost[i] = self.effective_cost(i, cap);
+                }
+            }
+        }
+        self.clear_claims();
     }
 
     /// Advances the A* generation, invalidating every stamped state
@@ -457,16 +530,20 @@ impl RouterScratch {
     }
 }
 
-/// Routes every DFG dependency. `scratch` persists across calls so
-/// congestion knowledge (and every buffer) survives placement repair
-/// rounds. A fired `cancel` token stops the negotiation after the current
-/// rip-up-and-reroute round — the caller sees a dirty outcome and is
-/// expected to check the token itself before retrying.
+/// Routes every DFG dependency. `scratch` carries the routes, usage and
+/// congestion history of the II attempt from call to call: a signal whose
+/// endpoints and schedule are as they were keeps its route, and only
+/// producer groups with a moved signal or an overused node are searched.
+/// A fired `cancel` token stops the negotiation after the current
+/// iteration — the caller sees a dirty outcome and is expected to check the
+/// token itself before retrying.
 ///
-/// A round that meets a [`Search::Unreachable`] signal is the last one:
-/// the routing can never become clean under this placement, so the round's
+/// An iteration that meets a [`Search::Unreachable`] signal is the last
+/// one: the routing can never become clean under this placement, so the
 /// outcome goes back as it stands — history untouched — and the caller's
-/// placement repair works from that round's usage map.
+/// placement repair works from that iteration's usage map. A signal without
+/// a route is searched in every iteration, so a structural miss shows in
+/// the first.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn route_all(
     mrrg: &Mrrg,
@@ -484,19 +561,18 @@ pub(crate) fn route_all(
     // signals, grouped by producer, hardest (longest distance) first
     scratch.signals.clear();
     for (i, e) in dfg.deps().enumerate() {
-        let src_pe = pe_of[e.src.index()];
-        let dst_pe = pe_of[e.dst.index()];
         let tu = times[e.src.index()];
         let tv = times[e.dst.index()];
-        let delta = tv as i64 + (e.weight.distance() as i64) * ii as i64 - tu as i64;
         scratch.signals.push(Signal {
             edge_index: i,
             producer: e.src.index() as u32,
-            src_pe,
-            dst_pe,
-            start_time: tu % ii,
-            dst_slot: tv % ii,
-            delta,
+            key: SignalKey {
+                src_pe: pe_of[e.src.index()],
+                dst_pe: pe_of[e.dst.index()],
+                start_time: tu % ii,
+                dst_slot: tv % ii,
+                delta: tv as i64 + (e.weight.distance() as i64) * ii as i64 - tu as i64,
+            },
         });
     }
     // fan-out edges of one producer are grouped (they share routing
@@ -504,83 +580,73 @@ pub(crate) fn route_all(
     scratch.signals.sort_by_key(|s| {
         (
             s.producer,
-            std::cmp::Reverse(cgra.manhattan(s.src_pe, s.dst_pe)),
+            std::cmp::Reverse(cgra.manhattan(s.key.src_pe, s.key.dst_pe)),
         )
     });
     let max_delta = scratch
         .signals
         .iter()
-        .map(|s| s.delta.max(0) as usize)
+        .map(|s| s.key.delta.max(0) as usize)
         .max()
         .unwrap_or(0);
     scratch.ensure_capacity(num_nodes, max_delta);
+    scratch.kept.resize_with(dfg.num_deps(), || None);
+    let kept = (0..scratch.signals.len())
+        .filter(|&s| scratch.route_of(s).is_some())
+        .count();
 
-    let mut routes: Vec<Option<Route>> = vec![None; dfg.num_deps()];
     let mut present = PRESENT_FACTOR;
     let mut iterations = 0;
+    let mut searches = 0;
 
     let (overuse, failed, unreachable) = loop {
         if cancel.is_some_and(crate::CancelToken::is_cancelled) {
-            // Abandon the negotiation between rounds; report every signal
-            // as failed so the partial state cannot pass for a success.
+            // Abandon the negotiation between iterations; report every
+            // signal as failed so the partial state cannot pass for a
+            // success.
             break (0, scratch.signals.len().max(1), 0);
         }
         iterations += 1;
-        scratch.begin_iteration(mrrg, present);
+        scratch.reprice(mrrg, present);
         let mut failed = 0usize;
         let mut unreachable = 0usize;
-        let mut current_producer = u32::MAX;
-        for sig_index in 0..scratch.signals.len() {
-            let (edge_index, producer, src_pe, dst_pe, start_time, delta, dst_slot) = {
-                let s = &scratch.signals[sig_index];
-                (
-                    s.edge_index,
-                    s.producer,
-                    s.src_pe,
-                    s.dst_pe,
-                    s.start_time,
-                    s.delta,
-                    s.dst_slot,
-                )
-            };
-            if producer != current_producer {
-                current_producer = producer;
-                scratch.clear_claims();
+        let mut lo = 0;
+        while lo < scratch.signals.len() {
+            let producer = scratch.signals[lo].producer;
+            let group = lo..lo
+                + scratch.signals[lo..]
+                    .iter()
+                    .take_while(|s| s.producer == producer)
+                    .count();
+            lo = group.end;
+            if !scratch.is_dirty(mrrg, group.clone()) {
+                continue;
             }
-            let found = scratch.route_one(
-                mrrg,
-                cgra,
-                src_pe,
-                dst_pe,
-                start_time,
-                delta,
-                dst_slot,
-                config.max_expansions,
-            );
-            match found {
-                Search::Found(path) => {
-                    for &(n, t) in &path {
-                        // fan-out edges of one producer broadcast a single
-                        // physical value: nodes shared *at the same cycle*
-                        // count once. A second visit at a different time is
-                        // a different iteration's value and must pay. The
-                        // bitset remembers *every* `(node, time)` claim of
-                        // the group, so occupancy matches the verifier's
-                        // distinct-`(node, time)` model exactly.
-                        let (i, cap) = (n.index(), mrrg.capacity(n));
-                        if cap != u16::MAX && !scratch.claim(i, t) {
-                            scratch.occupy(i, cap);
-                        }
+            scratch.release(mrrg, group.clone());
+            for s in group {
+                let Signal {
+                    edge_index, key, ..
+                } = scratch.signals[s];
+                searches += 1;
+                let found = scratch.route_one(
+                    mrrg,
+                    cgra,
+                    key.src_pe,
+                    key.dst_pe,
+                    key.start_time,
+                    key.delta,
+                    key.dst_slot,
+                    config.max_expansions,
+                );
+                match found {
+                    Search::Found(path) => {
+                        scratch.occupy_path(mrrg, &path);
+                        scratch.kept[edge_index] = Some(KeptRoute { key, path });
                     }
-                    routes[edge_index] = Some(Route {
-                        edge_index,
-                        nodes: path.into_iter().map(|(n, _)| n).collect(),
-                    });
-                }
-                miss => {
-                    routes[edge_index] = None;
-                    failed += 1;
-                    unreachable += usize::from(miss == Search::Unreachable);
+                    miss => {
+                        failed += 1;
+                        unreachable += usize::from(miss == Search::Unreachable);
+                    }
                 }
             }
         }
@@ -593,7 +659,7 @@ pub(crate) fn route_all(
                 (u as usize).saturating_sub(cap as usize)
             })
             .sum();
-        // Clean, or structurally unroutable: further rounds would only
+        // Clean, or structurally unroutable: further iterations would only
         // negotiate (and deposit history for) a routing that cannot exist.
         if (overuse == 0 && failed == 0) || unreachable > 0 {
             break (overuse, failed, unreachable);
@@ -611,12 +677,24 @@ pub(crate) fn route_all(
             break (overuse, failed, unreachable);
         }
     };
+    let mut routes: Vec<Option<Route>> = vec![None; dfg.num_deps()];
+    for s in 0..scratch.signals.len() {
+        if let Some(kept) = scratch.route_of(s) {
+            let edge_index = scratch.signals[s].edge_index;
+            routes[edge_index] = Some(Route {
+                edge_index,
+                nodes: kept.path.iter().map(|&(n, _)| n).collect(),
+            });
+        }
+    }
     RouteOutcome {
         routes,
         overuse,
         failed,
         unreachable,
         iterations,
+        searches,
+        kept,
         usage: scratch.usage.clone(),
     }
 }
@@ -653,7 +731,7 @@ impl Ord for HeapEntry {
 mod tests {
     use super::*;
     use panorama_arch::CgraConfig;
-    use panorama_dfg::{DfgBuilder, OpKind};
+    use panorama_dfg::{DfgBuilder, OpId, OpKind};
 
     fn setup(ii: usize) -> (Cgra, Mrrg) {
         let cgra = Cgra::new(CgraConfig::small_4x4()).unwrap();
@@ -671,9 +749,9 @@ mod tests {
 
     /// A scratch sized for direct `route_one` tests (no congestion).
     fn fresh_scratch(mrrg: &Mrrg, max_delta: usize) -> RouterScratch {
-        let mut s = RouterScratch::new();
+        let mut s = RouterScratch::default();
         s.ensure_capacity(mrrg.num_nodes(), max_delta);
-        s.begin_iteration(mrrg, 0.5);
+        s.reprice(mrrg, 0.5);
         s
     }
 
@@ -852,7 +930,7 @@ mod tests {
         let times = vec![0, 1, 2, 3];
         // place along the top row
         let pe_of: Vec<PeId> = (0..4).map(|c| cgra.pe_at(0, c)).collect();
-        let mut scratch = RouterScratch::new();
+        let mut scratch = RouterScratch::default();
         let outcome = route_all(
             &mrrg,
             &cgra,
@@ -895,7 +973,7 @@ mod tests {
             pe_of[2 * i] = cgra.pe_at(i, 0);
             pe_of[2 * i + 1] = cgra.pe_at(i, 1);
         }
-        let mut scratch = RouterScratch::new();
+        let mut scratch = RouterScratch::default();
         let outcome = route_all(
             &mrrg,
             &cgra,
@@ -921,13 +999,13 @@ mod tests {
         let dfg = b.build().unwrap();
         let times = [0usize, 1];
         let cfg = RouterConfig::default();
-        let mut reused = RouterScratch::new();
+        let mut reused = RouterScratch::default();
         let mut fresh_routes = Vec::new();
         let mut reused_routes = Vec::new();
         for col in [0, 2] {
             let pe_of = [cgra.pe_at(0, col), cgra.pe_at(1, col)];
             let a = route_all(&mrrg, &cgra, &dfg, &pe_of, &times, &cfg, &mut reused, None);
-            let mut fresh = RouterScratch::new();
+            let mut fresh = RouterScratch::default();
             let b = route_all(&mrrg, &cgra, &dfg, &pe_of, &times, &cfg, &mut fresh, None);
             reused_routes.push(a.routes);
             fresh_routes.push(b.routes);
@@ -964,7 +1042,7 @@ mod tests {
     fn unreachable_signal_ends_negotiation_after_one_round() {
         let (cgra, mrrg) = setup(4);
         let (dfg, pe_of, times) = contested_link_with_far_pair(&cgra);
-        let mut scratch = RouterScratch::new();
+        let mut scratch = RouterScratch::default();
         let outcome = route_all(
             &mrrg,
             &cgra,
@@ -1000,7 +1078,7 @@ mod tests {
             max_expansions: 0,
             ..RouterConfig::default()
         };
-        let mut scratch = RouterScratch::new();
+        let mut scratch = RouterScratch::default();
         let outcome = route_all(
             &mrrg,
             &cgra,
@@ -1018,10 +1096,10 @@ mod tests {
     #[test]
     fn effective_cost_table_tracks_the_reference_formula_bit_for_bit() {
         use rand::{rngs::SmallRng, Rng, SeedableRng};
-        let (_cgra, mrrg) = setup(4);
+        let (cgra, mrrg) = setup(4);
         let n = mrrg.num_nodes();
         let mut rng = SmallRng::seed_from_u64(7);
-        let mut scratch = RouterScratch::new();
+        let mut scratch = RouterScratch::default();
         scratch.ensure_capacity(n, 3);
         for h in &mut scratch.history {
             *h = if rng.gen_bool(0.3) {
@@ -1031,7 +1109,7 @@ mod tests {
             };
         }
         let present = 0.6 * 1.4 * 1.4;
-        scratch.begin_iteration(&mrrg, present);
+        scratch.reprice(&mrrg, present);
         // the cost expression as PathFinder defines it, spelled out
         let reference = |s: &RouterScratch, i: usize| -> f64 {
             let cap = mrrg.capacity(MrrgNodeId::from_index(i));
@@ -1042,27 +1120,246 @@ mod tests {
             let over = (f64::from(s.usage[i]) + 1.0 - f64::from(cap)).max(0.0);
             base * (1.0 + over * present)
         };
-        for step in 0..4_000 {
-            // what route_all does with every node of a found path
-            let (i, t) = (rng.gen_range(0..n), rng.gen_range(0..4u32));
-            let cap = mrrg.capacity(MrrgNodeId::from_index(i));
-            if cap != u16::MAX && !scratch.claim(i, t) {
-                scratch.occupy(i, cap);
+        let check = |s: &RouterScratch, when: &str| {
+            for i in 0..n {
+                assert_eq!(
+                    s.eff_cost[i].to_bits(),
+                    reference(s, i).to_bits(),
+                    "node {i} {when}"
+                );
             }
-            if step % 37 == 0 {
-                scratch.clear_claims(); // next producer group
+        };
+        // 100 producer groups of 1–4 signals over a pool of 48 nodes, so
+        // groups overlap each other and their own fan-out; paths need not
+        // be connected for the accounting to be exercised
+        let key = SignalKey {
+            src_pe: cgra.pe_at(0, 0),
+            dst_pe: cgra.pe_at(0, 1),
+            start_time: 0,
+            dst_slot: 1,
+            delta: 1,
+        };
+        let mut groups = Vec::new();
+        for producer in 0..100u32 {
+            let lo = scratch.signals.len();
+            scratch.clear_claims();
+            for _ in 0..rng.gen_range(1..5) {
+                let path: Vec<_> = (0..10)
+                    .map(|_| {
+                        let node = MrrgNodeId::from_index(rng.gen_range(0..48));
+                        (node, rng.gen_range(0..4u32))
+                    })
+                    .collect();
+                scratch.occupy_path(&mrrg, &path);
+                scratch.signals.push(Signal {
+                    edge_index: scratch.kept.len(),
+                    producer,
+                    key,
+                });
+                scratch.kept.push(Some(KeptRoute { key, path }));
             }
+            groups.push(lo..scratch.signals.len());
+        }
+        let occupied = scratch.usage.clone();
+        assert!(occupied.iter().any(|&u| u > 1), "sequence overuses nodes");
+        check(&scratch, "after occupying");
+        // releasing every other group and taking the same paths back
+        // returns to the same table, through one that differs
+        for group in groups.iter().step_by(2) {
+            let paths: Vec<_> = group
+                .clone()
+                .map(|s| scratch.kept[s].as_ref().unwrap().path.clone())
+                .collect();
+            scratch.release(&mrrg, group.clone());
+            check(&scratch, "after a release");
+            assert_ne!(scratch.usage, occupied);
+            for (s, path) in group.clone().zip(paths) {
+                scratch.occupy_path(&mrrg, &path);
+                scratch.kept[s] = Some(KeptRoute { key, path });
+            }
+            assert_eq!(scratch.usage, occupied);
+        }
+        for group in groups {
+            scratch.release(&mrrg, group);
         }
         assert!(
-            scratch.usage.iter().any(|&u| u > 1),
-            "sequence overuses nodes"
+            scratch.usage.iter().all(|&u| u == 0),
+            "every unit given back"
         );
-        for i in 0..n {
-            assert_eq!(
-                scratch.eff_cost[i].to_bits(),
-                reference(&scratch, i).to_bits(),
-                "node {i}"
-            );
+        check(&scratch, "when empty");
+    }
+
+    #[test]
+    fn a_shared_fan_out_link_is_released_once() {
+        // p feeds c1 and c2 further along the top row: both routes leave
+        // through the same nodes in the same cycles, counted once
+        let (cgra, mrrg) = setup(4);
+        let mut b = DfgBuilder::new("fanout");
+        let p = b.op(OpKind::Add, "p");
+        let c1 = b.op(OpKind::Add, "c1");
+        let c2 = b.op(OpKind::Add, "c2");
+        b.data(p, c1);
+        b.data(p, c2);
+        let dfg = b.build().unwrap();
+        let pe_of = [cgra.pe_at(0, 0), cgra.pe_at(0, 2), cgra.pe_at(0, 3)];
+        let times = [0, 2, 3];
+        let mut scratch = RouterScratch::default();
+        let cfg = RouterConfig::default();
+        let outcome = route_all(&mrrg, &cgra, &dfg, &pe_of, &times, &cfg, &mut scratch, None);
+        assert!(outcome.is_clean());
+        let paths: Vec<_> = scratch.kept.iter().flatten().map(|k| &k.path).collect();
+        let shared: Vec<_> = paths[0]
+            .iter()
+            .filter(|hop| mrrg.capacity(hop.0) != u16::MAX && paths[1].contains(hop))
+            .collect();
+        assert!(shared.len() >= 2, "the two routes share the way out of p");
+        for (n, _) in shared {
+            assert_eq!(scratch.usage[n.index()], 1, "a broadcast share is one unit");
+        }
+        // a unit taken back twice would underflow, one kept would show
+        scratch.release(&mrrg, 0..2);
+        assert!(scratch.usage.iter().all(|&u| u == 0));
+        assert!(scratch.kept.iter().all(Option::is_none));
+    }
+
+    /// Usage as [`Mapping::verify`](crate::Mapping::verify) counts it:
+    /// distinct `(producer, node, elapsed)` over the routes, elapsed read
+    /// off the MRRG edges.
+    fn recount(mrrg: &Mrrg, dfg: &Dfg, routes: &[Option<Route>]) -> Vec<u16> {
+        let mut seen = std::collections::HashSet::new();
+        let mut usage = vec![0u16; mrrg.num_nodes()];
+        for (e, route) in dfg.deps().zip(routes) {
+            let Some(route) = route else { continue };
+            let mut elapsed = 0u32;
+            for (k, &n) in route.nodes.iter().enumerate() {
+                if k > 0 {
+                    let prev = route.nodes[k - 1];
+                    let edge = mrrg.out_edges(prev).iter().find(|me| me.dst == n);
+                    elapsed += u32::from(edge.expect("route follows MRRG edges").advance);
+                }
+                if mrrg.capacity(n) != u16::MAX && seen.insert((e.src, n, elapsed)) {
+                    usage[n.index()] += 1;
+                }
+            }
+        }
+        usage
+    }
+
+    proptest::proptest! {
+        /// Random graphs of adds on 4×4, placed one op per FU slot near
+        /// their producers, then six random relocations / retimings with a
+        /// `route_all` after each, all on one scratch.
+        #[test]
+        fn kept_routes_and_usage_stay_exact_across_calls(seed in 0u64..u64::MAX) {
+            use rand::{rngs::SmallRng, Rng, SeedableRng};
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let ii = rng.gen_range(1..4usize);
+            let (cgra, mrrg) = setup(ii);
+            let n = rng.gen_range(4..15usize);
+            let mut edges = Vec::new();
+            for j in 1..n {
+                for _ in 0..rng.gen_range(1..3) {
+                    edges.push((rng.gen_range(0..j), j));
+                }
+            }
+            // a PE within `radius` rows and columns of `pe`; retries widen
+            // the radius so a free FU slot is always found
+            let near = |rng: &mut SmallRng, pe: PeId, radius: usize| {
+                let (row, col) = cgra.pe_position(pe);
+                let mut shift = |x: usize| (x + rng.gen_range(0..=2 * radius)).saturating_sub(radius);
+                cgra.pe_at(shift(row).min(3), shift(col).min(3))
+            };
+            let mut pe_of = vec![cgra.pe_at(1, 1); n];
+            let mut times = vec![0usize; n];
+            let mut taken = std::collections::HashSet::new();
+            for j in 0..n {
+                let preds: Vec<_> = edges.iter().filter(|e| e.1 == j).map(|e| e.0).collect();
+                let anchor = preds.first().map_or(pe_of[j], |&i| pe_of[i]);
+                for tries in 4.. {
+                    let pe = near(&mut rng, anchor, tries / 4);
+                    // every producer within reach, with cycles to spare
+                    let reach = |&i: &usize| times[i] + cgra.manhattan(pe_of[i], pe).max(1);
+                    let t = preds.iter().map(reach).max().unwrap_or(0) + rng.gen_range(0..tries / 2);
+                    if taken.insert((pe, t % ii)) {
+                        (pe_of[j], times[j]) = (pe, t);
+                        break;
+                    }
+                }
+            }
+            let mut b = DfgBuilder::new("random");
+            let ops: Vec<_> = (0..n).map(|i| b.op(OpKind::Add, format!("n{i}"))).collect();
+            for &(i, j) in &edges {
+                b.data(ops[i], ops[j]);
+            }
+            // one recurrence, where the schedule leaves it room
+            let fits = |&(i, j): &(usize, usize)| {
+                times[i] + ii >= times[j] + cgra.manhattan(pe_of[i], pe_of[j]).max(1)
+            };
+            if let Some(&(i, j)) = edges.iter().find(|e| fits(e)) {
+                b.back(ops[j], ops[i], 1);
+            }
+            let dfg = b.build().unwrap();
+
+            let cfg = RouterConfig::default();
+            let mut scratch = RouterScratch::default();
+            let mut routed_before: Option<Vec<bool>> = None;
+            let mut moved = 0;
+            for _ in 0..7 {
+                let outcome = route_all(&mrrg, &cgra, &dfg, &pe_of, &times, &cfg, &mut scratch, None);
+                proptest::prop_assert_eq!(&outcome.usage, &recount(&mrrg, &dfg, &outcome.routes));
+                if let Some(before) = &routed_before {
+                    // exactly the moved op's signals lost their routes
+                    let expect = dfg.deps().zip(before).filter(|(e, &was)| {
+                        was && e.src.index() != moved && e.dst.index() != moved
+                    });
+                    proptest::prop_assert_eq!(outcome.kept, expect.count());
+                }
+                if outcome.is_clean() {
+                    let routes: Vec<_> = outcome.routes.iter().flatten().cloned().collect();
+                    let mapping = crate::Mapping::from_parts(
+                        "test", ii, 1, times.clone(), pe_of.clone(), Some(routes),
+                    );
+                    proptest::prop_assert_eq!(mapping.verify(&dfg, &cgra), Ok(()));
+                    // nothing to argue about: nothing is searched
+                    let again = route_all(&mrrg, &cgra, &dfg, &pe_of, &times, &cfg, &mut scratch, None);
+                    proptest::prop_assert_eq!(
+                        (again.searches, again.kept, again.iterations),
+                        (0, dfg.num_deps(), 1)
+                    );
+                    proptest::prop_assert_eq!(&again.routes, &outcome.routes);
+                    proptest::prop_assert_eq!(&again.usage, &outcome.usage);
+                }
+                routed_before = Some(outcome.routes.iter().map(Option::is_some).collect());
+                // relocate or retime one op onto a free FU slot
+                moved = rng.gen_range(0..n);
+                taken.remove(&(pe_of[moved], times[moved] % ii));
+                for tries in 4.. {
+                    let (pe, t) = if rng.gen_bool(0.5) {
+                        (near(&mut rng, pe_of[moved], tries / 4), times[moved])
+                    } else {
+                        let later = times[moved] + rng.gen_range(0..=2 * (tries / 4));
+                        (pe_of[moved], later.saturating_sub(tries / 4))
+                    };
+                    // mostly moves the schedule can carry, so that rounds
+                    // negotiate instead of ending on an unreachable signal
+                    let carried = dfg.deps().all(|e| {
+                        let at = |op: OpId| match op.index() == moved {
+                            true => (pe, t),
+                            false => (pe_of[op.index()], times[op.index()]),
+                        };
+                        let ((src_pe, tu), (dst_pe, tv)) = (at(e.src), at(e.dst));
+                        tv + e.weight.distance() as usize * ii
+                            >= tu + cgra.manhattan(src_pe, dst_pe).max(1)
+                    });
+                    if (pe, t) != (pe_of[moved], times[moved])
+                        && (carried || tries > 40)
+                        && taken.insert((pe, t % ii))
+                    {
+                        (pe_of[moved], times[moved]) = (pe, t);
+                        break;
+                    }
+                }
+            }
         }
     }
 }

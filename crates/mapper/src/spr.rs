@@ -82,7 +82,7 @@ const SA_MIN_TEMP: f64 = 0.02;
 /// Multiplicative cooling per routing round (Algorithm 2 line 15).
 const SA_ALPHA: f64 = 0.82;
 /// Relocation attempts per temperature step.
-const SA_MOVES_PER_TEMP: usize = 64;
+const SA_MOVES_PER_TEMP: usize = 128;
 
 /// SPR\* tunables.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,7 +172,7 @@ impl LowerLevelMapper for SprMapper {
         // returns byte-identical reports to a cold run.
         loop {
             let mut rng = SmallRng::seed_from_u64(self.config.seed);
-            let mut scratch = RouterScratch::new();
+            let mut scratch = RouterScratch::default();
             let mut anneal_scratch = AnnealScratch::default();
             let mut diverged = false;
             let start_ii = match &warm_hint {
@@ -212,10 +212,14 @@ impl LowerLevelMapper for SprMapper {
                 }
                 match &placement {
                     Ok(_) => trace.record("spr.place", place_span, &[("ii", ii as i64)]),
-                    Err(op) => trace.record(
+                    Err(fail) => trace.record(
                         "spr.place_fail",
                         place_span,
-                        &[("ii", ii as i64), ("op", op.index() as i64)],
+                        &[
+                            ("ii", ii as i64),
+                            ("op", fail.op.index() as i64),
+                            ("reason", fail.reason as i64),
+                        ],
                     ),
                 }
                 let Ok(mut state) = placement else {
@@ -271,6 +275,8 @@ impl LowerLevelMapper for SprMapper {
                             &[
                                 ("ii", ii as i64),
                                 ("iterations", outcome.iterations as i64),
+                                ("searches", outcome.searches as i64),
+                                ("kept", outcome.kept as i64),
                                 ("overuse", outcome.overuse as i64),
                                 ("failed", outcome.failed as i64),
                                 ("unreachable", outcome.unreachable as i64),
@@ -352,8 +358,7 @@ impl LowerLevelMapper for SprMapper {
                         cgra,
                         &mut state,
                         &domains,
-                        &anneal_scratch.ops,
-                        &anneal_scratch.heat,
+                        &mut anneal_scratch,
                         temp,
                         &mut rng,
                     );
@@ -407,8 +412,12 @@ struct AnnealScratch {
     /// Congestion heat per `(PE, modulo slot)`, indexed
     /// `pe.index() * ii + slot`.
     heat: Vec<f64>,
-    /// Candidate ops for relocation/retiming (the function's output).
+    /// Candidate ops for relocation/retiming ([`congested_ops`]' output).
     ops: Vec<OpId>,
+    /// `true` per op: during repair every neighbour is placed.
+    placed: Vec<bool>,
+    /// Free PEs of the move under consideration.
+    options: Vec<PeId>,
 }
 
 /// Ops to consider moving: those placed on PEs owning overused MRRG nodes
@@ -473,29 +482,35 @@ fn congested_ops(
 
 /// One temperature step: relocate or retime candidate ops with Metropolis
 /// acceptance on the placement-cost proxy plus the router's congestion
-/// heat map (`heat[pe.index() * ii + slot]`). Returns accepted moves.
-#[allow(clippy::too_many_arguments)]
+/// heat map, both as [`congested_ops`] left them in `scratch`. Returns
+/// accepted moves.
 fn anneal_step(
     dfg: &Dfg,
     cgra: &Cgra,
     state: &mut PlacementState,
     domains: &OpDomains,
-    candidates: &[OpId],
-    heat: &[f64],
+    scratch: &mut AnnealScratch,
     temp: f64,
     rng: &mut SmallRng,
 ) -> usize {
+    let AnnealScratch {
+        ops: candidates,
+        heat,
+        placed,
+        options,
+        ..
+    } = scratch;
     if candidates.is_empty() {
         return 0;
     }
-    let placed = vec![true; dfg.num_ops()];
+    placed.resize(dfg.num_ops(), true);
     let ii = state.ii as i64;
     let mut accepted = 0usize;
     for _ in 0..SA_MOVES_PER_TEMP {
         let op = candidates[rng.gen_range(0..candidates.len())];
         let old_t = state.time_of[op.index()];
         let old_pe = state.pe_of[op.index()];
-        let old_cost = placement_cost(dfg, cgra, state, &placed, op, old_pe, old_t)
+        let old_cost = placement_cost(dfg, cgra, state, placed, op, old_pe, old_t)
             + home_bias(cgra, domains, op, old_pe)
             + heat[old_pe.index() * state.ii + old_t % state.ii];
         state.remove(op);
@@ -532,13 +547,14 @@ fn anneal_step(
         } else {
             rng.gen_range(estart..=lend) as usize
         };
-        let options: Vec<PeId> = candidates_for(state, domains, op, new_t % state.ii).collect();
+        options.clear();
+        options.extend(candidates_for(state, domains, op, new_t % state.ii));
         if options.is_empty() {
             state.place(op, old_pe, old_t);
             continue;
         }
         let new_pe = options[rng.gen_range(0..options.len())];
-        let new_cost = placement_cost(dfg, cgra, state, &placed, op, new_pe, new_t)
+        let new_cost = placement_cost(dfg, cgra, state, placed, op, new_pe, new_t)
             + home_bias(cgra, domains, op, new_pe)
             + heat[new_pe.index() * state.ii + new_t % state.ii];
         let delta = new_cost - old_cost;

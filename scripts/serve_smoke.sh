@@ -73,8 +73,10 @@ r=$(http POST /compile '{"kernel":"edn","scale":"scaled","baseline":true,"deadli
 grep -q '"error":"cancelled"' <<<"$r"
 
 echo "== saturating the bounded queue (depth 1, 1 worker)"
-SLOW='{"kernel":"edn","scale":"paper","baseline":true,"deadline_ms":15000}'
-SLOW2='{"kernel":"edn","scale":"paper","baseline":true,"deadline_ms":15000,"max_ii":40}'
+# Paper-scale matched filter does not fit 8x8: ~8 s of failed II attempts
+# in a release build (422 at the end), the longest baseline compile there is.
+SLOW='{"kernel":"matchedfilter","scale":"paper","baseline":true,"deadline_ms":15000}'
+SLOW2='{"kernel":"matchedfilter","scale":"paper","baseline":true,"deadline_ms":15000,"max_ii":40}'
 http POST /compile "$SLOW" > "$TMP/slow1" &
 for _ in $(seq 100); do
     body_of "$(http GET /metrics)" > "$TMP/m.json"

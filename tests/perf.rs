@@ -13,7 +13,7 @@ use panorama::{
 };
 use panorama_arch::{Cgra, CgraConfig};
 use panorama_dfg::{kernels, Dfg, KernelId, KernelScale};
-use panorama_mapper::{LowerLevelMapper, SprMapper, UltraFastMapper, WarmStartCache};
+use panorama_mapper::{LowerLevelMapper, SprConfig, SprMapper, UltraFastMapper, WarmStartCache};
 use panorama_trace::{RecordingSink, SpanCollector, TraceReport, Tracer};
 
 /// Everything observable about a compile, flattened for equality checks.
@@ -278,4 +278,44 @@ fn bench_harness_reports_identical_results() {
     for k in &report.kernels {
         assert!(k.ii >= k.mii, "{} on {}: II below MII", k.kernel, k.preset);
     }
+}
+
+/// What one SA seed is worth on the 8×8 suite: II per kernel at the
+/// committed `SprConfig::seed` and the seven after it. An II claim smaller
+/// than the spread this prints is a claim about the seed (EXPERIMENTS.md,
+/// "Seed spread").
+#[test]
+#[ignore = "96 scaled 8x8 SPR* compiles: ~15 s in a release build"]
+fn sa_seed_spread() {
+    let cgra = Cgra::new(CgraConfig::scaled_8x8()).unwrap();
+    let committed = SprConfig::default().seed;
+    let seeds: Vec<u64> = (0..8).map(|k| committed + k).collect();
+    let mut sums = vec![0usize; seeds.len()];
+    print!("{:<18}", "kernel \\ seed");
+    for seed in &seeds {
+        print!("{seed:>#7x}");
+    }
+    println!();
+    for id in KernelId::ALL {
+        let dfg = kernels::generate(id, KernelScale::Scaled);
+        print!("{:<18}", id.name());
+        for (seed, sum) in seeds.iter().zip(&mut sums) {
+            let mapper = SprMapper::new(SprConfig {
+                seed: *seed,
+                ..SprConfig::default()
+            });
+            let ii = compile_at(&dfg, &cgra, &mapper, 1).ii;
+            print!("{ii:>7}");
+            *sum += ii;
+        }
+        println!();
+    }
+    print!("{:<18}", "ii_sum");
+    for sum in &sums {
+        print!("{sum:>7}");
+    }
+    let mean = sums.iter().sum::<usize>() as f64 / sums.len() as f64;
+    println!("\nmean {mean:.1}");
+    assert!(sums[0] <= 103, "committed seed: ii_sum {}", sums[0]);
+    assert!(mean <= 103.0, "8-seed mean ii_sum {mean:.1}");
 }

@@ -188,14 +188,19 @@ fn saturated_queue_sheds_with_503() {
         queue_depth: 1,
         ..ServeConfig::default()
     });
-    // Occupants that no host can finish: a paper-scale kernel on 16x16
-    // through baseline SPR* is minutes of work (85 s in a release build on
-    // the 2-vCPU reference container, far longer in debug), so the worker
-    // stays busy until the deadline cancels it and the saturation window
-    // cannot close early however fast the host is. Baseline mapping skips
-    // the non-cancellable partition phase, so the deadline also caps the
-    // test's runtime. Both occupants end `504` and nothing is cached.
-    let slow = "{\"kernel\":\"invertmat\",\"arch\":\"16x16\",\"scale\":\"paper\",\
+    // Occupants that outlast the window: paper-scale matched filter does
+    // not fit the 8x8 array, so baseline SPR* fails its way through every
+    // II up to 44 — the longest compile left since PathFinder stopped
+    // rerouting every signal (8 s in a release build on the 2-vCPU
+    // reference container, minutes in debug; invertmat on 16x16, the
+    // occupant before that, went from 85 s to 3 s). The worker stays busy
+    // until the deadline cancels the job or, on a host fast enough, until
+    // the search runs out of IIs: the saturation window is the shorter of
+    // the two, seconds either way. Baseline mapping skips the
+    // non-cancellable partition phase, so the deadline also caps the
+    // test's runtime. The occupants end `504` or `422` and nothing is
+    // cached.
+    let slow = "{\"kernel\":\"matchedfilter\",\"scale\":\"paper\",\
                  \"baseline\":true,\"deadline_ms\":5000}";
     let spawn_slow = || {
         let addr = daemon.addr;
@@ -219,10 +224,10 @@ fn saturated_queue_sheds_with_503() {
     assert!(body.contains("\"error\":\"overloaded\""), "{body}");
     let m = metrics(daemon.addr);
     assert_eq!(metric(&m, "requests", "shed"), 1);
-    // The occupants end at their deadline.
+    // The occupants end at their deadline, or without a mapping.
     for t in [first, second] {
         let status = t.join().expect("slow client");
-        assert!(status == 200 || status == 504, "unexpected status {status}");
+        assert!(status == 504 || status == 422, "unexpected status {status}");
     }
     daemon.drain_and_join();
 }
@@ -729,12 +734,13 @@ fn compile_equals_a_one_entry_batch_from_outside() {
     batch.drain_and_join();
 
     // One worker held, one job queued: the next request is shed the same
-    // way through either endpoint. The occupants are paper-scale compiles
-    // that only their deadline ends, so the worker stays held for the
-    // whole window however fast the host compiles.
+    // way through either endpoint. The occupants are the paper-scale
+    // compiles of `saturated_queue_sheds_with_503`: seconds of failed II
+    // attempts in a release build, ended by their deadline or, on a fast
+    // host, by running out of IIs (`422`).
     let slow = |max_ii: u64| {
         format!(
-            "{{\"kernel\":\"edn\",\"scale\":\"paper\",\"baseline\":true,\
+            "{{\"kernel\":\"matchedfilter\",\"scale\":\"paper\",\"baseline\":true,\
              \"deadline_ms\":3000,\"max_ii\":{max_ii}}}"
         )
     };
@@ -760,7 +766,8 @@ fn compile_equals_a_one_entry_batch_from_outside() {
         let answer = http(addr, "POST", path, &wrap(slow(42)));
         let shed = metric(&metrics(addr), "requests", "shed");
         for occupant in [first, second] {
-            assert_eq!(occupant.join().expect("slow client"), 504);
+            let status = occupant.join().expect("slow client");
+            assert!(status == 504 || status == 422, "unexpected status {status}");
         }
         daemon.drain_and_join();
         (answer, shed)
