@@ -2,7 +2,7 @@
 //! small SAT/UNSAT pairs, learned-clause/backjump behaviour, budget and
 //! interrupt handling, and byte-identical determinism across runs.
 
-use crate::{Limits, Lit, SolveResult, Solver, Var};
+use crate::{Limits, Lit, SolveResult, Solver, SolverStats, Var};
 
 /// Builds a solver over `n` fresh variables.
 fn with_vars(n: usize) -> (Solver, Vec<Var>) {
@@ -322,4 +322,113 @@ fn num_clauses_counts_live_clauses() {
     add_dimacs(&mut s, &v, &[&[1, 2], &[-1, 2]]);
     assert_eq!(s.num_clauses(), 2);
     assert_eq!(s.num_vars(), 2);
+}
+
+/// FNV-1a over the model: one byte per variable (0 false, 1 true, 2 none).
+fn model_hash(s: &Solver, n: usize) -> u64 {
+    (0..n).fold(0xcbf2_9ce4_8422_2325, |h, i| {
+        let b = match s.value(Var::from_index(i)) {
+            Some(false) => 0u8,
+            Some(true) => 1,
+            None => 2,
+        };
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The search itself is contract: watch order, propagation order, the
+/// learned clauses and the `(lbd, len, cid)` reduction order decide every
+/// counter below, so a storage change that claims to be exact (the clause
+/// arena) keeps all three rows. Pigeonhole 6→5 (UNSAT), a SplitMix64 3-SAT
+/// instance near the threshold long enough to reduce the database, and a
+/// model enumeration that adds clauses between solves.
+#[test]
+fn search_trajectory_is_pinned() {
+    let mut rows: Vec<(SolveResult, SolverStats, u64)> = Vec::new();
+
+    let mut s = pigeonhole(5);
+    let r = s.solve();
+    rows.push((r, *s.stats(), model_hash(&s, s.num_vars())));
+
+    let n = 200;
+    let (mut s, vars) = with_vars(n);
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    for _ in 0..(n * 426 / 100) {
+        let c: Vec<Lit> = (0..3)
+            .map(|_| {
+                let v = vars[(next() % n as u64) as usize];
+                if next() & 1 == 0 {
+                    Lit::pos(v)
+                } else {
+                    Lit::neg(v)
+                }
+            })
+            .collect();
+        s.add_clause(&c);
+    }
+    let r = s.solve();
+    assert!(
+        s.stats().removed > 0,
+        "reduce_db never ran: {:?}",
+        s.stats()
+    );
+    rows.push((r, *s.stats(), model_hash(&s, n)));
+
+    let (mut s, v) = with_vars(12);
+    for w in v.windows(3) {
+        s.add_clause(&[Lit::pos(w[0]), Lit::neg(w[1]), Lit::pos(w[2])]);
+    }
+    // the first 40 models in the order the search finds them, chained
+    let (mut models, mut chain) = (0, 0u64);
+    while models < 40 && s.solve() == SolveResult::Sat {
+        models += 1;
+        chain = chain.rotate_left(5) ^ model_hash(&s, v.len());
+        let blocking: Vec<Lit> = v
+            .iter()
+            .map(|&var| {
+                if s.value(var).unwrap() {
+                    Lit::neg(var)
+                } else {
+                    Lit::pos(var)
+                }
+            })
+            .collect();
+        s.add_clause(&blocking);
+    }
+    assert_eq!(models, 40);
+    rows.push((SolveResult::Sat, *s.stats(), chain));
+
+    let stats = |conflicts, propagations, decisions, restarts, learned, removed| SolverStats {
+        conflicts,
+        propagations,
+        decisions,
+        restarts,
+        learned,
+        removed,
+    };
+    let pinned = vec![
+        (
+            SolveResult::Unsat,
+            stats(151, 1_783, 186, 1, 150, 0),
+            9_568_073_400_783_108_261,
+        ),
+        (
+            SolveResult::Sat,
+            stats(20_638, 777_853, 24_868, 71, 20_638, 16_503),
+            206_384_827_988_060_260,
+        ),
+        (
+            SolveResult::Sat,
+            stats(22, 524, 358, 0, 22, 0),
+            1_369_541_018_589_462_619,
+        ),
+    ];
+    assert_eq!(rows, pinned);
 }

@@ -1,12 +1,15 @@
 //! End-to-end tests of the SAT mapping backend: every suite kernel maps,
 //! verifies and simulates; the achieved II matches the exhaustive
-//! optimum where the exhaustive mapper can check it; and the portfolio
-//! with all three backends stays bit-identical at any thread count.
+//! optimum where the exhaustive mapper can check it; the portfolio
+//! with all three backends stays bit-identical at any thread count; and
+//! the twelve-kernel suite's mappings and attempt logs are pinned.
 
 use panorama::{BackendId, CompileContext, CompileMode, Panorama, PanoramaConfig};
 use panorama_arch::{Cgra, CgraConfig};
 use panorama_dfg::{kernels, Dfg, KernelId, KernelScale};
-use panorama_mapper::{ExactMapper, LowerLevelMapper, SatMapper, SprMapper, UltraFastMapper};
+use panorama_mapper::{
+    min_ii, sat_attempt_log, ExactMapper, LowerLevelMapper, SatMapper, SprMapper, UltraFastMapper,
+};
 
 fn cgra() -> Cgra {
     Cgra::new(CgraConfig::small_4x4()).expect("preset is valid")
@@ -132,4 +135,114 @@ fn a_dyn_mapper_through_the_general_entry_matches_the_concrete_compile() {
         dyn_hashes(&dfg, &cgra, &sat),
         concrete_hashes(&dfg, &cgra, &sat)
     );
+}
+
+/// FNV-1a over `bytes`: a hash whose value is part of the contract (no
+/// std hasher whose algorithm may change between releases).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The SAT backend's whole output on the `suite4x4-sat` inputs, pinned:
+/// `(II, Mapping::content_hash, FNV-1a of the panorama-sat-v1 log)` per
+/// kernel. The log carries every attempt's refinements, peak vars and
+/// clauses and solver counters, so an encoder or solver change that claims
+/// to be exact keeps this row for row; a moved value is a changed search.
+#[test]
+fn sat_suite_is_pinned() {
+    let cgra = cgra();
+    let compiler = Panorama::new(PanoramaConfig::default());
+    let got: Vec<(KernelId, usize, u64, u64)> = KernelId::ALL
+        .into_iter()
+        .map(|id| {
+            let dfg = kernels::generate(id, KernelScale::Tiny);
+            let sat = SatMapper::default();
+            let report = compiler
+                .compile(&dfg, &cgra, &sat)
+                .unwrap_or_else(|e| panic!("{id}: {e}"));
+            let mapping = report.mapping();
+            let log = sat_attempt_log(
+                dfg.name(),
+                "4x4",
+                min_ii(&dfg, &cgra).mii(),
+                mapping.ii(),
+                &sat.config,
+                None,
+                &sat.take_attempts(),
+            );
+            (
+                id,
+                mapping.ii(),
+                mapping.content_hash(),
+                fnv1a(log.as_bytes()),
+            )
+        })
+        .collect();
+    let pinned = [
+        (KernelId::Edn, 4, 12784683552872719458, 10507895986638353449),
+        (
+            KernelId::IdctCols,
+            5,
+            713548787076907210,
+            13656467244412664841,
+        ),
+        (
+            KernelId::IdctRows,
+            5,
+            14707736695740188594,
+            10071744938075280958,
+        ),
+        (
+            KernelId::Conv2d,
+            3,
+            14021676038072405153,
+            3797623336911689165,
+        ),
+        (
+            KernelId::MatchedFilter,
+            3,
+            13908813740976523481,
+            2591704289639800417,
+        ),
+        (
+            KernelId::MatrixMultiply,
+            4,
+            963393573725693356,
+            2992279400473535732,
+        ),
+        (
+            KernelId::Cordic,
+            5,
+            7021402013183662492,
+            3620359606229479005,
+        ),
+        (
+            KernelId::KMeansClustering,
+            4,
+            2331021728411764719,
+            4366154398502285313,
+        ),
+        (KernelId::Fir, 3, 14853591068066770895, 3719173938920261309),
+        (
+            KernelId::JpegFdct,
+            5,
+            17632198849432527337,
+            17192189884174414070,
+        ),
+        (
+            KernelId::JpegIdctFst,
+            5,
+            12267472545327440534,
+            1009106578858457878,
+        ),
+        (
+            KernelId::InvertMat,
+            5,
+            10073726613219621258,
+            10260469756067847062,
+        ),
+    ];
+    assert_eq!(got, pinned);
 }
