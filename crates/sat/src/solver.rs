@@ -1,7 +1,8 @@
 //! The CDCL search engine.
 //!
 //! Layout follows the MiniSat lineage: a flat literal encoding
-//! (`var << 1 | sign`), watch lists per literal, a trail of assignments
+//! (`var << 1 | sign`), every clause's literals in one arena indexed by
+//! per-clause headers, watch lists per literal, a trail of assignments
 //! with per-variable decision levels and reasons, and an indexed binary
 //! max-heap over VSIDS activities for decisions. Everything that orders
 //! work — watch lists, the trail, the activity heap, clause reduction —
@@ -110,12 +111,22 @@ const RESTART_BASE: u64 = 100;
 const ACTIVITY_DECAY: f64 = 1.0 / 0.95;
 const ACTIVITY_RESCALE: f64 = 1e100;
 
-#[derive(Debug, Clone)]
-struct Clause {
-    lits: Vec<Lit>,
-    learnt: bool,
+/// One clause: its literals are `arena[start..start + len]`. A deleted
+/// learned clause keeps its slice — the arena is never compacted, so a
+/// clause id names the same literals for the solver's whole life.
+#[derive(Debug, Clone, Copy)]
+struct ClauseHeader {
+    start: u32,
+    len: u32,
     lbd: u32,
+    learnt: bool,
     deleted: bool,
+}
+
+impl ClauseHeader {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -232,7 +243,14 @@ impl VarOrder {
 /// next solve.
 #[derive(Debug, Default)]
 pub struct Solver {
-    clauses: Vec<Clause>,
+    /// Per clause id, where its literals sit in `arena`.
+    clauses: Vec<ClauseHeader>,
+    /// Every clause's literals, back to back, in clause-id order.
+    arena: Vec<Lit>,
+    /// Reused by [`Solver::add_clause`] to normalise its input.
+    add_buf: Vec<Lit>,
+    /// Reused by conflict analysis for the learned clause.
+    learnt_buf: Vec<Lit>,
     watches: Vec<Vec<Watcher>>,
     /// Assignment per variable: [`VAL_TRUE`], [`VAL_FALSE`] or [`UNDEF`].
     assign: Vec<u8>,
@@ -336,8 +354,16 @@ impl Solver {
             return false;
         }
         self.cancel_until(0);
-        let mut ls: Vec<Lit> = lits.to_vec();
-        for l in &ls {
+        let mut ls = std::mem::take(&mut self.add_buf);
+        ls.clear();
+        ls.extend_from_slice(lits);
+        let ok = self.add_normalised(&mut ls);
+        self.add_buf = ls;
+        ok
+    }
+
+    fn add_normalised(&mut self, ls: &mut Vec<Lit>) -> bool {
+        for l in ls.iter() {
             assert!(l.var().index() < self.num_vars(), "unknown variable");
         }
         ls.sort_unstable();
@@ -374,7 +400,9 @@ impl Solver {
         }
     }
 
-    fn attach(&mut self, lits: Vec<Lit>, learnt: bool, lbd: u32) -> u32 {
+    /// Appends `lits` to the arena as a new clause and watches its first
+    /// two literals.
+    fn attach(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> u32 {
         let cid = self.clauses.len() as u32;
         self.watches[lits[0].negate().code()].push(Watcher {
             clause: cid,
@@ -387,12 +415,14 @@ impl Solver {
         if learnt {
             self.learnts.push(cid);
         }
-        self.clauses.push(Clause {
-            lits,
-            learnt,
+        self.clauses.push(ClauseHeader {
+            start: self.arena.len() as u32,
+            len: lits.len() as u32,
             lbd,
+            learnt,
             deleted: false,
         });
+        self.arena.extend_from_slice(lits);
         cid
     }
 
@@ -424,13 +454,14 @@ impl Solver {
                     i += 1;
                     continue;
                 }
-                let cid = w.clause as usize;
+                let lits = self.clauses[w.clause as usize].range();
+                let (c0, c1) = (lits.start, lits.start + 1);
                 let false_lit = p.negate();
                 // normalize: the false watched literal sits at index 1
-                if self.clauses[cid].lits[0] == false_lit {
-                    self.clauses[cid].lits.swap(0, 1);
+                if self.arena[c0] == false_lit {
+                    self.arena.swap(c0, c1);
                 }
-                let first = self.clauses[cid].lits[0];
+                let first = self.arena[c0];
                 if first != w.blocker && self.lit_value(first) == VAL_TRUE {
                     self.watches[p.code()][i].blocker = first;
                     i += 1;
@@ -438,10 +469,10 @@ impl Solver {
                 }
                 // look for a new literal to watch
                 let mut moved = false;
-                for k in 2..self.clauses[cid].lits.len() {
-                    let l = self.clauses[cid].lits[k];
+                for k in lits.start + 2..lits.end {
+                    let l = self.arena[k];
                     if self.lit_value(l) != VAL_FALSE {
-                        self.clauses[cid].lits.swap(1, k);
+                        self.arena.swap(c1, k);
                         self.watches[p.code()].swap_remove(i);
                         self.watches[l.negate().code()].push(Watcher {
                             clause: w.clause,
@@ -491,16 +522,17 @@ impl Solver {
         self.order.bumped(v.0);
     }
 
-    /// First-UIP conflict analysis. Returns the learned clause (asserting
-    /// literal first) and the backjump level.
-    fn analyze(&mut self, mut confl: u32) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit(0)]; // slot 0 = asserting literal
+    /// First-UIP conflict analysis. Fills `learnt` with the learned clause
+    /// (asserting literal first) and returns the backjump level.
+    fn analyze(&mut self, mut confl: u32, learnt: &mut Vec<Lit>) -> u32 {
+        learnt.clear();
+        learnt.push(Lit(0)); // slot 0 = asserting literal
         let mut counter = 0usize;
         let mut idx = self.trail.len();
         let mut p: Option<Lit> = None;
         loop {
-            let lits = self.clauses[confl as usize].lits.clone();
-            for &q in &lits {
+            for k in self.clauses[confl as usize].range() {
+                let q = self.arena[k];
                 // reason clauses carry the propagated literal itself at
                 // position 0; it is the resolvent, not an antecedent
                 if Some(q) == p {
@@ -552,7 +584,7 @@ impl Solver {
         if learnt.len() > 1 {
             learnt.swap(1, pos);
         }
-        (learnt, back)
+        back
     }
 
     fn lbd(&mut self, lits: &[Lit]) -> u32 {
@@ -578,17 +610,16 @@ impl Solver {
             .copied()
             .filter(|&cid| {
                 let c = &self.clauses[cid as usize];
-                c.learnt && !c.deleted && !locked.contains(&cid) && c.lits.len() > 2 && c.lbd > 2
+                c.learnt && !c.deleted && !locked.contains(&cid) && c.len > 2 && c.lbd > 2
             })
             .collect();
         order.sort_by_key(|&cid| {
             let c = &self.clauses[cid as usize];
-            (c.lbd, c.lits.len(), cid)
+            (c.lbd, c.len, cid)
         });
-        // drop the worse half
+        // drop the worse half; their arena slices stay where they are
         for &cid in &order[order.len() / 2..] {
             self.clauses[cid as usize].deleted = true;
-            self.clauses[cid as usize].lits = Vec::new();
             self.stats.removed += 1;
         }
         self.learnts
@@ -673,7 +704,8 @@ impl Solver {
                         self.ok = false;
                         return SolveResult::Unsat;
                     }
-                    let (learnt, back) = self.analyze(confl);
+                    let mut learnt = std::mem::take(&mut self.learnt_buf);
+                    let back = self.analyze(confl, &mut learnt);
                     self.cancel_until(back);
                     self.var_inc *= ACTIVITY_DECAY;
                     self.stats.learned += 1;
@@ -681,10 +713,10 @@ impl Solver {
                         self.unchecked_enqueue(learnt[0], NO_REASON);
                     } else {
                         let lbd = self.lbd(&learnt);
-                        let asserting = learnt[0];
-                        let cid = self.attach(learnt, true, lbd);
-                        self.unchecked_enqueue(asserting, cid);
+                        let cid = self.attach(&learnt, true, lbd);
+                        self.unchecked_enqueue(learnt[0], cid);
                     }
+                    self.learnt_buf = learnt;
                     if self.learnts.len() as u64 >= self.reduce_at {
                         self.reduce_db();
                     }
