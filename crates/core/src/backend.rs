@@ -1,5 +1,5 @@
-//! Which lower-level mapper: the one place `spr`, `ultrafast`, `exhaustive`,
-//! `sat` and `portfolio` are spelled.
+//! Which lower-level mapper: the one place `spr`, `ultrafast`, `sat` and
+//! `portfolio` are spelled.
 //!
 //! Every surface (CLI flags, `/compile` JSON, the bench harness, the
 //! fuzzer) names a mapper through [`BackendId`], and every compile takes
@@ -8,7 +8,7 @@
 //! CLI's SAT attempt log, the daemon's warm-started SPR\*, the fuzzer's
 //! tight SAT budget) passes that instead.
 
-use panorama_mapper::{ExactMapper, LowerLevelMapper, SatMapper, SprMapper, UltraFastMapper};
+use panorama_mapper::{LowerLevelMapper, SatMapper, SprMapper, UltraFastMapper};
 
 /// A selectable lower-level mapper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -17,8 +17,6 @@ pub enum BackendId {
     Spr,
     /// Ultra-Fast: greedy abstract scheduler with a wiring budget.
     UltraFast,
-    /// The exhaustive mapper: II-optimal by enumeration, tiny inputs only.
-    Exhaustive,
     /// SAT: CNF modulo scheduling decided by the CDCL solver.
     Sat,
 }
@@ -32,7 +30,6 @@ impl BackendId {
         match self {
             BackendId::Spr => "spr",
             BackendId::UltraFast => "ultrafast",
-            BackendId::Exhaustive => "exhaustive",
             BackendId::Sat => "sat",
         }
     }
@@ -46,7 +43,6 @@ impl BackendId {
         match name {
             "spr" => Ok(BackendId::Spr),
             "ultrafast" => Ok(BackendId::UltraFast),
-            "exhaustive" => Ok(BackendId::Exhaustive),
             "sat" => Ok(BackendId::Sat),
             other => Err(format!("unknown mapper `{other}`")),
         }
@@ -57,7 +53,6 @@ impl BackendId {
         match self {
             BackendId::Spr => Box::new(SprMapper::default()),
             BackendId::UltraFast => Box::new(UltraFastMapper::default()),
-            BackendId::Exhaustive => Box::new(ExactMapper::default()),
             BackendId::Sat => Box::new(SatMapper::default()),
         }
     }
@@ -111,7 +106,7 @@ mod tests {
 
     #[test]
     fn spellings_round_trip() {
-        for name in ["spr", "ultrafast", "exhaustive", "sat"] {
+        for name in ["spr", "ultrafast", "sat"] {
             let id = BackendId::parse(name).unwrap();
             assert_eq!(id.name(), name);
             let choice = MapperChoice::Backend(id);

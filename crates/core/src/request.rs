@@ -266,12 +266,7 @@ mod tests {
         // fir/tiny on 4x4 through each backend: a cap at the achieved II
         // changes nothing, a cap one below it (where the static check still
         // lets the request through) ends the search at or below the cap
-        for id in [
-            BackendId::Spr,
-            BackendId::UltraFast,
-            BackendId::Exhaustive,
-            BackendId::Sat,
-        ] {
+        for id in [BackendId::Spr, BackendId::UltraFast, BackendId::Sat] {
             let run = |cap: Option<usize>| {
                 let cap = cap.map_or(String::new(), |c| format!(",\"max_ii\":{c}"));
                 let req = request(&format!(

@@ -6,7 +6,7 @@
 //! | `verify`   | static  | structural violations: FU conflicts, missing/disconnected routes, dependence or capacity violations |
 //! | `simulate` | dynamic | cycle-accurate structural disagreements: a route that does not leave its producer, follow MRRG edges or feed its consumer, an operand arriving in the wrong cycle, more `(producer, iteration)` tokens on a resource in one cycle than it has capacity for. Carries no values |
 //! | `exec`     | dynamic | value-level divergences: the generated configware, replayed data-carrying on the fabric model under concrete input vectors, disagreeing with direct DFG interpretation — a semantically wrong encoder. Abstract backends (no routes) are excluded |
-//! | `exact_ii` | cross   | a route-producing backend reporting an II below the exhaustive mapper's optimum — an unsound II claim. Abstract backends (no routes) are excluded: their relaxed interconnect model makes lower IIs legitimate |
+//! | `ii_bound` | cross   | an unsound II claim: a backend mapping below the proven MII, or a route-producing backend mapping at an II the SAT backend refuted in the same case. Abstract backends (no routes) are excluded from the second check: their relaxed interconnect model makes lower IIs legitimate |
 //! | `rewrite`  | cross   | the `panorama-analyze` optimizer producing a graph `panorama_sim::interpret` — the interpreter and ALU `exec` holds the configware to — distinguishes from the input under any of the five input-vector families: every surviving op compared through the rewrite map, every store and sink kept (per case, before any mapping) |
 //! | `crash`    | harness | panics anywhere in the pipeline, caught per backend |
 //!
@@ -19,11 +19,8 @@ use panorama_analyze::{optimize, AnalyzeConfig};
 use panorama_arch::Cgra;
 use panorama_dfg::Dfg;
 use panorama_exec::{execute, ExecError, ExecOptions};
-use panorama_mapper::{
-    CancelToken, ExactMapper, LowerLevelMapper, SatMapper, SatMapperConfig, SearchControl,
-};
+use panorama_mapper::{min_ii, CancelToken, LowerLevelMapper, SatMapper, SatMapperConfig};
 use panorama_sim::{simulate, SimError};
-use panorama_trace::SpanCollector;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Outcome of one oracle on one case.
@@ -34,7 +31,7 @@ pub enum OracleOutcome {
     /// The oracle ran and found a genuine disagreement (a bug).
     Fail(String),
     /// The oracle did not apply, with the reason (unmapped, no routes,
-    /// instance too large for the exact mapper, ...).
+    /// cancelled, ...).
     Skip(String),
 }
 
@@ -53,12 +50,15 @@ pub struct BackendResult {
     /// Whether the pipeline produced a mapping.
     pub mapped: bool,
     /// Whether the mapping carries concrete MRRG routes (false for
-    /// abstract mappers, whose II claims the exact oracle must not judge).
+    /// abstract mappers, whose II claims SAT's refutations must not judge).
     pub has_routes: bool,
     /// Achieved II when mapped.
     pub ii: Option<usize>,
     /// Mapping-failure text when unmapped (not an oracle failure).
     pub note: String,
+    /// The SAT backend's per-II verdicts `(ii, result)`, as drained from
+    /// its attempt log; empty for the other backends.
+    pub ii_log: Vec<(usize, &'static str)>,
     /// Static checker outcome.
     pub verify: OracleOutcome,
     /// Cycle-level simulation outcome.
@@ -71,11 +71,12 @@ pub struct BackendResult {
 /// Everything the oracles concluded about one case.
 #[derive(Debug, Clone)]
 pub struct CaseResult {
-    /// One entry per backend under test, in [`BackendId::PORTFOLIO`] order
-    /// (the exhaustive mapper is an oracle, not a subject).
+    /// One entry per backend under test, in [`BackendId::PORTFOLIO`] order.
     pub backends: Vec<BackendResult>,
-    /// The II-optimality cross-check (one per case, not per backend).
-    pub exact_ii: OracleOutcome,
+    /// The II-bound cross-check (one per case, not per backend).
+    pub ii_bound: OracleOutcome,
+    /// The backend whose II broke the bound, when `ii_bound` failed.
+    pub ii_bound_backend: Option<BackendId>,
     /// The rewriter-equivalence cross-check (one per case): the analyze
     /// optimizer's output must be indistinguishable from its input under
     /// the reference interpreter, for every input-vector family.
@@ -86,8 +87,8 @@ pub struct CaseResult {
 
 impl CaseResult {
     /// All failures as `(backend, oracle, message)` triples; crashes use
-    /// backend `"harness"` and oracle `"crash"`, the exact cross-check
-    /// uses backend `"exact"` and oracle `"exact_ii"`, the rewriter
+    /// backend `"harness"` and oracle `"crash"`, the II-bound cross-check
+    /// names the offending backend and oracle `"ii_bound"`, the rewriter
     /// cross-check uses backend `"analyze"` and oracle `"rewrite"`.
     pub fn failures(&self) -> Vec<(String, String, String)> {
         let mut out = Vec::new();
@@ -102,8 +103,8 @@ impl CaseResult {
                 out.push((b.backend.name().to_string(), "exec".into(), msg.clone()));
             }
         }
-        if let OracleOutcome::Fail(msg) = &self.exact_ii {
-            out.push(("exact".into(), "exact_ii".into(), msg.clone()));
+        if let (OracleOutcome::Fail(msg), Some(b)) = (&self.ii_bound, self.ii_bound_backend) {
+            out.push((b.name().to_string(), "ii_bound".into(), msg.clone()));
         }
         if let OracleOutcome::Fail(msg) = &self.rewrite {
             out.push(("analyze".into(), "rewrite".into(), msg.clone()));
@@ -125,11 +126,6 @@ impl CaseResult {
 pub struct OracleConfig {
     /// Pipelined iterations the simulator replays per mapping.
     pub sim_iterations: usize,
-    /// Op-count cap for the exact II-optimality cross-check.
-    pub exact_max_ops: usize,
-    /// PE-count cap for the exact cross-check (exhaustive placement
-    /// over large arrays is the wall the paper documents).
-    pub exact_max_pes: usize,
     /// Fires to abandon the remaining work (wall-clock cap).
     pub cancel: Option<CancelToken>,
 }
@@ -138,8 +134,6 @@ impl Default for OracleConfig {
     fn default() -> Self {
         OracleConfig {
             sim_iterations: 6,
-            exact_max_ops: 12,
-            exact_max_pes: 16,
             cancel: None,
         }
     }
@@ -163,24 +157,33 @@ fn run_backend(dfg: &Dfg, cgra: &Cgra, backend: BackendId, cfg: &OracleConfig) -
         threads: 1,
         ..PanoramaConfig::default()
     });
-    let mapper: Box<dyn LowerLevelMapper> = match backend {
-        // Tight per-case budgets: a fuzz run visits hundreds of random
-        // graphs, and an unmapped case is a skip, not a failure — the
-        // oracles only judge what the backend positively claims.
-        BackendId::Sat => Box::new(SatMapper::new(SatMapperConfig {
-            max_ops: 48,
-            schedule_conflicts: 5_000,
-            route_conflicts: 5_000,
-            refine_rounds: 16,
-            ..SatMapperConfig::default()
-        })),
-        other => other.mapper(),
+    // Tight per-case SAT budgets: a fuzz run visits hundreds of random
+    // graphs, and an unmapped case is a skip, not a failure — the oracles
+    // only judge what the backend positively claims.
+    let sat = SatMapper::new(SatMapperConfig {
+        max_ops: 48,
+        schedule_conflicts: 5_000,
+        route_conflicts: 5_000,
+        refine_rounds: 16,
+        ..SatMapperConfig::default()
+    });
+    let default = backend.mapper();
+    let mapper: &dyn LowerLevelMapper = if backend == BackendId::Sat {
+        &sat
+    } else {
+        &*default
     };
     let ctx = CompileContext {
         cancel: cfg.cancel.as_ref(),
         ..CompileContext::default()
     };
-    let result = compiler.compile_with(dfg, cgra, &[&*mapper], CompileMode::Guided, &ctx);
+    let result = compiler.compile_with(dfg, cgra, &[mapper], CompileMode::Guided, &ctx);
+    // empty unless this run was SAT's
+    let ii_log = sat
+        .take_attempts()
+        .into_iter()
+        .map(|a| (a.ii, a.result))
+        .collect();
     match result {
         Ok(report) => {
             let mapping = report.mapping();
@@ -226,6 +229,7 @@ fn run_backend(dfg: &Dfg, cgra: &Cgra, backend: BackendId, cfg: &OracleConfig) -
                 has_routes: mapping.routes().is_some(),
                 ii: Some(mapping.ii()),
                 note: String::new(),
+                ii_log,
                 verify,
                 simulate: sim,
                 exec,
@@ -238,6 +242,7 @@ fn run_backend(dfg: &Dfg, cgra: &Cgra, backend: BackendId, cfg: &OracleConfig) -
                 mapped: false,
                 has_routes: false,
                 ii: None,
+                ii_log,
                 verify: OracleOutcome::Skip(format!("unmapped: {note}")),
                 simulate: OracleOutcome::Skip(format!("unmapped: {note}")),
                 exec: OracleOutcome::Skip(format!("unmapped: {note}")),
@@ -247,69 +252,47 @@ fn run_backend(dfg: &Dfg, cgra: &Cgra, backend: BackendId, cfg: &OracleConfig) -
     }
 }
 
-fn exact_oracle(
-    dfg: &Dfg,
-    cgra: &Cgra,
-    cfg: &OracleConfig,
-    backends: &[BackendResult],
-) -> OracleOutcome {
-    if dfg.num_ops() > cfg.exact_max_ops {
-        return OracleOutcome::Skip(format!(
-            "{} ops exceeds the exact-oracle cap of {}",
-            dfg.num_ops(),
-            cfg.exact_max_ops
-        ));
+/// Whether SAT's log refutes `ii` for every candidate partition it ran.
+///
+/// A guided compile runs one SAT search per candidate, each under its own
+/// placement restriction, and the drained log merges them: one
+/// candidate's `"unsat"` says nothing about another's restriction. Below
+/// SAT's own result every candidate searched every II from its floor up
+/// (the shared portfolio bound prunes only IIs at or above the best so
+/// far, and all candidates share one cap), so there a log whose every
+/// entry at `ii` is `"unsat"` covers them all: each candidate either
+/// refuted `ii` or has a proven floor above it.
+fn sat_refutes(sat: &BackendResult, ii: usize) -> bool {
+    let mut at = sat.ii_log.iter().filter(|&&(k, _)| k == ii).peekable();
+    sat.ii.is_none_or(|mapped| mapped > ii) && at.peek().is_some() && at.all(|&(_, r)| r == "unsat")
+}
+
+/// The II-bound oracle over results the backends already produced: no
+/// backend maps below the proven MII, and no route-producing backend
+/// maps at an II SAT refuted. Fails with the offending backend.
+fn ii_bound_oracle(mii: usize, backends: &[BackendResult]) -> (OracleOutcome, Option<BackendId>) {
+    if !backends.iter().any(|b| b.mapped) {
+        return (
+            OracleOutcome::Skip("no backend mapped this case".into()),
+            None,
+        );
     }
-    if cgra.num_pes() > cfg.exact_max_pes {
-        return OracleOutcome::Skip(format!(
-            "{} PEs exceeds the exact-oracle cap of {}",
-            cgra.num_pes(),
-            cfg.exact_max_pes
-        ));
-    }
-    if !backends.iter().any(|b| b.mapped && b.has_routes) {
-        return OracleOutcome::Skip("no route-producing backend mapped this case".into());
-    }
-    let exact = ExactMapper::default();
-    let control = cfg
-        .cancel
-        .as_ref()
-        .map(|token| SearchControl::unbounded().with_cancel(token.clone()));
-    let result = exact.map_traced(
-        dfg,
-        cgra,
-        None,
-        control.as_ref(),
-        &mut SpanCollector::disabled(),
-    );
-    match result {
-        Ok(mapping) => {
-            if let Err(e) = mapping.verify(dfg, cgra) {
-                return OracleOutcome::Fail(format!("exact mapping fails verify: {e}"));
-            }
-            for b in backends {
-                // abstract mappers (no routes) model a relaxed interconnect
-                // whose optimum can genuinely be lower; judging them against
-                // the route-aware exact mapper would be a category error
-                if !b.has_routes {
-                    continue;
-                }
-                if let Some(ii) = b.ii {
-                    if ii < mapping.ii() {
-                        return OracleOutcome::Fail(format!(
-                            "{} claims II {} below the exhaustive optimum {}",
-                            b.backend.name(),
-                            ii,
-                            mapping.ii()
-                        ));
-                    }
-                }
-            }
-            OracleOutcome::Pass
+    let sat = backends.iter().find(|b| b.backend == BackendId::Sat);
+    for b in backends {
+        let Some(ii) = b.ii else { continue };
+        let name = b.backend.name();
+        if ii < mii {
+            let msg = format!("{name} claims II {ii} below the MII {mii}");
+            return (OracleOutcome::Fail(msg), Some(b.backend));
         }
-        Err(e) if e.cancelled => OracleOutcome::Skip("cancelled".into()),
-        Err(_) => OracleOutcome::Skip("exact mapper found no mapping within budget".into()),
+        // abstract mappers (no routes) model a relaxed interconnect whose
+        // optimum can genuinely be lower than the routed one
+        if b.has_routes && sat.is_some_and(|sat| sat_refutes(sat, ii)) {
+            let msg = format!("{name} claims II {ii}, which the SAT backend refuted");
+            return (OracleOutcome::Fail(msg), Some(b.backend));
+        }
     }
+    (OracleOutcome::Pass, None)
 }
 
 /// The rewriter-equivalence oracle: run the full `panorama-analyze`
@@ -348,6 +331,7 @@ pub fn run_case(dfg: &Dfg, cgra: &Cgra, cfg: &OracleConfig) -> CaseResult {
                     has_routes: false,
                     ii: None,
                     note: "crashed".into(),
+                    ii_log: Vec::new(),
                     verify: OracleOutcome::Skip("crashed".into()),
                     simulate: OracleOutcome::Skip("crashed".into()),
                     exec: OracleOutcome::Skip("crashed".into()),
@@ -355,17 +339,14 @@ pub fn run_case(dfg: &Dfg, cgra: &Cgra, cfg: &OracleConfig) -> CaseResult {
             }
         }
     }
-    let exact_ii = if crash.is_some() {
-        OracleOutcome::Skip("crashed".into())
+    // a partial SAT log refutes nothing: a cancelled search stopped
+    // some candidates short of the IIs others refuted
+    let (ii_bound, ii_bound_backend) = if crash.is_some() {
+        (OracleOutcome::Skip("crashed".into()), None)
+    } else if cfg.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+        (OracleOutcome::Skip("cancelled".into()), None)
     } else {
-        match catch_unwind(AssertUnwindSafe(|| exact_oracle(dfg, cgra, cfg, &backends))) {
-            Ok(outcome) => outcome,
-            Err(payload) => {
-                let msg = format!("exact oracle panicked: {}", panic_text(&*payload));
-                crash.get_or_insert(msg);
-                OracleOutcome::Skip("crashed".into())
-            }
-        }
+        ii_bound_oracle(min_ii(dfg, cgra).mii(), &backends)
     };
     let rewrite = match catch_unwind(AssertUnwindSafe(|| rewrite_oracle(dfg))) {
         Ok(outcome) => outcome,
@@ -377,7 +358,8 @@ pub fn run_case(dfg: &Dfg, cgra: &Cgra, cfg: &OracleConfig) -> CaseResult {
     };
     CaseResult {
         backends,
-        exact_ii,
+        ii_bound,
+        ii_bound_backend,
         rewrite,
         crash,
     }
@@ -432,5 +414,84 @@ mod tests {
         let result = run_case(&dfg, &cgra, &cfg);
         assert!(!result.has_failure(), "{:?}", result.failures());
         assert!(result.backends.iter().all(|b| !b.mapped));
+    }
+
+    /// A mapped (or, with `ii` `None`, unmapped) backend result carrying
+    /// `ii_log` as its SAT verdicts.
+    fn backend(
+        id: BackendId,
+        ii: Option<usize>,
+        ii_log: &[(usize, &'static str)],
+    ) -> BackendResult {
+        BackendResult {
+            backend: id,
+            mapped: ii.is_some(),
+            has_routes: ii.is_some() && id != BackendId::UltraFast,
+            ii,
+            note: String::new(),
+            ii_log: ii_log.to_vec(),
+            verify: OracleOutcome::Pass,
+            simulate: OracleOutcome::Pass,
+            exec: OracleOutcome::Pass,
+        }
+    }
+
+    /// SPR\* at II 2 and Ultra-Fast at II 1, against SAT's `ii_log` and
+    /// SAT result `sat_ii`, with MII `mii`.
+    fn judge(mii: usize, ii_log: &[(usize, &'static str)], sat_ii: Option<usize>) -> CaseResult {
+        let backends = vec![
+            backend(BackendId::Spr, Some(2), &[]),
+            backend(BackendId::UltraFast, Some(1), &[]),
+            backend(BackendId::Sat, sat_ii, ii_log),
+        ];
+        let (ii_bound, ii_bound_backend) = ii_bound_oracle(mii, &backends);
+        CaseResult {
+            backends,
+            ii_bound,
+            ii_bound_backend,
+            rewrite: OracleOutcome::Pass,
+            crash: None,
+        }
+    }
+
+    #[test]
+    fn a_route_producing_ii_that_sat_refuted_fails() {
+        let r = judge(1, &[(1, "unsat"), (2, "unsat"), (3, "mapped")], Some(3));
+        assert!(r.ii_bound.is_fail());
+        assert_eq!(r.failures()[0].0, "spr");
+        assert_eq!(r.failures()[0].1, "ii_bound");
+        // Ultra-Fast's II 1 is below SAT's refutation too, but it has no
+        // routes: only SPR* is judged
+        assert!(r.failures()[0].2.starts_with("spr claims II 2"));
+    }
+
+    #[test]
+    fn running_out_of_rounds_refutes_nothing() {
+        let r = judge(1, &[(1, "rounds"), (2, "rounds"), (3, "mapped")], Some(3));
+        assert_eq!(r.ii_bound, OracleOutcome::Pass);
+        // another candidate's refutation at an II some candidate mapped
+        // at, or one that did not finish, is no refutation either
+        for log in [
+            &[(2, "mapped"), (2, "unsat")][..],
+            &[(2, "rounds"), (2, "unsat"), (3, "mapped")],
+        ] {
+            let sat_ii = log.iter().find(|a| a.1 == "mapped").map(|a| a.0);
+            assert_eq!(judge(1, log, sat_ii).ii_bound, OracleOutcome::Pass);
+        }
+    }
+
+    #[test]
+    fn an_ii_below_the_mii_fails_and_no_mapping_skips() {
+        let r = judge(2, &[(2, "mapped")], Some(2));
+        assert!(r.ii_bound.is_fail());
+        assert_eq!(r.failures()[0].0, "ultrafast");
+        let none = [
+            backend(BackendId::Spr, None, &[]),
+            backend(BackendId::Sat, None, &[(1, "unsat")]),
+        ];
+        assert!(matches!(
+            ii_bound_oracle(1, &none).0,
+            OracleOutcome::Skip(_)
+        ));
     }
 }

@@ -1,4 +1,4 @@
-//! The `panorama-fuzz-v2` report: aggregated oracle tallies plus one
+//! The `panorama-fuzz-v3` report: aggregated oracle tallies plus one
 //! record per (minimized) failure.
 //!
 //! The report is deliberately free of wall-clock data — two runs of the
@@ -49,9 +49,10 @@ pub struct BackendCounts {
 pub struct FailureRecord {
     /// Case index within the run.
     pub case: usize,
-    /// Backend that failed (`spr`, `ultrafast`, `exact`, `harness`).
+    /// Backend that failed (`spr`, `ultrafast`, `sat`, `analyze`, `harness`).
     pub backend: String,
-    /// Oracle that flagged it (`verify`, `simulate`, `exact_ii`, `crash`).
+    /// Oracle that flagged it (`verify`, `simulate`, `exec`, `ii_bound`,
+    /// `rewrite`, `crash`).
     pub oracle: String,
     /// The disagreement text.
     pub message: String,
@@ -104,8 +105,8 @@ pub struct FuzzReport {
     pub simulate: OracleCounts,
     /// Data-level execution tallies (per backend per case).
     pub exec: OracleCounts,
-    /// Exact II-optimality tallies (per case).
-    pub exact_ii: OracleCounts,
+    /// II-bound tallies (per case).
+    pub ii_bound: OracleCounts,
     /// Rewriter-equivalence tallies (per case).
     pub rewrite: OracleCounts,
     /// SPR\* mapping tallies.
@@ -133,7 +134,7 @@ impl FuzzReport {
             verify: OracleCounts::default(),
             simulate: OracleCounts::default(),
             exec: OracleCounts::default(),
-            exact_ii: OracleCounts::default(),
+            ii_bound: OracleCounts::default(),
             rewrite: OracleCounts::default(),
             spr: BackendCounts::default(),
             ultrafast: BackendCounts::default(),
@@ -155,7 +156,6 @@ impl FuzzReport {
                 BackendId::Spr => &mut self.spr,
                 BackendId::UltraFast => &mut self.ultrafast,
                 BackendId::Sat => &mut self.sat,
-                BackendId::Exhaustive => unreachable!("the exhaustive mapper is an oracle"),
             };
             if b.mapped {
                 counts.mapped += 1;
@@ -166,7 +166,7 @@ impl FuzzReport {
             self.simulate.add(&b.simulate);
             self.exec.add(&b.exec);
         }
-        self.exact_ii.add(&result.exact_ii);
+        self.ii_bound.add(&result.ii_bound);
         self.rewrite.add(&result.rewrite);
     }
 
@@ -176,12 +176,12 @@ impl FuzzReport {
         self.verify.fail
             + self.simulate.fail
             + self.exec.fail
-            + self.exact_ii.fail
+            + self.ii_bound.fail
             + self.rewrite.fail
             + self.crashes
     }
 
-    /// Serializes the report as `panorama-fuzz-v2` JSON. Deterministic:
+    /// Serializes the report as `panorama-fuzz-v3` JSON. Deterministic:
     /// no timestamps, no durations, no environment data.
     pub fn to_json(&self) -> String {
         let mut w = Writer::new(&schema::FUZZ);
@@ -196,7 +196,7 @@ impl FuzzReport {
             ("verify", &self.verify),
             ("simulate", &self.simulate),
             ("exec", &self.exec),
-            ("exact_ii", &self.exact_ii),
+            ("ii_bound", &self.ii_bound),
             ("rewrite", &self.rewrite),
         ] {
             w.open();
@@ -267,7 +267,7 @@ impl FuzzReport {
             ("verify  ", &self.verify),
             ("simulate", &self.simulate),
             ("exec    ", &self.exec),
-            ("exact_ii", &self.exact_ii),
+            ("ii_bound", &self.ii_bound),
             ("rewrite ", &self.rewrite),
         ] {
             let _ = writeln!(

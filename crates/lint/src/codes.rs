@@ -155,7 +155,7 @@ pub const ALL: &[CodeInfo] = &[
     info(
         "SAT002",
         "warn",
-        "SAT solver timed out at the II cap without proving infeasibility or mapping",
+        "SAT solver timed out or ran out of CEGAR rounds at the II cap without an answer",
     ),
     info(
         "SAT003",

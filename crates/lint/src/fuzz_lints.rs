@@ -1,4 +1,4 @@
-//! Schema and invariant validation for `panorama-fuzz-v2` JSON.
+//! Schema and invariant validation for `panorama-fuzz-v3` JSON.
 //!
 //! | code | severity | finding |
 //! |------|----------|---------|
@@ -25,7 +25,7 @@ pub(crate) const CHECKS: Checks = Checks {
     pair: Some(check_determinism),
 };
 
-/// Validates a `panorama-fuzz-v2` document — either one report object or
+/// Validates a `panorama-fuzz-v3` document — either one report object or
 /// a JSON array of reports (e.g. two runs of the same seed, for the
 /// determinism check) — appending findings to `out`.
 pub fn lint_fuzz_json(text: &str, out: &mut Diagnostics) {
@@ -33,7 +33,7 @@ pub fn lint_fuzz_json(text: &str, out: &mut Diagnostics) {
 }
 
 /// The five oracles every report must tally, in report order.
-const ORACLES: &[&str] = &["verify", "simulate", "exec", "exact_ii", "rewrite"];
+const ORACLES: &[&str] = &["verify", "simulate", "exec", "ii_bound", "rewrite"];
 
 /// `FUZZ001` (a missing oracle row) and `FUZZ002` (single report): the
 /// tally conservation laws.
@@ -198,7 +198,7 @@ mod tests {
                {{\"oracle\": \"verify\", \"checks\": {c2}, \"pass\": {vp}, \"fail\": {fails}, \"skip\": 0}},\
                {{\"oracle\": \"simulate\", \"checks\": {c2}, \"pass\": {c2}, \"fail\": 0, \"skip\": 0}},\
                {{\"oracle\": \"exec\", \"checks\": {c2}, \"pass\": {c2}, \"fail\": 0, \"skip\": 0}},\
-               {{\"oracle\": \"exact_ii\", \"checks\": {completed}, \"pass\": 0, \"fail\": 0, \"skip\": {completed}}},\
+               {{\"oracle\": \"ii_bound\", \"checks\": {completed}, \"pass\": 0, \"fail\": 0, \"skip\": {completed}}},\
                {{\"oracle\": \"rewrite\", \"checks\": {completed}, \"pass\": {completed}, \"fail\": 0, \"skip\": 0}}],\
              \"backends\": [\
                {{\"backend\": \"spr\", \"mapped\": {completed}, \"unmapped\": 0}},\
@@ -232,7 +232,7 @@ mod tests {
         assert_eq!(run("{nope"), ["FUZZ001"]);
         assert_eq!(run("{\"schema\": \"nope\"}"), ["FUZZ001"]);
         let no_row = report(1, 2, 0, CLEAN_CORPUS).replace(
-            "{\"oracle\": \"exact_ii\", \"checks\": 2, \"pass\": 0, \"fail\": 0, \"skip\": 2},",
+            "{\"oracle\": \"ii_bound\", \"checks\": 2, \"pass\": 0, \"fail\": 0, \"skip\": 2},",
             "",
         );
         assert_eq!(run(&no_row), ["FUZZ001"]);
@@ -240,7 +240,7 @@ mod tests {
 
     #[test]
     fn broken_conservation_hits_fuzz002() {
-        // checks != pass+fail+skip (the exact_ii row is the only one with skip 5)
+        // checks != pass+fail+skip (the ii_bound row is the only one with skip 5)
         let bad = report(1, 5, 0, CLEAN_CORPUS).replace("\"skip\": 5}", "\"skip\": 4}");
         assert_eq!(run(&bad), ["FUZZ002"]);
         // failure records out of step with the tallies

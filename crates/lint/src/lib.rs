@@ -30,7 +30,7 @@
 //! `ILP...` (solver models), `MAP...` (mappability bounds), `SAT...`
 //! (`panorama-sat-v1` solver attempt logs), `TRACE...`
 //! (`panorama-trace-v1` JSON exports), `SERVE...` (`panorama-serve`
-//! metrics), `FUZZ...` (`panorama-fuzz-v2` reports), `EXEC...`
+//! metrics), `FUZZ...` (`panorama-fuzz-v3` reports), `EXEC...`
 //! (`panorama-exec-v1` data-level execution reports) and `ANLZ...`
 //! (`panorama-analyze` findings and `panorama-analyze-v1` reports). The
 //! per-pass module docs list every code with its severity; [`codes`] is

@@ -4,12 +4,13 @@
 //! | code | severity | finding |
 //! |------|----------|---------|
 //! | `SAT001` | error | malformed report, or an attempt's CNF exceeded the variable/clause budget |
-//! | `SAT002` | warn | the solver timed out at the II cap without an answer |
+//! | `SAT002` | warn | the solver timed out or ran out of CEGAR rounds at the II cap without an answer |
 //! | `SAT003` | error | a decoded assignment failed `Mapping::verify` (decode/verify mismatch) |
 //!
-//! The SAT mapper proves infeasibility (`unsat`) or produces a verified
-//! mapping (`mapped`) per II; `budget` and `timeout` rows mean it gave no
-//! answer for that II. `SAT003` is the serious one: the encoder's model of
+//! Per II the SAT mapper proves infeasibility (`unsat`: phase 1 refuted
+//! its widest schedule window) or produces a verified mapping (`mapped`);
+//! `rounds` (every CEGAR refinement round spent without either), `budget`
+//! and `timeout` rows mean it gave no answer for that II. `SAT003` is the serious one: the encoder's model of
 //! the MRRG disagreed with the verifier, which a correct encoding never
 //! does — each occurrence was re-blocked and re-solved, so results stay
 //! sound, but the encoding should be fixed.
@@ -31,7 +32,7 @@ pub fn lint_sat_json(text: &str, out: &mut Diagnostics) {
 }
 
 /// The invariant checks proper: budget overruns (`SAT001`), a cap
-/// timeout (`SAT002`) and decode/verify mismatches (`SAT003`).
+/// timeout or rounds exhaustion (`SAT002`) and decode/verify mismatches (`SAT003`).
 fn check_attempts(doc: &Json, _at: &Entity, out: &mut Diagnostics) {
     let (max_vars, max_clauses) = (num(doc, "max_vars"), num(doc, "max_clauses"));
     let max_ii = num(doc, "max_ii");
@@ -54,8 +55,8 @@ fn check_attempts(doc: &Json, _at: &Entity, out: &mut Diagnostics) {
                 ),
             ));
         }
-        if result == "timeout" && ii >= max_ii {
-            cap_timeout = Some((i, ii));
+        if (result == "timeout" || result == "rounds") && ii >= max_ii {
+            cap_timeout = Some((i, ii, result));
         }
         let mismatches = num(row, "decode_mismatches");
         if mismatches > 0 {
@@ -69,17 +70,18 @@ fn check_attempts(doc: &Json, _at: &Entity, out: &mut Diagnostics) {
             ));
         }
     }
-    // A timeout at the cap only matters when nothing mapped: the
-    // search ended on exhausted conflict budgets, not an infeasibility
-    // proof or a solution.
-    if let (Some((i, ii)), 0) = (cap_timeout, num(doc, "mapped_ii")) {
+    // A timeout (or rounds exhaustion) at the cap only matters when
+    // nothing mapped: the search ended on exhausted conflict budgets or
+    // refinement rounds, not an infeasibility proof or a solution.
+    if let (Some((i, ii, result)), 0) = (cap_timeout, num(doc, "mapped_ii")) {
         out.push(Diagnostic::new(
             "SAT002",
             Severity::Warn,
             Entity::Event(i),
             format!(
-                "solver timed out at the II cap ({ii}): the search ran out of conflict \
-                 budget without proving infeasibility or finding a mapping"
+                "solver gave up at the II cap ({ii}, `{result}`): the search ran out of \
+                 conflict budget or refinement rounds without proving infeasibility or \
+                 finding a mapping"
             ),
         ));
     }
@@ -148,6 +150,9 @@ mod tests {
     fn cap_timeout_hits_sat002_only_when_nothing_mapped() {
         let codes = run(&report(0, &attempt(12, "timeout", 0, 10)));
         assert_eq!(codes, ["SAT002"]);
+        let codes = run(&report(0, &attempt(12, "rounds", 0, 10)));
+        assert_eq!(codes, ["SAT002"]);
+        assert!(run(&report(0, &attempt(5, "rounds", 0, 10))).is_empty());
         // A timeout below the cap, or one followed by a success at a
         // later window, is business as usual.
         assert!(run(&report(0, &attempt(5, "timeout", 0, 10))).is_empty());

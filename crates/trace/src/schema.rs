@@ -219,9 +219,9 @@ pub static SERVE_METRICS: Schema = Schema {
     codes: ["SERVE001"; 4],
 };
 
-/// `panorama-fuzz-v2`: `FuzzReport::to_json`.
+/// `panorama-fuzz-v3`: `FuzzReport::to_json`.
 pub static FUZZ: Schema = Schema {
-    id: "panorama-fuzz-v2",
+    id: "panorama-fuzz-v3",
     layout: Layout::Lines,
     newline: true,
     root: Ty::Obj(&[
@@ -323,7 +323,14 @@ pub static SAT: Schema = Schema {
                 n("ii"),
                 field(
                     "result",
-                    Ty::Enum(&["mapped", "unsat", "budget", "timeout", "cancelled"]),
+                    Ty::Enum(&[
+                        "mapped",
+                        "unsat",
+                        "rounds",
+                        "budget",
+                        "timeout",
+                        "cancelled",
+                    ]),
                 ),
                 n("refinements"),
                 n("decode_mismatches"),

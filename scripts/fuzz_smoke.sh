@@ -3,7 +3,7 @@
 # fuzzing sweep and checks the three properties CI cares about:
 #
 #   1. determinism — the same seed twice produces byte-identical
-#      panorama-fuzz-v2 reports (no timestamps, no thread jitter);
+#      panorama-fuzz-v3 reports (no timestamps, no thread jitter);
 #   2. cleanliness — the sweep and the committed corpus replay with zero
 #      oracle failures (a failure here is a real toolchain bug or a fixed
 #      bug resurfacing);

@@ -2,16 +2,16 @@
 //!
 //! ```text
 //! panorama compile --dfg kernel.dfg --arch cgra.adl
-//!                  [--mapper spr|ultrafast|exhaustive|sat|portfolio]
+//!                  [--mapper spr|ultrafast|sat|portfolio]
 //!                  [--baseline] [--threads N] [--max-ii N] [--simulate N]
 //!                  [--configware] [--dot] [--analyze] [--sat-report FILE]
 //! panorama analyze <kernel> [--arch cgra.adl] [--no-fold] [--no-cse] [--no-dce]
 //!                  [--out FILE] [--json]
 //! panorama trace <kernel> [--arch cgra.adl]
-//!                [--mapper spr|ultrafast|exhaustive|sat|portfolio]
+//!                [--mapper spr|ultrafast|sat|portfolio]
 //!                [--baseline] [--threads N] [--max-ii N] [--out FILE]
 //! panorama exec <kernel> [--arch cgra.adl]
-//!               [--mapper spr|ultrafast|exhaustive|sat|portfolio]
+//!               [--mapper spr|ultrafast|sat|portfolio]
 //!               [--iterations N] [--seed N] [--out FILE] [--json]
 //!               [--trace FILE]
 //! panorama lint --dfg kernel.dfg [--arch cgra.adl] [--max-ii N] [--json]
@@ -58,10 +58,10 @@
 //! `cmp`s across thread counts. Time and II numbers come from
 //! `benchmark/run.sh`, not from here.
 //! `fuzz` runs the deterministic differential fuzzing harness of
-//! [`panorama_fuzz`]: seeded random DFG/architecture sweeps, both
-//! lower-level backends, verify/simulate/exact-II oracle cross-checks,
+//! [`panorama_fuzz`]: seeded random DFG/architecture sweeps, all three
+//! lower-level backends, verify/simulate/II-bound oracle cross-checks,
 //! failing-case minimization, and regression-corpus replay; its
-//! `panorama-fuzz-v2` JSON report is what `lint --report` validates.
+//! `panorama-fuzz-v3` JSON report is what `lint --report` validates.
 //!
 //! `compile`, `trace` and `exec` parse their flags into the same typed
 //! [`CompileRequest`] a `POST /compile` body becomes, and run it through
@@ -87,7 +87,7 @@ use std::process::ExitCode;
 fn usage() -> &'static str {
     "usage:\n  \
      panorama compile --dfg <file|-|kernel-name> [--arch <file|preset>] \
-[--mapper spr|ultrafast|exhaustive|sat|portfolio] [--baseline] \
+[--mapper spr|ultrafast|sat|portfolio] [--baseline] \
 [--scale tiny|scaled|paper] [--threads <n>] [--max-ii <ii>] \
 [--simulate <iters>] [--configware] [--dot] [--trace <file>] \
 [--sat-report <file>] [--analyze] [--json]\n  \
@@ -95,10 +95,10 @@ fn usage() -> &'static str {
 [--scale tiny|scaled|paper] [--no-fold] [--no-cse] [--no-dce] [--out <file>] \
 [--json]\n  \
      panorama trace <kernel-name|file|-> [--arch <file|preset>] \
-[--mapper spr|ultrafast|exhaustive|sat|portfolio] [--baseline] \
+[--mapper spr|ultrafast|sat|portfolio] [--baseline] \
 [--scale tiny|scaled|paper] [--threads <n>] [--max-ii <ii>] [--out <file>]\n  \
      panorama exec <kernel-name|file|-> [--arch <file|preset>] \
-[--mapper spr|ultrafast|exhaustive|sat|portfolio] [--scale tiny|scaled|paper] \
+[--mapper spr|ultrafast|sat|portfolio] [--scale tiny|scaled|paper] \
 [--threads <n>] [--max-ii <ii>] [--iterations <n>] [--seed <n>] \
 [--out <file>] [--json] [--trace <file>]\n  \
      panorama lint [--dfg <file|-|kernel-name>] [--arch <file|preset>] \
@@ -1135,7 +1135,7 @@ mod tests {
         for scale in ["tiny", "scaled", "paper"] {
             rows.push((vec!["--scale", scale], format!("\"scale\":\"{scale}\"")));
         }
-        for mapper in ["spr", "ultrafast", "exhaustive", "sat"] {
+        for mapper in ["spr", "ultrafast", "sat"] {
             rows.push((vec!["--mapper", mapper], format!("\"mapper\":\"{mapper}\"")));
         }
         for (flags, fields) in rows {

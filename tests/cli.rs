@@ -431,34 +431,15 @@ fn bad_usage_fails_with_message() {
 }
 
 #[test]
-fn exhaustive_mapper_selectable() {
+fn exhaustive_mapper_is_unknown() {
     let out = bin()
         .args([
-            "compile",
-            "--dfg",
-            "-",
-            "--arch",
-            "4x4",
-            "--baseline",
-            "--mapper",
-            "exhaustive",
+            "compile", "--dfg", "fir", "--scale", "tiny", "--arch", "4x4",
         ])
-        .env("RUST_BACKTRACE", "0")
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .and_then(|mut child| {
-            use std::io::Write as _;
-            child
-                .stdin
-                .as_mut()
-                .unwrap()
-                .write_all(b"dfg small\nop 0 add a\nop 1 add b\nedge 0 1\n")?;
-            child.wait_with_output()
-        })
+        .args(["--mapper", "exhaustive"])
+        .output()
         .unwrap();
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(out.status.success(), "{stdout}");
-    assert!(stdout.contains("exhaustive"));
+    assert!(!out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("unknown mapper `exhaustive`"), "{stderr}");
 }

@@ -4,10 +4,12 @@
 //! Each corpus file is a minimized regression (a bug the fuzzer found and
 //! the toolchain has since fixed) or a boundary case worth pinning. Replay
 //! must produce zero `Fail` outcomes — `Skip`s are fine (an oracle can be
-//! inapplicable, e.g. the exact mapper on a too-large case), but a `Fail`
-//! means a fixed bug has come back.
+//! inapplicable, e.g. `exec` on an abstract mapping without routes), but a
+//! `Fail` means a fixed bug has come back.
 
-use panorama_fuzz::{parse_corpus_case, replay_case, OracleConfig};
+use panorama::BackendId;
+use panorama_arch::Cgra;
+use panorama_fuzz::{parse_corpus_case, replay_case, run_case, OracleConfig, OracleOutcome};
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
@@ -77,4 +79,22 @@ fn corpus_directives_are_well_formed() {
         );
         assert!(!case.dfg.to_text().is_empty(), "{name}: empty DFG");
     }
+}
+
+#[test]
+fn sat_keeps_its_ii_1_claim_on_the_pinned_case() {
+    // the exhaustive mapper called II 1 infeasible here; SAT's II-1
+    // mapping is what the ii_bound oracle must accept
+    let text = std::fs::read_to_string(corpus_dir().join("sat-ii1-below-exhaustive.dfg")).unwrap();
+    let case = parse_corpus_case(&text).unwrap();
+    let cgra = Cgra::new(case.arch).unwrap();
+    let result = run_case(&case.dfg, &cgra, &OracleConfig::default());
+    let sat = result
+        .backends
+        .iter()
+        .find(|b| b.backend == BackendId::Sat)
+        .unwrap();
+    assert_eq!(sat.ii, Some(1));
+    assert_eq!(sat.exec, OracleOutcome::Pass);
+    assert_eq!(result.ii_bound, OracleOutcome::Pass);
 }

@@ -5,9 +5,7 @@
 
 use panorama_arch::{Cgra, CgraConfig};
 use panorama_dfg::{kernels, KernelId, KernelScale, OpKind};
-use panorama_mapper::{
-    min_ii, ExactMapper, LowerLevelMapper, SatMapper, SprMapper, UltraFastMapper,
-};
+use panorama_mapper::{min_ii, LowerLevelMapper, SatMapper, SprMapper, UltraFastMapper};
 
 fn hetero_8x8() -> Cgra {
     Cgra::new(CgraConfig {
@@ -51,11 +49,7 @@ fn mul_bound_raises_res_mii() {
 #[test]
 fn spr_maps_kernels_on_heterogeneous_array() {
     let cgra = hetero_8x8();
-    let backends: [&dyn LowerLevelMapper; 3] = [
-        &SprMapper::default(),
-        &SatMapper::default(),
-        &ExactMapper::default(),
-    ];
+    let backends: [&dyn LowerLevelMapper; 2] = [&SprMapper::default(), &SatMapper::default()];
     for mapper in backends {
         for id in [KernelId::Fir, KernelId::MatrixMultiply] {
             let who = format!("{} on {id}", mapper.name());

@@ -148,7 +148,7 @@ fn fuzz(failing: bool) -> FuzzReport {
     r.verify = counts(13, 2 * usize::from(failing), 0);
     r.simulate = counts(10, 0, 5);
     r.exec = counts(10, 0, 5);
-    r.exact_ii = counts(2, 0, 3);
+    r.ii_bound = counts(2, 0, 3);
     r.rewrite = counts(5, 0, 0);
     r.spr.mapped = 5;
     r.ultrafast.mapped = 4;

@@ -1,14 +1,14 @@
 //! End-to-end tests of the SAT mapping backend: every suite kernel maps,
-//! verifies and simulates; the achieved II matches the exhaustive
-//! optimum where the exhaustive mapper can check it; the portfolio
-//! with all three backends stays bit-identical at any thread count; and
-//! the twelve-kernel suite's mappings and attempt logs are pinned.
+//! verifies and simulates; the portfolio with all three backends stays
+//! bit-identical at any thread count; and the twelve-kernel suite's
+//! mappings and attempt logs are pinned.
 
 use panorama::{BackendId, CompileContext, CompileMode, Panorama, PanoramaConfig};
 use panorama_arch::{Cgra, CgraConfig};
 use panorama_dfg::{kernels, Dfg, KernelId, KernelScale};
 use panorama_mapper::{
-    min_ii, sat_attempt_log, ExactMapper, LowerLevelMapper, SatMapper, SprMapper, UltraFastMapper,
+    min_ii, sat_attempt_log, LowerLevelMapper, SatMapper, SatMapperConfig, SprMapper,
+    UltraFastMapper,
 };
 
 fn cgra() -> Cgra {
@@ -36,26 +36,27 @@ fn every_suite_kernel_maps_with_sat_verifies_and_simulates() {
 }
 
 #[test]
-fn sat_ii_is_never_worse_than_the_exhaustive_optimum() {
-    // Only the kernels small enough for the exhaustive mapper's default
-    // op cap; it proves the optimal II, so SAT must land at or below it.
+fn running_out_of_refinement_rounds_is_not_a_refutation() {
+    // idctcols/tiny maps at II 5 with the default 48 CEGAR rounds (see
+    // `sat_suite_is_pinned`); with one round per window II 5 ends without
+    // a phase-1 refutation, so the log must not call the II infeasible
     let cgra = cgra();
-    let compiler = Panorama::new(PanoramaConfig::default());
-    for id in [KernelId::Fir, KernelId::Cordic, KernelId::MatrixMultiply] {
-        let dfg = kernels::generate(id, KernelScale::Tiny);
-        let exact = compiler
-            .compile(&dfg, &cgra, &ExactMapper::default())
-            .unwrap_or_else(|e| panic!("{id} exact: {e}"));
-        let sat = compiler
-            .compile(&dfg, &cgra, &SatMapper::default())
-            .unwrap_or_else(|e| panic!("{id} sat: {e}"));
-        assert!(
-            sat.mapping().ii() <= exact.mapping().ii(),
-            "{id}: SAT II {} worse than exhaustive optimum {}",
-            sat.mapping().ii(),
-            exact.mapping().ii()
-        );
-    }
+    let dfg = kernels::generate(KernelId::IdctCols, KernelScale::Tiny);
+    let sat = SatMapper::new(SatMapperConfig {
+        refine_rounds: 1,
+        ..SatMapperConfig::default()
+    });
+    let report = Panorama::new(PanoramaConfig::default())
+        .compile(&dfg, &cgra, &sat)
+        .expect("maps at a higher II");
+    assert_eq!(report.mapping().ii(), 6);
+    let at_5: Vec<&str> = sat
+        .take_attempts()
+        .iter()
+        .filter(|a| a.ii == 5)
+        .map(|a| a.result)
+        .collect();
+    assert_eq!(at_5, ["rounds"]);
 }
 
 #[test]

@@ -16,7 +16,7 @@ use panorama_dfg::{
     kernels, random_dfg, Dep, Dfg, DfgBuilder, KernelId, KernelScale, OpKind, RandomDfgConfig,
 };
 use panorama_exec::{execute, ExecError, ExecOptions};
-use panorama_mapper::{ExactMapper, SatMapper, SprMapper, UltraFastMapper};
+use panorama_mapper::{SatMapper, SprMapper, UltraFastMapper};
 use panorama_sim::semantics::{InputVectors, VectorKind};
 use panorama_sim::{interpret, simulate, SimError};
 use proptest::prelude::*;
@@ -350,51 +350,6 @@ proptest! {
                     );
                 }
             }
-        }
-    }
-}
-
-#[test]
-fn exact_backend_executes_small_kernels_and_skips_over_cap_explicitly() {
-    // The exhaustive mapper proves optimality only below its op cap; the
-    // kernels above it are excused with the cap spelled out, everything
-    // below must execute value-equal.
-    let compiler = Panorama::new(PanoramaConfig::default());
-    let cap = ExactMapper::MAX_OPS;
-    let opts = ExecOptions {
-        iterations: 4,
-        ..ExecOptions::default()
-    };
-    let outcomes = run_all_on(CgraConfig::small_4x4(), |id, dfg, cgra| {
-        if dfg.num_ops() > cap {
-            return Outcome::Skipped {
-                reason: format!(
-                    "{} ops exceed the exhaustive mapper's {cap}-op cap",
-                    dfg.num_ops()
-                ),
-            };
-        }
-        let report = compiler
-            .compile(dfg, cgra, &ExactMapper::default())
-            .unwrap_or_else(|e| panic!("{id}: exact must map kernels under its cap: {e}"));
-        let mapped = report.mapped_dfg(dfg);
-        exec_outcome(id, mapped, cgra, report.mapping(), &opts)
-    });
-    assert_eq!(outcomes.len(), 12);
-    let executed = outcomes
-        .iter()
-        .filter(|(_, o)| matches!(o, Outcome::Simulated { .. }))
-        .count();
-    assert!(
-        executed >= 3,
-        "at least fir/cordic/matrixmultiply fit under the exact op cap, got {executed}"
-    );
-    for (id, outcome) in outcomes {
-        if let Outcome::Skipped { reason } = outcome {
-            assert!(
-                reason.contains("op cap"),
-                "{id}: exact skips must cite the op cap, got `{reason}`"
-            );
         }
     }
 }
