@@ -2,11 +2,11 @@
 //! built on it.
 //!
 //! Every cache in the toolchain that may grow without limit — MRRGs per
-//! II, compile responses in memory and on disk, warm-start mappings, the
-//! daemon's per-architecture [`Cgra`] pool — is an [`Lru`] behind its own
-//! `Mutex`. `Lru` owns recency, weight, the budget and the eviction count;
-//! what a lookup *means* (hit/miss accounting, file integrity, nearest
-//! structure) stays with each user.
+//! II, compile responses in memory and on disk, the daemon's
+//! per-architecture [`Cgra`] pool — is an [`Lru`] behind its own `Mutex`.
+//! `Lru` owns recency, weight, the budget and the eviction count; what a
+//! lookup *means* (hit/miss accounting, file integrity) stays with each
+//! user.
 //!
 //! The mappers rebuild the [`Mrrg`](crate::Mrrg) for every II they attempt,
 //! and the portfolio pipeline maps several partition candidates over the

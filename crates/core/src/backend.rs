@@ -5,7 +5,7 @@
 //! fuzzer) names a mapper through [`BackendId`], and every compile takes
 //! its mappers as `&dyn LowerLevelMapper` — [`BackendId::mapper`] builds a
 //! default-configured one, and a caller that needs its own instance (the
-//! CLI's SAT attempt log, the daemon's warm-started SPR\*, the fuzzer's
+//! CLI's SAT attempt log, the bench's time-budgeted SPR\*, the fuzzer's
 //! tight SAT budget) passes that instead.
 
 use panorama_mapper::{LowerLevelMapper, SatMapper, SprMapper, UltraFastMapper};

@@ -129,8 +129,8 @@ impl CompileRequest {
 
     /// [`run`](Self::run) with caller-owned mapper instances in place of
     /// the defaults — for a mapper whose state outlives the compile (the
-    /// SAT attempt log) or that carries non-default settings (a warm-start
-    /// cache, a time budget).
+    /// SAT attempt log) or that carries non-default settings (a time
+    /// budget).
     ///
     /// # Errors
     ///

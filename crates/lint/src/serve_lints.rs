@@ -1,4 +1,4 @@
-//! Schema and invariant validation for `panorama-serve-metrics-v1` JSON.
+//! Schema and invariant validation for `panorama-serve-metrics-v2` JSON.
 //!
 //! | code | severity | finding |
 //! |------|----------|---------|
@@ -33,7 +33,7 @@ pub(crate) const CHECKS: Checks = Checks {
     pair: Some(check_monotonic),
 };
 
-/// Validates a `panorama-serve-metrics-v1` document — either one snapshot
+/// Validates a `panorama-serve-metrics-v2` document — either one snapshot
 /// object or an array of successive snapshots — appending findings to
 /// `out`.
 pub fn lint_serve_json(text: &str, out: &mut Diagnostics) {
@@ -210,7 +210,6 @@ mod tests {
              \"requests\":{{\"received\":{received},\"completed\":{completed},\"shed\":0,\"cancelled\":0,\"failed\":0,\"quota_rejected\":0}},\
              \"result_cache\":{{\"hits\":{hits},\"misses\":1,\"entries\":1,\"capacity\":256,\"evictions\":0}},\
              \"mrrg_cache\":{{\"hits\":4,\"misses\":2,\"entries\":2,\"capacity\":32,\"evictions\":0}},\
-             \"warm_cache\":{{\"hits\":0,\"misses\":0,\"entries\":0,\"capacity\":0,\"evictions\":0}},\
              \"disk_cache\":{{\"hits\":0,\"misses\":0,\"entries\":0,\"capacity\":0,\"evictions\":0,\"bytes\":0,\"corrupt\":0}},\
              \"quota\":{{\"enabled\":false,\"rps\":0,\"burst\":0,\"rejected\":0,\"tenants\":[]}},\
              \"phases\":[{phases}]}}",

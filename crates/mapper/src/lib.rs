@@ -66,7 +66,6 @@ mod search;
 mod spr;
 mod stats;
 mod ultrafast;
-mod warmstart;
 
 pub use cancel::CancelToken;
 pub use configware::{ConfigWord, Configware, InPort, OperandSel, ValueSource};
@@ -82,7 +81,6 @@ pub use sat_mapper::{sat_attempt_log, IiAttempt, SatMapper, SatMapperConfig};
 pub use spr::{MapError, SprConfig, SprMapper};
 pub use stats::RouteStats;
 pub use ultrafast::UltraFastMapper;
-pub use warmstart::{WarmHint, WarmStartCache, DEFAULT_WARM_CACHE_CAPACITY};
 
 use panorama_arch::Cgra;
 use panorama_dfg::Dfg;

@@ -121,9 +121,8 @@ impl Mapping {
     /// II, MII, schedule, placement and routes — everything a report
     /// renders, nothing timing-dependent ([`MappingStats`] is excluded).
     /// Two mappings with equal content hashes produce byte-identical
-    /// reports, which is what lets the warm-start tier
-    /// ([`WarmStartCache`](crate::WarmStartCache)) prove a warm-seeded
-    /// replay reproduced the recorded result.
+    /// reports, which is what the determinism tests and the benchmark's
+    /// per-kernel `hash` rows compare.
     pub fn content_hash(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();

@@ -173,17 +173,12 @@ pub(crate) struct PlaceFail {
 }
 
 /// Greedy least-cost joint schedule + placement of every op in topological
-/// order. With `seeds` (a warm start), an op whose `(PE, time)` seed from a
-/// prior mapping is still legal (schedule window, FU slot, the op's domain,
-/// memory slot budget) keeps it; everything else — unseeded ops, seeds
-/// invalidated by the delta — takes the cold least-cost search op by op.
-/// Stops at the first op with no legal `(t, PE)` at all.
+/// order. Stops at the first op with no legal `(t, PE)` at all.
 pub(crate) fn placement_pass(
     dfg: &Dfg,
     cgra: &Cgra,
     ii: usize,
     domains: &OpDomains,
-    seeds: Option<&[Option<(PeId, usize)>]>,
 ) -> Result<PlacementState, PlaceFail> {
     let fail = |op, reason| Err(PlaceFail { op, reason });
     // quick global feasibility
@@ -236,27 +231,6 @@ pub(crate) fn placement_pass(
         let estart = estart.max(0);
         if lstart < estart {
             return fail(op, PlaceFailReason::EmptyWindow);
-        }
-
-        // a still-legal seed from a prior mapping wins outright: warm
-        // starts reproduce the prior solution wherever the delta allows,
-        // and fall through to the cold search where it does not
-        if let Some(&Some((pe, t))) = seeds.and_then(|s| s.get(op.index())) {
-            let slot = t % ii;
-            let in_window = t as i64 >= estart
-                && (t as i64) < (estart + ii as i64).min(lstart.saturating_add(1));
-            let legal = in_window
-                && (!is_mem || mem_per_slot[slot] < mem_budget)
-                && state.fu.is_free(pe, slot)
-                && domains.allows(op, pe);
-            if legal {
-                state.place(op, pe, t);
-                if is_mem {
-                    mem_per_slot[slot] += 1;
-                }
-                placed[op.index()] = true;
-                continue;
-            }
         }
 
         let mut best: Option<(f64, usize, PeId)> = None;
@@ -359,7 +333,7 @@ mod tests {
     }
 
     fn place(dfg: &Dfg, cgra: &Cgra, ii: usize) -> Result<PlacementState, PlaceFail> {
-        placement_pass(dfg, cgra, ii, &OpDomains::new(dfg, cgra, None), None)
+        placement_pass(dfg, cgra, ii, &OpDomains::new(dfg, cgra, None))
     }
 
     #[test]

@@ -227,22 +227,6 @@ impl RouterScratch {
         self.generation = 0;
     }
 
-    /// Snapshot of the congestion history, for warm-start caching after a
-    /// successful search.
-    pub fn export_history(&self) -> Vec<f32> {
-        self.history.clone()
-    }
-
-    /// Preloads the congestion history from a prior search at the same II
-    /// on the same architecture — PathFinder starts already knowing which
-    /// nodes the converged solution had to negotiate around. Call right
-    /// after [`Self::reset_for_ii`]; `ensure_capacity` extends with zeros
-    /// if the node count ever differs.
-    pub fn seed_history(&mut self, history: &[f32]) {
-        self.history.clear();
-        self.history.extend_from_slice(history);
-    }
-
     /// Sizes every per-node / per-state table for `num_nodes` MRRG nodes
     /// and signal slacks up to `max_delta`.
     fn ensure_capacity(&mut self, num_nodes: usize, max_delta: usize) {

@@ -1,7 +1,7 @@
 //! CNF encodings for the SAT modulo-scheduling mapper.
 //!
 //! The mapper splits each II attempt into two cooperating CNF problems
-//! (DESIGN.md §16):
+//! (DESIGN.md §15):
 //!
 //! * **Phase 1 — schedule + placement** ([`ScheduleCnf`]): one-hot
 //!   op→time-slot variables over a bounded window above each op's ASAP

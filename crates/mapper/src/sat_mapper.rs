@@ -406,7 +406,7 @@ impl LowerLevelMapper for SatMapper {
         let search = IiSearch::new(&BACKEND, dfg, cgra, restriction, control);
         let domains = OpDomains::new(dfg, cgra, restriction);
         let hops = crate::sat_encode::hop_distances(cgra);
-        search.run_from(search.floor, trace, |ii, _, trace| {
+        search.run(trace, |ii, _, trace| {
             let mut attempt = IiAttempt::new(ii);
             let ii_span = trace.start();
             let mut route_builds = 0;

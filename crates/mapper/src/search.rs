@@ -47,11 +47,6 @@ impl<'a> OpDomains<'a> {
         &self.domains[op.index()]
     }
 
-    /// Whether `pe` may host `op`.
-    pub fn allows(&self, op: OpId, pe: PeId) -> bool {
-        self.of(op).binary_search(&pe).is_ok()
-    }
-
     /// Whether some op has no PE at all: unmappable at any II.
     pub fn any_empty(&self) -> bool {
         self.domains.iter().any(Vec::is_empty)
@@ -113,10 +108,10 @@ pub(crate) enum Attempt {
 pub(crate) struct IiSearch<'a> {
     backend: &'static Backend,
     mii: usize,
-    /// The first II of a cold search: [`IiFloor::ii`](crate::IiFloor::ii).
-    pub floor: usize,
+    /// The first II attempted: [`IiFloor::ii`](crate::IiFloor::ii).
+    floor: usize,
     /// The last II the backend itself would try.
-    pub cap: usize,
+    cap: usize,
     pub control: Option<&'a SearchControl>,
     pub started: Instant,
 }
@@ -154,19 +149,17 @@ impl<'a> IiSearch<'a> {
         Mapping::from_parts(self.backend.name, ii, self.mii, time_of, pe_of, routes)
     }
 
-    /// Attempts `start_ii` (a cold search passes [`floor`](Self::floor)),
-    /// `start_ii + 1`, … with fresh stats. Before each attempt the cancel
-    /// token is polled, then the control's admission; `attempt` owns
-    /// everything between (its own spans included).
-    pub fn run_from(
+    /// Attempts the floor, the floor + 1, … up to the cap. Before each
+    /// attempt the cancel token is polled, then the control's admission;
+    /// `attempt` owns everything between (its own spans included).
+    pub fn run(
         &self,
-        start_ii: usize,
         trace: &mut SpanCollector,
         mut attempt: impl FnMut(usize, &mut MappingStats, &mut SpanCollector) -> Attempt,
     ) -> Result<Mapping, MapError> {
         let backend = self.backend;
         let mut stats = MappingStats::default();
-        for ii in start_ii..=self.cap {
+        for ii in self.floor..=self.cap {
             // Cancellation first: it must stop even a search the bound still
             // admits. Both events are timing-dependent, hence unstable.
             if self.control.is_some_and(SearchControl::is_cancelled) {
@@ -256,7 +249,7 @@ mod tests {
         search.cap = cap;
         let mut col = Tracer::new(RecordingSink::shared()).collector(0);
         let mut seen = Vec::new();
-        let result = search.run_from(search.floor, &mut col, |ii, _, _| {
+        let result = search.run(&mut col, |ii, _, _| {
             seen.push(ii);
             script(ii)
         });
@@ -414,22 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn a_resumed_search_starts_later_with_fresh_stats() {
-        let (dfg, cgra, r) = skewed();
-        let search = IiSearch::new(&SCRIPTED, &dfg, &cgra, Some(&r), None);
-        let mut col = SpanCollector::disabled();
-        let mut seen = Vec::new();
-        let mapping = search
-            .run_from(search.floor + 3, &mut col, |ii, _, _| {
-                seen.push(ii);
-                mapped(ii)
-            })
-            .unwrap();
-        assert_eq!(seen, vec![search.floor + 3]);
-        assert_eq!(mapping.stats().ii_attempts, 1);
-    }
-
-    #[test]
     fn every_backend_starts_at_the_restricted_floor() {
         use crate::{LowerLevelMapper, SatMapper, SprMapper, UltraFastMapper};
         // 17 adds confined to one 16-PE cluster: whole-array MII 1, floor 2
@@ -517,7 +494,6 @@ mod tests {
                     let expect = (!kind.needs_memory() || cgra.is_mem_pe(pe))
                         && (kind != OpKind::Mul || cgra.has_multiplier(pe))
                         && (!restricted || allowed[op.index()].contains(&cgra.cluster_of(pe)));
-                    prop_assert_eq!(domains.allows(op, pe), expect);
                     prop_assert_eq!(domains.of(op).contains(&pe), expect);
                     count += usize::from(expect);
                 }

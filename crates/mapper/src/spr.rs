@@ -4,7 +4,6 @@
 use crate::placement::{candidates_for, home_bias, placement_cost, placement_pass, PlacementState};
 use crate::router::{route_all, RouterConfig, RouterScratch};
 use crate::search::{Attempt, Backend, IiSearch, OpDomains};
-use crate::warmstart::WarmStartCache;
 use crate::{LowerLevelMapper, Mapping, Restriction, SearchControl};
 use panorama_arch::{Cgra, PeId};
 use panorama_dfg::{Dfg, OpId};
@@ -114,32 +113,12 @@ impl Default for SprConfig {
 pub struct SprMapper {
     /// Mapper configuration.
     pub config: SprConfig,
-    /// Optional warm-start store; see [`SprMapper::with_warm_cache`].
-    warm: Option<WarmStartCache>,
 }
 
 impl SprMapper {
     /// Creates a mapper with custom settings.
     pub fn new(config: SprConfig) -> Self {
-        SprMapper { config, warm: None }
-    }
-
-    /// Attaches a [`WarmStartCache`]: successful mappings are recorded
-    /// into it, and each search first consults it for a prior mapping of
-    /// a structurally near-identical `(DFG, architecture)` pair. On a hit
-    /// the attempt at the prior II seeds placement and PathFinder history
-    /// from the stored solution; every seed that no longer fits falls
-    /// back to the cold path, so results always pass the same
-    /// [`Mapping::verify`] as a cold search.
-    #[must_use]
-    pub fn with_warm_cache(mut self, cache: WarmStartCache) -> Self {
-        self.warm = Some(cache);
-        self
-    }
-
-    /// The attached warm-start cache, if any (for hit/miss accounting).
-    pub fn warm_cache(&self) -> Option<&WarmStartCache> {
-        self.warm.as_ref()
+        SprMapper { config }
     }
 }
 
@@ -160,237 +139,157 @@ impl LowerLevelMapper for SprMapper {
                 .is_some_and(|budget| search.started.elapsed() > budget)
         };
         let cancel = control.and_then(SearchControl::cancel_token);
-        // One structural lookup per search. A hint's II was proven feasible
-        // for a near-identical graph, so the ascent resumes there instead of
-        // re-paying every failing low-II attempt; the delta could in theory
-        // relax a recurrence and admit a lower II, which the warm search
-        // deliberately forgoes — the incremental-compile trade.
-        let mut warm_hint = self.warm.as_ref().and_then(|w| w.lookup(dfg, cgra));
-        // The search runs at most twice: once warm, and — only when an
-        // exact-structure hit produced a mapping whose content hash differs
-        // from the recorded one — once more cold, so a warm-enabled replay
-        // returns byte-identical reports to a cold run.
-        loop {
-            let mut rng = SmallRng::seed_from_u64(self.config.seed);
-            let mut scratch = RouterScratch::default();
-            let mut anneal_scratch = AnnealScratch::default();
-            let mut diverged = false;
-            let start_ii = match &warm_hint {
-                Some(h) if h.ii > search.floor && h.ii <= search.cap => h.ii,
-                _ => search.floor,
-            };
-            let result = search.run_from(start_ii, trace, |ii, stats, trace| {
-                if out_of_time() {
-                    // Wall-clock cutoffs depend on machine load, so the event
-                    // is excluded from the deterministic trace signature.
-                    trace.event_unstable("spr.timeout", &[("ii", ii as i64)]);
-                    return Attempt::Stop;
-                }
-                let ii_span = trace.start();
-                // joint schedule + least-cost placement (Algorithm 2 lines 4–8)
-                let place_span = trace.start();
-                let warm = warm_hint.as_ref().filter(|h| h.ii == ii);
-                let placement = match warm {
-                    // seeds that no longer fit degrade per-op; a wholesale
-                    // failure falls back to the cold search for the same II
-                    Some(h) => placement_pass(dfg, cgra, ii, &domains, Some(&h.seeds))
-                        .or_else(|_| placement_pass(dfg, cgra, ii, &domains, None)),
-                    None => placement_pass(dfg, cgra, ii, &domains, None),
-                };
-                if let Some(h) = warm {
-                    trace.event(
-                        "spr.warm",
-                        &[
-                            ("ii", ii as i64),
-                            ("edit_distance", h.edit_distance as i64),
-                            (
-                                "seeds",
-                                h.seeds.iter().filter(|s| s.is_some()).count() as i64,
-                            ),
-                        ],
-                    );
-                }
-                match &placement {
-                    Ok(_) => trace.record("spr.place", place_span, &[("ii", ii as i64)]),
-                    Err(fail) => trace.record(
-                        "spr.place_fail",
-                        place_span,
-                        &[
-                            ("ii", ii as i64),
-                            ("op", fail.op.index() as i64),
-                            ("reason", fail.reason as i64),
-                        ],
-                    ),
-                }
-                let Ok(mut state) = placement else {
-                    trace.record(
-                        "spr.ii",
-                        ii_span,
-                        &[("ii", ii as i64), ("success", 0), ("structural", 0)],
-                    );
-                    return Attempt::Failed;
-                };
-                let mrrg = cgra.mrrg_shared(ii);
-                scratch.reset_for_ii();
-                if let Some(h) = warm {
-                    // same arch, same II ⇒ node indices line up: PathFinder
-                    // starts knowing which nodes the prior run fought over
-                    scratch.seed_history(&h.history);
-                }
-                let mut temp = SA_INITIAL_TEMP;
-                // whether the attempt's last routing round still held a
-                // signal placed beyond its slack (why the II failed)
-                let mut structural;
-                let mut verdict = Attempt::Failed;
-
-                loop {
-                    let route_span = trace.start();
-                    let outcome = route_all(
-                        &mrrg,
-                        cgra,
-                        dfg,
-                        &state.pe_of,
-                        &state.time_of,
-                        &self.config.router,
-                        &mut scratch,
-                        cancel,
-                    );
-                    stats.router_iterations += outcome.iterations;
-                    structural = outcome.unreachable > 0;
-                    if trace.is_enabled() {
-                        // overused-node census, formerly a PANORAMA_DEBUG
-                        // stderr dump; only computed when someone listens
-                        let overused = outcome
-                            .usage
-                            .iter()
-                            .enumerate()
-                            .filter(|&(i, &u)| {
-                                let cap = mrrg.capacity(panorama_arch::MrrgNodeId::from_index(i));
-                                cap != u16::MAX && u as usize > cap as usize
-                            })
-                            .count();
-                        trace.record(
-                            "spr.route",
-                            route_span,
-                            &[
-                                ("ii", ii as i64),
-                                ("iterations", outcome.iterations as i64),
-                                ("searches", outcome.searches as i64),
-                                ("kept", outcome.kept as i64),
-                                ("overuse", outcome.overuse as i64),
-                                ("failed", outcome.failed as i64),
-                                ("unreachable", outcome.unreachable as i64),
-                                ("overused_nodes", overused as i64),
-                            ],
-                        );
-                    }
-                    if outcome.is_clean() {
-                        let routes = outcome
-                            .routes
-                            .into_iter()
-                            .map(|r| r.expect("clean outcome has every route"))
-                            .collect();
-                        let mapping = search.mapping(
-                            ii,
-                            state.time_of.clone(),
-                            state.pe_of.clone(),
-                            Some(routes),
-                        );
-                        // An exact-structure warm hit must reproduce the
-                        // recorded mapping bit for bit; a divergent result
-                        // (seeded history steered the router elsewhere) is
-                        // discarded and the search redone cold, so warm replay
-                        // never changes report bytes (ROADMAP item 2).
-                        diverged = warm_hint.as_ref().is_some_and(|h| {
-                            h.edit_distance == 0
-                                && h.content_hash != 0
-                                && mapping.content_hash() != h.content_hash
-                        });
-                        if diverged {
-                            trace.record(
-                                "spr.ii",
-                                ii_span,
-                                &[("ii", ii as i64), ("success", 0), ("warm_diverged", 1)],
-                            );
-                            return Attempt::Stop;
-                        }
-                        if let Some(w) = &self.warm {
-                            w.record_parts(
-                                dfg,
-                                cgra,
-                                ii,
-                                state.pe_of,
-                                state.time_of,
-                                scratch.export_history(),
-                                mapping.content_hash(),
-                            );
-                        }
-                        trace.record("spr.ii", ii_span, &[("ii", ii as i64), ("success", 1)]);
-                        return Attempt::Mapped(mapping);
-                    }
-                    if temp < SA_MIN_TEMP {
-                        break; // give up on this II
-                    }
-                    // A fired token makes the router return early with a dirty
-                    // outcome; abort before spending another annealing round.
-                    if control.is_some_and(SearchControl::is_cancelled) {
-                        return Attempt::Cancelled;
-                    }
-                    if out_of_time() {
-                        trace.event_unstable("spr.timeout", &[("ii", ii as i64)]);
-                        verdict = Attempt::Stop;
-                        break;
-                    }
-                    // simulated-annealing placement repair targeting the ops on
-                    // congested PEs (Algorithm 2 line 14)
-                    let anneal_span = trace.start();
-                    congested_ops(
-                        dfg,
-                        &mrrg,
-                        cgra,
-                        &state,
-                        &outcome.usage,
-                        &outcome.routes,
-                        &mut anneal_scratch,
-                    );
-                    let moves = anneal_step(
-                        dfg,
-                        cgra,
-                        &mut state,
-                        &domains,
-                        &mut anneal_scratch,
-                        temp,
-                        &mut rng,
-                    );
-                    stats.anneal_moves += moves;
-                    trace.record(
-                        "spr.anneal",
-                        anneal_span,
-                        &[
-                            ("ii", ii as i64),
-                            ("temp_milli", (temp * 1000.0) as i64),
-                            ("moves", moves as i64),
-                            ("candidates", anneal_scratch.ops.len() as i64),
-                        ],
-                    );
-                    temp *= SA_ALPHA;
-                }
+        let mut rng = SmallRng::seed_from_u64(self.config.seed);
+        let mut scratch = RouterScratch::default();
+        let mut anneal_scratch = AnnealScratch::default();
+        search.run(trace, |ii, stats, trace| {
+            if out_of_time() {
+                // Wall-clock cutoffs depend on machine load, so the event
+                // is excluded from the deterministic trace signature.
+                trace.event_unstable("spr.timeout", &[("ii", ii as i64)]);
+                return Attempt::Stop;
+            }
+            let ii_span = trace.start();
+            // joint schedule + least-cost placement (Algorithm 2 lines 4–8)
+            let place_span = trace.start();
+            let placement = placement_pass(dfg, cgra, ii, &domains);
+            match &placement {
+                Ok(_) => trace.record("spr.place", place_span, &[("ii", ii as i64)]),
+                Err(fail) => trace.record(
+                    "spr.place_fail",
+                    place_span,
+                    &[
+                        ("ii", ii as i64),
+                        ("op", fail.op.index() as i64),
+                        ("reason", fail.reason as i64),
+                    ],
+                ),
+            }
+            let Ok(mut state) = placement else {
                 trace.record(
                     "spr.ii",
                     ii_span,
+                    &[("ii", ii as i64), ("success", 0), ("structural", 0)],
+                );
+                return Attempt::Failed;
+            };
+            let mrrg = cgra.mrrg_shared(ii);
+            scratch.reset_for_ii();
+            let mut temp = SA_INITIAL_TEMP;
+            // whether the attempt's last routing round still held a
+            // signal placed beyond its slack (why the II failed)
+            let mut structural;
+            let mut verdict = Attempt::Failed;
+
+            loop {
+                let route_span = trace.start();
+                let outcome = route_all(
+                    &mrrg,
+                    cgra,
+                    dfg,
+                    &state.pe_of,
+                    &state.time_of,
+                    &self.config.router,
+                    &mut scratch,
+                    cancel,
+                );
+                stats.router_iterations += outcome.iterations;
+                structural = outcome.unreachable > 0;
+                if trace.is_enabled() {
+                    // overused-node census, formerly a PANORAMA_DEBUG
+                    // stderr dump; only computed when someone listens
+                    let overused = outcome
+                        .usage
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, &u)| {
+                            let cap = mrrg.capacity(panorama_arch::MrrgNodeId::from_index(i));
+                            cap != u16::MAX && u as usize > cap as usize
+                        })
+                        .count();
+                    trace.record(
+                        "spr.route",
+                        route_span,
+                        &[
+                            ("ii", ii as i64),
+                            ("iterations", outcome.iterations as i64),
+                            ("searches", outcome.searches as i64),
+                            ("kept", outcome.kept as i64),
+                            ("overuse", outcome.overuse as i64),
+                            ("failed", outcome.failed as i64),
+                            ("unreachable", outcome.unreachable as i64),
+                            ("overused_nodes", overused as i64),
+                        ],
+                    );
+                }
+                if outcome.is_clean() {
+                    let routes = outcome
+                        .routes
+                        .into_iter()
+                        .map(|r| r.expect("clean outcome has every route"))
+                        .collect();
+                    let mapping = search.mapping(ii, state.time_of, state.pe_of, Some(routes));
+                    trace.record("spr.ii", ii_span, &[("ii", ii as i64), ("success", 1)]);
+                    return Attempt::Mapped(mapping);
+                }
+                if temp < SA_MIN_TEMP {
+                    break; // give up on this II
+                }
+                // A fired token makes the router return early with a dirty
+                // outcome; abort before spending another annealing round.
+                if control.is_some_and(SearchControl::is_cancelled) {
+                    return Attempt::Cancelled;
+                }
+                if out_of_time() {
+                    trace.event_unstable("spr.timeout", &[("ii", ii as i64)]);
+                    verdict = Attempt::Stop;
+                    break;
+                }
+                // simulated-annealing placement repair targeting the ops on
+                // congested PEs (Algorithm 2 line 14)
+                let anneal_span = trace.start();
+                congested_ops(
+                    dfg,
+                    &mrrg,
+                    cgra,
+                    &state,
+                    &outcome.usage,
+                    &outcome.routes,
+                    &mut anneal_scratch,
+                );
+                let moves = anneal_step(
+                    dfg,
+                    cgra,
+                    &mut state,
+                    &domains,
+                    &mut anneal_scratch,
+                    temp,
+                    &mut rng,
+                );
+                stats.anneal_moves += moves;
+                trace.record(
+                    "spr.anneal",
+                    anneal_span,
                     &[
                         ("ii", ii as i64),
-                        ("success", 0),
-                        ("structural", i64::from(structural)),
+                        ("temp_milli", (temp * 1000.0) as i64),
+                        ("moves", moves as i64),
+                        ("candidates", anneal_scratch.ops.len() as i64),
                     ],
                 );
-                verdict
-            });
-            if !diverged {
-                return result;
+                temp *= SA_ALPHA;
             }
-            warm_hint = None;
-        }
+            trace.record(
+                "spr.ii",
+                ii_span,
+                &[
+                    ("ii", ii as i64),
+                    ("success", 0),
+                    ("structural", i64::from(structural)),
+                ],
+            );
+            verdict
+        })
     }
 
     fn name(&self) -> &'static str {

@@ -214,7 +214,7 @@ impl LowerLevelMapper for UltraFastMapper {
     ) -> Result<Mapping, MapError> {
         let search = IiSearch::new(&BACKEND, dfg, cgra, restriction, control);
         let domains = OpDomains::new(dfg, cgra, restriction);
-        search.run_from(search.floor, trace, |ii, _, trace| {
+        search.run(trace, |ii, _, trace| {
             let ii_span = trace.start();
             let outcome = self.try_ii(dfg, cgra, &domains, ii);
             trace.record(

@@ -13,7 +13,7 @@
 //! * `POST /lint` — run the static mappability prechecker;
 //! * `GET /healthz` — liveness probe;
 //! * `GET /metrics` — queue depth, shed/cancel counts, cache hit rates,
-//!   per-phase latency percentiles (`panorama-serve-metrics-v1`);
+//!   per-phase latency percentiles (`panorama-serve-metrics-v2`);
 //! * `POST /admin/shutdown` — loopback-only graceful drain.
 //!
 //! Zero dependencies beyond `std` and the workspace crates: HTTP framing

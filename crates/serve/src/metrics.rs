@@ -212,7 +212,7 @@ impl Metrics {
         m.queued + m.in_flight
     }
 
-    /// Renders the `panorama-serve-metrics-v1` document. `queue_capacity`
+    /// Renders the `panorama-serve-metrics-v2` document. `queue_capacity`
     /// and the cache statistics come from the structures that own them;
     /// `disk_cache` is all-zero when the daemon runs without `--cache-dir`
     /// and `quota.enabled` is `false` without `--quota-burst` (the rows
@@ -222,7 +222,6 @@ impl Metrics {
         queue_capacity: usize,
         mut result_cache: CacheStats,
         mrrg_cache: CacheStats,
-        warm_cache: CacheStats,
         disk_cache: DiskCacheStats,
         quota: &QuotaStats,
     ) -> String {
@@ -252,11 +251,7 @@ impl Metrics {
             w.key("capacity").uint(capacity);
             w.key("evictions").uint(evictions);
         };
-        for (name, c) in [
-            ("result_cache", result_cache),
-            ("mrrg_cache", mrrg_cache),
-            ("warm_cache", warm_cache),
-        ] {
+        for (name, c) in [("result_cache", result_cache), ("mrrg_cache", mrrg_cache)] {
             w.key(name).open();
             tier(
                 &mut w,
@@ -329,7 +324,6 @@ mod tests {
     fn render(m: &Metrics) -> String {
         m.to_json(
             4,
-            CacheStats::default(),
             CacheStats::default(),
             CacheStats::default(),
             DiskCacheStats::default(),
@@ -419,7 +413,6 @@ mod tests {
         };
         let doc = json::parse(&m.to_json(
             4,
-            CacheStats::default(),
             CacheStats::default(),
             CacheStats::default(),
             disk,

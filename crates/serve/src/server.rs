@@ -32,13 +32,10 @@ use crate::metrics::{CacheStats, Metrics};
 use crate::queue::JobQueue;
 use crate::quota::{Quota, TENANT_HEADER};
 use panorama::request::{arch_field, dfg_field, opt_usize};
-use panorama::{
-    effective_threads, BackendId, BatchExecutor, CompileContext, CompileRequest, MapperChoice,
-    PanoramaError,
-};
+use panorama::{effective_threads, BatchExecutor, CompileRequest, PanoramaError};
 use panorama_arch::{Cgra, CgraConfig, Lru, DEFAULT_MRRG_CACHE_CAPACITY};
 use panorama_lint::{Diagnostics, LintContext, Registry};
-use panorama_mapper::{CancelToken, SprMapper, WarmStartCache};
+use panorama_mapper::CancelToken;
 use panorama_trace::json::{parse, Json, Writer};
 use panorama_trace::{phase_totals, schema, RecordingSink, Tracer};
 use std::io;
@@ -76,13 +73,9 @@ pub struct ServeConfig {
     /// say otherwise (a request's `analyze` field overrides this
     /// default). Off by default so responses stay bit-stable.
     pub analyze: bool,
-    /// Enable the warm-start remap tier: SPR\* compiles share a
-    /// [`WarmStartCache`], so a kernel within a small structural delta of
-    /// a previously compiled one is remapped from the prior placement and
-    /// router history instead of from scratch. Off by default because a
-    /// warm-seeded search may legitimately land on a different (equally
-    /// verified) mapping than a cold one, trading the daemon's
-    /// byte-stable-response guarantee for recompile latency.
+    /// Retired: the warm-start remap tier is gone. The field stays only so
+    /// existing `ServeConfig` literals that spell `warm_cache: false` keep
+    /// compiling; [`Server::bind`] refuses `true`.
     pub warm_cache: bool,
     /// Directory of the persistent result cache; `None` keeps results
     /// in-memory only (lost on restart). With a directory, completed
@@ -173,9 +166,6 @@ struct State {
     /// Shared `Cgra` per architecture, so every request against the same
     /// architecture reuses one MRRG cache.
     cgras: Mutex<CgraPool>,
-    /// Warm-start tier shared by every SPR\* compile; `None` when the
-    /// daemon runs with bit-stable responses (the default).
-    warm: Option<WarmStartCache>,
     /// Persistent result tier under the in-memory cache; `None` without
     /// `--cache-dir`.
     disk: Option<DiskCache>,
@@ -241,19 +231,6 @@ impl State {
             stats.evictions += c.evictions();
         }
         stats
-    }
-
-    fn warm_stats(&self) -> CacheStats {
-        match &self.warm {
-            None => CacheStats::default(),
-            Some(cache) => CacheStats {
-                hits: cache.hits(),
-                misses: cache.misses(),
-                entries: cache.len() as u64,
-                capacity: cache.capacity() as u64,
-                evictions: cache.evictions(),
-            },
-        }
     }
 
     fn result_stats(&self) -> CacheStats {
@@ -326,8 +303,15 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// Propagates the bind failure; `InvalidInput` when `warm_cache` is
+    /// set (the tier was removed).
     pub fn bind(config: ServeConfig) -> io::Result<Server> {
+        if config.warm_cache {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "the warm-start tier was removed",
+            ));
+        }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let disk = match &config.cache_dir {
@@ -342,7 +326,6 @@ impl Server {
                 live: Lru::new(CGRA_POOL_SIZE),
                 retired: CacheStats::default(),
             }),
-            warm: config.warm_cache.then(WarmStartCache::default),
             disk,
             quota: Quota::new(config.quota_rps, config.quota_burst),
             watch: Mutex::new(Vec::new()),
@@ -517,20 +500,7 @@ fn run_compile(
     };
     let sink = RecordingSink::shared();
     let tracer = Tracer::new(sink.clone());
-    let result = match (&state.warm, req.mapper) {
-        // The warm tier only helps SPR*: it is the one mapper that can
-        // seed its placement and router history from a prior mapping.
-        (Some(cache), MapperChoice::Backend(BackendId::Spr)) => {
-            let warm = SprMapper::default().with_warm_cache(cache.clone());
-            let ctx = CompileContext {
-                tracer: Some(&tracer),
-                cancel: Some(cancel),
-                executor: None,
-            };
-            req.run_with(&cgra, &[&warm], &ctx)
-        }
-        _ => req.run(&cgra, Some(&tracer), Some(cancel)),
-    };
+    let result = req.run(&cgra, Some(&tracer), Some(cancel));
     match result {
         Ok(report) => {
             if let Err(e) = report.mapping().verify(report.mapped_dfg(&req.dfg), &cgra) {
@@ -601,7 +571,6 @@ fn handle_connection(state: &Arc<State>, stream: TcpStream) {
                     state.queue.capacity(),
                     state.result_stats(),
                     state.mrrg_stats(),
-                    state.warm_stats(),
                     state.disk_stats(),
                     &state.quota.stats(),
                 )
@@ -920,6 +889,19 @@ mod tests {
         assert_eq!(deadline, Some(Duration::ZERO), "zero is a deadline");
         let (_, deadline) = parse_with("{\"kernel\":\"fir\"}", &ServeConfig::default());
         assert_eq!(deadline, None);
+    }
+
+    #[test]
+    fn a_warm_cache_request_is_refused_at_bind() {
+        let config = ServeConfig {
+            warm_cache: true,
+            ..ServeConfig::default()
+        };
+        let Err(err) = Server::bind(config) else {
+            panic!("bind accepted warm_cache: true");
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(err.to_string(), "the warm-start tier was removed");
     }
 
     /// The 17th architecture evicts only the least recently used `Cgra`,

@@ -150,9 +150,9 @@ const CACHE: Ty = Ty::Obj(&[
     cumulative("evictions"),
 ]);
 
-/// `panorama-serve-metrics-v1`: the daemon's `/metrics`.
+/// `panorama-serve-metrics-v2`: the daemon's `/metrics`.
 pub static SERVE_METRICS: Schema = Schema {
-    id: "panorama-serve-metrics-v1",
+    id: "panorama-serve-metrics-v2",
     layout: Layout::Compact,
     newline: false,
     root: Ty::Obj(&[
@@ -173,7 +173,6 @@ pub static SERVE_METRICS: Schema = Schema {
         ),
         field("result_cache", CACHE),
         field("mrrg_cache", CACHE),
-        field("warm_cache", CACHE),
         field(
             "disk_cache",
             Ty::Obj(&[
@@ -454,24 +453,6 @@ pub static BENCH_STABLE: Schema = Schema {
                 n("mii"),
                 field("identical", Ty::Bool),
             ])),
-        ),
-        optional(
-            "warm_start",
-            Ty::Section(&[
-                n("hits"),
-                n("misses"),
-                n("records"),
-                field(
-                    "replays",
-                    Ty::Arr(&Ty::Obj(&[
-                        s("kernel"),
-                        s("preset"),
-                        n("ii"),
-                        n("ii_cold"),
-                        field("verified", Ty::Bool),
-                    ])),
-                ),
-            ]),
         ),
     ]),
     codes: NOT_LINTED,

@@ -21,7 +21,7 @@
 //!               [--out FILE] [--json]
 //! panorama serve [--addr IP:PORT] [--workers N] [--queue-depth N]
 //!                [--deadline-ms MS] [--result-cache N] [--mrrg-cache N]
-//!                [--threads N] [--analyze] [--warm-cache] [--cache-dir DIR]
+//!                [--threads N] [--analyze] [--cache-dir DIR]
 //!                [--cache-budget BYTES] [--quota-rps N] [--quota-burst N]
 //!                [--io-timeout-ms MS]
 //! panorama bench [--mapper spr|ultrafast|sat] [--threads N] [--analyze]
@@ -52,11 +52,10 @@
 //! recorded trace/serve/fuzz/sat/exec/analyze report file instead — one
 //! document or an array of them — auto-detecting the schema). `bench` is the suite determinism check: it
 //! compiles the 12-kernel suite batched at `--threads N` and again
-//! sequentially, fails unless both produce identical mappings (and, for
-//! SPR\*, unless every warm replay of a perturbed kernel hits the cache and
-//! verifies), and `--stable-out` writes the wall-clock-free projection CI
-//! `cmp`s across thread counts. Time and II numbers come from
-//! `benchmark/run.sh`, not from here.
+//! sequentially, fails unless both produce identical mappings, and
+//! `--stable-out` writes the wall-clock-free projection CI `cmp`s across
+//! thread counts. Time and II numbers come from `benchmark/run.sh`, not
+//! from here.
 //! `fuzz` runs the deterministic differential fuzzing harness of
 //! [`panorama_fuzz`]: seeded random DFG/architecture sweeps, all three
 //! lower-level backends, verify/simulate/II-bound oracle cross-checks,
@@ -108,7 +107,7 @@ fn usage() -> &'static str {
 [--out <file>] [--json]\n  \
      panorama serve [--addr <ip:port>] [--workers <n>] [--queue-depth <n>] \
 [--deadline-ms <ms>] [--result-cache <n>] [--mrrg-cache <n>] [--threads <n>] \
-[--analyze] [--warm-cache] [--cache-dir <dir>] [--cache-budget <bytes>] \
+[--analyze] [--cache-dir <dir>] [--cache-budget <bytes>] \
 [--quota-rps <n>] [--quota-burst <n>] [--io-timeout-ms <ms>]\n  \
      panorama bench [--mapper spr|ultrafast|sat] [--threads <n>] [--analyze] \
 [--stable-out <file>]\n  \
@@ -202,7 +201,6 @@ const SERVE_FLAGS: FlagSpec = &[
     ("mrrg-cache", false),
     ("threads", false),
     ("analyze", true),
-    ("warm-cache", true),
     ("cache-dir", false),
     ("cache-budget", false),
     ("quota-rps", false),
@@ -710,8 +708,7 @@ fn cmd_analyze(kernel: &str, flags: &HashMap<String, String>) -> Result<(), Box<
 /// suite. Prints the per-kernel table (wall-clocks are shown, not gated),
 /// writes the wall-clock-free projection to `--stable-out`
 /// (byte-identical across runs and thread counts — CI `cmp`s two of
-/// them), and exits nonzero when a row is not identical across phases, a
-/// warm replay failed verification, or the warm cache was never hit.
+/// them), and exits nonzero when a row is not identical across phases.
 fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     let mapper = flags
         .get("mapper")
@@ -752,15 +749,6 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         "suite: {:.2}s batched ({} threads) vs {:.2}s sequential",
         report.suite_wall_seconds, report.threads, report.suite_wall_seconds_single
     );
-    if let Some(w) = &report.warm {
-        println!(
-            "warm replay: {} kernels, {} cache hits, {:.2}s warm remap vs {:.2}s cold compile",
-            w.replays.len(),
-            w.hits,
-            w.wall_seconds,
-            w.wall_seconds_cold
-        );
-    }
     if let Some(path) = flags.get("stable-out") {
         std::fs::write(path, report.to_stable_json())?;
         eprintln!("wrote stable projection {path}");
@@ -911,7 +899,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         mrrg_cache_capacity: parse_n(flags, "mrrg-cache", defaults.mrrg_cache_capacity)?,
         portfolio_threads: parse_threads(flags)?,
         analyze: flags.contains_key("analyze"),
-        warm_cache: flags.contains_key("warm-cache"),
         cache_dir: flags.get("cache-dir").map(std::path::PathBuf::from),
         cache_budget: parse_u64(flags, "cache-budget", "a byte count")?
             .unwrap_or(defaults.cache_budget),
@@ -922,6 +909,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         // 0 disables the per-socket read/write timeouts entirely
         io_timeout: millis("io-timeout-ms", "a non-negative integer")?
             .map_or(defaults.io_timeout, |t| (!t.is_zero()).then_some(t)),
+        ..defaults
     };
     let server = panorama_serve::Server::bind(config)?;
     let addr = server.local_addr();

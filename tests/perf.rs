@@ -13,7 +13,7 @@ use panorama::{
 };
 use panorama_arch::{Cgra, CgraConfig};
 use panorama_dfg::{kernels, Dfg, KernelId, KernelScale};
-use panorama_mapper::{LowerLevelMapper, SprConfig, SprMapper, UltraFastMapper, WarmStartCache};
+use panorama_mapper::{LowerLevelMapper, SprConfig, SprMapper, UltraFastMapper};
 use panorama_trace::{RecordingSink, SpanCollector, TraceReport, Tracer};
 
 /// Everything observable about a compile, flattened for equality checks.
@@ -129,34 +129,6 @@ fn batch_executor_is_thread_count_invariant_across_the_suite() {
         });
         assert_eq!(base, got, "suite diverged at {threads} threads");
     }
-}
-
-#[test]
-fn warm_start_remap_is_verified_equivalent_to_cold() {
-    // A warm remap may legally differ from the cold mapping, but it must
-    // be a *valid* mapping of the same graph: the independent verifier and
-    // the cycle-accurate simulator are the equivalence oracles, and the
-    // warm II must never exceed the cold II it was seeded from.
-    let cgra = Cgra::new(CgraConfig::small_4x4()).unwrap();
-    let cache = WarmStartCache::default();
-    let warm_mapper = SprMapper::default().with_warm_cache(cache.clone());
-    let cold_mapper = SprMapper::default();
-    for id in [KernelId::Fir, KernelId::Cordic, KernelId::IdctRows] {
-        let dfg = kernels::generate(id, KernelScale::Tiny);
-        let cold = cold_mapper.map(&dfg, &cgra, None).unwrap();
-        cache.record(&dfg, &cgra, &cold);
-        let warm = warm_mapper.map(&dfg, &cgra, None).unwrap();
-        warm.verify(&dfg, &cgra)
-            .unwrap_or_else(|e| panic!("{id}: warm mapping failed verification: {e}"));
-        let sim = panorama::sim::simulate(&dfg, &cgra, &warm, 4)
-            .unwrap_or_else(|e| panic!("{id}: warm mapping failed simulation: {e}"));
-        assert!(
-            sim.checked_deliveries > 0,
-            "{id}: simulator checked nothing"
-        );
-        assert!(warm.ii() <= cold.ii(), "{id}: warm II worse than cold");
-    }
-    assert_eq!(cache.hits(), 3, "every warm remap should hit the cache");
 }
 
 /// Compiles with a recording tracer and returns both the mapping

@@ -6,7 +6,6 @@
 use panorama::CompileRequest;
 use panorama_analyze::AnalyzeReport;
 use panorama_arch::Cgra;
-use panorama_bench::perf::{ReplayRow, WarmReplay};
 use panorama_bench::{BenchReport, KernelResult};
 use panorama_exec::{exec_report_json, ExecOutcome, VectorRun};
 use panorama_fuzz::{CorpusStats, FailureRecord, FuzzReport, OracleCounts};
@@ -31,8 +30,7 @@ fn samples() -> Vec<(&'static str, String)> {
         ("exec-divergence", exec()),
         ("diagnostics-empty", Diagnostics::new().render_json()),
         ("diagnostics", diagnostics().render_json()),
-        ("bench-stable", bench(false).to_stable_json()),
-        ("bench-stable-warm", bench(true).to_stable_json()),
+        ("bench-stable", bench().to_stable_json()),
     ];
     let sat = |kernel, mapped_ii, attempts: &[IiAttempt]| {
         sat_attempt_log(
@@ -133,7 +131,7 @@ fn metrics() -> String {
         burst: 10,
         tenants: vec![tenant("alice", 1), tenant("bo\"b", 3)],
     };
-    m.to_json(8, cache(0), cache(6), cache(0), disk, &quota)
+    m.to_json(8, cache(0), cache(6), disk, &quota)
 }
 
 fn fuzz(failing: bool) -> FuzzReport {
@@ -249,7 +247,7 @@ fn diagnostics() -> Diagnostics {
     d
 }
 
-fn bench(warm: bool) -> BenchReport {
+fn bench() -> BenchReport {
     let row = |kernel: &str, preset: &str, ii| KernelResult {
         kernel: kernel.into(),
         preset: preset.into(),
@@ -265,23 +263,6 @@ fn bench(warm: bool) -> BenchReport {
         suite_wall_seconds: 1.0,
         suite_wall_seconds_single: 1.5,
         kernels: vec![row("fir", "4x4", 2), row("edn", "8x8", 11)],
-        warm: warm.then(|| WarmReplay {
-            hits: 2,
-            misses: 0,
-            records: 2,
-            wall_seconds: 0.1,
-            wall_seconds_cold: 0.4,
-            replays: ["fir", "edn"]
-                .into_iter()
-                .map(|kernel| ReplayRow {
-                    kernel: kernel.into(),
-                    preset: "8x8".into(),
-                    ii: 3,
-                    ii_cold: 3,
-                    verified: true,
-                })
-                .collect(),
-        }),
     }
 }
 
@@ -349,14 +330,7 @@ fn every_document_matches_its_golden_bytes() {
     for (name, doc) in samples() {
         let path = format!("{}/tests/golden/{name}.json", env!("CARGO_MANIFEST_DIR"));
         let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        if name == "bench-stable-warm" {
-            // The old emitter put `hits`, `misses` and `records` on one
-            // line, which no layout of the table spells; the section now
-            // breaks per key, so this one golden pins values, not bytes.
-            assert_eq!(parse(&doc), parse(&golden), "{name}");
-        } else {
-            assert_eq!(doc, golden, "{name}");
-        }
+        assert_eq!(doc, golden, "{name}");
     }
 }
 
