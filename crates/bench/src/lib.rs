@@ -14,11 +14,9 @@
 //!
 //! Table/figure index (see DESIGN.md §4): [`table1a`], [`table1b`],
 //! [`fig5`], [`fig7`], [`fig8`], [`fig9`], plus the [`ablations`] module
-//! for the design-choice studies called out in DESIGN.md §6.
-//!
-//! [`perf`] is the one non-figure module: the suite determinism check
-//! behind `panorama bench`. It measures nothing — time and II numbers come
-//! from `benchmark/run.sh`.
+//! for the design-choice studies called out in DESIGN.md §6. These targets
+//! regenerate the paper's artifacts; the time and II yardstick is
+//! `benchmark/run.sh`, and determinism is asserted in `tests/perf.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,11 +24,9 @@
 pub mod ablations;
 mod experiments;
 mod format;
-pub mod perf;
 
 pub use experiments::{fig5, fig7, fig8, fig9, table1a, table1b};
 pub use format::Table;
-pub use perf::{BenchOptions, BenchReport, KernelResult};
 
 use panorama_arch::CgraConfig;
 use panorama_dfg::KernelScale;

@@ -31,10 +31,8 @@ mod algo;
 mod digraph;
 mod dot;
 mod matrix;
-mod scc;
 
 pub use algo::{Components, CycleError};
 pub use digraph::{Digraph, EdgeId, EdgeRef, NodeId};
 pub use dot::DotOptions;
 pub use matrix::AdjacencyMatrix;
-pub use scc::Sccs;

@@ -25,7 +25,7 @@
 use crate::report::{err, lint_text, num, text, Checks};
 use crate::{Diagnostics, Entity};
 use panorama_trace::json::Json;
-use panorama_trace::schema::{self, Field, Ty};
+use panorama_trace::schema;
 
 pub(crate) const CHECKS: Checks = Checks {
     schema: &schema::SERVE_METRICS,
@@ -177,23 +177,14 @@ fn check_phases(doc: &Json, at: &Entity, out: &mut Diagnostics) {
 /// `SERVE002` (snapshot pairs): the counters the table marks cumulative
 /// never decrease.
 fn check_monotonic(prev: &Json, cur: &Json, at: Entity, out: &mut Diagnostics) {
-    let Ty::Obj(sections) = &schema::SERVE_METRICS.root else {
-        unreachable!("the metrics document is an object");
-    };
-    for section in *sections {
-        let Ty::Obj(fields) = &section.ty else {
-            continue;
-        };
-        for Field { name, .. } in fields.iter().filter(|f| f.cumulative) {
-            let path = format!("{}.{name}", section.name);
-            let (before, after) = (num(prev, &path), num(cur, &path));
-            if after < before {
-                out.push(err(
-                    "SERVE002",
-                    at.clone(),
-                    format!("`{path}` decreased between snapshots: {before} -> {after}"),
-                ));
-            }
+    for path in schema::SERVE_METRICS.cumulative_paths() {
+        let (before, after) = (num(prev, &path), num(cur, &path));
+        if after < before {
+            out.push(err(
+                "SERVE002",
+                at.clone(),
+                format!("`{path}` decreased between snapshots: {before} -> {after}"),
+            ));
         }
     }
 }

@@ -72,8 +72,8 @@ pub use configware::{ConfigWord, Configware, InPort, OperandSel, ValueSource};
 pub use control::{PortfolioBound, SearchControl};
 pub use mapping::{Mapping, MappingStats, Route, VerifyError};
 pub use mii::{
-    critical_recurrences, exact_recurrence_mii, ii_floor, min_ii, restricted_min_ii, IiFloor,
-    MiiReport, RecurrenceAnalysis,
+    exact_recurrence_mii, ii_floor, min_ii, restricted_min_ii, IiFloor, MiiReport,
+    RecurrenceAnalysis,
 };
 pub use restrict::Restriction;
 pub use router::RouterConfig;

@@ -23,22 +23,6 @@ impl MiiReport {
     }
 }
 
-/// The operations of the recurrence cycles that bind RecMII: every
-/// non-trivial strongly connected component of the full dependence graph
-/// (data + back edges). Useful for diagnosing why a kernel cannot reach a
-/// lower II — speeding up any op outside these cycles cannot help.
-pub fn critical_recurrences(dfg: &Dfg) -> Vec<Vec<panorama_dfg::OpId>> {
-    let sccs = panorama_graph::Sccs::of(dfg.graph());
-    let mut cycles = sccs.nontrivial(dfg.graph());
-    // self-recurrences (distance-d self edges) are single-node cycles
-    for e in dfg.deps() {
-        if e.src == e.dst && e.weight.is_back() {
-            cycles.push(vec![e.src]);
-        }
-    }
-    cycles
-}
-
 /// Computes [`MiiReport`] for `dfg` on `cgra`.
 ///
 /// ResMII = max(⌈ops / PEs⌉, ⌈mem-ops / mem-PEs⌉). RecMII is the smallest
@@ -570,41 +554,12 @@ mod recurrence_tests {
     }
 
     #[test]
-    fn critical_recurrences_find_cycles() {
-        let mut b = DfgBuilder::new("rec");
-        let n: Vec<_> = (0..3).map(|i| b.op(OpKind::Add, format!("n{i}"))).collect();
-        b.data(n[0], n[1]);
-        b.data(n[1], n[2]);
-        b.back(n[2], n[0], 1);
-        let outside = b.op(OpKind::Load, "outside");
-        b.data(outside, n[0]);
-        let dfg = b.build().unwrap();
-        let cycles = critical_recurrences(&dfg);
-        assert_eq!(cycles.len(), 1);
-        assert_eq!(cycles[0].len(), 3);
-        assert!(!cycles[0].contains(&outside));
-    }
-
-    #[test]
-    fn self_recurrence_is_reported() {
-        let mut b = DfgBuilder::new("acc");
-        let a = b.op(OpKind::Add, "acc");
-        b.back(a, a, 1);
-        let dfg = b.build().unwrap();
-        let cycles = critical_recurrences(&dfg);
-        assert_eq!(cycles.len(), 1);
-        assert_eq!(cycles[0], vec![a]);
-    }
-
-    #[test]
     fn every_kernel_has_a_recurrence() {
         // the generators thread a state chain through every kernel
         for id in KernelId::ALL {
             let dfg = kernels::generate(id, KernelScale::Tiny);
-            assert!(
-                !critical_recurrences(&dfg).is_empty(),
-                "{id} should carry a recurrence"
-            );
+            let a = exact_recurrence_mii(&dfg);
+            assert!(!a.witness.is_empty(), "{id} should carry a recurrence");
         }
     }
 }

@@ -46,4 +46,4 @@ mod machine;
 pub mod semantics;
 
 pub use interp::{interpret, Interpretation};
-pub use machine::{simulate, trace, SimError, SimReport, TraceEvent};
+pub use machine::{simulate, SimError, SimReport};

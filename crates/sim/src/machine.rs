@@ -392,70 +392,3 @@ mod wrap_hazard_tests {
         }
     }
 }
-
-/// One observable event in the executed schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Absolute cycle.
-    pub cycle: u64,
-    /// Loop iteration the executing op instance belongs to.
-    pub iteration: usize,
-    /// Operation index.
-    pub op: usize,
-    /// PE index executing it.
-    pub pe: usize,
-}
-
-/// Lists the first `max_cycles` cycles of op executions in cycle order —
-/// a waveform-style view of the pipelined schedule.
-pub fn trace(dfg: &Dfg, mapping: &Mapping, iterations: usize, max_cycles: u64) -> Vec<TraceEvent> {
-    let ii = mapping.ii() as u64;
-    let mut events = Vec::new();
-    for iter in 0..iterations {
-        for op in dfg.op_ids() {
-            let cycle = mapping.time_of(op) as u64 + iter as u64 * ii;
-            if cycle < max_cycles {
-                events.push(TraceEvent {
-                    cycle,
-                    iteration: iter,
-                    op: op.index(),
-                    pe: mapping.pe_of(op).index(),
-                });
-            }
-        }
-    }
-    events.sort_by_key(|e| (e.cycle, e.pe));
-    events
-}
-
-#[cfg(test)]
-mod trace_tests {
-    use super::*;
-    use panorama_arch::CgraConfig;
-    use panorama_dfg::{kernels, KernelId, KernelScale};
-    use panorama_mapper::{LowerLevelMapper, SprMapper};
-
-    #[test]
-    fn trace_is_cycle_ordered_and_pipelined() {
-        let cgra = Cgra::new(CgraConfig::small_4x4()).unwrap();
-        let dfg = kernels::generate(KernelId::Fir, KernelScale::Tiny);
-        let mapping = SprMapper::default().map(&dfg, &cgra, None).unwrap();
-        let t = trace(&dfg, &mapping, 3, u64::MAX);
-        assert_eq!(t.len(), 3 * dfg.num_ops());
-        for w in t.windows(2) {
-            assert!(w[0].cycle <= w[1].cycle);
-        }
-        // pipelining: iteration 1's first event starts II cycles later
-        let first_of = |it: usize| t.iter().find(|e| e.iteration == it).unwrap().cycle;
-        assert_eq!(first_of(1) - first_of(0), mapping.ii() as u64);
-    }
-
-    #[test]
-    fn trace_respects_cycle_horizon() {
-        let cgra = Cgra::new(CgraConfig::small_4x4()).unwrap();
-        let dfg = kernels::generate(KernelId::Cordic, KernelScale::Tiny);
-        let mapping = SprMapper::default().map(&dfg, &cgra, None).unwrap();
-        let t = trace(&dfg, &mapping, 4, 3);
-        assert!(t.iter().all(|e| e.cycle < 3));
-    }
-}

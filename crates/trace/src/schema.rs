@@ -437,27 +437,6 @@ pub static SERVE_BATCH: Schema = Schema {
     codes: NOT_LINTED,
 };
 
-/// `panorama-bench-stable-v1`: `BenchReport::to_stable_json`.
-pub static BENCH_STABLE: Schema = Schema {
-    id: "panorama-bench-stable-v1",
-    layout: Layout::Lines,
-    newline: true,
-    root: Ty::Obj(&[
-        s("mapper"),
-        field(
-            "kernels",
-            Ty::Arr(&Ty::Obj(&[
-                s("kernel"),
-                s("preset"),
-                n("ii"),
-                n("mii"),
-                field("identical", Ty::Bool),
-            ])),
-        ),
-    ]),
-    codes: NOT_LINTED,
-};
-
 /// `lint-diagnostics`: `Diagnostics::render_json`, an untagged array.
 pub static DIAGNOSTICS: Schema = Schema {
     id: "lint-diagnostics",
@@ -474,7 +453,7 @@ pub static DIAGNOSTICS: Schema = Schema {
 };
 
 /// Every row of the table.
-pub static ALL: [&Schema; 11] = [
+pub static ALL: [&Schema; 10] = [
     &TRACE,
     &SERVE_METRICS,
     &FUZZ,
@@ -484,6 +463,86 @@ pub static ALL: [&Schema; 11] = [
     &COMPILE,
     &ERROR,
     &SERVE_BATCH,
-    &BENCH_STABLE,
     &DIAGNOSTICS,
 ];
+
+impl Schema {
+    /// The dotted path of every field marked `cumulative`, in table order.
+    /// Only object fields (`Obj`/`Section`, at any depth) have a path; a
+    /// counter inside an array row has none and is not listed.
+    pub fn cumulative_paths(&self) -> Vec<String> {
+        fn walk(ty: &Ty, prefix: &str, out: &mut Vec<String>) {
+            let (Ty::Obj(fields) | Ty::Section(fields)) = ty else {
+                return;
+            };
+            for f in *fields {
+                let path = if prefix.is_empty() {
+                    f.name.to_string()
+                } else {
+                    format!("{prefix}.{}", f.name)
+                };
+                if f.cumulative {
+                    out.push(path.clone());
+                }
+                walk(&f.ty, &path, out);
+            }
+        }
+        let mut out = Vec::new();
+        walk(&self.root, "", &mut out);
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every `cumulative` field reachable through any type, arrays
+    /// included.
+    fn count_cumulative(ty: &Ty) -> usize {
+        match ty {
+            Ty::Obj(fields) | Ty::Section(fields) => fields
+                .iter()
+                .map(|f| usize::from(f.cumulative) + count_cumulative(&f.ty))
+                .sum(),
+            Ty::Nullable(inner) | Ty::Arr(inner) | Ty::Map(inner) => count_cumulative(inner),
+            _ => 0,
+        }
+    }
+
+    #[test]
+    fn cumulative_paths_are_the_serve_counters_and_none_sits_in_an_array() {
+        assert_eq!(
+            SERVE_METRICS.cumulative_paths(),
+            [
+                "requests.received",
+                "requests.completed",
+                "requests.shed",
+                "requests.cancelled",
+                "requests.failed",
+                "requests.quota_rejected",
+                "result_cache.hits",
+                "result_cache.misses",
+                "result_cache.evictions",
+                "mrrg_cache.hits",
+                "mrrg_cache.misses",
+                "mrrg_cache.evictions",
+                "disk_cache.hits",
+                "disk_cache.misses",
+                "disk_cache.evictions",
+                "disk_cache.corrupt",
+                "quota.rejected",
+            ]
+        );
+        // A counter the walk cannot reach (one under an `Arr`, `Map` or
+        // `Nullable`) would never be checked for monotonicity.
+        for schema in ALL {
+            assert_eq!(
+                schema.cumulative_paths().len(),
+                count_cumulative(&schema.root),
+                "{}: a cumulative field has no stable path",
+                schema.id
+            );
+        }
+    }
+}

@@ -24,8 +24,6 @@
 //!                [--threads N] [--analyze] [--cache-dir DIR]
 //!                [--cache-budget BYTES] [--quota-rps N] [--quota-burst N]
 //!                [--io-timeout-ms MS]
-//! panorama bench [--mapper spr|ultrafast|sat] [--threads N] [--analyze]
-//!                [--stable-out FILE]
 //! panorama kernels [--scale tiny|scaled|paper]
 //! panorama info --arch cgra.adl
 //! ```
@@ -50,12 +48,7 @@
 //! divergence exits nonzero. `lint` runs the static diagnostics of [`panorama_lint`]
 //! over the same inputs without mapping anything (`--report` validates a
 //! recorded trace/serve/fuzz/sat/exec/analyze report file instead — one
-//! document or an array of them — auto-detecting the schema). `bench` is the suite determinism check: it
-//! compiles the 12-kernel suite batched at `--threads N` and again
-//! sequentially, fails unless both produce identical mappings, and
-//! `--stable-out` writes the wall-clock-free projection CI `cmp`s across
-//! thread counts. Time and II numbers come from `benchmark/run.sh`, not
-//! from here.
+//! document or an array of them — auto-detecting the schema).
 //! `fuzz` runs the deterministic differential fuzzing harness of
 //! [`panorama_fuzz`]: seeded random DFG/architecture sweeps, all three
 //! lower-level backends, verify/simulate/II-bound oracle cross-checks,
@@ -109,8 +102,6 @@ fn usage() -> &'static str {
 [--deadline-ms <ms>] [--result-cache <n>] [--mrrg-cache <n>] [--threads <n>] \
 [--analyze] [--cache-dir <dir>] [--cache-budget <bytes>] \
 [--quota-rps <n>] [--quota-burst <n>] [--io-timeout-ms <ms>]\n  \
-     panorama bench [--mapper spr|ultrafast|sat] [--threads <n>] [--analyze] \
-[--stable-out <file>]\n  \
      panorama kernels [--scale tiny|scaled|paper]\n  \
      panorama info --arch <file|preset>\n\n\
      presets: 4x4, 8x8, 9x9, 16x16, 6x1"
@@ -165,12 +156,6 @@ const EXEC_FLAGS: FlagSpec = &[
     ("json", true),
     ("trace", false),
 ];
-const BENCH_FLAGS: FlagSpec = &[
-    ("mapper", false),
-    ("threads", false),
-    ("analyze", true),
-    ("stable-out", false),
-];
 const LINT_FLAGS: FlagSpec = &[
     ("dfg", false),
     ("arch", false),
@@ -216,7 +201,6 @@ fn flag_spec(cmd: &str) -> Option<FlagSpec> {
         "trace" => TRACE_FLAGS,
         "exec" => EXEC_FLAGS,
         "lint" => LINT_FLAGS,
-        "bench" => BENCH_FLAGS,
         "kernels" => KERNELS_FLAGS,
         "info" => INFO_FLAGS,
         "serve" => SERVE_FLAGS,
@@ -464,8 +448,8 @@ fn cmd_compile(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
             );
         }
     }
-    if let Some(iters) = flags.get("simulate") {
-        let iters: usize = iters.parse()?;
+    if flags.contains_key("simulate") {
+        let iters = parse_n(flags, "simulate", 0)?;
         match simulate(mapped, &cgra, mapping, iters) {
             Ok(sim) => println!(
                 "simulation: {} iterations, {} deliveries checked, FU util {:.0}%, link util {:.0}%",
@@ -704,60 +688,6 @@ fn cmd_analyze(kernel: &str, flags: &HashMap<String, String>) -> Result<(), Box<
     Ok(())
 }
 
-/// `panorama bench`: the suite determinism check over the 12-kernel
-/// suite. Prints the per-kernel table (wall-clocks are shown, not gated),
-/// writes the wall-clock-free projection to `--stable-out`
-/// (byte-identical across runs and thread counts — CI `cmp`s two of
-/// them), and exits nonzero when a row is not identical across phases.
-fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let mapper = flags
-        .get("mapper")
-        .map_or(Ok(BackendId::UltraFast), |name| {
-            BackendId::parse(name)
-                .ok()
-                .filter(|id| BackendId::PORTFOLIO.contains(id))
-                .ok_or_else(|| format!("unknown bench mapper `{name}`"))
-        })?;
-    let options = panorama_bench::BenchOptions {
-        threads: parse_threads(flags)?,
-        mapper,
-        analyze: flags.contains_key("analyze"),
-        ..panorama_bench::BenchOptions::default()
-    };
-    eprintln!(
-        "benching 12 kernels x {} preset(s) with {} ({} threads)...",
-        if mapper == BackendId::Sat { 1 } else { 2 },
-        mapper.name(),
-        if options.threads == 0 {
-            "auto".to_string()
-        } else {
-            options.threads.to_string()
-        }
-    );
-    let report = panorama_bench::perf::run(&options)?;
-    println!(
-        "{:<18} {:>6} {:>4} {:>4} {:>10} {:>10}  identical",
-        "kernel", "preset", "II", "MII", "par(s)", "seq(s)"
-    );
-    for k in &report.kernels {
-        println!(
-            "{:<18} {:>6} {:>4} {:>4} {:>10.3} {:>10.3}  {}",
-            k.kernel, k.preset, k.ii, k.mii, k.wall_seconds, k.wall_seconds_single, k.identical
-        );
-    }
-    println!(
-        "suite: {:.2}s batched ({} threads) vs {:.2}s sequential",
-        report.suite_wall_seconds, report.threads, report.suite_wall_seconds_single
-    );
-    if let Some(path) = flags.get("stable-out") {
-        std::fs::write(path, report.to_stable_json())?;
-        eprintln!("wrote stable projection {path}");
-    }
-    report
-        .check()
-        .map_err(|e| format!("suite determinism check failed:\n{e}").into())
-}
-
 /// `panorama fuzz`: the deterministic differential fuzzing harness.
 /// Exits nonzero when any oracle disagrees, a backend crashes, or a
 /// corpus case fails replay. `--write-corpus` drops each minimized
@@ -977,7 +907,7 @@ fn main() -> ExitCode {
     }
     let Some(spec) = flag_spec(cmd) else {
         eprintln!(
-            "error: unknown command `{cmd}` (expected compile, analyze, trace, exec, lint, bench, serve, fuzz, kernels, info or help)\n\n{}",
+            "error: unknown command `{cmd}` (expected compile, analyze, trace, exec, lint, serve, fuzz, kernels, info or help)\n\n{}",
             usage()
         );
         return ExitCode::FAILURE;
@@ -1011,7 +941,6 @@ fn main() -> ExitCode {
         "trace" => cmd_trace(positional.unwrap_or_default(), &flags),
         "exec" => cmd_exec(positional.unwrap_or_default(), &flags),
         "lint" => cmd_lint(&flags),
-        "bench" => cmd_bench(&flags),
         "kernels" => cmd_kernels(&flags),
         "serve" => cmd_serve(&flags),
         "fuzz" => cmd_fuzz(&flags),
@@ -1052,8 +981,7 @@ mod tests {
             }
         }
         let commands = [
-            "compile", "analyze", "trace", "exec", "lint", "fuzz", "serve", "bench", "kernels",
-            "info",
+            "compile", "analyze", "trace", "exec", "lint", "fuzz", "serve", "kernels", "info",
         ];
         assert_eq!(
             documented.keys().copied().collect::<BTreeSet<_>>(),
@@ -1068,8 +996,6 @@ mod tests {
                 .collect();
             assert_eq!(documented[cmd], accepted, "`{cmd}`: usage() vs flag table");
         }
-        let bench: Vec<&str> = BENCH_FLAGS.iter().map(|(name, _)| *name).collect();
-        assert_eq!(bench, ["mapper", "threads", "analyze", "stable-out"]);
     }
 
     /// `compile` argv through the CLI's flag parser.

@@ -414,18 +414,29 @@ fn bad_usage_fails_with_message() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("unknown mapper"));
 
-    // `bench` is the suite determinism check and nothing else: the timing
-    // gate and the serve load bench are gone, not hidden.
-    for removed in [&["--check", "x"][..], &["--serve"]] {
-        let out = bin().arg("bench").args(removed).output().unwrap();
-        assert!(!out.status.success(), "bench {removed:?}");
-        let stderr = String::from_utf8(out.stderr).unwrap();
-        assert!(
-            stderr.contains(&format!("unknown flag `{}` for `bench`", removed[0]))
-                && stderr.contains("(accepted: --mapper, --threads, --analyze, --stable-out)"),
-            "bench {removed:?}: {stderr}"
-        );
-    }
+    let out = bin()
+        .args([
+            "compile", "--dfg", "fir", "--scale", "tiny", "--arch", "4x4",
+        ])
+        .args(["--simulate", "abc"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("--simulate needs a non-negative integer, got `abc`"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn bench_is_an_unknown_command() {
+    // The suite determinism check is `tests/perf.rs`; the subcommand is
+    // gone, not hidden.
+    let out = bin().arg("bench").output().unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("unknown command `bench`"), "{stderr}");
 }
 
 #[test]

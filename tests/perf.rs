@@ -5,11 +5,22 @@
 //! candidates that cannot win the final reduction, and the reduction key
 //! `(II, routing complexity, candidate rank)` is unique per candidate. These
 //! tests compile real kernels at thread counts 1, 2 and 4 and require the
-//! resulting reports to be observably identical — same II, same per-op
-//! placement and schedule, same winning partition.
+//! resulting reports to be observably identical — same II, same mapping
+//! hash, same per-op placement and schedule, same winning partition.
+//!
+//! The suite table ([`SuiteRow`]) is the suite determinism check: all twelve
+//! kernels per row, batched on one shared pool at several worker counts,
+//! against unbatched single-threaded compiles. The Ultra-Fast rows run in
+//! every `cargo test`; the SPR\* rows are `#[ignore]`d and run in release
+//! mode:
+//!
+//! ```text
+//! cargo test --release --test perf -- --ignored spr_suite_batch_is_thread_count_invariant
+//! ```
 
 use panorama::{
-    BatchExecutor, CompileContext, CompileMode, CompileReport, Panorama, PanoramaConfig,
+    AnalyzeConfig, BackendId, BatchExecutor, CompileContext, CompileMode, CompileReport, Panorama,
+    PanoramaConfig,
 };
 use panorama_arch::{Cgra, CgraConfig};
 use panorama_dfg::{kernels, Dfg, KernelId, KernelScale};
@@ -30,7 +41,8 @@ fn fingerprint(dfg: &Dfg, report: &CompileReport) -> Fingerprint {
     Fingerprint {
         ii: mapping.ii(),
         content_hash: mapping.content_hash(),
-        placement: dfg
+        placement: report
+            .mapped_dfg(dfg)
             .op_ids()
             .map(|op| (mapping.pe_of(op).index(), mapping.time_of(op)))
             .collect(),
@@ -95,39 +107,132 @@ fn spr_portfolio_is_thread_count_invariant() {
     }
 }
 
-#[test]
-fn batch_executor_is_thread_count_invariant_across_the_suite() {
-    // The suite-level executor shares one pool between every kernel's
-    // candidate portfolio; results must still be bit-identical to the
-    // single-threaded compile at any worker count.
-    let cgra = Cgra::new(CgraConfig::small_4x4()).unwrap();
-    let mapper = UltraFastMapper::default();
+/// One row of the suite determinism table: all twelve kernels of a
+/// preset, mapped by `backend`, with or without the DFG optimizer in front,
+/// batched at each of `threads` workers.
+struct SuiteRow {
+    backend: BackendId,
+    preset: Preset,
+    analyze: bool,
+    threads: &'static [usize],
+}
+
+/// An architecture preset and the kernel scale that fills it.
+type Preset = (&'static str, KernelScale);
+const TINY_4X4: Preset = ("4x4", KernelScale::Tiny);
+const SCALED_8X8: Preset = ("8x8", KernelScale::Scaled);
+
+/// One worker, fewer workers than kernels, more workers than cores.
+const EVERY_POOL: &[usize] = &[1, 2, 4, 8];
+/// Two pool sizes for the rows that cost seconds in a debug build.
+const TWO_POOLS: &[usize] = &[2, 4];
+
+const fn row(
+    backend: BackendId,
+    preset: Preset,
+    analyze: bool,
+    threads: &'static [usize],
+) -> SuiteRow {
+    SuiteRow {
+        backend,
+        preset,
+        analyze,
+        threads,
+    }
+}
+
+/// The rows cheap enough for every `cargo test`.
+const TIER1_ROWS: [SuiteRow; 4] = [
+    row(BackendId::UltraFast, TINY_4X4, false, EVERY_POOL),
+    row(BackendId::UltraFast, SCALED_8X8, false, TWO_POOLS),
+    row(BackendId::UltraFast, TINY_4X4, true, EVERY_POOL),
+    row(BackendId::UltraFast, SCALED_8X8, true, TWO_POOLS),
+];
+
+/// SPR\* with its default config: no wall-clock budget, so whether a
+/// compile finishes cannot depend on how fast the host is.
+const SPR_ROWS: [SuiteRow; 2] = [
+    row(BackendId::Spr, TINY_4X4, false, EVERY_POOL),
+    row(BackendId::Spr, SCALED_8X8, false, EVERY_POOL),
+];
+
+impl std::fmt::Display for SuiteRow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (arch, scale) = self.preset;
+        let analyze = if self.analyze { " --analyze" } else { "" };
+        write!(f, "{} on {arch}/{scale:?}{analyze}", self.backend.name())
+    }
+}
+
+/// One compile of a suite row, batched on `exec` when one is given.
+fn suite_compile<'env>(
+    row: &SuiteRow,
+    dfg: &Dfg,
+    cgra: &Cgra,
+    mapper: &'env dyn LowerLevelMapper,
+    threads: usize,
+    exec: Option<&BatchExecutor<'env>>,
+) -> Fingerprint {
+    let panorama = Panorama::new(PanoramaConfig {
+        threads,
+        analyze: row.analyze.then(AnalyzeConfig::default),
+        ..PanoramaConfig::default()
+    });
+    let ctx = CompileContext {
+        executor: exec,
+        ..CompileContext::default()
+    };
+    let report = panorama
+        .compile_with(dfg, cgra, &[mapper], CompileMode::Guided, &ctx)
+        .unwrap_or_else(|e| panic!("{row}: {} at {threads} threads: {e}", dfg.name()));
+    fingerprint(dfg, &report)
+}
+
+/// The suite determinism check: every kernel of `row`, compiled on one
+/// shared [`BatchExecutor`] pool at each of the row's worker counts, must
+/// be bit-identical to its unbatched single-threaded compile.
+fn check_suite_row(row: &SuiteRow) {
+    let (arch, scale) = row.preset;
+    let cgra = Cgra::new(CgraConfig::preset(arch).unwrap()).unwrap();
+    let mapper = row.backend.mapper();
+    let mapper = &*mapper;
     let dfgs: Vec<Dfg> = KernelId::ALL
         .iter()
-        .map(|&id| kernels::generate(id, KernelScale::Tiny))
+        .map(|&id| kernels::generate(id, scale))
         .collect();
-    let base: Vec<Fingerprint> = dfgs
+    let sequential: Vec<Fingerprint> = dfgs
         .iter()
-        .map(|d| compile_at(d, &cgra, &mapper, 1))
+        .map(|dfg| suite_compile(row, dfg, &cgra, mapper, 1, None))
         .collect();
-    for threads in [1, 2, 4, 8] {
-        let got: Vec<Fingerprint> = BatchExecutor::scope(threads, |exec| {
+    for &threads in row.threads {
+        let batched: Vec<Fingerprint> = BatchExecutor::scope(threads, |exec| {
             exec.run_batch(dfgs.len(), |exec, j| {
-                let panorama = Panorama::new(PanoramaConfig {
-                    threads,
-                    ..PanoramaConfig::default()
-                });
-                let ctx = CompileContext {
-                    executor: Some(exec),
-                    ..CompileContext::default()
-                };
-                let report = panorama
-                    .compile_with(&dfgs[j], &cgra, &[&mapper], CompileMode::Guided, &ctx)
-                    .unwrap_or_else(|e| panic!("batch compile failed at {threads} threads: {e}"));
-                fingerprint(&dfgs[j], &report)
+                suite_compile(row, &dfgs[j], &cgra, mapper, threads, Some(exec))
             })
         });
-        assert_eq!(base, got, "suite diverged at {threads} threads");
+        for ((dfg, seq), got) in dfgs.iter().zip(&sequential).zip(&batched) {
+            assert_eq!(
+                seq,
+                got,
+                "{row}: {} diverged batched at {threads} threads",
+                dfg.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn batch_executor_is_thread_count_invariant_across_the_suite() {
+    for row in &TIER1_ROWS {
+        check_suite_row(row);
+    }
+}
+
+#[test]
+#[ignore = "48 SPR* suite compiles on both presets: run in a release build"]
+fn spr_suite_batch_is_thread_count_invariant() {
+    for row in &SPR_ROWS {
+        check_suite_row(row);
     }
 }
 
@@ -234,22 +339,6 @@ fn disabled_collector_adds_no_measurable_overhead() {
         col.into_events().is_empty(),
         "disabled collector must not buffer"
     );
-}
-
-#[test]
-fn bench_harness_reports_identical_results() {
-    // The harness's own phase comparison (parallel vs sequential re-run)
-    // must agree on every kernel; this is the check `panorama bench` exits
-    // nonzero on.
-    let report = panorama_bench::perf::run(&panorama_bench::BenchOptions {
-        threads: 3,
-        ..panorama_bench::BenchOptions::default()
-    })
-    .expect("bench suite compiles");
-    report.check().unwrap();
-    for k in &report.kernels {
-        assert!(k.ii >= k.mii, "{} on {}: II below MII", k.kernel, k.preset);
-    }
 }
 
 /// What one SA seed is worth on the 8×8 suite: II per kernel at the

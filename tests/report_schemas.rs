@@ -6,7 +6,6 @@
 use panorama::CompileRequest;
 use panorama_analyze::AnalyzeReport;
 use panorama_arch::Cgra;
-use panorama_bench::{BenchReport, KernelResult};
 use panorama_exec::{exec_report_json, ExecOutcome, VectorRun};
 use panorama_fuzz::{CorpusStats, FailureRecord, FuzzReport, OracleCounts};
 use panorama_lint::{check_shape, Diagnostic, Diagnostics, Entity, Severity};
@@ -30,7 +29,6 @@ fn samples() -> Vec<(&'static str, String)> {
         ("exec-divergence", exec()),
         ("diagnostics-empty", Diagnostics::new().render_json()),
         ("diagnostics", diagnostics().render_json()),
-        ("bench-stable", bench().to_stable_json()),
     ];
     let sat = |kernel, mapped_ii, attempts: &[IiAttempt]| {
         sat_attempt_log(
@@ -245,25 +243,6 @@ fn diagnostics() -> Diagnostics {
             .with_help("raise --max-ii to 4"),
     );
     d
-}
-
-fn bench() -> BenchReport {
-    let row = |kernel: &str, preset: &str, ii| KernelResult {
-        kernel: kernel.into(),
-        preset: preset.into(),
-        ii,
-        mii: 2,
-        wall_seconds: 0.5,
-        wall_seconds_single: 0.75,
-        identical: ii == 2,
-    };
-    BenchReport {
-        mapper: "spr",
-        threads: 4,
-        suite_wall_seconds: 1.0,
-        suite_wall_seconds_single: 1.5,
-        kernels: vec![row("fir", "4x4", 2), row("edn", "8x8", 11)],
-    }
 }
 
 fn compile(body: &str) -> String {
