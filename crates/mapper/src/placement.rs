@@ -199,11 +199,8 @@ pub(crate) fn placement_pass(
 
     for op in dfg.topo_order() {
         let is_mem = dfg.op(op).kind.needs_memory();
-        let op_is_const = dfg.op(op).kind == panorama_dfg::OpKind::Const;
-        // schedule window from placed neighbours. Iteration-varying values
-        // must not live longer than II cycles, or consecutive iterations
-        // would collide in the holding registers (modulo wrap); constants
-        // are iteration-invariant and exempt.
+        // schedule window from placed neighbours' dependences alone: how
+        // long a value may live is the MRRG's occupancy accounting to decide
         let mut estart = 0i64;
         let mut lstart = i64::MAX;
         for e in dfg.graph().incoming(op) {
@@ -211,10 +208,6 @@ pub(crate) fn placement_pass(
                 let tu = state.time_of[e.src.index()] as i64;
                 let d = e.weight.distance() as i64;
                 estart = estart.max(tu + 1 - d * ii as i64);
-                if dfg.op(e.src).kind != panorama_dfg::OpKind::Const {
-                    // lifetime bound: t_v − t_u + d·II ≤ II
-                    lstart = lstart.min(tu + (1 - d) * ii as i64);
-                }
             }
         }
         for e in dfg.graph().outgoing(op) {
@@ -222,10 +215,6 @@ pub(crate) fn placement_pass(
                 let tv = state.time_of[e.dst.index()] as i64;
                 let d = e.weight.distance() as i64;
                 lstart = lstart.min(tv - 1 + d * ii as i64);
-                if !op_is_const {
-                    // same lifetime bound, now a lower bound on the producer
-                    estart = estart.max(tv + (d - 1) * ii as i64);
-                }
             }
         }
         let estart = estart.max(0);

@@ -82,6 +82,10 @@ const SA_MIN_TEMP: f64 = 0.02;
 const SA_ALPHA: f64 = 0.82;
 /// Relocation attempts per temperature step.
 const SA_MOVES_PER_TEMP: usize = 128;
+/// An II attempt ends after this many routing rounds in a row without a
+/// new best `(failed, overuse)`: a failing II stays flat, a mapping II
+/// keeps improving until it is clean.
+const SA_PATIENCE: usize = 6;
 
 /// SPR\* tunables.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,7 +102,7 @@ impl Default for SprConfig {
     fn default() -> Self {
         SprConfig {
             router: RouterConfig {
-                max_iterations: 12,
+                max_iterations: 3,
                 ..RouterConfig::default()
             },
             seed: 0x5912,
@@ -180,6 +184,7 @@ impl LowerLevelMapper for SprMapper {
             // signal placed beyond its slack (why the II failed)
             let mut structural;
             let mut verdict = Attempt::Failed;
+            let (mut best, mut stale) = ((usize::MAX, usize::MAX), 0);
 
             loop {
                 let route_span = trace.start();
@@ -232,7 +237,12 @@ impl LowerLevelMapper for SprMapper {
                     trace.record("spr.ii", ii_span, &[("ii", ii as i64), ("success", 1)]);
                     return Attempt::Mapped(mapping);
                 }
-                if temp < SA_MIN_TEMP {
+                if (outcome.failed, outcome.overuse) < best {
+                    (best, stale) = ((outcome.failed, outcome.overuse), 0);
+                } else {
+                    stale += 1;
+                }
+                if temp < SA_MIN_TEMP || stale == SA_PATIENCE {
                     break; // give up on this II
                 }
                 // A fired token makes the router return early with a dirty
@@ -416,27 +426,16 @@ fn anneal_step(
 
         // legal retiming window against the current neighbour schedule;
         // retiming adds routing slack, which is what frees signals whose
-        // only shortest path is contested. Iteration-varying values keep
-        // the <= II lifetime bound (see placement) so modulo wrap never
-        // collides consecutive iterations in a register.
-        let op_is_const = dfg.op(op).kind == panorama_dfg::OpKind::Const;
+        // only shortest path is contested
         let mut estart = 0i64;
         let mut lend = i64::MAX;
         for e in dfg.graph().incoming(op) {
             let tu = state.time_of[e.src.index()] as i64;
-            let d = e.weight.distance() as i64;
-            estart = estart.max(tu + 1 - d * ii);
-            if dfg.op(e.src).kind != panorama_dfg::OpKind::Const {
-                lend = lend.min(tu + (1 - d) * ii);
-            }
+            estart = estart.max(tu + 1 - e.weight.distance() as i64 * ii);
         }
         for e in dfg.graph().outgoing(op) {
             let tv = state.time_of[e.dst.index()] as i64;
-            let d = e.weight.distance() as i64;
-            lend = lend.min(tv - 1 + d * ii);
-            if !op_is_const {
-                estart = estart.max(tv + (d - 1) * ii);
-            }
+            lend = lend.min(tv - 1 + e.weight.distance() as i64 * ii);
         }
         let estart = estart.max(0);
         let lend = lend.min(estart + ii - 1).max(estart);

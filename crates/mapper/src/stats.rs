@@ -84,7 +84,8 @@ mod tests {
         assert!(stats.inter_cluster_hops <= stats.link_hops);
         assert!(stats.max_route_latency >= 1);
         assert!(stats.link_coverage > 0.0 && stats.link_coverage <= 1.0);
-        // lifetime bound: no single route outlives one II window by much
+        // placement starts each op within one II of its latest operand, and
+        // on edn no route waits out more than two II windows
         assert!(
             stats.max_route_latency <= 2 * mapping.ii(),
             "latency {} vs II {}",

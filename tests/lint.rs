@@ -232,10 +232,10 @@ fn compile_honours_achievable_ii_cap() {
 
 #[test]
 fn compile_max_ii_caps_the_search() {
-    // edn on 8x8 maps at II 11 guided and II 12 unguided (MII 4): a cap of
-    // 5 passes the static check and must end the search, not be ignored;
+    // edn on 8x8 maps at II 6 guided and II 5 unguided (MII 4): a cap of
+    // 4 passes the static check and must end the search, not be ignored;
     // a cap at the achieved II must change nothing.
-    for (mode, achieved) in [(None, "11"), (Some("--baseline"), "12")] {
+    for (mode, achieved) in [(None, "6"), (Some("--baseline"), "5")] {
         let compile = |cap: Option<&str>| {
             let mut cmd = bin();
             cmd.args(["compile", "--dfg", "edn", "--arch", "8x8", "--json"]);
@@ -245,11 +245,11 @@ fn compile_max_ii_caps_the_search() {
             }
             cmd.output().unwrap()
         };
-        let capped = compile(Some("5"));
+        let capped = compile(Some("4"));
         let stderr = String::from_utf8(capped.stderr).unwrap();
         assert!(!capped.status.success(), "{mode:?}: {stderr}");
         assert!(
-            stderr.contains("found no valid mapping up to II 5"),
+            stderr.contains("found no valid mapping up to II 4"),
             "{mode:?}: {stderr}"
         );
         let (free, at_achieved) = (compile(None), compile(Some(achieved)));

@@ -23,9 +23,11 @@ use panorama::{
     PanoramaConfig,
 };
 use panorama_arch::{Cgra, CgraConfig};
-use panorama_dfg::{kernels, Dfg, KernelId, KernelScale};
+use panorama_dfg::{kernels, Dep, Dfg, DfgBuilder, KernelId, KernelScale, OpId};
 use panorama_mapper::{LowerLevelMapper, SprConfig, SprMapper, UltraFastMapper};
 use panorama_trace::{RecordingSink, SpanCollector, TraceReport, Tracer};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// Everything observable about a compile, flattened for equality checks.
 #[derive(Debug, PartialEq, Eq)]
@@ -377,6 +379,88 @@ fn sa_seed_spread() {
     }
     let mean = sums.iter().sum::<usize>() as f64 / sums.len() as f64;
     println!("\nmean {mean:.1}");
-    assert!(sums[0] <= 103, "committed seed: ii_sum {}", sums[0]);
-    assert!(mean <= 103.0, "8-seed mean ii_sum {mean:.1}");
+    assert!(sums[0] <= 80, "committed seed: ii_sum {}", sums[0]);
+    assert!(mean <= 80.0, "8-seed mean ii_sum {mean:.1}");
+}
+
+/// `dfg` under other labels: ops renumbered by a seeded permutation and
+/// edges added in a seeded order. Each op keeps its operands in order, so
+/// the result is the same loop, only numbered differently.
+fn relabel(dfg: &Dfg, seed: u64) -> Dfg {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut shuffle = |n: usize| {
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            order.swap(i, rng.gen_range(0..=i));
+        }
+        order
+    };
+    // op `old_of[i]` becomes op `i`
+    let old_of = shuffle(dfg.num_ops());
+    let mut new_of = vec![OpId::from_index(0); old_of.len()];
+    let mut b = DfgBuilder::new(dfg.name());
+    for &old in &old_of {
+        new_of[old] = b.push_op(dfg.op(OpId::from_index(old)).clone());
+    }
+    let deps: Vec<_> = dfg.deps().collect();
+    let mut operands: Vec<_> = dfg.op_ids().map(|v| dfg.graph().incoming(v)).collect();
+    // the shuffle picks which consumer's next operand is wired next
+    for i in shuffle(deps.len()) {
+        let e = operands[deps[i].dst.index()].next().expect("one per edge");
+        let (src, dst) = (new_of[e.src.index()], new_of[e.dst.index()]);
+        match e.weight {
+            Dep::Data => b.data(src, dst),
+            Dep::Back { distance } => b.back(src, dst, *distance),
+        }
+    }
+    b.build().expect("a relabelled DFG is still valid")
+}
+
+/// What the op numbering is worth on the 8×8 suite: II per kernel for the
+/// kernels as generated (labelling 0) and three seeded relabellings of
+/// the same graphs, at the committed SA seed; `-` is a kernel SPR\* did
+/// not map. The partition depends on the numbering, so an II claim has to
+/// beat this spread as well as the seed's (EXPERIMENTS.md, "Labelling
+/// spread").
+#[test]
+#[ignore = "48 scaled 8x8 SPR* compiles: ~10 s in a release build"]
+fn labelling_spread() {
+    let cgra = Cgra::new(CgraConfig::scaled_8x8()).unwrap();
+    let panorama = Panorama::new(PanoramaConfig {
+        threads: 1,
+        ..PanoramaConfig::default()
+    });
+    let mapper = SprMapper::default();
+    let (mut sums, mut unmapped) = ([0usize; 4], [0usize; 4]);
+    println!("{:<18}{:>7}{:>7}{:>7}{:>7}", "kernel \\ label", 0, 1, 2, 3);
+    for id in KernelId::ALL {
+        let dfg = kernels::generate(id, KernelScale::Scaled);
+        print!("{:<18}", id.name());
+        for labelling in 0..4 {
+            let graph = match labelling {
+                0 => dfg.clone(),
+                seed => relabel(&dfg, seed as u64),
+            };
+            assert_eq!(graph.kind_histogram(), dfg.kind_histogram());
+            assert_eq!(graph.num_deps(), dfg.num_deps());
+            match panorama.compile(&graph, &cgra, &mapper) {
+                Ok(report) => {
+                    print!("{:>7}", report.mapping().ii());
+                    sums[labelling] += report.mapping().ii();
+                }
+                Err(_) => {
+                    print!("{:>7}", "-");
+                    unmapped[labelling] += 1;
+                }
+            }
+        }
+        println!();
+    }
+    for (row, values) in [("ii_sum", sums), ("unmapped", unmapped)] {
+        print!("{row:<18}");
+        for value in values {
+            print!("{value:>7}");
+        }
+        println!();
+    }
 }

@@ -16,7 +16,7 @@ use panorama_dfg::{
     kernels, random_dfg, Dep, Dfg, DfgBuilder, KernelId, KernelScale, OpKind, RandomDfgConfig,
 };
 use panorama_exec::{execute, ExecError, ExecOptions};
-use panorama_mapper::{SatMapper, SprMapper, UltraFastMapper};
+use panorama_mapper::{LowerLevelMapper, SatMapper, SprMapper, UltraFastMapper};
 use panorama_sim::semantics::{InputVectors, VectorKind};
 use panorama_sim::{interpret, simulate, SimError};
 use proptest::prelude::*;
@@ -390,4 +390,40 @@ fn scaled_kernel_simulates_many_iterations() {
     let sim = simulate(&dfg, &cgra, report.mapping(), 16).unwrap();
     assert_eq!(sim.iterations, 16);
     assert!(sim.link_utilization > 0.0);
+}
+
+#[test]
+fn a_value_outliving_the_ii_maps_below_its_lifetime() {
+    // `a` feeds `c` directly and through a five-add chain, so `a`'s value
+    // waits at least six cycles for `c`. MII is 1. Capping every value's
+    // lifetime at II leaves `c` an empty schedule window below II 6; the
+    // MRRG holds the value in registers or on neighbours instead, and the
+    // occupancy count keeps the iterations apart.
+    let mut b = DfgBuilder::new("long-lived");
+    let a = b.op(OpKind::Load, "a");
+    let mut prev = a;
+    for i in 0..5 {
+        let n = b.op(OpKind::Add, format!("b{i}"));
+        b.data(prev, n);
+        prev = n;
+    }
+    let c = b.op(OpKind::Add, "c");
+    b.data(prev, c);
+    b.data(a, c);
+    let s = b.op(OpKind::Store, "s");
+    b.data(c, s);
+    let dfg = b.build().unwrap();
+    let cgra = Cgra::new(CgraConfig::small_4x4()).unwrap();
+    let mapping = SprMapper::default().map(&dfg, &cgra, None).unwrap();
+    let lifetime = mapping.time_of(c) - mapping.time_of(a);
+    assert!(
+        lifetime >= 6 && mapping.ii() < 6,
+        "`a` lives {lifetime} cycles at II {}",
+        mapping.ii()
+    );
+    mapping.verify(&dfg, &cgra).unwrap();
+    simulate(&dfg, &cgra, &mapping, 8).unwrap();
+    let out = execute(&dfg, &cgra, &mapping, &ExecOptions::default()).unwrap();
+    assert!(out.passed(), "{:?}", out.first_divergence());
+    assert!(out.checked_total() > 0);
 }

@@ -20,6 +20,7 @@
 //! | alias another route   | RouteEndpoint/Disconn.  | rejects (arrival)   |
 //! | break dependence time | DependenceViolated      | rejects (arrival)   |
 //! | collide two FU slots  | FuConflict              | rejects (collision) |
+//! | park a value > II     | CapacityExceeded (Reg)  | rejects (collision) |
 //!
 //! Both oracles overlap on most structural defects (a broken route also
 //! produces wrong dynamics), which is exactly what makes differential
@@ -28,10 +29,10 @@
 //! link across II windows passed the old per-producer verify but failed
 //! simulation — is a bug in one of the oracles or in the mapper.
 
-use panorama_arch::{Cgra, CgraConfig};
+use panorama_arch::{Cgra, CgraConfig, NodeKind};
 use panorama_dfg::{DfgBuilder, OpKind};
 use panorama_mapper::{LowerLevelMapper, Mapping, SprMapper, VerifyError};
-use panorama_sim::simulate;
+use panorama_sim::{simulate, SimError};
 
 /// A small diamond with a recurrence: enough edges for every mutation.
 fn fixture() -> (panorama_dfg::Dfg, Cgra, Mapping) {
@@ -213,4 +214,66 @@ fn colliding_two_fu_slots_is_rejected() {
         "two ops on one FU slot must conflict"
     );
     assert!(simulate(&dfg, &cgra, &mutant, 4).is_err());
+}
+
+#[test]
+fn parking_a_value_in_one_register_past_ii_is_rejected() {
+    // Placement no longer caps how long a value lives; this is the check
+    // that does. Delay the store by two IIs (same FU slot, every
+    // dependence still met) and let its operand wait the whole time in
+    // one register of the store's PE: from the operand's last arrival on
+    // that PE, route it RegWrite → Reg r for every cycle → RegRead. The
+    // register then holds two iterations' values in every slot.
+    let (dfg, cgra, m) = fixture();
+    let ii = m.ii();
+    let mrrg = cgra.mrrg_shared(ii);
+    let (edge, dep) = dfg
+        .deps()
+        .enumerate()
+        .find(|(_, e)| dfg.op(e.dst).kind == OpKind::Store)
+        .expect("fixture stores");
+    let (store, pe) = (dep.dst, m.pe_of(dep.dst));
+    let mut routes = m.routes().unwrap().to_vec();
+    let nodes = &mut routes[edge].nodes;
+    // the last visit of the store PE's input mux, with its absolute cycle
+    let (mut t, mut last_in) = (m.time_of(dep.src), None);
+    for k in 1..nodes.len() {
+        let hops = mrrg.out_edges(nodes[k - 1]);
+        t += usize::from(hops.iter().any(|h| h.dst == nodes[k] && h.advance));
+        if nodes[k] == mrrg.input(pe, t % ii) {
+            last_in = Some((k, t));
+        }
+    }
+    let (k, t_in) = last_in.expect("every route enters its consumer's PE");
+    let t_store = m.time_of(store) + 2 * ii;
+    nodes.truncate(k + 1);
+    nodes.push(mrrg.reg_write(pe, t_in % ii));
+    nodes.extend((t_in + 1..=t_store).map(|c| mrrg.reg(pe, 0, c % ii)));
+    nodes.push(mrrg.reg_read(pe, t_store % ii));
+    assert!(t_store - t_in > ii, "the value parks longer than II");
+    let mut time_of: Vec<usize> = m.assignments().map(|(t, _)| t).collect();
+    time_of[store.index()] = t_store;
+    let mutant = rebuild(&m, &dfg, Some(time_of), None, Some(routes));
+    let err = mutant.verify(&dfg, &cgra).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            VerifyError::CapacityExceeded {
+                kind: NodeKind::Reg { .. },
+                ..
+            }
+        ),
+        "two iterations in one register must exceed its capacity, got {err:?}"
+    );
+    let err = simulate(&dfg, &cgra, &mutant, 4).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            SimError::ValueCollision {
+                kind: NodeKind::Reg { .. },
+                ..
+            }
+        ),
+        "simulation must see the register collision, got {err:?}"
+    );
 }
