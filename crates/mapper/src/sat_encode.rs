@@ -18,8 +18,11 @@
 //!   II attempt and key in an [`ExpansionMemo`].
 //!
 //! Placements whose PE distance provably exceeds an edge's schedule slack
-//! are cut between the phases (a CEGAR refinement), and a routing-UNSAT
-//! outcome blocks the exact phase-1 assignment before re-solving.
+//! are excluded in phase 1 itself. Phase 2 guards each dependence with a
+//! selector literal and is solved under all of them as assumptions, so a
+//! routing refutation names the dependences it used (the solver's core);
+//! the mapper then blocks only the times and PEs of those dependences'
+//! endpoints ([`ScheduleCnf::block`]) before re-solving phase 1.
 //!
 //! Everything iterates over sorted, index-ordered structures — no hash
 //! iteration feeds clause order — so the produced CNF, and therefore the
@@ -31,7 +34,7 @@ use crate::search::OpDomains;
 use crate::Route;
 use panorama_arch::{Cgra, Mrrg, MrrgNodeId, NodeKind, PeId};
 use panorama_dfg::Dfg;
-use panorama_sat::{Lit, Solver, Var};
+use panorama_sat::{Limits, Lit, SolveResult, Solver, Var};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Why an encoding could not be built.
@@ -41,6 +44,16 @@ pub(crate) enum BuildError {
     /// the CNF (empty placement domain, or the recurrence constraints
     /// diverge because the II is below the true recurrence MII).
     Infeasible,
+    /// The variable or clause budget was exceeded.
+    OverBudget,
+}
+
+/// Why a [`RoutingCnf`] could not be built.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum RouteError {
+    /// Dependence `edges[i]` has no route of the length the decoded
+    /// schedule fixes, whatever the other dependences do.
+    Unroutable(usize),
     /// The variable or clause budget was exceeded.
     OverBudget,
 }
@@ -392,11 +405,14 @@ impl<'a> ScheduleCnf<'a> {
         Some((times, pes))
     }
 
-    /// Blocks the exact decoded schedule + placement (used when routing
-    /// refutes it), forcing the next solve to a different assignment.
-    pub fn block_assignment(&mut self, times: &[usize], pes: &[PeId]) {
+    /// Forbids `ops` from taking their decoded times and PEs all together
+    /// again. Over every op this blocks one exact assignment; over the
+    /// endpoints of a routing core it blocks every assignment that repeats
+    /// them, which is sound because a dependence's routing states and
+    /// capacity keys are a function of its endpoints' times and PEs.
+    pub fn block(&mut self, ops: impl IntoIterator<Item = usize>, times: &[usize], pes: &[PeId]) {
         let mut lits = Vec::with_capacity(2 * times.len());
-        for v in 0..times.len() {
+        for v in ops {
             let i = (times[v] as i64 - self.asap[v]) as usize;
             lits.push(Lit::neg(self.x[v][i]));
             let j = self.domains[v]
@@ -630,25 +646,40 @@ impl EdgeStates {
     }
 }
 
+/// The ops that `edges[i]` joins, for every `i` in `core`: ascending and
+/// without repeats, ready for [`ScheduleCnf::block`].
+pub(crate) fn endpoints(edges: &[EdgeInfo], core: &[usize]) -> Vec<usize> {
+    let mut ops: Vec<usize> = core
+        .iter()
+        .flat_map(|&i| [edges[i].src, edges[i].dst])
+        .collect();
+    ops.sort_unstable();
+    ops.dedup();
+    ops
+}
+
 /// Phase-2 CNF: joint routing of every dependence for one decoded
 /// schedule + placement.
 pub(crate) struct RoutingCnf {
     pub cnf: Cnf,
     per_edge: Vec<EdgeStates>,
+    /// Per dependence, the literal that switches its route on: variable
+    /// `i` guards `edges[i]`'s start clause and nothing else.
+    selectors: Vec<Lit>,
 }
 
 impl RoutingCnf {
     /// Builds the joint routing CNF from `memo`'s expansions (computing
-    /// the ones it lacks). `Err(Infeasible)` means some edge has no route
-    /// of the required length at all (independent of capacity), so the
-    /// phase-1 assignment is refuted outright.
+    /// the ones it lacks). `Err(Unroutable(i))` means `edges[i]` has no
+    /// route of the required length at all (independent of capacity), so
+    /// its endpoints' times and PEs are refuted outright.
     pub fn build(
         memo: &mut ExpansionMemo<'_>,
         edges: &[EdgeInfo],
         times: &[usize],
         pes: &[PeId],
         budget: CnfBudget,
-    ) -> Result<RoutingCnf, BuildError> {
+    ) -> Result<RoutingCnf, RouteError> {
         let mrrg = memo.mrrg;
         let ii = mrrg.ii() as i64;
         let mut cnf = Cnf::new(budget);
@@ -657,15 +688,16 @@ impl RoutingCnf {
         // var) in first-use order, sorted by key before emission
         let mut cap_keys: Vec<Vec<((u32, i64), Var)>> = vec![Vec::new(); mrrg.num_nodes()];
         let mut lits = Vec::new();
+        let selectors: Vec<Lit> = edges.iter().map(|_| Lit::pos(cnf.var())).collect();
 
-        for e in edges {
+        for (index, e) in edges.iter().enumerate() {
             let (tu, tv) = (times[e.src] as i64, times[e.dst] as i64);
             let d_total = tv + e.dist * ii - tu;
             let start = mrrg.out(pes[e.src], (tu % ii) as usize).index() as u32;
             let target_fu = mrrg.fu(pes[e.dst], (tv % ii) as usize).index() as u32;
             let expansion = memo
                 .get((start, d_total, target_fu))
-                .ok_or(BuildError::Infeasible)?;
+                .ok_or(RouteError::Unroutable(index))?;
             let x = &memo.entries[expansion as usize];
             let es = EdgeStates {
                 expansion,
@@ -675,8 +707,10 @@ impl RoutingCnf {
                 cnf.var();
             }
 
-            // the route starts at the producer's broadcast point
-            cnf.clause(&[Lit::pos(es.var(x.start))]);
+            // the route starts at the producer's broadcast point, while
+            // the edge's selector holds; with it off the edge's states can
+            // all be false, which drops the edge from the problem
+            cnf.clause(&[selectors[index].negate(), Lit::pos(es.var(x.start))]);
             // every active non-terminal state hands the signal onward
             for i in 0..x.states.len() {
                 if x.terminal[i] {
@@ -708,7 +742,7 @@ impl RoutingCnf {
             }
             per_edge.push(es);
             if cnf.over_budget() {
-                return Err(BuildError::OverBudget);
+                return Err(RouteError::OverBudget);
             }
         }
 
@@ -728,10 +762,40 @@ impl RoutingCnf {
             }
         }
         if cnf.over_budget() {
-            return Err(BuildError::OverBudget);
+            return Err(RouteError::OverBudget);
         }
 
-        Ok(RoutingCnf { cnf, per_edge })
+        Ok(RoutingCnf {
+            cnf,
+            per_edge,
+            selectors,
+        })
+    }
+
+    /// Routes every dependence: solves under all selectors as assumptions.
+    pub fn solve(&mut self, limits: &Limits, interrupt: &mut dyn FnMut() -> bool) -> SolveResult {
+        self.cnf
+            .solver
+            .solve_assuming(&self.selectors, limits, interrupt)
+    }
+
+    /// After [`SolveResult::Unsat`] from [`RoutingCnf::solve`]: the indices
+    /// of the dependences the refutation used, ascending. Those edges
+    /// cannot be routed together however the other edges are routed, and
+    /// dropping edges only frees capacity, so they stay unroutable on their
+    /// own.
+    pub fn core_edges(&self) -> Vec<usize> {
+        let mut core: Vec<usize> = self
+            .cnf
+            .solver
+            .core()
+            .iter()
+            .map(|l| l.var().index())
+            .collect();
+        // without its selectors the CNF is satisfied by all-false states
+        debug_assert!(!core.is_empty(), "routing refuted without a selector");
+        core.sort_unstable();
+        core
     }
 
     /// Walks the model into concrete routes, one per DFG dependence, over

@@ -6,7 +6,7 @@ use super::*;
 use crate::search::OpDomains;
 use panorama_arch::CgraConfig;
 use panorama_dfg::{kernels, KernelId, KernelScale};
-use panorama_sat::SolveResult;
+use panorama_sat::{Limits, SolveResult};
 use std::collections::VecDeque;
 
 /// Successor states of `(node, d)`: follow MRRG edges, never through an
@@ -171,16 +171,16 @@ fn a_shared_memo_builds_what_fresh_memos_build() {
     for _ in 0..3 {
         assert_eq!(sched.cnf.solver.solve(), SolveResult::Sat);
         let (times, pes) = sched.decode().expect("decodes");
-        sched.block_assignment(&times, &pes);
+        sched.block(0..times.len(), &times, &pes);
         assignments.push((times, pes));
     }
 
     // what one build yields: (vars, clauses, verdict, routes), or the error
-    type Built = Result<(usize, usize, SolveResult, Option<Vec<Route>>), BuildError>;
+    type Built = Result<(usize, usize, SolveResult, Option<Vec<Route>>), RouteError>;
     let run = |memo: &mut ExpansionMemo<'_>, times: &[usize], pes: &[PeId]| -> Built {
         let mut routing = RoutingCnf::build(memo, &sched.edges, times, pes, budget)?;
         let vars = routing.cnf.solver.num_vars();
-        let verdict = routing.cnf.solver.solve();
+        let verdict = routing.solve(&Limits::default(), &mut || false);
         let routes = routing.decode(memo);
         Ok((vars, routing.cnf.clauses, verdict, routes))
     };
@@ -199,5 +199,75 @@ fn a_shared_memo_builds_what_fresh_memos_build() {
     assert!(
         routed > 0,
         "no assignment routed: the comparison saw no routes"
+    );
+}
+
+/// The CEGAR loop of `SatMapper::try_ii` on idctcols and jpegfdct at their
+/// MII: every routing refutation's core edges, built into a fresh
+/// `RoutingCnf` on their own, are unroutable by themselves. That is what
+/// makes blocking only the core's endpoints sound.
+#[test]
+fn every_routing_core_is_unroutable_on_its_own() {
+    let cgra = cgra();
+    let hops = hop_distances(&cgra);
+    let budget = CnfBudget {
+        max_vars: 200_000,
+        max_clauses: 2_000_000,
+    };
+    let limits = Limits {
+        max_conflicts: Some(30_000),
+        max_propagations: None,
+    };
+    let mut refutations = Vec::new();
+    for id in [KernelId::IdctCols, KernelId::JpegFdct] {
+        let dfg = kernels::generate(id, KernelScale::Tiny);
+        let ii = crate::min_ii(&dfg, &cgra).mii();
+        let domains = OpDomains::new(&dfg, &cgra, None);
+        let mrrg = cgra.mrrg_shared(ii);
+        let mut memo = ExpansionMemo::new(&mrrg);
+        let mut refuted = 0;
+        let mut mapped = false;
+        'windows: for wf in [2, 4] {
+            let mut sched =
+                ScheduleCnf::build(&dfg, &domains, &hops, ii, wf, budget).expect("builds");
+            for _ in 0..48 {
+                let result = sched.cnf.solver.solve_limited(&limits, &mut || false);
+                if result != SolveResult::Sat {
+                    continue 'windows;
+                }
+                let (times, pes) = sched.decode().expect("decodes");
+                let core = match RoutingCnf::build(&mut memo, &sched.edges, &times, &pes, budget) {
+                    Err(RouteError::Unroutable(edge)) => vec![edge],
+                    Err(RouteError::OverBudget) => panic!("{id}: phase 2 over budget"),
+                    Ok(mut routing) => match routing.solve(&limits, &mut || false) {
+                        SolveResult::Sat => {
+                            mapped = true;
+                            break 'windows;
+                        }
+                        SolveResult::Unsat => routing.core_edges(),
+                        SolveResult::Unknown => panic!("{id}: phase 2 ran out of conflicts"),
+                    },
+                };
+                let alone: Vec<EdgeInfo> = core.iter().map(|&e| sched.edges[e]).collect();
+                let mut fresh = ExpansionMemo::new(&mrrg);
+                match RoutingCnf::build(&mut fresh, &alone, &times, &pes, budget) {
+                    Err(RouteError::Unroutable(_)) => {}
+                    Err(RouteError::OverBudget) => panic!("{id}: the core is over budget"),
+                    Ok(mut routing) => assert_eq!(
+                        routing.solve(&Limits::default(), &mut || false),
+                        SolveResult::Unsat,
+                        "{id} at II {ii}: core {core:?} routes on its own"
+                    ),
+                }
+                sched.block(endpoints(&sched.edges, &core), &times, &pes);
+                refuted += 1;
+            }
+        }
+        assert!(mapped, "{id} does not map at its MII {ii}");
+        refutations.push(refuted);
+    }
+    assert!(
+        refutations.iter().all(|&r| r > 0),
+        "a kernel saw no routing refutation: {refutations:?}"
     );
 }

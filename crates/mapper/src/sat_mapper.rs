@@ -4,12 +4,14 @@
 //!
 //! Per candidate II (ascending from [`ii_floor`](crate::ii_floor)), the mapper
 //! runs the two-phase loop of [`sat_encode`](crate::sat_encode): solve
-//! the schedule + placement CNF, cut distance-infeasible placements
-//! (CEGAR), then route the decoded assignment over the time-expanded
-//! MRRG with a second CNF; a routing refutation blocks that exact
-//! assignment and re-solves phase 1. Every accepted mapping is re-checked
-//! with [`Mapping::verify`] before it is returned — the solver is trusted
-//! for search, never for correctness.
+//! the schedule + placement CNF, then route the decoded assignment over
+//! the time-expanded MRRG with a second CNF solved under one selector
+//! assumption per dependence. A routing refutation (CEGAR) blocks only
+//! the times and PEs of the endpoints of the dependences in the solver's
+//! core and re-solves phase 1. Every accepted mapping is re-checked with
+//! [`Mapping::verify`] before it is returned — the solver is trusted for
+//! search, never for correctness; a decode or verify mismatch blocks the
+//! exact assignment.
 //!
 //! Determinism: the CNF construction iterates sorted structures only and
 //! the solver is deterministic, so the mapper returns byte-identical
@@ -18,7 +20,9 @@
 //! propagations) and at restart boundaries via the solver's interrupt
 //! hook.
 
-use crate::sat_encode::{BuildError, CnfBudget, ExpansionMemo, RoutingCnf, ScheduleCnf};
+use crate::sat_encode::{
+    endpoints, BuildError, CnfBudget, ExpansionMemo, RouteError, RoutingCnf, ScheduleCnf,
+};
 use crate::search::{Attempt, Backend, IiSearch, OpDomains};
 use crate::{LowerLevelMapper, MapError, Mapping, Restriction, SearchControl};
 use panorama_arch::Cgra;
@@ -322,19 +326,16 @@ impl SatMapper {
                 );
                 let mut routing = match built {
                     Ok(r) => r,
-                    Err(BuildError::Infeasible) => {
-                        sched.block_assignment(&times, &pes);
+                    Err(RouteError::Unroutable(edge)) => {
+                        sched.block(endpoints(&sched.edges, &[edge]), &times, &pes);
                         attempt.refinements += 1;
                         continue;
                     }
-                    Err(BuildError::OverBudget) => return Outcome::Budget,
+                    Err(RouteError::OverBudget) => return Outcome::Budget,
                 };
                 let span = trace.start();
                 let before = *routing.cnf.solver.stats();
-                let result = routing
-                    .cnf
-                    .solver
-                    .solve_limited(&route_limits, &mut interrupted);
+                let result = routing.solve(&route_limits, &mut interrupted);
                 let after = *routing.cnf.solver.stats();
                 attempt.absorb(before, after);
                 attempt.vars = attempt.vars.max(routing.cnf.solver.num_vars());
@@ -359,7 +360,8 @@ impl SatMapper {
                         };
                     }
                     SolveResult::Unsat => {
-                        sched.block_assignment(&times, &pes);
+                        let ops = endpoints(&sched.edges, &routing.core_edges());
+                        sched.block(ops, &times, &pes);
                         attempt.refinements += 1;
                         continue;
                     }
@@ -367,7 +369,7 @@ impl SatMapper {
                 }
                 let Some(routes) = routing.decode(&memo) else {
                     attempt.decode_mismatches += 1;
-                    sched.block_assignment(&times, &pes);
+                    sched.block(0..times.len(), &times, &pes);
                     attempt.refinements += 1;
                     continue;
                 };
@@ -376,7 +378,7 @@ impl SatMapper {
                 // against the independent verifier before accepting it
                 if mapping.verify(dfg, cgra).is_err() {
                     attempt.decode_mismatches += 1;
-                    sched.block_assignment(&mapping.time_of, &mapping.pe_of);
+                    sched.block(0..dfg.num_ops(), &mapping.time_of, &mapping.pe_of);
                     attempt.refinements += 1;
                     continue;
                 }

@@ -11,7 +11,10 @@
 //! * **first-UIP** clause learning with non-chronological backjumping,
 //! * **Luby** restarts driven by conflict counts,
 //! * deterministic **learned-clause reduction** (sorted by literal-block
-//!   distance, then length, then clause id — never by pointer or time).
+//!   distance, then length, then clause id — never by pointer or time),
+//! * **assumption literals** ([`Solver::solve_assuming`]) with MiniSat's
+//!   final conflict analysis: an UNSAT under assumptions names the
+//!   assumptions it used ([`Solver::core`]) and leaves the solver usable.
 //!
 //! Every data structure is seeded from the input alone: no wall clock, no
 //! RNG, no hash-map iteration feeds the search. Two runs over the same

@@ -72,7 +72,7 @@ pub enum SolveResult {
     Unknown,
 }
 
-/// Search budgets for [`Solver::solve_limited`].
+/// Search budgets for [`Solver::solve_limited`] and [`Solver::solve_assuming`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Limits {
     /// Abandon the search after this many conflicts (`None` = unbounded).
@@ -273,6 +273,12 @@ pub struct Solver {
     stats: SolverStats,
     /// Root-level contradiction discovered; everything is Unsat.
     ok: bool,
+    /// The assumptions of the running solve, decided first, one per
+    /// decision level.
+    assumptions: Vec<Lit>,
+    /// After an Unsat under assumptions: the negations of the assumptions
+    /// the refutation used (see [`Solver::core`]).
+    core: Vec<Lit>,
 }
 
 impl Solver {
@@ -627,6 +633,60 @@ impl Solver {
         self.reduce_at += 300;
     }
 
+    /// Decides the next assumption, opening one decision level for it
+    /// (an empty one when it already holds). `Ok(true)` when a level was
+    /// opened, `Ok(false)` once every assumption is decided, and
+    /// `Err(lit)` with `lit` the true negation of an assumption the
+    /// current trail falsifies.
+    fn decide_assumption(&mut self) -> Result<bool, Lit> {
+        let Some(&a) = self.assumptions.get(self.decision_level() as usize) else {
+            return Ok(false);
+        };
+        match self.lit_value(a) {
+            VAL_FALSE => Err(a.negate()),
+            value => {
+                self.trail_lim.push(self.trail.len());
+                if value == UNDEF {
+                    self.unchecked_enqueue(a, NO_REASON);
+                }
+                Ok(true)
+            }
+        }
+    }
+
+    /// MiniSat's `analyzeFinal`: `p` is true and contradicts an
+    /// assumption. Walks the implication graph back from `p` to the
+    /// assumption decisions it rests on and stores the core: `p` plus the
+    /// negation of every assumption it used.
+    fn analyze_final(&mut self, p: Lit) {
+        self.core.clear();
+        self.core.push(p);
+        if self.decision_level() == 0 {
+            return;
+        }
+        self.seen[p.var().index()] = true;
+        for i in (self.trail_lim[0]..self.trail.len()).rev() {
+            let x = self.trail[i].var();
+            if !self.seen[x.index()] {
+                continue;
+            }
+            let reason = self.reason[x.index()];
+            if reason == NO_REASON {
+                // above the root only assumptions are decided before `p`
+                self.core.push(self.trail[i].negate());
+            } else {
+                for k in self.clauses[reason as usize].range() {
+                    let v = self.arena[k].var();
+                    if v != x && self.level[v.index()] > 0 {
+                        self.seen[v.index()] = true;
+                    }
+                }
+            }
+            self.seen[x.index()] = false;
+        }
+        self.seen[p.var().index()] = false;
+    }
+
     fn decide(&mut self) -> bool {
         while let Some(v) = self.order.pop() {
             if self.assign[v as usize] == UNDEF {
@@ -662,6 +722,15 @@ impl Solver {
         1u64 << seq
     }
 
+    /// After [`SolveResult::Unsat`] from [`Solver::solve_assuming`]: the
+    /// negations of the assumptions the refutation used, a subset of the
+    /// negated assumptions whose disjunction the clauses imply. Empty when
+    /// the clauses are unsatisfiable on their own, and after any other
+    /// outcome.
+    pub fn core(&self) -> &[Lit] {
+        &self.core
+    }
+
     /// Solves with no budget and no interrupt.
     pub fn solve(&mut self) -> SolveResult {
         self.solve_limited(&Limits::default(), &mut || false)
@@ -676,10 +745,36 @@ impl Solver {
         limits: &Limits,
         interrupt: &mut dyn FnMut() -> bool,
     ) -> SolveResult {
+        self.solve_assuming(&[], limits, interrupt)
+    }
+
+    /// [`Solver::solve_limited`] with every literal of `assumptions` held
+    /// true for this call only. Assumptions are decided first, in order,
+    /// one per decision level; learned clauses never depend on them, so
+    /// they stay valid for later calls. [`SolveResult::Unsat`] here means
+    /// "unsatisfiable under the assumptions" and leaves the solver usable:
+    /// [`Solver::core`] then names the assumptions the refutation used.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an assumption references a variable not created by
+    /// [`Solver::new_var`].
+    pub fn solve_assuming(
+        &mut self,
+        assumptions: &[Lit],
+        limits: &Limits,
+        interrupt: &mut dyn FnMut() -> bool,
+    ) -> SolveResult {
         self.model.iter_mut().for_each(|m| *m = UNDEF);
+        self.core.clear();
+        for a in assumptions {
+            assert!(a.var().index() < self.num_vars(), "unknown variable");
+        }
         if !self.ok {
             return SolveResult::Unsat;
         }
+        self.assumptions.clear();
+        self.assumptions.extend_from_slice(assumptions);
         self.cancel_until(0);
         if self.propagate().is_some() {
             self.ok = false;
@@ -744,6 +839,15 @@ impl Solver {
                         restart_round += 1;
                         self.cancel_until(0);
                         break;
+                    }
+                    match self.decide_assumption() {
+                        Ok(true) => continue,
+                        Ok(false) => {}
+                        Err(p) => {
+                            self.analyze_final(p);
+                            self.cancel_until(0);
+                            return SolveResult::Unsat;
+                        }
                     }
                     if !self.decide() {
                         // complete assignment: freeze the model

@@ -432,3 +432,151 @@ fn search_trajectory_is_pinned() {
     ];
     assert_eq!(rows, pinned);
 }
+
+/// Solves under `assumptions` with no budget and no interrupt.
+fn solve_under(s: &mut Solver, assumptions: &[Lit]) -> SolveResult {
+    s.solve_assuming(assumptions, &Limits::default(), &mut || false)
+}
+
+/// `php(n)` with each pigeon's at-least-one-hole clause guarded by a
+/// selector: the selectors (returned in pigeon order) switch pigeons on,
+/// so any `n` of them fit and all `n + 1` refute.
+fn guarded_pigeonhole(n: usize) -> (Solver, Vec<Lit>) {
+    let (mut s, vars) = with_vars((n + 1) * n);
+    let p = |pigeon: usize, hole: usize| vars[pigeon * n + hole];
+    let selectors: Vec<Lit> = (0..=n).map(|_| Lit::pos(s.new_var())).collect();
+    for (pigeon, sel) in selectors.iter().enumerate() {
+        let mut lits = vec![sel.negate()];
+        lits.extend((0..n).map(|h| Lit::pos(p(pigeon, h))));
+        s.add_clause(&lits);
+    }
+    for hole in 0..n {
+        for a in 0..=n {
+            for b in (a + 1)..=n {
+                s.add_clause(&[Lit::neg(p(a, hole)), Lit::neg(p(b, hole))]);
+            }
+        }
+    }
+    (s, selectors)
+}
+
+#[test]
+fn the_core_is_a_refuting_subset_of_the_negated_assumptions() {
+    let (mut s, selectors) = guarded_pigeonhole(4);
+    // a free variable assumed alongside takes no part in the refutation
+    let free = Lit::neg(s.new_var());
+    let mut assumptions = vec![free];
+    assumptions.extend(&selectors);
+    assert_eq!(solve_under(&mut s, &assumptions), SolveResult::Unsat);
+    let mut core = s.core().to_vec();
+    core.sort_unstable();
+    for l in &core {
+        assert!(
+            assumptions.contains(&l.negate()),
+            "{l:?} is not a negated assumption"
+        );
+    }
+    // php is minimally unsatisfiable: every pigeon is needed, nothing else
+    let mut want: Vec<Lit> = selectors.iter().map(|l| l.negate()).collect();
+    want.sort_unstable();
+    assert_eq!(core, want);
+    // the core's assumptions alone still refute
+    let again: Vec<Lit> = core.iter().map(|l| l.negate()).collect();
+    assert_eq!(solve_under(&mut s, &again), SolveResult::Unsat);
+    // any four pigeons fit
+    assert_eq!(solve_under(&mut s, &selectors[1..]), SolveResult::Sat);
+    assert!(s.core().is_empty());
+}
+
+#[test]
+fn a_model_under_assumptions_satisfies_every_assumption() {
+    let (mut s, v) = with_vars(8);
+    add_dimacs(&mut s, &v, &[&[1, 2, 3], &[-1, 4], &[-4, -5], &[5, 6, -7]]);
+    // the phase of an undecided variable starts false; assume the opposite
+    let assumptions = [Lit::pos(v[0]), Lit::pos(v[6]), Lit::neg(v[7])];
+    assert_eq!(solve_under(&mut s, &assumptions), SolveResult::Sat);
+    for a in assumptions {
+        assert_eq!(s.value(a.var()), Some(!a.is_neg()), "{a:?}");
+    }
+    assert_eq!(s.value(v[3]), Some(true));
+    assert_eq!(s.value(v[5]), Some(true));
+
+    let (mut s, selectors) = guarded_pigeonhole(4);
+    assert_eq!(solve_under(&mut s, &selectors[..4]), SolveResult::Sat);
+    for a in &selectors[..4] {
+        assert_eq!(s.value(a.var()), Some(true));
+    }
+}
+
+#[test]
+fn an_assumption_refutation_does_not_poison_the_solver() {
+    let (mut s, selectors) = guarded_pigeonhole(4);
+    assert_eq!(solve_under(&mut s, &selectors), SolveResult::Unsat);
+    let core = s.core().to_vec();
+    assert!(!core.is_empty());
+    assert_eq!(s.solve(), SolveResult::Sat);
+    // the refutation replays: same verdict, same core
+    assert_eq!(solve_under(&mut s, &selectors), SolveResult::Unsat);
+    assert_eq!(s.core(), core.as_slice());
+    // an assumption false at the root is its own core
+    assert!(s.add_clause(&[selectors[2].negate()]));
+    assert_eq!(solve_under(&mut s, &selectors), SolveResult::Unsat);
+    assert_eq!(s.core(), [selectors[2].negate()]);
+    assert_eq!(s.solve(), SolveResult::Sat);
+    // a genuine refutation has an empty core
+    let (mut t, v) = with_vars(1);
+    add_dimacs(&mut t, &v, &[&[1], &[-1]]);
+    assert_eq!(solve_under(&mut t, &[Lit::pos(v[0])]), SolveResult::Unsat);
+    assert!(t.core().is_empty());
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(400))]
+
+    /// Random CNFs over at most 8 variables against brute force: the
+    /// verdict under assumptions is the truth-table verdict; a model
+    /// satisfies every clause and every assumption; a core holds negated
+    /// assumptions only, and its assumptions alone refute the clauses;
+    /// a plain solve afterwards still answers for the clauses alone.
+    #[test]
+    fn assumptions_agree_with_the_truth_table(
+        n in 1usize..9,
+        words in proptest::collection::vec(0u64..u64::MAX, 1..30),
+        picks in proptest::collection::vec(0u64..u64::MAX, 0..6),
+    ) {
+        let (mut s, vars) = with_vars(n);
+        let lit = |w: u64| {
+            let v = vars[(w % n as u64) as usize];
+            if (w >> 8) & 1 == 0 { Lit::pos(v) } else { Lit::neg(v) }
+        };
+        let clauses: Vec<Vec<Lit>> = words
+            .iter()
+            .map(|&w| (0..1 + (w >> 60) % 3).map(|k| lit(w >> (16 * k))).collect())
+            .collect();
+        for c in &clauses {
+            s.add_clause(c);
+        }
+        let assumptions: Vec<Lit> = picks.iter().map(|&w| lit(w)).collect();
+        let holds = |mask: u32, l: &Lit| (mask >> l.var().index() & 1 == 1) != l.is_neg();
+        let satisfiable = |extra: &[Lit]| {
+            (0..1u32 << n).any(|mask| {
+                clauses.iter().all(|c| c.iter().any(|l| holds(mask, l)))
+                    && extra.iter().all(|l| holds(mask, l))
+            })
+        };
+
+        let result = solve_under(&mut s, &assumptions);
+        proptest::prop_assert_eq!(result == SolveResult::Sat, satisfiable(&assumptions));
+        if result == SolveResult::Sat {
+            let value = |l: &Lit| s.value(l.var()) == Some(!l.is_neg());
+            proptest::prop_assert!(clauses.iter().all(|c| c.iter().any(value)));
+            proptest::prop_assert!(assumptions.iter().all(value));
+        } else {
+            let used: Vec<Lit> = s.core().iter().map(|l| l.negate()).collect();
+            proptest::prop_assert!(used.iter().all(|l| assumptions.contains(l)));
+            proptest::prop_assert!(!satisfiable(&used));
+        }
+        let plain = s.solve();
+        proptest::prop_assert_eq!(plain == SolveResult::Sat, satisfiable(&[]));
+    }
+}

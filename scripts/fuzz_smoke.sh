@@ -16,7 +16,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BIN=./target/release/panorama
 SEED="${1:-42}"
-CASES="${2:-60}"
+CASES="${2:-240}"
 OUT_A="${TMPDIR:-/tmp}/fuzz-smoke-a.json"
 OUT_B="${TMPDIR:-/tmp}/fuzz-smoke-b.json"
 

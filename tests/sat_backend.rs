@@ -182,67 +182,67 @@ fn sat_suite_is_pinned() {
         })
         .collect();
     let pinned = [
-        (KernelId::Edn, 4, 12784683552872719458, 10507895986638353449),
+        (KernelId::Edn, 4, 12784683552872719458, 2619516688728412649),
         (
             KernelId::IdctCols,
             5,
-            713548787076907210,
-            13656467244412664841,
+            8324874821688047931,
+            13920874684958680307,
         ),
         (
             KernelId::IdctRows,
             5,
             14707736695740188594,
-            10071744938075280958,
+            564780295653070500,
         ),
         (
             KernelId::Conv2d,
             3,
             14021676038072405153,
-            3797623336911689165,
+            17953445712822592476,
         ),
         (
             KernelId::MatchedFilter,
             3,
             13908813740976523481,
-            2591704289639800417,
+            3175503547260850987,
         ),
         (
             KernelId::MatrixMultiply,
             4,
             963393573725693356,
-            2992279400473535732,
+            3157571314562569597,
         ),
         (
             KernelId::Cordic,
             5,
             7021402013183662492,
-            3620359606229479005,
+            8288279626164786634,
         ),
         (
             KernelId::KMeansClustering,
             4,
-            2331021728411764719,
-            4366154398502285313,
+            4197178082266515963,
+            17111384561589092033,
         ),
-        (KernelId::Fir, 3, 14853591068066770895, 3719173938920261309),
+        (KernelId::Fir, 3, 14853591068066770895, 8538260968036907375),
         (
             KernelId::JpegFdct,
             5,
-            17632198849432527337,
-            17192189884174414070,
+            764512780282164352,
+            9467918816680582901,
         ),
         (
             KernelId::JpegIdctFst,
             5,
-            12267472545327440534,
-            1009106578858457878,
+            17294528841643802269,
+            15231415164946191903,
         ),
         (
             KernelId::InvertMat,
             5,
-            10073726613219621258,
-            10260469756067847062,
+            2769447643170053234,
+            9343008594519652341,
         ),
     ];
     assert_eq!(got, pinned);
