@@ -1,11 +1,13 @@
 //! The typed compile request every surface parses into.
 //!
 //! `panorama compile|trace|exec` flags and `POST /compile` bodies are two
-//! spellings of the same thing; each surface owns a small parser into
-//! [`CompileRequest`] (the JSON one lives here, next to the struct; the
-//! flag one in the CLI, because it reads files), and [`CompileRequest::run`]
-//! is the one place a request becomes a [`PanoramaConfig`], a mapper list
-//! and a compile. Names are resolved by the crate that owns them:
+//! spellings of the same thing, and [`CompileRequest::from_json`] is the
+//! one parser for both: the CLI reads its files and stdin into the body's
+//! `dfg`/`arch_text` fields and hands over the object a body would be.
+//! [`CompileRequest::run`] is the one place a request becomes a
+//! [`PanoramaConfig`], a mapper list and a compile; [`lint_request`] is
+//! the same for `panorama lint --dfg` and `POST /lint`. Names are resolved
+//! by the crate that owns them:
 //! [`KernelId::parse`] / [`KernelScale::parse`], [`CgraConfig::preset`],
 //! [`BackendId::parse`].
 
@@ -15,6 +17,7 @@ use crate::report::CompileReport;
 use panorama_analyze::AnalyzeConfig;
 use panorama_arch::{Cgra, CgraConfig};
 use panorama_dfg::{kernels, Dfg, KernelId, KernelScale};
+use panorama_lint::{Diagnostics, LintContext, Registry};
 use panorama_mapper::{CancelToken, LowerLevelMapper};
 use panorama_trace::json::Json;
 use panorama_trace::Tracer;
@@ -60,13 +63,7 @@ impl CompileRequest {
         default_analyze: bool,
     ) -> Result<CompileRequest, String> {
         let dfg = dfg_field(doc)?;
-        let (arch_display, arch) = match arch_field(doc)? {
-            Some(named) => named,
-            None => {
-                let preset = CgraConfig::DEFAULT_PRESET;
-                (preset.to_string(), CgraConfig::preset(preset)?)
-            }
-        };
+        let (arch_display, arch) = arch_or_default(doc)?;
         let mapper = BackendId::parse(opt_str(doc, "mapper").unwrap_or(BackendId::Spr.name()))?;
         Ok(CompileRequest {
             dfg,
@@ -191,11 +188,7 @@ pub fn dfg_field(doc: &Json) -> Result<Dfg, String> {
 /// `(display name, config)` from `arch` (preset) / `arch_text` (inline
 /// ADL, displayed as `arch` or `custom`); `None` when the request names no
 /// architecture.
-///
-/// # Errors
-///
-/// See [`CompileRequest::from_json`].
-pub fn arch_field(doc: &Json) -> Result<Option<(String, CgraConfig)>, String> {
+fn arch_field(doc: &Json) -> Result<Option<(String, CgraConfig)>, String> {
     if let Some(text) = opt_str(doc, "arch_text") {
         let config = CgraConfig::from_text(text).map_err(|e| e.to_string())?;
         let display = opt_str(doc, "arch").unwrap_or("custom").to_string();
@@ -206,6 +199,45 @@ pub fn arch_field(doc: &Json) -> Result<Option<(String, CgraConfig)>, String> {
     };
     let config = CgraConfig::preset(preset).map_err(|e| format!("{e} (use arch_text for ADL)"))?;
     Ok(Some((preset.to_string(), config)))
+}
+
+/// `(display name, config)` from `arch` (preset) / `arch_text` (inline
+/// ADL), or [`CgraConfig::DEFAULT_PRESET`] when the request names no
+/// architecture.
+///
+/// # Errors
+///
+/// See [`CompileRequest::from_json`].
+pub fn arch_or_default(doc: &Json) -> Result<(String, CgraConfig), String> {
+    match arch_field(doc)? {
+        Some(named) => Ok(named),
+        None => {
+            let preset = CgraConfig::DEFAULT_PRESET;
+            Ok((preset.to_string(), CgraConfig::preset(preset)?))
+        }
+    }
+}
+
+/// The diagnostics a `/lint` body asks for: the default passes over its
+/// graph, plus its architecture and `max_ii` cap when it names them.
+///
+/// # Errors
+///
+/// As for [`CompileRequest::from_json`]'s `kernel`/`dfg`, `arch`/`arch_text`
+/// and `max_ii` fields, or an architecture that does not build.
+pub fn lint_request(doc: &Json) -> Result<Diagnostics, String> {
+    let dfg = dfg_field(doc)?;
+    let cgra = match arch_field(doc)? {
+        Some((_, config)) => Some(Cgra::new(config).map_err(|e| e.to_string())?),
+        None => None,
+    };
+    let ctx = LintContext {
+        dfg: Some(&dfg),
+        cgra: cgra.as_ref(),
+        max_ii: opt_usize(doc, "max_ii")?,
+        ..LintContext::default()
+    };
+    Ok(Registry::with_default_passes().run(&ctx))
 }
 
 #[cfg(test)]
@@ -297,6 +329,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn lint_requests_read_the_compile_fields() {
+        let lint = |body: &str| lint_request(&parse(body).unwrap());
+        assert!(!lint("{\"kernel\":\"fir\",\"scale\":\"tiny\"}")
+            .unwrap()
+            .has_errors());
+        // fir/tiny needs more than one cycle on 16 PEs, so the cap is refuted
+        let capped = "{\"kernel\":\"fir\",\"scale\":\"tiny\",\"arch\":\"4x4\",\"max_ii\":1}";
+        assert!(lint(capped).unwrap().has_errors());
+        let err = lint("{\"kernel\":\"fir\",\"arch\":\"3x3\"}").unwrap_err();
+        assert!(err.starts_with("unknown arch preset `3x3`"), "{err}");
+        assert!(lint("{\"kernel\":\"fir\",\"max_ii\":-1}").is_err());
     }
 
     #[test]

@@ -37,13 +37,11 @@
 #![warn(missing_docs)]
 
 mod branch;
-mod export;
 mod model;
 mod presolve;
 mod simplex;
 
 pub use branch::{Solution, SolveError, SolveStats};
-pub use export::write_lp;
 pub use model::{Cmp, ConstraintView, LinExpr, Model, Sense, VarId};
 
 #[cfg(test)]

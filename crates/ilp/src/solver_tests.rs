@@ -342,8 +342,8 @@ fn big_coefficients_stay_stable() {
 }
 
 #[test]
-fn lp_export_of_scatter_like_model_parses_visually() {
-    // smoke: a model shaped like row scattering exports all sections
+fn scatter_like_model_solves() {
+    // smoke: a model shaped like row scattering
     let mut m = Model::new(Sense::Minimize);
     let mut obj = LinExpr::new();
     for i in 0..3 {
@@ -353,10 +353,6 @@ fn lp_export_of_scatter_like_model_parses_visually() {
         obj = obj + LinExpr::sum([(1.0, t)]);
     }
     m.set_objective(obj);
-    let lp = crate::write_lp(&m);
-    assert!(lp.contains("Minimize"));
-    assert!(lp.matches("c").count() > 3);
-    // and it still solves
     assert!(m.solve().is_ok());
 }
 

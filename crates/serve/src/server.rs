@@ -31,10 +31,9 @@ use crate::http::{read_request, write_response, Request};
 use crate::metrics::{CacheStats, Metrics};
 use crate::queue::JobQueue;
 use crate::quota::{Quota, TENANT_HEADER};
-use panorama::request::{arch_field, dfg_field, opt_usize};
+use panorama::request::{lint_request, opt_usize};
 use panorama::{effective_threads, BatchExecutor, CompileRequest, PanoramaError};
 use panorama_arch::{Cgra, CgraConfig, Lru, DEFAULT_MRRG_CACHE_CAPACITY};
-use panorama_lint::{Diagnostics, LintContext, Registry};
 use panorama_mapper::CancelToken;
 use panorama_trace::json::{parse, Json, Writer};
 use panorama_trace::{phase_totals, schema, RecordingSink, Tracer};
@@ -823,22 +822,7 @@ fn handle_lint(stream: &TcpStream, request: &Request) {
 }
 
 fn lint_body(raw: &str) -> Result<String, String> {
-    let doc = parse(raw)?;
-    let dfg = dfg_field(&doc)?;
-    let cgra = match arch_field(&doc)? {
-        Some((_display, config)) => Some(Cgra::new(config).map_err(|e| e.to_string())?),
-        None => None,
-    };
-    let max_ii = opt_usize(&doc, "max_ii")?;
-    let ctx = LintContext {
-        dfg: Some(&dfg),
-        cgra: cgra.as_ref(),
-        max_ii,
-        ..LintContext::default()
-    };
-    let mut diags = Diagnostics::new();
-    diags.extend(Registry::with_default_passes().run(&ctx));
-    Ok(format!("{}\n", diags.render_json()))
+    Ok(format!("{}\n", lint_request(&parse(raw)?)?.render_json()))
 }
 
 /// A `/compile` body or `/compile-batch` entry as the typed request plus

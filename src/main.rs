@@ -1,370 +1,267 @@
 //! `panorama` — the command-line CGRA compiler.
 //!
-//! ```text
-//! panorama compile --dfg kernel.dfg --arch cgra.adl
-//!                  [--mapper spr|ultrafast|sat|portfolio]
-//!                  [--baseline] [--threads N] [--max-ii N] [--simulate N]
-//!                  [--configware] [--dot] [--analyze] [--sat-report FILE]
-//! panorama analyze <kernel> [--arch cgra.adl] [--no-fold] [--no-cse] [--no-dce]
-//!                  [--out FILE] [--json]
-//! panorama trace <kernel> [--arch cgra.adl]
-//!                [--mapper spr|ultrafast|sat|portfolio]
-//!                [--baseline] [--threads N] [--max-ii N] [--out FILE]
-//! panorama exec <kernel> [--arch cgra.adl]
-//!               [--mapper spr|ultrafast|sat|portfolio]
-//!               [--iterations N] [--seed N] [--out FILE] [--json]
-//!               [--trace FILE]
-//! panorama lint --dfg kernel.dfg [--arch cgra.adl] [--max-ii N] [--json]
-//!               [--report FILE]
-//! panorama fuzz [--seed N] [--cases N] [--max-nodes N] [--shrink-evals N]
-//!               [--max-seconds S] [--corpus DIR] [--write-corpus]
-//!               [--out FILE] [--json]
-//! panorama serve [--addr IP:PORT] [--workers N] [--queue-depth N]
-//!                [--deadline-ms MS] [--result-cache N] [--mrrg-cache N]
-//!                [--threads N] [--analyze] [--cache-dir DIR]
-//!                [--cache-budget BYTES] [--quota-rps N] [--quota-burst N]
-//!                [--io-timeout-ms MS]
-//! panorama kernels [--scale tiny|scaled|paper]
-//! panorama info --arch cgra.adl
-//! ```
-//!
-//! `compile` reads a DFG in the text format (`--dfg -` for stdin, or a
-//! built-in kernel name like `fir`), an architecture in ADL form (or a
-//! preset like `8x8`), runs the PANORAMA pipeline, and reports the mapping;
-//! `--analyze` first runs the equivalence-checked DFG optimizer of
-//! [`panorama_analyze`] and maps the optimized graph, and `--trace FILE`
-//! additionally records every pipeline phase and writes the
-//! `panorama-trace-v1` JSON. `analyze` runs the optimizer *without*
-//! mapping: it prints the op/dependence shrink, the exact
-//! recurrence-constrained II floor (with the cycle that proves it), and
-//! the `ANLZ` diagnostics; `--out` writes the `panorama-analyze-v1` JSON.
-//! `trace` is the profiling spin of a compile run:
-//! it always records and prints the per-phase profile table instead of the
-//! mapping details. `exec` compiles a kernel and then *runs* the emitted
-//! configware on the data-carrying cycle-accurate machine of
-//! [`panorama_exec`], comparing every produced token against the DFG
-//! reference interpreter under five input-vector families; `--out`/`--json`
-//! emit the deterministic `panorama-exec-v1` report and a recorded
-//! divergence exits nonzero. `lint` runs the static diagnostics of [`panorama_lint`]
-//! over the same inputs without mapping anything (`--report` validates a
-//! recorded trace/serve/fuzz/sat/exec/analyze report file instead — one
-//! document or an array of them — auto-detecting the schema).
-//! `fuzz` runs the deterministic differential fuzzing harness of
-//! [`panorama_fuzz`]: seeded random DFG/architecture sweeps, all three
-//! lower-level backends, verify/simulate/II-bound oracle cross-checks,
-//! failing-case minimization, and regression-corpus replay; its
-//! `panorama-fuzz-v3` JSON report is what `lint --report` validates.
-//!
-//! `compile`, `trace` and `exec` parse their flags into the same typed
-//! [`CompileRequest`] a `POST /compile` body becomes, and run it through
-//! [`CompileRequest::run`].
+//! Each subcommand is one [`COMMANDS`] entry: its operand, its flags and
+//! its handler. `panorama help` prints the synopsis generated from that
+//! table, and argv parses through it into the [`Json`] object a
+//! `POST /compile` or `POST /lint` body is: `compile`, `trace` and `exec`
+//! hand it to [`CompileRequest::from_json`] and run the request through
+//! [`CompileRequest::run`]; `lint --dfg` hands it to [`lint_request`].
+//! What each subcommand does is documented on its `cmd_*` handler.
 
+use panorama::request::{arch_or_default, dfg_field, lint_request};
 use panorama::{
     effective_threads, AnalyzeConfig, BackendId, CompileContext, CompileReport, CompileRequest,
     MapperChoice,
 };
 use panorama_analyze::{analyze, analyze_diagnostics};
 use panorama_arch::{Cgra, CgraConfig};
-use panorama_dfg::{kernels, Dfg, KernelId, KernelScale};
+use panorama_dfg::{kernels, KernelId, KernelScale};
 use panorama_exec::{exec_report_json, execute, ExecOptions};
-use panorama_lint::{lint_report, Diagnostics, LintContext, Registry};
+use panorama_lint::{lint_report, Diagnostics};
 use panorama_mapper::{min_ii, sat_attempt_log, Configware, SatMapper};
 use panorama_sim::simulate;
+use panorama_trace::json::Json;
 use panorama_trace::{RecordingSink, TraceReport, Tracer};
 use std::collections::HashMap;
 use std::error::Error;
 use std::io::Read as _;
 use std::process::ExitCode;
 
-fn usage() -> &'static str {
-    "usage:\n  \
-     panorama compile --dfg <file|-|kernel-name> [--arch <file|preset>] \
-[--mapper spr|ultrafast|sat|portfolio] [--baseline] \
-[--scale tiny|scaled|paper] [--threads <n>] [--max-ii <ii>] \
-[--simulate <iters>] [--configware] [--dot] [--trace <file>] \
-[--sat-report <file>] [--analyze] [--json]\n  \
-     panorama analyze <kernel-name|file|-> [--arch <file|preset>] \
-[--scale tiny|scaled|paper] [--no-fold] [--no-cse] [--no-dce] [--out <file>] \
-[--json]\n  \
-     panorama trace <kernel-name|file|-> [--arch <file|preset>] \
-[--mapper spr|ultrafast|sat|portfolio] [--baseline] \
-[--scale tiny|scaled|paper] [--threads <n>] [--max-ii <ii>] [--out <file>]\n  \
-     panorama exec <kernel-name|file|-> [--arch <file|preset>] \
-[--mapper spr|ultrafast|sat|portfolio] [--scale tiny|scaled|paper] \
-[--threads <n>] [--max-ii <ii>] [--iterations <n>] [--seed <n>] \
-[--out <file>] [--json] [--trace <file>]\n  \
-     panorama lint [--dfg <file|-|kernel-name>] [--arch <file|preset>] \
-[--scale tiny|scaled|paper] [--max-ii <ii>] [--report <file>] [--json]\n  \
-     panorama fuzz [--seed <n>] [--cases <n>] [--max-nodes <n>] \
-[--shrink-evals <n>] [--max-seconds <s>] [--corpus <dir>] [--write-corpus] \
-[--out <file>] [--json]\n  \
-     panorama serve [--addr <ip:port>] [--workers <n>] [--queue-depth <n>] \
-[--deadline-ms <ms>] [--result-cache <n>] [--mrrg-cache <n>] [--threads <n>] \
-[--analyze] [--cache-dir <dir>] [--cache-budget <bytes>] \
-[--quota-rps <n>] [--quota-burst <n>] [--io-timeout-ms <ms>]\n  \
-     panorama kernels [--scale tiny|scaled|paper]\n  \
-     panorama info --arch <file|preset>\n\n\
-     presets: 4x4, 8x8, 9x9, 16x16, 6x1"
+/// What a flag takes.
+#[derive(Clone, Copy)]
+enum Takes {
+    /// Nothing: the flag is a switch.
+    Switch,
+    /// A value, shown as this placeholder.
+    Text(&'static str),
+    /// An integer at or above the bound (0 or 1), shown as the placeholder.
+    Int(&'static str, u64),
+}
+use Takes::{Int, Switch, Text};
+
+/// A flag: its name (without `--`) and what it takes.
+type Flag = (&'static str, Takes);
+
+const DFG: Flag = ("dfg", Text("<file|-|kernel-name>"));
+const ARCH: Flag = ("arch", Text("<file|preset>"));
+const MAPPER: Flag = ("mapper", Text("spr|ultrafast|sat|portfolio"));
+const SCALE: Flag = ("scale", Text("tiny|scaled|paper"));
+const THREADS: Flag = ("threads", COUNT);
+const MAX_II: Flag = ("max-ii", Int("<ii>", 0));
+const TRACE: Flag = ("trace", Text("<file>"));
+const OUT: Flag = ("out", Text("<file>"));
+const JSON: Flag = ("json", Switch);
+const COUNT: Takes = Int("<n>", 0);
+const KERNEL: Option<&str> = Some("<kernel-name|file|->");
+
+/// A subcommand: the one place its operand and flags are declared. The
+/// usage text, the accepted-flags list of an error and argv parsing all
+/// read this table.
+struct Command {
+    name: &'static str,
+    /// The operand it takes before its flags, as the usage text shows it.
+    operand: Option<&'static str>,
+    run: fn(&Args) -> Result<(), Box<dyn Error>>,
+    flags: &'static [Flag],
 }
 
-/// Flags a command accepts: `(name, takes_no_value)`.
-type FlagSpec = &'static [(&'static str, bool)];
-
-const COMPILE_FLAGS: FlagSpec = &[
-    ("dfg", false),
-    ("arch", false),
-    ("mapper", false),
-    ("baseline", true),
-    ("scale", false),
-    ("threads", false),
-    ("max-ii", false),
-    ("simulate", false),
-    ("configware", true),
-    ("dot", true),
-    ("trace", false),
-    ("sat-report", false),
-    ("analyze", true),
-    ("json", true),
-];
-const ANALYZE_FLAGS: FlagSpec = &[
-    ("arch", false),
-    ("scale", false),
-    ("no-fold", true),
-    ("no-cse", true),
-    ("no-dce", true),
-    ("out", false),
-    ("json", true),
-];
-const TRACE_FLAGS: FlagSpec = &[
-    ("arch", false),
-    ("mapper", false),
-    ("baseline", true),
-    ("scale", false),
-    ("threads", false),
-    ("max-ii", false),
-    ("out", false),
-];
-const EXEC_FLAGS: FlagSpec = &[
-    ("arch", false),
-    ("mapper", false),
-    ("scale", false),
-    ("threads", false),
-    ("max-ii", false),
-    ("iterations", false),
-    ("seed", false),
-    ("out", false),
-    ("json", true),
-    ("trace", false),
-];
-const LINT_FLAGS: FlagSpec = &[
-    ("dfg", false),
-    ("arch", false),
-    ("scale", false),
-    ("max-ii", false),
-    ("json", true),
-    ("report", false),
-];
-const FUZZ_FLAGS: FlagSpec = &[
-    ("seed", false),
-    ("cases", false),
-    ("max-nodes", false),
-    ("shrink-evals", false),
-    ("max-seconds", false),
-    ("corpus", false),
-    ("write-corpus", true),
-    ("out", false),
-    ("json", true),
-];
-const KERNELS_FLAGS: FlagSpec = &[("scale", false)];
-const INFO_FLAGS: FlagSpec = &[("arch", false)];
-const SERVE_FLAGS: FlagSpec = &[
-    ("addr", false),
-    ("workers", false),
-    ("queue-depth", false),
-    ("deadline-ms", false),
-    ("result-cache", false),
-    ("mrrg-cache", false),
-    ("threads", false),
-    ("analyze", true),
-    ("cache-dir", false),
-    ("cache-budget", false),
-    ("quota-rps", false),
-    ("quota-burst", false),
-    ("io-timeout-ms", false),
+#[rustfmt::skip] // a table: one row per command
+const COMMANDS: &[Command] = &[
+    Command { name: "compile", operand: None, run: cmd_compile, flags: &[
+        DFG, ARCH, MAPPER, ("baseline", Switch), SCALE, THREADS, MAX_II,
+        ("simulate", Int("<iters>", 0)), ("configware", Switch), ("dot", Switch), TRACE,
+        ("sat-report", Text("<file>")), ("analyze", Switch), JSON,
+    ] },
+    Command { name: "analyze", operand: KERNEL, run: cmd_analyze, flags: &[
+        ARCH, SCALE, ("no-fold", Switch), ("no-cse", Switch), ("no-dce", Switch), OUT, JSON,
+    ] },
+    Command { name: "trace", operand: KERNEL, run: cmd_trace, flags: &[
+        ARCH, MAPPER, ("baseline", Switch), SCALE, THREADS, MAX_II, OUT,
+    ] },
+    Command { name: "exec", operand: KERNEL, run: cmd_exec, flags: &[
+        ARCH, MAPPER, SCALE, THREADS, MAX_II, ("iterations", Int("<n>", 1)), ("seed", COUNT),
+        OUT, JSON, TRACE,
+    ] },
+    Command { name: "lint", operand: None, run: cmd_lint, flags: &[
+        DFG, ARCH, SCALE, MAX_II, JSON, ("report", Text("<file>")),
+    ] },
+    Command { name: "fuzz", operand: None, run: cmd_fuzz, flags: &[
+        ("seed", COUNT), ("cases", COUNT), ("max-nodes", COUNT), ("shrink-evals", COUNT),
+        ("max-seconds", Int("<s>", 0)), ("corpus", Text("<dir>")), ("write-corpus", Switch),
+        OUT, JSON,
+    ] },
+    Command { name: "serve", operand: None, run: cmd_serve, flags: &[
+        ("addr", Text("<ip:port>")), ("workers", COUNT), ("queue-depth", COUNT),
+        ("deadline-ms", Int("<ms>", 0)), ("result-cache", COUNT), ("mrrg-cache", COUNT), THREADS,
+        ("analyze", Switch), ("cache-dir", Text("<dir>")), ("cache-budget", Int("<bytes>", 0)),
+        ("quota-rps", COUNT), ("quota-burst", COUNT), ("io-timeout-ms", Int("<ms>", 0)),
+    ] },
+    Command { name: "kernels", operand: None, run: cmd_kernels, flags: &[SCALE] },
+    Command { name: "info", operand: None, run: cmd_info, flags: &[ARCH] },
 ];
 
-/// The flag table of a subcommand; `None` for an unknown one.
-fn flag_spec(cmd: &str) -> Option<FlagSpec> {
-    Some(match cmd {
-        "compile" => COMPILE_FLAGS,
-        "analyze" => ANALYZE_FLAGS,
-        "trace" => TRACE_FLAGS,
-        "exec" => EXEC_FLAGS,
-        "lint" => LINT_FLAGS,
-        "kernels" => KERNELS_FLAGS,
-        "info" => INFO_FLAGS,
-        "serve" => SERVE_FLAGS,
-        "fuzz" => FUZZ_FLAGS,
-        _ => return None,
-    })
+/// The usage text: one line per [`COMMANDS`] entry.
+fn usage() -> String {
+    let line = |cmd: &Command| {
+        let operand = cmd.operand.map(|o| format!(" {o}")).unwrap_or_default();
+        let flags: String = cmd
+            .flags
+            .iter()
+            .map(|&(name, takes)| match takes {
+                Switch => format!(" [--{name}]"),
+                Text(value) | Int(value, _) => format!(" [--{name} {value}]"),
+            })
+            .collect();
+        format!("  panorama {}{operand}{flags}", cmd.name)
+    };
+    let lines: Vec<String> = COMMANDS.iter().map(line).collect();
+    let presets = "presets: 4x4, 8x8, 9x9, 16x16, 6x1";
+    format!("usage:\n{}\n\n{presets}", lines.join("\n"))
 }
 
-fn parse_flags(
-    cmd: &str,
-    args: &[String],
-    spec: FlagSpec,
-) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            let Some(&(_, boolean)) = spec.iter().find(|(n, _)| *n == name) else {
-                return Err(format!(
-                    "unknown flag `--{name}` for `{cmd}` (accepted: {})",
-                    spec.iter()
-                        .map(|(n, _)| format!("--{n}"))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ));
-            };
-            if boolean {
-                flags.insert(name.to_string(), "true".to_string());
-                i += 1;
-            } else {
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("--{name} needs a value"))?;
-                flags.insert(name.to_string(), value.clone());
-                i += 2;
+/// A command line parsed against its [`Command`]: each given flag's value
+/// as the JSON a request body spells it with (`true` for a switch, an
+/// integer for an integer flag, else a string).
+struct Args {
+    /// The operand of a command that takes one, else empty.
+    operand: String,
+    given: HashMap<&'static str, Json>,
+}
+
+impl Args {
+    fn has(&self, name: &str) -> bool {
+        self.given.contains_key(name)
+    }
+
+    fn text(&self, name: &str) -> Option<&str> {
+        self.given.get(name).and_then(Json::as_str)
+    }
+
+    fn int(&self, name: &str) -> Option<u64> {
+        self.given.get(name).and_then(Json::as_u64)
+    }
+
+    /// An integer flag as a count, `default` when absent.
+    fn n(&self, name: &str, default: usize) -> usize {
+        self.int(name).map_or(default, |n| n as usize)
+    }
+}
+
+/// Parses the arguments after the command name against `cmd`'s table:
+/// every flag known and given at most once, every value present, and every
+/// integer at or above its bound.
+fn parse_args(cmd: &Command, args: &[String]) -> Result<Args, String> {
+    let mut args = args.iter().peekable();
+    let mut operand = String::new();
+    if let Some(what) = cmd.operand {
+        let first = args.next_if(|a| !a.starts_with("--")).cloned();
+        operand = first.ok_or_else(|| format!("`{}` needs {what} first", cmd.name))?;
+    }
+    let mut given = HashMap::new();
+    while let Some(arg) = args.next() {
+        let Some(name) = arg.strip_prefix("--") else {
+            return Err(format!("unexpected argument `{arg}`"));
+        };
+        let Some(&(name, takes)) = cmd.flags.iter().find(|f| f.0 == name) else {
+            let accepted: Vec<String> = cmd.flags.iter().map(|f| format!("--{}", f.0)).collect();
+            let (cmd, accepted) = (cmd.name, accepted.join(", "));
+            return Err(format!(
+                "unknown flag `--{name}` for `{cmd}` (accepted: {accepted})"
+            ));
+        };
+        let mut next_value = || args.next().ok_or_else(|| format!("--{name} needs a value"));
+        let value = match takes {
+            Switch => Json::Bool(true),
+            Text(_) => Json::Str(next_value()?.clone()),
+            Int(_, min) => {
+                let value = next_value()?;
+                let kind = if min == 0 { "non-negative" } else { "positive" };
+                let bad = || format!("--{name} needs a {kind} integer, got `{value}`");
+                Json::Int(value.parse().ok().filter(|n| *n >= min).ok_or_else(bad)?)
             }
-        } else {
-            return Err(format!("unexpected argument `{a}`"));
+        };
+        if given.insert(name, value).is_some() {
+            return Err(format!("--{name} is given more than once"));
         }
     }
-    Ok(flags)
+    Ok(Args { operand, given })
 }
 
-fn parse_max_ii(flags: &HashMap<String, String>) -> Result<Option<usize>, String> {
-    flags
-        .get("max-ii")
-        .map(|s| {
-            s.parse::<usize>()
-                .map_err(|_| format!("--max-ii needs a positive integer, got `{s}`"))
-        })
-        .transpose()
+/// Reads an input file, or stdin for `-`.
+fn read_input(path: &str) -> std::io::Result<String> {
+    if path != "-" {
+        return std::fs::read_to_string(path);
+    }
+    let mut buf = String::new();
+    std::io::stdin().read_to_string(&mut buf).map(|_| buf)
 }
 
-/// `--<key> N`, or `default` when the flag is absent.
-fn parse_n(flags: &HashMap<String, String>, key: &str, default: usize) -> Result<usize, String> {
-    flags.get(key).map_or(Ok(default), |s| {
-        s.parse::<usize>()
-            .map_err(|_| format!("--{key} needs a non-negative integer, got `{s}`"))
-    })
-}
+/// The flags that spell a request field of the same name (`--max-ii` is
+/// `max_ii`).
+const REQUEST_FIELDS: [&str; 6] = [
+    "scale", "mapper", "baseline", "threads", "max-ii", "analyze",
+];
 
-/// `--<key> N` as a `u64`, `None` when the flag is absent; `what` names the
-/// expected value in the error.
-fn parse_u64(
-    flags: &HashMap<String, String>,
-    key: &str,
-    what: &str,
-) -> Result<Option<u64>, String> {
-    flags
-        .get(key)
-        .map(|s| {
-            s.parse::<u64>()
-                .map_err(|_| format!("--{key} needs {what}, got `{s}`"))
-        })
-        .transpose()
-}
-
-/// `--threads N` (0 or absent = one worker per core).
-fn parse_threads(flags: &HashMap<String, String>) -> Result<usize, String> {
-    parse_n(flags, "threads", 0)
-}
-
-/// `--scale tiny|scaled|paper` (absent = scaled).
-fn parse_scale(flags: &HashMap<String, String>) -> Result<KernelScale, String> {
-    flags
-        .get("scale")
-        .map_or(Ok(KernelScale::default()), |s| KernelScale::parse(s))
-}
-
-/// `--arch <preset|file>` (absent = the default preset) as the name reports
-/// show plus the configuration: a preset name wins, anything else is read
-/// as an ADL file.
-fn load_arch(spec: Option<&String>) -> Result<(String, CgraConfig), Box<dyn Error>> {
-    let spec = spec.map_or(CgraConfig::DEFAULT_PRESET, String::as_str);
-    let config = match CgraConfig::preset(spec) {
-        Ok(config) => config,
-        Err(unknown) => {
+/// The `/compile` (or `/lint`) body `kernel` and `args` spell. Names
+/// resolve as a body cannot: a built-in kernel wins, else `-` is stdin and
+/// anything else a DFG file, read into `dfg`; a preset wins, else `--arch`
+/// is an ADL file, read into `arch_text` and shown as its path. The
+/// [`REQUEST_FIELDS`] flags go in as they are.
+fn request_doc(kernel: Option<&str>, args: &Args) -> Result<Json, String> {
+    let mut fields = Vec::new();
+    if let Some(spec) = kernel {
+        let (field, value) = match KernelId::parse(spec) {
+            Ok(_) => ("kernel", spec.to_string()),
+            Err(unknown) => {
+                let error = |e| format!("{unknown}; reading it as a DFG file: {e}");
+                ("dfg", read_input(spec).map_err(error)?)
+            }
+        };
+        fields.push((field.to_string(), Json::Str(value)));
+    }
+    if let Some(spec) = args.text("arch") {
+        fields.push(("arch".to_string(), Json::Str(spec.to_string())));
+        if let Err(unknown) = CgraConfig::preset(spec) {
             let text = std::fs::read_to_string(spec)
                 .map_err(|e| format!("{unknown}; reading it as an ADL file: {e}"))?;
-            CgraConfig::from_text(&text)?
+            fields.push(("arch_text".to_string(), Json::Str(text)));
         }
-    };
-    Ok((spec.to_string(), config))
+    }
+    for name in REQUEST_FIELDS {
+        match args.given.get(name) {
+            // CLI-only: `compile_request` picks it after the body parses
+            Some(Json::Str(mapper)) if name == "mapper" && mapper == "portfolio" => {}
+            Some(value) => fields.push((name.replace('-', "_"), value.clone())),
+            None => {}
+        }
+    }
+    Ok(Json::Obj(fields))
 }
 
-fn load_cgra(spec: Option<&String>) -> Result<Cgra, Box<dyn Error>> {
-    Ok(Cgra::new(load_arch(spec)?.1)?)
-}
-
-/// A built-in kernel name wins; `-` is stdin and anything else a DFG file.
-fn load_dfg(spec: &str, scale: KernelScale) -> Result<Dfg, Box<dyn Error>> {
-    let unknown = match KernelId::parse(spec) {
-        Ok(id) => return Ok(kernels::generate(id, scale)),
-        Err(unknown) => unknown,
-    };
-    let text = if spec == "-" {
-        let mut buf = String::new();
-        std::io::stdin().read_to_string(&mut buf)?;
-        buf
-    } else {
-        std::fs::read_to_string(spec)
-            .map_err(|e| format!("{unknown}; reading it as a DFG file: {e}"))?
-    };
-    Ok(Dfg::from_text(&text)?)
-}
-
-/// The flags `compile`, `trace` and `exec` share, as the typed request a
-/// `/compile` body also parses into (a flag the command does not accept is
-/// simply absent here).
-fn compile_request(
-    dfg: &str,
-    flags: &HashMap<String, String>,
-) -> Result<CompileRequest, Box<dyn Error>> {
-    let dfg = load_dfg(dfg, parse_scale(flags)?)?;
-    let (arch_display, arch) = load_arch(flags.get("arch"))?;
-    let mapper = MapperChoice::parse(
-        flags
-            .get("mapper")
-            .map_or(BackendId::Spr.name(), String::as_str),
-    )?;
-    let baseline = flags.contains_key("baseline");
-    if baseline && mapper == MapperChoice::Portfolio {
+/// The request `compile`, `trace` and `exec` run: `kernel` and the request
+/// flags through the `/compile` body parser, after the checks that span
+/// flags.
+fn compile_request(kernel: &str, args: &Args) -> Result<CompileRequest, String> {
+    let portfolio = args.text("mapper") == Some("portfolio");
+    if portfolio && args.has("baseline") {
         return Err("--baseline races a single mapper; pick one with --mapper".into());
     }
-    Ok(CompileRequest {
-        dfg,
-        arch_display,
-        arch,
-        mapper,
-        baseline,
-        max_ii: parse_max_ii(flags)?,
-        threads: parse_threads(flags)?,
-        analyze: flags.contains_key("analyze"),
-    })
+    if args.has("sat-report") && args.text("mapper") != Some(BackendId::Sat.name()) {
+        return Err("--sat-report requires --mapper sat".into());
+    }
+    let mut req = CompileRequest::from_json(&request_doc(Some(kernel), args)?, 0, false)?;
+    if portfolio {
+        req.mapper = MapperChoice::Portfolio;
+    }
+    Ok(req)
 }
 
-fn cmd_compile(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let req = compile_request(
-        flags
-            .get("dfg")
-            .ok_or("`compile` needs --dfg <file|-|kernel-name>")?,
-        flags,
-    )?;
+/// `panorama compile`: map one DFG onto an architecture and report the
+/// mapping; `--analyze` maps the graph the equivalence-checked optimizer
+/// of [`panorama_analyze`] leaves.
+fn cmd_compile(args: &Args) -> Result<(), Box<dyn Error>> {
+    let missing = "`compile` needs --dfg <file|-|kernel-name>";
+    let req = compile_request(args.text("dfg").ok_or(missing)?, args)?;
     let (dfg, cgra) = (&req.dfg, Cgra::new(req.arch.clone())?);
     eprintln!(
         "kernel `{}`: {} | CGRA {}x{} ({} clusters)",
@@ -374,17 +271,16 @@ fn cmd_compile(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         cgra.config().cols,
         cgra.num_clusters()
     );
-    if flags.contains_key("dot") {
+    if args.has("dot") {
         println!("{}", dfg.to_dot());
     }
 
-    let sink = flags.contains_key("trace").then(RecordingSink::shared);
+    let sink = args.has("trace").then(RecordingSink::shared);
     let tracer = sink.as_ref().map(|sink| Tracer::new(sink.clone()));
     // `--mapper sat` runs on an instance the CLI owns, so `--sat-report`
     // can drain its per-II attempt log afterwards.
     let sat = SatMapper::default();
-    let is_sat = req.mapper == MapperChoice::Backend(BackendId::Sat);
-    let report = if is_sat {
+    let report = if req.mapper == MapperChoice::Backend(BackendId::Sat) {
         let ctx = CompileContext {
             tracer: tracer.as_ref(),
             ..CompileContext::default()
@@ -393,7 +289,7 @@ fn cmd_compile(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     } else {
         req.run(&cgra, tracer.as_ref(), None)?
     };
-    if let (Some(path), Some(sink)) = (flags.get("trace"), &sink) {
+    if let (Some(path), Some(sink)) = (args.text("trace"), &sink) {
         std::fs::write(path, trace_report(&req, &report, sink).to_json())?;
         eprintln!("wrote trace {path}");
     }
@@ -409,10 +305,7 @@ fn cmd_compile(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     }
     let mapping = report.mapping();
     mapping.verify(mapped, &cgra)?;
-    if let Some(path) = flags.get("sat-report") {
-        if !is_sat {
-            return Err("--sat-report requires --mapper sat".into());
-        }
+    if let Some(path) = args.text("sat-report") {
         let doc = sat_attempt_log(
             dfg.name(),
             &req.arch_display,
@@ -425,7 +318,7 @@ fn cmd_compile(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         std::fs::write(path, doc)?;
         eprintln!("wrote SAT report {path}");
     }
-    if flags.contains_key("json") {
+    if args.has("json") {
         // The canonical deterministic document — byte-identical to what
         // `panorama serve` returns for the same inputs.
         println!("{}", report.to_json(dfg.name(), &req.arch_display));
@@ -448,9 +341,8 @@ fn cmd_compile(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
             );
         }
     }
-    if flags.contains_key("simulate") {
-        let iters = parse_n(flags, "simulate", 0)?;
-        match simulate(mapped, &cgra, mapping, iters) {
+    if let Some(iters) = args.int("simulate") {
+        match simulate(mapped, &cgra, mapping, iters as usize) {
             Ok(sim) => println!(
                 "simulation: {} iterations, {} deliveries checked, FU util {:.0}%, link util {:.0}%",
                 sim.iterations,
@@ -461,7 +353,7 @@ fn cmd_compile(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
             Err(e) => println!("simulation unavailable: {e}"),
         }
     }
-    if flags.contains_key("configware") && mapping.routes().is_some() {
+    if args.has("configware") && mapping.routes().is_some() {
         let cfg = Configware::generate(mapped, &cgra, mapping);
         println!(
             "configware: {} active words, ~{} bits",
@@ -489,8 +381,8 @@ fn trace_report(req: &CompileRequest, report: &CompileReport, sink: &RecordingSi
 /// `panorama trace`: compile one kernel with recording always on and print
 /// the per-phase profile table instead of the mapping details; `--out`
 /// additionally writes the `panorama-trace-v1` JSON.
-fn cmd_trace(kernel: &str, flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let req = compile_request(kernel, flags)?;
+fn cmd_trace(args: &Args) -> Result<(), Box<dyn Error>> {
+    let req = compile_request(&args.operand, args)?;
     let cgra = Cgra::new(req.arch.clone())?;
     let sink = RecordingSink::shared();
     let tracer = Tracer::new(sink.clone());
@@ -505,7 +397,7 @@ fn cmd_trace(kernel: &str, flags: &HashMap<String, String>) -> Result<(), Box<dy
     );
     let trace = trace_report(&req, &report, &sink);
     print!("{}", trace.render_profile());
-    if let Some(path) = flags.get("out") {
+    if let Some(path) = args.text("out") {
         std::fs::write(path, trace.to_json())?;
         eprintln!("wrote trace {path}");
     }
@@ -519,10 +411,10 @@ fn cmd_trace(kernel: &str, flags: &HashMap<String, String>) -> Result<(), Box<dy
 /// `--out`/`--json` emit the deterministic `panorama-exec-v1` report
 /// (byte-identical per seed); `--trace` records the compile phases plus
 /// `exec`/`exec.run` spans. Exits nonzero on any value-level divergence.
-fn cmd_exec(kernel: &str, flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let req = compile_request(kernel, flags)?;
+fn cmd_exec(args: &Args) -> Result<(), Box<dyn Error>> {
+    let req = compile_request(&args.operand, args)?;
     let (dfg, cgra) = (&req.dfg, Cgra::new(req.arch.clone())?);
-    let sink = flags.contains_key("trace").then(RecordingSink::shared);
+    let sink = args.has("trace").then(RecordingSink::shared);
     let tracer = sink.as_ref().map(|sink| Tracer::new(sink.clone()));
     let report = req.run(&cgra, tracer.as_ref(), None)?;
     let mapped = report.mapped_dfg(dfg);
@@ -530,16 +422,8 @@ fn cmd_exec(kernel: &str, flags: &HashMap<String, String>) -> Result<(), Box<dyn
     mapping.verify(mapped, &cgra)?;
     let defaults = ExecOptions::default();
     let opts = ExecOptions {
-        iterations: flags
-            .get("iterations")
-            .map_or(Ok(defaults.iterations), |s| {
-                s.parse::<usize>()
-                    .map_err(|_| format!("--iterations needs a positive integer, got `{s}`"))
-            })?,
-        seed: flags.get("seed").map_or(Ok(defaults.seed), |s| {
-            s.parse::<u64>()
-                .map_err(|_| format!("--seed needs a non-negative integer, got `{s}`"))
-        })?,
+        iterations: args.n("iterations", defaults.iterations),
+        seed: args.int("seed").unwrap_or(defaults.seed),
     };
     // The exec spans ride in their own collector; the high sequence base
     // keeps them sorted after every pipeline event of the same candidate.
@@ -575,16 +459,16 @@ fn cmd_exec(kernel: &str, flags: &HashMap<String, String>) -> Result<(), Box<dyn
         ],
     );
     tracer.submit(vec![col]);
-    if let (Some(path), Some(sink)) = (flags.get("trace"), &sink) {
+    if let (Some(path), Some(sink)) = (args.text("trace"), &sink) {
         std::fs::write(path, trace_report(&req, &report, sink).to_json())?;
         eprintln!("wrote trace {path}");
     }
     let doc = exec_report_json(dfg.name(), &req.arch_display, mapping.mapper(), &outcome);
-    if let Some(path) = flags.get("out") {
+    if let Some(path) = args.text("out") {
         std::fs::write(path, &doc)?;
         eprintln!("wrote exec report {path}");
     }
-    if flags.contains_key("json") {
+    if args.has("json") {
         print!("{doc}");
     } else {
         eprintln!(
@@ -627,18 +511,19 @@ fn cmd_exec(kernel: &str, flags: &HashMap<String, String>) -> Result<(), Box<dyn
 /// op/dependence shrink, the RecMII bound with its witness cycle, and the
 /// `ANLZ` diagnostics; `--out` writes the `panorama-analyze-v1` JSON.
 /// Exits nonzero when any error-severity finding is reported.
-fn cmd_analyze(kernel: &str, flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let dfg = load_dfg(kernel, parse_scale(flags)?)?;
-    let cgra = load_cgra(flags.get("arch"))?;
+fn cmd_analyze(args: &Args) -> Result<(), Box<dyn Error>> {
+    let doc = request_doc(Some(&args.operand), args)?;
+    let dfg = dfg_field(&doc)?;
+    let cgra = Cgra::new(arch_or_default(&doc)?.1)?;
     let config = AnalyzeConfig {
-        fold_constants: !flags.contains_key("no-fold"),
-        merge_common: !flags.contains_key("no-cse"),
-        eliminate_dead: !flags.contains_key("no-dce"),
+        fold_constants: !args.has("no-fold"),
+        merge_common: !args.has("no-cse"),
+        eliminate_dead: !args.has("no-dce"),
         ..AnalyzeConfig::default()
     };
     let analysis = analyze(&dfg, &config)?;
     let r = &analysis.report;
-    if flags.contains_key("json") {
+    if args.has("json") {
         println!("{}", r.to_json());
     } else {
         eprintln!(
@@ -675,10 +560,10 @@ fn cmd_analyze(kernel: &str, flags: &HashMap<String, String>) -> Result<(), Box<
     }
     let mut diags = Diagnostics::new();
     analyze_diagnostics(&dfg, &analysis, Some(&cgra), &mut diags);
-    if !diags.is_empty() && !flags.contains_key("json") {
+    if !diags.is_empty() && !args.has("json") {
         print!("{}", diags.render_human());
     }
-    if let Some(path) = flags.get("out") {
+    if let Some(path) = args.text("out") {
         std::fs::write(path, r.to_json())?;
         eprintln!("wrote analyze report {path}");
     }
@@ -692,30 +577,24 @@ fn cmd_analyze(kernel: &str, flags: &HashMap<String, String>) -> Result<(), Box<
 /// Exits nonzero when any oracle disagrees, a backend crashes, or a
 /// corpus case fails replay. `--write-corpus` drops each minimized
 /// reproducer into the corpus directory as a ready-to-commit `.dfg` file.
-fn cmd_fuzz(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
+fn cmd_fuzz(args: &Args) -> Result<(), Box<dyn Error>> {
     let defaults = panorama_fuzz::FuzzOptions::default();
     let cancel = panorama_mapper::CancelToken::new();
     let opts = panorama_fuzz::FuzzOptions {
-        seed: flags.get("seed").map_or(Ok(defaults.seed), |s| {
-            s.parse::<u64>()
-                .map_err(|_| format!("--seed needs a non-negative integer, got `{s}`"))
-        })?,
-        cases: parse_n(flags, "cases", defaults.cases)?,
-        max_nodes: parse_n(flags, "max-nodes", defaults.max_nodes)?,
-        shrink_evals: parse_n(flags, "shrink-evals", defaults.shrink_evals)?,
+        seed: args.int("seed").unwrap_or(defaults.seed),
+        cases: args.n("cases", defaults.cases),
+        max_nodes: args.n("max-nodes", defaults.max_nodes),
+        shrink_evals: args.n("shrink-evals", defaults.shrink_evals),
         oracle: panorama_fuzz::OracleConfig {
             cancel: Some(cancel.clone()),
             ..panorama_fuzz::OracleConfig::default()
         },
-        corpus_dir: flags.get("corpus").map(std::path::PathBuf::from),
+        corpus_dir: args.text("corpus").map(std::path::PathBuf::from),
     };
-    if flags.contains_key("write-corpus") && opts.corpus_dir.is_none() {
+    if args.has("write-corpus") && opts.corpus_dir.is_none() {
         return Err("--write-corpus needs --corpus <dir>".into());
     }
-    if let Some(s) = flags.get("max-seconds") {
-        let seconds = s
-            .parse::<u64>()
-            .map_err(|_| format!("--max-seconds needs a positive integer, got `{s}`"))?;
+    if let Some(seconds) = args.int("max-seconds") {
         let token = cancel.clone();
         std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_secs(seconds));
@@ -723,7 +602,7 @@ fn cmd_fuzz(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
         });
     }
     let report = panorama_fuzz::run(&opts);
-    if flags.contains_key("write-corpus") {
+    if args.has("write-corpus") {
         let dir = opts.corpus_dir.as_ref().expect("checked above");
         std::fs::create_dir_all(dir)?;
         for f in &report.failures {
@@ -735,11 +614,11 @@ fn cmd_fuzz(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
             eprintln!("wrote {}", dir.join(&name).display());
         }
     }
-    if let Some(path) = flags.get("out") {
+    if let Some(path) = args.text("out") {
         std::fs::write(path, report.to_json())?;
         eprintln!("wrote fuzz report {path}");
     }
-    if flags.contains_key("json") {
+    if args.has("json") {
         println!("{}", report.to_json());
     } else {
         print!("{}", report.summary());
@@ -756,46 +635,24 @@ fn cmd_fuzz(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// Reads a lint input: a path, or stdin for `-`.
-fn read_report(path: &str) -> Result<String, Box<dyn Error>> {
-    if path == "-" {
-        let mut buf = String::new();
-        std::io::stdin().read_to_string(&mut buf)?;
-        Ok(buf)
-    } else {
-        Ok(std::fs::read_to_string(path)?)
-    }
-}
-
 /// `panorama lint`: static diagnostics over a kernel (and optionally an
 /// architecture) without mapping anything; `--report` validates a recorded
 /// trace/serve/fuzz/analyze JSON file instead of (or besides) a kernel,
 /// auto-detecting the schema. Exits nonzero when any error-severity
 /// finding is reported.
-fn cmd_lint(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let scale = parse_scale(flags)?;
-    if !flags.contains_key("dfg") && !flags.contains_key("report") {
+fn cmd_lint(args: &Args) -> Result<(), Box<dyn Error>> {
+    let (dfg, report) = (args.text("dfg"), args.text("report"));
+    if dfg.is_none() && report.is_none() {
         return Err("`lint` needs --dfg <file|-|kernel-name> and/or --report <file>".into());
     }
-    let mut diags = Diagnostics::new();
-    if let Some(spec) = flags.get("dfg") {
-        let dfg = load_dfg(spec, scale)?;
-        let cgra = match flags.get("arch") {
-            Some(_) => Some(load_cgra(flags.get("arch"))?),
-            None => None,
-        };
-        let ctx = LintContext {
-            dfg: Some(&dfg),
-            cgra: cgra.as_ref(),
-            max_ii: parse_max_ii(flags)?,
-            ..LintContext::default()
-        };
-        diags.extend(Registry::with_default_passes().run(&ctx));
+    let mut diags = match dfg {
+        Some(spec) => lint_request(&request_doc(Some(spec), args)?)?,
+        None => Diagnostics::new(),
+    };
+    if let Some(path) = report {
+        lint_report(&read_input(path)?, &mut diags).map_err(|e| format!("--report: {e}"))?;
     }
-    if let Some(path) = flags.get("report") {
-        lint_report(&read_report(path)?, &mut diags).map_err(|e| format!("--report: {e}"))?;
-    }
-    if flags.contains_key("json") {
+    if args.has("json") {
         println!("{}", diags.render_json());
     } else {
         print!("{}", diags.render_human());
@@ -812,32 +669,24 @@ fn cmd_lint(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
 /// graceful-drain triggers are `POST /admin/shutdown` (loopback-only) and
 /// stdin reaching EOF — closing the daemon's stdin (or piping from a
 /// process that exits) drains it exactly like the admin endpoint.
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
+fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
     let defaults = panorama_serve::ServeConfig::default();
-    let millis = |key: &str, what: &str| {
-        Ok::<_, String>(parse_u64(flags, key, what)?.map(std::time::Duration::from_millis))
-    };
+    let millis = |name| args.int(name).map(std::time::Duration::from_millis);
     let config = panorama_serve::ServeConfig {
-        addr: flags
-            .get("addr")
-            .cloned()
-            .unwrap_or_else(|| "127.0.0.1:7878".to_string()),
-        workers: parse_n(flags, "workers", defaults.workers)?,
-        queue_depth: parse_n(flags, "queue-depth", defaults.queue_depth)?,
-        deadline: millis("deadline-ms", "a positive integer")?,
-        result_cache_capacity: parse_n(flags, "result-cache", defaults.result_cache_capacity)?,
-        mrrg_cache_capacity: parse_n(flags, "mrrg-cache", defaults.mrrg_cache_capacity)?,
-        portfolio_threads: parse_threads(flags)?,
-        analyze: flags.contains_key("analyze"),
-        cache_dir: flags.get("cache-dir").map(std::path::PathBuf::from),
-        cache_budget: parse_u64(flags, "cache-budget", "a byte count")?
-            .unwrap_or(defaults.cache_budget),
-        quota_rps: parse_u64(flags, "quota-rps", "a non-negative integer")?
-            .unwrap_or(defaults.quota_rps),
-        quota_burst: parse_u64(flags, "quota-burst", "a non-negative integer")?
-            .unwrap_or(defaults.quota_burst),
+        addr: args.text("addr").unwrap_or("127.0.0.1:7878").to_string(),
+        workers: args.n("workers", defaults.workers),
+        queue_depth: args.n("queue-depth", defaults.queue_depth),
+        deadline: millis("deadline-ms"),
+        result_cache_capacity: args.n("result-cache", defaults.result_cache_capacity),
+        mrrg_cache_capacity: args.n("mrrg-cache", defaults.mrrg_cache_capacity),
+        portfolio_threads: args.n("threads", 0),
+        analyze: args.has("analyze"),
+        cache_dir: args.text("cache-dir").map(std::path::PathBuf::from),
+        cache_budget: args.int("cache-budget").unwrap_or(defaults.cache_budget),
+        quota_rps: args.int("quota-rps").unwrap_or(defaults.quota_rps),
+        quota_burst: args.int("quota-burst").unwrap_or(defaults.quota_burst),
         // 0 disables the per-socket read/write timeouts entirely
-        io_timeout: millis("io-timeout-ms", "a non-negative integer")?
+        io_timeout: millis("io-timeout-ms")
             .map_or(defaults.io_timeout, |t| (!t.is_zero()).then_some(t)),
         ..defaults
     };
@@ -861,8 +710,10 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn cmd_kernels(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let scale = parse_scale(flags)?;
+fn cmd_kernels(args: &Args) -> Result<(), Box<dyn Error>> {
+    let scale = args
+        .text("scale")
+        .map_or(Ok(KernelScale::default()), KernelScale::parse)?;
     println!(
         "{:<18} {:>6} {:>6} {:>7}  paper(n/e/deg)",
         "kernel", "nodes", "edges", "maxdeg"
@@ -881,8 +732,8 @@ fn cmd_kernels(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn cmd_info(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
-    let cgra = load_cgra(flags.get("arch"))?;
+fn cmd_info(args: &Args) -> Result<(), Box<dyn Error>> {
+    let cgra = Cgra::new(arch_or_default(&request_doc(None, args)?)?.1)?;
     print!("{}", cgra.config().to_text());
     println!(
         "PEs {}  clusters {}  mem PEs {}  links {} ({} inter-cluster)",
@@ -896,56 +747,27 @@ fn cmd_info(flags: &HashMap<String, String>) -> Result<(), Box<dyn Error>> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some((name, rest)) = argv.split_first() else {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
         println!("{}", usage());
         return ExitCode::SUCCESS;
     }
-    let Some(spec) = flag_spec(cmd) else {
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
+        let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+        let names = names.join(", ");
         eprintln!(
-            "error: unknown command `{cmd}` (expected compile, analyze, trace, exec, lint, serve, fuzz, kernels, info or help)\n\n{}",
+            "error: unknown command `{name}` (expected {names} or help)\n\n{}",
             usage()
         );
         return ExitCode::FAILURE;
     };
-    // `trace`, `analyze` and `exec` take their kernel as a positional
-    // first argument
-    let (positional, rest) = if cmd == "trace" || cmd == "analyze" || cmd == "exec" {
-        match rest.split_first() {
-            Some((k, r)) if !k.starts_with("--") => (Some(k.as_str()), r),
-            _ => {
-                eprintln!(
-                    "error: `{cmd}` needs a kernel (name, file or `-`) as its first argument\n\n{}",
-                    usage()
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        (None, rest)
-    };
-    let flags = match parse_flags(cmd, rest, spec) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{}", usage());
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match cmd.as_str() {
-        "compile" => cmd_compile(&flags),
-        "analyze" => cmd_analyze(positional.unwrap_or_default(), &flags),
-        "trace" => cmd_trace(positional.unwrap_or_default(), &flags),
-        "exec" => cmd_exec(positional.unwrap_or_default(), &flags),
-        "lint" => cmd_lint(&flags),
-        "kernels" => cmd_kernels(&flags),
-        "serve" => cmd_serve(&flags),
-        "fuzz" => cmd_fuzz(&flags),
-        _ => cmd_info(&flags),
-    };
+    let result = parse_args(cmd, rest)
+        .map_err(|e| format!("{e}\n\n{}", usage()).into())
+        .and_then(|args| (cmd.run)(&args));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -960,49 +782,54 @@ mod tests {
     use super::*;
     use panorama_trace::json::parse;
 
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(ToString::to_string).collect()
+    }
+
     #[test]
-    fn usage_text_and_flag_tables_list_the_same_flags() {
-        use std::collections::{BTreeMap, BTreeSet};
-        // `--flag` tokens per subcommand, from the `panorama <cmd> ...`
-        // line(s) of the usage text
-        let mut documented: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-        for line in usage().lines() {
-            let Some(rest) = line.trim_start().strip_prefix("panorama ") else {
-                continue;
+    fn every_flag_of_every_command_is_checked_by_its_table() {
+        for cmd in COMMANDS {
+            // a command that takes an operand gets one first
+            let lead: &[&str] = if cmd.operand.is_some() { &["fir"] } else { &[] };
+            let parse = |args: &[&str]| parse_args(cmd, &argv(&[lead, args].concat()));
+            let fails = |args: &[&str], why: &str| match parse(args) {
+                Ok(_) => panic!("`{} {}` parsed", cmd.name, args.join(" ")),
+                Err(e) => assert!(e.contains(why), "`{} {}`: {e}", cmd.name, args.join(" ")),
             };
-            let (cmd, rest) = rest.split_once(' ').unwrap_or((rest, ""));
-            let flags = documented.entry(cmd).or_default();
-            for (at, _) in rest.match_indices("--") {
-                let name = &rest[at + 2..];
-                let end = name
-                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
-                    .unwrap_or(name.len());
-                flags.insert(&name[..end]);
+            for &(name, takes) in cmd.flags {
+                let flag = format!("--{name}");
+                let value = match takes {
+                    Switch => None,
+                    Text(_) => Some("x".to_string()),
+                    Int(_, min) => Some(min.to_string()),
+                };
+                let once: Vec<&str> = [Some(flag.as_str()), value.as_deref()]
+                    .into_iter()
+                    .flatten()
+                    .collect();
+                assert!(parse(&once).unwrap().has(name), "`{} {flag}`", cmd.name);
+                let twice = [&once[..], &once].concat();
+                fails(&twice, &format!("{flag} is given more than once"));
+                if value.is_some() {
+                    fails(&[&flag], &format!("{flag} needs a value"));
+                }
+                if let Int(_, min) = takes {
+                    assert!(min <= 1, "{flag}: the error wording knows bounds 0 and 1");
+                    let below = min.checked_sub(1).map(|m| m.to_string());
+                    for bad in ["abc", "-1", "1.5"].into_iter().chain(below.as_deref()) {
+                        fails(&[&flag, bad], &format!("{flag} needs a "));
+                    }
+                }
             }
-        }
-        let commands = [
-            "compile", "analyze", "trace", "exec", "lint", "fuzz", "serve", "kernels", "info",
-        ];
-        assert_eq!(
-            documented.keys().copied().collect::<BTreeSet<_>>(),
-            BTreeSet::from(commands),
-            "usage() must have a line for every subcommand and no other"
-        );
-        for cmd in commands {
-            let accepted: BTreeSet<&str> = flag_spec(cmd)
-                .unwrap_or_else(|| panic!("`{cmd}` has no flag table"))
-                .iter()
-                .map(|(name, _)| *name)
-                .collect();
-            assert_eq!(documented[cmd], accepted, "`{cmd}`: usage() vs flag table");
+            fails(&["--no-such-flag"], "unknown flag `--no-such-flag`");
         }
     }
 
     /// `compile` argv through the CLI's flag parser.
     fn from_cli(args: &[&str]) -> Result<CompileRequest, String> {
-        let args: Vec<String> = args.iter().map(ToString::to_string).collect();
-        let flags = parse_flags("compile", &args, COMPILE_FLAGS)?;
-        compile_request(&flags["dfg"], &flags).map_err(|e| e.to_string())
+        let compile = COMMANDS.iter().find(|c| c.name == "compile").unwrap();
+        let args = parse_args(compile, &argv(args))?;
+        compile_request(args.text("dfg").unwrap(), &args)
     }
 
     /// A `/compile` body through the daemon's parser, CLI defaults applied.

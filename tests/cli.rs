@@ -471,3 +471,54 @@ fn serve_warm_cache_is_an_unknown_flag() {
         "{stderr}"
     );
 }
+
+#[test]
+fn flag_errors_are_refused_before_any_work() {
+    let tmp = |name: &str| {
+        let path = std::env::temp_dir().join(format!("panorama-cli-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path.to_str().unwrap().to_string()
+    };
+    let (trace, sat) = (tmp("unwritten-trace.json"), tmp("unwritten-sat.json"));
+    let fir = ["--dfg", "fir", "--scale", "tiny", "--arch", "4x4"];
+    // (argv, what stderr must say)
+    let rows: Vec<(Vec<&str>, &str)> = vec![
+        // a repeated flag is an error, as a repeated JSON key is
+        (
+            [&["compile"], &fir[..], &["--arch", "9x9"]].concat(),
+            "--arch is given more than once",
+        ),
+        (
+            vec!["fuzz", "--seed", "1", "--seed", "2"],
+            "--seed is given more than once",
+        ),
+        (
+            vec!["exec", "fir", "--json", "--json"],
+            "--json is given more than once",
+        ),
+        // zero iterations would check zero tokens and pass vacuously
+        (
+            vec!["exec", "fir", "--scale", "tiny", "--iterations", "0"],
+            "--iterations needs a positive integer, got `0`",
+        ),
+        (
+            [
+                &["compile"],
+                &fir[..],
+                &["--trace", &trace, "--sat-report", &sat],
+            ]
+            .concat(),
+            "--sat-report requires --mapper sat",
+        ),
+    ];
+    for (args, message) in rows {
+        let out = bin().args(&args).output().unwrap();
+        assert!(!out.status.success(), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+    // the compile never ran, so it wrote nothing
+    for path in [trace, sat] {
+        assert!(!std::path::Path::new(&path).exists(), "{path} was written");
+    }
+}
