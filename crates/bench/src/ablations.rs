@@ -7,17 +7,10 @@ use panorama::{Panorama, PanoramaConfig};
 use panorama_arch::Cgra;
 use panorama_cluster::{explore_partitions, Cdg, SpectralConfig};
 use panorama_dfg::{kernels, KernelId};
-use panorama_mapper::{LowerLevelMapper, Restriction, SprConfig, SprMapper, UltraFastMapper};
+use panorama_mapper::{LowerLevelMapper, Restriction, SprMapper, UltraFastMapper};
 use panorama_place::{map_clusters, ScatterConfig};
 
 const ABLATION_KERNELS: [KernelId; 3] = [KernelId::Cordic, KernelId::Edn, KernelId::IdctCols];
-
-fn spr(budget: std::time::Duration) -> SprMapper {
-    SprMapper::new(SprConfig {
-        time_budget: Some(budget),
-        ..SprConfig::default()
-    })
-}
 
 /// **Ablation: IF-driven k selection vs a fixed k = R·C.**
 ///
@@ -28,7 +21,7 @@ pub fn fixed_k() -> String {
     let cgra = Cgra::new(p.cgra.clone()).expect("profile CGRA is valid");
     let (rows, cols) = cgra.cluster_grid();
     let compiler = Panorama::new(PanoramaConfig::default());
-    let mapper = spr(p.spr_budget);
+    let mapper = SprMapper::default();
     let mut t = Table::new(
         format!("Ablation — IF-explored k vs fixed k = R*C [{}]", p.name),
         &["kernel", "IF-explored QoM", "fixed-k QoM"],
@@ -57,7 +50,7 @@ pub fn fixed_k() -> String {
 pub fn top_partitions() -> String {
     let p = profile();
     let cgra = Cgra::new(p.cgra.clone()).expect("profile CGRA is valid");
-    let mapper = spr(p.spr_budget);
+    let mapper = SprMapper::default();
     let mut t = Table::new(
         format!("Ablation — top-3 vs top-1 balanced partitions [{}]", p.name),
         &["kernel", "top-3 QoM", "top-1 QoM"],
@@ -83,7 +76,7 @@ pub fn restriction() -> String {
     let p = profile();
     let cgra = Cgra::new(p.cgra.clone()).expect("profile CGRA is valid");
     let compiler = Panorama::new(PanoramaConfig::default());
-    let spr_mapper = spr(p.spr_budget);
+    let spr_mapper = SprMapper::default();
     let uf = UltraFastMapper::default();
     let mut t = Table::new(
         format!("Ablation — cluster restriction on/off [{}]", p.name),
@@ -114,7 +107,7 @@ pub fn laplacian() -> String {
     use panorama_cluster::{SpectralConfig, SpectralKind};
     let p = profile();
     let cgra = Cgra::new(p.cgra.clone()).expect("profile CGRA is valid");
-    let mapper = spr(p.spr_budget);
+    let mapper = SprMapper::default();
     let mut t = Table::new(
         format!(
             "Ablation — unnormalised vs normalised Laplacian [{}]",

@@ -5,19 +5,12 @@ use panorama::{CompileReport, Panorama, PanoramaConfig};
 use panorama_arch::{Cgra, CgraConfig};
 use panorama_cluster::{explore_partitions, top_balanced, SpectralConfig};
 use panorama_dfg::{kernels, Dfg, KernelId};
-use panorama_mapper::{min_ii, LowerLevelMapper, SprConfig, SprMapper, UltraFastMapper};
+use panorama_mapper::{min_ii, LowerLevelMapper, SprMapper, UltraFastMapper};
 use panorama_power::PowerModel;
 use std::time::Duration;
 
 fn secs(d: Duration) -> String {
     format!("{:.2}s", d.as_secs_f64())
-}
-
-fn spr_mapper(budget: Duration) -> SprMapper {
-    SprMapper::new(SprConfig {
-        time_budget: Some(budget),
-        ..SprConfig::default()
-    })
 }
 
 /// Compiles with and without PANORAMA guidance; `Err` cells become `fail`.
@@ -136,7 +129,7 @@ pub fn table1b() -> String {
         extra_fanin: 1,
         back_edges: 1,
     });
-    let mapper = spr_mapper(Duration::from_secs(120));
+    let mapper = SprMapper::default();
     match mapper.map(&dfg, &cgra, None) {
         Ok(m) => t.row(&[
             "SPR* (ours, measured)".to_string(),
@@ -275,10 +268,9 @@ fn qom_time_figure<M: LowerLevelMapper>(title: &str, mapper: &M, paper_claim: &s
 
 /// **Figure 7** — QoM and compile time, SPR\* vs Pan-SPR\*, all kernels.
 pub fn fig7() -> String {
-    let budget = profile().spr_budget;
     qom_time_figure(
         "Figure 7 — SPR* vs Pan-SPR* (QoM = MII/II, compile time)",
-        &spr_mapper(budget),
+        &SprMapper::default(),
         "paper: Pan-SPR* ~22% better QoM, 8.7x faster; MII reached on all kernels except mmul",
     )
 }
@@ -300,7 +292,7 @@ pub fn fig8() -> String {
     let small = Cgra::new(p.small_cgra.clone()).expect("small CGRA is valid");
     let compiler = Panorama::new(PanoramaConfig::default());
     let model = PowerModel::forty_nm();
-    let mapper = spr_mapper(p.spr_budget);
+    let mapper = SprMapper::default();
     // a representative subset keeps the 4-way sweep tractable
     let kernel_set = [
         KernelId::Cordic,

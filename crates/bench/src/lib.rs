@@ -30,10 +30,8 @@ pub use format::Table;
 
 use panorama_arch::CgraConfig;
 use panorama_dfg::KernelScale;
-use std::time::Duration;
 
-/// The evaluation profile: architecture sizes, kernel scale, per-mapping
-/// time budget.
+/// The evaluation profile: architecture sizes and kernel scale.
 #[derive(Debug, Clone)]
 pub struct Profile {
     /// Human-readable profile name, printed in every table header.
@@ -44,8 +42,6 @@ pub struct Profile {
     pub small_cgra: CgraConfig,
     /// Kernel generation scale.
     pub scale: KernelScale,
-    /// Wall-clock budget per SPR\* mapping attempt.
-    pub spr_budget: Duration,
 }
 
 /// Resolves the active profile from `PANORAMA_PAPER_SCALE`.
@@ -56,7 +52,6 @@ pub fn profile() -> Profile {
             cgra: CgraConfig::paper_16x16(),
             small_cgra: CgraConfig::paper_9x9(),
             scale: KernelScale::Paper,
-            spr_budget: Duration::from_secs(1800),
         }
     } else {
         Profile {
@@ -73,7 +68,6 @@ pub fn profile() -> Profile {
                 ..CgraConfig::paper_16x16()
             },
             scale: KernelScale::Scaled,
-            spr_budget: Duration::from_secs(60),
         }
     }
 }

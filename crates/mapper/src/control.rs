@@ -96,7 +96,8 @@ impl SearchControl {
     }
 
     /// A control that never prunes — for single-candidate (baseline) runs
-    /// that only need deadline cancellation.
+    /// that only need a [`CancelToken`](crate::CancelToken), deadline
+    /// included.
     pub fn unbounded() -> Self {
         SearchControl::new(PortfolioBound::new(), 0, 0)
     }

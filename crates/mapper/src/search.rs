@@ -91,9 +91,6 @@ pub(crate) enum Attempt {
     Mapped(Mapping),
     /// No mapping at this II; try the next.
     Failed,
-    /// The backend is out of its own budget (SPR\*'s wall clock): end the
-    /// search here.
-    Stop,
     /// The backend saw the cancel token fire mid-attempt.
     Cancelled,
 }
@@ -113,7 +110,7 @@ pub(crate) struct IiSearch<'a> {
     /// The last II the backend itself would try.
     cap: usize,
     pub control: Option<&'a SearchControl>,
-    pub started: Instant,
+    started: Instant,
 }
 
 impl<'a> IiSearch<'a> {
@@ -181,7 +178,6 @@ impl<'a> IiSearch<'a> {
                     return Ok(mapping);
                 }
                 Attempt::Failed => {}
-                Attempt::Stop => return Err(MapError::exhausted(ii, backend.name)),
                 Attempt::Cancelled => {
                     trace.event_unstable(backend.abort, &[("ii", ii as i64)]);
                     return Err(MapError::cancelled(ii, backend.name));
@@ -364,24 +360,6 @@ mod tests {
             result.unwrap_err(),
             MapError::exhausted(floor + 1, "scripted")
         );
-    }
-
-    #[test]
-    fn stop_ends_the_search_at_the_attempted_ii() {
-        let floor = floor();
-        let (result, seen, events) = scripted(None, floor + 9, |ii| {
-            if ii == floor + 1 {
-                Attempt::Stop
-            } else {
-                Attempt::Failed
-            }
-        });
-        assert_eq!(seen, vec![floor, floor + 1]);
-        assert_eq!(
-            result.unwrap_err(),
-            MapError::exhausted(floor + 1, "scripted")
-        );
-        assert!(events.is_empty(), "a backend's own budget is its own event");
     }
 
     #[test]

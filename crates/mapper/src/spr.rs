@@ -94,8 +94,6 @@ pub struct SprConfig {
     pub router: RouterConfig,
     /// RNG seed (deterministic mapping).
     pub seed: u64,
-    /// Optional wall-clock budget; the II search aborts once exceeded.
-    pub time_budget: Option<std::time::Duration>,
 }
 
 impl Default for SprConfig {
@@ -106,7 +104,6 @@ impl Default for SprConfig {
                 ..RouterConfig::default()
             },
             seed: 0x5912,
-            time_budget: None,
         }
     }
 }
@@ -137,22 +134,11 @@ impl LowerLevelMapper for SprMapper {
     ) -> Result<Mapping, MapError> {
         let search = IiSearch::new(&BACKEND, dfg, cgra, restriction, control);
         let domains = OpDomains::new(dfg, cgra, restriction);
-        let out_of_time = || {
-            self.config
-                .time_budget
-                .is_some_and(|budget| search.started.elapsed() > budget)
-        };
         let cancel = control.and_then(SearchControl::cancel_token);
         let mut rng = SmallRng::seed_from_u64(self.config.seed);
         let mut scratch = RouterScratch::default();
         let mut anneal_scratch = AnnealScratch::default();
         search.run(trace, |ii, stats, trace| {
-            if out_of_time() {
-                // Wall-clock cutoffs depend on machine load, so the event
-                // is excluded from the deterministic trace signature.
-                trace.event_unstable("spr.timeout", &[("ii", ii as i64)]);
-                return Attempt::Stop;
-            }
             let ii_span = trace.start();
             // joint schedule + least-cost placement (Algorithm 2 lines 4–8)
             let place_span = trace.start();
@@ -183,7 +169,6 @@ impl LowerLevelMapper for SprMapper {
             // whether the attempt's last routing round still held a
             // signal placed beyond its slack (why the II failed)
             let mut structural;
-            let mut verdict = Attempt::Failed;
             let (mut best, mut stale) = ((usize::MAX, usize::MAX), 0);
 
             loop {
@@ -250,11 +235,6 @@ impl LowerLevelMapper for SprMapper {
                 if control.is_some_and(SearchControl::is_cancelled) {
                     return Attempt::Cancelled;
                 }
-                if out_of_time() {
-                    trace.event_unstable("spr.timeout", &[("ii", ii as i64)]);
-                    verdict = Attempt::Stop;
-                    break;
-                }
                 // simulated-annealing placement repair targeting the ops on
                 // congested PEs (Algorithm 2 line 14)
                 let anneal_span = trace.start();
@@ -298,7 +278,7 @@ impl LowerLevelMapper for SprMapper {
                     ("structural", i64::from(structural)),
                 ],
             );
-            verdict
+            Attempt::Failed
         })
     }
 

@@ -375,15 +375,25 @@ mod tests {
             let cache = DiskCache::open(&dir, 0).unwrap();
             for key in 0..4u64 {
                 cache.insert(key, "xxxxxxxxxx");
-                // mtime-ordered seed needs distinct timestamps
-                std::thread::sleep(std::time::Duration::from_millis(5));
+                // mtimes in the reverse of key order: key 0 is the newest,
+                // so only an mtime-ordered seed keeps the low keys
+                let age = std::time::Duration::from_secs(60 * key);
+                let mtime = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1_000_000) - age;
+                fs::File::options()
+                    .write(true)
+                    .open(cache.path_of(key))
+                    .and_then(|f| f.set_modified(mtime))
+                    .unwrap();
             }
         }
         fs::write(dir.join("dead.tmp"), "partial write").unwrap();
         let cache = DiskCache::open(&dir, 25).unwrap();
         assert_eq!(cache.len(), 2, "oldest entries evicted to fit budget");
-        assert!(cache.get(3).is_some(), "newest survives");
-        assert_eq!(cache.get(0), None, "oldest evicted");
+        assert!(
+            cache.get(0).is_some() && cache.get(1).is_some(),
+            "newest survive"
+        );
+        assert_eq!((cache.get(2), cache.get(3)), (None, None), "oldest evicted");
         assert!(!dir.join("dead.tmp").exists());
         let _ = fs::remove_dir_all(&dir);
     }

@@ -1,5 +1,4 @@
-//! The compile daemon: accept loop, worker pool, deadline watchdog, and
-//! graceful drain.
+//! The compile daemon: accept loop, worker pool, and graceful drain.
 //!
 //! ```text
 //! connection threads          bounded JobQueue          worker pool
@@ -17,9 +16,10 @@
 //! * a full queue never grows: excess load is shed with `503` and
 //!   `Retry-After`, so memory use is bounded by `queue_depth` plus the
 //!   worker count regardless of offered load;
-//! * deadlines are enforced by a watchdog that fires each job's
-//!   [`CancelToken`]; the pipeline stops cooperatively at its next II
-//!   iteration or PathFinder round, never mid-write;
+//! * a deadline lives in the job's [`CancelToken`]
+//!   ([`CancelToken::with_deadline`]), so no thread watches the clock; the
+//!   pipeline stops cooperatively at its next II iteration or PathFinder
+//!   round after it passes, never mid-write;
 //! * drain (`POST /admin/shutdown`, loopback-only) stops accepting,
 //!   lets queued and in-flight jobs finish, folds their trace collectors
 //!   into the metrics, then returns from [`Server::run`] — the process
@@ -135,7 +135,6 @@ struct JobEntry {
 struct Job {
     entries: Vec<JobEntry>,
     cancel: CancelToken,
-    done: Arc<AtomicBool>,
     respond: mpsc::Sender<Vec<(usize, JobOutcome)>>,
 }
 
@@ -148,13 +147,6 @@ const CGRA_POOL_SIZE: u64 = 16;
 struct CgraPool {
     live: Lru<String, Cgra>,
     retired: CacheStats,
-}
-
-/// A deadline the watchdog enforces.
-struct WatchEntry {
-    deadline: Instant,
-    cancel: CancelToken,
-    done: Arc<AtomicBool>,
 }
 
 struct State {
@@ -170,34 +162,13 @@ struct State {
     disk: Option<DiskCache>,
     /// Per-tenant admission control; disabled unless `--quota-burst` > 0.
     quota: Quota,
-    watch: Mutex<Vec<WatchEntry>>,
     draining: AtomicBool,
-    stopped: AtomicBool,
     addr: SocketAddr,
     connections: Mutex<usize>,
     connections_drained: Condvar,
 }
 
 impl State {
-    /// Puts `cancel` under the watchdog for `deadline` from now (queue wait
-    /// included). A zero deadline has expired by definition: the token
-    /// fires here, without consulting a clock, so the job answers `504
-    /// cancelled` when a worker picks it up — however fast the host is.
-    fn watch_deadline(&self, deadline: Duration, cancel: &CancelToken, done: &Arc<AtomicBool>) {
-        if deadline.is_zero() {
-            cancel.cancel();
-            return;
-        }
-        self.watch
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(WatchEntry {
-                deadline: Instant::now() + deadline,
-                cancel: cancel.clone(),
-                done: Arc::clone(done),
-            });
-    }
-
     fn cgra_for(&self, config: &CgraConfig) -> Result<Cgra, String> {
         let key = config.to_text();
         let mut pool = self.cgras.lock().unwrap_or_else(PoisonError::into_inner);
@@ -327,9 +298,7 @@ impl Server {
             }),
             disk,
             quota: Quota::new(config.quota_rps, config.quota_burst),
-            watch: Mutex::new(Vec::new()),
             draining: AtomicBool::new(false),
-            stopped: AtomicBool::new(false),
             addr,
             connections: Mutex::new(0),
             connections_drained: Condvar::new(),
@@ -364,10 +333,6 @@ impl Server {
                 std::thread::spawn(move || worker_loop(&state))
             })
             .collect();
-        let watchdog = {
-            let state = Arc::clone(&state);
-            std::thread::spawn(move || watchdog_loop(&state))
-        };
 
         for stream in self.listener.incoming() {
             if state.draining.load(Ordering::SeqCst) {
@@ -420,33 +385,10 @@ impl Server {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         }
-        state.stopped.store(true, Ordering::SeqCst);
-        let _ = watchdog.join();
         // Every per-job trace collector has been folded into the metrics
         // synchronously at job completion; nothing is buffered past this
         // point, so returning here *is* the flush.
         Ok(())
-    }
-}
-
-/// Cancels tokens whose deadline passed; prunes finished entries.
-fn watchdog_loop(state: &Arc<State>) {
-    while !state.stopped.load(Ordering::SeqCst) {
-        {
-            let mut watch = state.watch.lock().unwrap_or_else(PoisonError::into_inner);
-            let now = Instant::now();
-            watch.retain(|entry| {
-                if entry.done.load(Ordering::Acquire) {
-                    return false;
-                }
-                if now >= entry.deadline {
-                    entry.cancel.cancel();
-                    return false;
-                }
-                true
-            });
-        }
-        std::thread::sleep(Duration::from_millis(5));
     }
 }
 
@@ -467,7 +409,6 @@ fn worker_loop(state: &Arc<State>) {
                 run_compile(state, &entry.request, entry.key, &job.cancel)
             })
         });
-        job.done.store(true, Ordering::Release);
         // A disappeared client is not an error; the job's effects
         // (metrics, result cache) already landed.
         let _ = job
@@ -670,17 +611,14 @@ fn submit(
     state.metrics.request_cache_hits(hits);
     if !misses.is_empty() {
         let count = misses.len() as u64;
-        let cancel = CancelToken::new();
-        let done = Arc::new(AtomicBool::new(false));
-        if let Some(d) = deadline {
-            // Register before the push so the clock includes queue wait.
-            state.watch_deadline(d, &cancel, &done);
-        }
+        // Built before the push, so the deadline includes queue wait. A
+        // zero deadline fires here, without a clock: the job answers `504
+        // cancelled` when a worker picks it up, however fast the host is.
+        let cancel = deadline.map_or_else(CancelToken::new, CancelToken::with_deadline);
         let (tx, rx) = mpsc::channel();
         let job = Job {
             entries: misses,
             cancel,
-            done: Arc::clone(&done),
             respond: tx,
         };
         // Account the enqueue *before* pushing: once the job is in the
@@ -689,7 +627,6 @@ fn submit(
         state.metrics.request_enqueued(count);
         let settled = if state.queue.try_push(job).is_err() {
             // Full and draining shed identically: try again later.
-            done.store(true, Ordering::Release);
             state.metrics.request_shed_after_enqueue(count);
             Err((
                 "overloaded",
@@ -773,7 +710,7 @@ fn handle_compile_batch(state: &Arc<State>, stream: &TcpStream, request: &Reques
         ));
     }
     // One deadline governs the whole batch; entry-level `deadline_ms`
-    // fields do not re-arm the watchdog.
+    // fields do not extend it.
     let deadline = match deadline_of(&doc, &state.config) {
         Ok(deadline) => deadline,
         Err(e) => return bad_request(&e),

@@ -18,7 +18,7 @@ use panorama_arch::{Cgra, CgraConfig};
 use panorama_dfg::{kernels, KernelId, KernelScale};
 use panorama_exec::{exec_report_json, execute, ExecOptions};
 use panorama_lint::{lint_report, Diagnostics};
-use panorama_mapper::{min_ii, sat_attempt_log, Configware, SatMapper};
+use panorama_mapper::{min_ii, sat_attempt_log, CancelToken, Configware, SatMapper};
 use panorama_sim::simulate;
 use panorama_trace::json::Json;
 use panorama_trace::{RecordingSink, TraceReport, Tracer};
@@ -579,7 +579,10 @@ fn cmd_analyze(args: &Args) -> Result<(), Box<dyn Error>> {
 /// reproducer into the corpus directory as a ready-to-commit `.dfg` file.
 fn cmd_fuzz(args: &Args) -> Result<(), Box<dyn Error>> {
     let defaults = panorama_fuzz::FuzzOptions::default();
-    let cancel = panorama_mapper::CancelToken::new();
+    let cancel = args
+        .int("max-seconds")
+        .map(std::time::Duration::from_secs)
+        .map_or_else(CancelToken::new, CancelToken::with_deadline);
     let opts = panorama_fuzz::FuzzOptions {
         seed: args.int("seed").unwrap_or(defaults.seed),
         cases: args.n("cases", defaults.cases),
@@ -593,13 +596,6 @@ fn cmd_fuzz(args: &Args) -> Result<(), Box<dyn Error>> {
     };
     if args.has("write-corpus") && opts.corpus_dir.is_none() {
         return Err("--write-corpus needs --corpus <dir>".into());
-    }
-    if let Some(seconds) = args.int("max-seconds") {
-        let token = cancel.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_secs(seconds));
-            token.cancel();
-        });
     }
     let report = panorama_fuzz::run(&opts);
     if args.has("write-corpus") {

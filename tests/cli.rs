@@ -1,5 +1,6 @@
 //! End-to-end tests of the `panorama` command-line binary.
 
+use panorama_trace::json::Json;
 use std::process::Command;
 
 fn bin() -> Command {
@@ -427,6 +428,36 @@ fn bad_usage_fails_with_message() {
         stderr.contains("--simulate needs a non-negative integer, got `abc`"),
         "{stderr}"
     );
+}
+
+/// A zero `--max-seconds` has expired before case 0: the token fires at
+/// construction, so the report is the same on every run and every host.
+#[test]
+fn fuzz_max_seconds_zero_completes_nothing() {
+    let run = || {
+        let out = bin()
+            .args([
+                "fuzz",
+                "--seed",
+                "7",
+                "--cases",
+                "5",
+                "--max-seconds",
+                "0",
+                "--json",
+            ])
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let first = run();
+    let doc = panorama_trace::json::parse(&first).expect("valid JSON");
+    assert_eq!(doc.get("completed").and_then(Json::as_u64), Some(0));
+    assert_eq!(doc.get("cancelled").and_then(Json::as_bool), Some(true));
+    for _ in 0..2 {
+        assert_eq!(run(), first);
+    }
 }
 
 #[test]

@@ -7,8 +7,7 @@
 use panorama::{Panorama, PanoramaConfig};
 use panorama_arch::{Cgra, CgraConfig};
 use panorama_dfg::{kernels, KernelId, KernelScale};
-use panorama_mapper::{SprConfig, SprMapper};
-use std::time::Duration;
+use panorama_mapper::SprMapper;
 
 #[test]
 #[ignore = "paper-scale run: minutes of compute"]
@@ -16,10 +15,7 @@ fn cordic_at_paper_scale_reaches_mii_guided() {
     let cgra = Cgra::new(CgraConfig::paper_16x16()).unwrap();
     let dfg = kernels::generate(KernelId::Cordic, KernelScale::Paper);
     let compiler = Panorama::new(PanoramaConfig::default());
-    let mapper = SprMapper::new(SprConfig {
-        time_budget: Some(Duration::from_secs(600)),
-        ..SprConfig::default()
-    });
+    let mapper = SprMapper::default();
     let pan = compiler.compile(&dfg, &cgra, &mapper).expect("guided maps");
     pan.mapping().verify(&dfg, &cgra).unwrap();
     assert_eq!(
@@ -47,10 +43,7 @@ fn double_unrolled_kernel_maps_on_16x16() {
     let dfg = kernels::generate(KernelId::Cordic, KernelScale::Custom { permille: 1500 });
     assert!(dfg.num_ops() > kernels::generate(KernelId::Cordic, KernelScale::Paper).num_ops());
     let compiler = Panorama::new(PanoramaConfig::default());
-    let mapper = SprMapper::new(SprConfig {
-        time_budget: Some(Duration::from_secs(600)),
-        ..SprConfig::default()
-    });
+    let mapper = SprMapper::default();
     let report = compiler.compile(&dfg, &cgra, &mapper).expect("guided maps");
     report.mapping().verify(&dfg, &cgra).unwrap();
 }
