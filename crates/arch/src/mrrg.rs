@@ -306,19 +306,6 @@ impl Mrrg {
         node.index() / self.slice
     }
 
-    /// The *physical resource* behind `node`: the same id for all II
-    /// time-slice copies of one FU / port / register / link. Used by the
-    /// cycle-level simulator, which tracks occupancy per physical resource
-    /// per absolute cycle rather than per modulo slot.
-    pub fn resource_of(&self, node: MrrgNodeId) -> usize {
-        node.index() % self.slice
-    }
-
-    /// Number of distinct physical resources (nodes per time slice).
-    pub fn num_resources(&self) -> usize {
-        self.slice
-    }
-
     /// The PE owning `node` (links belong to their source PE).
     pub fn pe_of(&self, node: MrrgNodeId) -> PeId {
         PeId(self.owner_pe[node.index() % self.slice])

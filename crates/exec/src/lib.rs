@@ -1,15 +1,13 @@
-//! Data-level execution of PANORAMA configware: a cycle-accurate,
-//! data-carrying CGRA interpreter differentially checked against a
-//! golden DFG reference.
+//! Data-level execution of PANORAMA configware, differentially checked
+//! against the golden DFG reference.
 //!
-//! Every other oracle in the suite certifies *structure* — placement
-//! legality, route connectivity, arrival timing, schedule feasibility. A
-//! configware encoder that wires an FU to the wrong operand port would
-//! pass all of them. This crate closes that gap (ROADMAP item 5): it
-//! replays the per-PE control words emitted by
-//! [`panorama_mapper::Configware`] on a model of the physical fabric —
-//! register files, input latches, link latches, II-cyclic words — under
-//! concrete input vectors, and compares every produced token against
+//! Structural oracles — `Mapping::verify` and `panorama_sim::simulate` —
+//! certify placement, routing, arrival timing and port capacities. A
+//! configware encoder that wires an FU to a same-producer operand of the
+//! wrong value would pass them. This crate closes that gap: it runs the
+//! cycle machine (`panorama_sim::run_machine`, the one `simulate` runs)
+//! on the control words emitted by [`panorama_mapper::Configware`] under
+//! concrete input vectors, and compares every produced value against
 //! direct dataflow interpretation of the DFG. Both sides share one ALU
 //! (`panorama_sim::semantics`) and the golden side is
 //! `panorama_sim::interpret`; what differs is everything the fabric adds
@@ -21,17 +19,15 @@
 //! subcommand, the fifth `panorama fuzz` oracle and the exec-smoke CI
 //! job all sit on top of it.
 
-pub mod machine;
 pub mod report;
 
-pub use machine::{run_machine, ExecError, MachineRun};
 pub use report::exec_report_json;
 
 use panorama_arch::Cgra;
 use panorama_dfg::{Dfg, OpId, OpKind};
 use panorama_mapper::{Configware, Mapping};
 use panorama_sim::semantics::{mix, InputVectors, VectorKind};
-use panorama_sim::{interpret, Interpretation};
+use panorama_sim::{check_routes, interpret, run_machine, Interpretation, MachineRun, SimError};
 
 /// Knobs for one differential execution.
 #[derive(Debug, Clone)]
@@ -105,31 +101,23 @@ impl ExecOutcome {
 /// Differentially executes `mapping`'s configware against the DFG
 /// reference under every input-vector family.
 ///
-/// Call [`Mapping::verify`] first: execution presumes a structurally
-/// valid mapping, and what it checks on top is *value* fidelity.
-/// Divergences are reported in the returned [`ExecOutcome`] (they are
-/// findings, not errors); `Err` means the mapping could not be executed
-/// at all (no routes, or malformed shape).
+/// Call [`Mapping::verify`] first: what execution checks on top is
+/// *value* fidelity. Divergences — a machine error or a value that differs
+/// from the reference — are reported in the returned [`ExecOutcome`]
+/// (they are findings, not errors); `Err` means the mapping could not be
+/// lowered at all.
 ///
 /// # Errors
 ///
-/// [`ExecError::NoRoutes`] for abstract mappings without routes, and
-/// [`ExecError::WrongShape`] when routes do not line up with the DFG's
-/// dependence edges.
+/// The route-shape guard's [`SimError::NoRoutes`],
+/// [`SimError::WrongShape`] or [`SimError::Misrouted`].
 pub fn execute(
     dfg: &Dfg,
     cgra: &Cgra,
     mapping: &Mapping,
     opts: &ExecOptions,
-) -> Result<ExecOutcome, ExecError> {
-    let routes = mapping.routes().ok_or(ExecError::NoRoutes)?;
-    let num_deps = dfg.deps().count();
-    if routes.len() != num_deps {
-        return Err(ExecError::WrongShape(format!(
-            "{} routes for {num_deps} dependence edges",
-            routes.len()
-        )));
-    }
+) -> Result<ExecOutcome, SimError> {
+    check_routes(dfg, cgra, mapping)?;
     let cfg = Configware::generate(dfg, cgra, mapping);
     let stores: Vec<OpId> = dfg
         .op_ids()
@@ -149,11 +137,10 @@ pub fn execute(
                 tokens += 1;
             }
         }
-        let (checked, divergence) =
-            match machine::run_machine(dfg, cgra, &cfg, &inputs, opts.iterations) {
-                Err(e) => (0, Some(e.to_string())),
-                Ok(run) => compare(dfg, &golden, &run, opts.iterations),
-            };
+        let (checked, divergence) = match run_machine(dfg, cgra, &cfg, &inputs, opts.iterations) {
+            Err(e) => (0, Some(e.to_string())),
+            Ok(run) => compare(dfg, &golden, &run, opts.iterations),
+        };
         vectors.push(VectorRun {
             vector: kind.name(),
             checked,
@@ -182,30 +169,19 @@ fn compare(
     for iter in 0..iterations {
         for op in dfg.op_ids() {
             let want = golden.value(op, iter);
-            match run.value(op.index(), iter) {
-                Some(got) if got == want => checked += 1,
-                Some(got) => {
-                    return (
-                        checked,
-                        Some(format!(
-                            "op #{} ({}) iteration {iter}: machine {got:#x} != \
-                             reference {want:#x}",
-                            op.index(),
-                            dfg.op(op).name
-                        )),
-                    )
-                }
-                None => {
-                    return (
-                        checked,
-                        Some(format!(
-                            "op #{} ({}) iteration {iter}: machine produced no token",
-                            op.index(),
-                            dfg.op(op).name
-                        )),
-                    )
-                }
+            let got = run.value(op.index(), iter);
+            if got != want {
+                return (
+                    checked,
+                    Some(format!(
+                        "op #{} ({}) iteration {iter}: machine {got:#x} != \
+                         reference {want:#x}",
+                        op.index(),
+                        dfg.op(op).name
+                    )),
+                );
             }
+            checked += 1;
         }
     }
     (checked, None)
@@ -241,6 +217,6 @@ mod tests {
         let cgra = Cgra::new(CgraConfig::small_4x4()).unwrap();
         let mapping = UltraFastMapper::default().map(&dfg, &cgra, None).unwrap();
         let err = execute(&dfg, &cgra, &mapping, &ExecOptions::default()).unwrap_err();
-        assert_eq!(err, ExecError::NoRoutes);
+        assert_eq!(err, SimError::NoRoutes);
     }
 }

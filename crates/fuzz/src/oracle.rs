@@ -18,7 +18,7 @@ use panorama::{BackendId, CompileContext, CompileMode, Panorama, PanoramaConfig}
 use panorama_analyze::{optimize, AnalyzeConfig};
 use panorama_arch::Cgra;
 use panorama_dfg::Dfg;
-use panorama_exec::{execute, ExecError, ExecOptions};
+use panorama_exec::{execute, ExecOptions};
 use panorama_mapper::{min_ii, CancelToken, LowerLevelMapper, SatMapper, SatMapperConfig};
 use panorama_sim::{simulate, SimError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -217,7 +217,7 @@ fn run_backend(dfg: &Dfg, cgra: &Cgra, backend: BackendId, cfg: &OracleConfig) -
                             "execution diverged on the {vector} vector: {msg}"
                         ))
                     }
-                    Err(ExecError::NoRoutes) => {
+                    Err(SimError::NoRoutes) => {
                         OracleOutcome::Skip("no concrete routes (abstract mapper)".into())
                     }
                     Err(e) => OracleOutcome::Fail(format!("execution failed: {e}")),

@@ -1,4 +1,4 @@
-//! Configuration generation: lowers a verified [`Mapping`] to the per-PE,
+//! Configuration generation: lowers a routed [`Mapping`] to the per-PE,
 //! per-cycle control words held in each PE's configuration memory
 //! (the paper's Figure 1 — "a predetermined sequence of configurations
 //! stored in the configuration memory", cycled every II cycles).
@@ -7,9 +7,9 @@
 //! schedule: which operation the FU executes and where each of its
 //! operands comes from ([`OperandSel`]), which physical links and local
 //! forwarding slots it drives (and from which on-PE source), and which
-//! registers latch a new value. The encoding is *executable*: a
-//! data-carrying interpreter can replay the words cycle by cycle without
-//! consulting the mapping or the DFG edges (see `panorama-exec`).
+//! registers latch a new value. The encoding is *executable*: the cycle
+//! machine (`panorama_sim::run_machine`) replays the words cycle by cycle
+//! without consulting the mapping or the DFG edges.
 //! [`Configware::size_bits`] estimates the configuration-memory
 //! footprint, the hardware cost that motivates small IIs.
 
@@ -138,13 +138,17 @@ pub struct Configware {
 impl Configware {
     /// Lowers `mapping` to configuration words.
     ///
-    /// Call [`Mapping::verify`] first; generation assumes a structurally
-    /// valid mapping (it panics on disconnected routes).
+    /// Generation needs only the route shape `panorama_sim::check_routes`
+    /// guards: routes present, one per dependence edge, each leaving its
+    /// producer's output port, MRRG-connected, and ending on a node that
+    /// feeds its consumer's FU. Any other defect lowers to words the cycle
+    /// machine rejects; two ops on one `(PE, slot)` share one word, which
+    /// keeps the later op.
     ///
     /// # Panics
     ///
-    /// Panics when the mapping has no routes (abstract mappers) or a route
-    /// is not MRRG-connected.
+    /// Panics when the mapping has no routes (abstract mappers); a route
+    /// that is not MRRG-connected fails a debug assertion.
     pub fn generate(dfg: &Dfg, cgra: &Cgra, mapping: &Mapping) -> Configware {
         let routes = mapping
             .routes()

@@ -1,25 +1,26 @@
-//! What a DFG computes, and whether a mapping can physically carry it:
+//! What a DFG computes, and whether a mapping's configware computes it:
 //! the one value model ([`semantics`]), the one reference interpreter
-//! ([`interpret`]) and a cycle-level structural simulator that *walks* a
-//! mapping's routes ([`simulate`]).
+//! ([`interpret`]) and the one cycle machine ([`run_machine`]), which
+//! replays the per-PE control words of
+//! [`Configware`](panorama_mapper::Configware) cycle by cycle.
 //!
 //! [`Mapping::verify`](panorama_mapper::Mapping::verify) checks a mapping
 //! *statically* — placement legality, route connectivity/timing, per-slot
-//! capacities. [`simulate`] is its dynamic twin: it pushes several loop
-//! iterations through the pipelined schedule, tracks which *token* —
-//! `(producer op, iteration)` — occupies every physical resource at
-//! every absolute cycle, and fails when a resource holds more distinct
-//! tokens than it has capacity for (the classic modulo-wrap hazard: a
-//! value living longer than II cycles colliding with the next
-//! iteration's instance in the same register). A loop-invariant `Const`
-//! is no exception: each iteration materialises its own token.
+//! capacities. [`simulate`] is its dynamic twin: after a route-shape
+//! guard ([`check_routes`]) it lowers the mapping through
+//! `Configware::generate` and runs several pipelined loop iterations on
+//! the machine. Every latch and register carries a token — `(producer
+//! op, iteration, value)` — so an operand that reads a bubble or another
+//! token fails, a port holding more distinct tokens in a cycle than its
+//! MRRG capacity fails, and a register read that finds a later iteration
+//! than it wants fails (the classic modulo-wrap hazard: a value living
+//! longer than II cycles overwritten by the next iteration's instance).
+//! A loop-invariant `Const` is no exception: each iteration materialises
+//! its own token.
 //!
-//! What it certifies is structural: every route leaves its producer and
-//! feeds its consumer, arrives in the consumer's execution cycle, and no
-//! resource is over-subscribed in any cycle. It carries no values and
-//! runs no interpreter; whether the *computed* values are right is
-//! `panorama_exec::execute`'s question, which replays the configware
-//! data-carrying and compares every token against [`interpret`].
+//! `simulate` certifies structure and reports delivery counts; it does
+//! not compare values. `panorama_exec::execute` runs the same machine once
+//! per input vector and compares every value against [`interpret`].
 //!
 //! # Examples
 //!
@@ -46,4 +47,4 @@ mod machine;
 pub mod semantics;
 
 pub use interp::{interpret, Interpretation};
-pub use machine::{simulate, SimError, SimReport};
+pub use machine::{check_routes, run_machine, simulate, MachineRun, SimError, SimReport};

@@ -1,8 +1,8 @@
 //! From mapping to machine: lower a compiled kernel to per-PE
-//! configuration words, then walk its routes cycle by cycle through the
-//! structural simulator — every operand must leave its producer, arrive
-//! in its consumer's cycle, and no resource may be over-subscribed.
-//! (`panorama exec` is the value-level check of the same configware.)
+//! configuration words, then run them cycle by cycle on the cycle machine
+//! — every operand must find its producer's token of the right iteration,
+//! and no port may hold more tokens than its capacity. (`panorama exec`
+//! runs the same machine as the value-level check.)
 //!
 //! ```sh
 //! cargo run --release --example simulate_mapping

@@ -34,10 +34,12 @@ enum Takes {
     Switch,
     /// A value, shown as this placeholder.
     Text(&'static str),
+    /// A value the command cannot run without, shown as this placeholder.
+    Required(&'static str),
     /// An integer at or above the bound (0 or 1), shown as the placeholder.
     Int(&'static str, u64),
 }
-use Takes::{Int, Switch, Text};
+use Takes::{Int, Required, Switch, Text};
 
 /// A flag: its name (without `--`) and what it takes.
 type Flag = (&'static str, Takes);
@@ -68,9 +70,9 @@ struct Command {
 #[rustfmt::skip] // a table: one row per command
 const COMMANDS: &[Command] = &[
     Command { name: "compile", operand: None, run: cmd_compile, flags: &[
-        DFG, ARCH, MAPPER, ("baseline", Switch), SCALE, THREADS, MAX_II,
-        ("simulate", Int("<iters>", 0)), ("configware", Switch), ("dot", Switch), TRACE,
-        ("sat-report", Text("<file>")), ("analyze", Switch), JSON,
+        ("dfg", Required("<file|-|kernel-name>")), ARCH, MAPPER, ("baseline", Switch), SCALE,
+        THREADS, MAX_II, ("simulate", Int("<iters>", 0)), ("configware", Switch), ("dot", Switch),
+        TRACE, ("sat-report", Text("<file>")), ("analyze", Switch), JSON,
     ] },
     Command { name: "analyze", operand: KERNEL, run: cmd_analyze, flags: &[
         ARCH, SCALE, ("no-fold", Switch), ("no-cse", Switch), ("no-dce", Switch), OUT, JSON,
@@ -100,16 +102,34 @@ const COMMANDS: &[Command] = &[
     Command { name: "info", operand: None, run: cmd_info, flags: &[ARCH] },
 ];
 
-/// The usage text: one line per [`COMMANDS`] entry.
+/// A flag as usage spells it: `--name`, then its placeholder if it takes
+/// a value.
+fn spell((name, takes): Flag) -> String {
+    match takes {
+        Switch => format!("--{name}"),
+        Text(value) | Required(value) | Int(value, _) => format!("--{name} {value}"),
+    }
+}
+
+/// The error for a [`Required`] flag of `cmd` left out.
+fn missing(cmd: &str, flag: &str) -> String {
+    let command = COMMANDS.iter().find(|c| c.name == cmd);
+    let entry = command.and_then(|c| c.flags.iter().find(|f| f.0 == flag));
+    let spelled = entry.map_or_else(|| format!("--{flag}"), |&f| spell(f));
+    format!("`{cmd}` needs {spelled}")
+}
+
+/// The usage text: one line per [`COMMANDS`] entry; optional flags are
+/// bracketed.
 fn usage() -> String {
     let line = |cmd: &Command| {
         let operand = cmd.operand.map(|o| format!(" {o}")).unwrap_or_default();
         let flags: String = cmd
             .flags
             .iter()
-            .map(|&(name, takes)| match takes {
-                Switch => format!(" [--{name}]"),
-                Text(value) | Int(value, _) => format!(" [--{name} {value}]"),
+            .map(|&flag| match flag.1 {
+                Required(_) => format!(" {}", spell(flag)),
+                _ => format!(" [{}]", spell(flag)),
             })
             .collect();
         format!("  panorama {}{operand}{flags}", cmd.name)
@@ -172,7 +192,7 @@ fn parse_args(cmd: &Command, args: &[String]) -> Result<Args, String> {
         let mut next_value = || args.next().ok_or_else(|| format!("--{name} needs a value"));
         let value = match takes {
             Switch => Json::Bool(true),
-            Text(_) => Json::Str(next_value()?.clone()),
+            Text(_) | Required(_) => Json::Str(next_value()?.clone()),
             Int(_, min) => {
                 let value = next_value()?;
                 let kind = if min == 0 { "non-negative" } else { "positive" };
@@ -260,8 +280,8 @@ fn compile_request(kernel: &str, args: &Args) -> Result<CompileRequest, String> 
 /// mapping; `--analyze` maps the graph the equivalence-checked optimizer
 /// of [`panorama_analyze`] leaves.
 fn cmd_compile(args: &Args) -> Result<(), Box<dyn Error>> {
-    let missing = "`compile` needs --dfg <file|-|kernel-name>";
-    let req = compile_request(args.text("dfg").ok_or(missing)?, args)?;
+    let dfg = args.text("dfg").ok_or_else(|| missing("compile", "dfg"))?;
+    let req = compile_request(dfg, args)?;
     let (dfg, cgra) = (&req.dfg, Cgra::new(req.arch.clone())?);
     eprintln!(
         "kernel `{}`: {} | CGRA {}x{} ({} clusters)",
@@ -796,7 +816,7 @@ mod tests {
                 let flag = format!("--{name}");
                 let value = match takes {
                     Switch => None,
-                    Text(_) => Some("x".to_string()),
+                    Text(_) | Required(_) => Some("x".to_string()),
                     Int(_, min) => Some(min.to_string()),
                 };
                 let once: Vec<&str> = [Some(flag.as_str()), value.as_deref()]

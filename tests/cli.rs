@@ -430,6 +430,33 @@ fn bad_usage_fails_with_message() {
     );
 }
 
+#[test]
+fn usage_shows_compiles_dfg_as_required() {
+    let out = bin().arg("help").output().unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let line = |cmd: &str| {
+        let prefix = format!("  panorama {cmd} ");
+        let found = stdout.lines().find(|l| l.starts_with(&prefix));
+        found.unwrap_or_else(|| panic!("no usage line for `{cmd}`:\n{stdout}"))
+    };
+    let compile = line("compile");
+    assert!(
+        compile.starts_with("  panorama compile --dfg <file|-|kernel-name> [--arch "),
+        "{compile}"
+    );
+    // `lint` runs without a graph (`--report`), so there it stays optional
+    assert!(line("lint").contains(" [--dfg <file|-|kernel-name>] "));
+    // the error for a missing --dfg spells it as the usage line does
+    let out = bin().arg("compile").output().unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("`compile` needs --dfg <file|-|kernel-name>"),
+        "{stderr}"
+    );
+}
+
 /// A zero `--max-seconds` has expired before case 0: the token fires at
 /// construction, so the report is the same on every run and every host.
 #[test]

@@ -15,7 +15,7 @@ use panorama_arch::{Cgra, CgraConfig};
 use panorama_dfg::{
     kernels, random_dfg, Dep, Dfg, DfgBuilder, KernelId, KernelScale, OpKind, RandomDfgConfig,
 };
-use panorama_exec::{execute, ExecError, ExecOptions};
+use panorama_exec::{execute, ExecOptions};
 use panorama_mapper::{LowerLevelMapper, SatMapper, SprMapper, UltraFastMapper};
 use panorama_sim::semantics::{InputVectors, VectorKind};
 use panorama_sim::{interpret, simulate, SimError};
@@ -154,7 +154,7 @@ fn exec_outcome(
                 checked: out.checked_total(),
             }
         }
-        Err(ExecError::NoRoutes) => Outcome::Skipped {
+        Err(SimError::NoRoutes) => Outcome::Skipped {
             reason: "abstract mapping carries no routes; nothing to execute".to_string(),
         },
         Err(e) => panic!("{id}: execution failed: {e}"),

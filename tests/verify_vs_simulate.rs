@@ -2,25 +2,31 @@
 //!
 //! `Mapping::verify` is the *static* oracle: it checks structure —
 //! placement legality, dependence timing, route endpoints, latency, and
-//! resource capacity. `panorama_sim::simulate` is the *dynamic* oracle: it
-//! walks the pipelined loop's routes cycle by cycle and cross-checks
-//! route connectivity, arrival cycles, and per-cycle resource occupancy
-//! counted in `(producer, iteration)` tokens. Neither carries values;
-//! value fidelity is `panorama_exec::execute`'s question.
+//! resource capacity counted over the routes. `panorama_sim::simulate` is
+//! the *dynamic* oracle: behind a route-shape guard (`Misrouted`) it
+//! lowers the mapping to configware and runs the pipelined loop on the
+//! cycle machine, which checks every operand's `(producer, iteration)`
+//! token and counts the distinct tokens on every port per cycle. Neither
+//! compares values; value fidelity is `panorama_exec::execute`'s question.
 //!
-//! Each test takes a known-good SPR\* mapping, applies one targeted
-//! corruption, and asserts the oracles reject it. The table documents
-//! which oracle catches which defect class:
+//! The first seven tests take a known-good SPR\* mapping and apply one
+//! targeted corruption; the four capacity rows hand-build a mapping that
+//! over-subscribes exactly one port kind. Every test asserts both oracles
+//! reject it. The table documents which check catches which defect class:
 //!
-//! | mutation              | verify                  | simulate            |
-//! |-----------------------|-------------------------|---------------------|
-//! | swap two placements   | RouteEndpoint           | rejects (arrival)   |
-//! | truncate a route      | RouteLatency/Endpoint   | rejects (arrival)   |
-//! | drop a route entirely | RouteMissing            | rejects (no path)   |
-//! | alias another route   | RouteEndpoint/Disconn.  | rejects (arrival)   |
-//! | break dependence time | DependenceViolated      | rejects (arrival)   |
-//! | collide two FU slots  | FuConflict              | rejects (collision) |
-//! | park a value > II     | CapacityExceeded (Reg)  | rejects (collision) |
+//! | mutation                   | verify                      | simulate                   |
+//! |----------------------------|-----------------------------|----------------------------|
+//! | swap two placements        | RouteEndpoint               | Misrouted                  |
+//! | truncate a route           | RouteLatency/Endpoint       | Misrouted                  |
+//! | drop a route entirely      | RouteMissing                | Misrouted                  |
+//! | alias another route        | RouteEndpoint/Disconn.      | Misrouted                  |
+//! | break dependence time      | DependenceViolated          | Misrouted                  |
+//! | collide two FU slots       | FuConflict                  | Misrouted                  |
+//! | park a value > II          | CapacityExceeded (Reg)      | ValueCollision (Reg)       |
+//! | two tokens on one link     | CapacityExceeded (Link)     | ValueCollision (Link)      |
+//! | 7 tokens at one input mux  | CapacityExceeded (In)       | ValueCollision (In)        |
+//! | 5 register writes at once  | CapacityExceeded (RegWrite) | ValueCollision (RegWrite)  |
+//! | 5 register reads at once   | CapacityExceeded (RegRead)  | ValueCollision (RegRead)   |
 //!
 //! Both oracles overlap on most structural defects (a broken route also
 //! produces wrong dynamics), which is exactly what makes differential
@@ -29,9 +35,9 @@
 //! link across II windows passed the old per-producer verify but failed
 //! simulation — is a bug in one of the oracles or in the mapper.
 
-use panorama_arch::{Cgra, CgraConfig, NodeKind};
-use panorama_dfg::{DfgBuilder, OpKind};
-use panorama_mapper::{LowerLevelMapper, Mapping, SprMapper, VerifyError};
+use panorama_arch::{Cgra, CgraConfig, MrrgNodeId, NodeKind, PeId};
+use panorama_dfg::{Dfg, DfgBuilder, OpKind};
+use panorama_mapper::{LowerLevelMapper, Mapping, Route, SprMapper, VerifyError};
 use panorama_sim::{simulate, SimError};
 
 /// A small diamond with a recurrence: enough edges for every mutation.
@@ -276,4 +282,198 @@ fn parking_a_value_in_one_register_past_ii_is_rejected() {
         ),
         "simulation must see the register collision, got {err:?}"
     );
+}
+
+/// PE (1, 1) of the 4×4 fabric — the hub — and, for each of its four mesh
+/// neighbours, the neighbour and the index of its link into the hub.
+fn hub(cgra: &Cgra) -> (PeId, Vec<(PeId, usize)>) {
+    let hub = cgra.pe_at(1, 1);
+    let feeds: Vec<(PeId, usize)> = (cgra.links().iter().enumerate())
+        .filter(|(_, link)| link.dst == hub)
+        .map(|(i, link)| (link.src, i))
+        .collect();
+    assert_eq!(feeds.len(), 4, "an inner PE has four mesh neighbours");
+    (hub, feeds)
+}
+
+/// A hand-built mapping of `dfg`, whose edges are numbered in insertion
+/// order, so route `i` realises edge `i`.
+fn hand_built(ii: usize, placement: &[(PeId, usize)], paths: Vec<Vec<MrrgNodeId>>) -> Mapping {
+    let routes = (paths.into_iter().enumerate())
+        .map(|(edge_index, nodes)| Route { edge_index, nodes })
+        .collect();
+    Mapping::from_parts(
+        "hand",
+        ii,
+        1,
+        placement.iter().map(|&(_, t)| t).collect(),
+        placement.iter().map(|&(pe, _)| pe).collect(),
+        Some(routes),
+    )
+}
+
+/// Both oracles reject `mapping` for over-subscribing a resource of
+/// `want`'s kind (the payload of `want` is ignored), and for nothing else.
+fn both_see_over_capacity(dfg: &Dfg, cgra: &Cgra, mapping: &Mapping, want: NodeKind) {
+    let same = |kind: NodeKind| std::mem::discriminant(&kind) == std::mem::discriminant(&want);
+    match mapping.verify(dfg, cgra) {
+        Err(VerifyError::CapacityExceeded { kind, .. }) if same(kind) => {}
+        other => panic!("verify must see a {want:?} over capacity, got {other:?}"),
+    }
+    match simulate(dfg, cgra, mapping, 4) {
+        Err(SimError::ValueCollision { kind, .. }) if same(kind) => {}
+        other => panic!("simulate must see a {want:?} over capacity, got {other:?}"),
+    }
+}
+
+/// Const producers `p0..pn` feeding one `add` consumer each, as a DFG
+/// whose edge `i` leaves `p{i}`.
+fn fan_in(consumers: &[usize]) -> Dfg {
+    let mut b = DfgBuilder::new("fan-in");
+    let sinks: Vec<_> = (0..consumers.iter().max().map_or(0, |&c| c + 1))
+        .map(|c| b.op(OpKind::Add, format!("c{c}")))
+        .collect();
+    for (i, &c) in consumers.iter().enumerate() {
+        let p = b.op(OpKind::Const, format!("p{i}"));
+        b.data(p, sinks[c]);
+    }
+    b.build().unwrap()
+}
+
+#[test]
+fn two_tokens_on_one_link_in_one_cycle_are_rejected() {
+    // p0 runs at t 0 and forwards itself on its PE into t 1, where it
+    // leaves over the link to the hub together with p1's fresh result.
+    let dfg = fan_in(&[0, 0]);
+    let cgra = Cgra::new(CgraConfig::small_4x4()).unwrap();
+    let (hub, feeds) = hub(&cgra);
+    let ((a, l), ii) = (feeds[0], 3);
+    let mrrg = cgra.mrrg_shared(ii);
+    let mapping = hand_built(
+        ii,
+        &[(hub, 2), (a, 0), (a, 1)],
+        vec![
+            vec![
+                mrrg.out(a, 0),
+                mrrg.input(a, 1),
+                mrrg.out(a, 1),
+                mrrg.link_node(l, 1),
+                mrrg.input(hub, 2),
+            ],
+            vec![mrrg.out(a, 1), mrrg.link_node(l, 1), mrrg.input(hub, 2)],
+        ],
+    );
+    both_see_over_capacity(&dfg, &cgra, &mapping, NodeKind::Link { index: 0 });
+}
+
+#[test]
+fn more_tokens_than_an_input_mux_holds_are_rejected() {
+    // In(hub, 2) receives one token per neighbour link (p2..p5 at t 1),
+    // the hub's own result (p6) and two tokens that arrived a cycle early
+    // (p0, p1) and wait one cycle on the hub's self-forward: 7 tokens
+    // against a capacity of rf_write_ports + 2 = 6.
+    let dfg = fan_in(&[0; 7]);
+    let cgra = Cgra::new(CgraConfig::small_4x4()).unwrap();
+    let (hub, feeds) = hub(&cgra);
+    let ii = 3;
+    let mrrg = cgra.mrrg_shared(ii);
+    assert_eq!(mrrg.capacity(mrrg.input(hub, 2)), 6);
+    let mut placement = vec![(hub, 2), (feeds[0].0, 0), (feeds[1].0, 0)];
+    placement.extend(feeds.iter().map(|&(pe, _)| (pe, 1)));
+    placement.push((hub, 1));
+    let mut paths: Vec<Vec<MrrgNodeId>> = (feeds[..2].iter())
+        .map(|&(pe, l)| {
+            vec![
+                mrrg.out(pe, 0),
+                mrrg.link_node(l, 0),
+                mrrg.input(hub, 1),
+                mrrg.out(hub, 1),
+                mrrg.input(hub, 2),
+            ]
+        })
+        .collect();
+    paths.extend(
+        (feeds.iter())
+            .map(|&(pe, l)| vec![mrrg.out(pe, 1), mrrg.link_node(l, 1), mrrg.input(hub, 2)]),
+    );
+    paths.push(vec![mrrg.out(hub, 1), mrrg.input(hub, 2)]);
+    let mapping = hand_built(ii, &placement, paths);
+    both_see_over_capacity(&dfg, &cgra, &mapping, NodeKind::In);
+}
+
+#[test]
+fn more_register_writes_than_write_ports_are_rejected() {
+    // Five tokens reach In(hub, 1) — one per neighbour link plus the hub's
+    // own result — and all five are written to the register file in that
+    // cycle (4 write ports). They are read back four at t 2 and one at
+    // t 3, so no read port is over-subscribed.
+    let dfg = fan_in(&[0, 0, 0, 0, 1]);
+    let cgra = Cgra::new(CgraConfig::small_4x4()).unwrap();
+    let (hub, feeds) = hub(&cgra);
+    let ii = 4;
+    let mrrg = cgra.mrrg_shared(ii);
+    assert_eq!(mrrg.capacity(mrrg.reg_write(hub, 1)), 4);
+    let mut placement = vec![(hub, 2), (hub, 3)];
+    placement.extend(feeds.iter().map(|&(pe, _)| (pe, 0)));
+    placement.push((hub, 0));
+    let mut paths: Vec<Vec<MrrgNodeId>> = (feeds.iter().enumerate())
+        .map(|(r, &(pe, l))| {
+            vec![
+                mrrg.out(pe, 0),
+                mrrg.link_node(l, 0),
+                mrrg.input(hub, 1),
+                mrrg.reg_write(hub, 1),
+                mrrg.reg(hub, r, 2),
+                mrrg.reg_read(hub, 2),
+            ]
+        })
+        .collect();
+    paths.push(vec![
+        mrrg.out(hub, 0),
+        mrrg.input(hub, 1),
+        mrrg.reg_write(hub, 1),
+        mrrg.reg(hub, 4, 2),
+        mrrg.reg(hub, 4, 3),
+        mrrg.reg_read(hub, 3),
+    ]);
+    let mapping = hand_built(ii, &placement, paths);
+    both_see_over_capacity(&dfg, &cgra, &mapping, NodeKind::RegWrite);
+}
+
+#[test]
+fn more_register_reads_than_read_ports_are_rejected() {
+    // Four neighbour tokens are written at t 1 and the hub's own result at
+    // t 2, each into its own register; one consumer reads all five at
+    // t 3 (4 read ports).
+    let dfg = fan_in(&[0; 5]);
+    let cgra = Cgra::new(CgraConfig::small_4x4()).unwrap();
+    let (hub, feeds) = hub(&cgra);
+    let ii = 4;
+    let mrrg = cgra.mrrg_shared(ii);
+    assert_eq!(mrrg.capacity(mrrg.reg_read(hub, 3)), 4);
+    let mut placement = vec![(hub, 3)];
+    placement.extend(feeds.iter().map(|&(pe, _)| (pe, 0)));
+    placement.push((hub, 1));
+    let mut paths: Vec<Vec<MrrgNodeId>> = (feeds.iter().enumerate())
+        .map(|(r, &(pe, l))| {
+            vec![
+                mrrg.out(pe, 0),
+                mrrg.link_node(l, 0),
+                mrrg.input(hub, 1),
+                mrrg.reg_write(hub, 1),
+                mrrg.reg(hub, r, 2),
+                mrrg.reg(hub, r, 3),
+                mrrg.reg_read(hub, 3),
+            ]
+        })
+        .collect();
+    paths.push(vec![
+        mrrg.out(hub, 1),
+        mrrg.input(hub, 2),
+        mrrg.reg_write(hub, 2),
+        mrrg.reg(hub, 4, 3),
+        mrrg.reg_read(hub, 3),
+    ]);
+    let mapping = hand_built(ii, &placement, paths);
+    both_see_over_capacity(&dfg, &cgra, &mapping, NodeKind::RegRead);
 }
