@@ -6,10 +6,12 @@
 //!    the top-3 most balanced partitions ([`panorama_cluster`]);
 //! 2. **Map clusters**: split & push each candidate CDG onto the `R × C`
 //!    CGRA cluster grid via the scattering ILPs, escalating ζ until
-//!    feasible, and keep the mapping with the least routing complexity
-//!    ([`panorama_place`]);
-//! 3. **Conquer**: hand the winning cluster assignment to a lower-level
-//!    mapper ([`panorama_mapper`]) as a placement restriction.
+//!    feasible ([`panorama_place`]); [`Panorama::plan`] keeps the mapping
+//!    with the least routing complexity;
+//! 3. **Conquer**: hand the surviving cluster assignments to the
+//!    lower-level mappers ([`panorama_mapper`]) as placement restrictions,
+//!    racing them under a shared best-II bound. The unguided baseline is
+//!    the same race over one unrestricted candidate.
 //!
 //! [`Panorama::compile`] runs the whole pipeline with one mapper;
 //! [`Panorama::compile_with`] is the general entry behind it (several

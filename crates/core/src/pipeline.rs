@@ -13,7 +13,7 @@ use panorama_mapper::{
     CancelToken, LowerLevelMapper, MapError, Mapping, PortfolioBound, Restriction, SearchControl,
 };
 use panorama_place::{map_clusters, ClusterMap, PlaceError, ScatterConfig};
-use panorama_trace::{SpanCollector, Tracer, NO_CANDIDATE, SEQ_BASE_MAP};
+use panorama_trace::{SpanCollector, SpanStart, Tracer, NO_CANDIDATE, SEQ_BASE_MAP};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -151,15 +151,34 @@ impl From<AnalyzeError> for PanoramaError {
 /// determinism contract.
 const SMALL_DFG_SEQUENTIAL_OPS: usize = 48;
 
-/// One partition candidate that survived cluster mapping and the
-/// restricted pre-flight check, ready for the conquer portfolio.
-#[derive(Clone)]
+/// One conquer candidate: the keys of the winner reduction and, in a
+/// guided compile, the plan whose restriction its mappers run under. The
+/// baseline is one candidate with no plan, whose mappers see the whole
+/// array.
 struct Candidate {
+    /// Balance rank; `rank × mapper count + mapper position` is the
+    /// reduction's last key.
     rank: usize,
-    partition_index: usize,
-    cdg: Cdg,
-    cluster_map: ClusterMap,
-    restriction: Restriction,
+    /// The cluster map's routing complexity; `0` unguided.
+    complexity: u32,
+    plan: Option<HigherLevelPlan>,
+}
+
+impl Candidate {
+    /// The restriction the mappers run under; `None` maps the whole array.
+    fn restriction(&self) -> Option<&Restriction> {
+        self.plan.as_ref().map(HigherLevelPlan::restriction)
+    }
+}
+
+/// What the divide phase leaves for the caller to select from: every
+/// candidate that admitted a cluster mapping, in balance-rank order, and
+/// the still-open `cluster_map` span.
+struct Divided {
+    candidates: Vec<Candidate>,
+    attempts: usize,
+    last_err: Option<PlaceError>,
+    span: SpanStart,
 }
 
 /// What [`Panorama::compile_with`] does with the lower-level mappers.
@@ -169,9 +188,10 @@ pub enum CompileMode {
     /// candidate partition to the mappers as a placement restriction.
     #[default]
     Guided,
-    /// The *unguided* mapper on the whole array, for baseline comparisons
-    /// (SPR\* / Ultra-Fast rows of Figures 7 and 9). Takes exactly one
-    /// mapper.
+    /// The *unguided* mappers on the whole array, for baseline comparisons
+    /// (SPR\* / Ultra-Fast rows of Figures 7 and 9): the same conquer race
+    /// over one candidate with no restriction, so several mappers race
+    /// exactly as they do guided.
     Baseline,
 }
 
@@ -380,9 +400,87 @@ impl Panorama {
         }
     }
 
-    /// Runs the higher-level mapping only (Algorithm 1 lines 1–9):
-    /// clustering exploration, top-`N` partition selection, cluster
-    /// mapping per candidate, and selection by least routing complexity.
+    /// Runs `f` with the pipeline collector and a list for the candidates'
+    /// collectors, then merges them all into `tracer`'s sink, on success
+    /// and on error alike.
+    fn traced<R>(
+        tracer: &Tracer,
+        f: impl FnOnce(&mut SpanCollector, &mut Vec<SpanCollector>) -> R,
+    ) -> R {
+        let mut pipe = tracer.collector(NO_CANDIDATE);
+        let mut collectors = Vec::new();
+        let result = f(&mut pipe, &mut collectors);
+        collectors.push(pipe);
+        tracer.submit(collectors);
+        result
+    }
+
+    /// The divide phase (Algorithm 1 lines 1–8) without the selection:
+    /// explore partitions, cluster-map the top-`N` balanced ones on
+    /// `exec`, and derive each mapped candidate's restriction and plan.
+    /// Records the `partition` span and the candidates' `scatter`
+    /// collectors; the caller closes the `cluster_map` span once it has
+    /// checked the candidates it keeps.
+    fn divide<'env>(
+        &self,
+        dfg: &Arc<Dfg>,
+        cgra: &Cgra,
+        tracer: &Tracer,
+        exec: &BatchExecutor<'env>,
+        pipe: &mut SpanCollector,
+        collectors: &mut Vec<SpanCollector>,
+    ) -> Result<Divided, PanoramaError> {
+        let span = pipe.start();
+        let (partitions, eigen_sweeps, clustering_time) = self.explore(dfg, cgra, pipe)?;
+        let partitions = Arc::new(partitions);
+        pipe.record(
+            "partition",
+            span,
+            &[
+                ("partitions", partitions.len() as i64),
+                ("eigen_sweeps", eigen_sweeps as i64),
+            ],
+        );
+
+        let span = pipe.start();
+        let t1 = Instant::now();
+        let attempts = self.cluster_map_candidates(dfg, cgra, &partitions, tracer, exec);
+        let cluster_mapping_time = t1.elapsed();
+        let mut divided = Divided {
+            candidates: Vec::new(),
+            attempts: attempts.len(),
+            last_err: None,
+            span,
+        };
+        for (rank, (idx, attempt, col)) in attempts.into_iter().enumerate() {
+            collectors.push(col);
+            match attempt {
+                Ok((cdg, cluster_map)) => {
+                    let restriction = Restriction::from_cluster_map(dfg, &cdg, &cluster_map, cgra);
+                    self.assert_plan_invariants(dfg, &partitions[idx], &cdg, &restriction);
+                    divided.candidates.push(Candidate {
+                        rank,
+                        complexity: cluster_map.routing_complexity(),
+                        plan: Some(HigherLevelPlan::new(
+                            partitions[idx].clone(),
+                            cdg,
+                            cluster_map,
+                            restriction,
+                            clustering_time,
+                            cluster_mapping_time,
+                        )),
+                    });
+                }
+                Err(e) => divided.last_err = Some(e),
+            }
+        }
+        Ok(divided)
+    }
+
+    /// Runs the higher-level mapping only (Algorithm 1 lines 1–9): the
+    /// divide phase, then selection by least routing complexity (ties go
+    /// to the best balance rank), then the restricted pre-flight check of
+    /// the selected candidate.
     ///
     /// # Errors
     ///
@@ -410,91 +508,35 @@ impl Panorama {
         cgra: &Cgra,
         tracer: &Tracer,
     ) -> Result<HigherLevelPlan, PanoramaError> {
-        let mut pipe = tracer.collector(NO_CANDIDATE);
-        let mut collectors: Vec<SpanCollector> = Vec::new();
-        let result = self.plan_inner(dfg, cgra, tracer, &mut pipe, &mut collectors);
-        collectors.push(pipe);
-        tracer.submit(collectors);
-        result
-    }
+        Self::traced(tracer, |pipe, collectors| {
+            let span = pipe.start();
+            self.preflight(dfg, cgra, None)?;
+            pipe.record("preflight", span, &[]);
 
-    fn plan_inner(
-        &self,
-        dfg: &Dfg,
-        cgra: &Cgra,
-        tracer: &Tracer,
-        pipe: &mut SpanCollector,
-        collectors: &mut Vec<SpanCollector>,
-    ) -> Result<HigherLevelPlan, PanoramaError> {
-        let span = pipe.start();
-        self.preflight(dfg, cgra, None)?;
-        pipe.record("preflight", span, &[]);
-
-        let span = pipe.start();
-        let (partitions, eigen_sweeps, clustering_time) = self.explore(dfg, cgra, pipe)?;
-        pipe.record(
-            "partition",
-            span,
-            &[
-                ("partitions", partitions.len() as i64),
-                ("eigen_sweeps", eigen_sweeps as i64),
-            ],
-        );
-
-        let span = pipe.start();
-        let t1 = Instant::now();
-        let dfg_shared = Arc::new(dfg.clone());
-        let partitions = Arc::new(partitions);
-        // Deterministic reduction over the parallel attempts: least
-        // routing complexity wins, ties go to the best balance rank (the
-        // iteration order of the candidates).
-        let mut best: Option<(usize, Cdg, ClusterMap)> = None;
-        let mut last_err: Option<PlaceError> = None;
-        let attempts = self.with_pool(dfg, self.config.top_partitions, None, |exec| {
-            self.cluster_map_candidates(&dfg_shared, cgra, &partitions, tracer, exec)
-        });
-        for (idx, attempt, col) in attempts {
-            collectors.push(col);
-            match attempt {
-                Ok((cdg, map)) => {
-                    let better = best
-                        .as_ref()
-                        .is_none_or(|(_, _, b)| map.routing_complexity() < b.routing_complexity());
-                    if better {
-                        best = Some((idx, cdg, map));
-                    }
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        let cluster_mapping_time = t1.elapsed();
-
-        let Some((idx, cdg, cluster_map)) = best else {
-            return Err(PanoramaError::ClusterMapping(
-                last_err.expect("no success implies at least one failure"),
-            ));
-        };
-        let restriction = Restriction::from_cluster_map(dfg, &cdg, &cluster_map, cgra);
-        self.assert_plan_invariants(dfg, &partitions[idx], &cdg, &restriction);
-
-        // Re-check mappability with the restriction in hand: the
-        // per-cluster-group capacity bound can prove this particular
-        // partition hopeless even when the unrestricted bounds pass.
-        self.preflight(dfg, cgra, Some(&restriction))?;
-        pipe.record(
-            "cluster_map",
-            span,
-            &[("attempts", collectors.len() as i64)],
-        );
-
-        Ok(HigherLevelPlan::new(
-            partitions[idx].clone(),
-            cdg,
-            cluster_map,
-            restriction,
-            clustering_time,
-            cluster_mapping_time,
-        ))
+            let shared = Arc::new(dfg.clone());
+            let divided = self.with_pool(dfg, self.config.top_partitions, None, |exec| {
+                self.divide(&shared, cgra, tracer, exec, pipe, collectors)
+            })?;
+            let best = divided.candidates.into_iter();
+            let Some(best) = best.min_by_key(|c| (c.complexity, c.rank)) else {
+                return Err(PanoramaError::ClusterMapping(
+                    divided
+                        .last_err
+                        .expect("no success implies at least one failure"),
+                ));
+            };
+            let plan = best.plan.expect("a divided candidate carries its plan");
+            // Re-check mappability with the restriction in hand: the
+            // per-cluster-group capacity bound can prove this particular
+            // partition hopeless even when the unrestricted bounds pass.
+            self.preflight(dfg, cgra, Some(plan.restriction()))?;
+            pipe.record(
+                "cluster_map",
+                divided.span,
+                &[("attempts", divided.attempts as i64)],
+            );
+            Ok(plan)
+        })
     }
 
     /// Runs the full pipeline (Algorithm 1) with one lower-level mapper:
@@ -532,20 +574,22 @@ impl Panorama {
     }
 
     /// The one general compile entry: optional pre-mapping analysis and
-    /// the static pre-flight check, then `mode`'s conquer phase.
+    /// the static pre-flight check, then one conquer race whose candidates
+    /// `mode` picks.
     ///
-    /// In [`CompileMode::Guided`] every candidate partition that survives
-    /// cluster mapping and the restricted pre-flight check is handed to
-    /// every entry of `mappers` (Algorithm 1 line 10, widened across
-    /// candidates and backends): each *(candidate, mapper)* pair is one
-    /// work item on the pool, all racing under a shared best-II bound. The
-    /// winner is reduced deterministically by *(achieved II, cluster
-    /// routing complexity, candidate rank × mapper count + mapper
-    /// position)*, so the report is bit-identical for every
+    /// In [`CompileMode::Guided`] the candidates are the partitions that
+    /// survive cluster mapping and the restricted pre-flight check; in
+    /// [`CompileMode::Baseline`] they are one unrestricted candidate.
+    /// Every candidate is handed to every entry of `mappers` (Algorithm 1
+    /// line 10, widened across candidates and backends): each *(candidate,
+    /// mapper)* pair is one work item on the pool, all racing under a
+    /// shared best-II bound. The winner is reduced deterministically by
+    /// *(achieved II, cluster routing complexity, candidate rank × mapper
+    /// count + mapper position)*, so the report is bit-identical for every
     /// [`PanoramaConfig::threads`] value and with or without a shared
-    /// [`CompileContext::executor`]. One mapper is the plain PANORAMA
-    /// compile; several are the portfolio race. A backend that cannot map
-    /// a candidate only loses the race.
+    /// [`CompileContext::executor`]. One mapper is the plain compile;
+    /// several are the portfolio race. A backend that cannot map a
+    /// candidate only loses the race.
     ///
     /// # Errors
     ///
@@ -561,8 +605,7 @@ impl Panorama {
     ///
     /// # Panics
     ///
-    /// When `mappers` is empty, or holds more than one mapper in
-    /// [`CompileMode::Baseline`].
+    /// When `mappers` is empty.
     pub fn compile_with<'env>(
         &self,
         dfg: &Dfg,
@@ -571,23 +614,54 @@ impl Panorama {
         mode: CompileMode,
         ctx: &CompileContext<'_, 'env>,
     ) -> Result<CompileReport, PanoramaError> {
+        assert!(!mappers.is_empty(), "a compile needs at least one mapper");
         let disabled = Tracer::disabled();
         let tracer = ctx.tracer.unwrap_or(&disabled);
-        let mut pipe = tracer.collector(NO_CANDIDATE);
-        let mut collectors: Vec<SpanCollector> = Vec::new();
-        let result = self.compile_inner(
-            dfg,
-            cgra,
-            mappers,
-            mode,
-            tracer,
-            ctx,
-            &mut pipe,
-            &mut collectors,
-        );
-        collectors.push(pipe);
-        tracer.submit(collectors);
-        result
+        let cancel = ctx.cancel;
+        Self::traced(tracer, |pipe, collectors| {
+            Self::check_cancel(cancel)?;
+            let analyzed = self.analyze_input(dfg, pipe)?;
+            let mapped = analyzed.as_ref().map_or(dfg, |o| &o.dfg);
+            Self::check_cancel(cancel)?;
+            let span = pipe.start();
+            self.preflight(mapped, cgra, None)?;
+            pipe.record("preflight", span, &[]);
+            Self::check_cancel(cancel)?;
+
+            // Shared ownership of the graph being mapped: candidate work
+            // items may run on suite-level executor workers that outlive
+            // this frame, so they cannot borrow it. (One shallow clone per
+            // compile — vectors of ops and edges — is noise next to a
+            // single II attempt.)
+            let shared = Arc::new(mapped.clone());
+            let per_mapper = match mode {
+                CompileMode::Guided => self.config.top_partitions,
+                CompileMode::Baseline => 1,
+            };
+            let work_items = per_mapper * mappers.len();
+            let (mapping, plan, mapping_time) =
+                self.with_pool(mapped, work_items, ctx.executor, |exec| {
+                    let candidates = match mode {
+                        CompileMode::Guided => {
+                            let divided =
+                                self.divide(&shared, cgra, tracer, exec, pipe, collectors)?;
+                            let candidates = self.feasible(&shared, cgra, divided, pipe)?;
+                            Self::check_cancel(cancel)?;
+                            candidates
+                        }
+                        CompileMode::Baseline => vec![Candidate {
+                            rank: 0,
+                            complexity: 0,
+                            plan: None,
+                        }],
+                    };
+                    self.conquer(
+                        &shared, cgra, mappers, candidates, tracer, cancel, exec, pipe, collectors,
+                    )
+                })?;
+            Ok(CompileReport::new(mapping, plan, mapping_time)
+                .with_analysis(analyzed.map(|o| o.dfg)))
+        })
     }
 
     /// `Err(Cancelled)` once `cancel` has fired — polled at every phase
@@ -629,69 +703,44 @@ impl Panorama {
         Ok(Some(opt))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn compile_inner<'env>(
+    /// A guided compile's candidates: those the restricted pre-flight
+    /// check does not prove hopeless, or the error that explains why none
+    /// is left. Closes the `cluster_map` span.
+    fn feasible(
         &self,
         dfg: &Dfg,
         cgra: &Cgra,
-        mappers: &[&'env dyn LowerLevelMapper],
-        mode: CompileMode,
-        tracer: &Tracer,
-        ctx: &CompileContext<'_, 'env>,
+        divided: Divided,
         pipe: &mut SpanCollector,
-        collectors: &mut Vec<SpanCollector>,
-    ) -> Result<CompileReport, PanoramaError> {
-        assert!(!mappers.is_empty(), "a compile needs at least one mapper");
-        let cancel = ctx.cancel;
-        Self::check_cancel(cancel)?;
-        let analyzed = self.analyze_input(dfg, pipe)?;
-        let mapped = analyzed.as_ref().map_or(dfg, |o| &o.dfg);
-        Self::check_cancel(cancel)?;
-        let span = pipe.start();
-        self.preflight(mapped, cgra, None)?;
-        pipe.record("preflight", span, &[]);
-        Self::check_cancel(cancel)?;
-
-        let (mapping, plan, mapping_time) = match mode {
-            CompileMode::Baseline => {
-                assert_eq!(mappers.len(), 1, "a baseline compile runs one mapper");
-                let mut map_col = tracer.collector_from(0, SEQ_BASE_MAP);
-                let span = pipe.start();
-                let t = Instant::now();
-                // The control carries the request's II cap and the token; with
-                // neither it never prunes, so the search is bit-identical to
-                // an uncontrolled one.
-                let mut control =
-                    SearchControl::new(PortfolioBound::capped(self.config.max_ii), 0, 0);
-                if let Some(tok) = cancel {
-                    control = control.with_cancel(tok.clone());
-                }
-                let outcome =
-                    mappers[0].map_traced(mapped, cgra, None, Some(&control), &mut map_col);
-                let mapping_time = t.elapsed();
-                collectors.push(map_col);
-                let mapping = outcome.map_err(Self::map_error)?;
-                pipe.record("map", span, &[("ii", mapping.ii() as i64)]);
-                (mapping, None, mapping_time)
+    ) -> Result<Vec<Candidate>, PanoramaError> {
+        let Divided {
+            mut candidates,
+            attempts,
+            last_err,
+            span,
+        } = divided;
+        let mut first_infeasible = None;
+        candidates.retain(|c| match self.preflight(dfg, cgra, c.restriction()) {
+            Ok(()) => true,
+            Err(e) => {
+                first_infeasible.get_or_insert(e);
+                false
             }
-            CompileMode::Guided => {
-                // Shared ownership of the graph being mapped: candidate work
-                // items may run on suite-level executor workers that outlive
-                // this frame, so they cannot borrow it. (One shallow clone per
-                // compile — vectors of ops and edges — is noise next to a
-                // single spectral sweep.)
-                let shared = Arc::new(mapped.clone());
-                let work_items = self.config.top_partitions * mappers.len();
-                let (mapping, plan, t) =
-                    self.with_pool(mapped, work_items, ctx.executor, |exec| {
-                        self.divide_and_conquer(
-                            &shared, cgra, mappers, tracer, cancel, exec, pipe, collectors,
-                        )
-                    })?;
-                (mapping, Some(plan), t)
-            }
-        };
-        Ok(CompileReport::new(mapping, plan, mapping_time).with_analysis(analyzed.map(|o| o.dfg)))
+        });
+        pipe.record(
+            "cluster_map",
+            span,
+            &[
+                ("attempts", attempts as i64),
+                ("survivors", candidates.len() as i64),
+            ],
+        );
+        if candidates.is_empty() {
+            return Err(first_infeasible
+                .or(last_err.map(PanoramaError::ClusterMapping))
+                .expect("top_balanced yields at least one candidate"));
+        }
+        Ok(candidates)
     }
 
     /// A mapper's failure as the pipeline reports it.
@@ -703,96 +752,26 @@ impl Panorama {
         }
     }
 
-    /// Algorithm 1 proper on an already analyzed and pre-flighted graph:
-    /// explore partitions, cluster-map the top candidates, race every
-    /// *(surviving candidate, mapper)* pair on `exec`, reduce. Returns the
-    /// winning mapping, its plan and the conquer wall-clock.
+    /// The conquer phase: races every *(candidate, mapper)* pair on `exec`
+    /// and reduces. Returns the winning mapping, its candidate's plan and
+    /// the conquer wall-clock.
     #[allow(clippy::too_many_arguments)]
-    fn divide_and_conquer<'env>(
+    fn conquer<'env>(
         &self,
         dfg: &Arc<Dfg>,
         cgra: &Cgra,
         mappers: &[&'env dyn LowerLevelMapper],
+        mut candidates: Vec<Candidate>,
         tracer: &Tracer,
         cancel: Option<&CancelToken>,
         exec: &BatchExecutor<'env>,
         pipe: &mut SpanCollector,
         collectors: &mut Vec<SpanCollector>,
-    ) -> Result<(Mapping, HigherLevelPlan, Duration), PanoramaError> {
-        let span = pipe.start();
-        let (partitions, eigen_sweeps, clustering_time) = self.explore(dfg, cgra, pipe)?;
-        let partitions = Arc::new(partitions);
-        pipe.record(
-            "partition",
-            span,
-            &[
-                ("partitions", partitions.len() as i64),
-                ("eigen_sweeps", eigen_sweeps as i64),
-            ],
-        );
-
-        let span = pipe.start();
-        let t1 = Instant::now();
-        let mut candidates: Vec<Candidate> = Vec::new();
-        let mut last_place_err: Option<PlaceError> = None;
-        let mut first_infeasible: Option<Vec<Diagnostic>> = None;
-        let mut attempts = 0i64;
-        for (rank, (idx, attempt, col)) in self
-            .cluster_map_candidates(dfg, cgra, &partitions, tracer, exec)
-            .into_iter()
-            .enumerate()
-        {
-            collectors.push(col);
-            attempts += 1;
-            match attempt {
-                Ok((cdg, cluster_map)) => {
-                    let restriction = Restriction::from_cluster_map(dfg, &cdg, &cluster_map, cgra);
-                    self.assert_plan_invariants(dfg, &partitions[idx], &cdg, &restriction);
-                    // Restricted pre-flight: candidates the static bounds
-                    // prove hopeless cannot produce a mapping, so they
-                    // never enter the portfolio.
-                    match self.preflight(dfg, cgra, Some(&restriction)) {
-                        Ok(()) => candidates.push(Candidate {
-                            rank,
-                            partition_index: idx,
-                            cdg,
-                            cluster_map,
-                            restriction,
-                        }),
-                        Err(PanoramaError::Infeasible(diags)) => {
-                            if first_infeasible.is_none() {
-                                first_infeasible = Some(diags);
-                            }
-                        }
-                        Err(other) => return Err(other),
-                    }
-                }
-                Err(e) => last_place_err = Some(e),
-            }
-        }
-        let cluster_mapping_time = t1.elapsed();
-        pipe.record(
-            "cluster_map",
-            span,
-            &[
-                ("attempts", attempts),
-                ("survivors", candidates.len() as i64),
-            ],
-        );
-
-        if candidates.is_empty() {
-            return Err(match (first_infeasible, last_place_err) {
-                (Some(diags), _) => PanoramaError::Infeasible(diags),
-                (None, Some(e)) => PanoramaError::ClusterMapping(e),
-                (None, None) => unreachable!("top_balanced yields at least one candidate"),
-            });
-        }
-        Self::check_cancel(cancel)?;
-
-        // Conquer portfolio: likely winners (lowest routing complexity)
-        // first, so the shared bound starts pruning early. The execution
-        // order affects only wall-clock — see the reduction below.
-        candidates.sort_by_key(|c| (c.cluster_map.routing_complexity(), c.rank));
+    ) -> Result<(Mapping, Option<HigherLevelPlan>, Duration), PanoramaError> {
+        // Likely winners (lowest routing complexity) first, so the shared
+        // bound starts pruning early. The execution order affects only
+        // wall-clock — see the reduction below.
+        candidates.sort_by_key(|c| (c.complexity, c.rank));
         let candidates = Arc::new(candidates);
         // Every (candidate, mapper) pair is one work item; with a single
         // mapper the layout is one item per candidate (same indices, same
@@ -812,11 +791,8 @@ impl Panorama {
             exec.run_batch(candidates.len() * nb, move |_, w| {
                 let c = &candidates[w / nb];
                 let b = w % nb;
-                let mut control = SearchControl::new(
-                    Arc::clone(&bound),
-                    c.cluster_map.routing_complexity(),
-                    c.rank * nb + b,
-                );
+                let mut control =
+                    SearchControl::new(Arc::clone(&bound), c.complexity, c.rank * nb + b);
                 if let Some(tok) = &cancel_token {
                     control = control.with_cancel(tok.clone());
                 }
@@ -825,13 +801,8 @@ impl Panorama {
                 // additional backend gets its own seq window above that.
                 let mut col = tracer.collector_from(c.rank as u32, SEQ_BASE_MAP * (b as u64 + 1));
                 let attempt_span = col.start();
-                let outcome = mappers[b].map_traced(
-                    &dfg,
-                    &cgra,
-                    Some(&c.restriction),
-                    Some(&control),
-                    &mut col,
-                );
+                let outcome =
+                    mappers[b].map_traced(&dfg, &cgra, c.restriction(), Some(&control), &mut col);
                 match &outcome {
                     Ok(m) => col.record(
                         "map.candidate",
@@ -868,11 +839,7 @@ impl Panorama {
             let idx = c.rank * nb + (w % nb);
             match outcome {
                 Ok(mapping) => {
-                    let key = SearchControl::reduction_key(
-                        mapping.ii(),
-                        c.cluster_map.routing_complexity(),
-                        idx,
-                    );
+                    let key = SearchControl::reduction_key(mapping.ii(), c.complexity, idx);
                     if best.as_ref().is_none_or(|&(b, _)| key < b) {
                         best = Some((key, w));
                     }
@@ -909,7 +876,7 @@ impl Panorama {
             let (_, e) = first_map_err.expect("no success implies at least one failure");
             return Err(Self::map_error(e));
         };
-        let c = candidates[winner / nb].clone();
+        let c = &candidates[winner / nb];
         pipe.record(
             "map",
             span,
@@ -918,18 +885,11 @@ impl Panorama {
                 ("candidates", outcomes.len() as i64),
             ],
         );
+        let plan = c.plan.clone();
         let (outcome, winner_col) = outcomes.swap_remove(winner);
         collectors.push(winner_col);
         collectors.extend(outcomes.into_iter().map(|(_, col)| col));
         let mapping = outcome.expect("winner is a success");
-        let plan = HigherLevelPlan::new(
-            partitions[c.partition_index].clone(),
-            c.cdg,
-            c.cluster_map,
-            c.restriction,
-            clustering_time,
-            cluster_mapping_time,
-        );
         Ok((mapping, plan, mapping_time))
     }
 }

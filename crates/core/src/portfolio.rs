@@ -1,27 +1,31 @@
 //! The worker pool behind every candidate fan-out.
 //!
 //! The divide phase produces a small ranked set of partition candidates;
-//! both the cluster-mapping ILPs and the guided lower-level mapping runs
-//! are independent across candidates, so the pipeline fans them out as
-//! batches on one [`BatchExecutor`]. Determinism is preserved by
-//! construction: workers only *compute*, the reduction over their results
-//! is sequential and keyed by a total order, and the shared
-//! [`PortfolioBound`] prunes a candidate only when nothing it could still
-//! produce would win that reduction — so the outcome is bit-identical for
-//! any thread count.
+//! both the cluster-mapping ILPs and the lower-level mapping runs (one per
+//! candidate and mapper; a baseline compile is one unrestricted candidate)
+//! are independent, so the pipeline fans them out as batches on one
+//! [`BatchExecutor`]. Determinism is preserved by construction: workers
+//! only *compute*, the reduction over their results is sequential and
+//! keyed by a total order, and the shared [`PortfolioBound`] prunes a
+//! candidate only when nothing it could still produce would win that
+//! reduction — so the outcome is bit-identical for any thread count.
 //!
-//! There is one pool. A compile that is handed none opens a
+//! There is one pool type. A compile that is handed none opens a
 //! [`BatchExecutor::scope`] for itself — one spawn per compile, shared by
 //! its cluster-mapping and conquer fan-outs. A driver compiling many
-//! kernels (the bench suite, a `/compile-batch` job) opens one scope,
-//! submits the kernel jobs as a batch, and hands the executor down, so each
-//! compile submits its candidate fan-out to the *same* pool and
-//! kernel×candidate work items interleave freely across one fixed set of
-//! workers. Submitters self-schedule from the shared queue while waiting
-//! for their batch (work stealing by helping), so a nested submission can
-//! never deadlock and idle workers drain whatever work exists, regardless
-//! of which kernel produced it. With `threads <= 1` a scope spawns nothing
-//! and every batch runs inline on the submitting thread, lock-free.
+//! kernels may open one scope, submit the kernel jobs as a batch, and hand
+//! the executor down (`CompileContext::executor`), so each compile submits
+//! its candidate fan-out to the *same* pool and kernel×candidate work
+//! items interleave freely across one fixed set of workers; the suite
+//! determinism check in `tests/perf.rs` does this. A `/compile-batch` job
+//! fans its entries out on a scope of its own but does not hand it down:
+//! each entry runs `CompileRequest::run`, which passes no executor, so
+//! every entry's compile opens its own pool. Submitters self-schedule from
+//! the shared queue while waiting for their batch (work stealing by
+//! helping), so a nested submission can never deadlock and idle workers
+//! drain whatever work exists, regardless of which kernel produced it.
+//! With `threads <= 1` a scope spawns nothing and every batch runs inline
+//! on the submitting thread, lock-free.
 //!
 //! [`PortfolioBound`]: panorama_mapper::PortfolioBound
 

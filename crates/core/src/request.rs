@@ -99,10 +99,6 @@ impl CompileRequest {
     /// # Errors
     ///
     /// As for [`Panorama::compile_with`].
-    ///
-    /// # Panics
-    ///
-    /// On a baseline portfolio request; surfaces reject that at parse time.
     pub fn run(
         &self,
         cgra: &Cgra,
@@ -126,8 +122,7 @@ impl CompileRequest {
 
     /// [`run`](Self::run) with caller-owned mapper instances in place of
     /// the defaults — for a mapper whose state outlives the compile (the
-    /// SAT attempt log) or that carries non-default settings (a time
-    /// budget).
+    /// CLI's SAT attempt log) or that carries non-default settings.
     ///
     /// # Errors
     ///

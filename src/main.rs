@@ -263,9 +263,6 @@ fn request_doc(kernel: Option<&str>, args: &Args) -> Result<Json, String> {
 /// flags.
 fn compile_request(kernel: &str, args: &Args) -> Result<CompileRequest, String> {
     let portfolio = args.text("mapper") == Some("portfolio");
-    if portfolio && args.has("baseline") {
-        return Err("--baseline races a single mapper; pick one with --mapper".into());
-    }
     if args.has("sat-report") && args.text("mapper") != Some(BackendId::Sat.name()) {
         return Err("--sat-report requires --mapper sat".into());
     }
@@ -940,12 +937,10 @@ mod tests {
             assert!(json.starts_with(message), "json: {json}");
         }
         // The one name the surfaces differ on by design: only the CLI races
-        // the portfolio (never as a baseline).
+        // the portfolio.
         let cli = from_cli(&["--dfg", "fir", "--mapper", "portfolio"]).unwrap();
         assert_eq!(cli.mapper, MapperChoice::Portfolio);
         let json = from_json("{\"kernel\":\"fir\",\"mapper\":\"portfolio\"}").unwrap_err();
         assert_eq!(json, "unknown mapper `portfolio`");
-        let cli = from_cli(&["--dfg", "fir", "--mapper", "portfolio", "--baseline"]).unwrap_err();
-        assert!(cli.contains("--baseline races a single mapper"), "{cli}");
     }
 }

@@ -75,6 +75,30 @@ fn compile_json_emits_canonical_document() {
 }
 
 #[test]
+fn compile_baseline_races_the_portfolio() {
+    let out = bin()
+        .args([
+            "compile",
+            "--dfg",
+            "fir",
+            "--scale",
+            "tiny",
+            "--arch",
+            "4x4",
+            "--mapper",
+            "portfolio",
+            "--baseline",
+            "--json",
+        ])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(out.status.success(), "{stderr}");
+    assert!(stdout.contains("\"guided\":false"), "{stdout}");
+}
+
+#[test]
 fn lint_validates_serve_metrics_files() {
     let dir = std::env::temp_dir().join("panorama-serve-lint-test");
     std::fs::create_dir_all(&dir).unwrap();

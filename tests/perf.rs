@@ -240,10 +240,11 @@ fn spr_suite_batch_is_thread_count_invariant() {
 
 /// Compiles with a recording tracer and returns both the mapping
 /// fingerprint and the assembled trace report.
-fn traced_compile_at<M: LowerLevelMapper>(
+fn traced_compile_at(
     dfg: &Dfg,
     cgra: &Cgra,
-    mapper: &M,
+    mappers: &[&dyn LowerLevelMapper],
+    mode: CompileMode,
     threads: usize,
 ) -> (Fingerprint, TraceReport) {
     let sink = RecordingSink::shared();
@@ -257,12 +258,13 @@ fn traced_compile_at<M: LowerLevelMapper>(
         ..CompileContext::default()
     };
     let report = panorama
-        .compile_with(dfg, cgra, &[mapper], CompileMode::Guided, &ctx)
+        .compile_with(dfg, cgra, mappers, mode, &ctx)
         .unwrap_or_else(|e| panic!("traced compile failed at {threads} threads: {e}"));
+    let names: Vec<&str> = mappers.iter().map(|m| m.name()).collect();
     let trace = TraceReport {
         kernel: dfg.name().to_string(),
         arch: format!("{}x{}", cgra.config().rows, cgra.config().cols),
-        mapper: mapper.name().to_string(),
+        mapper: names.join("+"),
         threads,
         wall_ns: report.total_time().as_nanos() as u64,
         events: sink.take(),
@@ -279,7 +281,8 @@ fn tracing_is_thread_count_invariant_and_schema_valid() {
     let mapper = UltraFastMapper::default();
     for id in [KernelId::Fir, KernelId::Cordic, KernelId::IdctRows] {
         let dfg = kernels::generate(id, KernelScale::Tiny);
-        let (base_fp, base_trace) = traced_compile_at(&dfg, &cgra, &mapper, 1);
+        let (base_fp, base_trace) =
+            traced_compile_at(&dfg, &cgra, &[&mapper], CompileMode::Guided, 1);
         assert!(
             !base_trace.events.is_empty(),
             "{id}: recording tracer captured nothing"
@@ -288,7 +291,8 @@ fn tracing_is_thread_count_invariant_and_schema_valid() {
         panorama_lint::lint_trace_json(&base_trace.to_json(), &mut diags);
         assert!(!diags.has_errors(), "{id}:\n{}", diags.render_human());
         for threads in [2, 4] {
-            let (fp, trace) = traced_compile_at(&dfg, &cgra, &mapper, threads);
+            let (fp, trace) =
+                traced_compile_at(&dfg, &cgra, &[&mapper], CompileMode::Guided, threads);
             assert_eq!(
                 base_fp, fp,
                 "{id}: traced mapping diverged at {threads} threads"
@@ -311,13 +315,56 @@ fn unbatched_compile_of_a_non_small_kernel_is_thread_count_invariant() {
     let mapper = UltraFastMapper::default();
     let dfg = kernels::generate(KernelId::Fir, KernelScale::Scaled);
     assert!(dfg.num_ops() > 48, "fir/scaled must take the pooled path");
-    let (base_fp, base_trace) = traced_compile_at(&dfg, &cgra, &mapper, 1);
-    let (fp, trace) = traced_compile_at(&dfg, &cgra, &mapper, 4);
+    let (base_fp, base_trace) = traced_compile_at(&dfg, &cgra, &[&mapper], CompileMode::Guided, 1);
+    let (fp, trace) = traced_compile_at(&dfg, &cgra, &[&mapper], CompileMode::Guided, 4);
     assert_eq!(base_fp, fp, "mapping diverged at 4 threads");
     assert_eq!(
         base_trace.deterministic_signature(),
         trace.deterministic_signature(),
         "stable trace digest diverged at 4 threads"
+    );
+}
+
+#[test]
+fn a_traced_baseline_is_one_candidate_in_the_conquer_race() {
+    // A baseline compile races its mappers on one unrestricted candidate:
+    // candidate 0's collector holds one `map.candidate` span per mapper,
+    // the `map` span names the winner's rank and the race's size, and the
+    // stable events do not depend on the thread count. idctcols/tiny is
+    // past the small-DFG cutoff, so at 4 threads the race runs on a pool.
+    let cgra = Cgra::new(CgraConfig::small_4x4()).unwrap();
+    let (spr, ultrafast) = (SprMapper::default(), UltraFastMapper::default());
+    let mappers: [&dyn LowerLevelMapper; 2] = [&spr, &ultrafast];
+    let dfg = kernels::generate(KernelId::IdctCols, KernelScale::Tiny);
+    assert!(
+        dfg.num_ops() > 48,
+        "idctcols/tiny must take the pooled path"
+    );
+    let (base_fp, base_trace) = traced_compile_at(&dfg, &cgra, &mappers, CompileMode::Baseline, 1);
+    assert!(
+        base_fp.partition_labels.is_empty(),
+        "a baseline makes no plan"
+    );
+    let attempts: Vec<u32> = base_trace
+        .events
+        .iter()
+        .filter(|e| e.phase == "map.candidate")
+        .map(|e| e.candidate)
+        .collect();
+    assert_eq!(attempts, [0, 0], "one map.candidate span per mapper");
+    let map: Vec<_> = base_trace
+        .events
+        .iter()
+        .filter(|e| e.phase == "map")
+        .collect();
+    assert_eq!(map.len(), 1);
+    assert_eq!(map[0].counters, [("winner_rank", 0), ("candidates", 2)]);
+    let (fp, trace) = traced_compile_at(&dfg, &cgra, &mappers, CompileMode::Baseline, 4);
+    assert_eq!(base_fp, fp, "baseline mapping diverged at 4 threads");
+    assert_eq!(
+        base_trace.deterministic_signature(),
+        trace.deterministic_signature(),
+        "baseline stable trace digest diverged at 4 threads"
     );
 }
 

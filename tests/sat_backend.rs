@@ -90,6 +90,44 @@ fn portfolio_with_all_backends_is_bit_identical_across_thread_counts() {
     assert_eq!(renders[0], spr_only.to_json("cordic", "4x4"));
 }
 
+#[test]
+fn a_baseline_portfolio_races_every_backend_on_the_whole_array() {
+    // A baseline is one unrestricted candidate in the guided race, so the
+    // portfolio's backends race on the whole array exactly as they do per
+    // partition: no plan, and one winner at any thread count. The
+    // SPR* + Ultra-Fast row is past the small-DFG cutoff, so its race runs
+    // on a pool at 2 and 4 threads.
+    let cgra = cgra();
+    let owned = BackendId::PORTFOLIO.map(BackendId::mapper);
+    let all: Vec<&dyn LowerLevelMapper> = owned.iter().map(|m| &**m).collect();
+    let rows: [(KernelId, &[&dyn LowerLevelMapper], usize, &str); 3] = [
+        (KernelId::Fir, &all, 3, "SAT"),
+        (KernelId::Cordic, &all, 5, "SPR*"),
+        (KernelId::IdctCols, &all[..2], 8, "SPR*"),
+    ];
+    let ctx = CompileContext::default();
+    for (id, mappers, ii, winner) in rows {
+        let dfg = kernels::generate(id, KernelScale::Tiny);
+        let runs: Vec<(usize, &str, u64)> = [1, 2, 4]
+            .into_iter()
+            .map(|threads| {
+                let report = Panorama::new(PanoramaConfig {
+                    threads,
+                    ..PanoramaConfig::default()
+                })
+                .compile_with(&dfg, &cgra, mappers, CompileMode::Baseline, &ctx)
+                .unwrap_or_else(|e| panic!("{id} at {threads} threads: {e}"));
+                assert!(report.plan().is_none(), "{id}: a baseline makes no plan");
+                let m = report.mapping();
+                (m.ii(), m.mapper(), m.content_hash())
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1], "{id}: threads 1 vs 2 diverge");
+        assert_eq!(runs[0], runs[2], "{id}: threads 1 vs 4 diverge");
+        assert_eq!((runs[0].0, runs[0].1), (ii, winner), "{id}");
+    }
+}
+
 /// `(guided, baseline)` mapping hashes of `mapper` driven as `&dyn` through
 /// the general entry.
 fn dyn_hashes(dfg: &Dfg, cgra: &Cgra, mapper: &dyn LowerLevelMapper) -> (u64, u64) {
