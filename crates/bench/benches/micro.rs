@@ -27,8 +27,8 @@ fn bench_eigen(c: &mut Criterion) {
     // paper scale: the idctrows Laplacian (n = 430) the 16×16 divide phase
     // decomposes
     let dfg = kernels::generate(KernelId::IdctRows, KernelScale::Paper);
-    let adj = panorama_graph::AdjacencyMatrix::symmetric(dfg.graph());
-    let l = DMatrix::from_row_major(adj.len(), adj.len(), adj.laplacian());
+    let n = dfg.num_ops();
+    let l = DMatrix::from_row_major(n, n, panorama_graph::laplacian(dfg.graph()));
     c.bench_function("jacobi_eigen_idctrows_paper_430", |b| {
         b.iter(|| SymmetricEigen::new(std::hint::black_box(&l)).unwrap());
     });

@@ -3,7 +3,7 @@
 
 use crate::Partition;
 use panorama_dfg::Dfg;
-use panorama_graph::AdjacencyMatrix;
+use panorama_graph::{laplacian, normalized_laplacian};
 use panorama_linalg::{DMatrix, EigenError, KMeans, KMeansConfig, KMeansError, SymmetricEigen};
 use std::error::Error;
 use std::fmt;
@@ -95,6 +95,11 @@ impl Default for SpectralConfig {
 /// The Laplacian eigendecomposition — the expensive step — is computed once
 /// and shared across every `k` explored by Algorithm 1.
 ///
+/// Construction peaks at two dense `n × n` buffers: the Laplacian, built
+/// from the DFG's edges and rotated in place by the Jacobi sweep, and the
+/// eigenvector basis the sweep accumulates, which is all the embedding
+/// keeps.
+///
 /// # Examples
 ///
 /// ```
@@ -116,7 +121,7 @@ pub struct SpectralClustering {
 
 impl SpectralClustering {
     /// Builds the unnormalised spectral embedding of `dfg` (Laplacian of
-    /// its symmetric adjacency, all eigenpairs).
+    /// its undirected multigraph, all eigenpairs).
     ///
     /// # Errors
     ///
@@ -132,14 +137,13 @@ impl SpectralClustering {
     ///
     /// Returns [`ClusterError::Eigen`] when the eigensolver fails.
     pub fn with_kind(dfg: &Dfg, kind: SpectralKind) -> Result<Self, ClusterError> {
-        let adj = AdjacencyMatrix::symmetric(dfg.graph());
-        let n = adj.len();
+        let n = dfg.num_ops();
         let buffer = match kind {
-            SpectralKind::Unnormalized => adj.laplacian(),
-            SpectralKind::Normalized => adj.normalized_laplacian(),
+            SpectralKind::Unnormalized => laplacian(dfg.graph()),
+            SpectralKind::Normalized => normalized_laplacian(dfg.graph()),
         };
-        let lap = DMatrix::from_row_major(n, n, buffer);
-        let eigen = SymmetricEigen::new(&lap)?;
+        // The sweep rotates the Laplacian's own buffer: no copy of it.
+        let eigen = SymmetricEigen::decompose(DMatrix::from_row_major(n, n, buffer))?;
         Ok(SpectralClustering {
             eigen,
             nodes: n,

@@ -5,7 +5,9 @@
 //! ([`panorama-dfg`]), cluster dependency graphs ([`panorama-cluster`]) and
 //! modulo routing resource graphs ([`panorama-arch`]) — is built on
 //! [`Digraph`], a compact adjacency-list digraph with typed node/edge
-//! indices and cheap O(1) endpoint lookups.
+//! indices and cheap O(1) endpoint lookups. [`laplacian`] and
+//! [`normalized_laplacian`] turn a graph into the dense Laplacian that
+//! spectral clustering decomposes.
 //!
 //! # Examples
 //!
@@ -30,9 +32,9 @@
 mod algo;
 mod digraph;
 mod dot;
-mod matrix;
+mod laplacian;
 
 pub use algo::{Components, CycleError};
 pub use digraph::{Digraph, EdgeId, EdgeRef, NodeId};
 pub use dot::DotOptions;
-pub use matrix::AdjacencyMatrix;
+pub use laplacian::{laplacian, normalized_laplacian};

@@ -89,6 +89,7 @@ pub(crate) fn solve_lp_counted(
         t: vec![0.0f64; m * width],
         width,
         basis: vec![usize::MAX; m],
+        nonzero: Vec::with_capacity(width),
     };
 
     let mut slack_cursor = num_vars;
@@ -191,6 +192,8 @@ struct Tableau {
     width: usize,
     /// The basic column of each row.
     basis: Vec<usize>,
+    /// Scratch for [`Tableau::pivot`]: the nonzero columns of the pivot row.
+    nonzero: Vec<usize>,
 }
 
 impl Tableau {
@@ -277,6 +280,11 @@ impl Tableau {
 
     /// Makes `col` basic in `row`: scales the row to a unit pivot and
     /// eliminates the column from every other row.
+    ///
+    /// The elimination visits only the pivot row's nonzero columns: a
+    /// skipped `x -= factor · 0.0` (finite `factor`) could only have turned
+    /// a `-0.0` into `+0.0`, and no comparison, ratio or rounding tells the
+    /// two apart (DESIGN.md §9, "Tableau column layout").
     fn pivot(&mut self, row: usize, col: usize) {
         let (above, rest) = self.t.split_at_mut(row * self.width);
         let (pivot_row, below) = rest.split_at_mut(self.width);
@@ -286,14 +294,17 @@ impl Tableau {
         for x in pivot_row.iter_mut() {
             *x *= inv;
         }
+        self.nonzero.clear();
+        self.nonzero
+            .extend((0..self.width).filter(|&j| pivot_row[j] != 0.0));
         let others = above
             .chunks_exact_mut(self.width)
             .chain(below.chunks_exact_mut(self.width));
         for other in others {
             let factor = other[col];
             if factor.abs() > EPS {
-                for (x, &p) in other.iter_mut().zip(&*pivot_row) {
-                    *x -= factor * p;
+                for &j in &self.nonzero {
+                    other[j] -= factor * pivot_row[j];
                 }
             }
         }

@@ -21,6 +21,15 @@
 //! partitions; see EXPERIMENTS.md, "The rejected eigensolver swap". The
 //! `eigenpairs_of_kernel_laplacians_are_pinned_bit_for_bit` test holds
 //! this down.
+//!
+//! # Two `n × n` buffers
+//!
+//! [`SymmetricEigen::decompose`] takes the matrix by value and rotates its
+//! buffer in place; the only other `n × n` buffer is the accumulated basis
+//! `vt`. The decomposition keeps `vt` itself, rows sorted by eigenvalue, so
+//! row `j` is eigenvector `j`: [`SymmetricEigen::eigenvector`] reads a row
+//! and [`SymmetricEigen::embedding`] gathers the first `k` rows into
+//! columns. [`SymmetricEigen::new`] is the same decomposition of a copy.
 
 use crate::DMatrix;
 use std::error::Error;
@@ -70,8 +79,9 @@ impl Error for EigenError {}
 #[derive(Debug, Clone)]
 pub struct SymmetricEigen {
     eigenvalues: Vec<f64>,
-    /// Column `j` of this matrix is the eigenvector for `eigenvalues[j]`.
-    eigenvectors: DMatrix,
+    /// The rotated basis, row-major `n × n`: row `j` is the eigenvector for
+    /// `eigenvalues[j]`.
+    vt: Vec<f64>,
     /// Jacobi sweeps executed before convergence.
     sweeps: usize,
 }
@@ -80,7 +90,19 @@ const MAX_SWEEPS: usize = 64;
 const SYMMETRY_TOL: f64 = 1e-9;
 
 impl SymmetricEigen {
-    /// Decomposes the symmetric matrix `m`.
+    /// Decomposes a copy of the symmetric matrix `m` through
+    /// [`SymmetricEigen::decompose`], for callers that keep `m`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`SymmetricEigen::decompose`].
+    pub fn new(m: &DMatrix) -> Result<Self, EigenError> {
+        Self::decompose(m.clone())
+    }
+
+    /// Decomposes the symmetric matrix `m`, rotating its buffer in place:
+    /// the sweep holds `m` and the basis it accumulates, two `n × n`
+    /// buffers, and the result keeps only the basis.
     ///
     /// # Errors
     ///
@@ -88,7 +110,7 @@ impl SymmetricEigen {
     ///   [`EigenError::NotSymmetric`] on invalid input;
     /// * [`EigenError::NoConvergence`] if the (generous) sweep limit is hit
     ///   or entries near `f64::MAX` overflow under rotation.
-    pub fn new(m: &DMatrix) -> Result<Self, EigenError> {
+    pub fn decompose(m: DMatrix) -> Result<Self, EigenError> {
         if m.rows() != m.cols() {
             return Err(EigenError::NotSquare);
         }
@@ -105,16 +127,17 @@ impl SymmetricEigen {
         if n == 0 {
             return Ok(SymmetricEigen {
                 eigenvalues: Vec::new(),
-                eigenvectors: DMatrix::zeros(0, 0),
+                vt: Vec::new(),
                 sweeps: 0,
             });
         }
-        // Everything below works on flat row-major buffers. `vt` holds the
-        // eigenvector basis *transposed* (row j is eigenvector j), so a
-        // rotation touches two contiguous rows of `a` and two of `vt`; only
-        // the column update of `a` stays strided. The operations and their
-        // order are part of the contract (see the module docs).
-        let mut a = m.as_slice().to_vec();
+        // Everything below works on flat row-major buffers: `a` is `m`'s own
+        // buffer, rotated in place. `vt` holds the eigenvector basis
+        // *transposed* (row j is eigenvector j), so a rotation touches two
+        // contiguous rows of `a` and two of `vt`; only the column update of
+        // `a` stays strided. The operations and their order are part of the
+        // contract (see the module docs).
+        let mut a = m.into_vec();
         let mut vt = vec![0.0f64; n * n];
         vt.iter_mut().step_by(n + 1).for_each(|x| *x = 1.0);
         let mut col_p = vec![0.0f64; n];
@@ -185,22 +208,35 @@ impl SymmetricEigen {
         }
 
         // Sort the eigenpairs by ascending eigenvalue (stable, so equal
-        // eigenvalues keep their rotation order).
+        // eigenvalues keep their rotation order) and permute the rows of
+        // `vt` in place to match, one cycle of the permutation at a time:
+        // row j becomes old row order[j]. A sorted copy would touch a third
+        // n × n buffer, even with `a` freed first: freed heap pages stay
+        // resident.
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&x, &y| {
             values[x]
                 .partial_cmp(&values[y])
                 .expect("eigenvalues are finite")
         });
-        let mut eigenvectors = DMatrix::zeros(n, n);
-        for (new_col, &old_col) in order.iter().enumerate() {
-            for (i, &x) in vt[old_col * n..(old_col + 1) * n].iter().enumerate() {
-                eigenvectors[(i, new_col)] = x;
+        let mut placed = vec![false; n];
+        for start in 0..n {
+            let mut j = start;
+            while !placed[j] {
+                placed[j] = true;
+                let src = order[j];
+                if src == start {
+                    break;
+                }
+                let (lo, hi) = (j.min(src), j.max(src));
+                let (head, tail) = vt.split_at_mut(hi * n);
+                head[lo * n..(lo + 1) * n].swap_with_slice(&mut tail[..n]);
+                j = src;
             }
         }
         Ok(SymmetricEigen {
             eigenvalues: order.iter().map(|&j| values[j]).collect(),
-            eigenvectors,
+            vt,
             sweeps,
         })
     }
@@ -241,7 +277,9 @@ impl SymmetricEigen {
     ///
     /// Panics when `i >= len()`.
     pub fn eigenvector(&self, i: usize) -> Vec<f64> {
-        self.eigenvectors.column(i)
+        let n = self.len();
+        assert!(i < n, "eigenvector index out of bounds");
+        self.vt[i * n..(i + 1) * n].to_vec()
     }
 
     /// The spectral embedding: an `n × k` matrix whose columns are the `k`
@@ -257,7 +295,7 @@ impl SymmetricEigen {
         let mut m = DMatrix::zeros(n, k);
         for j in 0..k {
             for i in 0..n {
-                m[(i, j)] = self.eigenvectors[(i, j)];
+                m[(i, j)] = self.vt[j * n + i];
             }
         }
         m
@@ -426,6 +464,64 @@ mod tests {
         assert!((norm - 5.0).abs() < 1e-12);
     }
 
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Row `j` of the rotated basis is eigenvector `j`: `eigenvector` reads
+    /// a row, `embedding` gathers columns, and both see the same bits.
+    #[test]
+    fn eigenvector_rows_are_embedding_columns_bit_for_bit() {
+        let m = DMatrix::from_rows(&[
+            &[4.0, -1.0, 0.0, -1.0, 0.0],
+            &[-1.0, 3.0, -1.0, 0.0, -1.0],
+            &[0.0, -1.0, 2.0, -1.0, 0.0],
+            &[-1.0, 0.0, -1.0, 3.0, -1.0],
+            &[0.0, -1.0, 0.0, -1.0, 2.0],
+        ]);
+        let e = SymmetricEigen::new(&m).unwrap();
+        let n = e.len();
+        let full = e.embedding(n);
+        for j in 0..n {
+            assert_eq!(
+                bits(&e.eigenvector(j)),
+                bits(&full.column(j)),
+                "eigenvector {j}"
+            );
+        }
+        for k in 0..=n {
+            let part = e.embedding(k);
+            assert_eq!((part.rows(), part.cols()), (n, k));
+            for i in 0..n {
+                assert_eq!(
+                    bits(part.row(i)),
+                    bits(&full.row(i)[..k]),
+                    "k = {k}, row {i}"
+                );
+            }
+        }
+    }
+
+    /// `new(&m)` decomposes a copy through `decompose(m)`: same sweeps,
+    /// same eigenvalues, same basis, bit for bit — on a degenerate kernel
+    /// Laplacian, where the basis is the part that could drift.
+    #[test]
+    fn by_reference_and_by_value_decompositions_are_bit_identical() {
+        use panorama_dfg::{kernels, KernelId, KernelScale};
+
+        let dfg = kernels::generate(KernelId::MatrixMultiply, KernelScale::Tiny);
+        let n = dfg.num_ops();
+        let lap = DMatrix::from_row_major(n, n, panorama_graph::laplacian(dfg.graph()));
+        let by_ref = SymmetricEigen::new(&lap).unwrap();
+        let by_value = SymmetricEigen::decompose(lap).unwrap();
+        assert_eq!(by_ref.sweeps(), by_value.sweeps());
+        assert_eq!(bits(by_ref.eigenvalues()), bits(by_value.eigenvalues()));
+        assert_eq!(
+            bits(by_ref.embedding(n).as_slice()),
+            bits(by_value.embedding(n).as_slice())
+        );
+    }
+
     #[test]
     fn empty_matrix_ok() {
         let e = SymmetricEigen::new(&DMatrix::zeros(0, 0)).unwrap();
@@ -460,7 +556,7 @@ mod tests {
     #[test]
     fn eigenpairs_of_kernel_laplacians_are_pinned_bit_for_bit() {
         use panorama_dfg::{kernels, KernelId, KernelScale};
-        use panorama_graph::AdjacencyMatrix;
+        use panorama_graph::laplacian;
 
         for (id, sweeps, want) in [
             (KernelId::MatrixMultiply, 13, 0x1b70_8eb7_5c8e_435e_u64),
@@ -468,9 +564,8 @@ mod tests {
             (KernelId::Fir, 9, 0xbf73_beeb_4b8c_a46b),
         ] {
             let dfg = kernels::generate(id, KernelScale::Scaled);
-            let adj = AdjacencyMatrix::symmetric(dfg.graph());
-            let n = adj.len();
-            let lap = DMatrix::from_row_major(n, n, adj.laplacian());
+            let n = dfg.num_ops();
+            let lap = DMatrix::from_row_major(n, n, laplacian(dfg.graph()));
             let e = SymmetricEigen::new(&lap).unwrap();
             // FNV-1a over the bit patterns of every eigenvalue and every
             // entry of the full n × n embedding

@@ -9,7 +9,9 @@
 //!   by ascending eigenvalue as spectral embedding requires. It is the only
 //!   eigensolver: kernel Laplacians are degenerate, partitions depend on
 //!   the basis it produces inside each eigenspace, and that basis is pinned
-//!   bit for bit;
+//!   bit for bit. [`SymmetricEigen::decompose`] rotates the matrix it is
+//!   given in place and keeps the rotated basis as rows, so a decomposition
+//!   peaks at two `n × n` buffers;
 //! * [`KMeans`] — Lloyd's algorithm with deterministic k-means++ seeding.
 //!
 //! # Examples

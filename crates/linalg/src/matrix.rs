@@ -124,6 +124,11 @@ impl DMatrix {
         &self.data
     }
 
+    /// Takes the underlying row-major buffer without copying it.
+    pub fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Matrix transpose.
     pub fn transpose(&self) -> DMatrix {
         let mut t = DMatrix::zeros(self.cols, self.rows);
