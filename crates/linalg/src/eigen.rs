@@ -176,11 +176,7 @@ impl SymmetricEigen {
                     let s = t * c;
 
                     // A ← Jᵀ A J applied in place: columns p, q, then rows.
-                    for (x, row) in col_p.iter_mut().zip(a.chunks_exact_mut(n)) {
-                        let (aip, aiq) = (*x, row[q]);
-                        *x = c * aip - s * aiq;
-                        row[q] = s * aip + c * aiq;
-                    }
+                    rotate_column(&mut col_p, &mut a, n, q, c, s);
                     // The row update also rotates a_pp and a_qp, which live
                     // in `col_p` (their slots in `a` are stale until the
                     // write-back below).
@@ -314,6 +310,31 @@ fn off_diagonal_norm(a: &[f64], n: usize) -> f64 {
         }
     }
     s.sqrt()
+}
+
+/// Applies the rotation `(c, s)` to column `p`, held in `col_p`, and
+/// column `q` of the row-major buffer `a` with rows of length `n`:
+/// `x_p ← c·x_p − s·x_q`, `x_q ← s·x_p + c·x_q` in every row. Two rows
+/// per step, each with the one-row expressions: a one-row loop ran about
+/// 30 % slower whenever it happened to start on a 64-byte boundary
+/// (EXPERIMENTS.md, "Measurement hazard"), and this one ran at one speed
+/// in every placement tried.
+fn rotate_column(col_p: &mut [f64], a: &mut [f64], n: usize, q: usize, c: f64, s: f64) {
+    let mut xs = col_p.chunks_exact_mut(2);
+    let mut rows = a.chunks_exact_mut(2 * n);
+    for (x, two) in (&mut xs).zip(&mut rows) {
+        let (aip, aiq) = (x[0], two[q]);
+        let (ajp, ajq) = (x[1], two[n + q]);
+        x[0] = c * aip - s * aiq;
+        two[q] = s * aip + c * aiq;
+        x[1] = c * ajp - s * ajq;
+        two[n + q] = s * ajp + c * ajq;
+    }
+    if let ([x], row) = (xs.into_remainder(), rows.into_remainder()) {
+        let (aip, aiq) = (*x, row[q]);
+        *x = c * aip - s * aiq;
+        row[q] = s * aip + c * aiq;
+    }
 }
 
 /// Applies the rotation `(c, s)` to rows `p < q` of the row-major buffer

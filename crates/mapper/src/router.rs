@@ -17,15 +17,20 @@
 //! that moved (and whatever they now collide with) are searched again.
 //!
 //! This is the hottest loop in the toolchain, so the per-signal A* runs on
-//! flat `Vec`-backed tables indexed by `(elapsed, MRRG node)` and
+//! flat `Vec`-backed tables indexed by `(layer, MRRG node)` and
 //! invalidated by generation stamps — no hashing, and no per-signal
-//! clearing. Producer broadcast claims live in a packed per-time-slice
-//! `u64` bitset (one AND/OR per probe), the congestion cost of entering a
-//! node is one load from a per-node table kept current with the usage
-//! counts, and neighbor expansion walks a flattened CSR with FU
-//! destinations pre-filtered and destination PE coordinates inlined per
-//! edge. All buffers live in the [`RouterScratch`] reused across signals,
-//! PathFinder iterations, and annealing rounds.
+//! clearing. The layer is the state's absolute cycle divided by II: every
+//! MRRG edge stays in its time slice or advances one slice modulo II, so a
+//! node in slice `t` is only ever reached at an elapsed time congruent to
+//! `t − start` modulo II, and `(layer, node)` names exactly one
+//! `(elapsed, node)` state in a table about II times smaller. Producer
+//! broadcast claims live in a packed per-time-slice `u64` bitset (one
+//! AND/OR per probe), the congestion cost of entering a node is one load
+//! from a per-node table kept current with the usage counts, and neighbor
+//! expansion walks a flattened CSR with FU destinations pre-filtered and
+//! destination PE coordinates inlined per edge. All buffers live in the
+//! [`RouterScratch`] reused across signals, PathFinder iterations, and
+//! annealing rounds.
 
 use crate::mapping::Route;
 use panorama_arch::{Cgra, Mrrg, MrrgNodeId, PeId};
@@ -136,14 +141,18 @@ struct KeptRoute {
 }
 
 /// One pre-lowered MRRG edge in the flattened CSR: everything the A*
-/// inner loop needs (destination, time advance, destination PE grid
-/// position for the heuristic) in one cache line's worth of sequential
-/// reads, with FU destinations already filtered out.
+/// inner loop needs (destination, time advance, layer advance, destination
+/// PE grid position for the heuristic) in one cache line's worth of
+/// sequential reads, with FU destinations already filtered out.
 #[derive(Clone, Copy)]
 struct FlatEdge {
     dst: u32,
     /// 0 or 1 time advance.
     advance: u8,
+    /// 1 when the edge advances into slice 0 (every advance at II 1): the
+    /// absolute cycle crosses a multiple of II, so the state moves to the
+    /// next layer.
+    wraps: u8,
     dst_row: u8,
     dst_col: u8,
 }
@@ -155,8 +164,9 @@ struct FlatEdge {
 /// new again.
 #[derive(Default)]
 pub(crate) struct RouterScratch {
-    /// Generation stamp per `(elapsed, node)` A* state; a state is live
-    /// only when its stamp equals the current generation.
+    /// Generation stamp per A* state, at `layer * num_nodes + node` (see
+    /// [`HeapEntry::key`]); a state is live only when its stamp equals the
+    /// current generation.
     stamp: Vec<u32>,
     /// Best g-cost per live state.
     best: Vec<f64>,
@@ -228,9 +238,12 @@ impl RouterScratch {
     }
 
     /// Sizes every per-node / per-state table for `num_nodes` MRRG nodes
-    /// and signal slacks up to `max_delta`.
-    fn ensure_capacity(&mut self, num_nodes: usize, max_delta: usize) {
-        let states = num_nodes * (max_delta + 1);
+    /// at `ii` and signal slacks up to `max_delta`. A search starts in
+    /// slice `0..ii` at layer 0 and ends at most `max_delta` cycles later,
+    /// in layer `(ii − 1 + max_delta) / ii = ⌈max_delta / ii⌉` at the
+    /// latest.
+    fn ensure_capacity(&mut self, num_nodes: usize, ii: usize, max_delta: usize) {
+        let states = num_nodes * (max_delta.div_ceil(ii) + 1);
         if self.stamp.len() < states {
             self.stamp.resize(states, 0);
             self.best.resize(states, 0.0);
@@ -267,6 +280,7 @@ impl RouterScratch {
                 self.flat_edges.push(FlatEdge {
                     dst: e.dst.index() as u32,
                     advance: u8::from(e.advance),
+                    wraps: u8::from(e.advance && mrrg.time_of(e.dst) == 0),
                     dst_row: row as u8,
                     dst_col: col as u8,
                 });
@@ -419,6 +433,7 @@ impl RouterScratch {
         }
         let delta = delta as u32;
         let num_nodes = mrrg.num_nodes();
+        let ii = mrrg.ii() as u32;
         if self.flat_offsets.len() != num_nodes + 1 {
             self.build_flat(mrrg, cgra);
         }
@@ -442,7 +457,7 @@ impl RouterScratch {
 
         self.heap.clear();
         let g0 = node_cost(self, start.index(), 0);
-        let start_key = start.index() as u32; // elapsed 0 ⇒ key = node index
+        let start_key = start.index() as u32; // layer 0 ⇒ key = node index
         self.stamp[start_key as usize] = generation;
         self.best[start_key as usize] = g0;
         self.parent[start_key as usize] = u32::MAX;
@@ -454,7 +469,8 @@ impl RouterScratch {
 
         let mut expansions = 0usize;
         while let Some(HeapEntry { key, elapsed, .. }) = self.heap.pop() {
-            let node_index = (key - elapsed * num_nodes as u32) as usize;
+            let layer = (start_time as u32 + elapsed) / ii;
+            let node_index = (key - layer * num_nodes as u32) as usize;
             let g = self.best[key as usize];
             expansions += 1;
             if expansions > max_expansions {
@@ -463,16 +479,16 @@ impl RouterScratch {
             if elapsed == delta {
                 let node = MrrgNodeId::from_index(node_index);
                 if node == goal_in || node == goal_rr {
-                    // reconstruct; the elapsed time of every hop is encoded
-                    // in its state key, so recovering it is free
+                    // reconstruct; a state key holds the hop's layer, and
+                    // its absolute cycle is the layer's first cycle plus
+                    // the node's slice
                     let mut path = vec![(node, elapsed)];
-                    let mut cur = key;
-                    while self.parent[cur as usize] != u32::MAX {
-                        cur = self.parent[cur as usize];
-                        path.push((
-                            MrrgNodeId::from_index(cur as usize % num_nodes),
-                            cur / num_nodes as u32,
-                        ));
+                    let mut cur = key as usize;
+                    while self.parent[cur] != u32::MAX {
+                        cur = self.parent[cur] as usize;
+                        let hop = MrrgNodeId::from_index(cur % num_nodes);
+                        let cycle = cur / num_nodes * ii as usize + mrrg.time_of(hop);
+                        path.push((hop, (cycle - start_time) as u32));
                     }
                     path.reverse();
                     return Search::Found(path);
@@ -496,7 +512,7 @@ impl RouterScratch {
                     continue;
                 }
                 let ng = g + node_cost(self, edge.dst as usize, ne);
-                let nkey = ne * num_nodes as u32 + edge.dst;
+                let nkey = (layer + u32::from(edge.wraps)) * num_nodes as u32 + edge.dst;
                 let ni = nkey as usize;
                 if self.stamp[ni] != generation || ng < self.best[ni] - 1e-12 {
                     self.stamp[ni] = generation;
@@ -573,7 +589,7 @@ pub(crate) fn route_all(
         .map(|s| s.key.delta.max(0) as usize)
         .max()
         .unwrap_or(0);
-    scratch.ensure_capacity(num_nodes, max_delta);
+    scratch.ensure_capacity(num_nodes, ii, max_delta);
     scratch.kept.resize_with(dfg.num_deps(), || None);
     let kept = (0..scratch.signals.len())
         .filter(|&s| scratch.route_of(s).is_some())
@@ -686,10 +702,13 @@ pub(crate) fn route_all(
 /// Heap entry ordered by ascending f-cost.
 struct HeapEntry {
     f: f64,
-    /// Packed `(elapsed, node)` state: `elapsed * num_nodes + node`.
+    /// Packed `(layer, node)` state: `layer * num_nodes + node`, where
+    /// `layer = (start slice + elapsed) / II`. Node and layer fix the
+    /// elapsed time, since the node's slice fixes it modulo II.
     key: u32,
-    /// The state's elapsed time again, so a pop unpacks `key` with a
-    /// multiply instead of a division (the entry is 16 bytes either way).
+    /// The state's elapsed time, which the pop needs for the goal test, the
+    /// reachability prune and the claim bits (the entry is 16 bytes with or
+    /// without it).
     elapsed: u32,
 }
 
@@ -734,7 +753,7 @@ mod tests {
     /// A scratch sized for direct `route_one` tests (no congestion).
     fn fresh_scratch(mrrg: &Mrrg, max_delta: usize) -> RouterScratch {
         let mut s = RouterScratch::default();
-        s.ensure_capacity(mrrg.num_nodes(), max_delta);
+        s.ensure_capacity(mrrg.num_nodes(), mrrg.ii(), max_delta);
         s.reprice(mrrg, 0.5);
         s
     }
@@ -802,6 +821,43 @@ mod tests {
             assert_eq!(w[1].1, w[0].1 + u32::from(e.advance));
         }
         assert_eq!(adv, 3);
+    }
+
+    #[test]
+    fn state_table_holds_one_layer_per_ii_cycles_of_slack() {
+        // slacks 1 and 8 at II 4: a search starting in slice 1 ends by
+        // cycle 9, in layer 2, so three layers of nodes where an
+        // `(elapsed, node)` table needed nine
+        let (cgra, mrrg) = setup(4);
+        let mut b = DfgBuilder::new("slack");
+        let n: Vec<_> = (0..3).map(|i| b.op(OpKind::Add, format!("n{i}"))).collect();
+        b.data(n[0], n[1]);
+        b.data(n[1], n[2]);
+        let dfg = b.build().unwrap();
+        let pe_of: Vec<PeId> = (0..3).map(|c| cgra.pe_at(0, c)).collect();
+        let mut scratch = RouterScratch::default();
+        let cfg = RouterConfig::default();
+        let outcome = route_all(
+            &mrrg,
+            &cgra,
+            &dfg,
+            &pe_of,
+            &[0, 1, 9],
+            &cfg,
+            &mut scratch,
+            None,
+        );
+        assert!(outcome.is_clean());
+        let (ii, max_delta) = (4usize, 8usize);
+        let states = mrrg.num_nodes() * (max_delta.div_ceil(ii) + 1);
+        assert_eq!(states, 3 * mrrg.num_nodes());
+        for len in [
+            scratch.stamp.len(),
+            scratch.best.len(),
+            scratch.parent.len(),
+        ] {
+            assert_eq!(len, states);
+        }
     }
 
     #[test]
@@ -1084,7 +1140,7 @@ mod tests {
         let n = mrrg.num_nodes();
         let mut rng = SmallRng::seed_from_u64(7);
         let mut scratch = RouterScratch::default();
-        scratch.ensure_capacity(n, 3);
+        scratch.ensure_capacity(n, mrrg.ii(), 3);
         for h in &mut scratch.history {
             *h = if rng.gen_bool(0.3) {
                 rng.gen_range(0..40) as f32 * 0.35
@@ -1230,6 +1286,53 @@ mod tests {
     }
 
     proptest::proptest! {
+        /// Random searches on 4×4 at II 1 to 6: every hop of a found path
+        /// sits at the running sum of the edge advances before it, and in
+        /// the MRRG slice that `(layer, node)` keying assumes,
+        /// `(start + elapsed) % II == time_of(node)`.
+        #[test]
+        fn found_paths_keep_elapsed_congruent_to_the_node_slice(seed in 0u64..u64::MAX) {
+            use rand::{rngs::SmallRng, Rng, SeedableRng};
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let ii = rng.gen_range(1..7usize);
+            let (cgra, mrrg) = setup(ii);
+            let mut scratch = fresh_scratch(&mrrg, 12);
+            scratch.build_flat(&mrrg, &cgra);
+            for edge in &scratch.flat_edges {
+                let dst_slice = mrrg.time_of(MrrgNodeId::from_index(edge.dst as usize));
+                proptest::prop_assert_eq!(edge.wraps, u8::from(edge.advance == 1 && dst_slice == 0));
+                proptest::prop_assert!(ii > 1 || edge.wraps == edge.advance, "at II 1 every advance wraps");
+            }
+            let pe = |rng: &mut SmallRng| cgra.pe_at(rng.gen_range(0..4), rng.gen_range(0..4));
+            for _ in 0..8 {
+                let (src, dst) = (pe(&mut rng), pe(&mut rng));
+                let start = rng.gen_range(0..ii);
+                let delta = rng.gen_range(1..13usize);
+                let slot = (start + delta) % ii;
+                let search =
+                    scratch.route_one(&mrrg, &cgra, src, dst, start, delta as i64, slot, 100_000);
+                let Search::Found(path) = search else {
+                    proptest::prop_assert!(cgra.manhattan(src, dst) > delta, "{search:?}");
+                    continue;
+                };
+                proptest::prop_assert_eq!(path[0], (mrrg.out(src, start), 0));
+                let &(goal, end) = path.last().unwrap();
+                let goals = [mrrg.input(dst, slot), mrrg.reg_read(dst, slot)];
+                proptest::prop_assert!(goals.contains(&goal));
+                proptest::prop_assert_eq!(end as usize, delta);
+                let mut elapsed = 0u32;
+                for (k, &(node, at)) in path.iter().enumerate() {
+                    if k > 0 {
+                        let prev = path[k - 1].0;
+                        let edge = mrrg.out_edges(prev).iter().find(|e| e.dst == node);
+                        elapsed += u32::from(edge.expect("path follows MRRG edges").advance);
+                    }
+                    proptest::prop_assert_eq!(at, elapsed);
+                    proptest::prop_assert_eq!((start + at as usize) % ii, mrrg.time_of(node));
+                }
+            }
+        }
+
         /// Random graphs of adds on 4×4, placed one op per FU slot near
         /// their producers, then six random relocations / retimings with a
         /// `route_all` after each, all on one scratch.
