@@ -5,6 +5,11 @@
 //! a cycle (operand selection) or advance time by one cycle modulo II (link
 //! traversal, register writes and holds). A mapped DFG occupies MRRG nodes;
 //! PathFinder routing negotiates the per-node capacities.
+//!
+//! Every time slice is the same graph: the II only decides which slice an
+//! advancing edge lands in. So one slice is stored — its node kinds,
+//! capacities, owning PEs and out-edges — and the other II − 1 slices are
+//! derived from it on every lookup.
 
 use crate::{Cgra, PeId};
 use std::fmt;
@@ -67,7 +72,20 @@ pub struct MrrgEdge {
     pub advance: bool,
 }
 
+/// One stored out-edge of a slice-0 node: where it lands within its
+/// slice, and whether it advances into the next one.
+#[derive(Debug, Clone, Copy)]
+struct SliceEdge {
+    local: u32,
+    advance: bool,
+}
+
 /// The modulo routing resource graph of a [`Cgra`] at a fixed II.
+///
+/// Node `t · slice + p` is position `p` of time slice `t`. Only slice 0 is
+/// stored: the kind, capacity and owning PE of a node are those of its
+/// position, and its out-edges are slice 0's, landing in slice `t` (or
+/// `(t + 1) % ii` when they advance).
 ///
 /// # Examples
 ///
@@ -90,13 +108,17 @@ pub struct Mrrg {
     rf_size: usize,
     /// Nodes per time slice.
     slice: usize,
+    /// `⌈2^64 / slice⌉`, for [`Mrrg::split`].
+    slice_inv: u64,
+    /// Per position within a slice.
     kinds: Vec<NodeKind>,
+    /// Per position within a slice.
     capacities: Vec<u16>,
-    /// CSR adjacency.
+    /// CSR adjacency of slice 0, per position.
     edge_offsets: Vec<u32>,
-    edges: Vec<MrrgEdge>,
-    /// PE owning each node-within-slice position (links map to their
-    /// source PE).
+    edges: Vec<SliceEdge>,
+    /// PE owning each position within a slice (links map to their source
+    /// PE).
     owner_pe: Vec<u32>,
 }
 
@@ -118,18 +140,14 @@ impl Mrrg {
         let rf_size = cfg.rf_size;
         let per_pe = PE_FIXED_NODES + rf_size;
         let slice = num_pes * per_pe + num_links;
-        let total = slice * ii;
 
-        let mut kinds = Vec::with_capacity(total);
-        let mut capacities = Vec::with_capacity(total);
+        let mut kinds = Vec::with_capacity(slice);
+        let mut capacities = Vec::with_capacity(slice);
         let mut owner_pe = Vec::with_capacity(slice);
         // node layout within a slice: all PE blocks, then all links
         for pe in 0..num_pes {
             let in_cap = (cfg.rf_write_ports + 2) as u16;
-            for _ in 0..1 {
-                owner_pe.push(pe as u32);
-            }
-            owner_pe.extend(std::iter::repeat_n(pe as u32, per_pe - 1));
+            owner_pe.extend(std::iter::repeat_n(pe as u32, per_pe));
             kinds.push(NodeKind::Fu);
             capacities.push(1);
             kinds.push(NodeKind::Out);
@@ -150,9 +168,6 @@ impl Mrrg {
             kinds.push(NodeKind::Link { index: i as u32 });
             capacities.push(1);
         }
-        // replicate the slice for every cycle
-        let kinds: Vec<NodeKind> = (0..ii).flat_map(|_| kinds.iter().copied()).collect();
-        let capacities: Vec<u16> = (0..ii).flat_map(|_| capacities.iter().copied()).collect();
 
         let mut mrrg = Mrrg {
             ii,
@@ -160,6 +175,7 @@ impl Mrrg {
             num_links,
             rf_size,
             slice,
+            slice_inv: u64::MAX / slice as u64 + 1,
             kinds,
             capacities,
             edge_offsets: Vec::new(),
@@ -170,56 +186,57 @@ impl Mrrg {
         mrrg
     }
 
+    /// Slice 0's edges, pushed in the order every slice walks them.
     fn build_edges(&mut self, cgra: &Cgra) {
-        let ii = self.ii;
-        let mut adjacency: Vec<Vec<MrrgEdge>> = vec![Vec::new(); self.slice * ii];
+        let (t, next) = (0, 1 % self.ii);
+        let slice = self.slice;
+        let mut pushed: Vec<(u32, SliceEdge)> = Vec::new();
         let mut push = |src: MrrgNodeId, dst: MrrgNodeId, advance: bool| {
-            adjacency[src.index()].push(MrrgEdge { dst, advance });
+            let local = (dst.index() % slice) as u32;
+            pushed.push((src.0, SliceEdge { local, advance }));
         };
-        for t in 0..ii {
-            let next = (t + 1) % ii;
-            for pe in cgra.pes() {
-                let fu = self.fu(pe, t);
-                let out = self.out(pe, t);
-                let input = self.input(pe, t);
-                let regw = self.reg_write(pe, t);
-                let regr = self.reg_read(pe, t);
-                // execution result broadcast
-                push(fu, out, false);
-                // operand consumption
-                push(input, fu, false);
-                // crossbar pass-through: an arriving value may leave again
-                // in the same cycle (single-cycle single-hop forwarding)
-                push(input, out, false);
-                // spill into RF
-                push(input, regw, false);
-                for r in 0..self.rf_size {
-                    push(regw, self.reg(pe, r, next), true);
-                    push(self.reg(pe, r, t), self.reg(pe, r, next), true);
-                    push(self.reg(pe, r, t), regr, false);
-                }
-                // RF read feeds execution or onward routing
-                push(regr, fu, false);
-                push(regr, out, false);
-                // same-PE forwarding to the next cycle
-                push(out, self.input(pe, next), true);
+        for pe in cgra.pes() {
+            let fu = self.fu(pe, t);
+            let out = self.out(pe, t);
+            let input = self.input(pe, t);
+            let regw = self.reg_write(pe, t);
+            let regr = self.reg_read(pe, t);
+            // execution result broadcast
+            push(fu, out, false);
+            // operand consumption
+            push(input, fu, false);
+            // crossbar pass-through: an arriving value may leave again
+            // in the same cycle (single-cycle single-hop forwarding)
+            push(input, out, false);
+            // spill into RF
+            push(input, regw, false);
+            for r in 0..self.rf_size {
+                push(regw, self.reg(pe, r, next), true);
+                push(self.reg(pe, r, t), self.reg(pe, r, next), true);
+                push(self.reg(pe, r, t), regr, false);
             }
-            for (i, link) in cgra.links().iter().enumerate() {
-                let link_node = self.link_node(i, t);
-                push(self.out(link.src, t), link_node, false);
-                push(link_node, self.input(link.dst, next), true);
-            }
+            // RF read feeds execution or onward routing
+            push(regr, fu, false);
+            push(regr, out, false);
+            // same-PE forwarding to the next cycle
+            push(out, self.input(pe, next), true);
         }
-        // CSR-pack
-        let mut offsets = Vec::with_capacity(adjacency.len() + 1);
-        let mut edges = Vec::new();
-        offsets.push(0u32);
-        for adj in &adjacency {
-            edges.extend_from_slice(adj);
-            offsets.push(edges.len() as u32);
+        for (i, link) in cgra.links().iter().enumerate() {
+            let link_node = self.link_node(i, t);
+            push(self.out(link.src, t), link_node, false);
+            push(link_node, self.input(link.dst, next), true);
+        }
+        // CSR-pack; the stable sort keeps each source's push order
+        pushed.sort_by_key(|&(src, _)| src);
+        let mut offsets = vec![0u32; slice + 1];
+        for &(src, _) in &pushed {
+            offsets[src as usize + 1] += 1;
+        }
+        for i in 0..slice {
+            offsets[i + 1] += offsets[i];
         }
         self.edge_offsets = offsets;
-        self.edges = edges;
+        self.edges = pushed.into_iter().map(|(_, e)| e).collect();
     }
 
     /// The initiation interval this graph was unrolled to.
@@ -229,12 +246,12 @@ impl Mrrg {
 
     /// Total node count.
     pub fn num_nodes(&self) -> usize {
-        self.kinds.len()
+        self.slice * self.ii
     }
 
     /// Total edge count.
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.edges.len() * self.ii
     }
 
     /// Number of physical links represented per time slice.
@@ -291,32 +308,51 @@ impl Mrrg {
         self.node(self.num_pes * self.per_pe() + index, t)
     }
 
+    /// `node`'s slice and its position within it: `node / slice` and
+    /// `node % slice` by multiplication (Lemire, Kaser and Kurz, "Faster
+    /// remainder by direct computation", 2019), exact for every `u32` id
+    /// and `slice ≥ 2`. Every accessor below runs through it, and the
+    /// router calls them per node and per path hop, where a hardware
+    /// division would cost more than the load it serves.
+    fn split(&self, node: MrrgNodeId) -> (usize, usize) {
+        let low = self.slice_inv.wrapping_mul(u64::from(node.0));
+        let t = (u128::from(self.slice_inv) * u128::from(node.0)) >> 64;
+        let p = (u128::from(low) * self.slice as u128) >> 64;
+        (t as usize, p as usize)
+    }
+
     /// Kind of `node`.
     pub fn kind(&self, node: MrrgNodeId) -> NodeKind {
-        self.kinds[node.index()]
+        self.kinds[self.split(node).1]
     }
 
     /// Capacity (simultaneous users per cycle) of `node`.
     pub fn capacity(&self, node: MrrgNodeId) -> u16 {
-        self.capacities[node.index()]
+        self.capacities[self.split(node).1]
     }
 
     /// Cycle of `node` (`0..ii`).
     pub fn time_of(&self, node: MrrgNodeId) -> usize {
-        node.index() / self.slice
+        self.split(node).0
     }
 
     /// The PE owning `node` (links belong to their source PE).
     pub fn pe_of(&self, node: MrrgNodeId) -> PeId {
-        PeId(self.owner_pe[node.index() % self.slice])
+        PeId(self.owner_pe[self.split(node).1])
     }
 
-    /// Outgoing edges of `node`.
-    pub fn out_edges(&self, node: MrrgNodeId) -> &[MrrgEdge] {
-        let i = node.index();
-        let start = self.edge_offsets[i] as usize;
-        let end = self.edge_offsets[i + 1] as usize;
-        &self.edges[start..end]
+    /// Outgoing edges of `node`: its position's slice-0 edges, landing in
+    /// `node`'s slice, or in the next one (mod II) when they advance.
+    pub fn out_edges(&self, node: MrrgNodeId) -> impl ExactSizeIterator<Item = MrrgEdge> + '_ {
+        let (t, local) = self.split(node);
+        let next = if t + 1 == self.ii { 0 } else { t + 1 };
+        let range = self.edge_offsets[local] as usize..self.edge_offsets[local + 1] as usize;
+        self.edges[range].iter().map(move |e| MrrgEdge {
+            dst: MrrgNodeId(
+                ((if e.advance { next } else { t }) * self.slice + e.local as usize) as u32,
+            ),
+            advance: e.advance,
+        })
     }
 }
 
@@ -376,7 +412,6 @@ mod tests {
         let out = mrrg.out(pe, 2);
         let wrapped = mrrg
             .out_edges(out)
-            .iter()
             .find(|e| mrrg.kind(e.dst) == NodeKind::In && mrrg.pe_of(e.dst) == pe)
             .expect("self-forwarding edge exists");
         assert!(wrapped.advance);
@@ -391,7 +426,6 @@ mod tests {
         // out feeds: one link per outgoing physical link (same cycle)
         let link_edges = mrrg
             .out_edges(out)
-            .iter()
             .filter(|e| matches!(mrrg.kind(e.dst), NodeKind::Link { .. }))
             .count();
         assert_eq!(link_edges, cgra.links_from(pe).count());
@@ -399,7 +433,7 @@ mod tests {
         for e in mrrg.out_edges(out) {
             if let NodeKind::Link { index } = mrrg.kind(e.dst) {
                 let link = cgra.links()[index as usize];
-                let hop = mrrg.out_edges(e.dst)[0];
+                let hop = mrrg.out_edges(e.dst).next().unwrap();
                 assert!(hop.advance);
                 assert_eq!(mrrg.pe_of(hop.dst), link.dst);
                 assert_eq!(mrrg.kind(hop.dst), NodeKind::In);
@@ -414,7 +448,6 @@ mod tests {
         let reg = mrrg.reg(pe, 2, 0);
         let hold = mrrg
             .out_edges(reg)
-            .iter()
             .find(|e| mrrg.kind(e.dst) == NodeKind::Reg { index: 2 })
             .expect("hold edge exists");
         assert!(hold.advance);
@@ -460,10 +493,90 @@ mod tests {
         // forwarding edge wraps back into cycle 0
         let e = mrrg
             .out_edges(out)
-            .iter()
             .find(|e| e.advance && mrrg.pe_of(e.dst) == pe)
             .unwrap();
         assert_eq!(mrrg.time_of(e.dst), 0);
+    }
+
+    /// FNV-1a over every edge `(src, dst, advance)` in node order.
+    fn edge_hash(mrrg: &Mrrg) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for n in 0..mrrg.num_nodes() {
+            for e in mrrg.out_edges(MrrgNodeId::from_index(n)) {
+                let bytes = (n as u32).to_le_bytes().into_iter();
+                for b in bytes
+                    .chain(e.dst.0.to_le_bytes())
+                    .chain([u8::from(e.advance)])
+                {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// The whole graph, edge order included, as the II-fold build made it.
+    #[test]
+    fn edge_lists_are_pinned() {
+        for (preset, ii, nodes, edges, hash) in [
+            ("4x4", 1, 256, 592, 0xbae8_ff1f_d9a0_ccb7),
+            ("4x4", 3, 768, 1776, 0xb580_2efa_46cc_3213),
+            ("4x4", 8, 2048, 4736, 0x9ff0_416f_6b7d_9445),
+            ("6x1", 2, 104, 196, 0xccaa_1eef_c597_b869),
+            ("8x8", 5, 5360, 12320, 0x2bb2_e312_f3fd_1056_u64),
+        ] {
+            let cgra = Cgra::new(CgraConfig::preset(preset).unwrap()).unwrap();
+            let mrrg = cgra.mrrg(ii);
+            assert_eq!(
+                (mrrg.num_nodes(), mrrg.num_edges()),
+                (nodes, edges),
+                "{preset} II {ii}"
+            );
+            assert_eq!(edge_hash(&mrrg), hash, "{preset} II {ii}");
+        }
+    }
+
+    /// Every slice is slice 0 moved in time: an edge lands `advance`
+    /// cycles later, and a node's kind, capacity, PE and edge count are
+    /// those of its position in slice 0.
+    #[test]
+    fn every_slice_repeats_slice_zero() {
+        for preset in ["4x4", "6x1"] {
+            let cgra = Cgra::new(CgraConfig::preset(preset).unwrap()).unwrap();
+            for ii in 1..=6 {
+                let mrrg = cgra.mrrg(ii);
+                for n in 0..mrrg.num_nodes() {
+                    let node = MrrgNodeId::from_index(n);
+                    let base = MrrgNodeId::from_index(n % mrrg.slice);
+                    let t = mrrg.time_of(node);
+                    assert_eq!(t, n / mrrg.slice);
+                    assert_eq!(mrrg.kind(node), mrrg.kind(base));
+                    assert_eq!(mrrg.capacity(node), mrrg.capacity(base));
+                    assert_eq!(mrrg.pe_of(node), mrrg.pe_of(base));
+                    assert_eq!(mrrg.out_edges(node).len(), mrrg.out_edges(base).len());
+                    for e in mrrg.out_edges(node) {
+                        assert_eq!(mrrg.time_of(e.dst), (t + usize::from(e.advance)) % ii);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stored_tables_hold_one_slice() {
+        let cgra = Cgra::new(CgraConfig::scaled_8x8()).unwrap();
+        let (one, nine) = (cgra.mrrg(1), cgra.mrrg(9));
+        for mrrg in [&one, &nine] {
+            let slice = mrrg.slice;
+            assert_eq!(mrrg.kinds.len(), slice);
+            assert_eq!(mrrg.capacities.len(), slice);
+            assert_eq!(mrrg.owner_pe.len(), slice);
+            assert_eq!(mrrg.edge_offsets.len(), slice + 1);
+            assert_eq!(mrrg.edges.len(), one.num_edges());
+        }
+        assert_eq!(nine.num_nodes(), 9 * one.num_nodes());
+        assert_eq!(nine.num_edges(), 9 * one.num_edges());
     }
 
     #[test]

@@ -175,7 +175,7 @@ impl Configware {
             for w in route.nodes.windows(2) {
                 let (a, b) = (w[0], w[1]);
                 debug_assert!(
-                    mrrg.out_edges(a).iter().any(|me| me.dst == b),
+                    mrrg.out_edges(a).any(|me| me.dst == b),
                     "verified route is MRRG-connected"
                 );
                 let pe = mrrg.pe_of(a);

@@ -233,7 +233,7 @@ impl Mapping {
                     .insert((producer, tu as i64));
             }
             for w in route.nodes.windows(2) {
-                let Some(edge) = mrrg.out_edges(w[0]).iter().find(|me| me.dst == w[1]) else {
+                let Some(edge) = mrrg.out_edges(w[0]).find(|me| me.dst == w[1]) else {
                     return Err(VerifyError::RouteDisconnected { edge: i });
                 };
                 if edge.advance {
@@ -257,7 +257,6 @@ impl Mapping {
             let last = *route.nodes.last().expect("nonempty");
             let feeds_fu = mrrg
                 .out_edges(last)
-                .iter()
                 .any(|me| me.dst == mrrg.fu(pe_v, tv % self.ii));
             if !feeds_fu {
                 return Err(VerifyError::RouteEndpoint { edge: i });

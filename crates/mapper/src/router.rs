@@ -812,7 +812,6 @@ mod tests {
         for w in path.windows(2) {
             let e = mrrg
                 .out_edges(w[0].0)
-                .iter()
                 .find(|e| e.dst == w[1].0)
                 .expect("path edges exist");
             if e.advance {
@@ -1274,7 +1273,7 @@ mod tests {
             for (k, &n) in route.nodes.iter().enumerate() {
                 if k > 0 {
                     let prev = route.nodes[k - 1];
-                    let edge = mrrg.out_edges(prev).iter().find(|me| me.dst == n);
+                    let edge = mrrg.out_edges(prev).find(|me| me.dst == n);
                     elapsed += u32::from(edge.expect("route follows MRRG edges").advance);
                 }
                 if mrrg.capacity(n) != u16::MAX && seen.insert((e.src, n, elapsed)) {
@@ -1324,7 +1323,7 @@ mod tests {
                 for (k, &(node, at)) in path.iter().enumerate() {
                     if k > 0 {
                         let prev = path[k - 1].0;
-                        let edge = mrrg.out_edges(prev).iter().find(|e| e.dst == node);
+                        let edge = mrrg.out_edges(prev).find(|e| e.dst == node);
                         elapsed += u32::from(edge.expect("path follows MRRG edges").advance);
                     }
                     proptest::prop_assert_eq!(at, elapsed);

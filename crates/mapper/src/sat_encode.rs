@@ -479,7 +479,6 @@ impl Expansion {
             f % width == width - 1
                 && mrrg
                     .out_edges(node_of(f))
-                    .iter()
                     .any(|me| me.dst.index() as u32 == target_fu)
         };
 

@@ -29,7 +29,6 @@ fn is_terminal(mrrg: &Mrrg, state: State, d_total: i64, target_fu: u32) -> bool 
     state.1 == d_total
         && mrrg
             .out_edges(MrrgNodeId::from_index(state.0 as usize))
-            .iter()
             .any(|me| me.dst.index() as u32 == target_fu)
 }
 

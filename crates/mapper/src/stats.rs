@@ -37,7 +37,6 @@ impl Mapping {
             for w in route.nodes.windows(2) {
                 let edge = mrrg
                     .out_edges(w[0])
-                    .iter()
                     .find(|me| me.dst == w[1])
                     .expect("verified route is connected");
                 if edge.advance {

@@ -111,9 +111,9 @@ const RESTART_BASE: u64 = 100;
 const ACTIVITY_DECAY: f64 = 1.0 / 0.95;
 const ACTIVITY_RESCALE: f64 = 1e100;
 
-/// One clause: its literals are `arena[start..start + len]`. A deleted
-/// learned clause keeps its slice — the arena is never compacted, so a
-/// clause id names the same literals for the solver's whole life.
+/// One clause: its literals are `arena[start..start + len]`. Ids are
+/// never reused: a deleted learned clause keeps its header with `len` 0,
+/// and [`Solver::reduce_db`] compacts the arena under the live ones.
 #[derive(Debug, Clone, Copy)]
 struct ClauseHeader {
     start: u32,
@@ -245,7 +245,7 @@ impl VarOrder {
 pub struct Solver {
     /// Per clause id, where its literals sit in `arena`.
     clauses: Vec<ClauseHeader>,
-    /// Every clause's literals, back to back, in clause-id order.
+    /// Every live clause's literals, back to back, in clause-id order.
     arena: Vec<Lit>,
     /// Reused by [`Solver::add_clause`] to normalise its input.
     add_buf: Vec<Lit>,
@@ -315,6 +315,13 @@ impl Solver {
     /// Number of live clauses (problem + learned).
     pub fn num_clauses(&self) -> usize {
         self.clauses.iter().filter(|c| !c.deleted).count()
+    }
+
+    /// `(arena length, summed length of the live clauses)`.
+    #[cfg(test)]
+    pub(crate) fn arena_fill(&self) -> (usize, usize) {
+        let live = self.clauses.iter().filter(|c| !c.deleted);
+        (self.arena.len(), live.map(|c| c.len as usize).sum())
     }
 
     /// Search counters.
@@ -623,14 +630,35 @@ impl Solver {
             let c = &self.clauses[cid as usize];
             (c.lbd, c.len, cid)
         });
-        // drop the worse half; their arena slices stay where they are
-        for &cid in &order[order.len() / 2..] {
+        // drop the worse half
+        let dropped = &order[order.len() / 2..];
+        for &cid in dropped {
             self.clauses[cid as usize].deleted = true;
             self.stats.removed += 1;
         }
         self.learnts
             .retain(|&cid| !self.clauses[cid as usize].deleted);
+        if let Some(&first) = dropped.iter().min() {
+            self.compact_from(first as usize);
+        }
         self.reduce_at += 300;
+    }
+
+    /// Moves the literals of every live clause from id `first` on down
+    /// over the deleted ones, in id order, and gives deleted headers `len`
+    /// 0. Ids, watch lists and reasons stay as they are.
+    fn compact_from(&mut self, first: usize) {
+        let mut end = self.clauses[first].start as usize;
+        for c in &mut self.clauses[first..] {
+            if c.deleted {
+                c.len = 0;
+            } else {
+                self.arena.copy_within(c.range(), end);
+            }
+            c.start = end as u32;
+            end += c.len as usize;
+        }
+        self.arena.truncate(end);
     }
 
     /// Decides the next assumption, opening one decision level for it

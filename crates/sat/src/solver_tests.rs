@@ -112,6 +112,19 @@ fn three_sat_instance_with_propagation_chains() {
 }
 
 #[test]
+fn reduce_db_leaves_only_live_literals_in_the_arena() {
+    let mut s = pigeonhole(7);
+    assert_eq!(s.solve(), SolveResult::Unsat);
+    assert!(
+        s.stats().removed > 0,
+        "reduce_db never ran: {:?}",
+        s.stats()
+    );
+    let (arena, live) = s.arena_fill();
+    assert_eq!(arena, live);
+}
+
+#[test]
 fn pigeonhole_instances_are_unsat() {
     for n in 2..=5 {
         let mut s = pigeonhole(n);

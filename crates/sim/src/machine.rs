@@ -270,8 +270,7 @@ pub fn check_routes<'m>(
     for (edge, (e, route)) in dfg.deps().zip(routes).enumerate() {
         let src = mrrg.out(mapping.pe_of(e.src), mapping.time_of(e.src) % ii);
         let dst = mrrg.fu(mapping.pe_of(e.dst), mapping.time_of(e.dst) % ii);
-        let adjacent =
-            |a: MrrgNodeId, b: MrrgNodeId| mrrg.out_edges(a).iter().any(|me| me.dst == b);
+        let adjacent = |a: MrrgNodeId, b: MrrgNodeId| mrrg.out_edges(a).any(|me| me.dst == b);
         let connected = route.nodes.windows(2).all(|w| adjacent(w[0], w[1]));
         let feeds_consumer = route.nodes.last().is_some_and(|&last| adjacent(last, dst));
         if route.nodes.first() != Some(&src) || !connected || !feeds_consumer {

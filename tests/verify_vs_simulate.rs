@@ -244,8 +244,10 @@ fn parking_a_value_in_one_register_past_ii_is_rejected() {
     // the last visit of the store PE's input mux, with its absolute cycle
     let (mut t, mut last_in) = (m.time_of(dep.src), None);
     for k in 1..nodes.len() {
-        let hops = mrrg.out_edges(nodes[k - 1]);
-        t += usize::from(hops.iter().any(|h| h.dst == nodes[k] && h.advance));
+        let advances = mrrg
+            .out_edges(nodes[k - 1])
+            .any(|h| h.dst == nodes[k] && h.advance);
+        t += usize::from(advances);
         if nodes[k] == mrrg.input(pe, t % ii) {
             last_in = Some((k, t));
         }
