@@ -44,6 +44,10 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
+/// Safety bound on rewrite rounds (each round strictly shrinks the graph
+/// or folds at least one op, so this is rarely reached).
+const MAX_ROUNDS: usize = 8;
+
 /// Configuration for [`optimize`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalyzeConfig {
@@ -53,9 +57,6 @@ pub struct AnalyzeConfig {
     pub merge_common: bool,
     /// Remove ops no observable depends on.
     pub eliminate_dead: bool,
-    /// Safety bound on rewrite rounds (each round strictly shrinks the
-    /// graph or folds at least one op, so this is rarely reached).
-    pub max_rounds: usize,
     /// Iterations the equivalence check interprets both graphs for.
     pub equiv_iterations: usize,
 }
@@ -66,7 +67,6 @@ impl Default for AnalyzeConfig {
             fold_constants: true,
             merge_common: true,
             eliminate_dead: true,
-            max_rounds: 8,
             equiv_iterations: 6,
         }
     }
@@ -309,7 +309,7 @@ pub fn optimize(original: &Dfg, config: &AnalyzeConfig) -> Result<Optimization, 
     let mut cur = original.clone();
     let mut map: Vec<Option<OpId>> = original.op_ids().map(Some).collect();
     let (mut rounds, mut folded, mut merged, mut removed) = (0usize, 0usize, 0usize, 0usize);
-    for _ in 0..config.max_rounds {
+    for _ in 0..MAX_ROUNDS {
         let plan = plan_round(&cur, config);
         if !plan.changed() {
             break;

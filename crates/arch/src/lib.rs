@@ -38,9 +38,11 @@ mod cache;
 mod cgra;
 mod config;
 mod mrrg;
+mod occupancy;
 
 pub use adl::ParseArchError;
 pub use cache::{Lru, MrrgCache, DEFAULT_MRRG_CACHE_CAPACITY};
 pub use cgra::{Cgra, ClusterId, Link, PeId};
 pub use config::{ArchError, CgraConfig};
 pub use mrrg::{Mrrg, MrrgEdge, MrrgNodeId, NodeKind};
+pub use occupancy::Ledger;

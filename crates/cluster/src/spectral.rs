@@ -194,7 +194,6 @@ impl SpectralClustering {
             k,
             &KMeansConfig {
                 seed: config.seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                max_iters: 100,
                 restarts: config.kmeans_restarts,
             },
         )?;

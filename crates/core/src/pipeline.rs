@@ -200,9 +200,9 @@ pub enum CompileMode {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompileContext<'a, 'env> {
     /// Records pipeline spans (`analyze`, `preflight`, `partition`,
-    /// `cluster_map`, `map`), per-candidate `scatter` spans and the
-    /// mappers' own events, merged deterministically and submitted to the
-    /// tracer's sink on success and on error alike. Losing candidates'
+    /// `cluster_map`, `map`), per-candidate `cluster_map.scatter` spans and
+    /// the mappers' own events, merged deterministically and submitted to
+    /// the tracer's sink on success and on error alike. Losing candidates'
     /// mapper streams depend on bound-pruning timing and are marked
     /// unstable; the winner's stream is stable at any thread count.
     pub tracer: Option<&'a Tracer>,
@@ -353,7 +353,7 @@ impl Panorama {
                 Ok((_, map)) => {
                     let effort = map.ilp_effort();
                     col.record(
-                        "scatter",
+                        "cluster_map.scatter",
                         span,
                         &[
                             ("k", part.k() as i64),
@@ -370,7 +370,11 @@ impl Panorama {
                     );
                 }
                 Err(_) => {
-                    col.record("scatter", span, &[("k", part.k() as i64), ("success", 0)]);
+                    col.record(
+                        "cluster_map.scatter",
+                        span,
+                        &[("k", part.k() as i64), ("success", 0)],
+                    );
                 }
             }
             (idx, attempt, col)
@@ -418,9 +422,9 @@ impl Panorama {
     /// The divide phase (Algorithm 1 lines 1–8) without the selection:
     /// explore partitions, cluster-map the top-`N` balanced ones on
     /// `exec`, and derive each mapped candidate's restriction and plan.
-    /// Records the `partition` span and the candidates' `scatter`
-    /// collectors; the caller closes the `cluster_map` span once it has
-    /// checked the candidates it keeps.
+    /// Records the `partition` span and the candidates'
+    /// `cluster_map.scatter` collectors; the caller closes the `cluster_map`
+    /// span once it has checked the candidates it keeps.
     fn divide<'env>(
         &self,
         dfg: &Arc<Dfg>,
@@ -496,8 +500,8 @@ impl Panorama {
 
     /// [`plan`](Panorama::plan) with trace recording: pipeline-level spans
     /// (`preflight`, `partition`, `cluster_map`) plus per-candidate
-    /// `scatter` spans are merged and submitted to `tracer`'s sink, on
-    /// success and on error alike.
+    /// `cluster_map.scatter` spans are merged and submitted to `tracer`'s
+    /// sink, on success and on error alike.
     ///
     /// # Errors
     ///
@@ -872,6 +876,7 @@ impl Panorama {
             );
         }
         let Some(winner) = winner_index else {
+            pipe.record("map", span, &[("candidates", outcomes.len() as i64)]);
             collectors.extend(outcomes.into_iter().map(|(_, col)| col));
             let (_, e) = first_map_err.expect("no success implies at least one failure");
             return Err(Self::map_error(e));

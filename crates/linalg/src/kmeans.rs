@@ -38,14 +38,15 @@ impl fmt::Display for KMeansError {
 
 impl Error for KMeansError {}
 
+/// Maximum Lloyd iterations per restart.
+const MAX_ITERS: usize = 100;
+
 /// Configuration for [`KMeans::fit`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KMeansConfig {
     /// RNG seed for k-means++ initialisation; fixed seed ⇒ fully
     /// deterministic clustering.
     pub seed: u64,
-    /// Maximum Lloyd iterations.
-    pub max_iters: usize,
     /// Number of independent restarts; the best inertia wins.
     pub restarts: usize,
 }
@@ -54,7 +55,6 @@ impl Default for KMeansConfig {
     fn default() -> Self {
         KMeansConfig {
             seed: 0x00C6_4A17,
-            max_iters: 100,
             restarts: 4,
         }
     }
@@ -105,7 +105,7 @@ impl KMeans {
         let mut best: Option<KMeans> = None;
         for restart in 0..config.restarts.max(1) {
             let mut rng = SmallRng::seed_from_u64(config.seed.wrapping_add(restart as u64));
-            let run = Self::fit_once(points, k, config.max_iters, &mut rng);
+            let run = Self::fit_once(points, k, &mut rng);
             if best.as_ref().is_none_or(|b| run.inertia < b.inertia) {
                 best = Some(run);
             }
@@ -113,7 +113,7 @@ impl KMeans {
         Ok(best.expect("at least one restart runs"))
     }
 
-    fn fit_once(points: &DMatrix, k: usize, max_iters: usize, rng: &mut SmallRng) -> KMeans {
+    fn fit_once(points: &DMatrix, k: usize, rng: &mut SmallRng) -> KMeans {
         let n = points.rows();
         let d = points.cols();
 
@@ -152,7 +152,7 @@ impl KMeans {
 
         // --- Lloyd iterations ---
         let mut labels = vec![0usize; n];
-        for _ in 0..max_iters {
+        for _ in 0..MAX_ITERS {
             let mut changed = false;
             for (i, label) in labels.iter_mut().enumerate() {
                 let mut best_c = 0;

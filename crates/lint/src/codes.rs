@@ -193,7 +193,7 @@ pub const ALL: &[CodeInfo] = &[
     info(
         "TRACE006",
         "warn",
-        "top-level phases cover less than 90% of wall_ns",
+        "top-level phases cover less than 90% or more than 100% of wall_ns",
     ),
     info(
         "SERVE001",

@@ -7,7 +7,7 @@
 //! | `TRACE003` | error | missing or mistyped top-level field |
 //! | `TRACE004` | error | malformed event (missing/mistyped field, or `end_ns < start_ns`) |
 //! | `TRACE005` | error | events out of `(candidate, seq)` merge order |
-//! | `TRACE006` | warn | top-level phases cover less than 90% of `wall_ns` |
+//! | `TRACE006` | warn | top-level phases cover less than 90% or more than 100% of `wall_ns` |
 //!
 //! The trace writer ([`panorama_trace::TraceReport::to_json`]) always
 //! produces clean output; these checks guard the other direction —
@@ -83,21 +83,26 @@ fn check_events(doc: &Json, at: &Entity, out: &mut Diagnostics) {
     let wall_ns = num(doc, "wall_ns");
     if wall_ns > 0 && !events.is_empty() {
         let coverage = top_level_ns as f64 / wall_ns as f64;
-        if coverage < MIN_TOP_LEVEL_COVERAGE {
-            out.push(
-                Diagnostic::new(
-                    "TRACE006",
-                    Severity::Warn,
-                    at.clone(),
-                    format!(
-                        "top-level phases cover only {:.1}% of wall_ns (expected >= {:.0}%)",
-                        coverage * 100.0,
-                        MIN_TOP_LEVEL_COVERAGE * 100.0
-                    ),
-                )
-                .with_help("the trace may be truncated, or a pipeline phase is not instrumented"),
-            );
-        }
+        let help = if coverage < MIN_TOP_LEVEL_COVERAGE {
+            "the trace may be truncated, or a pipeline phase is not instrumented"
+        } else if coverage > 1.0 {
+            "a nested phase is named as a top-level one, or wall_ns misses part of the run"
+        } else {
+            return;
+        };
+        out.push(
+            Diagnostic::new(
+                "TRACE006",
+                Severity::Warn,
+                at.clone(),
+                format!(
+                    "top-level phases cover {:.1}% of wall_ns (expected {:.0}% to 100%)",
+                    coverage * 100.0,
+                    MIN_TOP_LEVEL_COVERAGE * 100.0
+                ),
+            )
+            .with_help(help),
+        );
     }
 }
 
@@ -194,5 +199,17 @@ mod tests {
         let diags = lint(&report.to_json());
         assert_eq!(codes(&diags), vec!["TRACE006"]);
         assert!(!diags.has_errors());
+    }
+
+    #[test]
+    fn coverage_above_wall_clock_is_trace006_warning() {
+        let mut report = sample_report();
+        report.events[0].phase = "scatter"; // a nested span named top-level
+        report.events[0].end_ns = 150_100; // top-level covers 110%
+        let diags = lint(&report.to_json());
+        assert_eq!(codes(&diags), vec!["TRACE006"]);
+        assert!(!diags.has_errors());
+        report.events[0].end_ns = 50_100; // exactly 100%
+        assert!(lint(&report.to_json()).is_empty());
     }
 }

@@ -76,7 +76,6 @@ pub use mii::{
     RecurrenceAnalysis,
 };
 pub use restrict::Restriction;
-pub use router::RouterConfig;
 pub use sat_mapper::{sat_attempt_log, IiAttempt, SatMapper, SatMapperConfig};
 pub use spr::{MapError, SprConfig, SprMapper};
 pub use stats::RouteStats;

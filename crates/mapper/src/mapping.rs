@@ -1,6 +1,6 @@
 //! The result of a mapping attempt, with independent verification.
 
-use panorama_arch::{Cgra, MrrgNodeId, NodeKind, PeId};
+use panorama_arch::{Cgra, Ledger, MrrgNodeId, NodeKind, PeId};
 use panorama_dfg::Dfg;
 use std::collections::HashMap;
 use std::error::Error;
@@ -199,14 +199,8 @@ impl Mapping {
             return Err(VerifyError::WrongShape);
         }
         let mrrg = cgra.mrrg_shared(self.ii);
-        // Occupancy counts distinct *(producer, visit time)* pairs per
-        // node: fan-out edges of one producer broadcast a single physical
-        // value only when they cross a node in the same cycle. The same
-        // producer's signal crossing one node at two different times means
-        // two different iterations' values coexist there in the pipelined
-        // steady state — a real conflict the simulator observes (found by
-        // differential fuzzing against `panorama_sim::simulate`).
-        let mut usage: HashMap<MrrgNodeId, std::collections::HashSet<(u32, i64)>> = HashMap::new();
+        // every route hop claims its node at its visit time (see `Ledger`)
+        let mut ledger = Ledger::default();
         for (i, e) in dfg.deps().enumerate() {
             let route = &routes[i];
             if route.edge_index != i || route.nodes.is_empty() {
@@ -223,28 +217,16 @@ impl Mapping {
                 return Err(VerifyError::RouteEndpoint { edge: i });
             }
             // consecutive nodes are MRRG-adjacent; count time advances and
-            // record the visit time of every capacitated node on the way
-            let producer = e.src.index() as u32;
+            // claim every node at its visit time
+            let producer = e.src.index();
             let mut delta = 0i64;
-            if mrrg.capacity(route.nodes[0]) != u16::MAX {
-                usage
-                    .entry(route.nodes[0])
-                    .or_default()
-                    .insert((producer, tu as i64));
-            }
+            ledger.claim(route.nodes[0], producer, tu as i64);
             for w in route.nodes.windows(2) {
                 let Some(edge) = mrrg.out_edges(w[0]).find(|me| me.dst == w[1]) else {
                     return Err(VerifyError::RouteDisconnected { edge: i });
                 };
-                if edge.advance {
-                    delta += 1;
-                }
-                if mrrg.capacity(w[1]) != u16::MAX {
-                    usage
-                        .entry(w[1])
-                        .or_default()
-                        .insert((producer, tu as i64 + delta));
-                }
+                delta += i64::from(edge.advance);
+                ledger.claim(w[1], producer, tu as i64 + delta);
             }
             if delta != expected_delta {
                 return Err(VerifyError::RouteLatency {
@@ -262,17 +244,14 @@ impl Mapping {
                 return Err(VerifyError::RouteEndpoint { edge: i });
             }
         }
-        for (node, values) in usage {
-            let cap = mrrg.capacity(node) as usize;
-            if values.len() > cap {
-                return Err(VerifyError::CapacityExceeded {
-                    kind: mrrg.kind(node),
-                    used: values.len(),
-                    cap,
-                });
-            }
+        match ledger.overflow(&mrrg) {
+            Some((node, used)) => Err(VerifyError::CapacityExceeded {
+                kind: mrrg.kind(node),
+                used,
+                cap: usize::from(mrrg.capacity(node)),
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -569,6 +548,72 @@ mod tests {
             mapping.verify(&dfg, &cgra),
             Err(VerifyError::RouteEndpoint { edge: 0 })
         );
+    }
+
+    #[test]
+    fn two_overflows_name_the_lower_numbered_node_on_every_call() {
+        // a → c, b → d and a → e along the top row at II 2: a and b both
+        // cross the link (0,1) → (0,2) in cycle 1 and both sit in register
+        // 0 of (0,2) in cycle 3, so a link and a register each hold two
+        // values at capacity 1
+        let mut b = DfgBuilder::new("two-overflows");
+        let ops: Vec<_> = ["a", "b", "c", "d", "e"]
+            .iter()
+            .map(|&name| b.op(OpKind::Add, name))
+            .collect();
+        b.data(ops[0], ops[2]);
+        b.data(ops[1], ops[3]);
+        b.data(ops[0], ops[4]);
+        let dfg = b.build().unwrap();
+        let cgra = Cgra::new(CgraConfig::small_4x4()).unwrap();
+        let mrrg = cgra.mrrg(2);
+        let pe: Vec<PeId> = (0..4).map(|c| cgra.pe_at(0, c)).collect();
+        let link = |from: usize, t: usize| {
+            let hop = |l: &panorama_arch::Link| l.src == pe[from] && l.dst == pe[from + 1];
+            mrrg.link_node(cgra.links().iter().position(hop).unwrap(), t)
+        };
+        let to_c = vec![mrrg.out(pe[0], 0), link(0, 0), mrrg.input(pe[1], 1)];
+        let to_c = [
+            to_c,
+            vec![mrrg.out(pe[1], 1), link(1, 1), mrrg.input(pe[2], 0)],
+        ]
+        .concat();
+        let parked = [mrrg.reg_write(pe[2], 0), mrrg.reg(pe[2], 0, 1)];
+        let mut to_e = [to_c.clone(), parked.to_vec()].concat();
+        to_e.extend([
+            mrrg.reg(pe[2], 0, 0),
+            mrrg.reg_read(pe[2], 0),
+            mrrg.out(pe[2], 0),
+        ]);
+        to_e.extend([link(2, 0), mrrg.input(pe[3], 1)]);
+        let to_d = [mrrg.out(pe[1], 1), link(1, 1), mrrg.input(pe[2], 0)];
+        let to_d = [&to_d[..], &parked, &[mrrg.reg_read(pe[2], 1)]].concat();
+        let routes = [to_c, to_d, to_e]
+            .into_iter()
+            .enumerate()
+            .map(|(edge_index, nodes)| Route { edge_index, nodes })
+            .collect();
+        let mapping = Mapping::from_parts(
+            "fixture",
+            2,
+            1,
+            vec![0, 1, 2, 3, 5],
+            vec![pe[0], pe[1], pe[2], pe[2], pe[3]],
+            Some(routes),
+        );
+        let (reg, link) = (mrrg.reg(pe[2], 0, 1), link(1, 1));
+        assert!(reg < link);
+        assert_ne!(mrrg.kind(reg), mrrg.kind(link));
+        for _ in 0..16 {
+            assert_eq!(
+                mapping.verify(&dfg, &cgra),
+                Err(VerifyError::CapacityExceeded {
+                    kind: mrrg.kind(reg),
+                    used: 2,
+                    cap: 1,
+                })
+            );
+        }
     }
 
     #[test]

@@ -43,23 +43,10 @@ const PRESENT_FACTOR: f64 = 0.6;
 /// History cost deposited per unit of overuse per iteration.
 const HISTORY_INCREMENT: f64 = 0.35;
 
-/// PathFinder tunables.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RouterConfig {
-    /// Rip-up-and-reroute iterations per invocation.
-    pub max_iterations: usize,
-    /// Hard cap on A* state expansions per signal (guards worst cases).
-    pub max_expansions: usize,
-}
-
-impl Default for RouterConfig {
-    fn default() -> Self {
-        RouterConfig {
-            max_iterations: 24,
-            max_expansions: 400_000,
-        }
-    }
-}
+/// Rip-up-and-reroute iterations per [`route_all`] call.
+const MAX_ITERATIONS: usize = 3;
+/// Hard cap on A* state expansions per signal (guards worst cases).
+const MAX_EXPANSIONS: usize = 400_000;
 
 /// Result of one full routing attempt.
 #[derive(Debug, Clone)]
@@ -544,14 +531,12 @@ impl RouterScratch {
 /// placement repair works from that iteration's usage map. A signal without
 /// a route is searched in every iteration, so a structural miss shows in
 /// the first.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn route_all(
     mrrg: &Mrrg,
     cgra: &Cgra,
     dfg: &Dfg,
     pe_of: &[PeId],
     times: &[usize],
-    config: &RouterConfig,
     scratch: &mut RouterScratch,
     cancel: Option<&crate::CancelToken>,
 ) -> RouteOutcome {
@@ -636,7 +621,7 @@ pub(crate) fn route_all(
                     key.start_time,
                     key.delta,
                     key.dst_slot,
-                    config.max_expansions,
+                    MAX_EXPANSIONS,
                 );
                 match found {
                     Search::Found(path) => {
@@ -673,7 +658,7 @@ pub(crate) fn route_all(
             }
         }
         present *= 1.4;
-        if iterations >= config.max_iterations {
+        if iterations >= MAX_ITERATIONS {
             break (overuse, failed, unreachable);
         }
     };
@@ -835,17 +820,7 @@ mod tests {
         let dfg = b.build().unwrap();
         let pe_of: Vec<PeId> = (0..3).map(|c| cgra.pe_at(0, c)).collect();
         let mut scratch = RouterScratch::default();
-        let cfg = RouterConfig::default();
-        let outcome = route_all(
-            &mrrg,
-            &cgra,
-            &dfg,
-            &pe_of,
-            &[0, 1, 9],
-            &cfg,
-            &mut scratch,
-            None,
-        );
+        let outcome = route_all(&mrrg, &cgra, &dfg, &pe_of, &[0, 1, 9], &mut scratch, None);
         assert!(outcome.is_clean());
         let (ii, max_delta) = (4usize, 8usize);
         let states = mrrg.num_nodes() * (max_delta.div_ceil(ii) + 1);
@@ -970,16 +945,7 @@ mod tests {
         // place along the top row
         let pe_of: Vec<PeId> = (0..4).map(|c| cgra.pe_at(0, c)).collect();
         let mut scratch = RouterScratch::default();
-        let outcome = route_all(
-            &mrrg,
-            &cgra,
-            &dfg,
-            &pe_of,
-            &times,
-            &RouterConfig::default(),
-            &mut scratch,
-            None,
-        );
+        let outcome = route_all(&mrrg, &cgra, &dfg, &pe_of, &times, &mut scratch, None);
         assert!(
             outcome.is_clean(),
             "overuse {} failed {}",
@@ -1013,16 +979,7 @@ mod tests {
             pe_of[2 * i + 1] = cgra.pe_at(i, 1);
         }
         let mut scratch = RouterScratch::default();
-        let outcome = route_all(
-            &mrrg,
-            &cgra,
-            &dfg,
-            &pe_of,
-            &times,
-            &RouterConfig::default(),
-            &mut scratch,
-            None,
-        );
+        let outcome = route_all(&mrrg, &cgra, &dfg, &pe_of, &times, &mut scratch, None);
         assert!(outcome.is_clean());
     }
 
@@ -1037,15 +994,14 @@ mod tests {
         b.data(s, d);
         let dfg = b.build().unwrap();
         let times = [0usize, 1];
-        let cfg = RouterConfig::default();
         let mut reused = RouterScratch::default();
         let mut fresh_routes = Vec::new();
         let mut reused_routes = Vec::new();
         for col in [0, 2] {
             let pe_of = [cgra.pe_at(0, col), cgra.pe_at(1, col)];
-            let a = route_all(&mrrg, &cgra, &dfg, &pe_of, &times, &cfg, &mut reused, None);
+            let a = route_all(&mrrg, &cgra, &dfg, &pe_of, &times, &mut reused, None);
             let mut fresh = RouterScratch::default();
-            let b = route_all(&mrrg, &cgra, &dfg, &pe_of, &times, &cfg, &mut fresh, None);
+            let b = route_all(&mrrg, &cgra, &dfg, &pe_of, &times, &mut fresh, None);
             reused_routes.push(a.routes);
             fresh_routes.push(b.routes);
         }
@@ -1082,16 +1038,7 @@ mod tests {
         let (cgra, mrrg) = setup(4);
         let (dfg, pe_of, times) = contested_link_with_far_pair(&cgra);
         let mut scratch = RouterScratch::default();
-        let outcome = route_all(
-            &mrrg,
-            &cgra,
-            &dfg,
-            &pe_of,
-            &times,
-            &RouterConfig::default(),
-            &mut scratch,
-            None,
-        );
+        let outcome = route_all(&mrrg, &cgra, &dfg, &pe_of, &times, &mut scratch, None);
         assert_eq!(outcome.iterations, 1, "no round after the structural miss");
         assert_eq!((outcome.failed, outcome.unreachable), (1, 1));
         assert!(!outcome.is_clean());
@@ -1110,26 +1057,22 @@ mod tests {
     fn budget_exhaustion_keeps_negotiating() {
         // same graph and placement; with no expansions allowed every search
         // stops with states still open, which proves nothing about
-        // reachability, so PathFinder runs its full budget
+        // reachability: it is a miss, but not the `Unreachable` that ends
+        // `route_all`'s negotiation, even for the far pair
         let (cgra, mrrg) = setup(4);
         let (dfg, pe_of, times) = contested_link_with_far_pair(&cgra);
-        let config = RouterConfig {
-            max_expansions: 0,
-            ..RouterConfig::default()
+        let mut scratch = fresh_scratch(&mrrg, 2);
+        let mut search = |(u, v): (usize, usize), budget| {
+            let delta = (times[v] - times[u]) as i64;
+            scratch.route_one(
+                &mrrg, &cgra, pe_of[u], pe_of[v], times[u], delta, times[v], budget,
+            )
         };
-        let mut scratch = RouterScratch::default();
-        let outcome = route_all(
-            &mrrg,
-            &cgra,
-            &dfg,
-            &pe_of,
-            &times,
-            &config,
-            &mut scratch,
-            None,
-        );
-        assert_eq!(outcome.iterations, config.max_iterations);
-        assert_eq!((outcome.failed, outcome.unreachable), (3, 0));
+        let pairs: Vec<_> = dfg.deps().map(|e| (e.src.index(), e.dst.index())).collect();
+        for &pair in &pairs {
+            assert_eq!(search(pair, 0), Search::BudgetExhausted);
+        }
+        assert_eq!(search(pairs[2], MAX_EXPANSIONS), Search::Unreachable);
     }
 
     #[test]
@@ -1243,8 +1186,7 @@ mod tests {
         let pe_of = [cgra.pe_at(0, 0), cgra.pe_at(0, 2), cgra.pe_at(0, 3)];
         let times = [0, 2, 3];
         let mut scratch = RouterScratch::default();
-        let cfg = RouterConfig::default();
-        let outcome = route_all(&mrrg, &cgra, &dfg, &pe_of, &times, &cfg, &mut scratch, None);
+        let outcome = route_all(&mrrg, &cgra, &dfg, &pe_of, &times, &mut scratch, None);
         assert!(outcome.is_clean());
         let paths: Vec<_> = scratch.kept.iter().flatten().map(|k| &k.path).collect();
         let shared: Vec<_> = paths[0]
@@ -1386,12 +1328,11 @@ mod tests {
             }
             let dfg = b.build().unwrap();
 
-            let cfg = RouterConfig::default();
-            let mut scratch = RouterScratch::default();
+                let mut scratch = RouterScratch::default();
             let mut routed_before: Option<Vec<bool>> = None;
             let mut moved = 0;
             for _ in 0..7 {
-                let outcome = route_all(&mrrg, &cgra, &dfg, &pe_of, &times, &cfg, &mut scratch, None);
+                let outcome = route_all(&mrrg, &cgra, &dfg, &pe_of, &times, &mut scratch, None);
                 proptest::prop_assert_eq!(&outcome.usage, &recount(&mrrg, &dfg, &outcome.routes));
                 if let Some(before) = &routed_before {
                     // exactly the moved op's signals lost their routes
@@ -1407,7 +1348,7 @@ mod tests {
                     );
                     proptest::prop_assert_eq!(mapping.verify(&dfg, &cgra), Ok(()));
                     // nothing to argue about: nothing is searched
-                    let again = route_all(&mrrg, &cgra, &dfg, &pe_of, &times, &cfg, &mut scratch, None);
+                    let again = route_all(&mrrg, &cgra, &dfg, &pe_of, &times, &mut scratch, None);
                     proptest::prop_assert_eq!(
                         (again.searches, again.kept, again.iterations),
                         (0, dfg.num_deps(), 1)

@@ -2,7 +2,7 @@
 //! re-implementing SPR (Friedman et al., FPGA'09) on the MRRG.
 
 use crate::placement::{candidates_for, home_bias, placement_cost, placement_pass, PlacementState};
-use crate::router::{route_all, RouterConfig, RouterScratch};
+use crate::router::{route_all, RouterScratch};
 use crate::search::{Attempt, Backend, IiSearch, OpDomains};
 use crate::{LowerLevelMapper, Mapping, Restriction, SearchControl};
 use panorama_arch::{Cgra, PeId};
@@ -90,21 +90,13 @@ const SA_PATIENCE: usize = 6;
 /// SPR\* tunables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SprConfig {
-    /// PathFinder settings per routing invocation.
-    pub router: RouterConfig,
     /// RNG seed (deterministic mapping).
     pub seed: u64,
 }
 
 impl Default for SprConfig {
     fn default() -> Self {
-        SprConfig {
-            router: RouterConfig {
-                max_iterations: 3,
-                ..RouterConfig::default()
-            },
-            seed: 0x5912,
-        }
+        SprConfig { seed: 0x5912 }
     }
 }
 
@@ -179,7 +171,6 @@ impl LowerLevelMapper for SprMapper {
                     dfg,
                     &state.pe_of,
                     &state.time_of,
-                    &self.config.router,
                     &mut scratch,
                     cancel,
                 );

@@ -45,7 +45,7 @@
 //! horizon (two ops lowered onto one control word).
 
 use crate::semantics::{initial_value, op_value, InputVectors, VectorKind};
-use panorama_arch::{Cgra, Mrrg, MrrgNodeId, NodeKind, PeId};
+use panorama_arch::{Cgra, Ledger, Mrrg, MrrgNodeId, NodeKind, PeId};
 use panorama_dfg::Dfg;
 use panorama_mapper::{ConfigWord, Configware, InPort, Mapping, Route, ValueSource};
 use std::collections::{HashMap, HashSet};
@@ -312,20 +312,21 @@ impl MachineRun {
 }
 
 /// Fabric state at the start of a cycle, and the tokens the ports of the
-/// current cycle have claimed so far, each tagged with its port's MRRG
-/// node.
+/// current cycle have claimed so far: each port's MRRG node holds its
+/// token's producer at the token's iteration.
 struct Fabric<'a> {
     mrrg: &'a Mrrg,
     slot: usize,
     regs: HashMap<(PeId, u8), Option<Token>>,
     latch: HashMap<(PeId, InPort), Option<Token>>,
-    claims: Vec<(MrrgNodeId, (usize, usize))>,
+    claims: Ledger,
 }
 
 impl Fabric<'_> {
     fn claim(&mut self, port: MrrgNodeId, token: Option<Token>) {
         if let Some(token) = token {
-            self.claims.push((port, token.id()));
+            self.claims
+                .claim(port, token.producer, token.iteration as i64);
         }
     }
 
@@ -343,25 +344,18 @@ impl Fabric<'_> {
         }
     }
 
-    /// Fails on the first port whose distinct tokens outnumber its
-    /// capacity, then forgets this cycle's claims.
+    /// Fails on the lowest-numbered port whose distinct tokens outnumber
+    /// its capacity, then forgets this cycle's claims.
     fn settle(&mut self, cycle: usize) -> Result<(), SimError> {
-        self.claims.sort_unstable();
-        self.claims.dedup();
-        for tokens in self.claims.chunk_by(|a, b| a.0 == b.0) {
-            let port = tokens[0].0;
-            let cap = usize::from(self.mrrg.capacity(port));
-            if tokens.len() > cap {
-                return Err(SimError::ValueCollision {
-                    kind: self.mrrg.kind(port),
-                    cycle: cycle as u64,
-                    values: tokens.len(),
-                    cap,
-                });
-            }
+        match self.claims.overflow(self.mrrg) {
+            Some((port, values)) => Err(SimError::ValueCollision {
+                kind: self.mrrg.kind(port),
+                cycle: cycle as u64,
+                values,
+                cap: usize::from(self.mrrg.capacity(port)),
+            }),
+            None => Ok(()),
         }
-        self.claims.clear();
-        Ok(())
     }
 }
 
@@ -404,7 +398,7 @@ pub fn run_machine(
             slot: 0,
             regs: HashMap::new(),
             latch: HashMap::new(),
-            claims: Vec::new(),
+            claims: Ledger::default(),
         };
         let mut next_latch: HashMap<(PeId, InPort), Option<Token>> = HashMap::new();
 
@@ -416,7 +410,10 @@ pub fn run_machine(
             // 1. latch: last cycle's drives occupy the input muxes
             for (&(pe, _), token) in &fabric.latch {
                 if let Some(token) = token {
-                    fabric.claims.push((mrrg.input(pe, slot), token.id()));
+                    let port = mrrg.input(pe, slot);
+                    fabric
+                        .claims
+                        .claim(port, token.producer, token.iteration as i64);
                 }
             }
             let mut reg_commits: Vec<((PeId, u8), Option<Token>)> = Vec::new();

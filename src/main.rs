@@ -10,8 +10,7 @@
 
 use panorama::request::{arch_or_default, dfg_field, lint_request};
 use panorama::{
-    effective_threads, AnalyzeConfig, BackendId, CompileContext, CompileReport, CompileRequest,
-    MapperChoice,
+    effective_threads, AnalyzeConfig, BackendId, CompileContext, CompileRequest, MapperChoice,
 };
 use panorama_analyze::{analyze, analyze_diagnostics};
 use panorama_arch::{Cgra, CgraConfig};
@@ -26,6 +25,7 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::io::Read as _;
 use std::process::ExitCode;
+use std::time::Instant;
 
 /// What a flag takes.
 #[derive(Clone, Copy)]
@@ -297,19 +297,20 @@ fn cmd_compile(args: &Args) -> Result<(), Box<dyn Error>> {
     // `--mapper sat` runs on an instance the CLI owns, so `--sat-report`
     // can drain its per-II attempt log afterwards.
     let sat = SatMapper::default();
+    let start = Instant::now();
     let report = if req.mapper == MapperChoice::Backend(BackendId::Sat) {
         let ctx = CompileContext {
             tracer: tracer.as_ref(),
             ..CompileContext::default()
         };
-        req.run_with(&cgra, &[&sat], &ctx)?
+        req.run_with(&cgra, &[&sat], &ctx)
     } else {
-        req.run(&cgra, tracer.as_ref(), None)?
+        req.run(&cgra, tracer.as_ref(), None)
     };
-    if let (Some(path), Some(sink)) = (args.text("trace"), &sink) {
-        std::fs::write(path, trace_report(&req, &report, sink).to_json())?;
-        eprintln!("wrote trace {path}");
+    if let Some(sink) = &sink {
+        write_trace(args.text("trace"), &req, sink, start)?;
     }
+    let report = report?;
     // With `--analyze` the mapping targets the optimized graph, so verify,
     // simulate and configware-generate against it, not the input.
     let mapped = report.mapped_dfg(dfg);
@@ -382,17 +383,30 @@ fn cmd_compile(args: &Args) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// Assembles the `panorama-trace-v1` report for one compile run from
-/// everything `sink` recorded.
-fn trace_report(req: &CompileRequest, report: &CompileReport, sink: &RecordingSink) -> TraceReport {
-    TraceReport {
+/// Assembles the `panorama-trace-v1` report of one run from everything
+/// `sink` recorded, writes it to `path` when one is given, and returns it.
+/// The commands call it before they look at the run's result, so a run
+/// that fails leaves its trace too; `wall_ns` runs from `start` to the
+/// run's end or its error.
+fn write_trace(
+    path: Option<&str>,
+    req: &CompileRequest,
+    sink: &RecordingSink,
+    start: Instant,
+) -> std::io::Result<TraceReport> {
+    let trace = TraceReport {
         kernel: req.dfg.name().to_string(),
         arch: req.arch_display.clone(),
         mapper: req.mapper.name().to_string(),
         threads: effective_threads(req.threads, usize::MAX),
-        wall_ns: report.total_time().as_nanos() as u64,
+        wall_ns: start.elapsed().as_nanos() as u64,
         events: sink.take(),
+    };
+    if let Some(path) = path {
+        std::fs::write(path, trace.to_json())?;
+        eprintln!("wrote trace {path}");
     }
+    Ok(trace)
 }
 
 /// `panorama trace`: compile one kernel with recording always on and print
@@ -403,7 +417,11 @@ fn cmd_trace(args: &Args) -> Result<(), Box<dyn Error>> {
     let cgra = Cgra::new(req.arch.clone())?;
     let sink = RecordingSink::shared();
     let tracer = Tracer::new(sink.clone());
-    let report = req.run(&cgra, Some(&tracer), None)?;
+    let start = Instant::now();
+    let report = req.run(&cgra, Some(&tracer), None);
+    let trace = write_trace(args.text("out"), &req, &sink, start)?;
+    print!("{}", trace.render_profile());
+    let report = report?;
     let mapping = report.mapping();
     eprintln!(
         "mapped `{}` with {} at II {} in {:.2?}",
@@ -412,12 +430,6 @@ fn cmd_trace(args: &Args) -> Result<(), Box<dyn Error>> {
         mapping.ii(),
         report.total_time()
     );
-    let trace = trace_report(&req, &report, &sink);
-    print!("{}", trace.render_profile());
-    if let Some(path) = args.text("out") {
-        std::fs::write(path, trace.to_json())?;
-        eprintln!("wrote trace {path}");
-    }
     Ok(())
 }
 
@@ -432,54 +444,60 @@ fn cmd_exec(args: &Args) -> Result<(), Box<dyn Error>> {
     let req = compile_request(&args.operand, args)?;
     let (dfg, cgra) = (&req.dfg, Cgra::new(req.arch.clone())?);
     let sink = args.has("trace").then(RecordingSink::shared);
-    let tracer = sink.as_ref().map(|sink| Tracer::new(sink.clone()));
-    let report = req.run(&cgra, tracer.as_ref(), None)?;
-    let mapped = report.mapped_dfg(dfg);
-    let mapping = report.mapping();
-    mapping.verify(mapped, &cgra)?;
+    let tracer = (sink.as_ref()).map_or_else(Tracer::disabled, |sink| Tracer::new(sink.clone()));
     let defaults = ExecOptions::default();
     let opts = ExecOptions {
         iterations: args.n("iterations", defaults.iterations),
         seed: args.int("seed").unwrap_or(defaults.seed),
     };
-    // The exec spans ride in their own collector; the high sequence base
-    // keeps them sorted after every pipeline event of the same candidate.
-    let tracer = tracer.unwrap_or_else(Tracer::disabled);
-    let mut col = tracer.collector_from(
-        panorama_trace::NO_CANDIDATE,
-        panorama_trace::SEQ_BASE_MAP * 64,
-    );
-    let span = col.start();
-    let outcome = execute(mapped, &cgra, mapping, &opts)?;
-    let divergences = outcome
-        .vectors
-        .iter()
-        .filter(|v| v.divergence.is_some())
-        .count();
-    for v in &outcome.vectors {
-        col.event(
-            "exec.run",
+    // the trace covers the compile and the execution
+    let start = Instant::now();
+    let run = || -> Result<_, Box<dyn Error>> {
+        let report = req.run(&cgra, Some(&tracer), None)?;
+        let (mapped, mapping) = (report.mapped_dfg(dfg), report.mapping());
+        mapping.verify(mapped, &cgra)?;
+        // The exec spans ride in their own collector; the high sequence
+        // base keeps them sorted after every pipeline event of the same
+        // candidate.
+        let mut col = tracer.collector_from(
+            panorama_trace::NO_CANDIDATE,
+            panorama_trace::SEQ_BASE_MAP * 64,
+        );
+        let span = col.start();
+        let outcome = execute(mapped, &cgra, mapping, &opts)?;
+        let divergences = outcome
+            .vectors
+            .iter()
+            .filter(|v| v.divergence.is_some())
+            .count();
+        for v in &outcome.vectors {
+            col.event(
+                "exec.run",
+                &[
+                    ("checked", v.checked as i64),
+                    ("output_tokens", v.output_tokens as i64),
+                    ("diverged", i64::from(v.divergence.is_some())),
+                ],
+            );
+        }
+        col.record(
+            "exec",
+            span,
             &[
-                ("checked", v.checked as i64),
-                ("output_tokens", v.output_tokens as i64),
-                ("diverged", i64::from(v.divergence.is_some())),
+                ("vectors", outcome.vectors.len() as i64),
+                ("checked", outcome.checked_total() as i64),
+                ("divergences", divergences as i64),
             ],
         );
+        tracer.submit(vec![col]);
+        Ok((report, outcome))
+    };
+    let result = run();
+    if let Some(sink) = &sink {
+        write_trace(args.text("trace"), &req, sink, start)?;
     }
-    col.record(
-        "exec",
-        span,
-        &[
-            ("vectors", outcome.vectors.len() as i64),
-            ("checked", outcome.checked_total() as i64),
-            ("divergences", divergences as i64),
-        ],
-    );
-    tracer.submit(vec![col]);
-    if let (Some(path), Some(sink)) = (args.text("trace"), &sink) {
-        std::fs::write(path, trace_report(&req, &report, sink).to_json())?;
-        eprintln!("wrote trace {path}");
-    }
+    let (report, outcome) = result?;
+    let mapping = report.mapping();
     let doc = exec_report_json(dfg.name(), &req.arch_display, mapping.mapper(), &outcome);
     if let Some(path) = args.text("out") {
         std::fs::write(path, &doc)?;

@@ -412,6 +412,54 @@ fn compile_trace_flag_writes_trace_json() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// tiny fir maps at II 4 on 4×4 with MII 3, so `--max-ii 3` fails after
+/// SPR\* has tried II 3: every traced command exits nonzero and still
+/// writes a lint-clean trace holding that attempt.
+#[test]
+fn a_failed_compile_still_writes_its_trace() {
+    let kernel = ["--arch", "4x4", "--scale", "tiny", "--max-ii", "3"];
+    for (cmd, flag) in [
+        ("trace", "--out"),
+        ("compile", "--trace"),
+        ("exec", "--trace"),
+    ] {
+        let path =
+            std::env::temp_dir().join(format!("panorama-failed-{cmd}-{}.json", std::process::id()));
+        let path = path.to_str().unwrap().to_string();
+        let operand: &[&str] = if cmd == "compile" {
+            &["--dfg", "fir"]
+        } else {
+            &["fir"]
+        };
+        let out = bin()
+            .arg(cmd)
+            .args(operand)
+            .args(kernel)
+            .args([flag, &path])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(!out.status.success(), "{cmd}: {stderr}");
+        assert!(
+            stderr.contains("no valid mapping up to II 3"),
+            "{cmd}: {stderr}"
+        );
+        let json = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{cmd}: {e}"));
+        let doc = panorama_trace::json::parse(&json).unwrap();
+        let events = doc.get("events").and_then(Json::as_arr).unwrap();
+        let ii_attempts = events
+            .iter()
+            .filter(|e| e.get("phase").and_then(Json::as_str) == Some("spr.ii"))
+            .count();
+        assert!(ii_attempts >= 1, "{cmd}: {json}");
+        let lint = bin().args(["lint", "--report", &path]).output().unwrap();
+        let report = String::from_utf8(lint.stdout).unwrap();
+        assert!(lint.status.success(), "{cmd}: {report}");
+        assert!(report.contains(" 0 error(s)"), "{cmd}: {report}");
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
 #[test]
 fn info_describes_presets() {
     let out = bin().args(["info", "--arch", "16x16"]).output().unwrap();

@@ -410,10 +410,7 @@ fn sa_seed_spread() {
         let dfg = kernels::generate(id, KernelScale::Scaled);
         print!("{:<18}", id.name());
         for (seed, sum) in seeds.iter().zip(&mut sums) {
-            let mapper = SprMapper::new(SprConfig {
-                seed: *seed,
-                ..SprConfig::default()
-            });
+            let mapper = SprMapper::new(SprConfig { seed: *seed });
             let ii = compile_at(&dfg, &cgra, &mapper, 1).ii;
             print!("{ii:>7}");
             *sum += ii;
