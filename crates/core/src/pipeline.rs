@@ -263,20 +263,27 @@ impl Panorama {
     /// thread count (at most one worker per work item) opened for this
     /// call. Small DFGs (see [`SMALL_DFG_SEQUENTIAL_OPS`]) and
     /// `threads <= 1` get a sequential scope, which spawns nothing and
-    /// runs every batch inline.
+    /// runs every batch inline. Getting the pool (reading the core count,
+    /// spawning the workers) is the top-level `pool` span.
     fn with_pool<'env, R>(
         &self,
         dfg: &Dfg,
         work_items: usize,
         shared: Option<&BatchExecutor<'env>>,
-        f: impl FnOnce(&BatchExecutor<'env>) -> R,
+        pipe: &mut SpanCollector,
+        f: impl FnOnce(&BatchExecutor<'env>, &mut SpanCollector) -> R,
     ) -> R {
+        let span = pipe.start();
+        let run = |exec: &BatchExecutor<'env>| {
+            pipe.record("pool", span, &[]);
+            f(exec, pipe)
+        };
         if dfg.num_ops() <= SMALL_DFG_SEQUENTIAL_OPS {
-            return BatchExecutor::scope(1, f);
+            return BatchExecutor::scope(1, run);
         }
         match shared {
-            Some(exec) => f(exec),
-            None => BatchExecutor::scope(effective_threads(self.config.threads, work_items), f),
+            Some(exec) => run(exec),
+            None => BatchExecutor::scope(effective_threads(self.config.threads, work_items), run),
         }
     }
 
@@ -518,9 +525,10 @@ impl Panorama {
             pipe.record("preflight", span, &[]);
 
             let shared = Arc::new(dfg.clone());
-            let divided = self.with_pool(dfg, self.config.top_partitions, None, |exec| {
-                self.divide(&shared, cgra, tracer, exec, pipe, collectors)
-            })?;
+            let divided =
+                self.with_pool(dfg, self.config.top_partitions, None, pipe, |exec, pipe| {
+                    self.divide(&shared, cgra, tracer, exec, pipe, collectors)
+                })?;
             let best = divided.candidates.into_iter();
             let Some(best) = best.min_by_key(|c| (c.complexity, c.rank)) else {
                 return Err(PanoramaError::ClusterMapping(
@@ -644,7 +652,7 @@ impl Panorama {
             };
             let work_items = per_mapper * mappers.len();
             let (mapping, plan, mapping_time) =
-                self.with_pool(mapped, work_items, ctx.executor, |exec| {
+                self.with_pool(mapped, work_items, ctx.executor, pipe, |exec, pipe| {
                     let candidates = match mode {
                         CompileMode::Guided => {
                             let divided =

@@ -8,12 +8,23 @@
 //! * [`Model`] — builder API for variables, linear constraints and a linear
 //!   objective, including an [absolute-value linearisation
 //!   helper](Model::abs_var) used by both scattering objectives;
-//! * a dense **two-phase primal simplex** for LP relaxations
-//!   (Bland's rule, so it cannot cycle);
-//! * **branch & bound** on fractional integer variables with best-bound
-//!   pruning and a rounding heuristic for early incumbents; a search over
-//!   [`Model::abs_var`] objectives ends as soon as an incumbent meets the
-//!   objective's arithmetic floor (the gcd bound on `|Σ aᵢxᵢ + c|`).
+//! * a dense **bounded-variable dual simplex** for LP relaxations:
+//!   variable bounds are read by the ratio tests rather than added as
+//!   rows, the slack basis is a dual feasible start (no phase 1), and a
+//!   switch to Bland's rule keeps it from cycling;
+//! * depth-first **branch & bound** on the most fractional integer
+//!   variable, on one tableau per [`Model::solve`]: the near child starts
+//!   from its parent's optimal basis, a node taken from the stack from the
+//!   basis its parent saved (indices and bound states, never a tableau
+//!   copy), and an LP stops as soon as its objective reaches the
+//!   incumbent's; a search over [`Model::abs_var`] objectives ends as soon
+//!   as an incumbent meets the objective's arithmetic floor (the gcd bound
+//!   on `|Σ aᵢxᵢ + c|`).
+//!
+//! What is pinned: the optimum (against enumeration in the crate's
+//! tests) and, through the place crate's `scattering_search_is_pinned`,
+//! which of several optimal assignments a model returns — the pivot
+//! rules, the warm starts and the search order decide that.
 //!
 //! # Examples
 //!

@@ -520,3 +520,217 @@ mod objective_floor {
         }
     }
 }
+
+/// The solver against exhaustive enumeration on seeded random models:
+/// up to 14 binaries, `≤` / `≥` / `=` rows, objectives with
+/// [`Model::abs_var`] terms. Enumeration is the oracle, so no second LP
+/// solver is kept to compare with.
+mod enumeration_oracle {
+    use super::*;
+    use crate::{Solution, VarId};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `Σ coeffs·x + constant` over the binaries, integer coefficients.
+    type IntExpr = (Vec<i64>, i64);
+
+    struct Case {
+        n: usize,
+        rows: Vec<(Vec<i64>, Cmp, i64)>,
+        linear: Vec<i64>,
+        /// `(weight, expr)`: the objective adds `weight · |expr|`.
+        abs: Vec<(i64, IntExpr)>,
+        sense: Sense,
+    }
+
+    fn dot(coeffs: &[i64], x: &[i64]) -> i64 {
+        coeffs.iter().zip(x).map(|(a, b)| a * b).sum()
+    }
+
+    impl Case {
+        fn random(rng: &mut SmallRng) -> Case {
+            let n = rng.gen_range(1..15usize);
+            let coeffs = |rng: &mut SmallRng, lo: i64, hi: i64| -> Vec<i64> {
+                (0..n)
+                    .map(|_| {
+                        if rng.gen_bool(0.6) {
+                            rng.gen_range(lo..hi + 1)
+                        } else {
+                            0
+                        }
+                    })
+                    .collect()
+            };
+            // right-hand sides around a random point: mostly feasible
+            let anchor: Vec<i64> = (0..n).map(|_| rng.gen_range(0..2i64)).collect();
+            let rows = (0..rng.gen_range(0..6usize))
+                .map(|_| {
+                    let a = coeffs(rng, -3, 3);
+                    let at = dot(&a, &anchor);
+                    match rng.gen_range(0..3u8) {
+                        0 => (a, Cmp::Le, at + rng.gen_range(-2..3i64)),
+                        1 => (a, Cmp::Ge, at - rng.gen_range(-2..3i64)),
+                        _ => (a, Cmp::Eq, at + i64::from(rng.gen_bool(0.15))),
+                    }
+                })
+                .collect();
+            let minimize = rng.gen_bool(0.75);
+            let abs = if minimize {
+                (0..rng.gen_range(0..4usize))
+                    .map(|_| {
+                        let weight = rng.gen_range(0..5i64);
+                        (weight, (coeffs(rng, -6, 6), rng.gen_range(-9..10i64)))
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            Case {
+                n,
+                rows,
+                linear: coeffs(rng, -5, 5),
+                abs,
+                sense: if minimize {
+                    Sense::Minimize
+                } else {
+                    Sense::Maximize
+                },
+            }
+        }
+
+        fn model(&self, node_limit: Option<usize>) -> (Model, Vec<VarId>) {
+            let mut m = Model::new(self.sense);
+            if let Some(limit) = node_limit {
+                m.set_node_limit(limit);
+            }
+            let x: Vec<VarId> = (0..self.n).map(|j| m.bool_var(format!("x{j}"))).collect();
+            let expr =
+                |coeffs: &[i64]| LinExpr::sum(coeffs.iter().zip(&x).map(|(&a, &v)| (a as f64, v)));
+            for (a, cmp, rhs) in &self.rows {
+                m.add_constraint(expr(a), *cmp, *rhs as f64);
+            }
+            let mut objective = expr(&self.linear);
+            for (weight, (a, c)) in &self.abs {
+                let bound = (a.iter().map(|v| v.abs()).sum::<i64>() + c.abs()) as f64;
+                let t = m.abs_var("t", expr(a) + *c as f64, bound);
+                objective = objective + LinExpr::sum([(*weight as f64, t)]);
+            }
+            m.set_objective(objective);
+            (m, x)
+        }
+
+        /// Best objective over all `2ⁿ` assignments; `None` if none is feasible.
+        fn enumerate(&self) -> Option<i64> {
+            (0..1u32 << self.n)
+                .map(|mask| {
+                    (0..self.n)
+                        .map(|j| i64::from(mask >> j & 1))
+                        .collect::<Vec<_>>()
+                })
+                .filter(|x| {
+                    self.rows.iter().all(|(a, cmp, rhs)| match cmp {
+                        Cmp::Le => dot(a, x) <= *rhs,
+                        Cmp::Ge => dot(a, x) >= *rhs,
+                        Cmp::Eq => dot(a, x) == *rhs,
+                    })
+                })
+                .map(|x| {
+                    let abs: i64 = self
+                        .abs
+                        .iter()
+                        .map(|(w, (a, c))| w * (dot(a, &x) + c).abs())
+                        .sum();
+                    dot(&self.linear, &x) + abs
+                })
+                .reduce(|a, b| match self.sense {
+                    Sense::Minimize => a.min(b),
+                    Sense::Maximize => a.max(b),
+                })
+        }
+
+        /// Every row holds within 1e-6 at `sol`, every binary is 0 or 1,
+        /// and the returned objective is what the values give.
+        fn check_solution(&self, sol: &Solution, x: &[VarId]) {
+            let values: Vec<f64> = x.iter().map(|&v| sol.value(v)).collect();
+            assert!(values.iter().all(|&v| v == 0.0 || v == 1.0), "{values:?}");
+            for (a, cmp, rhs) in &self.rows {
+                let lhs: f64 = a.iter().zip(&values).map(|(&c, v)| c as f64 * v).sum();
+                let rhs = *rhs as f64;
+                let holds = match cmp {
+                    Cmp::Le => lhs <= rhs + 1e-6,
+                    Cmp::Ge => lhs >= rhs - 1e-6,
+                    Cmp::Eq => (lhs - rhs).abs() <= 1e-6,
+                };
+                assert!(holds, "row violated: {lhs} {cmp} {rhs}");
+            }
+            let ints: Vec<i64> = values.iter().map(|&v| v as i64).collect();
+            let abs: i64 = self
+                .abs
+                .iter()
+                .map(|(w, (a, c))| w * (dot(a, &ints) + c).abs())
+                .sum();
+            let at = (dot(&self.linear, &ints) + abs) as f64;
+            // a `t` may sit above `|expr|` only where its weight is 0
+            assert!(
+                (sol.objective() - at).abs() < 1e-6,
+                "objective {} but the values give {at}",
+                sol.objective()
+            );
+        }
+    }
+
+    #[test]
+    fn solver_matches_enumeration_on_256_seeded_models() {
+        let mut rng = SmallRng::seed_from_u64(0x11b_0ac1e);
+        let (mut infeasible, mut limited_with_incumbent) = (0, 0);
+        for case_no in 0..256 {
+            let case = Case::random(&mut rng);
+            let (model, x) = case.model(None);
+            let Some(best) = case.enumerate() else {
+                assert_eq!(model.solve(), Err(SolveError::Infeasible), "case {case_no}");
+                infeasible += 1;
+                continue;
+            };
+            let sol = model
+                .solve()
+                .unwrap_or_else(|e| panic!("case {case_no}: {e}, enumeration found {best}"));
+            assert!(
+                (sol.objective() - best as f64).abs() < 1e-6,
+                "case {case_no}: solver {} vs enumeration {best}",
+                sol.objective()
+            );
+            case.check_solution(&sol, &x);
+
+            // one node short of the full search: a node-limited stop that
+            // keeps a feasible incumbent no better than the optimum
+            let nodes = sol.stats().nodes as usize;
+            if nodes < 2 {
+                continue;
+            }
+            let (short, x) = case.model(Some(nodes - 1));
+            match short.solve() {
+                Err(SolveError::NodeLimit(Some(inc))) => {
+                    assert_eq!(inc.stats().nodes as usize, nodes - 1);
+                    case.check_solution(&inc, &x);
+                    let worse_or_equal = match case.sense {
+                        Sense::Minimize => inc.objective() >= best as f64 - 1e-6,
+                        Sense::Maximize => inc.objective() <= best as f64 + 1e-6,
+                    };
+                    assert!(
+                        worse_or_equal,
+                        "case {case_no}: incumbent beats the optimum"
+                    );
+                    limited_with_incumbent += 1;
+                }
+                Err(SolveError::NodeLimit(None)) => {}
+                other => panic!("case {case_no}: expected a node limit, got {other:?}"),
+            }
+        }
+        // the generator reaches both error paths, not only the happy one
+        assert!(infeasible >= 10, "only {infeasible} infeasible models");
+        assert!(
+            limited_with_incumbent >= 10,
+            "only {limited_with_incumbent} node-limited incumbents"
+        );
+    }
+}

@@ -394,12 +394,15 @@ fn write_trace(
     sink: &RecordingSink,
     start: Instant,
 ) -> std::io::Result<TraceReport> {
+    // read the clock first: the report's own assembly (the core count is
+    // read from the OS) is not part of the run
+    let wall_ns = start.elapsed().as_nanos() as u64;
     let trace = TraceReport {
         kernel: req.dfg.name().to_string(),
         arch: req.arch_display.clone(),
         mapper: req.mapper.name().to_string(),
         threads: effective_threads(req.threads, usize::MAX),
-        wall_ns: start.elapsed().as_nanos() as u64,
+        wall_ns,
         events: sink.take(),
     };
     if let Some(path) = path {

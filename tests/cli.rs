@@ -412,6 +412,46 @@ fn compile_trace_flag_writes_trace_json() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// A clean compile of a tiny kernel leaves no work outside the top-level
+/// spans: getting the thread pool is the `pool` span, and `wall_ns` stops
+/// when the run does, so the trace lints with zero findings (no TRACE006
+/// coverage warning) at the default thread count. A phase left outside
+/// every span fails each run; a preemption that lands in the few
+/// microseconds between spans fails one run, so each kernel gets three.
+#[test]
+fn clean_tiny_traces_lint_with_zero_findings() {
+    for kernel in ["fir", "cordic"] {
+        let path = std::env::temp_dir().join(format!(
+            "panorama-clean-trace-{kernel}-{}.json",
+            std::process::id()
+        ));
+        let path = path.to_str().unwrap().to_string();
+        let mut reports = Vec::new();
+        for _ in 0..3 {
+            let out = bin()
+                .args([
+                    "trace", kernel, "--arch", "4x4", "--scale", "tiny", "--out", &path,
+                ])
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "{kernel}");
+            assert!(String::from_utf8(out.stdout).unwrap().contains("\npool "));
+            let lint = bin().args(["lint", "--report", &path]).output().unwrap();
+            let report = String::from_utf8(lint.stdout).unwrap();
+            assert!(lint.status.success(), "{kernel}: {report}");
+            reports.push(report);
+            if reports.last().unwrap().contains("0 finding(s)") {
+                break;
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+        assert!(
+            reports.last().unwrap().contains("0 finding(s)"),
+            "{kernel}: {reports:#?}"
+        );
+    }
+}
+
 /// tiny fir maps at II 4 on 4×4 with MII 3, so `--max-ii 3` fails after
 /// SPR\* has tried II 3: every traced command exits nonzero and still
 /// writes a lint-clean trace holding that attempt.
