@@ -20,7 +20,7 @@ fn bench_eigen(c: &mut Criterion) {
         l[(i, j)] = -1.0;
         l[(j, i)] = -1.0;
     }
-    c.bench_function("jacobi_eigen_96", |b| {
+    c.bench_function("symmetric_eigen_96", |b| {
         b.iter(|| SymmetricEigen::new(std::hint::black_box(&l)).unwrap());
     });
 
@@ -29,7 +29,7 @@ fn bench_eigen(c: &mut Criterion) {
     let dfg = kernels::generate(KernelId::IdctRows, KernelScale::Paper);
     let n = dfg.num_ops();
     let l = DMatrix::from_row_major(n, n, panorama_graph::laplacian(dfg.graph()));
-    c.bench_function("jacobi_eigen_idctrows_paper_430", |b| {
+    c.bench_function("symmetric_eigen_idctrows_paper_430", |b| {
         b.iter(|| SymmetricEigen::new(std::hint::black_box(&l)).unwrap());
     });
 }

@@ -288,7 +288,7 @@ impl Panorama {
     }
 
     /// Spectral exploration (Algorithm 1 lines 1–4). Returns the explored
-    /// partitions, the total Jacobi eigensolve sweep count, and the
+    /// partitions, the total eigensolve QL iteration count, and the
     /// clustering wall-clock; records one `partition.k` trace event per
     /// explored candidate.
     fn explore(

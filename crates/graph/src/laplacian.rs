@@ -4,7 +4,7 @@
 //! ignored, parallel edges accumulate weight and self-loops are dropped
 //! (they do not affect the Laplacian's cut structure). Both builders write
 //! straight from the edge list into the one dense row-major `n × n` buffer
-//! they return, which the eigensolver then rotates in place.
+//! they return, which the eigensolver then decomposes in place.
 //!
 //! # Zero signs
 //!
@@ -12,9 +12,12 @@
 //! dense adjacency matrix `A` (`L = D − A`, `L_sym = I − D^{-1/2} A
 //! D^{-1/2}`), including the sign of its zeros: an off-diagonal non-edge is
 //! `-0.0` (the negation of an adjacency `0.0`), a diagonal is `+0.0` at
-//! worst. The Jacobi sweep carries zero signs into the eigenbasis, and the
-//! eigenbasis decides the partitions, so the builders start from a buffer
-//! of `-0.0` with a `+0.0` diagonal rather than from zeros.
+//! worst. The eigenbasis decides the partitions, so the eigensolver's input
+//! keeps the construction's exact bits: the builders start from a buffer
+//! of `-0.0` with a `+0.0` diagonal rather than from zeros. (The
+//! Householder/QL solver returns the same bits for either sign of zero on
+//! every kernel Laplacian; the exact bits spare any other solver that
+//! check.)
 
 use crate::Digraph;
 

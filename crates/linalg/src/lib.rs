@@ -4,14 +4,15 @@
 //! (NumPy / Scikit-Learn) used by the original PANORAMA implementation:
 //!
 //! * [`DMatrix`] — a small dense row-major `f64` matrix;
-//! * [`SymmetricEigen`] — a cyclic-Jacobi eigendecomposition of symmetric
-//!   matrices (graph Laplacians are symmetric), returning eigenpairs sorted
-//!   by ascending eigenvalue as spectral embedding requires. It is the only
-//!   eigensolver: kernel Laplacians are degenerate, partitions depend on
-//!   the basis it produces inside each eigenspace, and that basis is pinned
-//!   bit for bit. [`SymmetricEigen::decompose`] rotates the matrix it is
-//!   given in place and keeps the rotated basis as rows, so a decomposition
-//!   peaks at two `n × n` buffers;
+//! * [`SymmetricEigen`] — a Householder tridiagonalisation + implicit-shift
+//!   QL eigendecomposition of symmetric matrices (graph Laplacians are
+//!   symmetric), returning eigenpairs sorted by ascending eigenvalue as
+//!   spectral embedding requires. It is the only eigensolver: kernel
+//!   Laplacians are degenerate, partitions depend on the basis it produces
+//!   inside each eigenspace, and that basis is pinned bit for bit.
+//!   [`SymmetricEigen::decompose`] turns the buffer of the matrix it is
+//!   given into the basis, rows being eigenvectors, so a decomposition
+//!   peaks at one `n × n` buffer;
 //! * [`KMeans`] — Lloyd's algorithm with deterministic k-means++ seeding.
 //!
 //! # Examples

@@ -63,7 +63,7 @@ fn plan_fingerprints_are_pinned_at_paper_scale() {
         (KernelId::JpegFdct, 0x28e9_30e7_1fc9_6bce),
         (KernelId::IdctRows, 0x6741_bbc3_9828_5b4e),
         (KernelId::Fir, 0xe384_5567_5e70_1c16),
-        (KernelId::Cordic, 0x6b88_3c23_7371_eb18),
+        (KernelId::Cordic, 0x6012_dece_c65d_51bd),
     ] {
         let dfg = kernels::generate(id, KernelScale::Paper);
         let plan = compiler.plan(&dfg, &cgra).expect("plans");
