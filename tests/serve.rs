@@ -491,8 +491,8 @@ fn bad_requests_get_structured_errors() {
     );
     assert_eq!(status, 422, "{body}");
     // So is a statically feasible `max_ii` the search cannot meet (edn on
-    // 8x8 needs II 11): the cap ends the search, it is not ignored.
-    let capped = "{\"kernel\":\"edn\",\"arch\":\"8x8\",\"max_ii\":5}";
+    // 8x8 needs II 5, MII 4): the cap ends the search, it is not ignored.
+    let capped = "{\"kernel\":\"edn\",\"arch\":\"8x8\",\"max_ii\":4}";
     let (status, _, body) = http(daemon.addr, "POST", "/compile", capped);
     assert_eq!(status, 422, "{body}");
     assert!(body.contains("compile_failed"), "{body}");
