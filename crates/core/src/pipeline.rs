@@ -12,7 +12,10 @@ use panorama_lint::{precheck, Diagnostic, Diagnostics};
 use panorama_mapper::{
     CancelToken, LowerLevelMapper, MapError, Mapping, PortfolioBound, Restriction, SearchControl,
 };
-use panorama_place::{map_clusters, ClusterMap, PlaceError, ScatterConfig};
+use panorama_place::{
+    assign_columns, assign_rows, map_clusters, ClusterMap, IlpEffort, PlaceError, RowAssignment,
+    ScatterConfig,
+};
 use panorama_trace::{SpanCollector, SpanStart, Tracer, NO_CANDIDATE, SEQ_BASE_MAP};
 use std::error::Error;
 use std::fmt;
@@ -171,14 +174,172 @@ impl Candidate {
     }
 }
 
+/// What one divide work item makes of a top-balanced partition. The
+/// compile path needs every candidate's restriction, so its work items run
+/// both scattering stages ([`ClusterMap`]); [`Panorama::plan`] keeps one
+/// candidate, and ζ — hence the routing complexity it selects by — is fixed
+/// once column-wise scattering ends, so its work items stop there
+/// ([`RowAssignment`]) and row-wise scattering runs afterwards, one
+/// candidate at a time in selection order.
+trait Scattering: Sized + Send + 'static {
+    /// The `row_wise` counter of the work item's `cluster_map.scatter`
+    /// span: none when the span covers both stages.
+    const ROW_WISE: &'static [(&'static str, i64)];
+
+    /// Runs this caller's scattering stages on `cdg`.
+    fn scatter(
+        cdg: &Cdg,
+        rows: usize,
+        cols: usize,
+        config: &ScatterConfig,
+    ) -> Result<Self, PlaceError>;
+
+    /// ζ1, ζ2 and the routing complexity of the accepted column scattering.
+    fn zeta(&self) -> [u32; 3];
+
+    /// ILP effort of the stages run.
+    fn ilp_effort(&self) -> IlpEffort;
+}
+
+impl Scattering for ClusterMap {
+    const ROW_WISE: &'static [(&'static str, i64)] = &[];
+
+    fn scatter(
+        cdg: &Cdg,
+        rows: usize,
+        cols: usize,
+        config: &ScatterConfig,
+    ) -> Result<Self, PlaceError> {
+        map_clusters(cdg, rows, cols, config)
+    }
+
+    fn zeta(&self) -> [u32; 3] {
+        [self.zeta1(), self.zeta2(), self.routing_complexity()]
+    }
+
+    fn ilp_effort(&self) -> IlpEffort {
+        ClusterMap::ilp_effort(self)
+    }
+}
+
+impl Scattering for RowAssignment {
+    const ROW_WISE: &'static [(&'static str, i64)] = &[("row_wise", 0)];
+
+    fn scatter(
+        cdg: &Cdg,
+        rows: usize,
+        _cols: usize,
+        config: &ScatterConfig,
+    ) -> Result<Self, PlaceError> {
+        assign_rows(cdg, rows, config)
+    }
+
+    fn zeta(&self) -> [u32; 3] {
+        [self.zeta1(), self.zeta2(), self.routing_complexity()]
+    }
+
+    fn ilp_effort(&self) -> IlpEffort {
+        RowAssignment::ilp_effort(self)
+    }
+}
+
+/// The `cluster_map.scatter` counters of ILP effort.
+fn effort_counters(effort: IlpEffort) -> [(&'static str, i64); 5] {
+    [
+        ("ilp_solves", effort.solves as i64),
+        ("bnb_nodes", effort.bnb_nodes as i64),
+        ("node_limited", effort.node_limited as i64),
+        ("simplex_pivots", effort.simplex_pivots as i64),
+        ("presolve_reductions", effort.presolve_reductions as i64),
+    ]
+}
+
+/// One divide work item's result: the partition index, the CDG with what
+/// the work item made of it (or why it failed), and its trace collector.
+type Scattered<S> = (usize, Result<(Cdg, S), PlaceError>, SpanCollector);
+
 /// What the divide phase leaves for the caller to select from: every
-/// candidate that admitted a cluster mapping, in balance-rank order, and
-/// the still-open `cluster_map` span.
-struct Divided {
-    candidates: Vec<Candidate>,
-    attempts: usize,
-    last_err: Option<PlaceError>,
+/// top-balanced partition's scattering, in balance-rank order, and the
+/// still-open `cluster_map` span.
+struct Divided<S> {
+    scattered: Vec<Scattered<S>>,
+    partitions: Arc<Vec<Partition>>,
+    clustering_time: Duration,
+    /// Wall-clock of the scattering fan-out.
+    scatter_time: Duration,
     span: SpanStart,
+}
+
+impl<S> Divided<S> {
+    /// The plan of partition `idx` under cluster map `map`: derives its
+    /// restriction and checks the plan's invariants in debug builds.
+    fn plan(
+        &self,
+        dfg: &Dfg,
+        cgra: &Cgra,
+        idx: usize,
+        cdg: Cdg,
+        map: ClusterMap,
+        cluster_mapping_time: Duration,
+    ) -> HigherLevelPlan {
+        let partition = &self.partitions[idx];
+        let restriction = Restriction::from_cluster_map(dfg, &cdg, &map, cgra);
+        assert_plan_invariants(dfg, partition, &cdg, &restriction);
+        HigherLevelPlan::new(
+            partition.clone(),
+            cdg,
+            map,
+            restriction,
+            self.clustering_time,
+            cluster_mapping_time,
+        )
+    }
+}
+
+/// [`Panorama::plan`]'s selection: runs `row_wise` on the `pending`
+/// candidates — `(routing complexity, balance rank, stage-1 result)` — in
+/// key order and returns the first success: the least key among the
+/// candidates that would succeed. When every candidate fails, returns the
+/// failure of the highest rank among them and `failed` (the candidates
+/// that failed before): the error an eager selection reports.
+///
+/// # Panics
+///
+/// When `pending` and `failed` are both empty.
+fn first_success<P, T, E>(
+    mut pending: Vec<(u32, usize, P)>,
+    mut failed: Vec<(usize, E)>,
+    mut row_wise: impl FnMut(usize, P) -> Result<T, E>,
+) -> Result<T, E> {
+    pending.sort_by_key(|&(complexity, rank, _)| (complexity, rank));
+    for (_, rank, stage1) in pending {
+        match row_wise(rank, stage1) {
+            Ok(done) => return Ok(done),
+            Err(e) => failed.push((rank, e)),
+        }
+    }
+    let (_, last) = failed
+        .into_iter()
+        .max_by_key(|&(rank, _)| rank)
+        .expect("top_balanced yields at least one candidate");
+    Err(last)
+}
+
+/// Debug-mode invariant: the higher-level artifacts we just built must
+/// survive their own static analysis. A failure here is a bug in the
+/// divide step, not in the input.
+#[allow(unused_variables)]
+fn assert_plan_invariants(dfg: &Dfg, partition: &Partition, cdg: &Cdg, restriction: &Restriction) {
+    #[cfg(debug_assertions)]
+    {
+        let mut diags = Diagnostics::new();
+        panorama_lint::lint_partition(dfg, partition, cdg, Some(restriction), &mut diags);
+        debug_assert!(
+            !diags.has_errors(),
+            "higher-level plan violates partition invariants:\n{}",
+            diags.render_human()
+        );
+    }
 }
 
 /// What [`Panorama::compile_with`] does with the lower-level mappers.
@@ -324,20 +485,20 @@ impl Panorama {
         Ok((partitions, eigen_sweeps, t0.elapsed()))
     }
 
-    /// Cluster-maps the top-`N` balanced candidates, one scattering ILP
-    /// per candidate fanned out on `exec`. Results come back in
-    /// balance-rank order, each `(partition index, attempt, trace
-    /// collector)`. Scattering runs to completion on every candidate (no
-    /// cross-candidate pruning), so its trace events are stable.
-    #[allow(clippy::type_complexity)]
-    fn cluster_map_candidates<'env>(
+    /// Scatters the top-`N` balanced candidates, one work item per
+    /// candidate fanned out on `exec`, each running the stages `S` stands
+    /// for. Results come back in balance-rank order, each `(partition
+    /// index, attempt, trace collector)`. Every work item runs to
+    /// completion (no cross-candidate pruning), so its trace events are
+    /// stable.
+    fn cluster_map_candidates<'env, S: Scattering>(
         &self,
         dfg: &Arc<Dfg>,
         cgra: &Cgra,
         partitions: &Arc<Vec<Partition>>,
         tracer: &Tracer,
         exec: &BatchExecutor<'env>,
-    ) -> Vec<(usize, Result<(Cdg, ClusterMap), PlaceError>, SpanCollector)> {
+    ) -> Vec<Scattered<S>> {
         let (rows, cols) = cgra.cluster_grid();
         let ranked: Vec<usize> = top_balanced(partitions, self.config.top_partitions)
             .into_iter()
@@ -355,60 +516,18 @@ impl Panorama {
             let mut col = tracer.collector(rank as u32);
             let span = col.start();
             let cdg = Cdg::new(&dfg, part);
-            let attempt = map_clusters(&cdg, rows, cols, &scatter).map(|m| (cdg, m));
-            match &attempt {
-                Ok((_, map)) => {
-                    let effort = map.ilp_effort();
-                    col.record(
-                        "cluster_map.scatter",
-                        span,
-                        &[
-                            ("k", part.k() as i64),
-                            ("zeta1", i64::from(map.zeta1())),
-                            ("zeta2", i64::from(map.zeta2())),
-                            ("routing_complexity", i64::from(map.routing_complexity())),
-                            ("ilp_solves", effort.solves as i64),
-                            ("bnb_nodes", effort.bnb_nodes as i64),
-                            ("node_limited", effort.node_limited as i64),
-                            ("simplex_pivots", effort.simplex_pivots as i64),
-                            ("presolve_reductions", effort.presolve_reductions as i64),
-                            ("success", 1),
-                        ],
-                    );
-                }
-                Err(_) => {
-                    col.record(
-                        "cluster_map.scatter",
-                        span,
-                        &[("k", part.k() as i64), ("success", 0)],
-                    );
-                }
+            let attempt = S::scatter(&cdg, rows, cols, &scatter).map(|s| (cdg, s));
+            let mut counters = vec![("k", part.k() as i64)];
+            if let Ok((_, s)) = &attempt {
+                let names = ["zeta1", "zeta2", "routing_complexity"];
+                counters.extend(names.into_iter().zip(s.zeta().map(i64::from)));
+                counters.extend(effort_counters(s.ilp_effort()));
             }
+            counters.extend(S::ROW_WISE);
+            counters.push(("success", i64::from(attempt.is_ok())));
+            col.record("cluster_map.scatter", span, &counters);
             (idx, attempt, col)
         })
-    }
-
-    /// Debug-mode invariant: the higher-level artifacts we just built must
-    /// survive their own static analysis. A failure here is a bug in the
-    /// divide step, not in the input.
-    #[allow(unused_variables)]
-    fn assert_plan_invariants(
-        &self,
-        dfg: &Dfg,
-        partition: &Partition,
-        cdg: &Cdg,
-        restriction: &Restriction,
-    ) {
-        #[cfg(debug_assertions)]
-        {
-            let mut diags = Diagnostics::new();
-            panorama_lint::lint_partition(dfg, partition, cdg, Some(restriction), &mut diags);
-            debug_assert!(
-                !diags.has_errors(),
-                "higher-level plan violates partition invariants:\n{}",
-                diags.render_human()
-            );
-        }
     }
 
     /// Runs `f` with the pipeline collector and a list for the candidates'
@@ -427,20 +546,18 @@ impl Panorama {
     }
 
     /// The divide phase (Algorithm 1 lines 1–8) without the selection:
-    /// explore partitions, cluster-map the top-`N` balanced ones on
-    /// `exec`, and derive each mapped candidate's restriction and plan.
-    /// Records the `partition` span and the candidates'
-    /// `cluster_map.scatter` collectors; the caller closes the `cluster_map`
-    /// span once it has checked the candidates it keeps.
-    fn divide<'env>(
+    /// explore partitions, then scatter the top-`N` balanced ones on `exec`
+    /// through the stages `S` stands for. Records the `partition` span;
+    /// the caller takes the candidates' collectors and closes the
+    /// `cluster_map` span once it has checked the candidates it keeps.
+    fn divide<'env, S: Scattering>(
         &self,
         dfg: &Arc<Dfg>,
         cgra: &Cgra,
         tracer: &Tracer,
         exec: &BatchExecutor<'env>,
         pipe: &mut SpanCollector,
-        collectors: &mut Vec<SpanCollector>,
-    ) -> Result<Divided, PanoramaError> {
+    ) -> Result<Divided<S>, PanoramaError> {
         let span = pipe.start();
         let (partitions, eigen_sweeps, clustering_time) = self.explore(dfg, cgra, pipe)?;
         let partitions = Arc::new(partitions);
@@ -455,43 +572,22 @@ impl Panorama {
 
         let span = pipe.start();
         let t1 = Instant::now();
-        let attempts = self.cluster_map_candidates(dfg, cgra, &partitions, tracer, exec);
-        let cluster_mapping_time = t1.elapsed();
-        let mut divided = Divided {
-            candidates: Vec::new(),
-            attempts: attempts.len(),
-            last_err: None,
+        let scattered = self.cluster_map_candidates(dfg, cgra, &partitions, tracer, exec);
+        Ok(Divided {
+            scattered,
+            partitions,
+            clustering_time,
+            scatter_time: t1.elapsed(),
             span,
-        };
-        for (rank, (idx, attempt, col)) in attempts.into_iter().enumerate() {
-            collectors.push(col);
-            match attempt {
-                Ok((cdg, cluster_map)) => {
-                    let restriction = Restriction::from_cluster_map(dfg, &cdg, &cluster_map, cgra);
-                    self.assert_plan_invariants(dfg, &partitions[idx], &cdg, &restriction);
-                    divided.candidates.push(Candidate {
-                        rank,
-                        complexity: cluster_map.routing_complexity(),
-                        plan: Some(HigherLevelPlan::new(
-                            partitions[idx].clone(),
-                            cdg,
-                            cluster_map,
-                            restriction,
-                            clustering_time,
-                            cluster_mapping_time,
-                        )),
-                    });
-                }
-                Err(e) => divided.last_err = Some(e),
-            }
-        }
-        Ok(divided)
+        })
     }
 
     /// Runs the higher-level mapping only (Algorithm 1 lines 1–9): the
-    /// divide phase, then selection by least routing complexity (ties go
-    /// to the best balance rank), then the restricted pre-flight check of
-    /// the selected candidate.
+    /// divide phase up to column-wise scattering, then row-wise scattering
+    /// in order of least routing complexity (ties go to the best balance
+    /// rank) until one candidate succeeds, then the restricted pre-flight
+    /// check of that candidate. The plan is the one an eager selection —
+    /// both stages on every candidate, then the least key — would return.
     ///
     /// # Errors
     ///
@@ -500,15 +596,17 @@ impl Panorama {
     ///   is derived);
     /// * [`PanoramaError::Cluster`] when spectral clustering fails;
     /// * [`PanoramaError::ClusterMapping`] when no candidate partition
-    ///   admits a cluster mapping.
+    ///   admits a cluster mapping; it carries the failure of the worst
+    ///   balance rank.
     pub fn plan(&self, dfg: &Dfg, cgra: &Cgra) -> Result<HigherLevelPlan, PanoramaError> {
         self.plan_traced(dfg, cgra, &Tracer::disabled())
     }
 
     /// [`plan`](Panorama::plan) with trace recording: pipeline-level spans
     /// (`preflight`, `partition`, `cluster_map`) plus per-candidate
-    /// `cluster_map.scatter` spans are merged and submitted to `tracer`'s
-    /// sink, on success and on error alike.
+    /// `cluster_map.scatter` spans — one per scattering stage a candidate
+    /// ran, told apart by their `row_wise` counter — are merged and
+    /// submitted to `tracer`'s sink, on success and on error alike.
     ///
     /// # Errors
     ///
@@ -527,28 +625,71 @@ impl Panorama {
             let shared = Arc::new(dfg.clone());
             let divided =
                 self.with_pool(dfg, self.config.top_partitions, None, pipe, |exec, pipe| {
-                    self.divide(&shared, cgra, tracer, exec, pipe, collectors)
+                    self.divide::<RowAssignment>(&shared, cgra, tracer, exec, pipe)
                 })?;
-            let best = divided.candidates.into_iter();
-            let Some(best) = best.min_by_key(|c| (c.complexity, c.rank)) else {
-                return Err(PanoramaError::ClusterMapping(
-                    divided
-                        .last_err
-                        .expect("no success implies at least one failure"),
-                ));
-            };
-            let plan = best.plan.expect("a divided candidate carries its plan");
+            let (span, attempts) = (divided.span, divided.scattered.len());
             // Re-check mappability with the restriction in hand: the
             // per-cluster-group capacity bound can prove this particular
             // partition hopeless even when the unrestricted bounds pass.
-            self.preflight(dfg, cgra, Some(plan.restriction()))?;
-            pipe.record(
-                "cluster_map",
-                divided.span,
-                &[("attempts", divided.attempts as i64)],
-            );
-            Ok(plan)
+            let plan = self
+                .select(dfg, cgra, divided, collectors)
+                .and_then(|plan| {
+                    self.preflight(dfg, cgra, Some(plan.restriction()))?;
+                    Ok(plan)
+                });
+            pipe.record("cluster_map", span, &[("attempts", attempts as i64)]);
+            plan
         })
+    }
+
+    /// [`plan`](Panorama::plan)'s selection: row-scatters the candidates
+    /// that passed column-wise scattering in `(routing complexity, balance
+    /// rank)` order and returns the plan of the first that succeeds. Each
+    /// candidate it tries records a second `cluster_map.scatter` span
+    /// (`row_wise` 1, with the ILP effort of that stage alone). The plan's
+    /// [`cluster_mapping_time`](HigherLevelPlan::cluster_mapping_time) is
+    /// the fan-out's wall-clock plus the tries'.
+    fn select(
+        &self,
+        dfg: &Dfg,
+        cgra: &Cgra,
+        mut divided: Divided<RowAssignment>,
+        collectors: &mut Vec<SpanCollector>,
+    ) -> Result<HigherLevelPlan, PanoramaError> {
+        let t = Instant::now();
+        let (_, cols) = cgra.cluster_grid();
+        let mut pending = Vec::new();
+        let mut failed = Vec::new();
+        let mut candidate_collectors = Vec::new();
+        for (rank, (idx, attempt, col)) in std::mem::take(&mut divided.scattered)
+            .into_iter()
+            .enumerate()
+        {
+            candidate_collectors.push(col);
+            match attempt {
+                Ok((cdg, rows)) => {
+                    pending.push((rows.routing_complexity(), rank, (idx, cdg, rows)));
+                }
+                Err(e) => failed.push((rank, e)),
+            }
+        }
+        let chosen = first_success(pending, failed, |rank, (idx, cdg, rows)| {
+            let col = &mut candidate_collectors[rank];
+            let span = col.start();
+            let column_wise = rows.ilp_effort();
+            let attempt = assign_columns(&cdg, rows, cols, &self.config.scatter);
+            let mut counters = vec![("k", divided.partitions[idx].k() as i64)];
+            if let Ok(map) = &attempt {
+                counters.extend(effort_counters(map.ilp_effort().since(column_wise)));
+            }
+            counters.extend([("row_wise", 1), ("success", i64::from(attempt.is_ok()))]);
+            col.record("cluster_map.scatter", span, &counters);
+            attempt.map(|map| (idx, cdg, map))
+        });
+        collectors.extend(candidate_collectors);
+        let (idx, cdg, map) = chosen.map_err(PanoramaError::ClusterMapping)?;
+        let cluster_mapping_time = divided.scatter_time + t.elapsed();
+        Ok(divided.plan(dfg, cgra, idx, cdg, map, cluster_mapping_time))
     }
 
     /// Runs the full pipeline (Algorithm 1) with one lower-level mapper:
@@ -655,9 +796,9 @@ impl Panorama {
                 self.with_pool(mapped, work_items, ctx.executor, pipe, |exec, pipe| {
                     let candidates = match mode {
                         CompileMode::Guided => {
-                            let divided =
-                                self.divide(&shared, cgra, tracer, exec, pipe, collectors)?;
-                            let candidates = self.feasible(&shared, cgra, divided, pipe)?;
+                            let divided = self.divide(&shared, cgra, tracer, exec, pipe)?;
+                            let candidates =
+                                self.feasible(&shared, cgra, divided, pipe, collectors)?;
                             Self::check_cancel(cancel)?;
                             candidates
                         }
@@ -715,22 +856,35 @@ impl Panorama {
         Ok(Some(opt))
     }
 
-    /// A guided compile's candidates: those the restricted pre-flight
-    /// check does not prove hopeless, or the error that explains why none
-    /// is left. Closes the `cluster_map` span.
+    /// A guided compile's candidates: those that admitted a cluster
+    /// mapping and that the restricted pre-flight check does not prove
+    /// hopeless, or the error that explains why none is left. Takes the
+    /// candidates' collectors and closes the `cluster_map` span.
     fn feasible(
         &self,
         dfg: &Dfg,
         cgra: &Cgra,
-        divided: Divided,
+        mut divided: Divided<ClusterMap>,
         pipe: &mut SpanCollector,
+        collectors: &mut Vec<SpanCollector>,
     ) -> Result<Vec<Candidate>, PanoramaError> {
-        let Divided {
-            mut candidates,
-            attempts,
-            last_err,
-            span,
-        } = divided;
+        let attempts = divided.scattered.len();
+        let mut candidates = Vec::new();
+        let mut last_err = None;
+        for (rank, (idx, attempt, col)) in std::mem::take(&mut divided.scattered)
+            .into_iter()
+            .enumerate()
+        {
+            collectors.push(col);
+            match attempt {
+                Ok((cdg, map)) => candidates.push(Candidate {
+                    rank,
+                    complexity: map.routing_complexity(),
+                    plan: Some(divided.plan(dfg, cgra, idx, cdg, map, divided.scatter_time)),
+                }),
+                Err(e) => last_err = Some(e),
+            }
+        }
         let mut first_infeasible = None;
         candidates.retain(|c| match self.preflight(dfg, cgra, c.restriction()) {
             Ok(()) => true,
@@ -741,7 +895,7 @@ impl Panorama {
         });
         pipe.record(
             "cluster_map",
-            span,
+            divided.span,
             &[
                 ("attempts", attempts as i64),
                 ("survivors", candidates.len() as i64),
@@ -930,6 +1084,100 @@ mod tests {
         assert_eq!(plan.cdg().num_clusters(), plan.partition().k());
         assert_eq!(plan.cluster_map().grid(), (2, 2));
         assert!(plan.clustering_time().as_nanos() > 0);
+    }
+
+    /// `first_success` against the eager selection it replaces, on three
+    /// candidates: every routing complexity in {2, 4, 6} per candidate and
+    /// every set of candidates failing stage 1 or stage 2. Eager: both
+    /// stages on every candidate in rank order, the least `(complexity,
+    /// rank)` among the successes, else the last failure. Errors are
+    /// `(rank, stage)`.
+    #[test]
+    fn first_success_picks_what_the_eager_selection_picks() {
+        for keys in 0..27u32 {
+            let complexity = |rank: u32| 2 + 2 * (keys / 3u32.pow(rank) % 3);
+            for fails in 0..64u32 {
+                let fails_stage =
+                    |rank: usize, stage: u32| fails >> (2 * rank as u32 + stage - 1) & 1 == 1;
+                let mut eager: Option<((u32, usize), usize)> = None;
+                let mut eager_err = None;
+                let (mut pending, mut failed) = (Vec::new(), Vec::new());
+                for rank in 0..3 {
+                    let key = (complexity(rank as u32), rank);
+                    if fails_stage(rank, 1) {
+                        eager_err = Some((rank, 1));
+                        failed.push((rank, (rank, 1)));
+                        continue;
+                    }
+                    pending.push((key.0, rank, rank));
+                    if fails_stage(rank, 2) {
+                        eager_err = Some((rank, 2));
+                    } else if eager.is_none_or(|(best, _)| key < best) {
+                        eager = Some((key, rank));
+                    }
+                }
+                let mut tried = 0;
+                let lazy = first_success(pending, failed, |rank, stage1: usize| {
+                    assert_eq!(rank, stage1);
+                    tried += 1;
+                    if fails_stage(rank, 2) {
+                        Err((rank, 2))
+                    } else {
+                        Ok(rank)
+                    }
+                });
+                let want = eager
+                    .map(|(_, rank)| rank)
+                    .ok_or_else(|| eager_err.unwrap());
+                assert_eq!(lazy, want, "keys {keys} fails {fails:06b}");
+                if let Some((key, _)) = eager {
+                    // only the candidates keyed at or below the winner ran
+                    let keyed_at_or_below = (0..3)
+                        .filter(|&r| !fails_stage(r, 1) && (complexity(r as u32), r) <= key)
+                        .count();
+                    assert_eq!(tried, keyed_at_or_below, "keys {keys} fails {fails:06b}");
+                }
+            }
+        }
+    }
+
+    /// A stage 2 that fails on the best key hands the plan to the next
+    /// key; when every candidate fails, the error is the failure of the
+    /// worst rank, whichever stage it failed in.
+    #[test]
+    fn first_success_falls_through_to_the_next_key() {
+        let pending = vec![(6, 0, 'a'), (4, 2, 'c'), (4, 1, 'b')];
+        let mut tried = Vec::new();
+        let got = first_success(pending.clone(), Vec::new(), |rank, p| {
+            tried.push(rank);
+            if p == 'b' {
+                Err(rank)
+            } else {
+                Ok(p)
+            }
+        });
+        assert_eq!(got, Ok('c'));
+        assert_eq!(tried, [1, 2]);
+        assert_eq!(
+            first_success(pending, Vec::new(), |rank, _| Err::<char, _>(rank)),
+            Err(2)
+        );
+        let stage1_failed = vec![(1, 1)];
+        assert_eq!(
+            first_success(vec![(4, 0, 'a')], stage1_failed.clone(), |rank, _| Err::<
+                char,
+                _,
+            >(
+                rank
+            )),
+            Err(1)
+        );
+        assert_eq!(
+            first_success(vec![(4, 2, 'c')], stage1_failed, |rank, _| Err::<char, _>(
+                rank
+            )),
+            Err(2)
+        );
     }
 
     #[test]

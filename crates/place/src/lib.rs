@@ -15,9 +15,11 @@
 //!    and the weighted column distance between dependent clusters is
 //!    minimised.
 //!
-//! [`map_clusters`] runs both stages and packages the result as a
+//! [`assign_rows`] runs stage 1 with ζ escalation and returns a
+//! [`RowAssignment`], whose ζ already fixes the routing complexity;
+//! [`assign_columns`] runs stage 2 on it and packages the result as a
 //! [`ClusterMap`], which the lower-level mappers consume as a placement
-//! restriction.
+//! restriction. [`map_clusters`] is the two in sequence.
 //!
 //! # Examples
 //!
@@ -43,7 +45,10 @@
 mod map;
 mod scatter;
 
-pub use map::{map_clusters, ClusterMap, IlpEffort, PlaceError, ScatterConfig};
+pub use map::{
+    assign_columns, assign_rows, map_clusters, ClusterMap, IlpEffort, PlaceError, RowAssignment,
+    ScatterConfig,
+};
 pub use scatter::{
     column_scatter, column_scatter_with_effort, row_scatter, row_scatter_with_effort,
 };

@@ -1,5 +1,6 @@
-//! The cluster-mapping driver ([`map_clusters`], Algorithm 1 lines 6–9)
-//! and its result type [`ClusterMap`].
+//! The cluster-mapping driver ([`map_clusters`], Algorithm 1 lines 6–9),
+//! its two stages ([`assign_rows`], [`assign_columns`]) and their results
+//! ([`RowAssignment`], [`ClusterMap`]).
 
 use crate::{column_scatter_with_effort, row_scatter_with_effort};
 use panorama_cluster::{Cdg, CdgNodeId};
@@ -30,6 +31,19 @@ impl IlpEffort {
         self.bnb_nodes += stats.nodes;
         self.simplex_pivots += stats.pivots;
         self.presolve_reductions += stats.presolve_reductions;
+    }
+
+    /// The effort spent since `earlier`, a snapshot of the same running
+    /// totals (e.g. a cluster map's row-wise share: its
+    /// [`ClusterMap::ilp_effort`] since its [`RowAssignment::ilp_effort`]).
+    pub fn since(self, earlier: IlpEffort) -> IlpEffort {
+        IlpEffort {
+            solves: self.solves - earlier.solves,
+            bnb_nodes: self.bnb_nodes - earlier.bnb_nodes,
+            simplex_pivots: self.simplex_pivots - earlier.simplex_pivots,
+            presolve_reductions: self.presolve_reductions - earlier.presolve_reductions,
+            node_limited: self.node_limited - earlier.node_limited,
+        }
     }
 }
 
@@ -212,9 +226,63 @@ impl ClusterMap {
     }
 }
 
+/// Stage 1 of cluster mapping (paper Algorithm 1, lines 6–8): the row of
+/// every CDG node after column-wise scattering with ζ escalation, the ζ
+/// that produced it, and the ILP effort spent on the way.
+///
+/// ζ fixes the [routing complexity](RowAssignment::routing_complexity),
+/// so candidates can be ranked before any of them is row-scattered;
+/// [`assign_columns`] turns the assignment into a [`ClusterMap`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowAssignment {
+    rows: usize,
+    row_of: Vec<usize>,
+    zeta: u32,
+    effort: IlpEffort,
+}
+
+impl RowAssignment {
+    /// ζ1 used by the accepted column scattering.
+    pub fn zeta1(&self) -> u32 {
+        self.zeta
+    }
+
+    /// ζ2 used by the accepted column scattering.
+    pub fn zeta2(&self) -> u32 {
+        self.zeta
+    }
+
+    /// The routing complexity of every cluster map built from this
+    /// assignment (see [`ClusterMap::routing_complexity`]).
+    pub fn routing_complexity(&self) -> u32 {
+        self.zeta1() + self.zeta2()
+    }
+
+    /// ILP solver effort of column-wise scattering, every ζ escalation
+    /// attempt included.
+    pub fn ilp_effort(&self) -> IlpEffort {
+        self.effort
+    }
+}
+
 /// Maps a CDG onto an `rows × cols` cluster grid: column-wise scattering
-/// with ζ escalation, then row-wise scattering (paper Algorithm 1, lines
-/// 6–9).
+/// with ζ escalation ([`assign_rows`]), then row-wise scattering
+/// ([`assign_columns`]) (paper Algorithm 1, lines 6–9).
+///
+/// # Errors
+///
+/// As for [`assign_rows`], then as for [`assign_columns`].
+pub fn map_clusters(
+    cdg: &Cdg,
+    rows: usize,
+    cols: usize,
+    config: &ScatterConfig,
+) -> Result<ClusterMap, PlaceError> {
+    assign_columns(cdg, assign_rows(cdg, rows, config)?, cols, config)
+}
+
+/// Stage 1 of [`map_clusters`]: column-wise scattering with ζ escalation
+/// gives every CDG node one of `rows` cluster rows.
 ///
 /// # Errors
 ///
@@ -222,14 +290,12 @@ impl ClusterMap {
 ///   `rows`;
 /// * [`PlaceError::ZetaExhausted`] when no ζ value up to the configured
 ///   cap makes column scattering feasible;
-/// * [`PlaceError::RowScatterInfeasible`] / [`PlaceError::Solver`] from
-///   the second stage.
-pub fn map_clusters(
+/// * [`PlaceError::Solver`] on solver breakdown.
+pub fn assign_rows(
     cdg: &Cdg,
     rows: usize,
-    cols: usize,
     config: &ScatterConfig,
-) -> Result<ClusterMap, PlaceError> {
+) -> Result<RowAssignment, PlaceError> {
     // ζ escalation: a solution can be *feasible* at a low ζ yet badly
     // unbalanced — star-shaped CDGs admit only single-leaf matching cuts.
     // Keep escalating while the heaviest row exceeds 1.5× its fair share,
@@ -260,6 +326,34 @@ pub fn map_clusters(
             max_zeta: config.max_zeta,
         });
     };
+    Ok(RowAssignment {
+        rows,
+        row_of,
+        zeta,
+        effort,
+    })
+}
+
+/// Stage 2 of [`map_clusters`]: row-wise scattering spreads each row of
+/// `rows` over `cols` cluster columns. The map's
+/// [`ilp_effort`](ClusterMap::ilp_effort) counts both stages.
+///
+/// # Errors
+///
+/// [`PlaceError::RowScatterInfeasible`] / [`PlaceError::Solver`] from
+/// row-wise scattering.
+pub fn assign_columns(
+    cdg: &Cdg,
+    rows: RowAssignment,
+    cols: usize,
+    config: &ScatterConfig,
+) -> Result<ClusterMap, PlaceError> {
+    let RowAssignment {
+        rows,
+        row_of,
+        zeta,
+        mut effort,
+    } = rows;
     let cols_of = row_scatter_with_effort(cdg, &row_of, rows, cols, config, &mut effort)?;
     Ok(ClusterMap {
         rows,
@@ -300,6 +394,47 @@ mod tests {
         let labels: Vec<usize> = (0..4).flat_map(|g| std::iter::repeat_n(g, 4)).collect();
         let cdg = Cdg::new(&dfg, &Partition::new(labels, 4));
         (dfg, cdg)
+    }
+
+    /// Scaled idctrows cut into 12 contiguous op-index blocks: a fixed
+    /// partition, so only the ILP stack can move its cluster map.
+    fn idctrows_blocks() -> Cdg {
+        use panorama_dfg::{kernels, KernelId, KernelScale};
+        let dfg = kernels::generate(KernelId::IdctRows, KernelScale::Scaled);
+        let (n, k) = (dfg.num_ops(), 12);
+        let labels: Vec<usize> = (0..n).map(|i| i * k / n).collect();
+        Cdg::new(&dfg, &Partition::new(labels, k))
+    }
+
+    #[test]
+    fn assign_columns_after_assign_rows_is_map_clusters() {
+        let config = ScatterConfig::default();
+        let (_, lattice) = grid_cdg();
+        let idctrows = idctrows_blocks();
+        for (cdg, rows, cols) in [
+            (&lattice, 2, 2),
+            (&lattice, 1, 4),
+            (&lattice, 4, 1),
+            (&idctrows, 4, 4),
+            (&idctrows, 2, 2),
+        ] {
+            let stage1 = assign_rows(cdg, rows, &config).unwrap();
+            let map = assign_columns(cdg, stage1.clone(), cols, &config).unwrap();
+            let eager = map_clusters(cdg, rows, cols, &config).unwrap();
+            assert_eq!(map.render(), eager.render(), "{rows}x{cols}");
+            assert_eq!(map.ilp_effort(), eager.ilp_effort(), "{rows}x{cols}");
+            assert_eq!(map, eager);
+            // stage 1 already fixes the rows and the routing complexity
+            assert_eq!(stage1.routing_complexity(), map.routing_complexity());
+            for n in cdg.cluster_ids() {
+                assert_eq!(stage1.row_of[n.index()], map.row_of(n));
+            }
+            let row_wise = map.ilp_effort().since(stage1.ilp_effort());
+            assert_eq!(
+                row_wise.solves + stage1.ilp_effort().solves,
+                map.ilp_effort().solves
+            );
+        }
     }
 
     #[test]
@@ -369,12 +504,8 @@ mod tests {
     #[test]
     fn scattering_search_is_pinned() {
         use crate::column_scatter_with_effort;
-        use panorama_dfg::{kernels, KernelId, KernelScale};
 
-        let dfg = kernels::generate(KernelId::IdctRows, KernelScale::Scaled);
-        let (n, k) = (dfg.num_ops(), 12);
-        let labels: Vec<usize> = (0..n).map(|i| i * k / n).collect();
-        let cdg = Cdg::new(&dfg, &Partition::new(labels, k));
+        let cdg = idctrows_blocks();
         let config = ScatterConfig::default();
 
         let mut effort = IlpEffort::default();

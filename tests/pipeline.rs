@@ -3,8 +3,13 @@
 
 use panorama::{Panorama, PanoramaConfig, PanoramaError};
 use panorama_arch::{Cgra, CgraConfig};
-use panorama_dfg::{kernels, KernelId, KernelScale};
-use panorama_mapper::{SprMapper, UltraFastMapper};
+use panorama_cluster::{explore_partitions, top_balanced, Cdg};
+use panorama_dfg::{kernels, Dfg, KernelId, KernelScale};
+use panorama_lint::{lint_report, Diagnostics};
+use panorama_mapper::{min_ii, restricted_min_ii, SprMapper, UltraFastMapper};
+use panorama_place::{map_clusters, PlaceError, ScatterConfig};
+use panorama_trace::{RecordingSink, TraceReport, Tracer};
+use std::time::Instant;
 
 fn cgra() -> Cgra {
     Cgra::new(CgraConfig::scaled_8x8()).expect("preset is valid")
@@ -128,4 +133,178 @@ fn baseline_and_guided_both_verify_on_scaled_kernel() {
     pan.mapping().verify(&dfg, &cgra).unwrap();
     // the divide step should never *hurt* cordic (the paper's headline)
     assert!(pan.mapping().ii() <= base.mapping().ii());
+}
+
+/// The plan an eager selection picks: both scattering stages on every
+/// top-balanced candidate, then the least `(routing complexity, balance
+/// rank)`. Returns its partition labels and rendered cluster map.
+fn eager_plan(dfg: &Dfg, cgra: &Cgra, config: &PanoramaConfig) -> Option<(Vec<usize>, String)> {
+    let (rows, cols) = cgra.cluster_grid();
+    // the exploration range `Panorama::plan` uses
+    let r = rows.max(2);
+    let m = (2 * rows * cols)
+        .min(dfg.num_ops() / 8)
+        .clamp(r, config.max_dfg_clusters.max(r));
+    let parts = explore_partitions(dfg, r, m, &config.spectral).unwrap();
+    top_balanced(&parts, config.top_partitions)
+        .into_iter()
+        .enumerate()
+        .filter_map(|(rank, (_, part))| {
+            let map = map_clusters(&Cdg::new(dfg, part), rows, cols, &config.scatter).ok()?;
+            Some(((map.routing_complexity(), rank), part, map))
+        })
+        .min_by_key(|&(key, _, _)| key)
+        .map(|(_, part, map)| (part.labels().to_vec(), map.render()))
+}
+
+/// `plan()` row-scatters only until the first candidate in `(routing
+/// complexity, rank)` order succeeds; that is the plan the eager selection
+/// picks, on every Scaled kernel on 8x8 (2x2 cluster grid) and on three
+/// on 16x16 (4x4 cluster grid, where row-wise scattering has rows to
+/// spread).
+#[test]
+fn plan_equals_the_eager_selection() {
+    let config = PanoramaConfig::default();
+    let compiler = Panorama::new(config.clone());
+    let on_8x8 = KernelId::ALL.map(|id| (id, CgraConfig::scaled_8x8()));
+    let on_16x16 = [KernelId::Fir, KernelId::Cordic, KernelId::Conv2d]
+        .map(|id| (id, CgraConfig::paper_16x16()));
+    for (id, arch) in on_8x8.into_iter().chain(on_16x16) {
+        let cgra = Cgra::new(arch).unwrap();
+        let dfg = kernels::generate(id, KernelScale::Scaled);
+        let plan = compiler
+            .plan(&dfg, &cgra)
+            .unwrap_or_else(|e| panic!("{id}: {e}"));
+        let (labels, map) = eager_plan(&dfg, &cgra, &config).expect("an eager plan");
+        let grid = cgra.cluster_grid();
+        assert_eq!(plan.partition().labels(), &labels[..], "{id} {grid:?}");
+        assert_eq!(plan.cluster_map().render(), map, "{id} {grid:?}");
+    }
+}
+
+/// Records a traced `plan()` that fails, and returns the error, the
+/// trace's phases and the findings of `panorama lint --report` on it.
+fn failed_plan_trace(
+    compiler: &Panorama,
+    dfg: &Dfg,
+    cgra: &Cgra,
+) -> (PanoramaError, Vec<String>, Diagnostics) {
+    let sink = RecordingSink::shared();
+    let start = Instant::now();
+    let err = compiler
+        .plan_traced(dfg, cgra, &Tracer::new(sink.clone()))
+        .unwrap_err();
+    let trace = TraceReport {
+        kernel: dfg.name().to_string(),
+        arch: "8x8".into(),
+        mapper: "plan".into(),
+        threads: 1,
+        wall_ns: start.elapsed().as_nanos() as u64,
+        events: sink.take(),
+    };
+    let phases = trace.events.iter().map(|e| e.phase.to_string()).collect();
+    let mut diags = Diagnostics::new();
+    lint_report(&trace.to_json(), &mut diags).unwrap();
+    (err, phases, diags)
+}
+
+/// A `plan()` that fails after the divide still closes its `cluster_map`
+/// span, so its trace covers the run (no TRACE006): when no candidate
+/// cluster-maps, and when the restricted pre-flight refutes the chosen
+/// plan.
+#[test]
+fn a_failed_plan_still_records_its_cluster_map_span() {
+    let cgra = cgra();
+    let dfg = kernels::generate(KernelId::Conv2d, KernelScale::Scaled);
+    let base = PanoramaConfig {
+        threads: 1,
+        ..PanoramaConfig::default()
+    };
+
+    // ζ capped at 0: column-wise scattering fails on every candidate
+    let no_zeta = Panorama::new(PanoramaConfig {
+        scatter: ScatterConfig {
+            max_zeta: 0,
+            ..ScatterConfig::default()
+        },
+        ..base.clone()
+    });
+    let (err, phases, diags) = failed_plan_trace(&no_zeta, &dfg, &cgra);
+    assert!(
+        matches!(
+            err,
+            PanoramaError::ClusterMapping(PlaceError::ZetaExhausted { .. })
+        ),
+        "{err}"
+    );
+    assert!(phases.iter().any(|p| p == "cluster_map"), "{phases:?}");
+    assert_eq!(diags.len(), 0, "{}", diags.render_human());
+
+    // the II cap at the unrestricted floor, which the plan's restriction
+    // raises: the pre-flight passes before the divide and fails after it
+    let unrestricted = min_ii(&dfg, &cgra).mii();
+    let plan = Panorama::new(base.clone()).plan(&dfg, &cgra).unwrap();
+    assert!(restricted_min_ii(&dfg, &cgra, plan.restriction()) > unrestricted);
+    let capped = Panorama::new(PanoramaConfig {
+        max_ii: Some(unrestricted),
+        ..base
+    });
+    let (err, phases, diags) = failed_plan_trace(&capped, &dfg, &cgra);
+    assert!(matches!(err, PanoramaError::Infeasible(_)), "{err}");
+    assert!(phases.iter().any(|p| p == "cluster_map"), "{phases:?}");
+    assert_eq!(diags.len(), 0, "{}", diags.render_human());
+}
+
+/// A `plan_traced` trace tells which candidates were row-scattered: each
+/// candidate has one `cluster_map.scatter` span with `row_wise` 0
+/// (column-wise scattering), and exactly the candidates keyed at or below
+/// the chosen one have a second with `row_wise` 1, the last of them the
+/// only success.
+#[test]
+fn a_plan_trace_marks_the_row_scattered_candidates() {
+    let compiler = Panorama::new(PanoramaConfig::default());
+    let cgra = Cgra::new(CgraConfig::paper_16x16()).unwrap();
+    for id in [KernelId::Cordic, KernelId::Fir] {
+        let dfg = kernels::generate(id, KernelScale::Scaled);
+        let sink = RecordingSink::shared();
+        compiler
+            .plan_traced(&dfg, &cgra, &Tracer::new(sink.clone()))
+            .unwrap();
+        let counter = |e: &panorama_trace::TraceEvent, name: &str| {
+            e.counters
+                .iter()
+                .find(|&&(k, _)| k == name)
+                .map(|&(_, v)| v)
+        };
+        let events = sink.take();
+        let scatters: Vec<_> = events
+            .iter()
+            .filter(|e| e.phase == "cluster_map.scatter")
+            .collect();
+        let column_wise: Vec<_> = scatters
+            .iter()
+            .filter(|e| counter(e, "row_wise") == Some(0))
+            .map(|e| (counter(e, "routing_complexity").unwrap(), e.candidate))
+            .collect();
+        let row_wise: Vec<_> = scatters
+            .iter()
+            .filter(|e| counter(e, "row_wise") == Some(1))
+            .map(|e| (e.candidate, counter(e, "success").unwrap()))
+            .collect();
+        assert_eq!(column_wise.len(), 3, "{id}: {scatters:?}");
+        assert_eq!(column_wise.len() + row_wise.len(), scatters.len(), "{id}");
+        let winners: Vec<_> = row_wise.iter().filter(|&&(_, ok)| ok == 1).collect();
+        assert_eq!(winners.len(), 1, "{id}: {row_wise:?}");
+        let key_of = |c: u32| column_wise.iter().find(|&&(_, cand)| cand == c).unwrap();
+        let chosen = key_of(winners[0].0);
+        let mut tried: Vec<u32> = row_wise.iter().map(|&(c, _)| c).collect();
+        tried.sort_unstable();
+        let mut expected: Vec<u32> = column_wise
+            .iter()
+            .filter(|&k| k <= chosen)
+            .map(|&(_, c)| c)
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(tried, expected, "{id}");
+    }
 }
