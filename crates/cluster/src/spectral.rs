@@ -74,8 +74,6 @@ pub enum SpectralKind {
 pub struct SpectralConfig {
     /// Seed for the k-means stage (deterministic clustering).
     pub seed: u64,
-    /// k-means restarts per `k`.
-    pub kmeans_restarts: usize,
     /// Laplacian variant.
     pub kind: SpectralKind,
 }
@@ -84,7 +82,6 @@ impl Default for SpectralConfig {
     fn default() -> Self {
         SpectralConfig {
             seed: 0x5EED_CAFE,
-            kmeans_restarts: 4,
             kind: SpectralKind::Unnormalized,
         }
     }
@@ -193,7 +190,6 @@ impl SpectralClustering {
             k,
             &KMeansConfig {
                 seed: config.seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                restarts: config.kmeans_restarts,
             },
         )?;
         // k-means may leave a cluster empty only transiently; its re-seeding

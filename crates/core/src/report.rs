@@ -67,9 +67,10 @@ impl HigherLevelPlan {
     }
 
     /// Wall-clock spent in the scattering ILPs (Table 1a's "Clus Map"
-    /// column). From a compile: both stages on every candidate. From
-    /// [`Panorama::plan`](crate::Panorama::plan): column-wise scattering on
-    /// every candidate, plus row-wise scattering on the candidates it tried
+    /// column): column-wise scattering on every candidate, then row-wise
+    /// scattering — from a compile, both batches (every candidate that
+    /// passed column-wise scattering); from
+    /// [`Panorama::plan`](crate::Panorama::plan), the candidates it tried
     /// before one succeeded.
     pub fn cluster_mapping_time(&self) -> Duration {
         self.cluster_mapping_time

@@ -41,22 +41,20 @@ impl Error for KMeansError {}
 /// Maximum Lloyd iterations per restart.
 const MAX_ITERS: usize = 100;
 
+/// Independent restarts per fit; the best inertia wins.
+const RESTARTS: u64 = 4;
+
 /// Configuration for [`KMeans::fit`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KMeansConfig {
     /// RNG seed for k-means++ initialisation; fixed seed ⇒ fully
     /// deterministic clustering.
     pub seed: u64,
-    /// Number of independent restarts; the best inertia wins.
-    pub restarts: usize,
 }
 
 impl Default for KMeansConfig {
     fn default() -> Self {
-        KMeansConfig {
-            seed: 0x00C6_4A17,
-            restarts: 4,
-        }
+        KMeansConfig { seed: 0x00C6_4A17 }
     }
 }
 
@@ -103,8 +101,8 @@ impl KMeans {
         }
 
         let mut best: Option<KMeans> = None;
-        for restart in 0..config.restarts.max(1) {
-            let mut rng = SmallRng::seed_from_u64(config.seed.wrapping_add(restart as u64));
+        for restart in 0..RESTARTS {
+            let mut rng = SmallRng::seed_from_u64(config.seed.wrapping_add(restart));
             let run = Self::fit_once(points, k, &mut rng);
             if best.as_ref().is_none_or(|b| run.inertia < b.inertia) {
                 best = Some(run);

@@ -49,6 +49,4 @@ pub use map::{
     assign_columns, assign_rows, map_clusters, ClusterMap, IlpEffort, PlaceError, RowAssignment,
     ScatterConfig,
 };
-pub use scatter::{
-    column_scatter, column_scatter_with_effort, row_scatter, row_scatter_with_effort,
-};
+pub use scatter::{column_scatter, row_scatter};

@@ -2,7 +2,7 @@
 //! its two stages ([`assign_rows`], [`assign_columns`]) and their results
 //! ([`RowAssignment`], [`ClusterMap`]).
 
-use crate::{column_scatter_with_effort, row_scatter_with_effort};
+use crate::{column_scatter, row_scatter};
 use panorama_cluster::{Cdg, CdgNodeId};
 use panorama_ilp::{SolveError, SolveStats};
 use std::error::Error;
@@ -53,16 +53,11 @@ pub struct ScatterConfig {
     /// Highest ζ value tried before giving up (Algorithm 1 escalates
     /// ζ1/ζ2 from 1 until the ILP turns feasible).
     pub max_zeta: u32,
-    /// Branch & bound node budget per ILP.
-    pub ilp_node_limit: usize,
 }
 
 impl Default for ScatterConfig {
     fn default() -> Self {
-        ScatterConfig {
-            max_zeta: 16,
-            ilp_node_limit: 60_000,
-        }
+        ScatterConfig { max_zeta: 16 }
     }
 }
 
@@ -278,7 +273,7 @@ pub fn map_clusters(
     cols: usize,
     config: &ScatterConfig,
 ) -> Result<ClusterMap, PlaceError> {
-    assign_columns(cdg, assign_rows(cdg, rows, config)?, cols, config)
+    assign_columns(cdg, assign_rows(cdg, rows, config)?, cols)
 }
 
 /// Stage 1 of [`map_clusters`]: column-wise scattering with ζ escalation
@@ -304,8 +299,7 @@ pub fn assign_rows(
     let mut best: Option<(f64, u32, Vec<usize>)> = None;
     let mut effort = IlpEffort::default();
     for zeta in 1..=config.max_zeta {
-        let Some(row_of) = column_scatter_with_effort(cdg, rows, zeta, zeta, config, &mut effort)?
-        else {
+        let Some(row_of) = column_scatter(cdg, rows, zeta, zeta, &mut effort)? else {
             continue;
         };
         let mut loads = vec![0usize; rows];
@@ -346,7 +340,6 @@ pub fn assign_columns(
     cdg: &Cdg,
     rows: RowAssignment,
     cols: usize,
-    config: &ScatterConfig,
 ) -> Result<ClusterMap, PlaceError> {
     let RowAssignment {
         rows,
@@ -354,7 +347,7 @@ pub fn assign_columns(
         zeta,
         mut effort,
     } = rows;
-    let cols_of = row_scatter_with_effort(cdg, &row_of, rows, cols, config, &mut effort)?;
+    let cols_of = row_scatter(cdg, &row_of, rows, cols, &mut effort)?;
     Ok(ClusterMap {
         rows,
         cols,
@@ -419,7 +412,7 @@ mod tests {
             (&idctrows, 2, 2),
         ] {
             let stage1 = assign_rows(cdg, rows, &config).unwrap();
-            let map = assign_columns(cdg, stage1.clone(), cols, &config).unwrap();
+            let map = assign_columns(cdg, stage1.clone(), cols).unwrap();
             let eager = map_clusters(cdg, rows, cols, &config).unwrap();
             assert_eq!(map.render(), eager.render(), "{rows}x{cols}");
             assert_eq!(map.ilp_effort(), eager.ilp_effort(), "{rows}x{cols}");
@@ -503,13 +496,11 @@ mod tests {
     /// a rounding or the basis a node starts from.
     #[test]
     fn scattering_search_is_pinned() {
-        use crate::column_scatter_with_effort;
-
         let cdg = idctrows_blocks();
         let config = ScatterConfig::default();
 
         let mut effort = IlpEffort::default();
-        let row_of = column_scatter_with_effort(&cdg, 4, 2, 2, &config, &mut effort).unwrap();
+        let row_of = column_scatter(&cdg, 4, 2, 2, &mut effort).unwrap();
         assert_eq!(row_of, Some(vec![1, 0, 1, 0, 2, 0, 3, 1, 2, 3, 3, 2]));
         let pinned = |solves, bnb_nodes, simplex_pivots| IlpEffort {
             solves,

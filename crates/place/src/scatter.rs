@@ -1,8 +1,11 @@
 //! The two scattering ILPs (paper §3.2.1 and §3.2.2).
 
-use crate::{IlpEffort, PlaceError, ScatterConfig};
+use crate::{IlpEffort, PlaceError};
 use panorama_cluster::{Cdg, CdgNodeId};
 use panorama_ilp::{Cmp, LinExpr, Model, Sense, Solution, SolveError, VarId};
+
+/// Branch & bound node budget of every scattering ILP.
+const ILP_NODE_LIMIT: usize = 60_000;
 
 /// Runs a model, accepting a node-limit incumbent as a (possibly
 /// suboptimal) success — scattering quality degrades gracefully. Every
@@ -26,7 +29,9 @@ fn solve_lenient(model: &Model, effort: &mut IlpEffort) -> Result<Option<Solutio
 }
 
 /// Column-wise scattering (paper §3.2.1): assigns every CDG node a cluster
-/// row in `0..rows` by repeated matching-cut splits with fixed ζ values.
+/// row in `0..rows` by repeated matching-cut splits with fixed ζ values,
+/// accumulating ILP solver effort into `effort` (one matching-cut solve
+/// per split).
 ///
 /// Returns `Ok(None)` when some split is infeasible at these ζ values (the
 /// caller escalates ζ, Algorithm 1 lines 7–9).
@@ -42,23 +47,6 @@ pub fn column_scatter(
     rows: usize,
     zeta1: u32,
     zeta2: u32,
-    config: &ScatterConfig,
-) -> Result<Option<Vec<usize>>, PlaceError> {
-    column_scatter_with_effort(cdg, rows, zeta1, zeta2, config, &mut IlpEffort::default())
-}
-
-/// [`column_scatter`] that also accumulates ILP solver effort into
-/// `effort` (one matching-cut solve per split).
-///
-/// # Errors
-///
-/// Same contract as [`column_scatter`].
-pub fn column_scatter_with_effort(
-    cdg: &Cdg,
-    rows: usize,
-    zeta1: u32,
-    zeta2: u32,
-    config: &ScatterConfig,
     effort: &mut IlpEffort,
 ) -> Result<Option<Vec<usize>>, PlaceError> {
     let k = cdg.num_clusters();
@@ -73,7 +61,7 @@ pub fn column_scatter_with_effort(
     for r in 0..rows.saturating_sub(1) {
         let below = rows - 1 - r; // rows still to fill underneath
         let mut model = Model::new(Sense::Minimize);
-        model.set_node_limit(config.ilp_node_limit);
+        model.set_node_limit(ILP_NODE_LIMIT);
         // v_i = 1 ⇔ node i stays at row r (is NOT pushed down)
         let vars: Vec<VarId> = current
             .iter()
@@ -167,7 +155,8 @@ pub fn column_scatter_with_effort(
 }
 
 /// Row-wise scattering (paper §3.2.2): given each node's cluster row,
-/// chooses the set of cluster columns it occupies.
+/// chooses the set of cluster columns it occupies, accumulating ILP solver
+/// effort into `effort` (one solve per row per balance-slack attempt).
 ///
 /// Large clusters span `ceil(size / avg)` contiguous columns (one-to-many
 /// mapping); the objective minimises the inter-cluster-edge-weighted column
@@ -188,23 +177,6 @@ pub fn row_scatter(
     row_of: &[usize],
     rows: usize,
     cols: usize,
-    config: &ScatterConfig,
-) -> Result<Vec<Vec<usize>>, PlaceError> {
-    row_scatter_with_effort(cdg, row_of, rows, cols, config, &mut IlpEffort::default())
-}
-
-/// [`row_scatter`] that also accumulates ILP solver effort into `effort`
-/// (one solve per row per balance-slack attempt).
-///
-/// # Errors
-///
-/// Same contract as [`row_scatter`].
-pub fn row_scatter_with_effort(
-    cdg: &Cdg,
-    row_of: &[usize],
-    rows: usize,
-    cols: usize,
-    config: &ScatterConfig,
     effort: &mut IlpEffort,
 ) -> Result<Vec<Vec<usize>>, PlaceError> {
     let k = cdg.num_clusters();
@@ -223,7 +195,7 @@ pub fn row_scatter_with_effort(
     // Try tight per-cell load balance first, relaxing only when the ILP
     // has no solution at that slack.
     for slack in [1.35, 1.7, 2.5, f64::INFINITY] {
-        match row_scatter_at(cdg, row_of, rows, cols, config, &span_of, slack, effort)? {
+        match row_scatter_at(cdg, row_of, rows, cols, &span_of, slack, effort)? {
             Some(columns) => return Ok(columns),
             None => continue,
         }
@@ -246,7 +218,6 @@ fn row_scatter_at(
     row_of: &[usize],
     rows: usize,
     cols: usize,
-    config: &ScatterConfig,
     span_of: &[usize],
     balance_slack: f64,
     effort: &mut IlpEffort,
@@ -262,7 +233,7 @@ fn row_scatter_at(
             continue;
         }
         let mut model = Model::new(Sense::Minimize);
-        model.set_node_limit(config.ilp_node_limit);
+        model.set_node_limit(ILP_NODE_LIMIT);
         let mut vars: Vec<Vec<VarId>> = Vec::with_capacity(members.len());
         for &i in &members {
             let row: Vec<VarId> = (0..cols)
@@ -437,7 +408,7 @@ mod tests {
     #[test]
     fn column_scatter_balances_rows() {
         let (_, cdg) = chained_cdg(&[4, 4, 4, 4]);
-        let rows = column_scatter(&cdg, 2, 1, 1, &ScatterConfig::default())
+        let rows = column_scatter(&cdg, 2, 1, 1, &mut IlpEffort::default())
             .unwrap()
             .expect("feasible at zeta 1 for a path CDG");
         // two groups per row (8 DFG nodes each)
@@ -453,7 +424,7 @@ mod tests {
     fn column_scatter_respects_matching_cut_on_path() {
         // a path CDG always admits a matching cut: zeta 1 must suffice
         let (_, cdg) = chained_cdg(&[2, 2, 2, 2, 2, 2]);
-        let result = column_scatter(&cdg, 3, 1, 1, &ScatterConfig::default()).unwrap();
+        let result = column_scatter(&cdg, 3, 1, 1, &mut IlpEffort::default()).unwrap();
         assert!(result.is_some());
         let rows = result.unwrap();
         for r in 0..3 {
@@ -465,7 +436,7 @@ mod tests {
     fn column_scatter_too_few_clusters() {
         let (_, cdg) = chained_cdg(&[3, 3]);
         assert!(matches!(
-            column_scatter(&cdg, 4, 1, 1, &ScatterConfig::default()),
+            column_scatter(&cdg, 4, 1, 1, &mut IlpEffort::default()),
             Err(PlaceError::TooFewClusters { k: 2, rows: 4 })
         ));
     }
@@ -474,7 +445,7 @@ mod tests {
     fn row_scatter_spans_big_clusters() {
         // group sizes 9,3: avg over 1×2 grid = 6 → spans 2 and 1
         let (_, cdg) = chained_cdg(&[9, 3]);
-        let cols = row_scatter(&cdg, &[0, 0], 1, 2, &ScatterConfig::default()).unwrap();
+        let cols = row_scatter(&cdg, &[0, 0], 1, 2, &mut IlpEffort::default()).unwrap();
         assert_eq!(cols[0].len(), 2, "big cluster spans both columns");
         assert_eq!(cols[1].len(), 1);
     }
@@ -484,7 +455,7 @@ mod tests {
         // 4 equal groups on one row of 4 columns: chain i—i+1 ⇒ the
         // weighted distance optimum keeps neighbours adjacent
         let (_, cdg) = chained_cdg(&[3, 3, 3, 3]);
-        let cols = row_scatter(&cdg, &[0; 4], 1, 4, &ScatterConfig::default()).unwrap();
+        let cols = row_scatter(&cdg, &[0; 4], 1, 4, &mut IlpEffort::default()).unwrap();
         // each takes exactly one column, all distinct (coverage)
         let mut seen: Vec<usize> = cols.iter().map(|c| c[0]).collect();
         seen.sort_unstable();
@@ -501,20 +472,20 @@ mod tests {
         // a chain on one free row has two optimal images, one the other's
         // mirror: the lowest-numbered group takes the left one
         let (_, cdg) = chained_cdg(&[3, 3, 3, 3]);
-        let cols = row_scatter(&cdg, &[0; 4], 1, 4, &ScatterConfig::default()).unwrap();
+        let cols = row_scatter(&cdg, &[0; 4], 1, 4, &mut IlpEffort::default()).unwrap();
         assert_eq!(cols, vec![vec![0], vec![1], vec![2], vec![3]]);
         // a mirror that costs more is not taken: row 0 puts group 2 left
         // of group 3 (a tie), so group 1, anchored by group 2, goes left
         // of group 0 on row 1
         let (_, cdg) = chained_cdg(&[2, 2, 2, 2]);
-        let cols = row_scatter(&cdg, &[1, 1, 0, 0], 2, 2, &ScatterConfig::default()).unwrap();
+        let cols = row_scatter(&cdg, &[1, 1, 0, 0], 2, 2, &mut IlpEffort::default()).unwrap();
         assert_eq!(cols, vec![vec![1], vec![0], vec![0], vec![1]]);
     }
 
     #[test]
     fn row_scatter_columns_are_contiguous() {
         let (_, cdg) = chained_cdg(&[12, 2, 2]);
-        let cols = row_scatter(&cdg, &[0, 0, 0], 1, 4, &ScatterConfig::default()).unwrap();
+        let cols = row_scatter(&cdg, &[0, 0, 0], 1, 4, &mut IlpEffort::default()).unwrap();
         for c in &cols {
             for w in c.windows(2) {
                 assert_eq!(w[1] - w[0], 1, "span must be contiguous: {c:?}");

@@ -8,7 +8,7 @@
 
 use panorama_cluster::{Cdg, Partition};
 use panorama_dfg::{Dfg, DfgBuilder, OpKind};
-use panorama_place::{column_scatter, map_clusters, row_scatter, ScatterConfig};
+use panorama_place::{column_scatter, map_clusters, row_scatter, IlpEffort, ScatterConfig};
 use std::error::Error;
 
 /// The imbalanced five-cluster CDG of Figure 4: one big cluster (D) and
@@ -59,11 +59,12 @@ fn main() -> Result<(), Box<dyn Error>> {
         );
     }
 
-    let config = ScatterConfig::default();
     let (rows, cols) = (2, 2);
+    // Both stages count their ILP solves into one running total.
+    let mut effort = IlpEffort::default();
 
     // Stage 1: column-wise scattering (split & push into cluster rows).
-    let row_of = column_scatter(&cdg, rows, 1, 1, &config)?
+    let row_of = column_scatter(&cdg, rows, 1, 1, &mut effort)?
         .ok_or("column scattering infeasible at zeta 1")?;
     println!("\ncolumn-wise scattering (zeta 1):");
     for r in 0..rows {
@@ -76,8 +77,11 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
 
     // Stage 2: row-wise scattering (columns, with spanning).
-    let cols_of = row_scatter(&cdg, &row_of, rows, cols, &config)?;
-    println!("\nrow-wise scattering:");
+    let cols_of = row_scatter(&cdg, &row_of, rows, cols, &mut effort)?;
+    println!(
+        "\nrow-wise scattering ({} ILP solves over both stages):",
+        effort.solves
+    );
     for n in cdg.cluster_ids() {
         println!(
             "  {} (size {:>2}) -> row {} columns {:?}",
@@ -89,7 +93,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
 
     // The packaged driver does both and records zeta.
-    let map = map_clusters(&cdg, rows, cols, &config)?;
+    let map = map_clusters(&cdg, rows, cols, &ScatterConfig::default())?;
     println!(
         "\nfull cluster map: histogram {:?}, routing complexity {}, diagonal edges {}",
         map.histogram(),

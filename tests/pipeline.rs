@@ -1,14 +1,14 @@
 //! End-to-end integration tests: the full PANORAMA pipeline across crates,
 //! on real kernels, with independent mapping verification.
 
-use panorama::{Panorama, PanoramaConfig, PanoramaError};
+use panorama::{CompileContext, CompileMode, Panorama, PanoramaConfig, PanoramaError};
 use panorama_arch::{Cgra, CgraConfig};
-use panorama_cluster::{explore_partitions, top_balanced, Cdg};
+use panorama_cluster::{explore_partitions, top_balanced, Cdg, Partition};
 use panorama_dfg::{kernels, Dfg, KernelId, KernelScale};
 use panorama_lint::{lint_report, Diagnostics};
 use panorama_mapper::{min_ii, restricted_min_ii, SprMapper, UltraFastMapper};
 use panorama_place::{map_clusters, PlaceError, ScatterConfig};
-use panorama_trace::{RecordingSink, TraceReport, Tracer};
+use panorama_trace::{RecordingSink, TraceEvent, TraceReport, Tracer};
 use std::time::Instant;
 
 fn cgra() -> Cgra {
@@ -135,10 +135,9 @@ fn baseline_and_guided_both_verify_on_scaled_kernel() {
     assert!(pan.mapping().ii() <= base.mapping().ii());
 }
 
-/// The plan an eager selection picks: both scattering stages on every
-/// top-balanced candidate, then the least `(routing complexity, balance
-/// rank)`. Returns its partition labels and rendered cluster map.
-fn eager_plan(dfg: &Dfg, cgra: &Cgra, config: &PanoramaConfig) -> Option<(Vec<usize>, String)> {
+/// The top-balanced candidate partitions the divide scatters, in balance
+/// rank order (the trace's candidate numbers).
+fn candidates(dfg: &Dfg, cgra: &Cgra, config: &PanoramaConfig) -> Vec<Partition> {
     let (rows, cols) = cgra.cluster_grid();
     // the exploration range `Panorama::plan` uses
     let r = rows.max(2);
@@ -148,12 +147,23 @@ fn eager_plan(dfg: &Dfg, cgra: &Cgra, config: &PanoramaConfig) -> Option<(Vec<us
     let parts = explore_partitions(dfg, r, m, &config.spectral).unwrap();
     top_balanced(&parts, config.top_partitions)
         .into_iter()
+        .map(|(_, part)| part.clone())
+        .collect()
+}
+
+/// The plan an eager selection picks: both scattering stages on every
+/// top-balanced candidate, then the least `(routing complexity, balance
+/// rank)`. Returns its partition labels and rendered cluster map.
+fn eager_plan(dfg: &Dfg, cgra: &Cgra, config: &PanoramaConfig) -> Option<(Vec<usize>, String)> {
+    let (rows, cols) = cgra.cluster_grid();
+    candidates(dfg, cgra, config)
+        .into_iter()
         .enumerate()
-        .filter_map(|(rank, (_, part))| {
-            let map = map_clusters(&Cdg::new(dfg, part), rows, cols, &config.scatter).ok()?;
+        .filter_map(|(rank, part)| {
+            let map = map_clusters(&Cdg::new(dfg, &part), rows, cols, &config.scatter).ok()?;
             Some(((map.routing_complexity(), rank), part, map))
         })
-        .min_by_key(|&(key, _, _)| key)
+        .min_by_key(|(key, _, _)| *key)
         .map(|(_, part, map)| (part.labels().to_vec(), map.render()))
 }
 
@@ -223,10 +233,7 @@ fn a_failed_plan_still_records_its_cluster_map_span() {
 
     // ζ capped at 0: column-wise scattering fails on every candidate
     let no_zeta = Panorama::new(PanoramaConfig {
-        scatter: ScatterConfig {
-            max_zeta: 0,
-            ..ScatterConfig::default()
-        },
+        scatter: ScatterConfig { max_zeta: 0 },
         ..base.clone()
     });
     let (err, phases, diags) = failed_plan_trace(&no_zeta, &dfg, &cgra);
@@ -255,6 +262,15 @@ fn a_failed_plan_still_records_its_cluster_map_span() {
     assert_eq!(diags.len(), 0, "{}", diags.render_human());
 }
 
+/// The value of `event`'s counter `name`, if it has one.
+fn counter(event: &TraceEvent, name: &str) -> Option<i64> {
+    event
+        .counters
+        .iter()
+        .find(|&&(k, _)| k == name)
+        .map(|&(_, v)| v)
+}
+
 /// A `plan_traced` trace tells which candidates were row-scattered: each
 /// candidate has one `cluster_map.scatter` span with `row_wise` 0
 /// (column-wise scattering), and exactly the candidates keyed at or below
@@ -270,12 +286,6 @@ fn a_plan_trace_marks_the_row_scattered_candidates() {
         compiler
             .plan_traced(&dfg, &cgra, &Tracer::new(sink.clone()))
             .unwrap();
-        let counter = |e: &panorama_trace::TraceEvent, name: &str| {
-            e.counters
-                .iter()
-                .find(|&&(k, _)| k == name)
-                .map(|&(_, v)| v)
-        };
         let events = sink.take();
         let scatters: Vec<_> = events
             .iter()
@@ -306,5 +316,107 @@ fn a_plan_trace_marks_the_row_scattered_candidates() {
             .collect();
         expected.sort_unstable();
         assert_eq!(tried, expected, "{id}");
+    }
+}
+
+/// A guided compile of `dfg` traced at `threads` workers.
+fn traced_compile(dfg: &Dfg, cgra: &Cgra, threads: usize) -> TraceReport {
+    let sink = RecordingSink::shared();
+    let tracer = Tracer::new(sink.clone());
+    let ctx = CompileContext {
+        tracer: Some(&tracer),
+        ..CompileContext::default()
+    };
+    let compiler = Panorama::new(PanoramaConfig {
+        threads,
+        ..PanoramaConfig::default()
+    });
+    let mapper = UltraFastMapper::default();
+    compiler
+        .compile_with(dfg, cgra, &[&mapper], CompileMode::Guided, &ctx)
+        .unwrap_or_else(|e| panic!("{}: {e}", dfg.name()));
+    TraceReport {
+        kernel: dfg.name().to_string(),
+        arch: format!("{}x{}", cgra.config().rows, cgra.config().cols),
+        mapper: "ultrafast".into(),
+        threads,
+        wall_ns: 0,
+        events: sink.take(),
+    }
+}
+
+/// A compile trace splits scattering by stage: every candidate has one
+/// `cluster_map.scatter` span with `row_wise` 0 (column-wise scattering)
+/// and, when that succeeded, one with `row_wise` 1 (row-wise scattering).
+/// The two spans' effort counters sum to what `map_clusters` spends on
+/// the candidate's partition, and the stable digest is the same at 1 and
+/// 4 workers.
+#[test]
+fn a_compile_trace_splits_scattering_by_stage() {
+    let config = PanoramaConfig::default();
+    let effort_names = [
+        "ilp_solves",
+        "bnb_nodes",
+        "node_limited",
+        "simplex_pivots",
+        "presolve_reductions",
+    ];
+    for (id, arch) in [
+        (KernelId::Fir, CgraConfig::scaled_8x8()),
+        (KernelId::Cordic, CgraConfig::scaled_8x8()),
+        (KernelId::Fir, CgraConfig::paper_16x16()),
+    ] {
+        let cgra = Cgra::new(arch).unwrap();
+        let (rows, cols) = cgra.cluster_grid();
+        let dfg = kernels::generate(id, KernelScale::Scaled);
+        let trace = traced_compile(&dfg, &cgra, 1);
+        let parts = candidates(&dfg, &cgra, &config);
+        assert_eq!(parts.len(), config.top_partitions, "{id} {rows}x{cols}");
+        for (rank, part) in parts.iter().enumerate() {
+            let spans: Vec<_> = trace
+                .events
+                .iter()
+                .filter(|e| e.phase == "cluster_map.scatter" && e.candidate == rank as u32)
+                .collect();
+            let stage = |row_wise| {
+                let found: Vec<_> = spans
+                    .iter()
+                    .filter(|e| counter(e, "row_wise") == Some(row_wise))
+                    .collect();
+                assert!(found.len() <= 1, "{id} candidate {rank}: {spans:?}");
+                found.first().map(|&&e| e)
+            };
+            let column_wise = stage(0).expect("one column-wise span per candidate");
+            let row_wise = stage(1);
+            let passed = counter(column_wise, "success") == Some(1);
+            assert_eq!(row_wise.is_some(), passed, "{id} candidate {rank}");
+            assert_eq!(
+                spans.len(),
+                1 + usize::from(passed),
+                "{id} candidate {rank}"
+            );
+            let Ok(map) = map_clusters(&Cdg::new(&dfg, part), rows, cols, &config.scatter) else {
+                assert_ne!(row_wise.map(|e| counter(e, "success")), Some(Some(1)));
+                continue;
+            };
+            let row_wise = row_wise.expect("a mapped candidate was row-scattered");
+            let effort = map.ilp_effort();
+            let expected = [
+                effort.solves,
+                effort.bnb_nodes,
+                effort.node_limited,
+                effort.simplex_pivots,
+                effort.presolve_reductions,
+            ];
+            for (name, want) in effort_names.into_iter().zip(expected) {
+                let sum = counter(column_wise, name).unwrap() + counter(row_wise, name).unwrap();
+                assert_eq!(sum, want as i64, "{id} candidate {rank}: {name}");
+            }
+        }
+        assert_eq!(
+            trace.deterministic_signature(),
+            traced_compile(&dfg, &cgra, 4).deterministic_signature(),
+            "{id} {rows}x{cols}: stable trace digest diverged at 4 threads"
+        );
     }
 }
