@@ -167,6 +167,14 @@ impl SpectralClustering {
     ///   node count;
     /// * [`ClusterError::KMeans`] when the k-means stage fails.
     pub fn partition(&self, k: usize, config: &SpectralConfig) -> Result<Partition, ClusterError> {
+        let km = self.fit(k, config)?;
+        // k-means may leave a cluster empty only transiently; its re-seeding
+        // guarantees all k labels appear, but renumber defensively anyway.
+        Ok(compact_labels(km.labels(), k))
+    }
+
+    /// The k-means fit behind [`SpectralClustering::partition`].
+    fn fit(&self, k: usize, config: &SpectralConfig) -> Result<KMeans, ClusterError> {
         if k == 0 || k > self.nodes {
             return Err(ClusterError::BadClusterCount {
                 k,
@@ -185,16 +193,13 @@ impl SpectralClustering {
                 }
             }
         }
-        let km = KMeans::fit(
+        Ok(KMeans::fit(
             &features,
             k,
             &KMeansConfig {
                 seed: config.seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             },
-        )?;
-        // k-means may leave a cluster empty only transiently; its re-seeding
-        // guarantees all k labels appear, but renumber defensively anyway.
-        Ok(compact_labels(km.labels(), k))
+        )?)
     }
 }
 
@@ -229,11 +234,13 @@ pub fn explore_partitions(
     m: usize,
     config: &SpectralConfig,
 ) -> Result<Vec<Partition>, ClusterError> {
-    explore_partitions_with_stats(dfg, r, m, config).map(|(parts, _)| parts)
+    explore_partitions_with_stats(dfg, r, m, config).map(|(parts, ..)| parts)
 }
 
-/// [`explore_partitions`] that also reports the QL iteration count of the
-/// shared eigendecomposition, for the partitioning trace.
+/// [`explore_partitions`] that also reports the sweep's effort, for the
+/// partitioning trace: the QL iteration count of the shared
+/// eigendecomposition, then the Lloyd iterations and the squared distances
+/// evaluated by every k-means fit, summed over all `k`.
 ///
 /// # Errors
 ///
@@ -243,11 +250,14 @@ pub fn explore_partitions_with_stats(
     r: usize,
     m: usize,
     config: &SpectralConfig,
-) -> Result<(Vec<Partition>, usize), ClusterError> {
+) -> Result<(Vec<Partition>, usize, usize, usize), ClusterError> {
     let sc = SpectralClustering::with_kind(dfg, config.kind)?;
-    let mut parts = Vec::new();
+    let (mut parts, mut iterations, mut distances) = (Vec::new(), 0, 0);
     for k in r..=m.min(sc.num_nodes()) {
-        parts.push(sc.partition(k, config)?);
+        let km = sc.fit(k, config)?;
+        iterations += km.iterations();
+        distances += km.distances();
+        parts.push(compact_labels(km.labels(), k));
     }
     if parts.is_empty() {
         return Err(ClusterError::BadClusterCount {
@@ -255,7 +265,7 @@ pub fn explore_partitions_with_stats(
             nodes: sc.num_nodes(),
         });
     }
-    Ok((parts, sc.eigen_sweeps()))
+    Ok((parts, sc.eigen_sweeps(), iterations, distances))
 }
 
 /// Algorithm 1 line 5: the `take` most balanced partitions (lowest

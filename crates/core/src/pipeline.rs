@@ -405,15 +405,17 @@ impl Panorama {
     }
 
     /// Spectral exploration (Algorithm 1 lines 1–4). Returns the explored
-    /// partitions, the total eigensolve QL iteration count, and the
-    /// clustering wall-clock; records one `partition.k` trace event per
-    /// explored candidate.
+    /// partitions and the clustering wall-clock; records one `partition.k`
+    /// trace event per explored candidate inside the `partition` span,
+    /// whose counters are the sweep's effort: eigensolve QL iterations,
+    /// k-means Lloyd iterations and squared distances evaluated.
     fn explore(
         &self,
         dfg: &Dfg,
         cgra: &Cgra,
         trace: &mut SpanCollector,
-    ) -> Result<(Vec<Partition>, usize, std::time::Duration), PanoramaError> {
+    ) -> Result<(Vec<Partition>, Duration), PanoramaError> {
+        let span = trace.start();
         let (rows, cols) = cgra.cluster_grid();
         let t0 = Instant::now();
         // Cap the exploration so clusters keep a sensible minimum size —
@@ -425,7 +427,7 @@ impl Panorama {
         let m = (2 * rows * cols)
             .min(dfg.num_ops() / 8)
             .clamp(r, self.config.max_dfg_clusters.max(r));
-        let (partitions, eigen_sweeps) =
+        let (partitions, eigen_sweeps, iterations, distances) =
             explore_partitions_with_stats(dfg, r, m, &self.config.spectral)?;
         if trace.is_enabled() {
             for p in &partitions {
@@ -438,7 +440,18 @@ impl Panorama {
                 );
             }
         }
-        Ok((partitions, eigen_sweeps, t0.elapsed()))
+        let elapsed = t0.elapsed();
+        trace.record(
+            "partition",
+            span,
+            &[
+                ("partitions", partitions.len() as i64),
+                ("eigen_sweeps", eigen_sweeps as i64),
+                ("kmeans_iterations", iterations as i64),
+                ("kmeans_distances", distances as i64),
+            ],
+        );
+        Ok((partitions, elapsed))
     }
 
     /// Runs `f` with the pipeline collector and a list for the candidates'
@@ -472,17 +485,8 @@ impl Panorama {
         exec: &BatchExecutor<'env>,
         pipe: &mut SpanCollector,
     ) -> Result<Divided, PanoramaError> {
-        let span = pipe.start();
-        let (partitions, eigen_sweeps, clustering_time) = self.explore(dfg, cgra, pipe)?;
+        let (partitions, clustering_time) = self.explore(dfg, cgra, pipe)?;
         let partitions = Arc::new(partitions);
-        pipe.record(
-            "partition",
-            span,
-            &[
-                ("partitions", partitions.len() as i64),
-                ("eigen_sweeps", eigen_sweeps as i64),
-            ],
-        );
 
         let span = pipe.start();
         let t1 = Instant::now();

@@ -13,7 +13,8 @@
 //!   [`SymmetricEigen::decompose`] turns the buffer of the matrix it is
 //!   given into the basis, rows being eigenvectors, so a decomposition
 //!   peaks at one `n × n` buffer;
-//! * [`KMeans`] — Lloyd's algorithm with deterministic k-means++ seeding.
+//! * [`KMeans`] — Lloyd's algorithm with deterministic k-means++ seeding,
+//!   each pass pruned by Elkan's exact triangle-inequality bounds.
 //!
 //! # Examples
 //!

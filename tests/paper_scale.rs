@@ -86,3 +86,58 @@ fn plan_fingerprints_are_pinned_at_paper_scale() {
         );
     }
 }
+
+/// The 16×16 quality gate (ROADMAP item 2): six paper-scale kernels
+/// compiled guided and as the baseline (SPR\*, one worker), each II at or
+/// under its committed ceiling. The ceilings are the IIs measured when the
+/// gate was committed; a baseline that maps nowhere has none. A change that
+/// claims to be exact leaves every row where it is, and one that lowers a
+/// row lowers its ceiling in the same commit.
+#[test]
+#[ignore = "paper-scale run: ~5 s in a release build, minutes in debug"]
+fn ii_gate_at_paper_scale_on_16x16() {
+    let cgra = Cgra::new(CgraConfig::paper_16x16()).unwrap();
+    let compiler = Panorama::new(PanoramaConfig {
+        threads: 1,
+        ..PanoramaConfig::default()
+    });
+    let mapper = SprMapper::default();
+    let show = |ii: Option<usize>| ii.map_or("-".to_string(), |ii| ii.to_string());
+    let mut over = Vec::new();
+    println!("{:<12} {:>6} {:>8}", "kernel", "guided", "baseline");
+    for (id, guided_cap, baseline_cap) in [
+        (KernelId::IdctCols, 14, Some(8)),
+        (KernelId::IdctRows, 14, Some(8)),
+        (KernelId::Cordic, 7, Some(9)),
+        (KernelId::Fir, 11, None),
+        (KernelId::JpegFdct, 10, Some(12)),
+        (KernelId::JpegIdctFst, 12, None),
+    ] {
+        let dfg = kernels::generate(id, KernelScale::Paper);
+        let guided = compiler.compile(&dfg, &cgra, &mapper).ok();
+        let baseline = compiler.compile_baseline(&dfg, &cgra, &mapper).ok();
+        let guided = guided.map(|r| r.mapping().ii());
+        let baseline = baseline.map(|r| r.mapping().ii());
+        println!(
+            "{:<12} {:>6} {:>8}",
+            id.name(),
+            show(guided),
+            show(baseline)
+        );
+        if guided.is_none_or(|ii| ii > guided_cap) {
+            over.push(format!(
+                "{} guided: {} > {guided_cap}",
+                id.name(),
+                show(guided)
+            ));
+        }
+        if let Some(cap) = baseline_cap.filter(|&cap| baseline.is_none_or(|ii| ii > cap)) {
+            over.push(format!(
+                "{} baseline: {} > {cap}",
+                id.name(),
+                show(baseline)
+            ));
+        }
+    }
+    assert!(over.is_empty(), "over the ceiling: {over:?}");
+}
