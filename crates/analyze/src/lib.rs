@@ -22,7 +22,7 @@
 //!   analysis; the [`AnalyzeReport`] records the bound before/after and
 //!   the witness cycle that proves it;
 //! * findings surface as stable `ANLZ` diagnostics through the
-//!   `panorama-lint` engine ([`analyze_diagnostics`], [`AnalyzePass`]).
+//!   `panorama-lint` engine ([`analyze_diagnostics`]).
 //!
 //! # Examples
 //!
@@ -68,7 +68,7 @@ pub mod report;
 pub use engine::{fixpoint, Fixpoint, Lattice};
 pub use equiv::{check_mapped, is_observable, EquivError};
 pub use lattice::{Level, Live, Value};
-pub use lints::{analyze_diagnostics, AnalyzePass};
+pub use lints::analyze_diagnostics;
 pub use opt::{optimize, AnalyzeConfig, AnalyzeError, Optimization};
 pub use passes::{constant_values, schedule_ranges, ScheduleRanges};
 pub use report::{analyze, Analysis, AnalyzeReport};

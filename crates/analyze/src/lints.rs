@@ -13,11 +13,10 @@
 //! `panorama-lint`'s `analyze_lints` module: it re-validates report
 //! *files* and must not depend on this crate.
 
-use crate::opt::AnalyzeConfig;
-use crate::report::{analyze, Analysis};
+use crate::report::Analysis;
 use panorama_arch::Cgra;
 use panorama_dfg::{Dfg, OpKind};
-use panorama_lint::{Diagnostic, Diagnostics, Entity, LintContext, LintPass, Severity};
+use panorama_lint::{Diagnostic, Diagnostics, Entity, Severity};
 use panorama_mapper::min_ii;
 
 /// Appends `ANLZ001`–`ANLZ004` findings for `analysis` (of `original`,
@@ -106,52 +105,12 @@ pub fn analyze_diagnostics(
     }
 }
 
-/// A [`LintPass`] adapter: runs the analysis on the context's DFG and
-/// emits `ANLZ` findings next to the built-in passes. Analysis failures
-/// (equivalence violations) surface as an `ANLZ005`-style error so a lint
-/// run never silently skips them.
-pub struct AnalyzePass {
-    config: AnalyzeConfig,
-}
-
-impl AnalyzePass {
-    /// A pass with the given optimizer configuration.
-    pub fn new(config: AnalyzeConfig) -> Self {
-        AnalyzePass { config }
-    }
-}
-
-impl Default for AnalyzePass {
-    fn default() -> Self {
-        AnalyzePass::new(AnalyzeConfig::default())
-    }
-}
-
-impl LintPass for AnalyzePass {
-    fn name(&self) -> &'static str {
-        "analyze"
-    }
-
-    fn run(&self, ctx: &LintContext<'_>, out: &mut Diagnostics) {
-        let Some(dfg) = ctx.dfg else { return };
-        match analyze(dfg, &self.config) {
-            Ok(analysis) => analyze_diagnostics(dfg, &analysis, ctx.cgra, out),
-            Err(e) => out.push(Diagnostic::new(
-                "ANLZ005",
-                Severity::Error,
-                Entity::Global,
-                format!("analysis failed: {e}"),
-            )),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{analyze, AnalyzeConfig};
     use panorama_arch::CgraConfig;
     use panorama_dfg::{DfgBuilder, Op};
-    use panorama_lint::Registry;
 
     fn kernel() -> Dfg {
         // constant prefix + duplicate adds + accumulator + dead op
@@ -231,27 +190,10 @@ mod tests {
     }
 
     #[test]
-    fn pass_registers_next_to_the_builtins() {
-        let dfg = kernel();
-        let cgra = Cgra::new(CgraConfig::small_4x4()).unwrap();
-        let mut registry = Registry::with_default_passes();
-        registry.register(Box::new(AnalyzePass::default()));
-        assert!(registry.pass_names().contains(&"analyze"));
-        let ctx = LintContext {
-            dfg: Some(&dfg),
-            cgra: Some(&cgra),
-            ..LintContext::default()
-        };
-        let diags = registry.run(&ctx);
-        assert!(diags.iter().any(|d| d.code.starts_with("ANLZ")));
-        assert_eq!(diags.num_errors(), 0);
-    }
-
-    #[test]
     fn every_emitted_code_has_a_registry_docs_entry() {
         // The lint crate's `codes` table is the single docs index; this
-        // crate emits ANLZ001–ANLZ005, so they must all be registered.
-        for code in ["ANLZ001", "ANLZ002", "ANLZ003", "ANLZ004", "ANLZ005"] {
+        // crate emits ANLZ001–ANLZ004, so they must all be registered.
+        for code in ["ANLZ001", "ANLZ002", "ANLZ003", "ANLZ004"] {
             let entry = panorama_lint::codes::lookup(code)
                 .unwrap_or_else(|| panic!("{code} missing from panorama_lint::codes::ALL"));
             assert!(!entry.summary.is_empty());

@@ -17,7 +17,7 @@ use crate::report::CompileReport;
 use panorama_analyze::AnalyzeConfig;
 use panorama_arch::{Cgra, CgraConfig};
 use panorama_dfg::{kernels, Dfg, KernelId, KernelScale};
-use panorama_lint::{Diagnostics, LintContext, Registry};
+use panorama_lint::{lint_arch, lint_dfg, precheck, Diagnostics};
 use panorama_mapper::{CancelToken, LowerLevelMapper};
 use panorama_trace::json::Json;
 use panorama_trace::Tracer;
@@ -213,26 +213,32 @@ pub fn arch_or_default(doc: &Json) -> Result<(String, CgraConfig), String> {
     }
 }
 
-/// The diagnostics a `/lint` body asks for: the default passes over its
-/// graph, plus its architecture and `max_ii` cap when it names them.
+/// The diagnostics a `/lint` body asks for: [`lint_dfg`] over its graph,
+/// then [`lint_arch`] and [`precheck()`] (against its `max_ii` cap) when it
+/// names an architecture.
 ///
 /// # Errors
 ///
 /// As for [`CompileRequest::from_json`]'s `kernel`/`dfg`, `arch`/`arch_text`
-/// and `max_ii` fields, or an architecture that does not build.
+/// and `max_ii` fields, an architecture that does not build, or a `max_ii`
+/// cap without an architecture to check it against.
 pub fn lint_request(doc: &Json) -> Result<Diagnostics, String> {
     let dfg = dfg_field(doc)?;
     let cgra = match arch_field(doc)? {
         Some((_, config)) => Some(Cgra::new(config).map_err(|e| e.to_string())?),
         None => None,
     };
-    let ctx = LintContext {
-        dfg: Some(&dfg),
-        cgra: cgra.as_ref(),
-        max_ii: opt_usize(doc, "max_ii")?,
-        ..LintContext::default()
-    };
-    Ok(Registry::with_default_passes().run(&ctx))
+    let max_ii = opt_usize(doc, "max_ii")?;
+    if cgra.is_none() && max_ii.is_some() {
+        return Err("`max_ii` needs an architecture: give `arch` or `arch_text`".to_string());
+    }
+    let mut out = Diagnostics::new();
+    lint_dfg(&dfg, &mut out);
+    if let Some(cgra) = &cgra {
+        lint_arch(cgra, Some(&dfg), &mut out);
+        precheck(&dfg, cgra, None, max_ii, &mut out);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -338,6 +344,9 @@ mod tests {
         let err = lint("{\"kernel\":\"fir\",\"arch\":\"3x3\"}").unwrap_err();
         assert!(err.starts_with("unknown arch preset `3x3`"), "{err}");
         assert!(lint("{\"kernel\":\"fir\",\"max_ii\":-1}").is_err());
+        // a cap is a claim about an architecture, so it cannot stand alone
+        let err = lint("{\"kernel\":\"fir\",\"scale\":\"tiny\",\"max_ii\":1}").unwrap_err();
+        assert!(err.contains("`arch` or `arch_text`"), "{err}");
     }
 
     #[test]

@@ -26,6 +26,12 @@
 //! which of several optimal assignments a model returns — the pivot
 //! rules, the warm starts and the search order decide that.
 //!
+//! A model is built and then solved; apart from [`Model::var_name`],
+//! nothing outside the crate reads its rows, bounds or objective back.
+//! A row that no point inside its variables' bounds satisfies is caught by
+//! the presolve at the root of every [`Model::solve`], which answers
+//! [`SolveError::Infeasible`] before any LP runs.
+//!
 //! # Examples
 //!
 //! A tiny knapsack:
@@ -53,7 +59,7 @@ mod presolve;
 mod simplex;
 
 pub use branch::{Solution, SolveError, SolveStats};
-pub use model::{Cmp, ConstraintView, LinExpr, Model, Sense, VarId};
+pub use model::{Cmp, LinExpr, Model, Sense, VarId};
 
 #[cfg(test)]
 mod solver_tests;

@@ -244,18 +244,6 @@ pub(crate) struct Constraint {
     pub rhs: f64,
 }
 
-/// Read-only view of one constraint `Σ coeffs cmp rhs` (constants already
-/// folded into the right-hand side), exposed for static analysis.
-#[derive(Debug, Clone, Copy)]
-pub struct ConstraintView<'a> {
-    /// Per-variable coefficients (unmerged, in insertion order).
-    pub coeffs: &'a [(VarId, f64)],
-    /// Comparison operator.
-    pub cmp: Cmp,
-    /// Right-hand side.
-    pub rhs: f64,
-}
-
 /// A mixed-integer linear program under construction.
 ///
 /// # Examples
@@ -302,11 +290,6 @@ impl Model {
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
         self.vars.len()
-    }
-
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
     }
 
     /// Overrides the branch & bound node budget (default 200 000).
@@ -356,41 +339,6 @@ impl Model {
     /// Variable name, for diagnostics.
     pub fn var_name(&self, var: VarId) -> &str {
         &self.vars[var.index()].name
-    }
-
-    /// Iterates over all variable ids.
-    pub fn var_ids(&self) -> impl DoubleEndedIterator<Item = VarId> + ExactSizeIterator {
-        (0..self.vars.len() as u32).map(VarId)
-    }
-
-    /// `(lower, upper)` bounds of `var`.
-    pub fn var_bounds(&self, var: VarId) -> (f64, f64) {
-        let def = &self.vars[var.index()];
-        (def.lower, def.upper)
-    }
-
-    /// Whether `var` is integer-constrained.
-    pub fn is_integer(&self, var: VarId) -> bool {
-        self.vars[var.index()].integer
-    }
-
-    /// The current objective expression.
-    pub fn objective(&self) -> &LinExpr {
-        &self.objective
-    }
-
-    /// The optimisation direction.
-    pub fn sense(&self) -> Sense {
-        self.sense
-    }
-
-    /// Read-only views of all constraints, for static analysis.
-    pub fn constraint_views(&self) -> impl Iterator<Item = ConstraintView<'_>> {
-        self.constraints.iter().map(|c| ConstraintView {
-            coeffs: &c.coeffs,
-            cmp: c.cmp,
-            rhs: c.rhs,
-        })
     }
 
     /// Adds the constraint `expr cmp rhs`. Any constant term inside `expr`

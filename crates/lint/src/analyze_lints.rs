@@ -4,15 +4,14 @@
 //! |------|----------|---------|
 //! | `ANLZ005` | error | the document is not a well-formed `panorama-analyze-v1` report |
 //!
-//! `ANLZ005` is shared with the in-process analyzer pass
-//! (`panorama-analyze`'s `AnalyzePass` reports it when an optimization
-//! fails its equivalence check); here it guards the serialized form —
-//! hand-edited fixtures, truncated artifact uploads — so CI can fail fast
-//! on a corrupt analyze artifact. Beyond field shapes, the cross-field
-//! invariants the writer guarantees are re-checked: the op accounting
-//! (`ops.after = ops.before - merged - removed`), and the witness cycle
-//! actually proving the claimed `rec_mii.after` (`ceil(latency /
-//! distance)`).
+//! `ANLZ005` guards the serialized form — hand-edited fixtures, truncated
+//! artifact uploads — so CI can fail fast on a corrupt analyze artifact.
+//! (A rewrite that fails its equivalence check never gets this far:
+//! `panorama_analyze::analyze` returns the error.) Beyond field shapes,
+//! the cross-field invariants the writer guarantees are re-checked: the
+//! op accounting (`ops.after = ops.before - merged - removed`), and the
+//! witness cycle actually proving the claimed `rec_mii.after`
+//! (`ceil(latency / distance)`).
 
 use crate::report::{err, lint_text, num, Checks};
 use crate::{Diagnostics, Entity};

@@ -33,7 +33,7 @@ const fn info(code: &'static str, severity: &'static str, summary: &'static str)
 
 /// Prefix groups in pipeline order — the order [`ALL`] lists codes in.
 pub const PREFIXES: &[&str] = &[
-    "DFG", "ARCH", "PART", "ILP", "MAP", "SAT", "EXEC", "TRACE", "SERVE", "FUZZ", "ANLZ",
+    "DFG", "ARCH", "PART", "MAP", "SAT", "EXEC", "TRACE", "SERVE", "FUZZ", "ANLZ",
 ];
 
 /// Every stable diagnostic code of the toolchain, grouped by prefix in
@@ -106,26 +106,6 @@ pub const ALL: &[CodeInfo] = &[
         "PART005",
         "error",
         "restriction leaves an op with no allowed cluster, or a home outside the allowed set",
-    ),
-    info(
-        "ILP001",
-        "warn",
-        "free variable: appears in no constraint and not in the objective",
-    ),
-    info(
-        "ILP002",
-        "error",
-        "constraint infeasible under interval arithmetic over variable bounds",
-    ),
-    info(
-        "ILP003",
-        "info",
-        "constraint satisfied by every point of the bounding box (redundant)",
-    ),
-    info(
-        "ILP004",
-        "warn",
-        "objective effectively unbounded in the improving direction",
     ),
     info(
         "MAP001",
@@ -254,7 +234,7 @@ pub const ALL: &[CodeInfo] = &[
     info(
         "ANLZ005",
         "error",
-        "analysis failed, or a malformed panorama-analyze-v1 report",
+        "malformed panorama-analyze-v1 report",
     ),
 ];
 
@@ -323,7 +303,6 @@ mod tests {
             include_str!("dfg_lints.rs"),
             include_str!("arch_lints.rs"),
             include_str!("partition_lints.rs"),
-            include_str!("ilp_lints.rs"),
             include_str!("precheck.rs"),
             include_str!("sat_lints.rs"),
             include_str!("exec_lints.rs"),

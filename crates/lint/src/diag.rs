@@ -39,7 +39,7 @@ impl fmt::Display for Severity {
 /// What a diagnostic is about.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Entity {
-    /// The artifact as a whole (kernel, architecture, model…).
+    /// The artifact as a whole (kernel, architecture, report…).
     Global,
     /// A DFG operation, by dense index and diagnostic name.
     Op {
@@ -57,10 +57,6 @@ pub enum Entity {
     },
     /// A CGRA or CDG cluster, by dense index.
     Cluster(usize),
-    /// An ILP decision variable, by name.
-    Var(String),
-    /// An ILP constraint, by dense index.
-    Constraint(usize),
     /// A trace event, by position in the trace's event array.
     Event(usize),
 }
@@ -72,8 +68,6 @@ impl fmt::Display for Entity {
             Entity::Op { index, name } => write!(f, "op {index} `{name}`"),
             Entity::Edge { src, dst } => write!(f, "edge {src}->{dst}"),
             Entity::Cluster(c) => write!(f, "cluster {c}"),
-            Entity::Var(name) => write!(f, "var `{name}`"),
-            Entity::Constraint(i) => write!(f, "constraint {i}"),
             Entity::Event(i) => write!(f, "event {i}"),
         }
     }

@@ -6,8 +6,9 @@
 //! thread owns a [`SpanCollector`] that appends `(phase, start_ns, end_ns,
 //! counters)` events to a fixed-capacity ring buffer with no locking and no
 //! allocation beyond the counters. At join time the per-candidate buffers
-//! are merged deterministically by `(candidate, seq)` and handed to a
-//! [`TraceSink`].
+//! are merged deterministically by `(candidate, seq)` and appended to the
+//! tracer's [`RecordingSink`], the one sink: the CLI, the daemon and the
+//! benchmark all read their events back from it.
 //!
 //! Tracing is opt-in and free when off: a disabled [`Tracer`] hands out
 //! disabled collectors whose `start`/`record` calls are single-branch
@@ -86,22 +87,10 @@ pub struct TraceEvent {
     pub stable: bool,
 }
 
-/// Receiver of merged event batches. Implementations must tolerate being
-/// called from whichever thread runs the pipeline's join point.
-pub trait TraceSink: Send + Sync {
-    /// Accepts one deterministically merged batch of events.
-    fn record_batch(&self, events: &[TraceEvent]);
-}
-
-/// Sink that discards everything (the explicit no-op).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record_batch(&self, _events: &[TraceEvent]) {}
-}
-
-/// Sink that accumulates every batch in memory, in arrival order.
+/// The trace sink: accumulates every merged batch in memory, in arrival
+/// order, for the caller to [`take`](RecordingSink::take) or
+/// [`snapshot`](RecordingSink::snapshot). [`Tracer::disabled`] is the
+/// no-op.
 #[derive(Debug, Default)]
 pub struct RecordingSink {
     events: Mutex<Vec<TraceEvent>>,
@@ -130,19 +119,13 @@ impl RecordingSink {
     }
 }
 
-impl TraceSink for RecordingSink {
-    fn record_batch(&self, events: &[TraceEvent]) {
-        self.lock().extend_from_slice(events);
-    }
-}
-
 struct TracerInner {
-    sink: Arc<dyn TraceSink>,
+    sink: Arc<RecordingSink>,
     epoch: Instant,
 }
 
 /// Handle that creates [`SpanCollector`]s and submits their merged events
-/// to a [`TraceSink`]. Cloning shares the sink and the time epoch.
+/// to a [`RecordingSink`]. Cloning shares the sink and the time epoch.
 #[derive(Clone)]
 pub struct Tracer {
     inner: Option<Arc<TracerInner>>,
@@ -157,13 +140,13 @@ impl fmt::Debug for Tracer {
 }
 
 impl Tracer {
-    /// A tracer whose collectors are free no-ops; nothing reaches any sink.
+    /// A tracer whose collectors are free no-ops and that records nothing.
     pub fn disabled() -> Self {
         Tracer { inner: None }
     }
 
     /// A tracer recording into `sink`, with its epoch set to now.
-    pub fn new(sink: Arc<dyn TraceSink>) -> Self {
+    pub fn new(sink: Arc<RecordingSink>) -> Self {
         Tracer {
             inner: Some(Arc::new(TracerInner {
                 sink,
@@ -205,7 +188,7 @@ impl Tracer {
     pub fn submit(&self, collectors: Vec<SpanCollector>) {
         if let Some(inner) = &self.inner {
             let merged = merge(collectors);
-            inner.sink.record_batch(&merged);
+            inner.sink.lock().extend(merged);
         }
     }
 }

@@ -4,7 +4,7 @@
 #
 #   1. cleanliness — every kernel and corpus DFG analyzes with zero
 #      error-severity diagnostics (interpreter equivalence of the
-#      rewritten graph is checked inside `analyze` itself, ANLZ005);
+#      rewritten graph is checked inside `analyze` itself, which fails);
 #   2. determinism — a second run produces byte-identical
 #      panorama-analyze-v1 JSON;
 #   3. report hygiene — every report passes the ANLZ lints via

@@ -127,8 +127,13 @@ fn lint_json_output_parses_as_array() {
     assert!(stdout.contains("\"severity\": \"info\""), "{stdout}");
 }
 
-fn write_mul_less_arch() -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("panorama-lint-test-{}.arch", std::process::id()));
+/// An adder-only 8x8 ADL file, named per test so that parallel tests do
+/// not remove each other's file.
+fn write_mul_less_arch(test: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!(
+        "panorama-lint-test-{}-{test}.arch",
+        std::process::id()
+    ));
     std::fs::write(&path, "cgra 8 8\nclusters 2 2\nmul none\n").unwrap();
     path
 }
@@ -137,7 +142,7 @@ fn write_mul_less_arch() -> std::path::PathBuf {
 fn lint_rejects_kernel_with_unsupported_op_kind() {
     // `fir` at tiny scale contains multiplies; an adder-only fabric cannot
     // execute them at any II.
-    let arch = write_mul_less_arch();
+    let arch = write_mul_less_arch("lint-fir");
     let out = bin()
         .args(["lint", "--dfg", "fir", "--scale", "tiny", "--arch"])
         .arg(&arch)
@@ -157,7 +162,7 @@ fn lint_rejects_kernel_with_unsupported_op_kind() {
 
 #[test]
 fn compile_rejects_kernel_with_unsupported_op_kind() {
-    let arch = write_mul_less_arch();
+    let arch = write_mul_less_arch("compile-fir");
     let out = bin()
         .args(["compile", "--dfg", "fir", "--scale", "tiny", "--arch"])
         .arg(&arch)
@@ -179,7 +184,7 @@ const LOOP4: &[u8] = b"dfg loop4\n\
     op 0 add a\nop 1 add b\nop 2 add c\nop 3 add d\n\
     edge 0 1\nedge 1 2\nedge 2 3\nback 3 0 1\n";
 
-fn run_with_loop4_stdin(args: &[&str]) -> std::process::Output {
+fn run_with_stdin(input: &[u8], args: &[&str]) -> std::process::Output {
     let mut child = bin()
         .args(args)
         .stdin(Stdio::piped())
@@ -187,8 +192,12 @@ fn run_with_loop4_stdin(args: &[&str]) -> std::process::Output {
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
-    child.stdin.as_mut().unwrap().write_all(LOOP4).unwrap();
+    child.stdin.as_mut().unwrap().write_all(input).unwrap();
     child.wait_with_output().unwrap()
+}
+
+fn run_with_loop4_stdin(args: &[&str]) -> std::process::Output {
+    run_with_stdin(LOOP4, args)
 }
 
 #[test]
@@ -201,6 +210,48 @@ fn lint_rejects_ii_cap_below_static_bound() {
     );
     assert!(stdout.contains("MAP003"), "{stdout}");
     assert!(stdout.contains("static lower bound"), "{stdout}");
+}
+
+#[test]
+fn lint_refuses_an_ii_cap_without_an_architecture() {
+    // the cap is a claim about a target: with none named there is nothing
+    // to check it against
+    let out = run_with_loop4_stdin(&["lint", "--dfg", "-", "--max-ii", "2"]);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(!out.status.success(), "{stderr}");
+    assert!(stderr.contains("`arch` or `arch_text`"), "{stderr}");
+    assert!(out.stdout.is_empty());
+}
+
+/// One add → mul → add recurrence (RecMII 3) with an orphan head, on the
+/// adder-only fabric under an II cap of 2: every kernel pass finds
+/// something, and the findings come in pass order — dfg, arch, precheck.
+#[test]
+fn lint_reports_the_passes_in_order() {
+    const MIXED: &[u8] = b"dfg mixed\n\
+        op 0 add a\nop 1 mul m\nop 2 add c\n\
+        edge 0 1\nedge 1 2\nback 2 0 1\n";
+    let arch = write_mul_less_arch("order");
+    let arch_arg = arch.to_str().unwrap();
+    let args = [
+        "lint", "--dfg", "-", "--arch", arch_arg, "--max-ii", "2", "--json",
+    ];
+    let out = run_with_stdin(MIXED, &args);
+    let _ = std::fs::remove_file(&arch);
+    let expected = "[
+  {\"code\": \"DFG002\", \"severity\": \"warn\", \"entity\": \"op 0 `a`\", \"message\": \"`add` op has no intra-iteration producers\", \"help\": \"feed it from a load/const or remove it\"},
+  {\"code\": \"ARCH003\", \"severity\": \"error\", \"entity\": \"(global)\", \"message\": \"kernel `mixed` contains 1 `mul` op(s) but no PE has a multiplier\", \"help\": \"use an architecture with `mul all` or rewrite the kernel\"},
+  {\"code\": \"MAP001\", \"severity\": \"error\", \"entity\": \"(global)\", \"message\": \"kernel `mixed` needs a multiplier for 1 op(s) but the target has none; unmappable at any II\", \"help\": \"target an architecture with `mul all`, or strength-reduce the kernel\"},
+  {\"code\": \"MAP002\", \"severity\": \"info\", \"entity\": \"(global)\", \"message\": \"static lower bound: II >= 3 (ResMII 1, RecMII 3)\", \"help\": null},
+  {\"code\": \"MAP003\", \"severity\": \"error\", \"entity\": \"(global)\", \"message\": \"II cap 2 is below the static lower bound 3; no mapping can exist\", \"help\": \"raise the cap to at least 3\"}
+]
+";
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), expected);
+    assert_eq!(
+        String::from_utf8(out.stderr).unwrap(),
+        "error: lint found 3 error(s)\n"
+    );
+    assert!(!out.status.success());
 }
 
 #[test]
