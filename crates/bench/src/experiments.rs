@@ -3,10 +3,9 @@
 use crate::{geomean, profile, Table};
 use panorama::{CompileReport, Panorama, PanoramaConfig};
 use panorama_arch::{Cgra, CgraConfig};
-use panorama_cluster::{explore_partitions, top_balanced, SpectralConfig};
+use panorama_cluster::{explore_partitions, top_balanced};
 use panorama_dfg::{kernels, Dfg, KernelId};
 use panorama_mapper::{min_ii, LowerLevelMapper, SprMapper, UltraFastMapper};
-use panorama_power::PowerModel;
 use std::time::Duration;
 
 fn secs(d: Duration) -> String {
@@ -175,11 +174,13 @@ pub fn table1b() -> String {
     t.render()
 }
 
-/// **Figure 5** — imbalance factor vs number of clusters for four kernels.
+/// **Figure 5** — imbalance factor vs number of clusters for four kernels,
+/// over the cluster counts the compiler explores
+/// ([`PanoramaConfig::cluster_counts`]).
 pub fn fig5() -> String {
     let p = profile();
     let cgra = Cgra::new(p.cgra.clone()).expect("profile CGRA is valid");
-    let (rows, _) = cgra.cluster_grid();
+    let config = PanoramaConfig::default();
     let mut t = Table::new(
         format!(
             "Figure 5 — imbalance factor (%) vs cluster count [{}]",
@@ -194,9 +195,8 @@ pub fn fig5() -> String {
         KernelId::Fir,
     ] {
         let dfg = kernels::generate(id, p.scale);
-        let r = rows.max(2);
-        let m = (dfg.num_ops() / 8).clamp(r, 32);
-        let parts = explore_partitions(&dfg, r, m, &SpectralConfig::default())
+        let ks = config.cluster_counts(&dfg, &cgra);
+        let parts = explore_partitions(&dfg, *ks.start(), *ks.end(), &config.spectral)
             .expect("kernels cluster cleanly");
         for part in &parts {
             t.row(&[
@@ -284,74 +284,34 @@ pub fn fig9() -> String {
     )
 }
 
-/// **Figure 8** — power efficiency (MOPS/mW) of a small vs the main CGRA
-/// under SPR\* and Pan-SPR\*, normalised to SPR\* on the small CGRA.
-pub fn fig8() -> String {
-    let p = profile();
-    let big = Cgra::new(p.cgra.clone()).expect("profile CGRA is valid");
-    let small = Cgra::new(p.small_cgra.clone()).expect("small CGRA is valid");
-    let compiler = Panorama::new(PanoramaConfig::default());
-    let model = PowerModel::forty_nm();
-    let mapper = SprMapper::default();
-    // a representative subset keeps the 4-way sweep tractable
-    let kernel_set = [
-        KernelId::Cordic,
-        KernelId::Edn,
-        KernelId::IdctCols,
-        KernelId::JpegFdct,
-        KernelId::KMeansClustering,
-        KernelId::Fir,
-    ];
-    let mut t = Table::new(
-        format!(
-            "Figure 8 — power efficiency normalised to SPR* on {}x{} [{}]",
-            p.small_cgra.rows, p.small_cgra.cols, p.name
-        ),
-        &["kernel", "SPR* small", "Pan small", "SPR* big", "Pan big"],
-    );
-    let eff = |rep: &CompileReport, cgra: &Cgra, dfg: &Dfg| -> f64 {
-        let hops = rep
-            .mapping()
-            .route_stats(dfg, cgra)
-            .map_or(dfg.num_deps(), |s| s.link_hops);
-        model
-            .evaluate(cgra, dfg.num_ops(), hops, rep.mapping().ii())
-            .efficiency()
-    };
-    let mut ratios = Vec::new();
-    for id in kernel_set {
-        let dfg = kernels::generate(id, p.scale);
-        let results = [
-            compiler.compile_baseline(&dfg, &small, &mapper),
-            compiler.compile(&dfg, &small, &mapper),
-            compiler.compile_baseline(&dfg, &big, &mapper),
-            compiler.compile(&dfg, &big, &mapper),
-        ];
-        let base = results[0].as_ref().ok().map(|r| eff(r, &small, &dfg));
-        let mut cells = vec![id.to_string()];
-        for (i, r) in results.iter().enumerate() {
-            let cgra = if i < 2 { &small } else { &big };
-            match (r, base) {
-                (Ok(rep), Some(b)) if b > 0.0 => {
-                    let e = eff(rep, cgra, &dfg) / b;
-                    if i == 3 {
-                        ratios.push(e);
-                    }
-                    cells.push(format!("{e:.2}"));
-                }
-                (Ok(_), _) => cells.push("1.00".into()),
-                (Err(_), _) => cells.push("fail".into()),
-            }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fig5_sweeps_only_the_cluster_counts_the_compiler_explores() {
+        // NB: assumes the test environment does not set PANORAMA_PAPER_SCALE
+        let p = profile();
+        let cgra = Cgra::new(p.cgra.clone()).unwrap();
+        let config = PanoramaConfig::default();
+        let out = fig5();
+        let mut checked = 0;
+        // title, header and rule first; cells are separated by 2+ spaces
+        for line in out.lines().skip(3) {
+            let cells: Vec<&str> = line
+                .split("  ")
+                .map(str::trim)
+                .filter(|c| !c.is_empty())
+                .collect();
+            let id = KernelId::ALL
+                .into_iter()
+                .find(|id| id.to_string() == cells[0])
+                .unwrap_or_else(|| panic!("unknown kernel in {line:?}"));
+            let k: usize = cells[1].trim_start_matches("best=").parse().unwrap();
+            let ks = config.cluster_counts(&kernels::generate(id, p.scale), &cgra);
+            assert!(ks.contains(&k), "{id}: k = {k} outside {ks:?}");
+            checked += 1;
         }
-        t.row(&cells);
+        assert!(checked > 4, "fig5 rendered no k rows:\n{out}");
     }
-    let mut out = t.render();
-    out.push_str(&format!(
-        "summary: geomean Pan-SPR*-on-big vs SPR*-on-small efficiency {:.2}x\n",
-        geomean(&ratios)
-    ));
-    out.push_str(
-        "paper: 16x16 is 68% more power-efficient than 9x9; Pan-SPR* adds 16% over SPR* on 16x16\n",
-    );
-    out
 }

@@ -13,7 +13,7 @@
 //!   Xeon runs).
 //!
 //! Table/figure index (see DESIGN.md §4): [`table1a`], [`table1b`],
-//! [`fig5`], [`fig7`], [`fig8`], [`fig9`], plus the [`ablations`] module
+//! [`fig5`], [`fig7`], [`fig9`], plus the [`ablations`] module
 //! for the design-choice studies called out in DESIGN.md §6. These targets
 //! regenerate the paper's artifacts; the time and II yardstick is
 //! `benchmark/run.sh`, and determinism is asserted in `tests/perf.rs`.
@@ -25,7 +25,7 @@ pub mod ablations;
 mod experiments;
 mod format;
 
-pub use experiments::{fig5, fig7, fig8, fig9, table1a, table1b};
+pub use experiments::{fig5, fig7, fig9, table1a, table1b};
 pub use format::Table;
 
 use panorama_arch::CgraConfig;
@@ -36,10 +36,8 @@ use panorama_dfg::KernelScale;
 pub struct Profile {
     /// Human-readable profile name, printed in every table header.
     pub name: &'static str,
-    /// Main CGRA (Figures 7, 9; Tables 1a).
+    /// The CGRA every experiment targets (Figures 5, 7, 9; Table 1a).
     pub cgra: CgraConfig,
-    /// Smaller CGRA for the Figure 8 scaling comparison.
-    pub small_cgra: CgraConfig,
     /// Kernel generation scale.
     pub scale: KernelScale,
 }
@@ -50,23 +48,12 @@ pub fn profile() -> Profile {
         Profile {
             name: "paper (16x16 CGRA, ~430-node kernels)",
             cgra: CgraConfig::paper_16x16(),
-            small_cgra: CgraConfig::paper_9x9(),
             scale: KernelScale::Paper,
         }
     } else {
         Profile {
             name: "scaled (8x8 CGRA, ~1/3-size kernels)",
             cgra: CgraConfig::scaled_8x8(),
-            // the scaled kernels are sized to *fill* the 8x8 array (as the
-            // paper's unrolled kernels fill the 16x16); the small point of
-            // the scaling comparison is a 4x4 with 2x2 clusters
-            small_cgra: CgraConfig {
-                rows: 4,
-                cols: 4,
-                cluster_rows: 2,
-                cluster_cols: 2,
-                ..CgraConfig::paper_16x16()
-            },
             scale: KernelScale::Scaled,
         }
     }

@@ -67,6 +67,5 @@ pub use panorama_linalg as linalg;
 pub use panorama_lint as lint;
 pub use panorama_mapper as mapper;
 pub use panorama_place as place;
-pub use panorama_power as power;
 pub use panorama_sim as sim;
 pub use panorama_trace as trace;

@@ -18,6 +18,7 @@ use panorama_place::{
 use panorama_trace::{SpanCollector, SpanStart, Tracer, NO_CANDIDATE, SEQ_BASE_MAP};
 use std::error::Error;
 use std::fmt;
+use std::ops::RangeInclusive;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -67,6 +68,24 @@ impl Default for PanoramaConfig {
             analyze: None,
             threads: 0,
         }
+    }
+}
+
+impl PanoramaConfig {
+    /// The DFG cluster counts `k` the divide explores (Algorithm 1's `r`
+    /// to `m`), from the cluster-grid rows `r` up. The cap keeps clusters
+    /// a sensible size — all-singleton partitions are perfectly "balanced"
+    /// (IF = 0) but defeat the divide step. The paper's `m = 32` is twice
+    /// its 16 CGRA cells; scale the same way, never below ~8 DFG nodes per
+    /// cluster (Table 1a has ~15–40 per cluster at ~430 nodes), and never
+    /// above [`max_dfg_clusters`](Self::max_dfg_clusters).
+    pub fn cluster_counts(&self, dfg: &Dfg, cgra: &Cgra) -> RangeInclusive<usize> {
+        let (rows, cols) = cgra.cluster_grid();
+        let r = rows.max(2);
+        let m = (2 * rows * cols)
+            .min(dfg.num_ops() / 8)
+            .clamp(r, self.max_dfg_clusters.max(r));
+        r..=m
     }
 }
 
@@ -416,19 +435,10 @@ impl Panorama {
         trace: &mut SpanCollector,
     ) -> Result<(Vec<Partition>, Duration), PanoramaError> {
         let span = trace.start();
-        let (rows, cols) = cgra.cluster_grid();
         let t0 = Instant::now();
-        // Cap the exploration so clusters keep a sensible minimum size —
-        // all-singleton partitions are perfectly "balanced" (IF = 0) but
-        // defeat the divide step. The paper's `m = 32` is twice its 16
-        // CGRA cells; scale the same way, and never below ~8 DFG nodes per
-        // cluster (Table 1a has ~15–40 per cluster at ~430 nodes).
-        let r = rows.max(2);
-        let m = (2 * rows * cols)
-            .min(dfg.num_ops() / 8)
-            .clamp(r, self.config.max_dfg_clusters.max(r));
+        let ks = self.config.cluster_counts(dfg, cgra);
         let (partitions, eigen_sweeps, iterations, distances) =
-            explore_partitions_with_stats(dfg, r, m, &self.config.spectral)?;
+            explore_partitions_with_stats(dfg, *ks.start(), *ks.end(), &self.config.spectral)?;
         if trace.is_enabled() {
             for p in &partitions {
                 trace.event(

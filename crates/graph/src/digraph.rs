@@ -203,12 +203,6 @@ impl<N, E> Digraph<N, E> {
         }
     }
 
-    /// Mutably borrows the payload of `edge`.
-    #[inline]
-    pub fn edge_weight_mut(&mut self, edge: EdgeId) -> &mut E {
-        &mut self.edges[edge.index()].weight
-    }
-
     /// Iterates over all node ids in insertion order.
     pub fn node_ids(&self) -> impl DoubleEndedIterator<Item = NodeId> + ExactSizeIterator {
         (0..self.nodes.len() as u32).map(NodeId)
@@ -267,25 +261,6 @@ impl<N, E> Digraph<N, E> {
     /// Maximum total degree over all nodes, or 0 for an empty graph.
     pub fn max_degree(&self) -> usize {
         self.node_ids().map(|n| self.degree(n)).max().unwrap_or(0)
-    }
-
-    /// Applies `f` to every node payload, producing a graph with the same
-    /// shape and new node weights.
-    pub fn map_nodes<M>(&self, mut f: impl FnMut(NodeId, &N) -> M) -> Digraph<M, E>
-    where
-        E: Clone,
-    {
-        Digraph {
-            nodes: self
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(i, n)| f(NodeId(i as u32), n))
-                .collect(),
-            edges: self.edges.clone(),
-            out_edges: self.out_edges.clone(),
-            in_edges: self.in_edges.clone(),
-        }
     }
 
     /// Builds the subgraph induced by `keep`, renumbering nodes densely.
@@ -431,15 +406,6 @@ mod tests {
         let r = g.reversed();
         assert_eq!(r.successors(b).collect::<Vec<_>>(), vec![a]);
         assert_eq!(r.in_degree(a), 2); // a gains the two edges it emitted
-    }
-
-    #[test]
-    fn map_nodes_preserves_shape() {
-        let (g, _) = diamond();
-        let m = g.map_nodes(|id, s| (id.index(), s.len()));
-        assert_eq!(m.node_count(), 4);
-        assert_eq!(m.edge_count(), 4);
-        assert_eq!(*m.node(NodeId(0)), (0, 1));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Post-mapping route statistics: interconnect and register pressure of a
-//! finished mapping, consumed by the power model (Figure 8's hop counts)
-//! and by architects judging resource headroom.
+//! finished mapping, for architects judging resource headroom.
 
 use crate::Mapping;
 use panorama_arch::{Cgra, NodeKind};

@@ -132,11 +132,6 @@ impl ClusterMap {
         (self.rows, self.cols)
     }
 
-    /// Number of CDG nodes mapped.
-    pub fn num_cdg_nodes(&self) -> usize {
-        self.row_of.len()
-    }
-
     /// Cluster row assigned to `node` by column-wise scattering.
     pub fn row_of(&self, node: CdgNodeId) -> usize {
         self.row_of[node.index()]

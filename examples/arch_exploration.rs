@@ -1,6 +1,5 @@
-//! Architecture exploration: sweep CGRA sizes and compare throughput and
-//! power efficiency of one kernel under PANORAMA — the Figure 8
-//! methodology as a user-facing tool.
+//! Architecture exploration: sweep CGRA sizes and compare the II and the
+//! quality of mapping (QoM = MII/II) of one kernel under PANORAMA.
 //!
 //! ```sh
 //! cargo run --release --example arch_exploration
@@ -10,19 +9,14 @@ use panorama::{Panorama, PanoramaConfig};
 use panorama_arch::{Cgra, CgraConfig};
 use panorama_dfg::{kernels, KernelId, KernelScale};
 use panorama_mapper::SprMapper;
-use panorama_power::PowerModel;
 use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let dfg = kernels::generate(KernelId::IdctCols, KernelScale::Scaled);
     println!("kernel `{}`: {}", dfg.name(), dfg.stats());
     println!();
-    println!(
-        "{:<12} {:>4} {:>6} {:>10} {:>10} {:>9}",
-        "CGRA", "II", "QoM", "MOPS", "power(mW)", "MOPS/mW"
-    );
+    println!("{:<12} {:>4} {:>6}", "CGRA", "II", "QoM");
 
-    let model = PowerModel::forty_nm();
     let compiler = Panorama::new(PanoramaConfig::default());
     let sizes = [
         ("4x4 (1x1)", CgraConfig::small_4x4()),
@@ -61,19 +55,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             Ok(report) => {
                 let mapping = report.mapping();
                 mapping.verify(&dfg, &cgra)?;
-                let hops = mapping.routes().map_or(dfg.num_deps(), |r| {
-                    r.iter().map(|x| x.nodes.len()).sum::<usize>() / 3
-                });
-                let p = model.evaluate(&cgra, dfg.num_ops(), hops, mapping.ii());
-                println!(
-                    "{:<12} {:>4} {:>6.2} {:>10.0} {:>10.1} {:>9.2}",
-                    name,
-                    mapping.ii(),
-                    mapping.qom(),
-                    p.mops(),
-                    p.total_mw(),
-                    p.efficiency()
-                );
+                println!("{name:<12} {:>4} {:>6.2}", mapping.ii(), mapping.qom());
             }
             Err(e) => println!("{name:<12} mapping failed: {e}"),
         }

@@ -138,13 +138,8 @@ fn baseline_and_guided_both_verify_on_scaled_kernel() {
 /// The top-balanced candidate partitions the divide scatters, in balance
 /// rank order (the trace's candidate numbers).
 fn candidates(dfg: &Dfg, cgra: &Cgra, config: &PanoramaConfig) -> Vec<Partition> {
-    let (rows, cols) = cgra.cluster_grid();
-    // the exploration range `Panorama::plan` uses
-    let r = rows.max(2);
-    let m = (2 * rows * cols)
-        .min(dfg.num_ops() / 8)
-        .clamp(r, config.max_dfg_clusters.max(r));
-    let parts = explore_partitions(dfg, r, m, &config.spectral).unwrap();
+    let ks = config.cluster_counts(dfg, cgra);
+    let parts = explore_partitions(dfg, *ks.start(), *ks.end(), &config.spectral).unwrap();
     top_balanced(&parts, config.top_partitions)
         .into_iter()
         .map(|(_, part)| part.clone())
